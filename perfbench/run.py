@@ -19,6 +19,7 @@ emitted with its unit.
 """
 
 import argparse
+import dataclasses
 import gc
 import hashlib
 import json
@@ -35,8 +36,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 STATE = os.path.join(ROOT, ".perfbench")
-SETUP_SAMPLES = 3          # set-up passes per run; setup_s is their median
+SETUP_SAMPLES = 3          # set-up samples per run, at least; setup_s is their median
 TAIL_BEYOND = 10           # samples the tail percentile must leave above it
+TAIL_MAX_PERCENTILE = 90   # above p90 a burst of host load on a few epochs sets the tail
+MAX_EPOCH_UNCOVERED = 0.06 # share of a train_model call outside sum(epoch_ms)
 
 
 def _unit(name):
@@ -61,14 +64,16 @@ UNITS = {"setup_s": "s", "job_s": "s", "epoch_ms_p50": "ms", "epoch_ms_tail": "m
 
 def tail_percentile(samples):
     """(value, percentile, n): the largest sample with TAIL_BEYOND samples
-    above it, i.e. the highest percentile that has that many beyond it.
-    Below 2 * TAIL_BEYOND samples that percentile would fall under the
-    median, so the median stands in for the tail."""
+    above it, i.e. the highest percentile that has that many beyond it, but
+    no higher than TAIL_MAX_PERCENTILE. Below 2 * TAIL_BEYOND samples that
+    percentile would fall under the median, so the median stands in for the
+    tail."""
     s = sorted(samples)
     n = len(s)
     if n < 2 * TAIL_BEYOND:
         return statistics.median(s), 50, n
-    return s[n - TAIL_BEYOND - 1], 100 * (n - TAIL_BEYOND) // n, n
+    beyond = max(TAIL_BEYOND, -(-n * (100 - TAIL_MAX_PERCENTILE) // 100))
+    return s[n - beyond - 1], 100 * (n - beyond) // n, n
 
 
 def _git_commit():
@@ -133,8 +138,10 @@ def _load_reference(name, toy):
 # ---------------------------------------------------------------------------
 # checks shared by traced and untraced runs
 
-def check_job(job, evaluation, reference, seed, checks, notes):
-    """Append (name, passed) output checks for one job; passed None = skipped."""
+def check_job(job, evaluation, reference, seed, toy, checks, notes):
+    """Append (name, passed) output checks for one job; passed None = skipped.
+    Toy-size runs have no reference and skip the epoch-timer coverage check:
+    there the per-call work outside the epochs outweighs the epochs."""
     import numpy as np
     from workloads import curves_digest
 
@@ -153,12 +160,11 @@ def check_job(job, evaluation, reference, seed, checks, notes):
         else:
             passed = value <= ref["max"]
         checks.append((f"{key}_within_reference_bound", passed))
-    outside = sum(t for t, _ in job.train_calls)
-    inside = sum(e for _, e in job.train_calls)
-    uncovered = 1.0 - inside / outside if outside else 0.0
-    notes["epoch_uncovered_share"] = uncovered
-    bound = reference.get("max_epoch_uncovered_share")
-    checks.append(("epoch_timer_coverage", None if bound is None else uncovered <= bound))
+    # per call, so that a call with little to hide cannot dilute another's share
+    uncovered = max((1.0 - inside / outside for outside, inside in job.train_calls),
+                    default=0.0)
+    notes["epoch_uncovered_share"] = max(uncovered, notes.get("epoch_uncovered_share", 0.0))
+    checks.append(("epoch_timer_coverage", None if toy else uncovered <= MAX_EPOCH_UNCOVERED))
     digest = curves_digest(job.runs)
     notes["curves_digest"] = digest
     expected = reference.get("curves", {}).get(str(seed))
@@ -177,7 +183,9 @@ def evaluate(wl, job):
 
 
 def measure(wl, ds, seed, seconds, work):
-    """Untraced run: repeat the job for `seconds`, then extra set-up passes."""
+    """Untraced run: repeat the job for `seconds`, then set-up passes until
+    there are SETUP_SAMPLES. A set-up pass is the same job trained for one
+    epoch, so it times the job's own set-up path; its outputs are not kept."""
     jobs, evaluations = [], []
     start = time.perf_counter()
     while True:
@@ -189,10 +197,12 @@ def measure(wl, ds, seed, seconds, work):
         if time.perf_counter() - start >= seconds:
             break
     setup = [j.setup_s for j in jobs]
-    while len(setup) < SETUP_SAMPLES:
+    passes = []
+    while len(setup) + len(passes) < SETUP_SAMPLES:
         gc.collect()
-        setup.append(wl.setup_only(ds, seed, _fresh(work + "-setup")))
-    return jobs, evaluations, setup
+        passes.append(dataclasses.replace(wl, epochs=1).job(
+            ds, seed, _fresh(work + "-setup")))
+    return jobs, evaluations, setup + [p.setup_s for p in passes], passes
 
 
 def end_to_end(wl_module, jobs, evaluations, setup, notes):
@@ -233,7 +243,8 @@ def traced_run(wl, ds, seed, work, name):
     baseline_eval = evaluate(wl, baseline)
     baseline.state = {}
     metrics = tracer.layer_metrics()
-    metrics["model.cm_tv"] = traced_eval.get("cm_tv", float("nan"))
+    # 0 where no compatgnn model trains, like any metric of a layer that does not run
+    metrics["model.cm_tv"] = traced_eval.get("cm_tv") or 0.0
     metrics["trace.overhead_s"] = traced.job_s - baseline.job_s
     metrics["trace.unattributed_share"] = 1.0 - tracer.root_seconds / traced.job_s
     jobs = [traced, baseline]
@@ -262,16 +273,22 @@ def run(name, seed, seconds, trace, toy):
     notes = {"workload": name, "seed": seed, "trace": trace, "toy": toy,
              "env": environment(seed), "prep_s": prep_s, "prep_cached": cached}
     checks = []
+    passes = []
     if trace:
         jobs, evaluations, metrics, split = traced_run(wl, ds, seed, work, name)
         notes["workload_split"] = split
     else:
-        jobs, evaluations, setup = measure(wl, ds, seed, seconds, work)
+        jobs, evaluations, setup, passes = measure(wl, ds, seed, seconds, work)
         metrics = end_to_end(workloads, jobs, evaluations, setup, notes)
-    digests = [check_job(job, evaluation, reference, seed, checks, notes)
+    digests = [check_job(job, evaluation, reference, seed, toy, checks, notes)
                for job, evaluation in zip(jobs, evaluations)]
-    # every job of a run, traced or not, must train bit-identically
-    checks.append(("curves_repeatable", len(set(digests)) == 1))
+    # every job of a run must train bit-identically; a traced run always has
+    # two (traced and baseline), an untraced one as many as fit in --seconds
+    if len(digests) > 1:
+        checks.append(("curves_repeatable", len(set(digests)) == 1))
+    if passes:
+        checks.append(("setup_passes_ok", all(p.failed == 0 for p in passes)))
+        notes["errors"] += [f"set-up pass: {e}" for p in passes for e in p.errors]
     attempted = sum(j.attempted for j in jobs)
     failed = sum(j.failed for j in jobs)
     summary = {}          # per check over all jobs: False if any job failed it
@@ -308,7 +325,8 @@ def print_human(result, notes):
         elif key == "setup_s":
             extra = f"  (median of {len(notes['setup_s_samples'])})"
         print(f"{key} {m['value']:.6g} {m['unit']}{extra}")
-    print(f"cm_tv {notes['cm_tv']} TV  (output check; per-layer metric model.cm_tv)")
+    cm_tv = "n/a (no compatgnn model)" if notes["cm_tv"] is None else f"{notes['cm_tv']:.6g}"
+    print(f"cm_tv {cm_tv} TV  (output check; per-layer metric model.cm_tv)")
     print(f"epoch_uncovered_share {notes['epoch_uncovered_share']:.4f}")
     for key, passed in notes["checks"].items():
         print(f"check {key} {'skipped' if passed is None else 'ok' if passed else 'FAILED'}")

@@ -72,11 +72,6 @@ def mean_row_tv(a, b):
     return float(np.mean(0.5 * np.abs(np.asarray(a) - np.asarray(b)).sum(axis=1)))
 
 
-def softmax_rows(x):
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # compat-50k and h2gcn-5k: the public API on one split of a stored dataset
 
@@ -118,23 +113,14 @@ class ApiWorkload:
         os.replace(tmp, ds)
         return ds, prep_s, False
 
-    def _setup(self, ds, seed):
-        g = cg.load_dataset(ds)
-        splits = cg.load_splits(ds)
-        model = cg.build_model(self.config(seed), g, seed)
-        return g, splits, model
-
-    def setup_only(self, ds, seed, work_dir):
-        t0 = time.perf_counter()
-        self._setup(ds, seed)
-        return time.perf_counter() - t0
-
     def job(self, ds, seed, work_dir):
         job = Job(attempted=1)
         config = self.config(seed)
         t0 = time.perf_counter()
         try:
-            g, splits, model = self._setup(ds, seed)
+            g = cg.load_dataset(ds)
+            splits = cg.load_splits(ds)
+            model = cg.build_model(config, g, seed)
             job.setup_s = time.perf_counter() - t0
             t1 = time.perf_counter()
             result = cg.train_model(g, splits[0], config, seed, split_id=0,
@@ -144,7 +130,7 @@ class ApiWorkload:
             bench.write_json_atomic(os.path.join(work_dir, "run.json"),
                                     dataclasses.asdict(result))
             job.runs.append(result)
-            job.state = {"graph": g, "model": model, "train": splits[0].train}
+            job.state = {"graph": g}
         except TrainingDiverged as exc:
             job.fail("train", exc)
         except Exception as exc:   # recorded as a failed operation
@@ -158,23 +144,13 @@ class ApiWorkload:
         if not job.runs:
             return {"artifacts_ok": False}
         r = job.runs[0]
-        g = job.state["graph"]
-        observed = cg.observed_cm(g).m
+        cm_tv = None            # only compatgnn estimates a compatibility matrix
         if self.model == "compatgnn":
-            estimate = np.asarray(r.metadata["cm_estimate"])
-        else:
-            # the same estimator CompatGNN refreshes with, fed this model's
-            # predictions: how well they recover the compatibility structure
-            logits = job.state["model"].forward(train=False).logits.value
-            soft = softmax_rows(logits)
-            train = job.state["train"]
-            soft[train] = 0.0
-            soft[train, g.labels[train]] = 1.0
-            estimate = cg.estimate_cm(g, soft).matrix.m
+            cm_tv = mean_row_tv(r.metadata["cm_estimate"],
+                                cg.observed_cm(job.state["graph"]).m)
         with open(job.state["run_json"], encoding="utf-8") as fh:
             stored = json.load(fh)
-        return {"test_acc": r.test_accuracy,
-                "cm_tv": mean_row_tv(estimate, observed),
+        return {"test_acc": r.test_accuracy, "cm_tv": cm_tv,
                 "artifacts_ok": stored["loss_curve"] == r.loss_curve}
 
 
@@ -187,7 +163,7 @@ class GridWorkload:
     nodes: int
     splits: int
     patience: int
-    max_epochs: int
+    epochs: int             # the most a run trains; early stopping may end it sooner
     patterns: tuple = ("easy", "hard")
     models: tuple = ("compatgnn", "acmgcn")
 
@@ -198,7 +174,7 @@ class GridWorkload:
         argv = ["bench", "--data", ds, "--model", model,
                 "--splits", f"0-{self.splits - 1}", "--dropout", "0.5",
                 "--patience", str(self.patience),
-                "--max-epochs", str(self.max_epochs),
+                "--max-epochs", str(self.epochs),
                 "--layers", str(LAYERS), "--nhidden", str(HIDDEN),
                 "--seed", str(seed), "--out", out]
         if model == "compatgnn":
@@ -291,25 +267,6 @@ class GridWorkload:
             job.errors.append(f"{out}: diverged splits {report['excluded_splits']}")
         return done
 
-    def setup_only(self, ds, seed, work_dir):
-        """The job's set-up calls without training: generate + write, then
-        every load and model build the bench and cm commands make."""
-        t0 = time.perf_counter()
-        log = io.StringIO()
-        for pattern in self.patterns:
-            data = os.path.join(work_dir, pattern)
-            with contextlib.redirect_stdout(log):
-                cli.main(self._synth_argv(data, pattern, seed))
-            for model in self.models:
-                g = cg.load_dataset(data)
-                cg.load_splits(data)
-                config = cg.RunConfig(model=model, dropout=0.5, layers=LAYERS,
-                                      nhidden=HIDDEN, lambda_=0.1)
-                for sid in range(self.splits):
-                    cg.build_model(config, g, cg.derive_seed(seed, "run", sid))
-            cg.load_dataset(data)
-        return time.perf_counter() - t0
-
     def evaluate(self, job):
         work = job.state["work_dir"]
         expected = []
@@ -338,7 +295,7 @@ WORKLOADS = {
                               epochs=14, lambda_=0.1),
     "h2gcn-5k": ApiWorkload("h2gcn-5k", "h2gcn", nodes=5000, d_f=64, epochs=32),
     "grid-2k": GridWorkload("grid-2k", nodes=2000, splits=2, patience=20,
-                            max_epochs=40),
+                            epochs=40),
 }
 
 # the same jobs at toy size, for the smoke mode
@@ -346,5 +303,5 @@ TOY = {
     "compat-50k": dataclasses.replace(WORKLOADS["compat-50k"], nodes=400, epochs=4),
     "h2gcn-5k": dataclasses.replace(WORKLOADS["h2gcn-5k"], nodes=400, epochs=4),
     "grid-2k": dataclasses.replace(WORKLOADS["grid-2k"], nodes=300, splits=2,
-                                   patience=2, max_epochs=5),
+                                   patience=2, epochs=5),
 }
