@@ -294,6 +294,18 @@ def slice_cols(a, start, stop):
     return _result(value, (a,), bw, "slice_cols")
 
 
+def slice_rows(a, start, stop):
+    """Rows [start, stop) as a view of `a`. A view of a checked value needs
+    no check of its own; the gradient adds into a.grad in place."""
+    def bw(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.value)
+        a.grad[start:stop] += g
+    req = a.requires_grad
+    return Tensor(a.value[start:stop], requires_grad=req,
+                  parents=(a,) if req else (), backward=bw if req else None)
+
+
 def gather_rows(a, idx):
     idx = np.asarray(idx, dtype=np.int64)
     value = a.value[idx]

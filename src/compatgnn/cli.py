@@ -32,7 +32,6 @@ def _add_global_flags(p):
     p.add_argument("--config", type=str, default=None,
                    help="JSON file of run-config fields (CLI flags override)")
     p.add_argument("--out", type=str, default=None, help="artifact directory")
-    p.add_argument("--threads", type=int, default=1, help="worker pool size")
 
 
 def _add_hyper_flags(p):
@@ -209,8 +208,7 @@ def cmd_train(args):
 def cmd_bench(args):
     config = _build_config(args)
     g, splits = _load_graph_and_splits(config)
-    report = run_bench(g, splits, config, threads=args.threads,
-                       out_dir=args.out)
+    report = run_bench(g, splits, config, out_dir=args.out)
     sys.stdout.write(report.text_table())
     if report.excluded_splits and not report.accuracies:
         raise NumericalError("every split diverged")
@@ -246,7 +244,7 @@ def cmd_search(args):
     g, splits = _load_graph_and_splits(config)
     out_path = os.path.join(args.out, "leaderboard.jsonl") if args.out else None
     best, records = random_search(g, splits, config, args.budget, config.seed,
-                                  threads=args.threads, out_path=out_path)
+                                  out_path=out_path)
     scores = [r["mean_val_accuracy"] for r in records]
     print(f"{args.budget} trials; best mean val accuracy "
           f"{100 * max(scores):.2f}")
@@ -306,8 +304,7 @@ def cmd_timing(args):
     print(f"ms/epoch {report['ms_per_epoch']:.2f}  "
           f"refreshes {report['refresh_count']}")
     if "doubling_ratio" in report:
-        print(f"hidden-width doubling ratio {report['doubling_ratio']:.2f} "
-              f"(expected band {report['expected_doubling_ratio']})")
+        print(f"hidden-width doubling ratio {report['doubling_ratio']:.2f}")
     if args.out:
         write_json_atomic(os.path.join(args.out, "timing.json"), report)
     return 0

@@ -6,21 +6,27 @@ prototype nodes into every real node (the "supplementary" channel). The
 estimator weighs each node's vote by prediction confidence and by a
 degree-based reliability score, so sparse or uncertain neighborhoods
 don't poison the estimate.
+
+The network is a point in the message-passing algebra of mp.py: a
+ModelSpec (compat_spec) over the N real nodes followed by the K
+prototypes as isolated extra nodes. This module holds what the algebra
+does not: the prototypes, the estimator that rebinds the supplementary
+operator, the discrimination loss, and the split of the N+K-row output
+into real and prototype rows.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError
+from .graph import Graph
 from .metrics import CompatibilityMatrix, l1_normalize_rows
-from .rng import make_rng
-from .sparse import row_normalize, sym_normalize
 from . import autodiff as ad
-from .autodiff import (SparseMatrix, add, add_bias, concat_cols, constant,
-                       cosine, dropout, gather_rows, glorot, matmul, relu,
-                       scale, spmm)
-from .mp import ada_weights, ada_combine, forced_alpha_tensor, init_ada_params
+from .autodiff import (add, constant, cosine, gather_rows, matmul, scale,
+                       slice_rows)
+from .mp import (ChannelSpec, LayerSpec, MessagePassingModel, ModelSpec,
+                 PrototypeOperator)
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +51,16 @@ def build_prototypes(g, train_idx):
                         "prototypes need at least one per class")
     protos, _ = l1_normalize_rows(protos)
     return protos
+
+
+def with_prototype_nodes(g, prototypes):
+    """g followed by K isolated nodes, node N + c holding class c's
+    prototype as its features. g is already validated, so this skips it."""
+    k = g.n_classes
+    indptr = np.concatenate([g.indptr, np.full(k, g.indptr[-1])])
+    return Graph(indptr, g.indices, np.vstack([g.features, prototypes]),
+                 np.concatenate([g.labels, np.arange(k)]), k,
+                 directed=g.directed, name=g.name, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +159,6 @@ class CompatModelConfig:
     dropout: float = 0.0
     relu_before_aggregate: bool = False
     structure_info: bool = False
-    raw_sym_norm: bool = False   # symmetric instead of row normalization of A
     dis_weight: float = 0.0      # weight of the prototype discrimination loss
     dis_enabled: bool = True     # hard ablation switch for the loss term
 
@@ -156,56 +171,40 @@ class CompatModelConfig:
             raise ConfigError("dis_weight must be non-negative")
 
 
-class CompatGNN:
-    """Three channels per layer: self, degree-averaged neighborhood, and a
-    prototype channel guided by the estimated compatibility matrix. The K
-    prototypes propagate through the identical layers (zero adjacency, the
-    compatibility matrix as their own guidance) so their representations
-    live in the same space as node representations. Layer outputs are
-    adaptively weighted per node and all depths are concatenated for the
-    classifier."""
+def compat_spec(cfg):
+    """CompatGNN as a ModelSpec: per layer the self, degree-averaged
+    neighborhood and prototype channels, weighted per node by ada_add with
+    the degree column; every depth concatenated into an MLP classifier."""
+    channels = [ChannelSpec("identity", "identity"),
+                ChannelSpec("raw", "deg_avg_row"),
+                ChannelSpec("supplementary", "constant")]
+    layers = [LayerSpec(channels=list(channels), combine="ada_add",
+                        ada_degree_column=True) for _ in range(cfg.n_layers)]
+    return ModelSpec(layers=layers, hidden_dim=cfg.hidden_dim, dropout=cfg.dropout,
+                     relu_before_aggregate=cfg.relu_before_aggregate, fuse="cat",
+                     classifier="mlp",
+                     encoder="structure" if cfg.structure_info else "linear")
+
+
+class CompatGNN(MessagePassingModel):
+    """compat_spec over the graph plus its K prototypes as isolated nodes.
+    A prototype's supplementary guidance is its own compatibility row, a
+    real node's is its soft label routed through the matrix, so prototype
+    representations live in the same space as node representations.
+
+    `graph` is the augmented N+K-node graph the layers run over;
+    `real_graph` is the graph the model was built for."""
 
     def __init__(self, cfg, graph, seed=0):
         cfg.validate()
         if graph.n_classes < 2:
             raise ConfigError("model needs at least 2 classes")
         self.cfg = cfg
-        self.graph = graph
-        self.n_classes = graph.n_classes
-        self.force_alpha = None
-        self.fuse_override = None
-
-        norm = sym_normalize if cfg.raw_sym_norm else row_normalize
-        self.a_hat = SparseMatrix(norm(graph))
-        self._deg_col = constant(graph.degrees.astype(np.float64).reshape(-1, 1))
-        self._proto_zero_col = constant(np.zeros((graph.n_classes, 1)))
-
-        rng = make_rng(seed, "params")
-        d_r = cfg.hidden_dim
-        self.params = {}
-        if cfg.structure_info:
-            self.params["encoder.w_x"] = ad.tensor(glorot(rng, (graph.d_f, d_r)),
-                                                   requires_grad=True)
-            self.params["encoder.w_a"] = ad.tensor(glorot(rng, (graph.n_nodes, d_r)),
-                                                   requires_grad=True)
-            self.params["encoder.w0"] = ad.tensor(glorot(rng, (2 * d_r, d_r)),
-                                                  requires_grad=True)
-        else:
-            self.params["encoder.w0"] = ad.tensor(glorot(rng, (graph.d_f, d_r)),
-                                                  requires_grad=True)
-        for li in range(1, cfg.n_layers + 1):
-            for cj in range(3):
-                self.params[f"layer{li}.ch{cj}.w"] = ad.tensor(
-                    glorot(rng, (d_r, d_r)), requires_grad=True)
-            for k, v in init_ada_params(rng, 3, d_r, degree_column=True).items():
-                self.params[f"layer{li}.ada.{k}"] = v
-        fused = (cfg.n_layers + 1) * d_r
-        self.params["cla.w1"] = ad.tensor(glorot(rng, (fused, d_r)), requires_grad=True)
-        self.params["cla.b1"] = ad.tensor(np.zeros((1, d_r)), requires_grad=True)
-        self.params["cla.w2"] = ad.tensor(glorot(rng, (d_r, self.n_classes)),
-                                          requires_grad=True)
-        self.params["cla.b2"] = ad.tensor(np.zeros((1, self.n_classes)),
-                                          requires_grad=True)
+        self.real_graph = graph
+        self._supplementary = PrototypeOperator(graph.n_nodes)
+        placeholder = np.zeros((graph.n_classes, graph.d_f))
+        super().__init__(compat_spec(cfg), with_prototype_nodes(graph, placeholder),
+                         seed=seed, prototypes=self._supplementary)
 
         # estimator state, refreshed by the training protocol
         self.prototypes = None      # K x d_f ndarray
@@ -214,102 +213,49 @@ class CompatGNN:
 
     # -- estimator state ----------------------------------------------------
 
+    @property
+    def prototypes(self):
+        """K x d_f prototype features, None until bound. Setting them makes
+        them the features of the K prototype nodes."""
+        return self._prototypes
+
+    @prototypes.setter
+    def prototypes(self, protos):
+        self._prototypes = protos
+        if protos is not None:
+            self.graph = with_prototype_nodes(self.real_graph, protos)
+
     def bind_prototypes(self, train_idx):
-        self.prototypes = build_prototypes(self.graph, train_idx)
+        self.prototypes = build_prototypes(self.real_graph, train_idx)
 
     def set_estimate(self, est, soft_labels):
         self.cm = est
         self.sup_guidance = supplementary_guidance(soft_labels, est.matrix)
+        self._supplementary.block = constant(np.vstack([self.sup_guidance,
+                                                        est.matrix.m]))
 
     def bootstrap_soft_labels(self, train_idx):
         """Uniform rows everywhere except ground-truth one-hot training rows."""
-        n, k = self.graph.n_nodes, self.n_classes
+        n, k = self.real_graph.n_nodes, self.n_classes
         c_hat = np.full((n, k), 1.0 / k)
         train_idx = np.asarray(train_idx, dtype=np.int64)
         c_hat[train_idx] = 0.0
-        c_hat[train_idx, self.graph.labels[train_idx]] = 1.0
+        c_hat[train_idx, self.real_graph.labels[train_idx]] = 1.0
         return c_hat
 
     # -- forward ------------------------------------------------------------
-
-    def _encode(self, x_const, struct_op, rng, train):
-        cfg = self.cfg
-        if cfg.structure_info:
-            zx = matmul(x_const, self.params["encoder.w_x"])
-            za = struct_op(self.params["encoder.w_a"])
-            z = matmul(concat_cols([zx, za]), self.params["encoder.w0"])
-        else:
-            z = matmul(x_const, self.params["encoder.w0"])
-        return dropout(z, cfg.dropout, rng, train)
 
     def forward(self, train=False, rng=None):
         if self.prototypes is None or self.sup_guidance is None:
             raise ConfigError("model state not initialized: call bind_prototypes() "
                               "and set_estimate() first")
-        cfg = self.cfg
-        k = self.n_classes
-        b_sup = constant(self.sup_guidance)
-        b_sup_proto = constant(self.cm.matrix.m)
-        zero_struct = constant(np.zeros((k, cfg.hidden_dim)))
-
-        z = self._encode(constant(self.graph.features),
-                         lambda w: spmm(self.a_hat, w), rng, train)
-        zp = self._encode(constant(self.prototypes),
-                          lambda w: zero_struct, rng, train)
-        reps, reps_p = [z], [zp]
-        for li in range(1, cfg.n_layers + 1):
-            try:
-                z, zp = self._layer(li, z, zp, b_sup, b_sup_proto, rng, train)
-            except NumericalError as exc:
-                raise NumericalError(f"layer {li}: {exc}") from None
-            reps.append(z)
-            reps_p.append(zp)
-        if self.fuse_override == "last":
-            zf, zfp = reps[-1], reps_p[-1]
-        else:
-            zf, zfp = concat_cols(reps), concat_cols(reps_p)
-        logits = self._classify(zf)
-        logits_p = self._classify(zfp)
-        return ModelOutput(logits=logits, fused=zf, proto_fused=zfp,
-                           proto_logits=logits_p, reps=reps, proto_reps=reps_p)
-
-    def _layer(self, li, z, zp, b_sup, b_sup_proto, rng, train):
-        cfg = self.cfg
-        p = self.params
-        zin = relu(z) if cfg.relu_before_aggregate else z
-        zpin = relu(zp) if cfg.relu_before_aggregate else zp
-
-        w0, w1, w2 = (p[f"layer{li}.ch{j}.w"] for j in range(3))
-        c0 = matmul(zin, w0)
-        c1 = spmm(self.a_hat, matmul(zin, w1))
-        proto_msg = matmul(zpin, w2)            # K x d_r, shared by both targets
-        c2 = matmul(b_sup, proto_msg)
-
-        p0 = matmul(zpin, w0)
-        p1 = constant(np.zeros((self.n_classes, cfg.hidden_dim)))  # zero adjacency
-        p2 = matmul(b_sup_proto, proto_msg)
-
-        ada = {key: p[f"layer{li}.ada.{key}"]
-               for key in ("w_att", "b_att", "w_mix", "b_mix")}
-        if self.force_alpha is not None:
-            alpha = forced_alpha_tensor(self.force_alpha, z.shape[0])
-            alpha_p = forced_alpha_tensor(self.force_alpha, self.n_classes)
-        else:
-            alpha = ada_weights([c0, c1, c2], [self._deg_col], ada)
-            alpha_p = ada_weights([p0, p1, p2], [self._proto_zero_col], ada)
-        z_out = ada_combine([c0, c1, c2], alpha)
-        zp_out = ada_combine([p0, p1, p2], alpha_p)
-
-        if not cfg.relu_before_aggregate:
-            z_out, zp_out = relu(z_out), relu(zp_out)
-        z_out = dropout(z_out, cfg.dropout, rng, train)
-        zp_out = dropout(zp_out, cfg.dropout, rng, train)
-        return z_out, zp_out
-
-    def _classify(self, zf):
-        p = self.params
-        h = relu(add_bias(matmul(zf, p["cla.w1"]), p["cla.b1"]))
-        return add_bias(matmul(h, p["cla.w2"]), p["cla.b2"])
+        out = super().forward(train=train, rng=rng)
+        n = self.real_graph.n_nodes
+        real = [slice_rows(t, 0, n) for t in [out.logits, out.fused] + out.reps]
+        proto = [slice_rows(t, n, n + self.n_classes)
+                 for t in [out.logits, out.fused] + out.reps]
+        return ModelOutput(logits=real[0], fused=real[1], proto_logits=proto[0],
+                           proto_fused=proto[1], reps=real[2:], proto_reps=proto[2:])
 
     # -- losses ---------------------------------------------------------------
 
@@ -329,7 +275,7 @@ class CompatGNN:
         return scale(total, 2.0)   # ordered pairs: each unordered pair twice
 
     def loss(self, out, train_idx):
-        ce = ad.masked_cross_entropy(out.logits, self.graph.labels, train_idx)
+        ce = ad.masked_cross_entropy(out.logits, self.real_graph.labels, train_idx)
         if not self.cfg.dis_enabled:
             return ce
         return add(ce, scale(self.discrimination_loss(out), self.cfg.dis_weight))
@@ -339,8 +285,8 @@ class CompatGNN:
         soft = _softmax_rows(eval_out.logits.value)
         train_idx = np.asarray(train_idx, dtype=np.int64)
         soft[train_idx] = 0.0
-        soft[train_idx, self.graph.labels[train_idx]] = 1.0
-        est = estimate_cm(self.graph, soft, epoch=epoch)
+        soft[train_idx, self.real_graph.labels[train_idx]] = 1.0
+        est = estimate_cm(self.real_graph, soft, epoch=epoch)
         self.set_estimate(est, soft)
 
     def run_metadata(self):

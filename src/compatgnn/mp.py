@@ -7,7 +7,9 @@ One layer computes, per channel r,
 where A_r is a neighborhood indicator (who may send messages), B_r an
 aggregation guidance (how much each message counts), and W_r an optional
 channel weight. Channels are merged by COMBINE, layer outputs by FUSE.
-Classic architectures are single points in this space; see PRESETS.
+Classic architectures are single points in this space; see PRESETS. So
+is model.CompatGNN: a spec over N nodes plus K prototype nodes, whose
+supplementary/constant channel it binds (PrototypeOperator).
 
 A ModelSpec is declarative data (JSON round-trippable) so the CLI can
 declare custom stacks without code.
@@ -25,7 +27,8 @@ from .rng import make_rng
 from . import autodiff as ad
 from .autodiff import (SparseMatrix, add, add_bias, concat_cols, constant,
                        dropout, glorot, matmul, relu, row_scale, row_softmax,
-                       scale, scalar_scale, sigmoid, slice_cols, spmm)
+                       scale, scalar_scale, sigmoid, slice_cols, slice_rows,
+                       spmm)
 from .sparse import (add_self_loops, khop_adjacency, knn_feature_graph,
                      row_normalize, sym_normalize)
 
@@ -34,6 +37,7 @@ INDICATOR_KINDS = ("identity", "raw", "raw_self_loop", "khop", "feature_knn",
 GUIDANCE_KINDS = ("identity", "deg_avg_row", "deg_avg_sym", "high_pass", "constant")
 COMBINE_KINDS = ("add", "weighted_add", "ada_add", "cat")
 FUSE_KINDS = ("last", "cat", "ada_add")
+ENCODER_KINDS = ("linear", "structure")
 PRESETS = ("mlp", "gcn", "mixhop", "h2gcn", "gprgnn", "acmgcn")
 
 
@@ -42,7 +46,9 @@ class ChannelSpec:
     """One (indicator, guidance, weight) triple.
 
     weight: "own" for a fresh matrix, "identity" for weightless, any other
-    string names a shared-weight group.
+    string names a shared-weight group. A supplementary/constant channel
+    is realized only by a model over prototype nodes, which binds it; any
+    other realization fails with a ConfigError.
     """
     indicator: str
     guidance: str
@@ -56,10 +62,6 @@ class ChannelSpec:
             raise ConfigError(f"unknown guidance {self.guidance!r}")
         if self.indicator in ("khop", "feature_knn") and (self.k is None or self.k < 1):
             raise ConfigError(f"indicator {self.indicator!r} needs a positive k")
-        if self.indicator == "supplementary" or self.guidance == "constant":
-            raise ConfigError(
-                f"{self.indicator}/{self.guidance} channels are bound by the "
-                "prototype-aware model, not the generic stack")
 
 
 @dataclass
@@ -84,12 +86,16 @@ class LayerSpec:
 
 @dataclass
 class ModelSpec:
+    """encoder: "linear" projects the features, X W; "structure" (LINKX
+    style) also embeds each node's row-normalized adjacency row,
+    [X W_x, A_hat W_a] W."""
     layers: list
     hidden_dim: int = 64
     dropout: float = 0.0
     relu_before_aggregate: bool = False
     fuse: str = "last"
     classifier: str = "linear"
+    encoder: str = "linear"
 
     def validate(self):
         if self.hidden_dim < 1:
@@ -100,6 +106,8 @@ class ModelSpec:
             raise ConfigError(f"unknown fuse {self.fuse!r}")
         if self.classifier not in ("linear", "mlp"):
             raise ConfigError(f"unknown classifier {self.classifier!r}")
+        if self.encoder not in ENCODER_KINDS:
+            raise ConfigError(f"unknown encoder {self.encoder!r}")
         for layer in self.layers:
             layer.validate()
 
@@ -110,6 +118,7 @@ class ModelSpec:
             "relu_before_aggregate": self.relu_before_aggregate,
             "fuse": self.fuse,
             "classifier": self.classifier,
+            "encoder": self.encoder,
             "layers": [{
                 "combine": l.combine,
                 "combine_weights": l.combine_weights,
@@ -135,7 +144,8 @@ class ModelSpec:
                        dropout=d.get("dropout", 0.0),
                        relu_before_aggregate=d.get("relu_before_aggregate", False),
                        fuse=d.get("fuse", "last"),
-                       classifier=d.get("classifier", "linear"))
+                       classifier=d.get("classifier", "linear"),
+                       encoder=d.get("encoder", "linear"))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed model spec: {exc}") from None
         spec.validate()
@@ -190,21 +200,42 @@ def realize_guidance(indicator, kind, n_nodes):
     raise ConfigError(f"guidance {kind!r} cannot be realized without prototype context")
 
 
-def realize_channel(g, ch):
-    """(indicator, guidance) -> None | SparseMatrix, ready for aggregate()."""
+class PrototypeOperator:
+    """The supplementary operator of a graph whose nodes from `first` on
+    are the K class prototypes. It is nonzero only in the prototype
+    columns, so it is held as that (N+K) x K block; the model that owns
+    it rebinds `block` whenever the guidance changes."""
+
+    def __init__(self, first):
+        self.first = first
+        self.block = None   # constant (N+K) x K tensor
+
+
+def realize_channel(g, ch, prototypes=None):
+    """(indicator, guidance) -> None | SparseMatrix | PrototypeOperator,
+    ready for aggregate(). The supplementary/constant channel realizes to
+    the given PrototypeOperator."""
+    if (prototypes is not None and ch.indicator == "supplementary"
+            and ch.guidance == "constant"):
+        return prototypes
     ind = realize_indicator(g, ch.indicator, ch.k)
     fused = realize_guidance(ind, ch.guidance, g.n_nodes)
     return None if fused is None else SparseMatrix(fused)
 
 
 def aggregate(realized, z, w=None):
-    """(A (.) B) Z W as SpMM; identity channel short-circuits to Z W."""
+    """(A (.) B) Z W as SpMM; identity channel short-circuits to Z W. A
+    PrototypeOperator reads only the prototype rows: block (Z_proto W),
+    O((N+K) K d) instead of a dense (N+K) x (N+K) product."""
+    if isinstance(realized, PrototypeOperator):
+        t = slice_rows(z, realized.first, z.shape[0])
+        return matmul(realized.block, t if w is None else matmul(t, w))
     t = z if realized is None else spmm(realized, z)
     return t if w is None else matmul(t, w)
 
 
 # ---------------------------------------------------------------------------
-# adaptive channel weighting (shared with the prototype-aware model)
+# adaptive channel weighting
 
 def init_ada_params(rng, n_channels, width, degree_column):
     in_dim = n_channels * width + (1 if degree_column else 0)
@@ -249,34 +280,48 @@ class ForwardOutput:
 class MessagePassingModel:
     """A ModelSpec bound to a graph: realized channels plus parameters.
 
+    prototypes: a PrototypeOperator when the graph's last K nodes are class
+    prototypes (see model.CompatGNN). It realizes the supplementary/constant
+    channels, and the structure encoder leaves the prototypes out.
     force_alpha (debug): overrides every ada_add combine with fixed channel
     weights. fuse_override (debug): overrides the fuse stage.
     """
 
-    def __init__(self, spec, graph, n_classes=None, seed=0):
+    def __init__(self, spec, graph, seed=0, prototypes=None):
         spec.validate()
         if not isinstance(graph, Graph):
             raise ConfigError("MessagePassingModel needs a Graph")
         self.spec = spec
         self.graph = graph
-        self.n_classes = graph.n_classes if n_classes is None else n_classes
+        self.n_classes = graph.n_classes
         self.force_alpha = None
         self.fuse_override = None
-        rng = _param_rng(seed)
+        rng = make_rng(seed, "params")
         d_r = spec.hidden_dim
 
         self._realized = {}
         self.params = {}
         shared_shapes = {}
 
+        self._structure = None
+        enc_in = graph.d_f
+        if spec.encoder == "structure":
+            # prototype nodes have no adjacency row to embed
+            n_struct = graph.n_nodes if prototypes is None else prototypes.first
+            self._structure = SparseMatrix(row_normalize(graph)[:, :n_struct])
+            self.params["encoder.w_x"] = ad.tensor(
+                glorot(rng, (graph.d_f, d_r)), requires_grad=True)
+            self.params["encoder.w_a"] = ad.tensor(
+                glorot(rng, (n_struct, d_r)), requires_grad=True)
+            enc_in = 2 * d_r
         self.params["encoder.w"] = ad.tensor(
-            glorot(rng, (graph.d_f, d_r)), requires_grad=True)
+            glorot(rng, (enc_in, d_r)), requires_grad=True)
         width = d_r
         self._widths = [width]
         for li, layer in enumerate(spec.layers, start=1):
             ch_widths = []
             for cj, ch in enumerate(layer.channels):
-                self._realized[(li, cj)] = realize_channel(graph, ch)
+                self._realized[(li, cj)] = realize_channel(graph, ch, prototypes)
                 if ch.weight == "own":
                     self.params[f"layer{li}.ch{cj}.w"] = ad.tensor(
                         glorot(rng, (width, d_r)), requires_grad=True)
@@ -381,6 +426,15 @@ class MessagePassingModel:
             z = term if z is None else add(z, term)
         return z
 
+    def _encode(self):
+        p = self.params
+        x = constant(self.graph.features)
+        if self._structure is None:
+            return matmul(x, p["encoder.w"])
+        zx = matmul(x, p["encoder.w_x"])
+        za = spmm(self._structure, p["encoder.w_a"])
+        return matmul(concat_cols([zx, za]), p["encoder.w"])
+
     def _classify(self, zf):
         p = self.params
         if self.spec.classifier == "linear":
@@ -390,8 +444,7 @@ class MessagePassingModel:
 
     def forward(self, train=False, rng=None):
         spec = self.spec
-        z = matmul(constant(self.graph.features), self.params["encoder.w"])
-        z = dropout(z, spec.dropout, rng, train)
+        z = dropout(self._encode(), spec.dropout, rng, train)
         reps = [z]
         for li, layer in enumerate(spec.layers, start=1):
             try:
@@ -413,15 +466,8 @@ class MessagePassingModel:
     def loss(self, out, train_idx):
         return ad.masked_cross_entropy(out.logits, self.graph.labels, train_idx)
 
-    def on_validation_improved(self, eval_out):
-        pass
-
     def run_metadata(self):
         return {}
-
-
-def _param_rng(seed):
-    return make_rng(seed, "params")
 
 
 # ---------------------------------------------------------------------------

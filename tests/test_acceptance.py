@@ -277,7 +277,7 @@ def test_acceptance_7_limiting_cases(synth_grid, capsys):
         spec = build_preset("mlp", n_layers=2, hidden_dim=16, classifier="mlp")
         spec.fuse = "cat"
         mlp = MessagePassingModel(spec, g, seed=3)
-        mlp.params["encoder.w"].value = cg.params["encoder.w0"].value.copy()
+        mlp.params["encoder.w"].value = cg.params["encoder.w"].value.copy()
         for li in (1, 2):
             mlp.params[f"layer{li}.ch0.w"].value = \
                 cg.params[f"layer{li}.ch0.w"].value.copy()

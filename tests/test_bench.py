@@ -109,14 +109,6 @@ def test_bench_rejects_missing_split_id(toy):
         run_bench(g, splits, quick_cfg(split_ids=[7]))
 
 
-def test_bench_threaded_matches_serial(toy):
-    g, splits = toy
-    cfg = quick_cfg(split_ids=[0, 1, 2, 3])
-    serial = run_bench(g, splits, cfg, threads=1)
-    threaded = run_bench(g, splits, cfg, threads=3)
-    assert serial.accuracies == threaded.accuracies
-
-
 def test_bench_all_diverged_flagged(toy):
     g, splits = toy
     cfg = quick_cfg(model="compatgnn", lr=1e80, split_ids=[0, 1])
@@ -275,7 +267,6 @@ def test_timing_width_doubling_ratio():
     rep = timing_report(g, split, cfg)
     assert rep["ms_per_epoch_doubled"] > rep["ms_per_epoch"]
     assert rep["doubling_ratio"] >= 2.0
-    assert rep["expected_doubling_ratio"] == [3.0, 6.0]
 
 
 # ---------------------------------------------------------------------------

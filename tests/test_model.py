@@ -256,7 +256,7 @@ def test_param_inventory_and_fused_width():
     ms = ready_model(g, [0, 1, 3, 4], structure_info=True, hidden_dim=4)
     assert ms.params["encoder.w_x"].shape == (3, 4)
     assert ms.params["encoder.w_a"].shape == (6, 4)
-    assert ms.params["encoder.w0"].shape == (8, 4)
+    assert ms.params["encoder.w"].shape == (8, 4)
     assert ms.forward().fused.shape == (6, 12)
 
 
@@ -279,7 +279,7 @@ def test_encoding_dense_oracle_with_structure_info():
     a_hat = row_normalize(g).toarray()
     zx = g.features @ m.params["encoder.w_x"].value
     za = a_hat @ m.params["encoder.w_a"].value
-    want = np.hstack([zx, za]) @ m.params["encoder.w0"].value
+    want = np.hstack([zx, za]) @ m.params["encoder.w"].value
     np.testing.assert_allclose(z0, want, atol=1e-12)
 
 
@@ -293,7 +293,7 @@ def test_encoding_edgeless_structure_half_is_zero():
     z0 = m.forward().reps[0].value
     d_r = 4
     want = np.hstack([g.features @ m.params["encoder.w_x"].value,
-                      np.zeros((4, d_r))]) @ m.params["encoder.w0"].value
+                      np.zeros((4, d_r))]) @ m.params["encoder.w"].value
     np.testing.assert_allclose(z0, want, atol=1e-12)
 
 
@@ -309,7 +309,7 @@ def test_alpha_100_matches_mlp_preset():
     spec = build_preset("mlp", n_layers=2, hidden_dim=4, classifier="mlp")
     spec.fuse = "cat"
     mlp = MessagePassingModel(spec, g, seed=3)
-    mlp.params["encoder.w"].value = cg.params["encoder.w0"].value.copy()
+    mlp.params["encoder.w"].value = cg.params["encoder.w"].value.copy()
     for li in (1, 2):
         mlp.params[f"layer{li}.ch0.w"].value = \
             cg.params[f"layer{li}.ch0.w"].value.copy()
@@ -330,7 +330,7 @@ def test_alpha_010_matches_row_normalized_gcn_oracle():
     m.params["cla.w1"].value = make_rng(5, "w1").normal(size=(4, 4)) * 0.3
 
     a_hat = row_normalize(g).toarray()
-    z0 = g.features @ m.params["encoder.w0"].value
+    z0 = g.features @ m.params["encoder.w"].value
     z1 = np.maximum(a_hat @ (z0 @ m.params["layer1.ch1.w"].value), 0.0)
     h = np.maximum(z1 @ m.params["cla.w1"].value + m.params["cla.b1"].value, 0.0)
     want = h @ m.params["cla.w2"].value + m.params["cla.b2"].value

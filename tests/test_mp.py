@@ -31,8 +31,10 @@ def test_channel_spec_validation():
         ChannelSpec("raw", "bogus").validate()
     with pytest.raises(ConfigError, match="positive k"):
         ChannelSpec("khop", "deg_avg_sym").validate()
+    spec = ModelSpec(layers=[LayerSpec(
+        channels=[ChannelSpec("supplementary", "constant")])])
     with pytest.raises(ConfigError, match="prototype"):
-        ChannelSpec("supplementary", "constant").validate()
+        MessagePassingModel(spec, quartic12())
 
 
 def test_layer_spec_validation():

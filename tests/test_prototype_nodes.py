@@ -1,0 +1,113 @@
+"""CompatGNN as a spec over N real nodes plus K prototype nodes: the row
+slice, the prototype operator, the structure encoder and the ban on
+prototype channels outside the model."""
+
+import json
+
+import numpy as np
+
+from compatgnn import autodiff as ad
+from compatgnn.cli import main
+from compatgnn.gradcheck import grad_check
+from compatgnn.model import (CompatGNN, CompatModelConfig, compat_spec,
+                             estimate_cm, with_prototype_nodes)
+from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
+                          ModelSpec, PrototypeOperator, aggregate)
+from compatgnn.rng import make_rng
+from compatgnn.sparse import row_normalize
+
+from util import make_graph, random_graph
+
+
+def test_slice_rows_is_a_view_with_exact_gradient():
+    rng = make_rng(70, "slice")
+    a = ad.tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    s = ad.slice_rows(a, 1, 4)
+    assert s.shape == (3, 3) and np.shares_memory(s.value, a.value)
+    np.testing.assert_array_equal(s.value, a.value[1:4])
+    w = ad.constant(rng.normal(size=(3, 3)))
+    # two consumers of a: the slice gradient adds into the other one's
+    report = grad_check(lambda: ad.tsum(ad.add(
+        ad.hadamard(ad.slice_rows(a, 1, 4), w), ad.slice_rows(a, 0, 3))),
+        {"a": a})
+    assert report.ok(1e-6)
+    frozen = ad.slice_rows(ad.constant(np.ones((4, 2))), 0, 2)
+    assert not frozen.requires_grad and frozen.parents == ()
+
+
+def test_prototype_operator_reads_only_prototype_rows():
+    rng = make_rng(71, "protoop")
+    n, k, d = 6, 2, 3
+    op = PrototypeOperator(first=n)
+    block = rng.random((n + k, k))
+    op.block = ad.constant(block)
+    z = ad.tensor(rng.normal(size=(n + k, d)), requires_grad=True)
+    w = ad.tensor(rng.normal(size=(d, d)), requires_grad=True)
+    dense = np.zeros((n + k, n + k))
+    dense[:, n:] = block
+    np.testing.assert_allclose(aggregate(op, z, w).value,
+                               dense @ z.value @ w.value, atol=1e-12)
+    ad.backward(ad.tsum(aggregate(op, z, w)))
+    np.testing.assert_array_equal(z.grad[:n], 0.0)
+
+
+def test_augmented_graph_appends_isolated_prototypes():
+    rng = make_rng(72, "aug")
+    g = random_graph(rng, 9, p=0.3, n_classes=3, d_f=4)
+    protos = rng.normal(size=(3, 4))
+    a = with_prototype_nodes(g, protos)
+    assert a.n_nodes == 12
+    np.testing.assert_array_equal(a.degrees, np.r_[g.degrees, [0, 0, 0]])
+    np.testing.assert_array_equal(a.features[9:], protos)
+    np.testing.assert_array_equal(a.adjacency()[:9, :9].toarray(),
+                                  g.adjacency().toarray())
+
+
+def test_compat_spec_round_trips_as_json():
+    spec = compat_spec(CompatModelConfig(hidden_dim=8, structure_info=True))
+    again = ModelSpec.from_json(spec.to_json())
+    assert again.to_dict() == spec.to_dict()
+    assert again.encoder == "structure"
+    assert [c.indicator for c in again.layers[0].channels] == [
+        "identity", "raw", "supplementary"]
+
+
+def test_structure_encoder_on_a_preset_stack():
+    g = make_graph(5, [(0, 1), (1, 2), (3, 4)], [0, 1, 0, 1, 0], 2, d_f=3)
+    spec = ModelSpec(layers=[LayerSpec(channels=[ChannelSpec("raw", "deg_avg_row")])],
+                     hidden_dim=4, encoder="structure")
+    m = MessagePassingModel(spec, g, seed=1)
+    p = {k: v.value for k, v in m.params.items()}
+    assert p["encoder.w_a"].shape == (5, 4)
+    want = np.hstack([g.features @ p["encoder.w_x"],
+                      row_normalize(g).toarray() @ p["encoder.w_a"]]) @ p["encoder.w"]
+    np.testing.assert_allclose(m.forward().reps[0].value, want, atol=1e-12)
+
+
+def test_compat_layers_run_in_the_generic_forward():
+    g = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+                   [0, 0, 0, 1, 1, 1], 2, d_f=3)
+    m = CompatGNN(CompatModelConfig(hidden_dim=4), g, seed=0)
+    m.bind_prototypes([0, 1, 3, 4])
+    soft = m.bootstrap_soft_labels([0, 1, 3, 4])
+    m.set_estimate(estimate_cm(g, soft), soft)
+    full = MessagePassingModel.forward(m)
+    out = m.forward()
+    assert full.logits.shape == (8, 2)
+    np.testing.assert_array_equal(full.logits.value[:6], out.logits.value)
+    np.testing.assert_array_equal(full.logits.value[6:], out.proto_logits.value)
+
+
+def test_cli_rejects_prototype_channel_in_a_user_spec(tmp_path, capsys):
+    ds = str(tmp_path / "ds")
+    assert main(["synth", "gen", "--nodes", "40", "--classes", "2",
+                 "--degree", "4", "--n-splits", "1", "--out", ds]) == 0
+    spec = {"layers": [{"channels": [{"indicator": "supplementary",
+                                      "guidance": "constant"}]}]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main(["train", "--data", ds, "--model", str(path),
+                 "--max-epochs", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "prototype" in err and "Traceback" not in err
