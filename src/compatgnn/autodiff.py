@@ -15,8 +15,6 @@ import scipy.sparse as sp
 
 from .errors import NumericalError
 
-CHECK_FINITE = True
-
 
 def _as_value(v):
     arr = np.asarray(v, dtype=np.float64)
@@ -27,12 +25,6 @@ def _as_value(v):
     if arr.ndim != 2:
         raise ValueError(f"tensors are 2-D, got shape {arr.shape}")
     return arr
-
-
-def _check(value, op):
-    if CHECK_FINITE and not np.all(np.isfinite(value)):
-        raise NumericalError(f"non-finite value produced by {op}")
-    return value
 
 
 class Tensor:
@@ -70,8 +62,10 @@ def constant(value, name=None):
 
 
 def _result(value, parents, backward, op):
+    if not np.all(np.isfinite(value)):
+        raise NumericalError(f"non-finite value produced by {op}")
     req = any(p.requires_grad for p in parents)
-    return Tensor(_check(value, op), requires_grad=req,
+    return Tensor(value, requires_grad=req,
                   parents=tuple(parents) if req else (),
                   backward=backward if req else None)
 
@@ -130,8 +124,10 @@ def matmul(a, b):
     value = a.value @ b.value
 
     def bw(g):
-        _acc(a, g @ b.value.T)
-        _acc(b, a.value.T @ g)
+        if a.requires_grad:
+            _acc(a, g @ b.value.T)
+        if b.requires_grad:
+            _acc(b, a.value.T @ g)
     return _result(value, (a, b), bw, "matmul")
 
 
@@ -410,7 +406,8 @@ def tmean(a):
 # backward pass
 
 def backward(loss):
-    """Populate .grad on every requires_grad node reachable from `loss`."""
+    """Populate .grad on every requires_grad leaf reachable from `loss`;
+    interior nodes release theirs once it has been passed on."""
     if loss.value.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     topo = []
@@ -432,6 +429,7 @@ def backward(loss):
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def zero_grads(params):

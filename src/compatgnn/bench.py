@@ -175,9 +175,12 @@ def degree_report(results, n_buckets=5):
 
 
 def sample_search_config(rng, base):
-    """One draw from the hyperparameter search space, on top of `base`."""
+    """One draw from the hyperparameter search space, on top of `base`.
+    Only compatgnn reads lambda, so other models keep the base value."""
     d = base.to_dict()
     for key, domain in SEARCH_SPACE.items():
+        if key == "lambda" and base.model != "compatgnn":
+            continue
         if isinstance(domain, tuple) and domain[0] == "uniform":
             d[key] = float(rng.uniform(domain[1], domain[2]))
         else:

@@ -24,11 +24,12 @@ from .metrics import edge_homophily, node_homophily, observed_cm
 from .model import estimate_cm
 from .sparse import csr_to_graph_structure, knn_feature_graph
 from .synth import PATTERNS, generate_graph, make_synth_spec, verify_graph
-from .training import RunConfig, train_model
+from .training import RunConfig, RunResult, train_model
 
 
 def _add_global_flags(p):
-    p.add_argument("--seed", type=int, default=0, help="base random seed")
+    p.add_argument("--seed", type=int, default=None,
+                   help="base random seed (default: the config file's, else 0)")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file of run-config fields (CLI flags override)")
     p.add_argument("--out", type=str, default=None, help="artifact directory")
@@ -73,16 +74,21 @@ def _parse_split_ids(text):
     return ids
 
 
+def _read_json(path, error):
+    """A JSON file; a missing or malformed one raises `error`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise error(f"{path}: not found") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
+
+
 def _build_config(args):
     d = {}
     if args.config:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file {args.config} not found")
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: {exc}") from None
+        loaded = _read_json(args.config, ConfigError)
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config}: expected a JSON object")
         d.update(loaded)
@@ -103,8 +109,7 @@ def _build_config(args):
         d["split_ids"] = _parse_split_ids(args.splits)
     elif getattr(args, "split", None) is not None:
         d["split_ids"] = [args.split]
-    d.setdefault("seed", args.seed)
-    if args.seed != 0:
+    if args.seed is not None:
         d["seed"] = args.seed
     return RunConfig.from_dict(d)
 
@@ -153,7 +158,7 @@ def cmd_dataset_inspect(args):
 
 def cmd_dataset_split(args):
     g = load_dataset(args.path)
-    splits = generate_splits(g, args.n_splits, args.seed)
+    splits = generate_splits(g, args.n_splits, args.seed or 0)
     out = args.out or os.path.join(args.path, "splits")
     save_splits(splits, out)
     s = splits[0]
@@ -165,13 +170,14 @@ def cmd_dataset_split(args):
 def cmd_synth_gen(args):
     if not args.out:
         raise ConfigError("synth gen needs --out")
+    seed = args.seed or 0
     spec = make_synth_spec(args.nodes, args.classes, args.homophily,
-                           args.pattern, args.degree, args.seed,
+                           args.pattern, args.degree, seed,
                            d_f=args.feature_dim,
                            mean_separation=args.mean_separation)
     g = generate_graph(spec)
     save_dataset(g, args.out)
-    splits = generate_splits(g, args.n_splits, args.seed)
+    splits = generate_splits(g, args.n_splits, seed)
     save_splits(splits, os.path.join(args.out, "splits"))
     report = verify_graph(g, spec)
     write_json_atomic(os.path.join(args.out, "verify.json"), report)
@@ -215,20 +221,22 @@ def cmd_bench(args):
     return 0
 
 
+def _read_run(path):
+    try:
+        return RunResult(**_read_json(path, DataError))
+    except TypeError as exc:
+        raise DataError(f"{path}: not a run record ({exc})") from None
+
+
 def cmd_degree_report(args):
-    from .training import RunResult
-    runs = []
     if os.path.isdir(args.runs):
         names = sorted(n for n in os.listdir(args.runs)
                        if n.startswith("run_split") and n.endswith(".json"))
         if not names:
             raise DataError(f"no run_split*.json under {args.runs}")
-        for n in names:
-            with open(os.path.join(args.runs, n), "r", encoding="utf-8") as fh:
-                runs.append(RunResult(**json.load(fh)))
+        runs = [_read_run(os.path.join(args.runs, n)) for n in names]
     else:
-        with open(args.runs, "r", encoding="utf-8") as fh:
-            runs.append(RunResult(**json.load(fh)))
+        runs = [_read_run(args.runs)]
     runs = [r for r in runs if not r.diverged]
     report = degree_report(runs, n_buckets=args.buckets)
     print("degree buckets (low -> high degree):")
@@ -280,12 +288,15 @@ def cmd_cm(args):
     else:  # estimated
         if not args.run:
             raise ConfigError("cm --mode estimated needs --run <run.json>")
-        with open(args.run, "r", encoding="utf-8") as fh:
-            run = json.load(fh)
-        est = np.asarray(run.get("metadata", {}).get("cm_estimate"))
-        if est.ndim != 2:
-            raise DataError(f"{args.run} has no estimated compatibility matrix")
+        metadata = _read_run(args.run).metadata
+        try:
+            est = np.asarray(metadata.get("cm_estimate"), dtype=np.float64)
+        except ValueError:   # ragged or non-numeric rows
+            est = np.zeros(0)
         obs = observed_cm(g).m
+        if est.shape != obs.shape:
+            raise DataError(f"{args.run} has no {obs.shape} estimated "
+                            "compatibility matrix")
         emit("cm_estimated", est, f"{g.name}: estimated compatibility")
         emit("cm_observed", obs, f"{g.name}: observed compatibility")
         diff = float(np.abs(est - obs).max())

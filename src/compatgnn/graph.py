@@ -35,7 +35,7 @@ class Graph:
     """Immutable CSR graph with per-node features and class labels."""
 
     def __init__(self, indptr, indices, features, labels, n_classes,
-                 directed=False, name="graph", validate=True):
+                 directed=False, name="graph"):
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.features = np.ascontiguousarray(features, dtype=np.float64)
@@ -47,8 +47,7 @@ class Graph:
         for arr in (self.indptr, self.indices, self.features, self.labels):
             arr.setflags(write=False)
         self._adj = None
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         n = self.n_nodes
@@ -69,14 +68,15 @@ class Graph:
             i = int(np.where(bad)[0][0])
             raise DataError(
                 f"label {self.labels[i]} at node {i} outside [0, {self.n_classes})")
-        # per-row: strictly increasing columns => sorted, no duplicates
-        for i in range(n):
-            row = self.indices[self.indptr[i]:self.indptr[i + 1]]
-            if row.size:
-                if np.any(np.diff(row) <= 0):
-                    raise DataError(f"row {i} has duplicate or unsorted neighbors")
-                if np.any(row == i):
-                    raise DataError(f"self-loop stored at node {i}")
+        # per row: strictly increasing columns => sorted, no duplicates. The
+        # first offending row is named; within a row the order fault wins.
+        src = np.repeat(np.arange(n), np.diff(self.indptr))
+        unsorted = src[1:][(src[1:] == src[:-1]) & (np.diff(self.indices) <= 0)]
+        loops = src[self.indices == src]
+        if unsorted.size and (not loops.size or unsorted[0] <= loops[0]):
+            raise DataError(f"row {unsorted[0]} has duplicate or unsorted neighbors")
+        if loops.size:
+            raise DataError(f"self-loop stored at node {loops[0]}")
         if not self.directed:
             a = self.adjacency()
             if (a != a.T).nnz != 0:
@@ -181,6 +181,8 @@ def permute_graph(g, perm):
 # dataset directory IO
 
 def _read_tsv_ints(path, n_cols):
+    if not os.path.exists(path):
+        raise DataError(f"{path}: not found")
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
@@ -263,7 +265,7 @@ def load_dataset(path):
                             directed=bool(meta["directed"]), name=meta["name"])
 
 
-def save_dataset(g, path, features_format="f32"):
+def save_dataset(g, path):
     """Write a Graph as a dataset directory (round-trips with load_dataset)."""
     os.makedirs(path, exist_ok=True)
     meta = {"name": g.name, "n_nodes": g.n_nodes, "n_classes": g.n_classes,
@@ -281,12 +283,7 @@ def save_dataset(g, path, features_format="f32"):
     with open(os.path.join(path, "labels.tsv"), "w", encoding="utf-8") as fh:
         for y in g.labels:
             fh.write(f"{y}\n")
-    if features_format == "f32":
-        write_features_f32(os.path.join(path, "features.f32"), g.features)
-    elif features_format == "tsv":
-        np.savetxt(os.path.join(path, "features.tsv"), g.features, delimiter="\t")
-    else:
-        raise DataError(f"unknown features format {features_format!r}")
+    write_features_f32(os.path.join(path, "features.f32"), g.features)
 
 
 # ---------------------------------------------------------------------------

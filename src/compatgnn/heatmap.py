@@ -9,6 +9,8 @@ import numpy as np
 
 CELL = 44
 ANNOTATE_MAX_K = 12
+ROW_LABEL = "class"
+COL_LABEL = "neighbor class"
 
 
 def cm_to_csv(m):
@@ -25,8 +27,7 @@ def _cell_color(v):
     return f"rgb({r},{g},{b})"
 
 
-def cm_to_svg(m, title="compatibility matrix", row_label="class",
-              col_label="neighbor class"):
+def cm_to_svg(m, title="compatibility matrix"):
     """Standalone SVG heatmap; cells are annotated when K <= 12."""
     m = np.asarray(m, dtype=np.float64)
     k = m.shape[0]
@@ -40,7 +41,7 @@ def cm_to_svg(m, title="compatibility matrix", row_label="class",
         f'<text x="{left + k * CELL / 2:.0f}" y="22" text-anchor="middle" '
         f'font-family="monospace" font-size="14">{title}</text>',
         f'<text x="{left + k * CELL / 2:.0f}" y="{top - 26}" text-anchor="middle" '
-        f'font-family="monospace" font-size="11">{col_label}</text>',
+        f'font-family="monospace" font-size="11">{COL_LABEL}</text>',
     ]
     for j in range(k):
         parts.append(
@@ -50,7 +51,7 @@ def cm_to_svg(m, title="compatibility matrix", row_label="class",
         parts.append(
             f'<text x="{left - 10}" y="{top + i * CELL + CELL // 2 + 4}" '
             f'text-anchor="end" font-family="monospace" font-size="11">'
-            f'{row_label} {i}</text>')
+            f'{ROW_LABEL} {i}</text>')
         for j in range(k):
             x, y = left + j * CELL, top + i * CELL
             parts.append(

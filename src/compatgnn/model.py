@@ -55,12 +55,12 @@ def build_prototypes(g, train_idx):
 
 def with_prototype_nodes(g, prototypes):
     """g followed by K isolated nodes, node N + c holding class c's
-    prototype as its features. g is already validated, so this skips it."""
+    prototype as its features."""
     k = g.n_classes
     indptr = np.concatenate([g.indptr, np.full(k, g.indptr[-1])])
     return Graph(indptr, g.indices, np.vstack([g.features, prototypes]),
                  np.concatenate([g.labels, np.arange(k)]), k,
-                 directed=g.directed, name=g.name, validate=False)
+                 directed=g.directed, name=g.name)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ A ModelSpec is declarative data (JSON round-trippable) so the CLI can
 declare custom stacks without code.
 """
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,40 +113,17 @@ class ModelSpec:
             layer.validate()
 
     def to_dict(self):
-        return {
-            "hidden_dim": self.hidden_dim,
-            "dropout": self.dropout,
-            "relu_before_aggregate": self.relu_before_aggregate,
-            "fuse": self.fuse,
-            "classifier": self.classifier,
-            "encoder": self.encoder,
-            "layers": [{
-                "combine": l.combine,
-                "combine_weights": l.combine_weights,
-                "ada_degree_column": l.ada_degree_column,
-                "channels": [{"indicator": c.indicator, "guidance": c.guidance,
-                              "k": c.k, "weight": c.weight} for c in l.channels],
-            } for l in self.layers],
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d):
+        """Inverse of to_dict; omitted keys take the field defaults and an
+        unknown key is a ConfigError."""
         try:
-            layers = [LayerSpec(
-                channels=[ChannelSpec(indicator=c["indicator"], guidance=c["guidance"],
-                                      k=c.get("k"), weight=c.get("weight", "own"))
-                          for c in l["channels"]],
-                combine=l.get("combine", "add"),
-                combine_weights=l.get("combine_weights"),
-                ada_degree_column=l.get("ada_degree_column", False),
-            ) for l in d["layers"]]
-            spec = cls(layers=layers,
-                       hidden_dim=d.get("hidden_dim", 64),
-                       dropout=d.get("dropout", 0.0),
-                       relu_before_aggregate=d.get("relu_before_aggregate", False),
-                       fuse=d.get("fuse", "last"),
-                       classifier=d.get("classifier", "linear"),
-                       encoder=d.get("encoder", "linear"))
+            layers = [_from_fields(LayerSpec, dict(
+                l, channels=[_from_fields(ChannelSpec, c) for c in l["channels"]]))
+                for l in d["layers"]]
+            spec = _from_fields(cls, dict(d, layers=layers))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed model spec: {exc}") from None
         spec.validate()
@@ -161,6 +139,13 @@ class ModelSpec:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"model spec is not valid JSON: {exc}") from None
         return cls.from_dict(d)
+
+
+def _from_fields(cls, d):
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +269,7 @@ class MessagePassingModel:
     prototypes (see model.CompatGNN). It realizes the supplementary/constant
     channels, and the structure encoder leaves the prototypes out.
     force_alpha (debug): overrides every ada_add combine with fixed channel
-    weights. fuse_override (debug): overrides the fuse stage.
+    weights.
     """
 
     def __init__(self, spec, graph, seed=0, prototypes=None):
@@ -295,7 +280,6 @@ class MessagePassingModel:
         self.graph = graph
         self.n_classes = graph.n_classes
         self.force_alpha = None
-        self.fuse_override = None
         rng = make_rng(seed, "params")
         d_r = spec.hidden_dim
 
@@ -414,10 +398,9 @@ class MessagePassingModel:
         return ada_combine(outs, alpha)
 
     def _fuse(self, reps):
-        mode = self.fuse_override or self.spec.fuse
-        if mode == "last":
+        if self.spec.fuse == "last":
             return reps[-1]
-        if mode == "cat":
+        if self.spec.fuse == "cat":
             return concat_cols(reps)
         gamma = self.params["fuse.gamma"]
         z = None

@@ -13,11 +13,11 @@ class Adam:
     so wd=0 plus zero gradients leaves parameters untouched.
     """
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr, weight_decay=0.0):
         self.params = dict(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
         self.m = {k: np.zeros_like(p.value) for k, p in self.params.items()}

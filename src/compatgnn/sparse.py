@@ -23,9 +23,8 @@ def as_csr(g_or_a):
 
 def add_self_loops(g_or_a):
     """A + I, forcing unit diagonal (existing diagonal entries are overwritten)."""
-    a = as_csr(g_or_a).tolil()
-    a.setdiag(1.0)
-    return a.tocsr()
+    a = _drop_diagonal(as_csr(g_or_a))
+    return a + sp.eye(a.shape[0], format="csr")
 
 
 def row_normalize(g_or_a):

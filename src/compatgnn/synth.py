@@ -25,6 +25,7 @@ from .metrics import CompatibilityMatrix, edge_homophily, observed_cm
 from .rng import make_rng
 
 PATTERNS = ("easy", "hard")
+MAX_RETRIES = 50   # draws per edge stub before generate_graph drops it
 
 
 def pairwise_tv(m):
@@ -120,14 +121,14 @@ def make_synth_spec(n_nodes, k, h, pattern, mean_degree, seed,
                      mean_degree=mean_degree, seed=seed, name=name)
 
 
-def generate_graph(spec, max_retries=50):
+def generate_graph(spec):
     """Sample an undirected graph whose observed compatibility matrix
     approaches the target.
 
     Each node draws mean_degree/2 stubs; each stub samples a partner class
     from the node's target row, then a partner node uniformly within that
     class. Duplicate edges and self-loops are rejected and resampled up to
-    max_retries, after which the stub is dropped (keeps generation total).
+    MAX_RETRIES, after which the stub is dropped (keeps generation total).
     """
     rng = make_rng(spec.seed, "edges")
     n = len(spec.labels)
@@ -151,7 +152,7 @@ def generate_graph(spec, max_retries=50):
         classes = rng.choice(k, size=stubs, p=row)
         for s in range(stubs):
             c = int(classes[s])
-            for attempt in range(max_retries):
+            for attempt in range(MAX_RETRIES):
                 if attempt > 0:
                     c = int(rng.choice(k, p=row))  # resample the whole stub
                 pool = by_class[c]

@@ -56,10 +56,6 @@ class RunConfig:
         if not self.split_ids:
             raise ConfigError("split_ids must not be empty")
 
-    _JSON_KEYS = {"model", "dataset", "split_ids", "seed", "lr", "weight_decay",
-                  "patience", "dropout", "lambda", "layers", "nhidden",
-                  "relu_variant", "structure_info", "max_epochs", "max_hop"}
-
     def to_dict(self):
         d = dataclasses.asdict(self)
         d["lambda"] = d.pop("lambda_")
@@ -67,7 +63,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
-        unknown = set(d) - cls._JSON_KEYS
+        unknown = set(d) - set(cls().to_dict())
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         d = dict(d)
@@ -100,6 +96,7 @@ def build_model(config, graph, seed):
                             hidden_dim=config.nhidden, dropout=config.dropout,
                             relu_before_aggregate=config.relu_variant,
                             max_hop=config.max_hop)
+        spec.encoder = "structure" if config.structure_info else "linear"
         return MessagePassingModel(spec, graph, seed=seed)
     if name.endswith(".json") and os.path.exists(name):
         with open(name, "r", encoding="utf-8") as fh:

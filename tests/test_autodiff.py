@@ -229,6 +229,14 @@ def test_sequential_backward_accumulates_until_zeroed():
     assert np.array_equal(grad_of(x), [[0.0]])
 
 
+def test_backward_releases_interior_gradients():
+    x = tensor([[1.0, 2.0]], requires_grad=True)
+    h = scale(x, 3.0)
+    backward(tsum(h))
+    assert h.grad is None
+    np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
+
+
 def test_backward_requires_scalar():
     x = tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):

@@ -172,7 +172,7 @@ def test_degree_report_errors():
 
 def test_search_samples_stay_in_domains():
     rng = make_rng(23, "space")
-    base = quick_cfg(split_ids=[0])
+    base = quick_cfg(model="compatgnn", split_ids=[0])
     seen = {k: set() for k in SEARCH_SPACE}
     for _ in range(1000):
         cfg = sample_search_config(rng, base)
@@ -187,6 +187,15 @@ def test_search_samples_stay_in_domains():
     for key, domain in SEARCH_SPACE.items():
         if not isinstance(domain, tuple):
             assert seen[key] == set(domain)
+
+
+def test_search_keeps_preset_lambda():
+    # only compatgnn reads lambda; a preset search must not vary it
+    rng = make_rng(24, "space")
+    base = quick_cfg(model="gcn", split_ids=[0], lambda_=0.3)
+    draws = [sample_search_config(rng, base).to_dict() for _ in range(50)]
+    assert {d["lambda"] for d in draws} == {0.3}
+    assert len({d["lr"] for d in draws}) > 1
 
 
 def test_search_sampling_deterministic():

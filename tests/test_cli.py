@@ -237,3 +237,72 @@ def test_all_splits_diverged_bench_exit_code(dataset):
                      "--model", "compatgnn", "--lr", "1e80",
                      "--max-epochs", "4", "--nhidden", "4"])
     assert code == 4
+
+
+# ---------------------------------------------------------------------------
+# bad inputs end in their exit codes, with one line on stderr
+
+def _dir_without_edges(tmp, ds):
+    bad = tmp / "no_edges"
+    bad.mkdir()
+    (bad / "meta.json").write_text(open(os.path.join(ds, "meta.json")).read())
+    return ["dataset", "inspect", str(bad)]
+
+
+def _write(tmp, name, text):
+    path = tmp / name
+    path.write_text(text)
+    return str(path)
+
+
+def _run_record(**fields):
+    record = dict(config={}, seed=0, split_id=0, best_epoch=0, val_curve=[],
+                  loss_curve=[], test_accuracy=0.0, epoch_ms=[],
+                  refresh_epochs=[], test_idx=[], test_predictions=[],
+                  test_degrees=[])
+    record.update(fields)
+    return record
+
+
+def _spec_with_unknown_key(tmp, ds):
+    spec = {"layers": [{"channels": [{"indicator": "raw",
+                                      "guidance": "deg_avg_sym"}]}],
+            "hidden_dims": 8}
+    return ["train", "--data", ds, "--model",
+            _write(tmp, "spec.json", json.dumps(spec))]
+
+
+def _seed_flag_over_config(tmp, ds):
+    cfg = _write(tmp, "cfg.json", json.dumps({"seed": 5}))
+    return (["train", "--data", ds, "--config", cfg, "--seed", "0",
+             "--out", str(tmp / "run")] + run_quick(["--max-epochs", "1"]))
+
+
+BAD_INPUTS = [
+    ("inspect_without_edges", _dir_without_edges, 3),
+    ("degree_report_bad_json", lambda tmp, ds: [
+        "degree-report", "--runs", _write(tmp, "run.json", "{not json")], 3),
+    ("degree_report_unknown_keys", lambda tmp, ds: [
+        "degree-report", "--runs",
+        _write(tmp, "run.json", json.dumps({"bogus": 1}))], 3),
+    ("cm_estimated_missing_run", lambda tmp, ds: [
+        "cm", "--data", ds, "--mode", "estimated",
+        "--run", str(tmp / "missing.json"), "--out", str(tmp / "cm")], 3),
+    ("cm_estimated_ragged_matrix", lambda tmp, ds: [
+        "cm", "--data", ds, "--mode", "estimated", "--out", str(tmp / "cm"),
+        "--run", _write(tmp, "run.json", json.dumps(_run_record(
+            metadata={"cm_estimate": [[1.0, 0.0, 0.0], [0.0, 1.0]]})))], 3),
+    ("spec_unknown_key", _spec_with_unknown_key, 2),
+    ("seed_zero_overrides_config", _seed_flag_over_config, 0),
+]
+
+
+@pytest.mark.parametrize("name, make_argv, code", BAD_INPUTS,
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_bad_inputs_exit_codes(name, make_argv, code, dataset, tmp_path, capsys):
+    assert main(make_argv(tmp_path, dataset)) == code
+    err = capsys.readouterr().err
+    if code:
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    else:
+        assert json.load(open(tmp_path / "run" / "run.json"))["seed"] == 0

@@ -122,6 +122,27 @@ def test_undirected_must_be_symmetric():
               labels=[0, 0], n_classes=1)
 
 
+def directed_csr(indptr, indices):
+    n = len(indptr) - 1
+    return Graph(indptr=indptr, indices=indices, features=np.zeros((n, 1)),
+                 labels=[0] * n, n_classes=1, directed=True)
+
+
+@pytest.mark.parametrize("indptr, indices, message", [
+    ([0, 0, 2, 2, 2], [3, 0], "row 1 has duplicate or unsorted neighbors"),
+    ([0, 0, 0, 2, 2], [1, 1], "row 2 has duplicate or unsorted neighbors"),
+    ([0, 1, 1, 1, 1], [0], "self-loop stored at node 0"),
+    # the first offending row is named, whichever fault it has
+    ([0, 1, 2, 4, 5], [1, 1, 1, 0, 3], "self-loop stored at node 1"),
+    ([0, 1, 3, 3, 4], [1, 3, 2, 3], "row 1 has duplicate or unsorted neighbors"),
+    # a row with both a duplicate and a self-loop reports the duplicate
+    ([0, 0, 0, 3, 3], [0, 2, 2], "row 2 has duplicate or unsorted neighbors"),
+])
+def test_row_validation_messages(indptr, indices, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        directed_csr(indptr, indices)
+
+
 def test_onehot_labels_with_unlabeled():
     g = make_graph(3, [(0, 1)], [0, -1, 1], 2)
     c = g.onehot_labels()

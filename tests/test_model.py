@@ -325,7 +325,7 @@ def test_alpha_010_matches_row_normalized_gcn_oracle():
     g = random_graph(rng, 9, p=0.35, n_classes=2, d_f=3)
     m = ready_model(g, [0, 1, 4, 7], hidden_dim=4, n_layers=1, seed=5)
     m.force_alpha = (0.0, 1.0, 0.0)
-    m.fuse_override = "last"
+    m.spec.fuse = "last"
     # the classifier was sized for cat fuse; re-seat it for the single layer
     m.params["cla.w1"].value = make_rng(5, "w1").normal(size=(4, 4)) * 0.3
 

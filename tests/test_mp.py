@@ -69,6 +69,24 @@ def test_model_spec_json_round_trip():
         ModelSpec.from_json("{\"hidden_dim\": 4}")
 
 
+@pytest.mark.parametrize("path", [(), ("layers", 0), ("layers", 0, "channels", 0)])
+def test_model_spec_rejects_unknown_keys(path):
+    d = build_preset("gcn", hidden_dim=8).to_dict()
+    node = d
+    for key in path:
+        node = node[key]
+    node["hiden_dim"] = 4
+    with pytest.raises(ConfigError, match="unknown .* keys: \\['hiden_dim'\\]"):
+        ModelSpec.from_dict(d)
+
+
+def test_model_spec_omitted_keys_take_field_defaults():
+    spec = ModelSpec.from_dict({"layers": [{"channels": [
+        {"indicator": "raw", "guidance": "deg_avg_sym"}]}]})
+    assert spec == ModelSpec(layers=[LayerSpec(channels=[
+        ChannelSpec("raw", "deg_avg_sym")])])
+
+
 # ---------------------------------------------------------------------------
 # realization
 

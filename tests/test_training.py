@@ -77,6 +77,17 @@ def test_build_model_paths(tmp_path):
         build_model(RunConfig(model="resnet"), g, seed=0)
 
 
+@pytest.mark.parametrize("name", ["mlp", "gcn", "h2gcn", "gprgnn"])
+def test_structure_info_reaches_presets(name):
+    g = sbm_toy(20)
+    m = build_model(RunConfig(model=name, nhidden=8, structure_info=True), g, seed=0)
+    assert m.spec.encoder == "structure"
+    assert m.params["encoder.w_a"].shape == (g.n_nodes, 8)
+    assert "encoder.w_x" in m.params
+    plain = build_model(RunConfig(model=name, nhidden=8), g, seed=0)
+    assert plain.spec.encoder == "linear" and "encoder.w_a" not in plain.params
+
+
 def test_accuracy_helper():
     logits = np.array([[2.0, 0.0], [0.0, 2.0], [2.0, 0.0]])
     labels = np.array([0, 1, 1])
