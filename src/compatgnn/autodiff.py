@@ -28,15 +28,14 @@ def _as_value(v):
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "requires_grad", "parents", "_backward", "name")
+    __slots__ = ("value", "grad", "requires_grad", "parents", "_backward")
 
-    def __init__(self, value, requires_grad=False, parents=(), backward=None, name=None):
+    def __init__(self, value, requires_grad=False, parents=(), backward=None):
         self.value = _as_value(value)
         self.grad = None
         self.requires_grad = requires_grad
         self.parents = parents
         self._backward = backward
-        self.name = name
 
     @property
     def shape(self):
@@ -49,16 +48,15 @@ class Tensor:
         return self.value.item()
 
     def __repr__(self):
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor{tag}(shape={self.shape}, grad={'yes' if self.requires_grad else 'no'})"
+        return f"Tensor(shape={self.shape}, grad={'yes' if self.requires_grad else 'no'})"
 
 
-def tensor(value, requires_grad=False, name=None):
-    return Tensor(value, requires_grad=requires_grad, name=name)
+def tensor(value, requires_grad=False):
+    return Tensor(value, requires_grad=requires_grad)
 
 
-def constant(value, name=None):
-    return Tensor(value, requires_grad=False, name=name)
+def constant(value):
+    return Tensor(value, requires_grad=False)
 
 
 def _result(value, parents, backward, op):
@@ -105,16 +103,14 @@ class SparseMatrix:
 
     @property
     def T_scipy(self):
+        """The transpose as CSR: the matrix itself when bitwise equal to it."""
         if self._mt is None:
-            self._mt = self._m.T.tocsr()
+            m, mt = self._m, self._m.T.tocsr()
+            same = (np.array_equal(mt.indptr, m.indptr)
+                    and np.array_equal(mt.indices, m.indices)
+                    and np.array_equal(mt.data.view(np.uint64), m.data.view(np.uint64)))
+            self._mt = m if same else mt
         return self._mt
-
-    def to_dense(self):
-        return self._m.toarray()
-
-    @classmethod
-    def from_dense(cls, x):
-        return cls(sp.csr_matrix(np.asarray(x, dtype=np.float64)))
 
 
 # ---------------------------------------------------------------------------

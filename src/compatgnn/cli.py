@@ -118,12 +118,9 @@ def _load_graph_and_splits(config):
     if not config.dataset:
         raise ConfigError("no dataset given (--data or config 'dataset')")
     g = load_dataset(config.dataset)
-    try:
-        splits = load_splits(config.dataset)
-    except DataError:
-        n_needed = max(config.split_ids) + 1
-        splits = generate_splits(g, n_needed, config.seed)
-    return g, splits
+    if os.path.isdir(os.path.join(config.dataset, "splits")):
+        return g, load_splits(config.dataset, g.n_nodes)
+    return g, generate_splits(g, max(config.split_ids) + 1, config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +218,24 @@ def cmd_bench(args):
     return 0
 
 
+def _json_type_ok(value, kind):
+    if kind in (int, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
 def _read_run(path):
+    """A RunResult from a JSON file whose fields have their declared JSON
+    types; anything else raises DataError."""
     try:
-        return RunResult(**_read_json(path, DataError))
+        run = RunResult(**_read_json(path, DataError))
     except TypeError as exc:
         raise DataError(f"{path}: not a run record ({exc})") from None
+    bad = [f.name for f in dataclasses.fields(RunResult)
+           if not _json_type_ok(getattr(run, f.name), f.type)]
+    if bad:
+        raise DataError(f"{path}: not a run record (wrong type: {', '.join(bad)})")
+    return run
 
 
 def cmd_degree_report(args):

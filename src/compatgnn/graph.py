@@ -17,6 +17,7 @@ Dataset directory layout:
 
 import json
 import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -325,17 +326,30 @@ def generate_splits(g, n_splits, seed):
     return splits
 
 
+def _split_index(name):
+    """k of a file named split_<k>.json, else None."""
+    m = re.fullmatch(r"split_(\d+)\.json", name)
+    return None if m is None else int(m.group(1))
+
+
 def save_splits(splits, path):
+    """split_<k>.json per split; any other split_<k>.json in `path` is
+    removed, so the directory never mixes splits of two graphs."""
     os.makedirs(path, exist_ok=True)
-    for i, s in enumerate(splits):
+    names = [f"split_{i}.json" for i in range(len(splits))]
+    for name, s in zip(names, splits):
         payload = {"train": s.train.tolist(), "valid": s.valid.tolist(),
                    "test": s.test.tolist()}
-        with open(os.path.join(path, f"split_{i}.json"), "w", encoding="utf-8") as fh:
+        with open(os.path.join(path, name), "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
             fh.write("\n")
+    for name in os.listdir(path):
+        if _split_index(name) is not None and name not in names:
+            os.remove(os.path.join(path, name))
 
 
-def load_split(path):
+def load_split(path, n_nodes=None):
+    """A split file; with n_nodes, a node outside [0, n_nodes) is a DataError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -344,20 +358,25 @@ def load_split(path):
     for key in ("train", "valid", "test"):
         if key not in payload:
             raise DataError(f"{path}: missing key {key!r}")
-    return Split(train=payload["train"], valid=payload["valid"], test=payload["test"])
+    split = Split(train=payload["train"], valid=payload["valid"], test=payload["test"])
+    if n_nodes is not None:
+        nodes = np.concatenate([split.train, split.valid, split.test])
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= n_nodes):
+            raise DataError(f"{path}: names a node outside [0, {n_nodes})")
+    return split
 
 
-def load_splits(dataset_path):
-    """All splits/split_<k>.json under a dataset directory, ordered by k."""
+def load_splits(dataset_path, n_nodes=None):
+    """All splits/split_<k>.json under a dataset directory, ordered by k;
+    n_nodes as in load_split."""
     split_dir = os.path.join(dataset_path, "splits")
     if not os.path.isdir(split_dir):
         raise DataError(f"{split_dir}: not found")
-    names = sorted(os.listdir(split_dir))
     out = []
-    for name in names:
-        if name.startswith("split_") and name.endswith(".json"):
-            out.append((int(name[len("split_"):-len(".json")]),
-                        load_split(os.path.join(split_dir, name))))
+    for name in os.listdir(split_dir):
+        k = _split_index(name)
+        if k is not None:
+            out.append((k, load_split(os.path.join(split_dir, name), n_nodes)))
     out.sort(key=lambda t: t[0])
     if not out:
         raise DataError(f"{split_dir}: no split_<k>.json files")

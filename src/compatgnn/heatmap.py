@@ -5,6 +5,8 @@ linear from white (0) to a saturated blue (1) with no renormalization, so
 two heatmaps are visually comparable cell for cell.
 """
 
+from xml.sax.saxutils import escape
+
 import numpy as np
 
 CELL = 44
@@ -39,7 +41,7 @@ def cm_to_svg(m, title="compatibility matrix"):
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{left + k * CELL / 2:.0f}" y="22" text-anchor="middle" '
-        f'font-family="monospace" font-size="14">{title}</text>',
+        f'font-family="monospace" font-size="14">{escape(title)}</text>',
         f'<text x="{left + k * CELL / 2:.0f}" y="{top - 26}" text-anchor="middle" '
         f'font-family="monospace" font-size="11">{COL_LABEL}</text>',
     ]

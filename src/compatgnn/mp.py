@@ -196,13 +196,8 @@ class PrototypeOperator:
         self.block = None   # constant (N+K) x K tensor
 
 
-def realize_channel(g, ch, prototypes=None):
-    """(indicator, guidance) -> None | SparseMatrix | PrototypeOperator,
-    ready for aggregate(). The supplementary/constant channel realizes to
-    the given PrototypeOperator."""
-    if (prototypes is not None and ch.indicator == "supplementary"
-            and ch.guidance == "constant"):
-        return prototypes
+def realize_channel(g, ch):
+    """(indicator, guidance) -> None | SparseMatrix, ready for aggregate()."""
     ind = realize_indicator(g, ch.indicator, ch.k)
     fused = realize_guidance(ind, ch.guidance, g.n_nodes)
     return None if fused is None else SparseMatrix(fused)
@@ -263,11 +258,12 @@ class ForwardOutput:
 
 
 class MessagePassingModel:
-    """A ModelSpec bound to a graph: realized channels plus parameters.
+    """A ModelSpec bound to a graph: parameters plus one operator per
+    distinct (indicator, guidance, k), shared by every channel naming it.
 
     prototypes: a PrototypeOperator when the graph's last K nodes are class
-    prototypes (see model.CompatGNN). It realizes the supplementary/constant
-    channels, and the structure encoder leaves the prototypes out.
+    prototypes (see model.CompatGNN). It is the supplementary/constant
+    operator, and the structure encoder leaves the prototypes out.
     force_alpha (debug): overrides every ada_add combine with fixed channel
     weights.
     """
@@ -283,7 +279,9 @@ class MessagePassingModel:
         rng = make_rng(seed, "params")
         d_r = spec.hidden_dim
 
-        self._realized = {}
+        self._operators = {}
+        if prototypes is not None:
+            self._operators[("supplementary", "constant", None)] = prototypes
         self.params = {}
         shared_shapes = {}
 
@@ -305,7 +303,9 @@ class MessagePassingModel:
         for li, layer in enumerate(spec.layers, start=1):
             ch_widths = []
             for cj, ch in enumerate(layer.channels):
-                self._realized[(li, cj)] = realize_channel(graph, ch, prototypes)
+                key = (ch.indicator, ch.guidance, ch.k)
+                if key not in self._operators:
+                    self._operators[key] = realize_channel(graph, ch)
                 if ch.weight == "own":
                     self.params[f"layer{li}.ch{cj}.w"] = ad.tensor(
                         glorot(rng, (width, d_r)), requires_grad=True)
@@ -432,7 +432,7 @@ class MessagePassingModel:
         for li, layer in enumerate(spec.layers, start=1):
             try:
                 zin = relu(z) if spec.relu_before_aggregate else z
-                outs = [aggregate(self._realized[(li, cj)], zin,
+                outs = [aggregate(self._operators[ch.indicator, ch.guidance, ch.k], zin,
                                   self._channel_weight(li, cj, ch))
                         for cj, ch in enumerate(layer.channels)]
                 zl = self._combine(li, layer, outs)

@@ -9,7 +9,6 @@ play always corresponds to the best parameters seen so far.
 """
 
 import dataclasses
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -129,13 +128,6 @@ class RunResult:
     test_labels: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
     diverged: bool = False
-
-    def to_json(self):
-        return json.dumps(dataclasses.asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
 
 
 def train_model(graph, split, config, seed, split_id=0, model=None):

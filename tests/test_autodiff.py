@@ -12,6 +12,7 @@ from compatgnn.autodiff import (SparseMatrix, Tensor, add, add_bias, backward,
                                 tensor, tmean, tsum, zero_grads)
 from compatgnn.gradcheck import grad_check
 from compatgnn.rng import make_rng
+from compatgnn.sparse import row_normalize, sym_normalize
 
 from util import random_graph
 
@@ -77,6 +78,25 @@ def test_spmm_gradient_matches_dense_transpose():
     loss = tsum(hadamard(spmm(SparseMatrix(a), x), constant(w)))
     backward(loss)
     np.testing.assert_allclose(x.grad, a.toarray().T @ w, atol=1e-12)
+
+
+def test_symmetric_operator_is_its_own_transpose():
+    g = random_graph(make_rng(2, "symT"), 30, p=0.2)
+    sym = SparseMatrix(sym_normalize(g))
+    assert sym.T_scipy is sym.scipy
+    row = SparseMatrix(row_normalize(g))
+    assert row.T_scipy is not row.scipy
+    np.testing.assert_array_equal(row.T_scipy.toarray(), row.scipy.T.toarray())
+
+
+def test_spmm_gradient_through_symmetric_operator():
+    rng = make_rng(3, "symT")
+    a = SparseMatrix(sym_normalize(random_graph(rng, 20, p=0.3)))
+    w = rng.normal(size=(20, 3))
+    x = rand_t((20, 3), rng)
+    backward(tsum(hadamard(spmm(a, x), constant(w))))
+    assert a.T_scipy is a.scipy
+    np.testing.assert_allclose(x.grad, a.scipy.toarray().T @ w, atol=1e-12)
 
 
 def test_elementwise_forward_oracles():

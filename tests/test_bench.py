@@ -298,6 +298,12 @@ def test_cm_to_svg_structure():
     assert "toy" in svg
 
 
+def test_cm_to_svg_escapes_title():
+    title = "a<b & c"
+    root = ET.fromstring(cm_to_svg(np.eye(2), title=title))
+    assert title in [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+
+
 def test_cm_to_svg_skips_annotations_for_large_k():
     m = np.full((13, 13), 1 / 13)
     svg = cm_to_svg(m)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -272,6 +273,29 @@ def _spec_with_unknown_key(tmp, ds):
             _write(tmp, "spec.json", json.dumps(spec))]
 
 
+def _degree_report_on(**fields):
+    return lambda tmp, ds: ["degree-report", "--runs", _write(
+        tmp, "run.json", json.dumps(_run_record(**fields)))]
+
+
+def _split_out_of_range(tmp, ds):
+    copy = tmp / "ds"
+    shutil.copytree(ds, copy)
+    (copy / "splits" / "split_0.json").write_text(json.dumps(
+        {"train": [0, 60], "valid": [1], "test": [2]}))
+    return ["train", "--data", str(copy), "--split", "0"] + run_quick([])
+
+
+def _bench_after_regenerating_with_fewer_splits(tmp, ds):
+    out = str(tmp / "regen")
+    for nodes, n_splits in (("50", "4"), ("20", "2")):
+        assert main(["synth", "gen", "--nodes", nodes, "--degree", "4",
+                     "--n-splits", n_splits, "--out", out]) == 0
+    assert sorted(os.listdir(os.path.join(out, "splits"))) == [
+        "split_0.json", "split_1.json"]
+    return ["bench", "--data", out, "--splits", "0-3"] + run_quick([])
+
+
 def _seed_flag_over_config(tmp, ds):
     cfg = _write(tmp, "cfg.json", json.dumps({"seed": 5}))
     return (["train", "--data", ds, "--config", cfg, "--seed", "0",
@@ -292,6 +316,16 @@ BAD_INPUTS = [
         "cm", "--data", ds, "--mode", "estimated", "--out", str(tmp / "cm"),
         "--run", _write(tmp, "run.json", json.dumps(_run_record(
             metadata={"cm_estimate": [[1.0, 0.0, 0.0], [0.0, 1.0]]})))], 3),
+    ("cm_estimated_metadata_not_object", lambda tmp, ds: [
+        "cm", "--data", ds, "--mode", "estimated", "--out", str(tmp / "cm"),
+        "--run", _write(tmp, "run.json", json.dumps(_run_record(metadata=[])))], 3),
+    ("degree_report_test_idx_not_list", _degree_report_on(test_idx=5), 3),
+    ("degree_report_predictions_not_list",
+     _degree_report_on(test_predictions="abc"), 3),
+    ("degree_report_diverged_not_bool", _degree_report_on(diverged="no"), 3),
+    ("split_names_node_outside_graph", _split_out_of_range, 3),
+    ("bench_split_ids_beyond_regenerated_splits",
+     _bench_after_regenerating_with_fewer_splits, 2),
     ("spec_unknown_key", _spec_with_unknown_key, 2),
     ("seed_zero_overrides_config", _seed_flag_over_config, 0),
 ]

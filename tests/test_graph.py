@@ -219,6 +219,27 @@ def test_split_files_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded[1].test, splits[1].test)
 
 
+def test_save_splits_removes_splits_it_did_not_write(tmp_path):
+    g = random_graph(make_rng(4, "s"), 40)
+    path = tmp_path / "splits"
+    save_splits(generate_splits(g, 4, seed=1), path)
+    (path / "notes.txt").write_text("kept")
+    save_splits(generate_splits(g, 2, seed=1), path)
+    assert sorted(os.listdir(path)) == ["notes.txt", "split_0.json", "split_1.json"]
+
+
+def test_split_naming_node_outside_graph_is_data_error(tmp_path):
+    g = random_graph(make_rng(4, "s"), 40)
+    save_splits(generate_splits(g, 1, seed=1), tmp_path / "splits")
+    assert len(load_splits(tmp_path, g.n_nodes)) == 1
+    with pytest.raises(DataError, match=r"outside \[0, 39\)"):
+        load_splits(tmp_path, g.n_nodes - 1)
+    (tmp_path / "splits" / "split_0.json").write_text(json.dumps(
+        {"train": [-1], "valid": [1], "test": [2]}))
+    with pytest.raises(DataError, match="outside"):
+        load_split(tmp_path / "splits" / "split_0.json", g.n_nodes)
+
+
 def test_split_parts_must_be_disjoint():
     from compatgnn.graph import Split
     with pytest.raises(DataError, match="overlap"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from compatgnn import ConfigError, NumericalError, permute_graph
+from compatgnn import ConfigError, NumericalError, generate_splits, mp, permute_graph
 from compatgnn.autodiff import backward, constant, spmm, tensor, zero_grads
 from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
                           ModelSpec, PRESETS, aggregate, ada_combine,
@@ -10,6 +10,7 @@ from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
                           realize_indicator)
 from compatgnn.rng import make_rng
 from compatgnn.sparse import add_self_loops, khop_adjacency, sym_normalize
+from compatgnn.training import RunConfig, train_model
 
 from util import (circulant, cubic12, make_graph, path3_forest, quartic12,
                   random_graph)
@@ -117,6 +118,25 @@ def test_realize_guidance_rules():
     hp = realize_guidance(a, "high_pass", 12).toarray()
     np.testing.assert_allclose(hp, np.eye(12) - sym_normalize(a).toarray(),
                                atol=1e-15)
+
+
+@pytest.mark.parametrize("name, n_operators",
+                         [("h2gcn", 2), ("acmgcn", 3), ("compatgnn", 2)])
+def test_each_operator_is_realized_once(name, n_operators, monkeypatch):
+    realized, used = [], []
+    realize, aggregate_ = mp.realize_channel, mp.aggregate
+    monkeypatch.setattr(mp, "realize_channel",
+                        lambda *a: realized.append(a) or realize(*a))
+    monkeypatch.setattr(mp, "aggregate",
+                        lambda op, z, w=None: used.append(op) or aggregate_(op, z, w))
+    g = random_graph(make_rng(5, "once"), 40, p=0.15)
+    cfg = RunConfig(model=name, layers=2, nhidden=8, max_epochs=1)
+    train_model(g, generate_splits(g, 1, seed=0)[0], cfg, seed=0)
+    assert len(realized) == n_operators
+    # the train forward aggregates each channel of layer 1, then of layer 2
+    n_ch = len(realized) + (name == "compatgnn")
+    assert all(a is b for a, b in zip(used[:n_ch], used[n_ch:2 * n_ch]))
+    assert len({id(op) for op in used}) == n_ch
 
 
 def test_identity_channel_short_circuits():

@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from compatgnn import ConfigError, TrainingDiverged
+from compatgnn.bench import write_json_atomic
+from compatgnn.cli import _read_run
 from compatgnn.graph import Split, generate_splits
 from compatgnn.model import CompatGNN, CompatModelConfig, estimate_cm
 from compatgnn.mp import MessagePassingModel, build_preset
 from compatgnn.rng import make_rng
-from compatgnn.training import (RunConfig, RunResult, accuracy, build_model,
-                                train_model)
+from compatgnn.training import RunConfig, accuracy, build_model, train_model
 
 from util import make_graph
 
@@ -205,11 +208,14 @@ def test_toy_sbm_reaches_95_percent():
 # ---------------------------------------------------------------------------
 # results
 
-def test_runresult_json_roundtrip():
+def test_runresult_json_roundtrip(tmp_path):
     g = sbm_toy(30)
     cfg = RunConfig(model="gcn", lr=0.05, patience=5, max_epochs=5, nhidden=4)
     res = train_model(g, toy_split(g), cfg, seed=8)
-    back = RunResult.from_json(res.to_json())
+    path = str(tmp_path / "run.json")
+    write_json_atomic(path, dataclasses.asdict(res))
+    back = _read_run(path)
+    assert back == res
     assert back.test_accuracy == res.test_accuracy
     assert back.val_curve == res.val_curve
     assert back.config == res.config
