@@ -24,7 +24,7 @@ from .training import RunConfig, RunResult, accuracy, build_model, train_model
 from .synth import (SynthSpec, build_target_cm, gaussian_features,
                     generate_graph, make_synth_spec, verify_graph)
 from .bench import (BenchReport, degree_report, format_mean_std, random_search,
-                    run_bench, timing_report)
+                    run_bench)
 from .gradcheck import grad_check
 from .optim import Adam
 from .rng import derive_seed, make_rng

@@ -1,5 +1,5 @@
-"""Benchmark harness: multi-split runs, degree breakdowns, random search,
-timing. All artifacts are written atomically (temp file + rename)."""
+"""Benchmark harness: multi-split runs, degree breakdowns and random
+search. All artifacts are written atomically (temp file + rename)."""
 
 import dataclasses
 import json
@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, DataError, TrainingDiverged
 from .rng import derive_seed, make_rng
 from .training import RunConfig, RunResult, train_model
 
@@ -155,6 +155,9 @@ def degree_report(results, n_buckets=5):
         idx = np.asarray(r.test_idx)
         pred = np.asarray(r.test_predictions)
         labels = np.asarray(r.test_labels)
+        if not len(idx) == len(deg) == len(pred) == len(labels):
+            raise DataError(f"run of split {r.split_id}: test_idx, test_degrees, "
+                            "test_predictions and test_labels differ in length")
         if n_buckets > len(idx):
             raise ConfigError(f"{n_buckets} buckets for {len(idx)} test nodes")
         order = np.lexsort((idx, deg))
@@ -216,31 +219,3 @@ def random_search(graph, splits, base_config, budget, seed, out_path=None):
         raise ConfigError("every search trial diverged; nothing to return")
     return best[1], records
 
-
-def timing_report(graph, split, config, scaling_check=True):
-    """Wall-clock per epoch, with estimator-refresh epochs reported apart.
-
-    With scaling_check, re-runs at doubled hidden width and reports the
-    per-epoch time ratio. Combine and classifier work is quadratic in the
-    width, but the linear terms (encoder, SpMM, elementwise ops) keep the
-    ratio near 2: compatgnn at 800 nodes with d_f 64 and width 64 measured
-    1.94 to 2.41 on 2 vCPUs.
-    """
-    result = train_model(graph, split, config, config.seed)
-    refresh = set(result.refresh_epochs)
-    plain = [ms for e, ms in enumerate(result.epoch_ms) if e not in refresh]
-    refresh_ms = [ms for e, ms in enumerate(result.epoch_ms) if e in refresh]
-    out = {
-        "epochs": len(result.epoch_ms),
-        "ms_per_epoch": float(np.mean(plain)) if plain else float("nan"),
-        "refresh_count": len(refresh_ms),
-        "ms_per_refresh_epoch": float(np.mean(refresh_ms)) if refresh_ms else None,
-    }
-    if scaling_check:
-        doubled = dataclasses.replace(config, nhidden=2 * config.nhidden)
-        r2 = train_model(graph, split, doubled, config.seed)
-        refresh2 = set(r2.refresh_epochs)
-        plain2 = [ms for e, ms in enumerate(r2.epoch_ms) if e not in refresh2]
-        out["ms_per_epoch_doubled"] = float(np.mean(plain2)) if plain2 else float("nan")
-        out["doubling_ratio"] = out["ms_per_epoch_doubled"] / out["ms_per_epoch"]
-    return out

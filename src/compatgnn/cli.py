@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError, TrainingDiverged
-from .bench import (degree_report, random_search, run_bench, timing_report,
-                    write_json_atomic, write_text_atomic)
+from .bench import (degree_report, random_search, run_bench, write_json_atomic,
+                    write_text_atomic)
 from .graph import (generate_splits, load_dataset, load_splits, save_dataset,
                     save_splits)
 from .heatmap import cm_to_csv, cm_to_svg
@@ -173,10 +173,10 @@ def cmd_synth_gen(args):
                            d_f=args.feature_dim,
                            mean_separation=args.mean_separation)
     g = generate_graph(spec)
-    save_dataset(g, args.out)
     splits = generate_splits(g, args.n_splits, seed)
-    save_splits(splits, os.path.join(args.out, "splits"))
     report = verify_graph(g, spec)
+    save_dataset(g, args.out)
+    save_splits(splits, os.path.join(args.out, "splits"))
     write_json_atomic(os.path.join(args.out, "verify.json"), report)
     print(f"generated {g.n_nodes} nodes, {g.n_edges} edges "
           f"(mean degree {report['mean_degree']:.2f})")
@@ -316,21 +316,6 @@ def cmd_cm(args):
     return 0
 
 
-def cmd_timing(args):
-    config = _build_config(args)
-    g, splits = _load_graph_and_splits(config)
-    sid = config.split_ids[0]
-    report = timing_report(g, splits[sid], config,
-                           scaling_check=not args.no_scaling_check)
-    print(f"ms/epoch {report['ms_per_epoch']:.2f}  "
-          f"refreshes {report['refresh_count']}")
-    if "doubling_ratio" in report:
-        print(f"hidden-width doubling ratio {report['doubling_ratio']:.2f}")
-    if args.out:
-        write_json_atomic(os.path.join(args.out, "timing.json"), report)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 
 def build_parser():
@@ -404,14 +389,6 @@ def build_parser():
     p.add_argument("--knn-k", type=int, default=5)
     _add_global_flags(p)
     p.set_defaults(func=cmd_cm)
-
-    p = sub.add_parser("timing", help="per-epoch wall-clock report")
-    p.add_argument("--data", type=str, default=None)
-    p.add_argument("--split", type=int, default=None)
-    p.add_argument("--no-scaling-check", action="store_true")
-    _add_hyper_flags(p)
-    _add_global_flags(p)
-    p.set_defaults(func=cmd_timing)
     return top
 
 

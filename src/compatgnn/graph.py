@@ -231,6 +231,13 @@ def write_features_f32(path, x):
         fh.write(np.ascontiguousarray(x, dtype="<f4").tobytes())
 
 
+def _write_tsv_ints(path, rows):
+    """One line per row of a 2-d integer array, fields tab-separated."""
+    line = "\t".join(["%d"] * rows.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
+
+
 def load_dataset(path):
     """Read a dataset directory into a validated Graph."""
     meta_path = os.path.join(path, "meta.json")
@@ -278,12 +285,8 @@ def save_dataset(g, path):
     pairs = np.stack([src, g.indices], axis=1)
     if not g.directed:
         pairs = pairs[pairs[:, 0] < pairs[:, 1]]
-    with open(os.path.join(path, "edges.tsv"), "w", encoding="utf-8") as fh:
-        for u, v in pairs:
-            fh.write(f"{u}\t{v}\n")
-    with open(os.path.join(path, "labels.tsv"), "w", encoding="utf-8") as fh:
-        for y in g.labels:
-            fh.write(f"{y}\n")
+    _write_tsv_ints(os.path.join(path, "edges.tsv"), pairs)
+    _write_tsv_ints(os.path.join(path, "labels.tsv"), g.labels[:, None])
     write_features_f32(os.path.join(path, "features.f32"), g.features)
 
 
@@ -355,9 +358,14 @@ def load_split(path, n_nodes=None):
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: expected a JSON object")
     for key in ("train", "valid", "test"):
         if key not in payload:
             raise DataError(f"{path}: missing key {key!r}")
+        part = payload[key]
+        if not isinstance(part, list) or not all(type(i) is int for i in part):
+            raise DataError(f"{path}: {key!r} is not a list of integer node ids")
     split = Split(train=payload["train"], valid=payload["valid"], test=payload["test"])
     if n_nodes is not None:
         nodes = np.concatenate([split.train, split.valid, split.test])

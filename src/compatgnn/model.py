@@ -202,6 +202,8 @@ class CompatGNN(MessagePassingModel):
         self.cfg = cfg
         self.real_graph = graph
         self._supplementary = PrototypeOperator(graph.n_nodes)
+        # prototype nodes are isolated: the one N+K graph does not depend on
+        # their features, which the prototypes setter writes into self.features
         placeholder = np.zeros((graph.n_classes, graph.d_f))
         super().__init__(compat_spec(cfg), with_prototype_nodes(graph, placeholder),
                          seed=seed, prototypes=self._supplementary)
@@ -216,14 +218,20 @@ class CompatGNN(MessagePassingModel):
     @property
     def prototypes(self):
         """K x d_f prototype features, None until bound. Setting them makes
-        them the features of the K prototype nodes."""
+        them the encoder input of the K prototype nodes; the N+K graph,
+        built once with placeholder rows, is untouched."""
         return self._prototypes
 
     @prototypes.setter
     def prototypes(self, protos):
-        self._prototypes = protos
         if protos is not None:
-            self.graph = with_prototype_nodes(self.real_graph, protos)
+            protos = np.asarray(protos, dtype=np.float64)
+            g = self.real_graph
+            if protos.shape != (self.n_classes, g.d_f):
+                raise DataError(f"prototypes shape {protos.shape}, expected "
+                                f"({self.n_classes}, {g.d_f})")
+            self.features = np.vstack([g.features, protos])
+        self._prototypes = protos
 
     def bind_prototypes(self, train_idx):
         self.prototypes = build_prototypes(self.real_graph, train_idx)

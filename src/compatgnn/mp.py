@@ -34,7 +34,7 @@ from .sparse import (add_self_loops, khop_adjacency, knn_feature_graph,
                      row_normalize, sym_normalize)
 
 INDICATOR_KINDS = ("identity", "raw", "raw_self_loop", "khop", "feature_knn",
-                   "full", "supplementary")
+                   "supplementary")
 GUIDANCE_KINDS = ("identity", "deg_avg_row", "deg_avg_sym", "high_pass", "constant")
 COMBINE_KINDS = ("add", "weighted_add", "ada_add", "cat")
 FUSE_KINDS = ("last", "cat", "ada_add")
@@ -163,8 +163,6 @@ def realize_indicator(g, kind, k=None):
         return khop_adjacency(g, k)
     if kind == "feature_knn":
         return knn_feature_graph(g, k)
-    if kind == "full":
-        return sp.csr_matrix(np.ones((g.n_nodes, g.n_nodes)))
     raise ConfigError(f"indicator {kind!r} cannot be realized without prototype context")
 
 
@@ -264,6 +262,8 @@ class MessagePassingModel:
     prototypes: a PrototypeOperator when the graph's last K nodes are class
     prototypes (see model.CompatGNN). It is the supplementary/constant
     operator, and the structure encoder leaves the prototypes out.
+    features: the encoder input, graph.features until the owner of the
+    prototypes replaces their rows.
     force_alpha (debug): overrides every ada_add combine with fixed channel
     weights.
     """
@@ -274,6 +274,7 @@ class MessagePassingModel:
             raise ConfigError("MessagePassingModel needs a Graph")
         self.spec = spec
         self.graph = graph
+        self.features = graph.features
         self.n_classes = graph.n_classes
         self.force_alpha = None
         rng = make_rng(seed, "params")
@@ -411,7 +412,7 @@ class MessagePassingModel:
 
     def _encode(self):
         p = self.params
-        x = constant(self.graph.features)
+        x = constant(self.features)
         if self._structure is None:
             return matmul(x, p["encoder.w"])
         zx = matmul(x, p["encoder.w_x"])

@@ -9,8 +9,8 @@ import pytest
 from compatgnn import ConfigError
 from compatgnn.bench import (SEARCH_SPACE, BenchReport, degree_report,
                              format_mean_std, random_search, run_bench,
-                             sample_search_config, timing_report,
-                             write_json_atomic, write_text_atomic)
+                             sample_search_config, write_json_atomic,
+                             write_text_atomic)
 from compatgnn.graph import generate_splits, load_dataset
 from compatgnn.heatmap import cm_to_csv, cm_to_svg
 from compatgnn.rng import make_rng
@@ -249,33 +249,6 @@ def test_random_search_budget_and_all_diverged(toy, monkeypatch):
     monkeypatch.setattr(bench_mod, "run_bench", all_diverged)
     with pytest.raises(ConfigError, match="every search trial diverged"):
         random_search(g, splits, base, budget=2, seed=1)
-
-
-# ---------------------------------------------------------------------------
-# timing
-
-def test_timing_report_basics(toy):
-    g, splits = toy
-    cfg = quick_cfg(model="compatgnn", split_ids=[0], max_epochs=5, patience=5)
-    rep = timing_report(g, splits[0], cfg, scaling_check=False)
-    assert rep["epochs"] == 5
-    assert rep["ms_per_epoch"] > 0
-    assert rep["refresh_count"] >= 1
-    assert rep["ms_per_refresh_epoch"] > 0
-    assert "doubling_ratio" not in rep
-
-
-def test_timing_width_doubling_ratio():
-    # wide-enough toy that the quadratic hidden-width term dominates the
-    # per-epoch cost; doubling d_r must at least double the epoch time
-    spec = make_synth_spec(800, 5, 0.5, "hard", 10, seed=3, d_f=64)
-    g = generate_graph(spec)
-    split = generate_splits(g, 1, 0)[0]
-    cfg = RunConfig(model="compatgnn", lr=0.01, patience=12, max_epochs=12,
-                    nhidden=64)
-    rep = timing_report(g, split, cfg)
-    assert rep["ms_per_epoch_doubled"] > rep["ms_per_epoch"]
-    assert rep["doubling_ratio"] >= 2.0
 
 
 # ---------------------------------------------------------------------------

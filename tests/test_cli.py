@@ -103,6 +103,13 @@ def test_synth_gen_requires_out():
     assert main(["synth", "gen", "--nodes", "20"]) == 2
 
 
+def test_failed_synth_gen_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["synth", "gen", "--nodes", "5", "--out", str(out)]) == 3
+    assert "10 nodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # training commands
 
@@ -216,22 +223,6 @@ def test_cm_requires_out(dataset):
     assert main(["cm", "--data", dataset]) == 2
 
 
-def test_timing_cli(dataset, tmp_path, capsys):
-    out = str(tmp_path / "t")
-    code = main(["timing", "--data", dataset, "--split", "0",
-                 "--no-scaling-check", "--out", out, "--model", "compatgnn",
-                 "--lr", "0.05", "--nhidden", "8",
-                 "--max-epochs", "12", "--patience", "12"])
-    assert code == 0
-    assert "ms/epoch" in capsys.readouterr().out
-    rep = json.load(open(os.path.join(out, "timing.json")))
-    # early epochs refresh the estimate on every improvement; once validation
-    # saturates the remaining epochs land in the plain bucket
-    assert rep["ms_per_epoch"] > 0
-    assert rep["refresh_count"] >= 1
-    assert "doubling_ratio" not in rep
-
-
 def test_all_splits_diverged_bench_exit_code(dataset):
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["bench", "--data", dataset, "--splits", "0,1",
@@ -286,6 +277,15 @@ def _split_out_of_range(tmp, ds):
     return ["train", "--data", str(copy), "--split", "0"] + run_quick([])
 
 
+def _train_on_split_file(payload):
+    def make_argv(tmp, ds):
+        copy = tmp / "ds"
+        shutil.copytree(ds, copy)
+        (copy / "splits" / "split_0.json").write_text(json.dumps(payload))
+        return ["train", "--data", str(copy), "--split", "0"] + run_quick([])
+    return make_argv
+
+
 def _bench_after_regenerating_with_fewer_splits(tmp, ds):
     out = str(tmp / "regen")
     for nodes, n_splits in (("50", "4"), ("20", "2")):
@@ -324,6 +324,18 @@ BAD_INPUTS = [
      _degree_report_on(test_predictions="abc"), 3),
     ("degree_report_diverged_not_bool", _degree_report_on(diverged="no"), 3),
     ("split_names_node_outside_graph", _split_out_of_range, 3),
+    ("split_not_object", _train_on_split_file(5), 3),
+    ("split_part_not_list", _train_on_split_file(
+        {"train": 5, "valid": [1], "test": [2]}), 3),
+    ("split_non_integer_entry", _train_on_split_file(
+        {"train": ["a"], "valid": [1], "test": [2]}), 3),
+    ("split_fractional_entry", _train_on_split_file(
+        {"train": [0.5], "valid": [1], "test": [2]}), 3),
+    ("split_boolean_entry", _train_on_split_file(
+        {"train": [True], "valid": [1], "test": [2]}), 3),
+    ("degree_report_ragged_record", lambda tmp, ds: _degree_report_on(
+        test_idx=[0, 1, 2], test_degrees=[1, 2, 3], test_labels=[0, 1, 0],
+        test_predictions=[0])(tmp, ds) + ["--buckets", "1"], 3),
     ("bench_split_ids_beyond_regenerated_splits",
      _bench_after_regenerating_with_fewer_splits, 2),
     ("spec_unknown_key", _spec_with_unknown_key, 2),

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -91,6 +92,35 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(g2.indices, g.indices)
     # f32 storage quantizes features
     np.testing.assert_allclose(g2.features, g.features, atol=1e-6)
+
+
+def _write_per_line(g, path):
+    """edges.tsv and labels.tsv as a reference writer: one write per line."""
+    src = np.repeat(np.arange(g.n_nodes), np.diff(g.indptr))
+    with open(path / "edges.tsv", "w", encoding="utf-8") as fh:
+        for u, v in zip(src, g.indices):
+            if g.directed or u < v:
+                fh.write(f"{u}\t{v}\n")
+    with open(path / "labels.tsv", "w", encoding="utf-8") as fh:
+        for y in g.labels:
+            fh.write(f"{y}\n")
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_save_dataset_bytes_match_per_line_writer(tmp_path, directed):
+    g = random_graph(make_rng(5, "bytes"), 30, n_classes=4, d_f=3,
+                     directed=directed)
+    labels = np.r_[-1, g.labels[1:]]
+    empty = Graph(np.zeros(3, dtype=np.int64), [], np.zeros((2, 1)), [0, 1], 2)
+    for name, graph in (("ds", Graph(g.indptr, g.indices, g.features, labels, 4,
+                                     directed=directed)), ("empty", empty)):
+        save_dataset(graph, tmp_path / name)
+        (tmp_path / "ref").mkdir()
+        _write_per_line(graph, tmp_path / "ref")
+        for f in ("edges.tsv", "labels.tsv"):
+            assert ((tmp_path / name / f).read_bytes()
+                    == (tmp_path / "ref" / f).read_bytes()), (name, f)
+        shutil.rmtree(tmp_path / "ref")
 
 
 def test_directed_graph_keeps_orientation(tmp_path):

@@ -100,8 +100,6 @@ def test_realize_indicator_kinds():
                                   add_self_loops(g).toarray())
     np.testing.assert_array_equal(realize_indicator(g, "khop", k=2).toarray(),
                                   khop_adjacency(g, 2).toarray())
-    np.testing.assert_array_equal(realize_indicator(g, "full").toarray(),
-                                  np.ones((12, 12)))
     with pytest.raises(ConfigError, match="prototype"):
         realize_indicator(g, "supplementary")
 

@@ -1,11 +1,14 @@
 """CompatGNN as a spec over N real nodes plus K prototype nodes: the row
-slice, the prototype operator, the structure encoder and the ban on
-prototype channels outside the model."""
+slice, the prototype operator, the one augmented graph, the structure
+encoder and the ban on prototype channels outside the model."""
 
 import json
 
 import numpy as np
 
+import pytest
+
+from compatgnn import DataError, Graph
 from compatgnn import autodiff as ad
 from compatgnn.cli import main
 from compatgnn.gradcheck import grad_check
@@ -63,6 +66,36 @@ def test_augmented_graph_appends_isolated_prototypes():
                                   g.adjacency().toarray())
 
 
+def test_compat_gnn_builds_one_augmented_graph(monkeypatch):
+    g = random_graph(make_rng(73, "once"), 10, p=0.3, n_classes=2, d_f=3)
+    sizes = []
+    init = Graph.__init__
+
+    def counting_init(self, indptr, *args, **kw):
+        sizes.append(len(indptr) - 1)
+        init(self, indptr, *args, **kw)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    m = CompatGNN(CompatModelConfig(hidden_dim=4), g, seed=0)
+    m.bind_prototypes(np.arange(10))
+    m.prototypes = m.prototypes.copy()
+    assert sizes.count(g.n_nodes + g.n_classes) == 1
+
+
+def test_prototypes_are_the_encoder_input_of_prototype_rows():
+    rng = make_rng(74, "rows")
+    g = random_graph(rng, 10, p=0.3, n_classes=3, d_f=4)
+    m = CompatGNN(CompatModelConfig(hidden_dim=4), g, seed=0)
+    p = rng.normal(size=(3, 4))
+    m.prototypes = p
+    np.testing.assert_array_equal(m.features[:10], g.features)
+    np.testing.assert_array_equal(m.features[10:], p)
+    np.testing.assert_allclose(m._encode().value[10:],
+                               p @ m.params["encoder.w"].value, atol=1e-12)
+    with pytest.raises(DataError, match="prototypes shape"):
+        m.prototypes = p[:2]
+
+
 def test_compat_spec_round_trips_as_json():
     spec = compat_spec(CompatModelConfig(hidden_dim=8, structure_info=True))
     again = ModelSpec.from_json(spec.to_json())
@@ -111,3 +144,18 @@ def test_cli_rejects_prototype_channel_in_a_user_spec(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "prototype" in err and "Traceback" not in err
+
+
+def test_cli_rejects_full_indicator(tmp_path, capsys):
+    ds = str(tmp_path / "ds")
+    assert main(["synth", "gen", "--nodes", "40", "--classes", "2",
+                 "--degree", "4", "--n-splits", "1", "--out", ds]) == 0
+    spec = {"layers": [{"channels": [{"indicator": "full",
+                                      "guidance": "deg_avg_row"}]}]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main(["train", "--data", ds, "--model", str(path),
+                 "--max-epochs", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "unknown indicator 'full'" in err and "Traceback" not in err
