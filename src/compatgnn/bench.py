@@ -93,7 +93,7 @@ def run_bench(graph, splits, config, out_dir=None):
     """
     config.validate()
     for sid in config.split_ids:
-        if sid < 0 or sid >= len(splits):
+        if sid >= len(splits):
             raise ConfigError(f"split id {sid} outside available range "
                               f"[0, {len(splits)})")
     results = []

@@ -22,6 +22,7 @@ from .graph import (generate_splits, load_dataset, load_splits, save_dataset,
 from .heatmap import cm_to_csv, cm_to_svg
 from .metrics import edge_homophily, node_homophily, observed_cm
 from .model import estimate_cm
+from .records import decode, read_json
 from .sparse import csr_to_graph_structure, knn_feature_graph
 from .synth import PATTERNS, generate_graph, make_synth_spec, verify_graph
 from .training import RunConfig, RunResult, train_model
@@ -74,44 +75,26 @@ def _parse_split_ids(text):
     return ids
 
 
-def _read_json(path, error):
-    """A JSON file; a missing or malformed one raises `error`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise error(f"{path}: not found") from None
-    except json.JSONDecodeError as exc:
-        raise error(f"{path}: {exc}") from None
-
-
 def _build_config(args):
-    d = {}
-    if args.config:
-        loaded = _read_json(args.config, ConfigError)
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{args.config}: expected a JSON object")
-        d.update(loaded)
-    for key in ("model", "lr", "weight_decay", "patience", "dropout", "layers",
-                "nhidden", "max_epochs", "max_hop"):
-        v = getattr(args, key, None)
-        if v is not None:
-            d[key] = v
-    if getattr(args, "lambda_", None) is not None:
-        d["lambda"] = args.lambda_
+    """The --config file's RunConfig with the command-line flags over it."""
+    config = RunConfig.from_dict(read_json(args.config, ConfigError)
+                                 if args.config else {})
+    flags = {key: getattr(args, key, None) for key in (
+        "model", "lr", "weight_decay", "patience", "dropout", "lambda_",
+        "layers", "nhidden", "max_epochs", "max_hop", "seed")}
     for key in ("relu_variant", "structure_info"):
-        v = getattr(args, key, None)
-        if v is not None:
-            d[key] = bool(v)
+        if getattr(args, key, None) is not None:
+            flags[key] = bool(getattr(args, key))
     if getattr(args, "data", None):
-        d["dataset"] = args.data
+        flags["dataset"] = args.data
     if getattr(args, "splits", None):
-        d["split_ids"] = _parse_split_ids(args.splits)
+        flags["split_ids"] = _parse_split_ids(args.splits)
     elif getattr(args, "split", None) is not None:
-        d["split_ids"] = [args.split]
-    if args.seed is not None:
-        d["seed"] = args.seed
-    return RunConfig.from_dict(d)
+        flags["split_ids"] = [args.split]
+    config = dataclasses.replace(
+        config, **{k: v for k, v in flags.items() if v is not None})
+    config.validate()
+    return config
 
 
 def _load_graph_and_splits(config):
@@ -218,24 +201,10 @@ def cmd_bench(args):
     return 0
 
 
-def _json_type_ok(value, kind):
-    if kind in (int, float):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    return isinstance(value, kind)
-
-
 def _read_run(path):
-    """A RunResult from a JSON file whose fields have their declared JSON
-    types; anything else raises DataError."""
-    try:
-        run = RunResult(**_read_json(path, DataError))
-    except TypeError as exc:
-        raise DataError(f"{path}: not a run record ({exc})") from None
-    bad = [f.name for f in dataclasses.fields(RunResult)
-           if not _json_type_ok(getattr(run, f.name), f.type)]
-    if bad:
-        raise DataError(f"{path}: not a run record (wrong type: {', '.join(bad)})")
-    return run
+    """A RunResult from a JSON run record; a malformed one raises DataError."""
+    return decode(RunResult, read_json(path, DataError), DataError,
+                  f"run record {path}")
 
 
 def cmd_degree_report(args):

@@ -7,7 +7,8 @@ and (v,u).
 
 Dataset directory layout:
 
-    meta.json        {"name", "n_nodes", "n_classes", "d_f", "directed"}
+    meta.json        {"name": str, "n_nodes": int, "n_classes": int,
+                      "d_f": int, "directed": bool}, no other keys
     edges.tsv        u<TAB>v per line, 0-indexed, one line per edge
     labels.tsv       one integer per line (-1 = unlabeled)
     features.tsv     n_nodes lines of d_f floats, or
@@ -19,12 +20,13 @@ import json
 import os
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError
+from .records import decode, read_json
 from .rng import make_rng
 
 FEATURES_MAGIC = b"GF32"
@@ -126,12 +128,13 @@ class Graph:
     @classmethod
     def from_edges(cls, n_nodes, edges, features, labels, n_classes,
                    directed=False, name="graph"):
-        """Build from an iterable of (u, v) pairs.
+        """Build from an array-like of (u, v) pairs: a list of pairs or an
+        E x 2 integer array.
 
         Self-loops are dropped and duplicates collapsed; undirected input is
         symmetrized regardless of which orientation each pair arrives in.
         """
-        e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if e.size and (e.min() < 0 or e.max() >= n_nodes):
             bad = e[(e < 0).any(axis=1) | (e >= n_nodes).any(axis=1)][0]
             raise DataError(f"edge {tuple(bad)} endpoint outside [0, {n_nodes})")
@@ -238,20 +241,21 @@ def _write_tsv_ints(path, rows):
         fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
+@dataclass
+class DatasetMeta:
+    """The meta.json of a dataset directory."""
+    name: str
+    n_nodes: int
+    n_classes: int
+    d_f: int
+    directed: bool
+
+
 def load_dataset(path):
     """Read a dataset directory into a validated Graph."""
     meta_path = os.path.join(path, "meta.json")
-    if not os.path.exists(meta_path):
-        raise DataError(f"{meta_path}: not found")
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{meta_path}: {exc}") from None
-    for key in ("name", "n_nodes", "n_classes", "d_f", "directed"):
-        if key not in meta:
-            raise DataError(f"{meta_path}: missing key {key!r}")
-    n, k, d_f = int(meta["n_nodes"]), int(meta["n_classes"]), int(meta["d_f"])
+    meta = decode(DatasetMeta, read_json(meta_path, DataError), DataError, meta_path)
+    n, d_f = meta.n_nodes, meta.d_f
 
     edges = _read_tsv_ints(os.path.join(path, "edges.tsv"), 2)
     labels = _read_tsv_ints(os.path.join(path, "labels.tsv"), 1).ravel()
@@ -269,17 +273,17 @@ def load_dataset(path):
     if x.shape != (n, d_f):
         raise DataError(f"features shape {x.shape}, meta says ({n}, {d_f})")
 
-    return Graph.from_edges(n, edges, x, labels, k,
-                            directed=bool(meta["directed"]), name=meta["name"])
+    return Graph.from_edges(n, edges, x, labels, meta.n_classes,
+                            directed=meta.directed, name=meta.name)
 
 
 def save_dataset(g, path):
     """Write a Graph as a dataset directory (round-trips with load_dataset)."""
     os.makedirs(path, exist_ok=True)
-    meta = {"name": g.name, "n_nodes": g.n_nodes, "n_classes": g.n_classes,
-            "d_f": g.d_f, "directed": g.directed}
+    meta = DatasetMeta(name=g.name, n_nodes=g.n_nodes, n_classes=g.n_classes,
+                       d_f=g.d_f, directed=g.directed)
     with open(os.path.join(path, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump(asdict(meta), fh, indent=2)
         fh.write("\n")
     src = np.repeat(np.arange(g.n_nodes), np.diff(g.indptr))
     pairs = np.stack([src, g.indices], axis=1)
@@ -353,11 +357,7 @@ def save_splits(splits, path):
 
 def load_split(path, n_nodes=None):
     """A split file; with n_nodes, a node outside [0, n_nodes) is a DataError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: {exc}") from None
+    payload = read_json(path, DataError)
     if not isinstance(payload, dict):
         raise DataError(f"{path}: expected a JSON object")
     for key in ("train", "valid", "test"):

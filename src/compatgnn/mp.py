@@ -24,6 +24,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, NumericalError
 from .graph import Graph
+from .records import decode
 from .rng import make_rng
 from . import autodiff as ad
 from .autodiff import (SparseMatrix, add, add_bias, concat_cols, constant,
@@ -53,7 +54,7 @@ class ChannelSpec:
     """
     indicator: str
     guidance: str
-    k: int = None
+    k: int | None = None
     weight: str = "own"
 
     def validate(self):
@@ -67,9 +68,9 @@ class ChannelSpec:
 
 @dataclass
 class LayerSpec:
-    channels: list
+    channels: list[ChannelSpec]
     combine: str = "add"
-    combine_weights: list = None
+    combine_weights: list[float] | None = None
     ada_degree_column: bool = False
 
     def validate(self):
@@ -90,7 +91,7 @@ class ModelSpec:
     """encoder: "linear" projects the features, X W; "structure" (LINKX
     style) also embeds each node's row-normalized adjacency row,
     [X W_x, A_hat W_a] W."""
-    layers: list
+    layers: list[LayerSpec]
     hidden_dim: int = 64
     dropout: float = 0.0
     relu_before_aggregate: bool = False
@@ -117,15 +118,9 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of to_dict; omitted keys take the field defaults and an
-        unknown key is a ConfigError."""
-        try:
-            layers = [_from_fields(LayerSpec, dict(
-                l, channels=[_from_fields(ChannelSpec, c) for c in l["channels"]]))
-                for l in d["layers"]]
-            spec = _from_fields(cls, dict(d, layers=layers))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed model spec: {exc}") from None
+        """Inverse of to_dict; omitted keys take the field defaults and a
+        malformed spec is a ConfigError."""
+        spec = decode(cls, d, ConfigError, "model spec")
         spec.validate()
         return spec
 
@@ -139,13 +134,6 @@ class ModelSpec:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"model spec is not valid JSON: {exc}") from None
         return cls.from_dict(d)
-
-
-def _from_fields(cls, d):
-    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**d)
 
 
 # ---------------------------------------------------------------------------

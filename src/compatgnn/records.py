@@ -1,0 +1,60 @@
+"""JSON files and typed records: every JSON object the package reads
+(config, model spec, run record, meta.json) becomes a dataclass through
+`decode`, which checks each value against its field annotation."""
+
+import dataclasses
+import json
+import types
+
+
+def read_json(path, error):
+    """A JSON file; a missing or malformed one raises `error`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise error(f"{path}: not found") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
+
+
+def decode(cls, obj, error, where):
+    """Dataclass `cls` from the JSON object `obj`; omitted keys take the
+    field defaults. Each value must match its annotation: int, float (an
+    int is one too), bool (never an int or float), str, dict, list[T],
+    T | None or a dataclass. Otherwise `error` names `where` and the path:
+    "malformed model spec: layers[0].channels[2].k: expected int, got str"."""
+    def fail(path, problem):
+        raise error(f"malformed {where}: {path + ': ' if path else ''}{problem}")
+
+    def value(tp, v, path):
+        if dataclasses.is_dataclass(tp):
+            return record(tp, v, path)
+        if isinstance(tp, types.UnionType):   # T | None
+            inner, = (a for a in tp.__args__ if a is not type(None))
+            return None if v is None else value(inner, v, path)
+        if isinstance(tp, types.GenericAlias):   # list[T]
+            if not isinstance(v, list):
+                fail(path, f"expected list, got {type(v).__name__}")
+            return [value(tp.__args__[0], x, f"{path}[{i}]") for i, x in enumerate(v)]
+        if not isinstance(v, (int, float) if tp is float else tp) or (
+                isinstance(v, bool) and tp is not bool):
+            fail(path, f"expected {tp.__name__}, got {type(v).__name__}")
+        return v
+
+    def record(tp, d, path):
+        if not isinstance(d, dict):
+            fail(path, f"expected a JSON object, got {type(d).__name__}")
+        fields = {f.name: f for f in dataclasses.fields(tp)}
+        unknown = sorted(set(d) - set(fields))
+        if unknown and not path:
+            raise error(f"unknown {where} keys: {unknown}")
+        if unknown:
+            fail(path, f"unknown {tp.__name__} keys: {unknown}")
+        for name, f in fields.items():
+            if name not in d and f.default is f.default_factory is dataclasses.MISSING:
+                fail(path, f"missing key {name!r}")
+        return tp(**{k: value(fields[k].type, v, f"{path}.{k}" if path else k)
+                     for k, v in d.items()})
+
+    return record(cls, obj, "")

@@ -11,6 +11,10 @@ import scipy.sparse as sp
 from .errors import DataError
 from .graph import Graph
 
+# Similarity rows knn_feature_graph holds at once, in bytes: memory stays
+# O(n) per block instead of the dense N x N matrix.
+KNN_BLOCK_BYTES = 32 << 20
+
 
 def as_csr(g_or_a):
     if isinstance(g_or_a, Graph):
@@ -100,11 +104,13 @@ def knn_feature_graph(g_or_x, k):
     norms = np.linalg.norm(x, axis=1)
     safe = np.where(norms == 0, 1.0, norms)
     xn = x / safe[:, None]
-    sim = xn @ xn.T
-    np.fill_diagonal(sim, -np.inf)
-    # stable argsort on -sim => equal similarities resolve to the lower index
-    order = np.argsort(-sim, axis=1, kind="stable")
-    cols = order[:, :k]
+    cols = np.empty((n, k), dtype=np.int64)
+    step = max(1, KNN_BLOCK_BYTES // (8 * n))
+    for lo in range(0, n, step):
+        sim = xn[lo:lo + step] @ xn.T
+        sim[np.arange(len(sim)), np.arange(lo, lo + len(sim))] = -np.inf
+        # stable argsort on -sim => equal similarities resolve to the lower index
+        cols[lo:lo + step] = np.argsort(-sim, axis=1, kind="stable")[:, :k]
     rows = np.repeat(np.arange(n), k)
     data = np.ones(n * k)
     out = sp.csr_matrix((data, (rows, cols.ravel())), shape=(n, n))

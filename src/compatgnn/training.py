@@ -20,6 +20,7 @@ from .autodiff import backward, zero_grads
 from .model import CompatGNN, CompatModelConfig, estimate_cm
 from .mp import PRESETS, MessagePassingModel, ModelSpec, build_preset
 from .optim import Adam
+from .records import decode, read_json
 from .rng import make_rng
 
 MODEL_NAMES = ("compatgnn",) + PRESETS
@@ -29,7 +30,7 @@ MODEL_NAMES = ("compatgnn",) + PRESETS
 class RunConfig:
     model: str = "compatgnn"
     dataset: str = ""
-    split_ids: list = field(default_factory=lambda: [0])
+    split_ids: list[int] = field(default_factory=lambda: [0])
     seed: int = 0
     lr: float = 0.01
     weight_decay: float = 0.0
@@ -38,7 +39,7 @@ class RunConfig:
     lambda_: float = 0.0
     layers: int = 2
     nhidden: int = 64
-    relu_variant: bool = None
+    relu_variant: bool | None = None
     structure_info: bool = False
     max_epochs: int = 1000
     max_hop: int = 2
@@ -54,6 +55,8 @@ class RunConfig:
             raise ConfigError("layers must be >= 0 and nhidden >= 1")
         if not self.split_ids:
             raise ConfigError("split_ids must not be empty")
+        if min(self.split_ids) < 0:
+            raise ConfigError(f"split ids must be non-negative, got {self.split_ids}")
 
     def to_dict(self):
         d = dataclasses.asdict(self)
@@ -62,18 +65,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
-        unknown = set(d) - set(cls().to_dict())
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "lambda" in d:
+        """Inverse of to_dict; a malformed config is a ConfigError. Callers
+        validate once every override is applied."""
+        if isinstance(d, dict) and "lambda" in d:
+            d = dict(d)
             d["lambda_"] = d.pop("lambda")
-        try:
-            cfg = cls(**d)
-        except TypeError as exc:
-            raise ConfigError(f"bad config: {exc}") from None
-        cfg.validate()
-        return cfg
+        return decode(cls, d, ConfigError, "config")
 
 
 def build_model(config, graph, seed):
@@ -98,8 +95,7 @@ def build_model(config, graph, seed):
         spec.encoder = "structure" if config.structure_info else "linear"
         return MessagePassingModel(spec, graph, seed=seed)
     if name.endswith(".json") and os.path.exists(name):
-        with open(name, "r", encoding="utf-8") as fh:
-            spec = ModelSpec.from_json(fh.read())
+        spec = ModelSpec.from_dict(read_json(name, ConfigError))
         return MessagePassingModel(spec, graph, seed=seed)
     raise ConfigError(f"unknown model {name!r}: expected one of {MODEL_NAMES} "
                       "or a model-spec JSON path")
@@ -117,15 +113,15 @@ class RunResult:
     seed: int
     split_id: int
     best_epoch: int
-    val_curve: list
-    loss_curve: list
+    val_curve: list[float]
+    loss_curve: list[float]
     test_accuracy: float
-    epoch_ms: list
-    refresh_epochs: list
-    test_idx: list
-    test_predictions: list
-    test_degrees: list
-    test_labels: list = field(default_factory=list)
+    epoch_ms: list[float]
+    refresh_epochs: list[int]
+    test_idx: list[int]
+    test_predictions: list[int]
+    test_degrees: list[int]
+    test_labels: list[int] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
     diverged: bool = False
 

@@ -256,12 +256,26 @@ def _run_record(**fields):
     return record
 
 
-def _spec_with_unknown_key(tmp, ds):
-    spec = {"layers": [{"channels": [{"indicator": "raw",
-                                      "guidance": "deg_avg_sym"}]}],
-            "hidden_dims": 8}
-    return ["train", "--data", ds, "--model",
-            _write(tmp, "spec.json", json.dumps(spec))]
+def _train_with_spec(channel, **fields):
+    spec = dict({"layers": [{"channels": [channel]}]}, **fields)
+    return lambda tmp, ds: ["train", "--data", ds, "--model",
+                            _write(tmp, "spec.json", json.dumps(spec))]
+
+
+def _train_with_config(config):
+    return lambda tmp, ds: ["train", "--data", ds, "--model", "gcn",
+                            "--max-epochs", "1", "--config",
+                            _write(tmp, "cfg.json", json.dumps(config))]
+
+
+def _inspect_with_meta(**fields):
+    def make_argv(tmp, ds):
+        copy = tmp / "ds"
+        shutil.copytree(ds, copy)
+        meta = json.loads((copy / "meta.json").read_text())
+        (copy / "meta.json").write_text(json.dumps(dict(meta, **fields)))
+        return ["dataset", "inspect", str(copy)]
+    return make_argv
 
 
 def _degree_report_on(**fields):
@@ -338,7 +352,18 @@ BAD_INPUTS = [
         test_predictions=[0])(tmp, ds) + ["--buckets", "1"], 3),
     ("bench_split_ids_beyond_regenerated_splits",
      _bench_after_regenerating_with_fewer_splits, 2),
-    ("spec_unknown_key", _spec_with_unknown_key, 2),
+    ("spec_unknown_key", _train_with_spec(
+        {"indicator": "raw", "guidance": "deg_avg_sym"}, hidden_dims=8), 2),
+    ("spec_hidden_dim_string", _train_with_spec(
+        {"indicator": "raw", "guidance": "deg_avg_sym"}, hidden_dim="64"), 2),
+    ("spec_channel_k_string", _train_with_spec(
+        {"indicator": "khop", "guidance": "deg_avg_sym", "k": "2"}), 2),
+    ("config_lr_string", _train_with_config({"lr": "x"}), 2),
+    ("config_split_ids_not_list", _train_with_config({"split_ids": 5}), 2),
+    ("meta_n_nodes_string", _inspect_with_meta(n_nodes="sixty"), 3),
+    ("meta_directed_string", _inspect_with_meta(directed="false"), 3),
+    ("train_negative_split", lambda tmp, ds: [
+        "train", "--data", ds, "--split", "-1"] + run_quick([]), 2),
     ("seed_zero_overrides_config", _seed_flag_over_config, 0),
 ]
 

@@ -1,8 +1,7 @@
 """Smoke test: the demos run to completion.
 
-Demos 01, 03, 04 and 05 run here, about 10 s together; 03 and 05 drive
-compatgnn end to end. Demo 02 is left out: it takes about 21 s and only
-trains the presets, which the mp and acceptance tests already cover.
+Every demo runs here, about 20 s together; 03 and 05 drive compatgnn end
+to end and 02 trains each preset once on an easy and a hard graph.
 Each demo runs in its own temporary working directory, so artifacts such
 as demo_out/ land there.
 """
@@ -15,6 +14,7 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = ("01_homophily_and_compatibility.py",
+         "02_message_passing_presets.py",
          "03_compatibility_guided_training.py",
          "04_synthetic_fidelity.py",
          "05_bench_artifacts.py")

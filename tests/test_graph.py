@@ -139,6 +139,18 @@ def test_from_edges_dedups_and_drops_self_loops():
     assert not np.any(g.indices == np.repeat(np.arange(3), np.diff(g.indptr)))
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_from_edges_array_matches_list(directed):
+    pairs = [(2, 0), (0, 1), (1, 0), (2, 0), (1, 1), (3, 2)]
+    x, labels = np.zeros((4, 1)), [0, 1, 0, 1]
+    a = Graph.from_edges(4, pairs, x, labels, 2, directed=directed)
+    b = Graph.from_edges(4, np.array(pairs), x, labels, 2, directed=directed)
+    np.testing.assert_array_equal(a.indptr, b.indptr)
+    np.testing.assert_array_equal(a.indices, b.indices)
+    empty = Graph.from_edges(4, np.zeros((0, 2), dtype=np.int64), x, labels, 2)
+    assert empty.indptr.tolist() == [0] * 5 and empty.indices.size == 0
+
+
 def test_graph_arrays_are_immutable():
     g = path4()
     with pytest.raises(ValueError):

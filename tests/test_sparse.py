@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from compatgnn import (DataError, add_self_loops, khop_adjacency,
                        knn_feature_graph, row_normalize, sym_normalize)
+from compatgnn import sparse
 from compatgnn.sparse import as_csr, csr_to_graph_structure
 
 from util import bfs_within_k, cycle, make_graph, random_graph, triangle
@@ -146,6 +147,23 @@ def test_knn_matches_exhaustive_oracle():
         top = set(np.argsort(-s, kind="stable")[:k].tolist())
         assert set(np.where(got[i] == 1.0)[0].tolist()) == top
         assert got[i].sum() == k
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7, 40])
+def test_knn_row_blocks_match_dense_reference(monkeypatch, block_rows):
+    # integer features tie often, so the lower-index tie-break is exercised
+    x = make_rng(4, "knn-blocks").integers(-2, 3, size=(40, 3)).astype(float)
+    x[5] = 0.0
+    monkeypatch.setattr(sparse, "KNN_BLOCK_BYTES", 8 * 40 * block_rows)
+    k = 4
+    norms = np.linalg.norm(x, axis=1)
+    xn = x / np.where(norms == 0, 1.0, norms)[:, None]
+    sim = xn @ xn.T
+    np.fill_diagonal(sim, -np.inf)
+    cols = np.argsort(-sim, axis=1, kind="stable")[:, :k]
+    want = np.zeros((40, 40))
+    want[np.repeat(np.arange(40), k), cols.ravel()] = 1.0
+    np.testing.assert_array_equal(knn_feature_graph(x, k).toarray(), want)
 
 
 def test_knn_rejects_bad_k():

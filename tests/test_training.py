@@ -55,7 +55,8 @@ def test_runconfig_rejects_unknown_keys():
 def test_runconfig_validation():
     for bad in (dict(lr=-1), dict(weight_decay=-0.1), dict(lambda_=-2),
                 dict(patience=0), dict(max_epochs=0), dict(dropout=1.0),
-                dict(layers=-1), dict(nhidden=0), dict(split_ids=[])):
+                dict(layers=-1), dict(nhidden=0), dict(split_ids=[]),
+                dict(split_ids=[0, -1])):
         with pytest.raises(ConfigError):
             RunConfig(**bad).validate()
     RunConfig().validate()
