@@ -17,9 +17,8 @@ from .sparse import (add_self_loops, khop_adjacency, knn_feature_graph,
                      row_normalize, sym_normalize)
 from .mp import (ChannelSpec, LayerSpec, MessagePassingModel, ModelSpec,
                  PRESETS, aggregate, build_preset, realize_channel)
-from .model import (CMEstimate, CompatGNN, CompatModelConfig, build_prototypes,
-                    confidence, degree_weight, estimate_cm,
-                    supplementary_guidance)
+from .model import (CMEstimate, CompatGNN, build_prototypes, confidence,
+                    degree_weight, estimate_cm, supplementary_guidance)
 from .training import RunConfig, RunResult, accuracy, build_model, train_model
 from .synth import (SynthSpec, build_target_cm, gaussian_features,
                     generate_graph, make_synth_spec, verify_graph)

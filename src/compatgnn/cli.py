@@ -77,8 +77,9 @@ def _parse_split_ids(text):
 
 def _build_config(args):
     """The --config file's RunConfig with the command-line flags over it."""
-    config = RunConfig.from_dict(read_json(args.config, ConfigError)
-                                 if args.config else {})
+    config = (RunConfig.from_dict(read_json(args.config, ConfigError),
+                                  where=f"config {args.config}")
+              if args.config else RunConfig())
     flags = {key: getattr(args, key, None) for key in (
         "model", "lr", "weight_decay", "patience", "dropout", "lambda_",
         "layers", "nhidden", "max_epochs", "max_hop", "seed")}

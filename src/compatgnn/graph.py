@@ -20,6 +20,7 @@ import json
 import os
 import re
 import struct
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -185,8 +186,23 @@ def permute_graph(g, perm):
 # dataset directory IO
 
 def _read_tsv_ints(path, n_cols):
+    """Rows of n_cols tab- or space-separated integers, blank lines
+    skipped, parsed in one loadtxt call. A file it rejects is scanned line
+    by line, so the error names the first bad line as path:line."""
     if not os.path.exists(path):
         raise DataError(f"{path}: not found")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None)
+        if rows.size == 0 or rows.shape[1] == n_cols:
+            return rows.reshape(-1, n_cols)
+    except ValueError:
+        pass
+    return _scan_tsv_ints(path, n_cols)
+
+
+def _scan_tsv_ints(path, n_cols):
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
@@ -299,10 +315,11 @@ def save_dataset(g, path):
 
 @dataclass
 class Split:
-    """Disjoint train/valid/test node index sets."""
-    train: np.ndarray
-    valid: np.ndarray
-    test: np.ndarray
+    """Disjoint train/valid/test node index sets: JSON lists of node ids in
+    a split file, int64 arrays once built."""
+    train: list[int]
+    valid: list[int]
+    test: list[int]
 
     def __post_init__(self):
         self.train = np.asarray(self.train, dtype=np.int64)
@@ -357,16 +374,7 @@ def save_splits(splits, path):
 
 def load_split(path, n_nodes=None):
     """A split file; with n_nodes, a node outside [0, n_nodes) is a DataError."""
-    payload = read_json(path, DataError)
-    if not isinstance(payload, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    for key in ("train", "valid", "test"):
-        if key not in payload:
-            raise DataError(f"{path}: missing key {key!r}")
-        part = payload[key]
-        if not isinstance(part, list) or not all(type(i) is int for i in part):
-            raise DataError(f"{path}: {key!r} is not a list of integer node ids")
-    split = Split(train=payload["train"], valid=payload["valid"], test=payload["test"])
+    split = decode(Split, read_json(path, DataError), DataError, path)
     if n_nodes is not None:
         nodes = np.concatenate([split.train, split.valid, split.test])
         if nodes.size and (nodes.min() < 0 or nodes.max() >= n_nodes):

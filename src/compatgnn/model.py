@@ -7,9 +7,9 @@ estimator weighs each node's vote by prediction confidence and by a
 degree-based reliability score, so sparse or uncertain neighborhoods
 don't poison the estimate.
 
-The network is a point in the message-passing algebra of mp.py: a
-ModelSpec (compat_spec) over the N real nodes followed by the K
-prototypes as isolated extra nodes. This module holds what the algebra
+The network is a point in the message-passing algebra of mp.py: the
+compatgnn preset (mp.build_preset) over the N real nodes followed by the
+K prototypes as isolated extra nodes. This module holds what the algebra
 does not: the prototypes, the estimator that rebinds the supplementary
 operator, the discrimination loss, and the split of the N+K-row output
 into real and prototype rows.
@@ -25,8 +25,7 @@ from .metrics import CompatibilityMatrix, l1_normalize_rows
 from . import autodiff as ad
 from .autodiff import (add, constant, cosine, gather_rows, matmul, scale,
                        slice_rows)
-from .mp import (ChannelSpec, LayerSpec, MessagePassingModel, ModelSpec,
-                 PrototypeOperator)
+from .mp import MessagePassingModel, PrototypeOperator
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +54,11 @@ def build_prototypes(g, train_idx):
 
 def with_prototype_nodes(g, prototypes):
     """g followed by K isolated nodes, node N + c holding class c's
-    prototype as its features."""
+    prototype as its features. The graph holds a read-only view of a fresh
+    feature array, whose writable base is `features.base`."""
     k = g.n_classes
     indptr = np.concatenate([g.indptr, np.full(k, g.indptr[-1])])
-    return Graph(indptr, g.indices, np.vstack([g.features, prototypes]),
+    return Graph(indptr, g.indices, np.vstack([g.features, prototypes]).view(),
                  np.concatenate([g.labels, np.arange(k)]), k,
                  directed=g.directed, name=g.name)
 
@@ -152,61 +152,33 @@ def supplementary_guidance(soft_labels, cm):
 # ---------------------------------------------------------------------------
 # the model
 
-@dataclass
-class CompatModelConfig:
-    hidden_dim: int = 64
-    n_layers: int = 2
-    dropout: float = 0.0
-    relu_before_aggregate: bool = False
-    structure_info: bool = False
-    dis_weight: float = 0.0      # weight of the prototype discrimination loss
-    dis_enabled: bool = True     # hard ablation switch for the loss term
-
-    def validate(self):
-        if self.hidden_dim < 1 or self.n_layers < 1:
-            raise ConfigError("hidden_dim and n_layers must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.dis_weight < 0:
-            raise ConfigError("dis_weight must be non-negative")
-
-
-def compat_spec(cfg):
-    """CompatGNN as a ModelSpec: per layer the self, degree-averaged
-    neighborhood and prototype channels, weighted per node by ada_add with
-    the degree column; every depth concatenated into an MLP classifier."""
-    channels = [ChannelSpec("identity", "identity"),
-                ChannelSpec("raw", "deg_avg_row"),
-                ChannelSpec("supplementary", "constant")]
-    layers = [LayerSpec(channels=list(channels), combine="ada_add",
-                        ada_degree_column=True) for _ in range(cfg.n_layers)]
-    return ModelSpec(layers=layers, hidden_dim=cfg.hidden_dim, dropout=cfg.dropout,
-                     relu_before_aggregate=cfg.relu_before_aggregate, fuse="cat",
-                     classifier="mlp",
-                     encoder="structure" if cfg.structure_info else "linear")
-
-
 class CompatGNN(MessagePassingModel):
-    """compat_spec over the graph plus its K prototypes as isolated nodes.
+    """A spec with a supplementary/constant channel (build_preset
+    "compatgnn") over the graph plus its K prototypes as isolated nodes.
     A prototype's supplementary guidance is its own compatibility row, a
     real node's is its soft label routed through the matrix, so prototype
     representations live in the same space as node representations.
 
     `graph` is the augmented N+K-node graph the layers run over;
-    `real_graph` is the graph the model was built for."""
+    `real_graph` is the graph the model was built for. dis_weight weighs
+    the discrimination loss; dis_enabled = False (ablation) drops it."""
 
-    def __init__(self, cfg, graph, seed=0):
-        cfg.validate()
+    def __init__(self, spec, graph, seed=0, dis_weight=0.0):
+        if dis_weight < 0:
+            raise ConfigError("dis_weight must be non-negative")
         if graph.n_classes < 2:
             raise ConfigError("model needs at least 2 classes")
-        self.cfg = cfg
+        self.dis_weight = dis_weight
+        self.dis_enabled = True
         self.real_graph = graph
         self._supplementary = PrototypeOperator(graph.n_nodes)
         # prototype nodes are isolated: the one N+K graph does not depend on
-        # their features, which the prototypes setter writes into self.features
+        # their features, which start as zero rows
         placeholder = np.zeros((graph.n_classes, graph.d_f))
-        super().__init__(compat_spec(cfg), with_prototype_nodes(graph, placeholder),
+        super().__init__(spec, with_prototype_nodes(graph, placeholder),
                          seed=seed, prototypes=self._supplementary)
+        # the encoder input and the N+K graph's features are one array
+        self.features = self.graph.features.base
 
         # estimator state, refreshed by the training protocol
         self.prototypes = None      # K x d_f ndarray
@@ -217,9 +189,8 @@ class CompatGNN(MessagePassingModel):
 
     @property
     def prototypes(self):
-        """K x d_f prototype features, None until bound. Setting them makes
-        them the encoder input of the K prototype nodes; the N+K graph,
-        built once with placeholder rows, is untouched."""
+        """K x d_f prototype features, None until bound. Setting them
+        writes them into the encoder input rows of the K prototype nodes."""
         return self._prototypes
 
     @prototypes.setter
@@ -230,7 +201,7 @@ class CompatGNN(MessagePassingModel):
             if protos.shape != (self.n_classes, g.d_f):
                 raise DataError(f"prototypes shape {protos.shape}, expected "
                                 f"({self.n_classes}, {g.d_f})")
-            self.features = np.vstack([g.features, protos])
+            self.features[g.n_nodes:] = protos
         self._prototypes = protos
 
     def bind_prototypes(self, train_idx):
@@ -260,10 +231,8 @@ class CompatGNN(MessagePassingModel):
         out = super().forward(train=train, rng=rng)
         n = self.real_graph.n_nodes
         real = [slice_rows(t, 0, n) for t in [out.logits, out.fused] + out.reps]
-        proto = [slice_rows(t, n, n + self.n_classes)
-                 for t in [out.logits, out.fused] + out.reps]
-        return ModelOutput(logits=real[0], fused=real[1], proto_logits=proto[0],
-                           proto_fused=proto[1], reps=real[2:], proto_reps=proto[2:])
+        return ModelOutput(logits=real[0], fused=real[1], reps=real[2:],
+                           proto_fused=slice_rows(out.fused, n, n + self.n_classes))
 
     # -- losses ---------------------------------------------------------------
 
@@ -284,9 +253,9 @@ class CompatGNN(MessagePassingModel):
 
     def loss(self, out, train_idx):
         ce = ad.masked_cross_entropy(out.logits, self.real_graph.labels, train_idx)
-        if not self.cfg.dis_enabled:
+        if not self.dis_enabled:
             return ce
-        return add(ce, scale(self.discrimination_loss(out), self.cfg.dis_weight))
+        return add(ce, scale(self.discrimination_loss(out), self.dis_weight))
 
     def on_validation_improved(self, eval_out, train_idx, epoch):
         """Refresh soft labels, the estimate, and the guidance matrices."""
@@ -309,12 +278,12 @@ class CompatGNN(MessagePassingModel):
 
 @dataclass
 class ModelOutput:
+    """The real rows of the N+K-row forward, plus the prototype rows of
+    the fused representation that the discrimination loss reads."""
     logits: object
     fused: object
     proto_fused: object
-    proto_logits: object
     reps: list = field(default_factory=list)
-    proto_reps: list = field(default_factory=list)
 
 
 def _softmax_rows(x):

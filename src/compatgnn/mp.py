@@ -8,8 +8,9 @@ where A_r is a neighborhood indicator (who may send messages), B_r an
 aggregation guidance (how much each message counts), and W_r an optional
 channel weight. Channels are merged by COMBINE, layer outputs by FUSE.
 Classic architectures are single points in this space; see PRESETS. So
-is model.CompatGNN: a spec over N nodes plus K prototype nodes, whose
-supplementary/constant channel it binds (PrototypeOperator).
+is compatgnn (build_preset("compatgnn")): a spec that model.CompatGNN
+runs over N nodes plus K prototype nodes, binding its
+supplementary/constant channel (PrototypeOperator).
 
 A ModelSpec is declarative data (JSON round-trippable) so the CLI can
 declare custom stacks without code.
@@ -41,6 +42,7 @@ COMBINE_KINDS = ("add", "weighted_add", "ada_add", "cat")
 FUSE_KINDS = ("last", "cat", "ada_add")
 ENCODER_KINDS = ("linear", "structure")
 PRESETS = ("mlp", "gcn", "mixhop", "h2gcn", "gprgnn", "acmgcn")
+MODEL_NAMES = ("compatgnn",) + PRESETS
 
 
 @dataclass(frozen=True)
@@ -117,10 +119,10 @@ class ModelSpec:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, d):
+    def from_dict(cls, d, where="model spec"):
         """Inverse of to_dict; omitted keys take the field defaults and a
-        malformed spec is a ConfigError."""
-        spec = decode(cls, d, ConfigError, "model spec")
+        malformed spec is a ConfigError naming `where`."""
+        spec = decode(cls, d, ConfigError, where)
         spec.validate()
         return spec
 
@@ -446,10 +448,12 @@ class MessagePassingModel:
 # presets
 
 def build_preset(name, n_layers=2, hidden_dim=64, dropout=0.0,
-                 relu_before_aggregate=None, max_hop=2, classifier="linear"):
-    """ModelSpec for a named classic architecture."""
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; choose from {PRESETS}")
+                 relu_before_aggregate=None, max_hop=2, classifier=None):
+    """ModelSpec for a named architecture: a classic preset, or compatgnn,
+    whose supplementary channel only a model.CompatGNN can bind. None
+    takes the architecture's own relu placement and classifier."""
+    if name not in MODEL_NAMES:
+        raise ConfigError(f"unknown preset {name!r}; choose from {MODEL_NAMES}")
     if n_layers < 0 or (n_layers == 0 and name != "mlp"):
         raise ConfigError(f"preset {name!r} needs n_layers >= 1")
 
@@ -457,6 +461,7 @@ def build_preset(name, n_layers=2, hidden_dim=64, dropout=0.0,
         return LayerSpec(channels=channels, **kw)
 
     relu_default = False
+    classifier_default = "linear"
     if name == "mlp":
         layers = [layer([ChannelSpec("identity", "identity")])
                   for _ in range(n_layers)]
@@ -484,6 +489,16 @@ def build_preset(name, n_layers=2, hidden_dim=64, dropout=0.0,
                                      weight="identity")])
                   for _ in range(n_layers)]
         fuse = "ada_add"
+    elif name == "compatgnn":
+        # self, degree-averaged neighborhood and prototype channels,
+        # weighted per node with the degree column; every depth feeds an MLP
+        chans = [ChannelSpec("identity", "identity"),
+                 ChannelSpec("raw", "deg_avg_row"),
+                 ChannelSpec("supplementary", "constant")]
+        layers = [layer(list(chans), combine="ada_add", ada_degree_column=True)
+                  for _ in range(n_layers)]
+        fuse = "cat"
+        classifier_default = "mlp"
     else:  # acmgcn
         chans = [ChannelSpec("identity", "identity"),
                  ChannelSpec("raw_self_loop", "deg_avg_sym"),
@@ -495,6 +510,7 @@ def build_preset(name, n_layers=2, hidden_dim=64, dropout=0.0,
     spec = ModelSpec(layers=layers, hidden_dim=hidden_dim, dropout=dropout,
                      relu_before_aggregate=(relu_default if relu_before_aggregate is None
                                             else relu_before_aggregate),
-                     fuse=fuse, classifier=classifier)
+                     fuse=fuse, classifier=(classifier_default if classifier is None
+                                            else classifier))
     spec.validate()
     return spec

@@ -17,13 +17,11 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, TrainingDiverged
 from .autodiff import backward, zero_grads
-from .model import CompatGNN, CompatModelConfig, estimate_cm
-from .mp import PRESETS, MessagePassingModel, ModelSpec, build_preset
+from .model import CompatGNN, estimate_cm
+from .mp import MODEL_NAMES, MessagePassingModel, ModelSpec, build_preset
 from .optim import Adam
 from .records import decode, read_json
 from .rng import make_rng
-
-MODEL_NAMES = ("compatgnn",) + PRESETS
 
 
 @dataclass
@@ -64,38 +62,31 @@ class RunConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d):
-        """Inverse of to_dict; a malformed config is a ConfigError. Callers
-        validate once every override is applied."""
+    def from_dict(cls, d, where="config"):
+        """Inverse of to_dict; a malformed config is a ConfigError naming
+        `where`. Callers validate once every override is applied."""
         if isinstance(d, dict) and "lambda" in d:
             d = dict(d)
             d["lambda_"] = d.pop("lambda")
-        return decode(cls, d, ConfigError, "config")
+        return decode(cls, d, ConfigError, where)
 
 
 def build_model(config, graph, seed):
-    """Instantiate the model a RunConfig names: the compatibility model, a
+    """Instantiate the model a RunConfig names: compatgnn or a classic
     preset, or a model-spec JSON path."""
     name = config.model
-    if name == "compatgnn":
-        cfg = CompatModelConfig(
-            hidden_dim=config.nhidden,
-            n_layers=config.layers,
-            dropout=config.dropout,
-            relu_before_aggregate=bool(config.relu_variant),
-            structure_info=config.structure_info,
-            dis_weight=config.lambda_,
-        )
-        return CompatGNN(cfg, graph, seed=seed)
-    if name in PRESETS:
+    if name in MODEL_NAMES:
         spec = build_preset(name, n_layers=config.layers,
                             hidden_dim=config.nhidden, dropout=config.dropout,
                             relu_before_aggregate=config.relu_variant,
                             max_hop=config.max_hop)
         spec.encoder = "structure" if config.structure_info else "linear"
+        if name == "compatgnn":
+            return CompatGNN(spec, graph, seed=seed, dis_weight=config.lambda_)
         return MessagePassingModel(spec, graph, seed=seed)
     if name.endswith(".json") and os.path.exists(name):
-        spec = ModelSpec.from_dict(read_json(name, ConfigError))
+        spec = ModelSpec.from_dict(read_json(name, ConfigError),
+                                   where=f"model spec {name}")
         return MessagePassingModel(spec, graph, seed=seed)
     raise ConfigError(f"unknown model {name!r}: expected one of {MODEL_NAMES} "
                       "or a model-spec JSON path")

@@ -17,8 +17,7 @@ from compatgnn.bench import degree_report, run_bench
 from compatgnn.gradcheck import grad_check
 from compatgnn.graph import generate_splits, load_dataset, load_splits
 from compatgnn.metrics import observed_cm
-from compatgnn.model import (CMEstimate, CompatGNN, CompatModelConfig,
-                             degree_weight, estimate_cm)
+from compatgnn.model import CMEstimate, CompatGNN, degree_weight, estimate_cm
 from compatgnn.metrics import CompatibilityMatrix
 from compatgnn.mp import MessagePassingModel, PRESETS, build_preset
 from compatgnn.rng import make_rng
@@ -139,8 +138,8 @@ def test_acceptance_1_gradient_fidelity(capsys):
                            (6, 7), (2, 5)], [0, 0, 1, 1, 0, 1, 0, 1], 2,
                        d_f=3, seed=13)
         train = [0, 2, 4, 5]
-        m = CompatGNN(CompatModelConfig(hidden_dim=3, n_layers=2,
-                                        dis_weight=0.7), g, seed=10)
+        m = CompatGNN(build_preset("compatgnn", hidden_dim=3, n_layers=2),
+                      g, seed=10, dis_weight=0.7)
         m.bind_prototypes(train)
         soft = m.bootstrap_soft_labels(train)
         m.set_estimate(estimate_cm(g, soft), soft)
@@ -268,7 +267,7 @@ def test_acceptance_7_limiting_cases(synth_grid, capsys):
                       "lambda=0 == W/O-DL bit-for-bit", capsys):
         g = synth_grid[("hard", 0.5, HIGH_DEG)]
         train = list(range(0, 200))
-        cg = CompatGNN(CompatModelConfig(hidden_dim=16, n_layers=2), g, seed=3)
+        cg = CompatGNN(build_preset("compatgnn", hidden_dim=16, n_layers=2), g, seed=3)
         cg.bind_prototypes(train)
         soft = cg.bootstrap_soft_labels(train)
         cg.set_estimate(estimate_cm(g, soft), soft)
@@ -292,7 +291,7 @@ def test_acceptance_7_limiting_cases(synth_grid, capsys):
                         nhidden=16, lambda_=0.0)
         res_zero = train_model(g, split, cfg, seed=6)
         ablated = build_model(cfg, g, seed=6)
-        ablated.cfg.dis_enabled = False
+        ablated.dis_enabled = False
         res_off = train_model(g, split, cfg, seed=6, model=ablated)
         assert res_zero.loss_curve == res_off.loss_curve
         assert res_zero.val_curve == res_off.val_curve
@@ -427,7 +426,7 @@ def test_acceptance_9_protocol_invariants(capsys):
 
         def compat_builder(graph):
             nonlocal protos
-            m = CompatGNN(CompatModelConfig(hidden_dim=4, n_layers=2),
+            m = CompatGNN(build_preset("compatgnn", hidden_dim=4, n_layers=2),
                           graph, seed=9)
             if protos is None:
                 m.bind_prototypes(train)
@@ -436,7 +435,7 @@ def test_acceptance_9_protocol_invariants(capsys):
             else:
                 m.prototypes = protos.copy()
                 soft = np.empty((12, 2))
-                base = CompatGNN(CompatModelConfig(hidden_dim=4, n_layers=2),
+                base = CompatGNN(build_preset("compatgnn", hidden_dim=4, n_layers=2),
                                  g9, seed=9)
                 base.bind_prototypes(train)
                 soft[perm12] = base.bootstrap_soft_labels(train)

@@ -347,6 +347,8 @@ BAD_INPUTS = [
         {"train": [0.5], "valid": [1], "test": [2]}), 3),
     ("split_boolean_entry", _train_on_split_file(
         {"train": [True], "valid": [1], "test": [2]}), 3),
+    ("split_unknown_key", _train_on_split_file(
+        {"train": [0], "valid": [1], "test": [2], "extra": [3]}), 3),
     ("degree_report_ragged_record", lambda tmp, ds: _degree_report_on(
         test_idx=[0, 1, 2], test_degrees=[1, 2, 3], test_labels=[0, 1, 0],
         test_predictions=[0])(tmp, ds) + ["--buckets", "1"], 3),
@@ -375,5 +377,8 @@ def test_bad_inputs_exit_codes(name, make_argv, code, dataset, tmp_path, capsys)
     err = capsys.readouterr().err
     if code:
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        if name.startswith(("spec_", "config_")):
+            file = "spec.json" if name.startswith("spec_") else "cfg.json"
+            assert str(tmp_path / file) in err
     else:
         assert json.load(open(tmp_path / "run" / "run.json"))["seed"] == 0

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from compatgnn import (DataError, Graph, generate_splits, load_dataset,
                        load_split, load_splits, permute_graph, save_dataset,
                        save_splits)
-from compatgnn.graph import read_features_f32, write_features_f32
+from compatgnn.graph import _read_tsv_ints, read_features_f32, write_features_f32
 
 from util import make_graph, path4, random_graph
 from compatgnn.rng import make_rng
@@ -43,6 +44,40 @@ def test_load_rejects_malformed_edge_line(tmp_path):
     path = write_dataset(tmp_path, edges="0\t1\nbroken\n")
     with pytest.raises(DataError, match="edges.tsv:2"):
         load_dataset(path)
+
+
+def test_load_reads_blank_lines_and_space_separated_fields(tmp_path):
+    path = write_dataset(tmp_path, edges="\n0 1\n\n1\t2\n  \n",
+                         labels="0\n\n0\n1\n")
+    g = load_dataset(path)
+    assert g.n_edges == 2 and g.labels.tolist() == [0, 0, 1]
+    assert sorted(g.neighbors(1).tolist()) == [0, 2]
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_read_tsv_ints_empty_file_is_zero_rows(tmp_path, text):
+    path = tmp_path / "edges.tsv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _read_tsv_ints(str(path), 2)
+    assert rows.shape == (0, 2) and rows.dtype == np.int64
+
+
+@pytest.mark.parametrize("bad, problem", [
+    ("7\t8\t9", "expected 2 fields, got 3"), ("7", "expected 2 fields, got 1"),
+    ("7\tx", "non-integer field"), ("7\t1.5", "non-integer field")])
+def test_read_tsv_ints_names_a_bad_line_deep_in_a_long_file(tmp_path, bad,
+                                                            problem):
+    lines = [f"{i}\t{i + 1}" for i in range(5000)]
+    lines[4321] = bad
+    path = tmp_path / "edges.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"edges.tsv:4322: {problem}"):
+        _read_tsv_ints(str(path), 2)
+    lines[4321] = "7\t8"
+    path.write_text("\n".join(lines) + "\n")
+    assert _read_tsv_ints(str(path), 2)[4321].tolist() == [7, 8]
 
 
 def test_load_rejects_label_out_of_range(tmp_path):

@@ -4,10 +4,9 @@ import pytest
 from compatgnn import ConfigError, DataError, NumericalError, permute_graph
 from compatgnn import autodiff as ad
 from compatgnn.metrics import CompatibilityMatrix, observed_cm
-from compatgnn.model import (CMEstimate, CompatGNN, CompatModelConfig,
-                             ModelOutput, build_prototypes, confidence,
-                             degree_weight, estimate_cm,
-                             supplementary_guidance)
+from compatgnn.model import (CMEstimate, CompatGNN, ModelOutput,
+                             build_prototypes, confidence, degree_weight,
+                             estimate_cm, supplementary_guidance)
 from compatgnn.gradcheck import grad_check
 from compatgnn.mp import MessagePassingModel, build_preset
 from compatgnn.rng import make_rng
@@ -22,10 +21,14 @@ def two_triangles():
     return make_graph(6, edges, [0, 0, 0, 1, 1, 1], 2, d_f=3, seed=11)
 
 
-def ready_model(g, train_idx, seed=0, **cfg_kw):
-    cfg_kw.setdefault("hidden_dim", 4)
-    cfg_kw.setdefault("n_layers", 2)
-    m = CompatGNN(CompatModelConfig(**cfg_kw), g, seed=seed)
+def compat(hidden_dim=4, n_layers=2, structure_info=False):
+    spec = build_preset("compatgnn", n_layers=n_layers, hidden_dim=hidden_dim)
+    spec.encoder = "structure" if structure_info else "linear"
+    return spec
+
+
+def ready_model(g, train_idx, seed=0, dis_weight=0.0, **spec_kw):
+    m = CompatGNN(compat(**spec_kw), g, seed=seed, dis_weight=dis_weight)
     m.bind_prototypes(train_idx)
     soft = m.bootstrap_soft_labels(train_idx)
     m.set_estimate(estimate_cm(g, soft), soft)
@@ -34,8 +37,7 @@ def ready_model(g, train_idx, seed=0, **cfg_kw):
 
 def fake_output(zp):
     return ModelOutput(logits=None, fused=None,
-                       proto_fused=ad.tensor(np.asarray(zp, dtype=np.float64)),
-                       proto_logits=None)
+                       proto_fused=ad.tensor(np.asarray(zp, dtype=np.float64)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +228,20 @@ def test_supplementary_guidance_shape_error():
 
 def test_config_validation():
     with pytest.raises(ConfigError, match="positive"):
-        CompatModelConfig(hidden_dim=0).validate()
+        compat(hidden_dim=0)
+    with pytest.raises(ConfigError, match="n_layers"):
+        compat(n_layers=0)
     with pytest.raises(ConfigError, match="dropout"):
-        CompatModelConfig(dropout=1.0).validate()
+        build_preset("compatgnn", dropout=1.0)
     with pytest.raises(ConfigError, match="dis_weight"):
-        CompatModelConfig(dis_weight=-0.5).validate()
+        CompatGNN(compat(), two_triangles(), dis_weight=-0.5)
     g = make_graph(3, [(0, 1), (1, 2)], [0, 0, 0], 1, d_f=2)
     with pytest.raises(ConfigError, match="2 classes"):
-        CompatGNN(CompatModelConfig(), g)
+        CompatGNN(compat(), g)
 
 
 def test_forward_requires_state():
-    m = CompatGNN(CompatModelConfig(hidden_dim=4), two_triangles())
+    m = CompatGNN(compat(), two_triangles())
     with pytest.raises(ConfigError, match="state not initialized"):
         m.forward()
 
@@ -250,8 +254,7 @@ def test_param_inventory_and_fused_width():
     assert out.fused.shape == (6, 12)
     assert out.proto_fused.shape == (2, 12)
     assert out.logits.shape == (6, 2)
-    assert out.proto_logits.shape == (2, 2)
-    assert len(out.reps) == 3 and len(out.proto_reps) == 3
+    assert len(out.reps) == 3
 
     ms = ready_model(g, [0, 1, 3, 4], structure_info=True, hidden_dim=4)
     assert ms.params["encoder.w_x"].shape == (3, 4)
@@ -262,7 +265,7 @@ def test_param_inventory_and_fused_width():
 
 def test_bootstrap_soft_labels():
     g = two_triangles()
-    m = CompatGNN(CompatModelConfig(hidden_dim=4), g)
+    m = CompatGNN(compat(), g)
     soft = m.bootstrap_soft_labels([0, 4])
     np.testing.assert_array_equal(soft[0], [1.0, 0.0])
     np.testing.assert_array_equal(soft[4], [0.0, 1.0])
@@ -285,7 +288,7 @@ def test_encoding_dense_oracle_with_structure_info():
 
 def test_encoding_edgeless_structure_half_is_zero():
     g = make_graph(4, [], [0, 1, 0, 1], 2, d_f=3, seed=9)
-    m = CompatGNN(CompatModelConfig(structure_info=True, hidden_dim=4), g, seed=2)
+    m = CompatGNN(compat(structure_info=True), g, seed=2)
     m.bind_prototypes([0, 1, 2, 3])
     est = CMEstimate(matrix=CompatibilityMatrix(m=np.eye(2)),
                      confidence=np.ones(4), degree_weights=np.ones(4))
@@ -355,8 +358,8 @@ def test_forward_equivariant_bitwise_on_bounded_degree_graph():
     perm = make_rng(48, "perm").permutation(g.n_nodes)
     gp = permute_graph(g, perm)
 
-    m = CompatGNN(CompatModelConfig(hidden_dim=4, n_layers=2), g, seed=6)
-    mp_ = CompatGNN(CompatModelConfig(hidden_dim=4, n_layers=2), gp, seed=6)
+    m = CompatGNN(compat(), g, seed=6)
+    mp_ = CompatGNN(compat(), gp, seed=6)
     est = CMEstimate(matrix=CompatibilityMatrix(m=np.array([[0.75, 0.25],
                                                             [0.25, 0.75]])),
                      confidence=np.ones(g.n_nodes),
@@ -382,7 +385,7 @@ def test_forward_equivariant_on_random_graph():
     gp = permute_graph(g, perm)
 
     m = ready_model(g, train, hidden_dim=5, seed=7)
-    mp_ = CompatGNN(CompatModelConfig(hidden_dim=5, n_layers=2), gp, seed=7)
+    mp_ = CompatGNN(compat(hidden_dim=5), gp, seed=7)
     mp_.prototypes = m.prototypes.copy()
     soft_p = np.empty((12, 3))
     soft_p[perm] = m.bootstrap_soft_labels(train)
@@ -456,7 +459,7 @@ def test_loss_weight_zero_equals_pure_ce():
     ce = ad.masked_cross_entropy(out.logits, g.labels, train)
     assert m.loss(out, train).item() == ce.item()
 
-    m.cfg.dis_enabled = False
+    m.dis_enabled = False
     assert m.loss(out, train).item() == ce.item()
 
 
@@ -474,7 +477,7 @@ def test_loss_perfect_predictions_near_zero():
     g = two_triangles()
     train = [0, 1, 3, 4]
     m = ready_model(g, train, dis_weight=0.0)
-    m.cfg.dis_enabled = False
+    m.dis_enabled = False
     out = m.forward()
     out.logits = ad.tensor(40.0 * g.onehot_labels())
     assert m.loss(out, train).item() < 1e-9

@@ -8,14 +8,13 @@ import numpy as np
 
 import pytest
 
-from compatgnn import DataError, Graph
+from compatgnn import ConfigError, DataError, Graph
 from compatgnn import autodiff as ad
 from compatgnn.cli import main
 from compatgnn.gradcheck import grad_check
-from compatgnn.model import (CompatGNN, CompatModelConfig, compat_spec,
-                             estimate_cm, with_prototype_nodes)
+from compatgnn.model import CompatGNN, estimate_cm, with_prototype_nodes
 from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
-                          ModelSpec, PrototypeOperator, aggregate)
+                          ModelSpec, PrototypeOperator, aggregate, build_preset)
 from compatgnn.rng import make_rng
 from compatgnn.sparse import row_normalize
 
@@ -76,7 +75,7 @@ def test_compat_gnn_builds_one_augmented_graph(monkeypatch):
         init(self, indptr, *args, **kw)
 
     monkeypatch.setattr(Graph, "__init__", counting_init)
-    m = CompatGNN(CompatModelConfig(hidden_dim=4), g, seed=0)
+    m = CompatGNN(build_preset("compatgnn", hidden_dim=4), g, seed=0)
     m.bind_prototypes(np.arange(10))
     m.prototypes = m.prototypes.copy()
     assert sizes.count(g.n_nodes + g.n_classes) == 1
@@ -85,7 +84,7 @@ def test_compat_gnn_builds_one_augmented_graph(monkeypatch):
 def test_prototypes_are_the_encoder_input_of_prototype_rows():
     rng = make_rng(74, "rows")
     g = random_graph(rng, 10, p=0.3, n_classes=3, d_f=4)
-    m = CompatGNN(CompatModelConfig(hidden_dim=4), g, seed=0)
+    m = CompatGNN(build_preset("compatgnn", hidden_dim=4), g, seed=0)
     p = rng.normal(size=(3, 4))
     m.prototypes = p
     np.testing.assert_array_equal(m.features[:10], g.features)
@@ -96,8 +95,26 @@ def test_prototypes_are_the_encoder_input_of_prototype_rows():
         m.prototypes = p[:2]
 
 
-def test_compat_spec_round_trips_as_json():
-    spec = compat_spec(CompatModelConfig(hidden_dim=8, structure_info=True))
+def test_compatgnn_holds_one_feature_array_of_n_plus_k_rows():
+    g = random_graph(make_rng(75, "feat"), 10, p=0.3, n_classes=3, d_f=4)
+    m = CompatGNN(build_preset("compatgnn", hidden_dim=4), g, seed=0)
+    m.bind_prototypes(np.arange(10))
+    arrays = [v for obj in (m, m.graph, m.real_graph) for v in vars(obj).values()
+              if isinstance(v, np.ndarray) and v.shape == (13, 4)]
+    assert arrays and all(np.shares_memory(a, m.features) for a in arrays)
+    np.testing.assert_array_equal(m.graph.features[10:], m.prototypes)
+    assert not m.graph.features.flags.writeable
+
+
+def test_compatgnn_preset_needs_the_prototype_model():
+    g = random_graph(make_rng(76, "plain"), 10, p=0.3, n_classes=2, d_f=3)
+    with pytest.raises(ConfigError, match="prototype context"):
+        MessagePassingModel(build_preset("compatgnn", hidden_dim=4), g)
+
+
+def test_compatgnn_preset_round_trips_as_json():
+    spec = build_preset("compatgnn", hidden_dim=8)
+    spec.encoder = "structure"
     again = ModelSpec.from_json(spec.to_json())
     assert again.to_dict() == spec.to_dict()
     assert again.encoder == "structure"
@@ -120,7 +137,7 @@ def test_structure_encoder_on_a_preset_stack():
 def test_compat_layers_run_in_the_generic_forward():
     g = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
                    [0, 0, 0, 1, 1, 1], 2, d_f=3)
-    m = CompatGNN(CompatModelConfig(hidden_dim=4), g, seed=0)
+    m = CompatGNN(build_preset("compatgnn", hidden_dim=4), g, seed=0)
     m.bind_prototypes([0, 1, 3, 4])
     soft = m.bootstrap_soft_labels([0, 1, 3, 4])
     m.set_estimate(estimate_cm(g, soft), soft)
@@ -128,7 +145,7 @@ def test_compat_layers_run_in_the_generic_forward():
     out = m.forward()
     assert full.logits.shape == (8, 2)
     np.testing.assert_array_equal(full.logits.value[:6], out.logits.value)
-    np.testing.assert_array_equal(full.logits.value[6:], out.proto_logits.value)
+    np.testing.assert_array_equal(full.fused.value[6:], out.proto_fused.value)
 
 
 def test_cli_rejects_prototype_channel_in_a_user_spec(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The typed JSON decoder: round trips of every record type the package
 reads, and the path each rejection names."""
 
+import dataclasses
 import json
 import re
 from dataclasses import asdict
@@ -9,7 +10,6 @@ import pytest
 
 from compatgnn import ConfigError, DataError
 from compatgnn.graph import DatasetMeta, generate_splits
-from compatgnn.model import CompatModelConfig, compat_spec
 from compatgnn.mp import PRESETS, ChannelSpec, LayerSpec, ModelSpec, build_preset
 from compatgnn.records import decode
 from compatgnn.synth import generate_graph, make_synth_spec
@@ -31,8 +31,8 @@ def test_run_config_round_trip():
 @pytest.mark.parametrize("spec", [
     build_preset(name, n_layers=2, hidden_dim=8, dropout=0.25, max_hop=3)
     for name in PRESETS] + [
-    compat_spec(CompatModelConfig(hidden_dim=8, structure_info=s))
-    for s in (False, True)], ids=list(PRESETS) + ["compat", "compat-structure"])
+    dataclasses.replace(build_preset("compatgnn", hidden_dim=8), encoder=e)
+    for e in ("linear", "structure")], ids=list(PRESETS) + ["compat", "compat-structure"])
 def test_model_spec_round_trip(spec):
     assert round_trip(spec) == spec
 

@@ -7,7 +7,7 @@ from compatgnn import ConfigError, TrainingDiverged
 from compatgnn.bench import write_json_atomic
 from compatgnn.cli import _read_run
 from compatgnn.graph import Split, generate_splits
-from compatgnn.model import CompatGNN, CompatModelConfig, estimate_cm
+from compatgnn.model import CompatGNN, estimate_cm
 from compatgnn.mp import MessagePassingModel, build_preset
 from compatgnn.rng import make_rng
 from compatgnn.training import RunConfig, accuracy, build_model, train_model
@@ -67,7 +67,7 @@ def test_build_model_paths(tmp_path):
     cfg = RunConfig(model="compatgnn", nhidden=8, layers=2, lambda_=0.7)
     m = build_model(cfg, g, seed=0)
     assert isinstance(m, CompatGNN)
-    assert m.cfg.hidden_dim == 8 and m.cfg.dis_weight == 0.7
+    assert m.spec.hidden_dim == 8 and m.dis_weight == 0.7
 
     cfg = RunConfig(model="gcn", nhidden=8)
     assert isinstance(build_model(cfg, g, seed=0), MessagePassingModel)
@@ -79,6 +79,32 @@ def test_build_model_paths(tmp_path):
 
     with pytest.raises(ConfigError, match="unknown model"):
         build_model(RunConfig(model="resnet"), g, seed=0)
+
+
+# compatgnn's spec as built before it became a preset: nhidden=8, layers=2,
+# dropout=0.5; structure_info picks the encoder, relu_variant the placement
+COMPAT_CHANNEL_DICTS = [
+    {"indicator": "identity", "guidance": "identity", "k": None, "weight": "own"},
+    {"indicator": "raw", "guidance": "deg_avg_row", "k": None, "weight": "own"},
+    {"indicator": "supplementary", "guidance": "constant", "k": None,
+     "weight": "own"}]
+COMPAT_LAYER_DICT = {"channels": COMPAT_CHANNEL_DICTS, "combine": "ada_add",
+                     "combine_weights": None, "ada_degree_column": True}
+
+
+@pytest.mark.parametrize("structure_info, relu_variant, encoder, relu", [
+    (False, None, "linear", False), (False, False, "linear", False),
+    (False, True, "linear", True), (True, None, "structure", False),
+    (True, False, "structure", False), (True, True, "structure", True)])
+def test_compatgnn_spec_matches_the_recorded_dict(structure_info, relu_variant,
+                                                  encoder, relu):
+    cfg = RunConfig(model="compatgnn", nhidden=8, layers=2, dropout=0.5,
+                    structure_info=structure_info, relu_variant=relu_variant)
+    m = build_model(cfg, sbm_toy(20), seed=0)
+    assert m.spec.to_dict() == {
+        "layers": [COMPAT_LAYER_DICT, COMPAT_LAYER_DICT], "hidden_dim": 8,
+        "dropout": 0.5, "relu_before_aggregate": relu, "fuse": "cat",
+        "classifier": "mlp", "encoder": encoder}
 
 
 @pytest.mark.parametrize("name", ["mlp", "gcn", "h2gcn", "gprgnn"])
@@ -183,7 +209,7 @@ def test_lambda_zero_matches_disabled_loss_bitwise():
     res_zero = train_model(g, split, cfg, seed=6)
 
     model = build_model(cfg, g, seed=6)
-    model.cfg.dis_enabled = False
+    model.dis_enabled = False
     res_off = train_model(g, split, cfg, seed=6, model=model)
 
     assert res_zero.loss_curve == res_off.loss_curve
