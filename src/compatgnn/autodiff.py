@@ -5,10 +5,22 @@ scatters the upstream gradient to them. backward() toposorts from the
 loss and runs closures in reverse order. Only nodes reachable from a
 requires_grad leaf participate; everything else is treated as constant.
 
+Evaluation records no tape: inside `with frozen(params):` the given
+leaves require no grad, so every op over them keeps no parents and no
+closure, and each intermediate value is freed as soon as the forward
+has passed it on. The same forward outside the block records its tape.
+
+Gradient ownership: a closure hands `_acc` the array it has just
+computed, and that array becomes the first gradient of its target, with
+no copy. Only a gradient passed through unchanged (by add, sub, add_bias
+and concat_cols) is copied first, so no two tensors share a .grad array.
+
 Sparse matrices enter only as constants on the left of spmm; gradients
 flow to the dense operand. Every forward output is checked finite so a
 NaN surfaces where it is born, not three layers later.
 """
+
+import contextlib
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,12 +81,22 @@ def _result(value, parents, backward, op):
 
 
 def _acc(t, g):
+    """Add g into t.grad. g is an array the calling closure has just
+    computed and nothing else holds, so a first gradient is g itself."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+        t.grad = g
     else:
         t.grad += g
+
+
+def _acc_copy(t, g):
+    """_acc for a gradient passed through unchanged (the upstream array or
+    a view of it), which t must not share: a first gradient is a copy."""
+    if t.requires_grad and t.grad is None:
+        g = np.array(g, dtype=np.float64, copy=True)
+    _acc(t, g)
 
 
 class SparseMatrix:
@@ -144,8 +166,8 @@ def add(a, b):
     value = a.value + b.value
 
     def bw(g):
-        _acc(a, g)
-        _acc(b, g)
+        _acc_copy(a, g)
+        _acc_copy(b, g)
     return _result(value, (a, b), bw, "add")
 
 
@@ -155,7 +177,7 @@ def sub(a, b):
     value = a.value - b.value
 
     def bw(g):
-        _acc(a, g)
+        _acc_copy(a, g)
         _acc(b, -g)
     return _result(value, (a, b), bw, "sub")
 
@@ -212,7 +234,7 @@ def add_bias(z, b):
     value = z.value + b.value
 
     def bw(g):
-        _acc(z, g)
+        _acc_copy(z, g)
         _acc(b, g.sum(axis=0, keepdims=True))
     return _result(value, (z, b), bw, "add_bias")
 
@@ -272,7 +294,7 @@ def concat_cols(tensors):
 
     def bw(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _acc(t, g[:, lo:hi])
+            _acc_copy(t, g[:, lo:hi])
     return _result(value, tuple(tensors), bw, "concat_cols")
 
 
@@ -428,9 +450,29 @@ def backward(loss):
             node.grad = None
 
 
+def _leaves(params):
+    return list(params.values() if isinstance(params, dict) else params)
+
+
 def zero_grads(params):
-    for t in (params.values() if isinstance(params, dict) else params):
+    for t in _leaves(params):
         t.grad = None
+
+
+@contextlib.contextmanager
+def frozen(params):
+    """Within the block the given leaves require no grad, so a forward over
+    them records no tape; each leaf's flag is restored on exit, also when
+    the block raises."""
+    leaves = _leaves(params)
+    flags = [t.requires_grad for t in leaves]
+    for t in leaves:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, flag in zip(leaves, flags):
+            t.requires_grad = flag
 
 
 def grad_of(param):

@@ -10,7 +10,9 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -151,6 +153,10 @@ def cmd_dataset_split(args):
 def cmd_synth_gen(args):
     if not args.out:
         raise ConfigError("synth gen needs --out")
+    out = os.path.abspath(args.out)
+    if os.path.exists(out) and not (os.path.isdir(out) and (
+            not os.listdir(out) or os.path.exists(os.path.join(out, "meta.json")))):
+        raise ConfigError(f"--out {args.out} exists and is not a dataset directory")
     seed = args.seed or 0
     spec = make_synth_spec(args.nodes, args.classes, args.homophily,
                            args.pattern, args.degree, seed,
@@ -159,15 +165,37 @@ def cmd_synth_gen(args):
     g = generate_graph(spec)
     splits = generate_splits(g, args.n_splits, seed)
     report = verify_graph(g, spec)
-    save_dataset(g, args.out)
-    save_splits(splits, os.path.join(args.out, "splits"))
-    write_json_atomic(os.path.join(args.out, "verify.json"), report)
+    _write_dataset_dir(out, g, splits, report)
     print(f"generated {g.n_nodes} nodes, {g.n_edges} edges "
           f"(mean degree {report['mean_degree']:.2f})")
     print(f"edge homophily {report['edge_homophily']:.3f} "
           f"(target {report['target_homophily']:.3f}); "
           f"max row TV {report['max_row_tv']:.3f}")
     return 0
+
+
+def _write_dataset_dir(out, g, splits, report):
+    """Build the dataset directory in a staging directory beside `out`, then
+    rename it to `out`, replacing the dataset there. A failure at any step
+    leaves `out` as it was and removes the staging directory."""
+    parent, name = os.path.split(out)
+    os.makedirs(parent, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=f".{name}.", dir=parent)
+    new, old = os.path.join(stage, "new"), os.path.join(stage, "old")
+    try:
+        save_dataset(g, new)
+        save_splits(splits, os.path.join(new, "splits"))
+        write_json_atomic(os.path.join(new, "verify.json"), report)
+        if os.path.exists(out):
+            os.rename(out, old)
+        try:
+            os.rename(new, out)
+        except OSError:
+            if os.path.exists(old):
+                os.rename(old, out)
+            raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def cmd_train(args):
@@ -308,7 +336,8 @@ def build_parser():
 
     p_syn = sub.add_parser("synth", help="synthetic graph generation")
     syn_sub = p_syn.add_subparsers(dest="subcommand", required=True)
-    p = syn_sub.add_parser("gen", help="generate a dataset directory")
+    p = syn_sub.add_parser("gen", help="generate a dataset directory "
+                            "(replaces a dataset already at --out)")
     p.add_argument("--nodes", type=int, default=1000)
     p.add_argument("--classes", type=int, default=5)
     p.add_argument("--homophily", type=float, default=0.5)

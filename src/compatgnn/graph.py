@@ -33,6 +33,7 @@ from .rng import make_rng
 FEATURES_MAGIC = b"GF32"
 
 SPLIT_FRACTIONS = (0.48, 0.32, 0.20)
+INT64 = np.iinfo(np.int64)
 
 
 class Graph:
@@ -213,9 +214,12 @@ def _scan_tsv_ints(path, n_cols):
             if len(parts) != n_cols:
                 raise DataError(f"{path}:{ln}: expected {n_cols} fields, got {len(parts)}")
             try:
-                rows.append([int(p) for p in parts])
+                row = [int(p) for p in parts]
             except ValueError:
                 raise DataError(f"{path}:{ln}: non-integer field in {line!r}") from None
+            if not all(INT64.min <= v <= INT64.max for v in row):
+                raise DataError(f"{path}:{ln}: integer outside int64 in {line!r}")
+            rows.append(row)
     return np.asarray(rows, dtype=np.int64).reshape(-1, n_cols)
 
 

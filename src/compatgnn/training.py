@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError, TrainingDiverged
-from .autodiff import backward, zero_grads
+from .autodiff import backward, frozen, zero_grads
 from .model import CompatGNN, estimate_cm
 from .mp import MODEL_NAMES, MessagePassingModel, ModelSpec, build_preset
 from .optim import Adam
@@ -160,7 +160,8 @@ def train_model(graph, split, config, seed, split_id=0, model=None):
             loss = model.loss(out, split.train)
             backward(loss)
             opt.step()
-            eval_out = model.forward(train=False)
+            with frozen(model.params):
+                eval_out = model.forward(train=False)
         except NumericalError as exc:
             raise TrainingDiverged(f"epoch {epoch}: {exc}", partial(True)) from None
         loss_curve.append(loss.item())
@@ -183,7 +184,8 @@ def train_model(graph, split, config, seed, split_id=0, model=None):
     if best_state is not None:
         for k, p in model.params.items():
             p.value = best_state[k]
-    final_out = model.forward(train=False)
+    with frozen(model.params):
+        final_out = model.forward(train=False)
     test_acc = accuracy(final_out.logits.value, graph.labels, split.test)
     preds = np.argmax(final_out.logits.value[split.test], axis=1)
 

@@ -3,9 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from compatgnn import NumericalError
-from compatgnn.autodiff import (SparseMatrix, Tensor, add, add_bias, backward,
-                                concat_cols, constant, cosine, dropout,
-                                gather_rows, glorot, grad_of, hadamard,
+from compatgnn import autodiff as ad
+from compatgnn.autodiff import (SparseMatrix, Tensor, _acc, _acc_copy, add,
+                                add_bias, backward, concat_cols, constant,
+                                cosine, dropout, frozen, gather_rows, glorot,
+                                grad_of, hadamard,
                                 l1_row_normalize, log, masked_cross_entropy,
                                 matmul, relu, row_scale, row_softmax, scale,
                                 scalar_scale, sigmoid, slice_cols, spmm, sub,
@@ -255,6 +257,108 @@ def test_backward_releases_interior_gradients():
     backward(tsum(h))
     assert h.grad is None
     np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
+
+
+# Each case: leaf shapes, a loss whose leaf gradients arrive only through
+# pass-through ops, and the dense reference gradients for the weights c.
+def _pass_through_cases():
+    c = make_rng(1, "pass-through").normal(size=(3, 5))
+    cw = lambda t: tsum(hadamard(t, constant(c)))
+    full = (3, 5)
+    return {
+        "add_self": ({"x": full}, lambda x: cw(add(x, x)), {"x": 2.0 * c}),
+        "add": ({"a": full, "b": full}, lambda a, b: cw(add(a, b)),
+                {"a": c, "b": c}),
+        "sub": ({"a": full, "b": full}, lambda a, b: cw(sub(a, b)),
+                {"a": c, "b": -c}),
+        "add_bias": ({"z": full, "b": (1, 5)}, lambda z, b: cw(add_bias(z, b)),
+                     {"z": c, "b": c.sum(axis=0, keepdims=True)}),
+        "concat_cols": ({"a": (3, 2), "b": (3, 1)},
+                        lambda a, b: cw(concat_cols([a, b, a])),
+                        {"a": c[:, :2] + c[:, 3:], "b": c[:, 2:3]}),
+    }
+
+
+def _copy_first_acc(t, g):
+    """The accumulation rule without gradient ownership: every first
+    gradient is copied."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.array(g, dtype=np.float64, copy=True)
+    else:
+        t.grad += g
+
+
+@pytest.mark.parametrize("case", list(_pass_through_cases()))
+def test_pass_through_gradients_are_owned_copies(case, monkeypatch):
+    shapes, fn, expect = _pass_through_cases()[case]
+    values = {k: RNG.normal(size=shape) for k, shape in shapes.items()}
+
+    def two_backwards():
+        leaves = {k: tensor(v, requires_grad=True) for k, v in values.items()}
+        backward(fn(*leaves.values()))
+        first = {k: t.grad for k, t in leaves.items()}
+        first_values = {k: g.copy() for k, g in first.items()}
+        backward(fn(*leaves.values()))
+        return first, first_values, {k: t.grad for k, t in leaves.items()}
+
+    grads, first, second = two_backwards()
+    for k, g in first.items():
+        assert grads[k].dtype == np.float64 and grads[k].base is None
+        np.testing.assert_allclose(g, expect[k], rtol=1e-12, atol=1e-12)
+    # a second backward without zero_grads adds into the same arrays
+    assert all(second[k] is grads[k] for k in grads)
+
+    # bitwise what copying every first gradient gives, after each backward
+    with monkeypatch.context() as m:
+        m.setattr(ad, "_acc", _copy_first_acc)
+        m.setattr(ad, "_acc_copy", _copy_first_acc)
+        _, ref_first, ref_second = two_backwards()
+    for k in grads:
+        np.testing.assert_array_equal(first[k], ref_first[k])
+        np.testing.assert_array_equal(second[k], ref_second[k])
+
+    # an in-place change to one leaf's gradient leaves the others unchanged
+    for k in grads:
+        others = {j: g.copy() for j, g in grads.items() if j != k}
+        grads[k] += 1.0
+        for j, g in others.items():
+            np.testing.assert_array_equal(grads[j], g)
+
+
+def test_acc_owns_fresh_arrays_and_copies_passed_through_ones():
+    t, u = rand_t((2, 2)), rand_t((2, 2))
+    g = np.ones((2, 2))
+    _acc(t, g)
+    assert t.grad is g
+    _acc_copy(u, g)
+    assert u.grad is not g and not np.shares_memory(u.grad, g)
+    _acc_copy(u, g)
+    np.testing.assert_array_equal(u.grad, 2.0 * g)
+    np.testing.assert_array_equal(g, np.ones((2, 2)))
+
+
+def test_frozen_records_no_tape_and_restores_flags():
+    w, v = rand_t((3, 2)), rand_t((1, 2))
+    fixed = tensor(np.ones((2, 2)))
+    x = constant(RNG.normal(size=(4, 3)))
+    with frozen({"w": w, "v": v, "fixed": fixed}):
+        assert not (w.requires_grad or v.requires_grad)
+        out = add_bias(matmul(x, w), v)
+    assert out.parents == () and out._backward is None and not out.requires_grad
+    assert w.requires_grad and v.requires_grad and not fixed.requires_grad
+    taped = add_bias(matmul(x, w), v)
+    assert taped.parents != ()
+    np.testing.assert_array_equal(out.value, taped.value)
+
+
+def test_frozen_restores_flags_when_the_block_raises():
+    w = rand_t((2, 2))
+    with pytest.raises(NumericalError, match="log"):
+        with frozen([w]):
+            log(scale(w, 0.0))
+    assert w.requires_grad
 
 
 def test_backward_requires_scalar():

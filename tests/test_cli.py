@@ -110,6 +110,33 @@ def test_failed_synth_gen_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def _tree(path):
+    """Every file under path with its bytes."""
+    return {os.path.relpath(os.path.join(d, f), path): open(os.path.join(d, f), "rb").read()
+            for d, _, files in os.walk(path) for f in files}
+
+
+@pytest.mark.parametrize("writer", ["compatgnn.graph.write_features_f32",
+                                    "compatgnn.cli.save_splits"])
+def test_failed_dataset_write_leaves_out_as_it_was(writer, tmp_path, monkeypatch):
+    def gen(out, nodes):
+        return main(["synth", "gen", "--nodes", nodes, "--degree", "4",
+                     "--n-splits", "2", "--out", str(out)])
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    assert gen(kept, "30") == 0
+    before = _tree(kept)
+    monkeypatch.setattr(writer, fail)
+    for out in (fresh, kept):
+        with pytest.raises(OSError, match="disk full"):
+            gen(out, "40")
+    assert sorted(os.listdir(tmp_path)) == ["kept"]     # no staging directory
+    assert _tree(kept) == before
+
+
 # ---------------------------------------------------------------------------
 # training commands
 
@@ -310,6 +337,23 @@ def _bench_after_regenerating_with_fewer_splits(tmp, ds):
     return ["bench", "--data", out, "--splits", "0-3"] + run_quick([])
 
 
+def _inspect_with_line(name, line_no, text):
+    """dataset inspect on a copy whose `name` has line `line_no` replaced."""
+    def make_argv(tmp, ds):
+        copy = tmp / "ds"
+        shutil.copytree(ds, copy)
+        lines = (copy / name).read_text().splitlines()
+        lines[line_no - 1] = text
+        (copy / name).write_text("\n".join(lines) + "\n")
+        return ["dataset", "inspect", str(copy)]
+    return make_argv
+
+
+def _synth_gen_over_other_files(tmp, ds):
+    _write(tmp, "notes.txt", "keep")
+    return ["synth", "gen", "--nodes", "20", "--out", str(tmp)]
+
+
 def _seed_flag_over_config(tmp, ds):
     cfg = _write(tmp, "cfg.json", json.dumps({"seed": 5}))
     return (["train", "--data", ds, "--config", cfg, "--seed", "0",
@@ -366,6 +410,11 @@ BAD_INPUTS = [
     ("meta_directed_string", _inspect_with_meta(directed="false"), 3),
     ("train_negative_split", lambda tmp, ds: [
         "train", "--data", ds, "--split", "-1"] + run_quick([]), 2),
+    ("labels_int64_overflow",
+     _inspect_with_line("labels.tsv", 4, "99999999999999999999"), 3),
+    ("edges_int64_overflow",
+     _inspect_with_line("edges.tsv", 2, "0\t-99999999999999999999"), 3),
+    ("synth_gen_out_not_a_dataset", _synth_gen_over_other_files, 2),
     ("seed_zero_overrides_config", _seed_flag_over_config, 0),
 ]
 

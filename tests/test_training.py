@@ -1,14 +1,17 @@
+import contextlib
 import dataclasses
 
 import numpy as np
 import pytest
 
 from compatgnn import ConfigError, TrainingDiverged
+from compatgnn import training
 from compatgnn.bench import write_json_atomic
 from compatgnn.cli import _read_run
+from compatgnn.gradcheck import grad_check
 from compatgnn.graph import Split, generate_splits
 from compatgnn.model import CompatGNN, estimate_cm
-from compatgnn.mp import MessagePassingModel, build_preset
+from compatgnn.mp import MODEL_NAMES, MessagePassingModel, build_preset
 from compatgnn.rng import make_rng
 from compatgnn.training import RunConfig, accuracy, build_model, train_model
 
@@ -195,6 +198,84 @@ def test_divergence_raises_with_partial_log():
     assert np.isnan(partial.test_accuracy)
     assert partial.test_idx == split.test.tolist()
     assert partial.config["lr"] == 1e80
+
+
+# ---------------------------------------------------------------------------
+# tape-free evaluation
+
+def _tensors(out):
+    for v in vars(out).values():
+        yield from (v if isinstance(v, list) else [v])
+
+
+def _train_recording_evals(name, seed=8):
+    """train_model on a toy graph, keeping every eval forward's output and
+    the parameters' requires_grad flags during that forward."""
+    g = sbm_toy(30)
+    cfg = RunConfig(model=name, lr=0.05, patience=10, max_epochs=6, nhidden=4,
+                    lambda_=0.3)
+    model = build_model(cfg, g, seed=seed)
+    forward, evals = model.forward, []
+
+    def recording(train=False, rng=None):
+        out = forward(train=train, rng=rng)
+        if not train:
+            evals.append((out, [p.requires_grad for p in model.params.values()]))
+        return out
+    model.forward = recording
+    res = train_model(g, toy_split(g), cfg, seed=seed, model=model)
+    del model.forward
+    return model, res, evals
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_eval_forwards_record_no_tape_and_change_no_number(name, monkeypatch):
+    model, res, evals = _train_recording_evals(name)
+    assert len(evals) == len(res.val_curve) + 1     # per epoch, then final
+    for out, flags in evals:
+        assert not any(flags)
+        for t in _tensors(out):
+            assert not t.requires_grad and t.parents == () and t._backward is None
+    assert all(p.requires_grad for p in model.params.values())
+
+    # the final eval is bitwise the taped forward at the same parameters
+    taped = model.forward(train=False)
+    assert taped.logits.parents != ()
+    np.testing.assert_array_equal(evals[-1][0].logits.value, taped.logits.value)
+
+    # every eval and the whole record equal a run whose evals keep their tape
+    monkeypatch.setattr(training, "frozen", lambda params: contextlib.nullcontext())
+    _, res_taped, evals_taped = _train_recording_evals(name)
+    assert all(out.logits.parents != () for out, _ in evals_taped)
+    for (out, _), (ref, _) in zip(evals, evals_taped, strict=True):
+        assert np.array_equal(out.logits.value, ref.logits.value)
+    res.epoch_ms = res_taped.epoch_ms = []
+    assert dataclasses.asdict(res) == dataclasses.asdict(res_taped)
+
+
+def test_forward_outside_train_model_keeps_its_tape():
+    model, _, _ = _train_recording_evals("compatgnn")
+    split = toy_split(model.real_graph)
+    assert model.forward().logits.parents != ()
+    report = grad_check(lambda: model.loss(model.forward(), split.train),
+                        model.params)
+    assert report.ok(1e-4), f"max rel err {report.max_rel_err:.3e}"
+
+
+def test_params_require_grad_again_after_an_eval_forward_raises():
+    g = sbm_toy(30)
+    cfg = RunConfig(model="gcn", lr=0.05, patience=10, max_epochs=6, nhidden=4)
+    model = build_model(cfg, g, seed=9)
+    forward, w = model.forward, model.params["encoder.w"]
+
+    def nan_in_eval(train=False, rng=None):
+        if not train:
+            w.value = np.full_like(w.value, np.nan)
+        return forward(train=train, rng=rng)
+    model.forward = nan_in_eval
+    with pytest.raises(TrainingDiverged, match="epoch 0: non-finite value produced by matmul"):
+        train_model(g, toy_split(g), cfg, seed=9, model=model)
+    assert all(p.requires_grad for p in model.params.values())
 
 
 # ---------------------------------------------------------------------------
