@@ -19,13 +19,13 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericalError, TrainingDiverged
 from .bench import (degree_report, random_search, run_bench, write_json_atomic,
                     write_text_atomic)
-from .graph import (generate_splits, load_dataset, load_splits, save_dataset,
-                    save_splits)
+from .graph import (Graph, generate_splits, load_dataset, load_splits,
+                    save_dataset, save_splits)
 from .heatmap import cm_to_csv, cm_to_svg
 from .metrics import edge_homophily, node_homophily, observed_cm
 from .model import estimate_cm
 from .records import decode, read_json
-from .sparse import csr_to_graph_structure, knn_feature_graph
+from .sparse import knn_feature_graph
 from .synth import PATTERNS, generate_graph, make_synth_spec, verify_graph
 from .training import RunConfig, RunResult, train_model
 
@@ -288,9 +288,10 @@ def cmd_cm(args):
         print(f"wrote cm_observed.csv/.svg (K={m.shape[0]})")
     elif args.mode == "knn":
         knn = knn_feature_graph(g, args.knn_k)
-        indptr, indices = csr_to_graph_structure(knn)
-        g2 = g.with_structure(indptr, indices, directed=True)
-        m = observed_cm(g2).m
+        g_knn = Graph.from_edges(g.n_nodes, np.stack(knn.nonzero(), axis=1),
+                                 g.features, g.labels, g.n_classes,
+                                 directed=True, name=g.name)
+        m = observed_cm(g_knn).m
         emit("cm_knn", m, f"{g.name}: feature-kNN (k={args.knn_k}) compatibility")
         print(f"wrote cm_knn.csv/.svg (K={m.shape[0]})")
     else:  # estimated

@@ -121,12 +121,6 @@ class Graph:
         c[np.where(mask)[0], self.labels[mask]] = 1.0
         return c
 
-    def with_structure(self, indptr, indices, directed=None):
-        """Same nodes/features/labels over a different edge structure."""
-        return Graph(indptr, indices, self.features, self.labels, self.n_classes,
-                     directed=self.directed if directed is None else directed,
-                     name=self.name)
-
     @classmethod
     def from_edges(cls, n_nodes, edges, features, labels, n_classes,
                    directed=False, name="graph"):
@@ -240,9 +234,13 @@ def read_features_f32(path):
         if len(header) != 16:
             raise DataError(f"{path}: truncated header")
         rows, cols = struct.unpack("<QQ", header)
+        # checked before the read: a header product past ssize_t would
+        # overflow np.fromfile's count
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if rows * cols * 4 != left:
+            raise DataError(f"{path}: header says {rows} x {cols} float32 values, "
+                            f"the file holds {left} bytes of data")
         x = np.fromfile(fh, dtype="<f4", count=rows * cols)
-    if x.size != rows * cols:
-        raise DataError(f"{path}: expected {rows * cols} values, found {x.size}")
     return x.reshape(rows, cols).astype(np.float64)
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .graph import Graph
-from .metrics import CompatibilityMatrix, l1_normalize_rows
+from .metrics import (CompatibilityMatrix, l1_normalize_rows,
+                      semantic_neighborhood)
 from . import autodiff as ad
 from .autodiff import (add, constant, cosine, gather_rows, matmul, scale,
                        slice_rows)
@@ -126,7 +127,7 @@ def estimate_cm(g, soft_labels, degree_weights=None, epoch=-1):
         w_deg = np.asarray(degree_weights, dtype=np.float64)
 
     scaled = g_conf[:, None] * c_hat
-    c_nb, _ = l1_normalize_rows(g.adjacency() @ scaled)
+    c_nb = semantic_neighborhood(g, scaled)
 
     votes = w_deg[:, None] * scaled
     # no neighborhood evidence => no vote (keeps rows stochastic)

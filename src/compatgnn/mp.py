@@ -12,12 +12,12 @@ is compatgnn (build_preset("compatgnn")): a spec that model.CompatGNN
 runs over N nodes plus K prototype nodes, binding its
 supplementary/constant channel (PrototypeOperator).
 
-A ModelSpec is declarative data (JSON round-trippable) so the CLI can
-declare custom stacks without code.
+A ModelSpec is declarative data: json.dumps(spec.to_dict()) writes a
+spec file, and `--model spec.json` runs it (training.build_model reads
+it with records.read_json and ModelSpec.from_dict).
 """
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,15 +30,15 @@ from .rng import make_rng
 from . import autodiff as ad
 from .autodiff import (SparseMatrix, add, add_bias, concat_cols, constant,
                        dropout, glorot, matmul, relu, row_scale, row_softmax,
-                       scale, scalar_scale, sigmoid, slice_cols, slice_rows,
-                       spmm)
+                       scalar_scale, sigmoid, slice_cols, slice_rows, spmm)
 from .sparse import (add_self_loops, khop_adjacency, knn_feature_graph,
                      row_normalize, sym_normalize)
 
 INDICATOR_KINDS = ("identity", "raw", "raw_self_loop", "khop", "feature_knn",
                    "supplementary")
 GUIDANCE_KINDS = ("identity", "deg_avg_row", "deg_avg_sym", "high_pass", "constant")
-COMBINE_KINDS = ("add", "weighted_add", "ada_add", "cat")
+COMBINE_KINDS = ("add", "ada_add", "cat")
+WEIGHT_KINDS = ("own", "identity")
 FUSE_KINDS = ("last", "cat", "ada_add")
 ENCODER_KINDS = ("linear", "structure")
 PRESETS = ("mlp", "gcn", "mixhop", "h2gcn", "gprgnn", "acmgcn")
@@ -49,8 +49,8 @@ MODEL_NAMES = ("compatgnn",) + PRESETS
 class ChannelSpec:
     """One (indicator, guidance, weight) triple.
 
-    weight: "own" for a fresh matrix, "identity" for weightless, any other
-    string names a shared-weight group. A supplementary/constant channel
+    weight: "own" for a fresh matrix W_r, "identity" for none (Z_r =
+    (A_r (.) B_r) Z). A supplementary/constant channel
     is realized only by a model over prototype nodes, which binds it; any
     other realization fails with a ConfigError.
     """
@@ -66,13 +66,15 @@ class ChannelSpec:
             raise ConfigError(f"unknown guidance {self.guidance!r}")
         if self.indicator in ("khop", "feature_knn") and (self.k is None or self.k < 1):
             raise ConfigError(f"indicator {self.indicator!r} needs a positive k")
+        if self.weight not in WEIGHT_KINDS:
+            raise ConfigError(f"unknown channel weight {self.weight!r}; "
+                              f"choose from {WEIGHT_KINDS}")
 
 
 @dataclass
 class LayerSpec:
     channels: list[ChannelSpec]
     combine: str = "add"
-    combine_weights: list[float] | None = None
     ada_degree_column: bool = False
 
     def validate(self):
@@ -82,10 +84,6 @@ class LayerSpec:
             ch.validate()
         if self.combine not in COMBINE_KINDS:
             raise ConfigError(f"unknown combine {self.combine!r}")
-        if self.combine == "weighted_add":
-            if (self.combine_weights is None
-                    or len(self.combine_weights) != len(self.channels)):
-                raise ConfigError("weighted_add needs one weight per channel")
 
 
 @dataclass
@@ -123,19 +121,11 @@ class ModelSpec:
         """Inverse of to_dict; omitted keys take the field defaults and a
         malformed spec is a ConfigError naming `where`."""
         spec = decode(cls, d, ConfigError, where)
-        spec.validate()
-        return spec
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text):
         try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"model spec is not valid JSON: {exc}") from None
-        return cls.from_dict(d)
+            spec.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"malformed {where}: {exc}") from None
+        return spec
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +264,6 @@ class MessagePassingModel:
         if prototypes is not None:
             self._operators[("supplementary", "constant", None)] = prototypes
         self.params = {}
-        shared_shapes = {}
 
         self._structure = None
         enc_in = graph.d_f
@@ -301,20 +290,8 @@ class MessagePassingModel:
                     self.params[f"layer{li}.ch{cj}.w"] = ad.tensor(
                         glorot(rng, (width, d_r)), requires_grad=True)
                     ch_widths.append(d_r)
-                elif ch.weight == "identity":
+                else:  # identity
                     ch_widths.append(width)
-                else:
-                    key = f"shared.{ch.weight}.w"
-                    if key in self.params:
-                        if shared_shapes[key] != (width, d_r):
-                            raise ConfigError(
-                                f"shared weight group {ch.weight!r} reused at "
-                                f"incompatible width {width}")
-                    else:
-                        self.params[key] = ad.tensor(
-                            glorot(rng, (width, d_r)), requires_grad=True)
-                        shared_shapes[key] = (width, d_r)
-                    ch_widths.append(d_r)
             if layer.combine == "cat":
                 width = sum(ch_widths)
             else:
@@ -358,23 +335,13 @@ class MessagePassingModel:
         self._deg_col = constant(graph.degrees.astype(np.float64).reshape(-1, 1))
 
     def _channel_weight(self, li, cj, ch):
-        if ch.weight == "own":
-            return self.params[f"layer{li}.ch{cj}.w"]
-        if ch.weight == "identity":
-            return None
-        return self.params[f"shared.{ch.weight}.w"]
+        return self.params[f"layer{li}.ch{cj}.w"] if ch.weight == "own" else None
 
     def _combine(self, li, layer, outs):
         if layer.combine == "add":
             z = outs[0]
             for t in outs[1:]:
                 z = add(z, t)
-            return z
-        if layer.combine == "weighted_add":
-            z = None
-            for t, w in zip(outs, layer.combine_weights):
-                term = scale(t, w)
-                z = term if z is None else add(z, term)
             return z
         if layer.combine == "cat":
             return concat_cols(outs)

@@ -65,27 +65,19 @@ def _drop_diagonal(a):
     return out
 
 
-def khop_adjacency(g_or_a, k, exactly=False):
-    """Binary indicator of nodes within (or exactly at) k hops, excluding self.
+def khop_adjacency(g_or_a, k):
+    """Binary indicator of nodes within k hops, excluding self.
 
-    Hop distance is BFS distance along stored edge direction. `exactly`
-    keeps only nodes whose shortest distance is k.
+    Hop distance is BFS distance along stored edge direction.
     """
     if k < 2:
         raise DataError(f"k-hop neighborhood needs k >= 2, got {k}")
     a1 = _binary(as_csr(g_or_a))
     acc = a1
-    prev = a1
     reach = a1
     for _ in range(2, k + 1):
-        prev = acc
         reach = _binary(reach @ a1)
         acc = _binary(acc + reach)
-    if exactly:
-        out = (_drop_diagonal(acc) - _drop_diagonal(prev)).tocsr()
-        out.eliminate_zeros()
-        out.sort_indices()
-        return out
     return _drop_diagonal(acc)
 
 
@@ -116,10 +108,3 @@ def knn_feature_graph(g_or_x, k):
     out = sp.csr_matrix((data, (rows, cols.ravel())), shape=(n, n))
     out.sort_indices()
     return out
-
-
-def csr_to_graph_structure(a):
-    """Canonical (indptr, indices) from a scipy CSR matrix."""
-    a = sp.csr_matrix(a)
-    a.sort_indices()
-    return a.indptr.astype(np.int64), a.indices.astype(np.int64)

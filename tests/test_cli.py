@@ -1,11 +1,12 @@
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
-from compatgnn import ConfigError
+from compatgnn import ConfigError, knn_feature_graph, load_dataset
 from compatgnn.cli import _build_config, _parse_split_ids, build_parser, main
 
 
@@ -208,20 +209,34 @@ def test_search_cli(dataset, tmp_path, capsys):
     assert best["lr"] in (0.001, 0.005, 0.01, 0.05)
 
 
+def _read_csv(path):
+    return np.array([[float(v) for v in row.split(",")]
+                     for row in open(path).read().strip().split("\n")])
+
+
 def test_cm_observed_and_knn(dataset, tmp_path, capsys):
     out = str(tmp_path / "cm")
     assert main(["cm", "--data", dataset, "--mode", "observed",
                  "--out", out]) == 0
-    csv = open(os.path.join(out, "cm_observed.csv")).read()
-    m = np.array([[float(v) for v in row.split(",")]
-                  for row in csv.strip().split("\n")])
+    m = _read_csv(os.path.join(out, "cm_observed.csv"))
     assert m.shape == (3, 3)
     np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-5)
     assert os.path.exists(os.path.join(out, "cm_observed.svg"))
 
     assert main(["cm", "--data", dataset, "--mode", "knn", "--knn-k", "4",
                  "--out", out]) == 0
-    assert os.path.exists(os.path.join(out, "cm_knn.csv"))
+    # dense oracle over the kNN indicator A and one-hot labels C:
+    # rownorm(C^T rownorm(A C))
+    g = load_dataset(dataset)
+    a = knn_feature_graph(g, 4).toarray()
+    c = g.onehot_labels()
+    nb = a @ c
+    nb /= nb.sum(axis=1, keepdims=True)
+    expect = c.T @ nb
+    expect /= expect.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(_read_csv(os.path.join(out, "cm_knn.csv")),
+                               expect, rtol=0, atol=5e-7)
+    assert os.path.exists(os.path.join(out, "cm_knn.svg"))
     capsys.readouterr()
 
 
@@ -283,10 +298,20 @@ def _run_record(**fields):
     return record
 
 
-def _train_with_spec(channel, **fields):
-    spec = dict({"layers": [{"channels": [channel]}]}, **fields)
+def _train_with_spec_text(text):
     return lambda tmp, ds: ["train", "--data", ds, "--model",
-                            _write(tmp, "spec.json", json.dumps(spec))]
+                            _write(tmp, "spec.json", text)]
+
+
+def _train_with_spec(channel, **fields):
+    return _train_with_spec_text(json.dumps(
+        dict({"layers": [{"channels": [channel]}]}, **fields)))
+
+
+def _train_with_layer(**fields):
+    channel = {"indicator": "raw", "guidance": "deg_avg_sym"}
+    return _train_with_spec_text(json.dumps(
+        {"layers": [dict({"channels": [channel]}, **fields)]}))
 
 
 def _train_with_config(config):
@@ -349,6 +374,18 @@ def _inspect_with_line(name, line_no, text):
     return make_argv
 
 
+def _inspect_with_f32_header(rows, cols):
+    """dataset inspect on a copy whose features.f32 header is rewritten."""
+    def make_argv(tmp, ds):
+        copy = tmp / "ds"
+        shutil.copytree(ds, copy)
+        raw = (copy / "features.f32").read_bytes()
+        (copy / "features.f32").write_bytes(
+            raw[:4] + struct.pack("<QQ", rows, cols) + raw[20:])
+        return ["dataset", "inspect", str(copy)]
+    return make_argv
+
+
 def _synth_gen_over_other_files(tmp, ds):
     _write(tmp, "notes.txt", "keep")
     return ["synth", "gen", "--nodes", "20", "--out", str(tmp)]
@@ -404,6 +441,11 @@ BAD_INPUTS = [
         {"indicator": "raw", "guidance": "deg_avg_sym"}, hidden_dim="64"), 2),
     ("spec_channel_k_string", _train_with_spec(
         {"indicator": "khop", "guidance": "deg_avg_sym", "k": "2"}), 2),
+    ("spec_not_json", _train_with_spec_text("{nope"), 2),
+    ("spec_weight_group", _train_with_spec(
+        {"indicator": "raw", "guidance": "deg_avg_sym", "weight": "g"}), 2),
+    ("spec_weighted_add", _train_with_layer(combine="weighted_add"), 2),
+    ("spec_combine_weights_key", _train_with_layer(combine_weights=[1.0]), 2),
     ("config_lr_string", _train_with_config({"lr": "x"}), 2),
     ("config_split_ids_not_list", _train_with_config({"split_ids": 5}), 2),
     ("meta_n_nodes_string", _inspect_with_meta(n_nodes="sixty"), 3),
@@ -414,6 +456,8 @@ BAD_INPUTS = [
      _inspect_with_line("labels.tsv", 4, "99999999999999999999"), 3),
     ("edges_int64_overflow",
      _inspect_with_line("edges.tsv", 2, "0\t-99999999999999999999"), 3),
+    ("features_f32_header_past_ssize_t", _inspect_with_f32_header(2**40, 2**40), 3),
+    ("features_f32_cols_past_ssize_t", _inspect_with_f32_header(40, 2**60), 3),
     ("synth_gen_out_not_a_dataset", _synth_gen_over_other_files, 2),
     ("seed_zero_overrides_config", _seed_flag_over_config, 0),
 ]

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from compatgnn import ConfigError, NumericalError, generate_splits, mp, permute_graph
+from compatgnn import (ConfigError, Graph, NumericalError, generate_splits, mp,
+                       permute_graph)
 from compatgnn.autodiff import backward, constant, spmm, tensor, zero_grads
 from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
                           ModelSpec, PRESETS, aggregate, ada_combine,
@@ -41,9 +44,9 @@ def test_channel_spec_validation():
 def test_layer_spec_validation():
     with pytest.raises(ConfigError, match="at least one"):
         LayerSpec(channels=[]).validate()
-    with pytest.raises(ConfigError, match="one weight per channel"):
-        LayerSpec(channels=[ChannelSpec("raw", "deg_avg_row")] * 2,
-                  combine="weighted_add", combine_weights=[1.0]).validate()
+    with pytest.raises(ConfigError, match="channel weight 'g'"):
+        LayerSpec(channels=[ChannelSpec("raw", "deg_avg_row", weight="g")]
+                  ).validate()
     with pytest.raises(ConfigError, match="combine"):
         LayerSpec(channels=[ChannelSpec("raw", "deg_avg_row")],
                   combine="bogus").validate()
@@ -62,12 +65,10 @@ def test_model_spec_validation():
 def test_model_spec_json_round_trip():
     spec = build_preset("mixhop", n_layers=2, hidden_dim=32, dropout=0.25,
                         max_hop=3)
-    again = ModelSpec.from_json(spec.to_json())
+    again = ModelSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert again.to_dict() == spec.to_dict()
-    with pytest.raises(ConfigError, match="JSON"):
-        ModelSpec.from_json("{nope")
     with pytest.raises(ConfigError, match="malformed"):
-        ModelSpec.from_json("{\"hidden_dim\": 4}")
+        ModelSpec.from_dict({"hidden_dim": 4})
 
 
 @pytest.mark.parametrize("path", [(), ("layers", 0), ("layers", 0, "channels", 0)])
@@ -243,18 +244,6 @@ def test_cat_fuse_width_law():
     assert m.params["cla.w"].shape == ((3 + 1) * 5, g.n_classes)
 
 
-def test_shared_weight_group_width_mismatch_rejected():
-    layers = [
-        LayerSpec(channels=[ChannelSpec("raw", "deg_avg_row", weight="g"),
-                            ChannelSpec("identity", "identity")],
-                  combine="cat"),
-        LayerSpec(channels=[ChannelSpec("raw", "deg_avg_row", weight="g")]),
-    ]
-    spec = ModelSpec(layers=layers, hidden_dim=4)
-    with pytest.raises(ConfigError, match="incompatible width"):
-        MessagePassingModel(spec, quartic12())
-
-
 def test_unequal_add_widths_rejected():
     layers = [
         LayerSpec(channels=[ChannelSpec("raw", "deg_avg_row"),
@@ -287,7 +276,8 @@ def test_gcn_preset_matches_dense_oracle():
 
 def test_mlp_preset_matches_dense_oracle_and_ignores_edges():
     g1 = random_graph(make_rng(3, "mlpd"), 10, p=0.3)
-    g2 = g1.with_structure(np.zeros(11, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    g2 = Graph(np.zeros(11, dtype=np.int64), np.zeros(0, dtype=np.int64),
+               g1.features, g1.labels, g1.n_classes)
     m1 = MessagePassingModel(build_preset("mlp", n_layers=2, hidden_dim=5), g1, seed=4)
     m2 = MessagePassingModel(build_preset("mlp", n_layers=2, hidden_dim=5), g2, seed=4)
     o1, o2 = m1.forward(), m2.forward()
@@ -446,34 +436,6 @@ def test_preset_equivariance_random_graph(name):
 
 # ---------------------------------------------------------------------------
 # forward behaviors
-
-def test_weighted_add_of_opposite_channels_cancels():
-    layers = [LayerSpec(
-        channels=[ChannelSpec("identity", "identity", weight="identity"),
-                  ChannelSpec("identity", "identity", weight="identity")],
-        combine="weighted_add", combine_weights=[1.0, -1.0])]
-    spec = ModelSpec(layers=layers, hidden_dim=4)
-    g = quartic12(seed=11)
-    m = MessagePassingModel(spec, g)
-    out = m.forward()
-    # the layer output is exactly zero, so logits collapse to the bias row
-    np.testing.assert_array_equal(out.reps[1].value, 0.0)
-    np.testing.assert_array_equal(
-        out.logits.value, np.repeat(m.params["cla.b"].value, 12, axis=0))
-
-
-def test_weighted_add_mean():
-    layers = [LayerSpec(
-        channels=[ChannelSpec("identity", "identity", weight="identity"),
-                  ChannelSpec("identity", "identity", weight="identity")],
-        combine="weighted_add", combine_weights=[0.5, 0.5])]
-    spec = ModelSpec(layers=layers, hidden_dim=4)
-    g = quartic12(seed=12)
-    m = MessagePassingModel(spec, g)
-    out = m.forward()
-    z0 = out.reps[0].value
-    np.testing.assert_allclose(out.reps[1].value, np.maximum(z0, 0.0), atol=1e-15)
-
 
 def test_nan_in_layer_reports_layer_index():
     g = quartic12(seed=13)

@@ -115,7 +115,7 @@ def test_compatgnn_preset_needs_the_prototype_model():
 def test_compatgnn_preset_round_trips_as_json():
     spec = build_preset("compatgnn", hidden_dim=8)
     spec.encoder = "structure"
-    again = ModelSpec.from_json(spec.to_json())
+    again = ModelSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert again.to_dict() == spec.to_dict()
     assert again.encoder == "structure"
     assert [c.indicator for c in again.layers[0].channels] == [

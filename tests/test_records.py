@@ -56,8 +56,7 @@ RAW = {"indicator": "raw", "guidance": "deg_avg_sym"}
     ({"layers": [], "dropout": True}, "dropout: expected float, got bool"),
     ({"layers": [{"channels": [RAW, dict(RAW, k=True)]}]},
      "layers[0].channels[1].k: expected int, got bool"),
-    ({"layers": [{"channels": [RAW], "combine_weights": [1, "a"]}]},
-     "layers[0].combine_weights[1]: expected float, got str"),
+    ({"layers": [{"channels": [RAW]}, 5]}, "layers[1]: expected a JSON object, got int"),
     ({"layers": [{"channels": [{"indicator": "raw"}]}]},
      "layers[0].channels[0]: missing key 'guidance'"),
     ({"layers": [{"channels": [RAW], "combine": None}]},
@@ -68,10 +67,18 @@ def test_decode_names_the_offending_value(obj, problem):
         decode(ModelSpec, obj, ConfigError, "spec")
 
 
+def test_decode_names_a_list_element():
+    with pytest.raises(ConfigError, match=re.escape(
+            "malformed config: split_ids[1]: expected int, got str")):
+        decode(RunConfig, {"split_ids": [1, "a"]}, ConfigError, "config")
+
+
 def test_decode_accepts_ints_as_floats_and_null_optionals():
-    spec = decode(ModelSpec, {"layers": [{"channels": [dict(RAW, k=None)],
-                                          "combine_weights": [1, 0.5]}],
+    spec = decode(ModelSpec, {"layers": [{"channels": [dict(RAW, k=None)]}],
                               "dropout": 0}, ConfigError, "spec")
     assert spec == ModelSpec(layers=[LayerSpec(
-        channels=[ChannelSpec("raw", "deg_avg_sym")], combine_weights=[1, 0.5])],
-        dropout=0)
+        channels=[ChannelSpec("raw", "deg_avg_sym")])], dropout=0)
+    record = dict(config={}, seed=0, split_id=0, best_epoch=0, val_curve=[1, 0.5],
+                  loss_curve=[], test_accuracy=1, epoch_ms=[], refresh_epochs=[],
+                  test_idx=[], test_predictions=[], test_degrees=[])
+    assert decode(RunResult, record, DataError, "run").val_curve == [1, 0.5]

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from compatgnn import (DataError, add_self_loops, khop_adjacency,
                        knn_feature_graph, row_normalize, sym_normalize)
 from compatgnn import sparse
-from compatgnn.sparse import as_csr, csr_to_graph_structure
+from compatgnn.sparse import as_csr
 
 from util import bfs_within_k, cycle, make_graph, random_graph, triangle
 from compatgnn.rng import make_rng
@@ -69,19 +69,9 @@ def test_khop_requires_k_at_least_two():
         khop_adjacency(triangle(), 1)
 
 
-def test_khop_cycle_exact_two():
-    g = cycle(6)
-    got = khop_adjacency(g, 2, exactly=True).toarray()
-    expect = np.zeros((6, 6))
-    for i in range(6):
-        expect[i, (i + 2) % 6] = 1.0
-        expect[i, (i - 2) % 6] = 1.0
-    np.testing.assert_array_equal(got, expect)
-
-
 def test_khop_within_includes_one_hop():
     g = cycle(6)
-    got = khop_adjacency(g, 2, exactly=False).toarray()
+    got = khop_adjacency(g, 2).toarray()
     expect = np.zeros((6, 6))
     for i in range(6):
         for d in (1, 2):
@@ -95,12 +85,8 @@ def test_khop_matches_bfs_oracle(k):
     for trial in range(4):
         g = random_graph(make_rng(trial, "khop", k), 24, p=0.08)
         dense = g.adjacency().toarray()
-        within = bfs_within_k(dense, k)
-        within_prev = bfs_within_k(dense, k - 1)
         got = khop_adjacency(g, k).toarray().astype(bool)
-        np.testing.assert_array_equal(got, within)
-        got_exact = khop_adjacency(g, k, exactly=True).toarray().astype(bool)
-        np.testing.assert_array_equal(got_exact, within & ~within_prev)
+        np.testing.assert_array_equal(got, bfs_within_k(dense, k))
 
 
 def test_khop_never_includes_self():
@@ -172,10 +158,3 @@ def test_knn_rejects_bad_k():
         knn_feature_graph(x, 0)
     with pytest.raises(DataError, match="smaller than"):
         knn_feature_graph(x, 3)
-
-
-def test_csr_to_graph_structure_round_trip():
-    g = random_graph(make_rng(5, "csr"), 18)
-    indptr, indices = csr_to_graph_structure(g.adjacency())
-    np.testing.assert_array_equal(indptr, g.indptr)
-    np.testing.assert_array_equal(indices, g.indices)

@@ -1,5 +1,9 @@
 import contextlib
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -76,7 +80,7 @@ def test_build_model_paths(tmp_path):
     assert isinstance(build_model(cfg, g, seed=0), MessagePassingModel)
 
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(build_preset("mixhop", hidden_dim=8).to_json())
+    spec_path.write_text(json.dumps(build_preset("mixhop", hidden_dim=8).to_dict()))
     m = build_model(RunConfig(model=str(spec_path)), g, seed=0)
     assert isinstance(m, MessagePassingModel)
 
@@ -92,7 +96,7 @@ COMPAT_CHANNEL_DICTS = [
     {"indicator": "supplementary", "guidance": "constant", "k": None,
      "weight": "own"}]
 COMPAT_LAYER_DICT = {"channels": COMPAT_CHANNEL_DICTS, "combine": "ada_add",
-                     "combine_weights": None, "ada_degree_column": True}
+                     "ada_degree_column": True}
 
 
 @pytest.mark.parametrize("structure_info, relu_variant, encoder, relu", [
@@ -181,6 +185,41 @@ def test_training_is_deterministic():
     assert a.test_accuracy == b.test_accuracy
     assert a.metadata == b.metadata
     assert a.test_predictions == b.test_predictions
+
+
+# One process: the sha256 of a fresh acmgcn model's logits and the loss
+# curve of a short compatgnn run on a seeded synthetic graph.
+BLAS_THREADS_PROBE = """
+import hashlib, json
+from compatgnn import (MessagePassingModel, RunConfig, build_preset,
+                       generate_graph, generate_splits, make_synth_spec,
+                       train_model)
+g = generate_graph(make_synth_spec(2000, 5, 0.2, "easy", 10.0, seed=3))
+logits = MessagePassingModel(build_preset("acmgcn"), g, seed=0).forward().logits.value
+run = train_model(g, generate_splits(g, 1, 0)[0],
+                  RunConfig(model="compatgnn", max_epochs=8, lambda_=0.1), seed=0)
+print(json.dumps({"logits": hashlib.sha256(logits.tobytes()).hexdigest(),
+                  "loss": run.loss_curve}))
+"""
+
+
+def test_runs_agree_across_blas_thread_counts(tmp_path):
+    """Runs are bit-identical per seed and BLAS thread count. Across thread
+    counts the forward products stay bitwise equal, but OpenBLAS may split
+    the reductions over nodes in the weight gradients differently, so the
+    loss curves agree within 1e-10."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out[threads] = json.loads(proc.stdout)
+    assert out["1"]["logits"] == out["2"]["logits"]
+    assert len(out["1"]["loss"]) == len(out["2"]["loss"]) == 8
+    np.testing.assert_allclose(out["1"]["loss"], out["2"]["loss"], rtol=0, atol=1e-10)
 
 
 def test_divergence_raises_with_partial_log():
