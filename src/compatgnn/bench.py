@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDiverged
 from .rng import derive_seed, make_rng
-from .training import RunConfig, RunResult, train_model
+from .mp import MODEL_NAMES
+from .training import PRESET_FIELDS, RunConfig, train_model
 
 SEARCH_SPACE = {
     "lr": [0.001, 0.005, 0.01, 0.05],
@@ -179,10 +180,12 @@ def degree_report(results, n_buckets=5):
 
 def sample_search_config(rng, base):
     """One draw from the hyperparameter search space, on top of `base`.
-    Only compatgnn reads lambda, so other models keep the base value."""
+    Only compatgnn reads lambda, and a model-spec file fixes the
+    PRESET_FIELDS, so a model that reads no key keeps its base value."""
     d = base.to_dict()
     for key, domain in SEARCH_SPACE.items():
-        if key == "lambda" and base.model != "compatgnn":
+        if (key == "lambda" and base.model != "compatgnn") or (
+                key in PRESET_FIELDS and base.model not in MODEL_NAMES):
             continue
         if isinstance(domain, tuple) and domain[0] == "uniform":
             d[key] = float(rng.uniform(domain[1], domain[2]))

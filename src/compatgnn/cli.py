@@ -23,22 +23,29 @@ from .graph import (Graph, generate_splits, load_dataset, load_splits,
                     save_dataset, save_splits)
 from .heatmap import cm_to_csv, cm_to_svg
 from .metrics import edge_homophily, node_homophily, observed_cm
-from .model import estimate_cm
 from .records import decode, read_json
 from .sparse import knn_feature_graph
 from .synth import PATTERNS, generate_graph, make_synth_spec, verify_graph
 from .training import RunConfig, RunResult, train_model
 
 
-def _add_global_flags(p):
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a bad argument: exit 2, one line on stderr
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def positive_int(text):
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
+def _add_run_flags(p):
     p.add_argument("--seed", type=int, default=None,
                    help="base random seed (default: the config file's, else 0)")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file of run-config fields (CLI flags override)")
     p.add_argument("--out", type=str, default=None, help="artifact directory")
-
-
-def _add_hyper_flags(p):
     p.add_argument("--model", type=str, default=None,
                    help="compatgnn, a preset name, or a model-spec JSON path")
     p.add_argument("--lr", type=float, default=None)
@@ -52,7 +59,6 @@ def _add_hyper_flags(p):
     p.add_argument("--relu-variant", type=int, choices=(0, 1), default=None)
     p.add_argument("--structure-info", type=int, choices=(0, 1), default=None)
     p.add_argument("--max-epochs", type=int, default=None)
-    p.add_argument("--max-hop", type=int, default=None)
 
 
 def _parse_split_ids(text):
@@ -84,7 +90,7 @@ def _build_config(args):
               if args.config else RunConfig())
     flags = {key: getattr(args, key, None) for key in (
         "model", "lr", "weight_decay", "patience", "dropout", "lambda_",
-        "layers", "nhidden", "max_epochs", "max_hop", "seed")}
+        "layers", "nhidden", "max_epochs", "seed")}
     for key in ("relu_variant", "structure_info"):
         if getattr(args, key, None) is not None:
             flags[key] = bool(getattr(args, key))
@@ -318,7 +324,7 @@ def cmd_cm(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="compatgnn",
         description="compatibility-matrix-aware graph learning toolkit")
     sub = top.add_subparsers(dest="command", required=True)
@@ -327,12 +333,13 @@ def build_parser():
     ds_sub = p_ds.add_subparsers(dest="subcommand", required=True)
     p = ds_sub.add_parser("inspect", help="summary statistics of a dataset")
     p.add_argument("path")
-    _add_global_flags(p)
+    p.add_argument("--out", help="artifact directory")
     p.set_defaults(func=cmd_dataset_inspect)
     p = ds_sub.add_parser("split", help="generate 48/32/20 node splits")
     p.add_argument("path")
-    p.add_argument("--n-splits", type=int, default=10)
-    _add_global_flags(p)
+    p.add_argument("--n-splits", type=positive_int, default=10)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", help="splits directory (default: the dataset's splits/)")
     p.set_defaults(func=cmd_dataset_split)
 
     p_syn = sub.add_parser("synth", help="synthetic graph generation")
@@ -346,38 +353,36 @@ def build_parser():
     p.add_argument("--degree", type=float, default=18)
     p.add_argument("--feature-dim", type=int, default=16)
     p.add_argument("--mean-separation", type=float, default=1.9)
-    p.add_argument("--n-splits", type=int, default=10)
-    _add_global_flags(p)
+    p.add_argument("--n-splits", type=positive_int, default=10)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", help="dataset directory")
     p.set_defaults(func=cmd_synth_gen)
 
     p = sub.add_parser("train", help="single training run")
     p.add_argument("--data", type=str, default=None)
     p.add_argument("--split", type=int, default=None)
-    _add_hyper_flags(p)
-    _add_global_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("bench", help="multi-split benchmark")
     p.add_argument("--data", type=str, default=None)
     p.add_argument("--splits", type=str, default=None,
                    help="split ids, e.g. '0-9' or '0,2,5'")
-    _add_hyper_flags(p)
-    _add_global_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("degree-report", help="accuracy by degree bucket")
     p.add_argument("--runs", type=str, required=True,
                    help="bench output directory or a single run.json")
-    p.add_argument("--buckets", type=int, default=5)
-    _add_global_flags(p)
+    p.add_argument("--buckets", type=positive_int, default=5)
+    p.add_argument("--out", help="artifact directory")
     p.set_defaults(func=cmd_degree_report)
 
     p = sub.add_parser("search", help="random hyperparameter search")
     p.add_argument("--data", type=str, default=None)
     p.add_argument("--splits", type=str, default=None)
-    p.add_argument("--budget", type=int, required=True)
-    _add_hyper_flags(p)
-    _add_global_flags(p)
+    p.add_argument("--budget", type=positive_int, required=True)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("cm", help="compatibility matrix artifacts (CSV + SVG)")
@@ -386,16 +391,15 @@ def build_parser():
                    default="observed")
     p.add_argument("--run", type=str, default=None,
                    help="run.json with an estimated matrix (estimated mode)")
-    p.add_argument("--knn-k", type=int, default=5)
-    _add_global_flags(p)
+    p.add_argument("--knn-k", type=positive_int, default=5)
+    p.add_argument("--out", help="artifact directory")
     p.set_defaults(func=cmd_cm)
     return top
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,11 +14,13 @@ supplementary/constant channel (PrototypeOperator).
 
 A ModelSpec is declarative data: json.dumps(spec.to_dict()) writes a
 spec file, and `--model spec.json` runs it (training.build_model reads
-it with records.read_json and ModelSpec.from_dict).
+it with records.read_json and ModelSpec.from_dict). Its field types
+declare the allowed values and validate() checks every rule.
 """
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,56 +36,66 @@ from .autodiff import (SparseMatrix, add, add_bias, concat_cols, constant,
 from .sparse import (add_self_loops, khop_adjacency, knn_feature_graph,
                      row_normalize, sym_normalize)
 
-INDICATOR_KINDS = ("identity", "raw", "raw_self_loop", "khop", "feature_knn",
-                   "supplementary")
-GUIDANCE_KINDS = ("identity", "deg_avg_row", "deg_avg_sym", "high_pass", "constant")
-COMBINE_KINDS = ("add", "ada_add", "cat")
-WEIGHT_KINDS = ("own", "identity")
-FUSE_KINDS = ("last", "cat", "ada_add")
-ENCODER_KINDS = ("linear", "structure")
 PRESETS = ("mlp", "gcn", "mixhop", "h2gcn", "gprgnn", "acmgcn")
 MODEL_NAMES = ("compatgnn",) + PRESETS
+
+# the guidance each indicator pairs with; any other pairs with AVERAGING
+PAIRINGS = {"identity": ("identity",), "supplementary": ("constant",)}
+AVERAGING = ("deg_avg_row", "deg_avg_sym", "high_pass")
+MIN_K = {"khop": 2, "feature_knn": 1}   # the least k; no other indicator takes k
+
+
+def check_allowed(spec):
+    """Each Literal field of the dataclass `spec` holds an allowed value."""
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if get_origin(f.type) is Literal and value not in get_args(f.type):
+            raise ConfigError(f"unknown {f.name} {value!r}; choose from "
+                              f"{get_args(f.type)}")
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """One (indicator, guidance, weight) triple.
+    """One (indicator, guidance, weight) triple; validate() holds the
+    pairing (PAIRINGS) and k (MIN_K) rules.
 
     weight: "own" for a fresh matrix W_r, "identity" for none (Z_r =
-    (A_r (.) B_r) Z). A supplementary/constant channel
-    is realized only by a model over prototype nodes, which binds it; any
-    other realization fails with a ConfigError.
+    (A_r (.) B_r) Z). A supplementary/constant channel is realized only
+    by a model over prototype nodes, which binds it.
     """
-    indicator: str
-    guidance: str
+    indicator: Literal["identity", "raw", "raw_self_loop", "khop", "feature_knn",
+                       "supplementary"]
+    guidance: Literal["identity", "deg_avg_row", "deg_avg_sym", "high_pass",
+                      "constant"]
     k: int | None = None
-    weight: str = "own"
+    weight: Literal["own", "identity"] = "own"
 
     def validate(self):
-        if self.indicator not in INDICATOR_KINDS:
-            raise ConfigError(f"unknown indicator {self.indicator!r}")
-        if self.guidance not in GUIDANCE_KINDS:
-            raise ConfigError(f"unknown guidance {self.guidance!r}")
-        if self.indicator in ("khop", "feature_knn") and (self.k is None or self.k < 1):
-            raise ConfigError(f"indicator {self.indicator!r} needs a positive k")
-        if self.weight not in WEIGHT_KINDS:
-            raise ConfigError(f"unknown channel weight {self.weight!r}; "
-                              f"choose from {WEIGHT_KINDS}")
+        check_allowed(self)
+        paired = PAIRINGS.get(self.indicator, AVERAGING)
+        if self.guidance not in paired:
+            raise ConfigError(f"indicator {self.indicator!r} pairs only with "
+                              f"guidance {paired}, got {self.guidance!r}")
+        min_k = MIN_K.get(self.indicator)
+        if min_k is None and self.k is not None:
+            raise ConfigError(f"indicator {self.indicator!r} takes no k, got {self.k}")
+        if min_k is not None and (self.k is None or self.k < min_k):
+            raise ConfigError(f"indicator {self.indicator!r} needs k >= {min_k}, "
+                              f"got {self.k}")
 
 
 @dataclass
 class LayerSpec:
     channels: list[ChannelSpec]
-    combine: str = "add"
+    combine: Literal["add", "ada_add", "cat"] = "add"
     ada_degree_column: bool = False
 
     def validate(self):
+        check_allowed(self)
         if not self.channels:
             raise ConfigError("layer needs at least one channel")
         for ch in self.channels:
             ch.validate()
-        if self.combine not in COMBINE_KINDS:
-            raise ConfigError(f"unknown combine {self.combine!r}")
 
 
 @dataclass
@@ -95,23 +107,35 @@ class ModelSpec:
     hidden_dim: int = 64
     dropout: float = 0.0
     relu_before_aggregate: bool = False
-    fuse: str = "last"
-    classifier: str = "linear"
-    encoder: str = "linear"
+    fuse: Literal["last", "cat", "ada_add"] = "last"
+    classifier: Literal["linear", "mlp"] = "linear"
+    encoder: Literal["linear", "structure"] = "linear"
 
     def validate(self):
+        check_allowed(self)
         if self.hidden_dim < 1:
             raise ConfigError("hidden_dim must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.fuse not in FUSE_KINDS:
-            raise ConfigError(f"unknown fuse {self.fuse!r}")
-        if self.classifier not in ("linear", "mlp"):
-            raise ConfigError(f"unknown classifier {self.classifier!r}")
-        if self.encoder not in ENCODER_KINDS:
-            raise ConfigError(f"unknown encoder {self.encoder!r}")
         for layer in self.layers:
             layer.validate()
+        self.widths()
+
+    def widths(self):
+        """(reps, fused): the encoder's and each layer's output width, and
+        the classifier's input width. Channels that are added (add,
+        ada_add) and reps fused by ada_add must be equally wide."""
+        reps = [self.hidden_dim]
+        for li, layer in enumerate(self.layers, start=1):
+            ch = [self.hidden_dim if c.weight == "own" else reps[-1]
+                  for c in layer.channels]
+            if layer.combine != "cat" and len(set(ch)) > 1:
+                raise ConfigError(f"layer {li}: combine {layer.combine!r} needs "
+                                  f"equal channel widths, got {ch}")
+            reps.append(sum(ch) if layer.combine == "cat" else ch[0])
+        if self.fuse == "ada_add" and len(set(reps)) > 1:
+            raise ConfigError(f"ada_add fuse needs equal layer widths, got {reps}")
+        return reps, sum(reps) if self.fuse == "cat" else reps[-1]
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -143,24 +167,21 @@ def realize_indicator(g, kind, k=None):
         return khop_adjacency(g, k)
     if kind == "feature_knn":
         return knn_feature_graph(g, k)
-    raise ConfigError(f"indicator {kind!r} cannot be realized without prototype context")
+    raise ConfigError("a supplementary channel needs prototype context: only a "
+                      "model over prototype nodes (model.CompatGNN) binds it")
 
 
 def realize_guidance(indicator, kind, n_nodes):
-    """Apply guidance over the indicator support; returns the fused product."""
+    """Guidance over the support of a pairing ChannelSpec accepts, bar
+    constant; returns the fused product, None for identity."""
     if kind == "identity":
-        if indicator is not None:
-            raise ConfigError("identity guidance pairs only with the identity indicator")
         return None
-    if indicator is None:
-        raise ConfigError(f"guidance {kind!r} needs a non-identity indicator")
     if kind == "deg_avg_row":
         return row_normalize(indicator)
     if kind == "deg_avg_sym":
         return sym_normalize(indicator)
-    if kind == "high_pass":
-        return (sp.eye(n_nodes, format="csr") - sym_normalize(indicator)).tocsr()
-    raise ConfigError(f"guidance {kind!r} cannot be realized without prototype context")
+    # high_pass
+    return (sp.eye(n_nodes, format="csr") - sym_normalize(indicator)).tocsr()
 
 
 class PrototypeOperator:
@@ -259,6 +280,7 @@ class MessagePassingModel:
         self.force_alpha = None
         rng = make_rng(seed, "params")
         d_r = spec.hidden_dim
+        reps, self.fused_width = spec.widths()
 
         self._operators = {}
         if prototypes is not None:
@@ -278,55 +300,30 @@ class MessagePassingModel:
             enc_in = 2 * d_r
         self.params["encoder.w"] = ad.tensor(
             glorot(rng, (enc_in, d_r)), requires_grad=True)
-        width = d_r
-        self._widths = [width]
         for li, layer in enumerate(spec.layers, start=1):
-            ch_widths = []
             for cj, ch in enumerate(layer.channels):
                 key = (ch.indicator, ch.guidance, ch.k)
                 if key not in self._operators:
                     self._operators[key] = realize_channel(graph, ch)
                 if ch.weight == "own":
                     self.params[f"layer{li}.ch{cj}.w"] = ad.tensor(
-                        glorot(rng, (width, d_r)), requires_grad=True)
-                    ch_widths.append(d_r)
-                else:  # identity
-                    ch_widths.append(width)
-            if layer.combine == "cat":
-                width = sum(ch_widths)
-            else:
-                if len(set(ch_widths)) > 1:
-                    raise ConfigError(
-                        f"combine {layer.combine!r} needs equal channel widths, "
-                        f"got {ch_widths}")
-                width = ch_widths[0]
-                if layer.combine == "ada_add":
-                    p = init_ada_params(rng, len(layer.channels), width,
-                                        layer.ada_degree_column)
-                    for k, v in p.items():
-                        self.params[f"layer{li}.ada.{k}"] = v
-            self._widths.append(width)
-
-        if spec.fuse == "cat":
-            fused_width = sum(self._widths)
-        elif spec.fuse == "last":
-            fused_width = self._widths[-1]
-        else:  # ada_add over layer outputs
-            if len(set(self._widths)) > 1:
-                raise ConfigError("ada_add fuse needs equal layer widths")
-            fused_width = self._widths[0]
-            n_reps = len(self._widths)
+                        glorot(rng, (reps[li - 1], d_r)), requires_grad=True)
+            if layer.combine == "ada_add":
+                p = init_ada_params(rng, len(layer.channels), reps[li],
+                                    layer.ada_degree_column)
+                for k, v in p.items():
+                    self.params[f"layer{li}.ada.{k}"] = v
+        if spec.fuse == "ada_add":
             self.params["fuse.gamma"] = ad.tensor(
-                np.full((n_reps, 1), 1.0 / n_reps), requires_grad=True)
-        self.fused_width = fused_width
+                np.full((len(reps), 1), 1.0 / len(reps)), requires_grad=True)
 
         k = self.n_classes
         if spec.classifier == "linear":
-            self.params["cla.w"] = ad.tensor(glorot(rng, (fused_width, k)),
+            self.params["cla.w"] = ad.tensor(glorot(rng, (self.fused_width, k)),
                                              requires_grad=True)
             self.params["cla.b"] = ad.tensor(np.zeros((1, k)), requires_grad=True)
         else:
-            self.params["cla.w1"] = ad.tensor(glorot(rng, (fused_width, d_r)),
+            self.params["cla.w1"] = ad.tensor(glorot(rng, (self.fused_width, d_r)),
                                               requires_grad=True)
             self.params["cla.b1"] = ad.tensor(np.zeros((1, d_r)), requires_grad=True)
             self.params["cla.w2"] = ad.tensor(glorot(rng, (d_r, k)), requires_grad=True)
@@ -415,7 +412,7 @@ class MessagePassingModel:
 # presets
 
 def build_preset(name, n_layers=2, hidden_dim=64, dropout=0.0,
-                 relu_before_aggregate=None, max_hop=2, classifier=None):
+                 relu_before_aggregate=None, classifier=None):
     """ModelSpec for a named architecture: a classic preset, or compatgnn,
     whose supplementary channel only a model.CompatGNN can bind. None
     takes the architecture's own relu placement and classifier."""
@@ -424,36 +421,31 @@ def build_preset(name, n_layers=2, hidden_dim=64, dropout=0.0,
     if n_layers < 0 or (n_layers == 0 and name != "mlp"):
         raise ConfigError(f"preset {name!r} needs n_layers >= 1")
 
-    def layer(channels, **kw):
-        return LayerSpec(channels=channels, **kw)
-
     relu_default = False
     classifier_default = "linear"
     if name == "mlp":
-        layers = [layer([ChannelSpec("identity", "identity")])
+        layers = [LayerSpec([ChannelSpec("identity", "identity")])
                   for _ in range(n_layers)]
         fuse = "last"
     elif name == "gcn":
-        layers = [layer([ChannelSpec("raw_self_loop", "deg_avg_sym")])
+        layers = [LayerSpec([ChannelSpec("raw_self_loop", "deg_avg_sym")])
                   for _ in range(n_layers)]
         fuse = "last"
     elif name == "mixhop":
-        if max_hop < 2:
-            raise ConfigError("mixhop needs max_hop >= 2")
+        # adjacency powers 0, 1 and 2, as MixHop (arXiv 1905.00067) mixes
         chans = [ChannelSpec("identity", "identity"),
-                 ChannelSpec("raw", "deg_avg_sym")]
-        chans += [ChannelSpec("khop", "deg_avg_sym", k=j)
-                  for j in range(2, max_hop + 1)]
-        layers = [layer(list(chans), combine="cat") for _ in range(n_layers)]
+                 ChannelSpec("raw", "deg_avg_sym"),
+                 ChannelSpec("khop", "deg_avg_sym", k=2)]
+        layers = [LayerSpec(list(chans), combine="cat") for _ in range(n_layers)]
         fuse = "last"
     elif name == "h2gcn":
         chans = [ChannelSpec("raw", "deg_avg_sym", weight="identity"),
                  ChannelSpec("khop", "deg_avg_sym", k=2, weight="identity")]
-        layers = [layer(list(chans), combine="cat") for _ in range(n_layers)]
+        layers = [LayerSpec(list(chans), combine="cat") for _ in range(n_layers)]
         fuse = "cat"
     elif name == "gprgnn":
-        layers = [layer([ChannelSpec("raw_self_loop", "deg_avg_sym",
-                                     weight="identity")])
+        layers = [LayerSpec([ChannelSpec("raw_self_loop", "deg_avg_sym",
+                                         weight="identity")])
                   for _ in range(n_layers)]
         fuse = "ada_add"
     elif name == "compatgnn":
@@ -462,7 +454,7 @@ def build_preset(name, n_layers=2, hidden_dim=64, dropout=0.0,
         chans = [ChannelSpec("identity", "identity"),
                  ChannelSpec("raw", "deg_avg_row"),
                  ChannelSpec("supplementary", "constant")]
-        layers = [layer(list(chans), combine="ada_add", ada_degree_column=True)
+        layers = [LayerSpec(list(chans), combine="ada_add", ada_degree_column=True)
                   for _ in range(n_layers)]
         fuse = "cat"
         classifier_default = "mlp"
@@ -470,7 +462,7 @@ def build_preset(name, n_layers=2, hidden_dim=64, dropout=0.0,
         chans = [ChannelSpec("identity", "identity"),
                  ChannelSpec("raw_self_loop", "deg_avg_sym"),
                  ChannelSpec("raw_self_loop", "high_pass")]
-        layers = [layer(list(chans), combine="ada_add") for _ in range(n_layers)]
+        layers = [LayerSpec(list(chans), combine="ada_add") for _ in range(n_layers)]
         fuse = "last"
         relu_default = True
 

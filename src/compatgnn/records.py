@@ -5,6 +5,7 @@
 import dataclasses
 import json
 import types
+import typing
 
 
 def read_json(path, error):
@@ -21,13 +22,16 @@ def read_json(path, error):
 def decode(cls, obj, error, where):
     """Dataclass `cls` from the JSON object `obj`; omitted keys take the
     field defaults. Each value must match its annotation: int, float (an
-    int is one too), bool (never an int or float), str, dict, list[T],
-    T | None or a dataclass. Otherwise `error` names `where` and the path:
+    int is one too), bool (never an int or float), str or a Literal of
+    strs, dict, list[T], T | None or a dataclass. Otherwise `error` names
+    `where` and the path:
     "malformed model spec: layers[0].channels[2].k: expected int, got str"."""
     def fail(path, problem):
         raise error(f"malformed {where}: {path + ': ' if path else ''}{problem}")
 
     def value(tp, v, path):
+        if typing.get_origin(tp) is typing.Literal:
+            tp = str
         if dataclasses.is_dataclass(tp):
             return record(tp, v, path)
         if isinstance(tp, types.UnionType):   # T | None

@@ -40,7 +40,6 @@ class RunConfig:
     relu_variant: bool | None = None
     structure_info: bool = False
     max_epochs: int = 1000
-    max_hop: int = 2
 
     def validate(self):
         if self.lr < 0 or self.weight_decay < 0 or self.lambda_ < 0:
@@ -71,6 +70,10 @@ class RunConfig:
         return decode(cls, d, ConfigError, where)
 
 
+# the RunConfig fields a preset is built from; a model-spec file fixes them
+PRESET_FIELDS = ("layers", "nhidden", "dropout", "relu_variant", "structure_info")
+
+
 def build_model(config, graph, seed):
     """Instantiate the model a RunConfig names: compatgnn or a classic
     preset, or a model-spec JSON path."""
@@ -78,16 +81,23 @@ def build_model(config, graph, seed):
     if name in MODEL_NAMES:
         spec = build_preset(name, n_layers=config.layers,
                             hidden_dim=config.nhidden, dropout=config.dropout,
-                            relu_before_aggregate=config.relu_variant,
-                            max_hop=config.max_hop)
+                            relu_before_aggregate=config.relu_variant)
         spec.encoder = "structure" if config.structure_info else "linear"
         if name == "compatgnn":
             return CompatGNN(spec, graph, seed=seed, dis_weight=config.lambda_)
         return MessagePassingModel(spec, graph, seed=seed)
     if name.endswith(".json") and os.path.exists(name):
+        ignored = [k for k in PRESET_FIELDS
+                   if getattr(config, k) != getattr(RunConfig(), k)]
+        if ignored:
+            raise ConfigError(f"model spec {name} fixes the model; it would "
+                              f"ignore {', '.join(ignored)}")
         spec = ModelSpec.from_dict(read_json(name, ConfigError),
                                    where=f"model spec {name}")
-        return MessagePassingModel(spec, graph, seed=seed)
+        try:
+            return MessagePassingModel(spec, graph, seed=seed)
+        except ConfigError as exc:
+            raise ConfigError(f"model spec {name}: {exc}") from None
     raise ConfigError(f"unknown model {name!r}: expected one of {MODEL_NAMES} "
                       "or a model-spec JSON path")
 
@@ -115,6 +125,12 @@ class RunResult:
     test_labels: list[int] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
     diverged: bool = False
+
+
+def blas_threads():
+    """OPENBLAS_NUM_THREADS when it holds a count, else one per CPU."""
+    value = os.environ.get("OPENBLAS_NUM_THREADS", "")
+    return int(value) if value.isdigit() and int(value) > 0 else os.cpu_count()
 
 
 def train_model(graph, split, config, seed, split_id=0, model=None):
@@ -150,7 +166,8 @@ def train_model(graph, split, config, seed, split_id=0, model=None):
                          test_idx=split.test.tolist(), test_predictions=[],
                          test_degrees=graph.degrees[split.test].tolist(),
                          test_labels=graph.labels[split.test].tolist(),
-                         metadata={}, diverged=diverged)
+                         metadata={"blas_threads": blas_threads()},
+                         diverged=diverged)
 
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()
@@ -196,4 +213,5 @@ def train_model(graph, split, config, seed, split_id=0, model=None):
         test_idx=split.test.tolist(), test_predictions=preds.tolist(),
         test_degrees=graph.degrees[split.test].tolist(),
         test_labels=graph.labels[split.test].tolist(),
-        metadata=model.run_metadata(), diverged=False)
+        metadata={**model.run_metadata(), "blas_threads": blas_threads()},
+        diverged=False)

@@ -13,7 +13,7 @@ import pytest
 from compatgnn import permute_graph
 from compatgnn import autodiff as ad
 from compatgnn.autodiff import SparseMatrix
-from compatgnn.bench import degree_report, run_bench
+from compatgnn.bench import run_bench
 from compatgnn.gradcheck import grad_check
 from compatgnn.graph import generate_splits, load_dataset, load_splits
 from compatgnn.metrics import observed_cm

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from compatgnn import NumericalError
 from compatgnn import autodiff as ad
-from compatgnn.autodiff import (SparseMatrix, Tensor, _acc, _acc_copy, add,
+from compatgnn.autodiff import (SparseMatrix, _acc, _acc_copy, add,
                                 add_bias, backward, concat_cols, constant,
                                 cosine, dropout, frozen, gather_rows, glorot,
                                 grad_of, hadamard,

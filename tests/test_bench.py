@@ -11,13 +11,11 @@ from compatgnn.bench import (SEARCH_SPACE, BenchReport, degree_report,
                              format_mean_std, random_search, run_bench,
                              sample_search_config, write_json_atomic,
                              write_text_atomic)
-from compatgnn.graph import generate_splits, load_dataset
+from compatgnn.graph import generate_splits
 from compatgnn.heatmap import cm_to_csv, cm_to_svg
 from compatgnn.rng import make_rng
 from compatgnn.synth import generate_graph, make_synth_spec
 from compatgnn.training import RunConfig, RunResult
-
-from util import make_graph
 
 
 @pytest.fixture(scope="module")

@@ -460,6 +460,18 @@ BAD_INPUTS = [
     ("features_f32_cols_past_ssize_t", _inspect_with_f32_header(40, 2**60), 3),
     ("synth_gen_out_not_a_dataset", _synth_gen_over_other_files, 2),
     ("seed_zero_overrides_config", _seed_flag_over_config, 0),
+    ("split_zero_splits", lambda tmp, ds: [
+        "dataset", "split", ds, "--n-splits", "0", "--out", str(tmp / "sp")], 2),
+    ("split_negative_splits", lambda tmp, ds: [
+        "dataset", "split", ds, "--n-splits", "-3", "--out", str(tmp / "sp")], 2),
+    ("synth_gen_zero_splits", lambda tmp, ds: [
+        "synth", "gen", "--nodes", "20", "--n-splits", "0", "--out", str(tmp / "d")], 2),
+    ("degree_report_zero_buckets", lambda tmp, ds: _degree_report_on()(tmp, ds)
+     + ["--buckets", "0"], 2),
+    ("cm_knn_zero_k", lambda tmp, ds: [
+        "cm", "--data", ds, "--mode", "knn", "--knn-k", "0", "--out", str(tmp / "cm")], 2),
+    ("search_zero_budget", lambda tmp, ds: [
+        "search", "--data", ds, "--budget", "0"] + run_quick([]), 2),
 ]
 
 
@@ -475,3 +487,86 @@ def test_bad_inputs_exit_codes(name, make_argv, code, dataset, tmp_path, capsys)
             assert str(tmp_path / file) in err
     else:
         assert json.load(open(tmp_path / "run" / "run.json"))["seed"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["dataset", "inspect", "DS", "--seed", "1"],
+    ["dataset", "inspect", "DS", "--config", "cfg.json"],
+    ["dataset", "split", "DS", "--config", "cfg.json"],
+    ["synth", "gen", "--config", "cfg.json"],
+    ["degree-report", "--runs", "DS", "--seed", "1"],
+    ["degree-report", "--runs", "DS", "--config", "cfg.json"],
+    ["cm", "--data", "DS", "--seed", "1"],
+    ["cm", "--data", "DS", "--config", "cfg.json"],
+], ids=lambda argv: "-".join(a for a in argv if a not in ("DS", "1", "cfg.json")))
+def test_subcommands_reject_flags_they_do_not_read(argv, dataset, tmp_path, capsys):
+    argv = [dataset if a == "DS" else a for a in argv] + ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "unrecognized arguments" in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# model-spec files: every rule ends in exit 2 with one line naming the file
+
+RAW = {"indicator": "raw", "guidance": "deg_avg_row"}
+SELF = {"indicator": "identity", "guidance": "identity"}
+CAT = {"channels": [RAW, SELF], "combine": "cat"}
+
+
+def _spec(*layers, **fields):
+    return dict({"layers": list(layers)}, hidden_dim=8, **fields)
+
+
+SPEC_RULES = [
+    ("unknown_indicator", _spec({"channels": [dict(RAW, indicator="full")]}), [],
+     "unknown indicator 'full'"),
+    ("unknown_weight", _spec({"channels": [dict(RAW, weight="shared")]}), [],
+     "unknown weight 'shared'"),
+    ("raw_identity", _spec({"channels": [dict(RAW, guidance="identity")]}), [],
+     "indicator 'raw' pairs only with"),
+    ("identity_deg_avg_row", _spec({"channels": [dict(SELF, guidance="deg_avg_row")]}),
+     [], "indicator 'identity' pairs only with"),
+    ("raw_constant", _spec({"channels": [dict(RAW, guidance="constant")]}), [],
+     "indicator 'raw' pairs only with"),
+    ("supplementary_in_plain_model", _spec({"channels": [
+        {"indicator": "supplementary", "guidance": "constant"}]}), [], "prototype"),
+    ("khop_k1", _spec({"channels": [dict(RAW, indicator="khop", k=1)]}), [],
+     "needs k >= 2"),
+    ("unequal_add_widths", _spec(CAT, {"channels": [RAW, dict(SELF, weight="identity")]}),
+     [], "equal channel widths, got [8, 16]"),
+    ("ada_add_fuse_unequal_widths", _spec(CAT, fuse="ada_add"), [],
+     "equal layer widths, got [8, 16]"),
+    ("preset_flags", _spec({"channels": [RAW]}),
+     ["--dropout", "0.5", "--layers", "7", "--nhidden", "3", "--relu-variant", "1",
+      "--structure-info", "1"],
+     "ignore layers, nhidden, dropout, relu_variant, structure_info"),
+]
+
+
+@pytest.mark.parametrize("spec, flags, problem", [rule[1:] for rule in SPEC_RULES],
+                         ids=[rule[0] for rule in SPEC_RULES])
+def test_spec_file_rule_exits_2_naming_the_file(spec, flags, problem, dataset,
+                                                tmp_path, capsys):
+    path = _write(tmp_path, "f.json", json.dumps(spec))
+    out = tmp_path / "run"
+    argv = ["train", "--data", dataset, "--model", path, "--max-epochs", "2",
+            "--out", str(out)]
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and path in err[0] and problem in err[0], err
+    assert not out.exists()
+
+
+def test_search_over_a_spec_file_keeps_its_model(dataset, tmp_path, capsys):
+    path = _write(tmp_path, "f.json", json.dumps(_spec({"channels": [RAW]})))
+    out = tmp_path / "search"
+    assert main(["search", "--data", dataset, "--model", path, "--budget", "2",
+                 "--max-epochs", "3", "--patience", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for line in (out / "leaderboard.jsonl").read_text().splitlines():
+        config = json.loads(line)["config"]
+        assert (config["layers"], config["nhidden"], config["dropout"],
+                config["relu_variant"], config["structure_info"]) == (
+                    2, 64, 0.0, None, False)

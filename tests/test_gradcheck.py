@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from compatgnn import NumericalError
-from compatgnn.autodiff import (Tensor, dropout, matmul, tensor, tsum,
-                                _result)
+from compatgnn.autodiff import dropout, matmul, tensor, tsum, _result
 from compatgnn.gradcheck import grad_check
 from compatgnn.rng import make_rng
 

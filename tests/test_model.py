@@ -12,7 +12,7 @@ from compatgnn.mp import MessagePassingModel, build_preset
 from compatgnn.rng import make_rng
 from compatgnn.sparse import row_normalize
 
-from util import make_graph, path3_forest, random_graph, triangle
+from util import make_graph, path3_forest, random_graph
 
 
 def two_triangles():

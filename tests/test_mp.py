@@ -5,7 +5,7 @@ import pytest
 
 from compatgnn import (ConfigError, Graph, NumericalError, generate_splits, mp,
                        permute_graph)
-from compatgnn.autodiff import backward, constant, spmm, tensor, zero_grads
+from compatgnn.autodiff import backward, constant, tensor, zero_grads
 from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
                           ModelSpec, PRESETS, aggregate, ada_combine,
                           ada_weights, build_preset, forced_alpha_tensor,
@@ -15,8 +15,7 @@ from compatgnn.rng import make_rng
 from compatgnn.sparse import add_self_loops, khop_adjacency, sym_normalize
 from compatgnn.training import RunConfig, train_model
 
-from util import (circulant, cubic12, make_graph, path3_forest, quartic12,
-                  random_graph)
+from util import cubic12, make_graph, path3_forest, quartic12, random_graph
 
 
 def dyadicize(model):
@@ -33,7 +32,7 @@ def test_channel_spec_validation():
         ChannelSpec("bogus", "deg_avg_row").validate()
     with pytest.raises(ConfigError, match="guidance"):
         ChannelSpec("raw", "bogus").validate()
-    with pytest.raises(ConfigError, match="positive k"):
+    with pytest.raises(ConfigError, match="k >= 2"):
         ChannelSpec("khop", "deg_avg_sym").validate()
     spec = ModelSpec(layers=[LayerSpec(
         channels=[ChannelSpec("supplementary", "constant")])])
@@ -41,10 +40,32 @@ def test_channel_spec_validation():
         MessagePassingModel(spec, quartic12())
 
 
+@pytest.mark.parametrize("indicator, guidance, k, problem", [
+    ("raw", "identity", None, "pairs only with"),
+    ("identity", "deg_avg_row", None, "pairs only with"),
+    ("raw", "constant", None, "pairs only with"),
+    ("supplementary", "deg_avg_row", None, "pairs only with"),
+    ("khop", "deg_avg_sym", 1, "k >= 2"),
+    ("feature_knn", "deg_avg_row", 0, "k >= 1"),
+    ("raw", "deg_avg_sym", 2, "takes no k"),
+])
+def test_channel_pairing_and_k_rules(indicator, guidance, k, problem):
+    with pytest.raises(ConfigError, match=problem):
+        ChannelSpec(indicator, guidance, k=k).validate()
+
+
+def test_ada_add_fuse_over_unequal_widths_fails_validate():
+    cat = LayerSpec(channels=[ChannelSpec("raw", "deg_avg_row"),
+                              ChannelSpec("identity", "identity")], combine="cat")
+    spec = ModelSpec(layers=[cat], hidden_dim=4, fuse="ada_add")
+    with pytest.raises(ConfigError, match=r"equal layer widths, got \[4, 8\]"):
+        spec.validate()
+
+
 def test_layer_spec_validation():
     with pytest.raises(ConfigError, match="at least one"):
         LayerSpec(channels=[]).validate()
-    with pytest.raises(ConfigError, match="channel weight 'g'"):
+    with pytest.raises(ConfigError, match="unknown weight 'g'"):
         LayerSpec(channels=[ChannelSpec("raw", "deg_avg_row", weight="g")]
                   ).validate()
     with pytest.raises(ConfigError, match="combine"):
@@ -63,8 +84,7 @@ def test_model_spec_validation():
 
 
 def test_model_spec_json_round_trip():
-    spec = build_preset("mixhop", n_layers=2, hidden_dim=32, dropout=0.25,
-                        max_hop=3)
+    spec = build_preset("mixhop", n_layers=2, hidden_dim=32, dropout=0.25)
     again = ModelSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert again.to_dict() == spec.to_dict()
     with pytest.raises(ConfigError, match="malformed"):
@@ -108,10 +128,7 @@ def test_realize_indicator_kinds():
 def test_realize_guidance_rules():
     g = quartic12()
     a = realize_indicator(g, "raw")
-    with pytest.raises(ConfigError, match="identity"):
-        realize_guidance(a, "identity", 12)
-    with pytest.raises(ConfigError, match="non-identity"):
-        realize_guidance(None, "deg_avg_row", 12)
+    assert realize_guidance(None, "identity", 12) is None
     row = realize_guidance(a, "deg_avg_row", 12)
     np.testing.assert_allclose(np.asarray(row.sum(axis=1)).ravel(), 1.0)
     hp = realize_guidance(a, "high_pass", 12).toarray()
@@ -222,8 +239,6 @@ def test_preset_rejects_unknown_and_bad_args():
         build_preset("gat")
     with pytest.raises(ConfigError, match="n_layers"):
         build_preset("gcn", n_layers=0)
-    with pytest.raises(ConfigError, match="max_hop"):
-        build_preset("mixhop", max_hop=1)
 
 
 def test_h2gcn_is_weightless_and_widths_double():
@@ -231,7 +246,7 @@ def test_h2gcn_is_weightless_and_widths_double():
     m = MessagePassingModel(build_preset("h2gcn", n_layers=2, hidden_dim=4), g)
     assert set(m.params) == {"encoder.w", "cla.w", "cla.b"}
     # widths: 4, then cat of two weightless copies each layer: 8, 16
-    assert m._widths == [4, 8, 16]
+    assert m.spec.widths() == ([4, 8, 16], 4 + 8 + 16)
     assert m.fused_width == 4 + 8 + 16
 
 
@@ -291,8 +306,7 @@ def test_mlp_preset_matches_dense_oracle_and_ignores_edges():
 
 def test_mixhop_preset_matches_dense_oracle():
     g = quartic12(seed=5)
-    m = MessagePassingModel(build_preset("mixhop", n_layers=1, hidden_dim=4,
-                                         max_hop=2), g)
+    m = MessagePassingModel(build_preset("mixhop", n_layers=1, hidden_dim=4), g)
     out = m.forward()
     s1 = sym_normalize(g.adjacency()).toarray()
     s2 = sym_normalize(khop_adjacency(g, 2)).toarray()

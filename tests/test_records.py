@@ -24,12 +24,12 @@ def test_run_config_round_trip():
     cfg = RunConfig(model="gcn", dataset="data/x", split_ids=[1, 3], seed=7,
                     lr=0.05, weight_decay=5e-4, patience=30, dropout=0.5,
                     lambda_=0.1, layers=3, nhidden=16, relu_variant=True,
-                    structure_info=True, max_epochs=20, max_hop=3)
+                    structure_info=True, max_epochs=20)
     assert round_trip(cfg) == cfg
 
 
 @pytest.mark.parametrize("spec", [
-    build_preset(name, n_layers=2, hidden_dim=8, dropout=0.25, max_hop=3)
+    build_preset(name, n_layers=2, hidden_dim=8, dropout=0.25)
     for name in PRESETS] + [
     dataclasses.replace(build_preset("compatgnn", hidden_dim=8), encoder=e)
     for e in ("linear", "structure")], ids=list(PRESETS) + ["compat", "compat-structure"])

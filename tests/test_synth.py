@@ -3,7 +3,6 @@ import pytest
 
 from compatgnn import ConfigError, DataError
 from compatgnn.metrics import CompatibilityMatrix, edge_homophily, observed_cm
-from compatgnn.rng import make_rng
 from compatgnn.synth import (PATTERNS, SynthSpec, balanced_labels,
                              build_target_cm, gaussian_features,
                              generate_graph, make_synth_spec, pairwise_tv,

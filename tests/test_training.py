@@ -14,7 +14,7 @@ from compatgnn.bench import write_json_atomic
 from compatgnn.cli import _read_run
 from compatgnn.gradcheck import grad_check
 from compatgnn.graph import Split, generate_splits
-from compatgnn.model import CompatGNN, estimate_cm
+from compatgnn.model import CompatGNN
 from compatgnn.mp import MODEL_NAMES, MessagePassingModel, build_preset
 from compatgnn.rng import make_rng
 from compatgnn.training import RunConfig, accuracy, build_model, train_model
@@ -237,6 +237,25 @@ def test_divergence_raises_with_partial_log():
     assert np.isnan(partial.test_accuracy)
     assert partial.test_idx == split.test.tolist()
     assert partial.config["lr"] == 1e80
+
+
+def test_runs_record_the_blas_thread_count(monkeypatch):
+    g = sbm_toy(30)
+    split = toy_split(g)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    done = train_model(g, split, RunConfig(model="gcn", nhidden=4, max_epochs=2),
+                       seed=0)
+    assert done.metadata == {"blas_threads": 3}
+    cfg = RunConfig(model="compatgnn", lr=1e80, max_epochs=5, nhidden=4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged) as exc:
+            train_model(g, split, cfg, seed=5)
+    assert exc.value.partial_result.metadata == {"blas_threads": 3}
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    done = train_model(g, split, RunConfig(model="compatgnn", nhidden=4, max_epochs=2),
+                       seed=0)
+    assert done.metadata["blas_threads"] == os.cpu_count()
+    assert "cm_estimate" in done.metadata
 
 
 # ---------------------------------------------------------------------------
