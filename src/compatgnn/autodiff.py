@@ -15,6 +15,11 @@ computed, and that array becomes the first gradient of its target, with
 no copy. Only a gradient passed through unchanged (by add, sub, add_bias
 and concat_cols) is copied first, so no two tensors share a .grad array.
 
+Two fused ops serve the adaptive channel combine, one tape node each:
+concat_matmul multiplies a column concatenation by a matrix block by
+block, never building the concatenation, and row_mix sums tensors
+weighted per row by the columns of a weight matrix.
+
 Sparse matrices enter only as constants on the left of spmm; gradients
 flow to the dense operand. Every forward output is checked finite so a
 NaN surfaces where it is born, not three layers later.
@@ -215,6 +220,37 @@ def row_scale(alpha, z):
     return _result(value, (alpha, z), bw, "row_scale")
 
 
+def row_mix(alpha, tensors):
+    """sum_r diag(alpha[:, r]) @ t_r: equally shaped tensors mixed per row
+    by the R columns of an N x R alpha. The terms are summed in order in
+    one array, bitwise what add(row_scale(...), ...) gives."""
+    tensors = list(tensors)
+    shape = tensors[0].shape
+    if any(t.shape != shape for t in tensors):
+        raise ValueError(f"row_mix needs equally shaped tensors, got "
+                         f"{[t.shape for t in tensors]}")
+    if alpha.shape != (shape[0], len(tensors)):
+        raise ValueError(f"row_mix needs ({shape[0]}, {len(tensors)}) alpha, "
+                         f"got {alpha.shape}")
+    a = alpha.value
+    value = tensors[0].value * a[:, 0:1]
+    tmp = np.empty_like(value)
+    for r, t in enumerate(tensors[1:], start=1):
+        np.multiply(t.value, a[:, r:r + 1], out=tmp)
+        value += tmp
+
+    def bw(g):
+        if alpha.requires_grad:
+            ga = np.empty_like(a)
+            for r, t in enumerate(tensors):
+                ga[:, r] = (g * t.value).sum(axis=1)
+            _acc(alpha, ga)
+        for r, t in enumerate(tensors):
+            if t.requires_grad:
+                _acc(t, g * a[:, r:r + 1])
+    return _result(value, (alpha, *tensors), bw, "row_mix")
+
+
 def scalar_scale(a, s):
     """Multiply by a 1 x 1 tensor scalar."""
     if s.shape != (1, 1):
@@ -296,6 +332,32 @@ def concat_cols(tensors):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             _acc_copy(t, g[:, lo:hi])
     return _result(value, tuple(tensors), bw, "concat_cols")
+
+
+def concat_matmul(tensors, w):
+    """concat_cols(tensors) @ w without the concatenation: the sum over
+    blocks of t_r @ w[rows of block r], each block a view of w."""
+    tensors = list(tensors)
+    n = tensors[0].shape[0]
+    if any(t.shape[0] != n for t in tensors):
+        raise ValueError("concat_matmul requires equal row counts")
+    widths = [t.shape[1] for t in tensors]
+    if sum(widths) != w.shape[0]:
+        raise ValueError(f"concat_matmul: {sum(widths)} concatenated columns "
+                         f"against a weight of shape {w.shape}")
+    offsets = np.cumsum([0] + widths)
+    blocks = [w.value[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+    value = tensors[0].value @ blocks[0]
+    for t, b in zip(tensors[1:], blocks[1:]):
+        value += t.value @ b
+
+    def bw(g):
+        for t, b in zip(tensors, blocks):
+            if t.requires_grad:
+                _acc(t, g @ b.T)
+        if w.requires_grad:
+            _acc(w, np.vstack([t.value.T @ g for t in tensors]))
+    return _result(value, (*tensors, w), bw, "concat_matmul")
 
 
 def slice_cols(a, start, stop):

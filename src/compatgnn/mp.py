@@ -30,9 +30,9 @@ from .graph import Graph
 from .records import decode
 from .rng import make_rng
 from . import autodiff as ad
-from .autodiff import (SparseMatrix, add, add_bias, concat_cols, constant,
-                       dropout, glorot, matmul, relu, row_scale, row_softmax,
-                       scalar_scale, sigmoid, slice_cols, slice_rows, spmm)
+from .autodiff import (SparseMatrix, add, add_bias, concat_cols, concat_matmul,
+                       constant, dropout, glorot, matmul, relu, row_mix,
+                       row_softmax, scalar_scale, sigmoid, slice_rows, spmm)
 from .sparse import (add_self_loops, khop_adjacency, knn_feature_graph,
                      row_normalize, sym_normalize)
 
@@ -227,18 +227,16 @@ def init_ada_params(rng, n_channels, width, degree_column):
 
 
 def ada_weights(channel_outs, extra_cols, p):
-    """Row-wise softmax channel weights from the concatenated channel outputs."""
-    att_in = concat_cols(list(channel_outs) + list(extra_cols))
-    h = sigmoid(add_bias(matmul(att_in, p["w_att"]), p["b_att"]))
+    """Row-wise softmax channel weights from the channel outputs and extra
+    columns, multiplied by w_att block by block (never concatenated)."""
+    s = concat_matmul(list(channel_outs) + list(extra_cols), p["w_att"])
+    h = sigmoid(add_bias(s, p["b_att"]))
     return row_softmax(add_bias(matmul(h, p["w_mix"]), p["b_mix"]))
 
 
 def ada_combine(channel_outs, alpha):
-    out = None
-    for r, z in enumerate(channel_outs):
-        term = row_scale(slice_cols(alpha, r, r + 1), z)
-        out = term if out is None else add(out, term)
-    return out
+    """sum_r alpha[:, r] * Z_r, one tape node over (alpha, *channel_outs)."""
+    return row_mix(alpha, channel_outs)
 
 
 def forced_alpha_tensor(force_alpha, n_rows):
@@ -371,7 +369,7 @@ class MessagePassingModel:
             return matmul(x, p["encoder.w"])
         zx = matmul(x, p["encoder.w_x"])
         za = spmm(self._structure, p["encoder.w_a"])
-        return matmul(concat_cols([zx, za]), p["encoder.w"])
+        return concat_matmul([zx, za], p["encoder.w"])
 
     def _classify(self, zf):
         p = self.params

@@ -8,7 +8,9 @@ its estimator state on the same improvement events, so the estimate in
 play always corresponds to the best parameters seen so far.
 """
 
+import ctypes
 import dataclasses
+import glob
 import os
 import time
 from dataclasses import dataclass, field
@@ -50,6 +52,8 @@ class RunConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.layers < 0 or self.nhidden < 1:
             raise ConfigError("layers must be >= 0 and nhidden >= 1")
+        if self.layers == 0 and self.model != "mlp":
+            raise ConfigError(f"model {self.model!r} needs layers >= 1")
         if not self.split_ids:
             raise ConfigError("split_ids must not be empty")
         if min(self.split_ids) < 0:
@@ -128,7 +132,18 @@ class RunResult:
 
 
 def blas_threads():
-    """OPENBLAS_NUM_THREADS when it holds a count, else one per CPU."""
+    """The size of the OpenBLAS pool numpy runs on, read from the library
+    numpy bundles: OpenBLAS fixes it when numpy is imported, so a later
+    change to OPENBLAS_NUM_THREADS has no effect. Without that library,
+    OPENBLAS_NUM_THREADS when it holds a count, else one per CPU."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        try:
+            count = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        count.argtypes, count.restype = [], ctypes.c_int
+        return count()
     value = os.environ.get("OPENBLAS_NUM_THREADS", "")
     return int(value) if value.isdigit() and int(value) > 0 else os.cpu_count()
 

@@ -5,13 +5,13 @@ import scipy.sparse as sp
 from compatgnn import NumericalError
 from compatgnn import autodiff as ad
 from compatgnn.autodiff import (SparseMatrix, _acc, _acc_copy, add,
-                                add_bias, backward, concat_cols, constant,
-                                cosine, dropout, frozen, gather_rows, glorot,
-                                grad_of, hadamard,
+                                add_bias, backward, concat_cols, concat_matmul,
+                                constant, cosine, dropout, frozen, gather_rows,
+                                glorot, grad_of, hadamard,
                                 l1_row_normalize, log, masked_cross_entropy,
-                                matmul, relu, row_scale, row_softmax, scale,
-                                scalar_scale, sigmoid, slice_cols, spmm, sub,
-                                tensor, tmean, tsum, zero_grads)
+                                matmul, relu, row_mix, row_scale, row_softmax,
+                                scale, scalar_scale, sigmoid, slice_cols, spmm,
+                                sub, tensor, tmean, tsum, zero_grads)
 from compatgnn.gradcheck import grad_check
 from compatgnn.rng import make_rng
 from compatgnn.sparse import row_normalize, sym_normalize
@@ -122,6 +122,14 @@ def test_shape_mismatches_raise():
         scalar_scale(a, rand_t((2, 1)))
     with pytest.raises(ValueError, match="bias"):
         add_bias(a, rand_t((1, 4)))
+    with pytest.raises(ValueError, match="row counts"):
+        concat_matmul([a, rand_t((3, 1))], rand_t((4, 2)))
+    with pytest.raises(ValueError, match="4 concatenated columns"):
+        concat_matmul([a, rand_t((2, 1))], rand_t((5, 2)))
+    with pytest.raises(ValueError, match="equally shaped"):
+        row_mix(rand_t((2, 2)), [a, rand_t((2, 4))])
+    with pytest.raises(ValueError, match=r"\(2, 2\) alpha"):
+        row_mix(rand_t((2, 3)), [a, a])
 
 
 def test_row_scale_and_scalar_scale_forward():
@@ -132,6 +140,19 @@ def test_row_scale_and_scalar_scale_forward():
     s = tensor([[3.0]], requires_grad=True)
     np.testing.assert_array_equal(scalar_scale(z, s).value,
                                   [[3.0, 6.0], [9.0, 12.0]])
+
+
+def test_fused_ops_match_their_unfused_chains():
+    a, b, d = rand_t((5, 3)), rand_t((5, 3)), rand_t((5, 1))
+    w = rand_t((7, 2))
+    np.testing.assert_allclose(concat_matmul([a, b, d], w).value,
+                               matmul(concat_cols([a, b, d]), w).value,
+                               rtol=0, atol=1e-14)
+    alpha = rand_t((5, 3))
+    chain = add(add(row_scale(slice_cols(alpha, 0, 1), a),
+                    row_scale(slice_cols(alpha, 1, 2), b)),
+                row_scale(slice_cols(alpha, 2, 3), a))
+    np.testing.assert_array_equal(row_mix(alpha, [a, b, a]).value, chain.value)
 
 
 def test_row_softmax_forward_and_stability():
@@ -260,9 +281,12 @@ def test_backward_releases_interior_gradients():
 
 
 # Each case: leaf shapes, a loss whose leaf gradients arrive only through
-# pass-through ops, and the dense reference gradients for the weights c.
+# pass-through ops, or through a fused op that derives them from one
+# upstream array (concat_matmul, row_mix), and the dense reference
+# gradients for the weights c.
 def _pass_through_cases():
-    c = make_rng(1, "pass-through").normal(size=(3, 5))
+    rng = make_rng(1, "pass-through")
+    c, m, mix = rng.normal(size=(3, 5)), rng.normal(size=(5, 5)), rng.random((3, 3))
     cw = lambda t: tsum(hadamard(t, constant(c)))
     full = (3, 5)
     return {
@@ -276,6 +300,12 @@ def _pass_through_cases():
         "concat_cols": ({"a": (3, 2), "b": (3, 1)},
                         lambda a, b: cw(concat_cols([a, b, a])),
                         {"a": c[:, :2] + c[:, 3:], "b": c[:, 2:3]}),
+        "concat_matmul": ({"a": (3, 2), "b": (3, 1)},
+                          lambda a, b: cw(concat_matmul([a, b, a], constant(m))),
+                          {"a": c @ m[:2].T + c @ m[3:].T, "b": c @ m[2:3].T}),
+        "row_mix": ({"a": full, "b": full},
+                    lambda a, b: cw(row_mix(constant(mix), [a, b, a])),
+                    {"a": c * mix[:, :1] + c * mix[:, 2:], "b": c * mix[:, 1:2]}),
     }
 
 
@@ -442,6 +472,33 @@ def test_grad_row_scale_scalar_scale():
     s = rand_t((1, 1), rng)
     check(lambda: tsum(scalar_scale(row_scale(alpha, z), s)),
           {"alpha": alpha, "z": z, "s": s})
+
+
+def test_grad_concat_matmul():
+    rng = make_rng(22, "g12")
+    a, b = rand_t((4, 3), rng), rand_t((4, 3), rng)
+    w, w4 = rand_t((7, 2), rng), rand_t((4, 2), rng)
+    deg = constant(rng.integers(1, 6, size=(4, 1)).astype(float))
+    # channel blocks, then an N x 1 degree block as the ada gate reads it
+    check(lambda: tsum(sigmoid(concat_matmul([a, b, deg], w))),
+          {"a": a, "b": b, "w": w})
+    # constant blocks only: the gradient reaches the weight alone
+    fixed = [constant(rng.normal(size=(4, 3))), deg]
+    check(lambda: tsum(sigmoid(concat_matmul(fixed, w4))), {"w4": w4})
+    assert all(t.grad is None for t in fixed)
+
+
+def test_grad_row_mix():
+    rng = make_rng(23, "g13")
+    a, b, alpha = rand_t((4, 3), rng), rand_t((4, 3), rng), rand_t((4, 3), rng)
+
+    def mixed(al):
+        return tsum(sigmoid(row_mix(al, [a, b, a])))
+    check(lambda: mixed(alpha), {"alpha": alpha, "a": a, "b": b})
+    # a forced alpha is a constant: the gradient reaches the channels only
+    forced = constant(np.repeat([[0.2, 0.5, 0.3]], 4, axis=0))
+    check(lambda: mixed(forced), {"a": a, "b": b})
+    assert forced.grad is None
 
 
 def test_grad_concat_slice_gather():

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -281,3 +282,23 @@ def test_cm_to_svg_skips_annotations_for_large_k():
     assert ">0.077<" not in svg
     rects = svg.count("<rect")
     assert rects == 13 * 13 + 1   # cells + background
+
+
+# ---------------------------------------------------------------------------
+# the traced benchmark wraps package functions by name
+
+def test_perfbench_tracer_targets_exist():
+    """Every function and method perfbench/spans.py wraps still exists, so
+    a rename cannot break only the traced benchmark run."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{home.__name__}.{name}" for home, name, _ in spans.FUNCTIONS
+               if not callable(getattr(home, name, None))]
+    missing += [f"{cls.__name__}.{name}" for cls, name, _ in spans.METHODS
+                if not callable(vars(cls).get(name))]
+    missing += [f"{cls.__name__}.forward" for cls, _ in spans.FORWARDS
+                if not callable(vars(cls).get("forward"))]
+    assert not missing, f"perfbench/spans.py wraps missing targets: {missing}"

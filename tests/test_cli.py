@@ -452,6 +452,8 @@ BAD_INPUTS = [
     ("meta_directed_string", _inspect_with_meta(directed="false"), 3),
     ("train_negative_split", lambda tmp, ds: [
         "train", "--data", ds, "--split", "-1"] + run_quick([]), 2),
+    ("train_zero_layers_before_the_data", lambda tmp, ds: [
+        "train", "--data", str(tmp / "missing")] + run_quick(["--layers", "0"]), 2),
     ("labels_int64_overflow",
      _inspect_with_line("labels.tsv", 4, "99999999999999999999"), 3),
     ("edges_int64_overflow",

@@ -5,6 +5,7 @@ import pytest
 
 from compatgnn import (ConfigError, Graph, NumericalError, generate_splits, mp,
                        permute_graph)
+from compatgnn import autodiff as ad
 from compatgnn.autodiff import backward, constant, tensor, zero_grads
 from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
                           ModelSpec, PRESETS, aggregate, ada_combine,
@@ -13,7 +14,8 @@ from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
                           realize_indicator)
 from compatgnn.rng import make_rng
 from compatgnn.sparse import add_self_loops, khop_adjacency, sym_normalize
-from compatgnn.training import RunConfig, train_model
+from compatgnn.model import estimate_cm
+from compatgnn.training import RunConfig, build_model, train_model
 
 from util import cubic12, make_graph, path3_forest, quartic12, random_graph
 
@@ -221,6 +223,32 @@ def test_ada_combine_with_forced_weights():
     half = forced_alpha_tensor((0.5, 0.5, 0.0), 4)
     np.testing.assert_allclose(ada_combine(outs, half).value,
                                0.5 * (outs[0].value + outs[1].value), atol=1e-15)
+
+
+def test_ada_combine_is_one_tape_node():
+    rng = make_rng(2, "ada")
+    outs = [tensor(rng.normal(size=(5, 3)), requires_grad=True) for _ in range(3)]
+    alpha = tensor(rng.random((5, 3)), requires_grad=True)
+    out = ada_combine(outs, alpha)
+    assert len(out.parents) == 4
+    assert all(p is q for p, q in zip(out.parents, [alpha, *outs]))
+
+
+def test_one_compatgnn_forward_records_no_slices_or_row_scales(monkeypatch):
+    g = random_graph(make_rng(6, "ada-ops"), 40, p=0.15)
+    model = build_model(RunConfig(model="compatgnn", layers=2, nhidden=8), g, seed=0)
+    train = generate_splits(g, 1, seed=0)[0].train
+    model.bind_prototypes(train)
+    soft = model.bootstrap_soft_labels(train)
+    model.set_estimate(estimate_cm(g, soft), soft)
+    ops, result = [], ad._result
+    monkeypatch.setattr(ad, "_result", lambda value, parents, bw, op:
+                        ops.append(op) or result(value, parents, bw, op))
+    model.forward(train=True)
+    assert "slice_cols" not in ops and "row_scale" not in ops
+    # per layer one gate product and one mix; the cat fuse is the one concat
+    assert ops.count("concat_matmul") == ops.count("row_mix") == 2
+    assert ops.count("concat_cols") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,11 @@ def test_runconfig_validation():
     for bad in (dict(lr=-1), dict(weight_decay=-0.1), dict(lambda_=-2),
                 dict(patience=0), dict(max_epochs=0), dict(dropout=1.0),
                 dict(layers=-1), dict(nhidden=0), dict(split_ids=[]),
-                dict(split_ids=[0, -1])):
+                dict(split_ids=[0, -1]), dict(layers=0)):
         with pytest.raises(ConfigError):
             RunConfig(**bad).validate()
     RunConfig().validate()
+    RunConfig(model="mlp", layers=0).validate()
 
 
 def test_build_model_paths(tmp_path):
@@ -187,6 +188,18 @@ def test_training_is_deterministic():
     assert a.test_predictions == b.test_predictions
 
 
+def run_probe(code, threads, cwd):
+    """The JSON that `code` prints in a fresh interpreter started with
+    OPENBLAS_NUM_THREADS=threads."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
 # One process: the sha256 of a fresh acmgcn model's logits and the loss
 # curve of a short compatgnn run on a seeded synthetic graph.
 BLAS_THREADS_PROBE = """
@@ -208,15 +221,8 @@ def test_runs_agree_across_blas_thread_counts(tmp_path):
     counts the forward products stay bitwise equal, but OpenBLAS may split
     the reductions over nodes in the weight gradients differently, so the
     loss curves agree within 1e-10."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    out = {}
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], cwd=tmp_path,
-                              env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        out[threads] = json.loads(proc.stdout)
+    out = {threads: run_probe(BLAS_THREADS_PROBE, threads, tmp_path)
+           for threads in ("1", "2")}
     assert out["1"]["logits"] == out["2"]["logits"]
     assert len(out["1"]["loss"]) == len(out["2"]["loss"]) == 8
     np.testing.assert_allclose(out["1"]["loss"], out["2"]["loss"], rtol=0, atol=1e-10)
@@ -239,23 +245,44 @@ def test_divergence_raises_with_partial_log():
     assert partial.config["lr"] == 1e80
 
 
-def test_runs_record_the_blas_thread_count(monkeypatch):
-    g = sbm_toy(30)
-    split = toy_split(g)
+BLAS_COUNT_PROBE = """
+import json, os
+import numpy as np
+from compatgnn import (RunConfig, TrainingDiverged, generate_graph, generate_splits,
+                       make_synth_spec, train_model)
+os.environ["OPENBLAS_NUM_THREADS"] = "3"   # after numpy's import: not in effect
+g = generate_graph(make_synth_spec(60, 2, 0.8, "easy", 4.0, seed=1, d_f=4))
+split = generate_splits(g, 1, 0)[0]
+done = train_model(g, split, RunConfig(model="compatgnn", nhidden=4, max_epochs=2), seed=0)
+with np.errstate(over="ignore", invalid="ignore"):
+    try:
+        train_model(g, split, RunConfig(model="gcn", lr=1e80, max_epochs=5, nhidden=4),
+                    seed=5)
+        diverged = None
+    except TrainingDiverged as exc:
+        diverged = exc.partial_result.metadata
+print(json.dumps({"done": done.metadata, "diverged": diverged}))
+"""
+
+
+def test_runs_record_the_blas_thread_count(tmp_path):
+    """The count in effect is the pool's size when numpy was imported, not
+    what OPENBLAS_NUM_THREADS says when train_model runs."""
+    out = run_probe(BLAS_COUNT_PROBE, "1", tmp_path)
+    assert out["done"]["blas_threads"] == 1
+    assert "cm_estimate" in out["done"]
+    assert out["diverged"] == {"blas_threads": 1}
+
+
+def test_blas_thread_count_falls_back_to_the_environment(monkeypatch):
+    """Without numpy's bundled OpenBLAS: OPENBLAS_NUM_THREADS, else one per CPU."""
+    monkeypatch.setattr(training.glob, "glob", lambda pattern: [])
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    done = train_model(g, split, RunConfig(model="gcn", nhidden=4, max_epochs=2),
-                       seed=0)
-    assert done.metadata == {"blas_threads": 3}
-    cfg = RunConfig(model="compatgnn", lr=1e80, max_epochs=5, nhidden=4)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDiverged) as exc:
-            train_model(g, split, cfg, seed=5)
-    assert exc.value.partial_result.metadata == {"blas_threads": 3}
+    assert training.blas_threads() == 3
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
+    assert training.blas_threads() == os.cpu_count()
     monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    done = train_model(g, split, RunConfig(model="compatgnn", nhidden=4, max_epochs=2),
-                       seed=0)
-    assert done.metadata["blas_threads"] == os.cpu_count()
-    assert "cm_estimate" in done.metadata
+    assert training.blas_threads() == os.cpu_count()
 
 
 # ---------------------------------------------------------------------------
