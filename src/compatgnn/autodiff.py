@@ -15,10 +15,11 @@ computed, and that array becomes the first gradient of its target, with
 no copy. Only a gradient passed through unchanged (by add, sub, add_bias
 and concat_cols) is copied first, so no two tensors share a .grad array.
 
-Two fused ops serve the adaptive channel combine, one tape node each:
-concat_matmul multiplies a column concatenation by a matrix block by
-block, never building the concatenation, and row_mix sums tensors
-weighted per row by the columns of a weight matrix.
+Two fused ops, one tape node each, serve the adaptive channel combine
+and the classifier: concat_matmul multiplies a column concatenation by
+a matrix block by block, never building the concatenation, and row_mix
+sums tensors weighted per row by the columns of a weight matrix, in
+cache-sized row blocks.
 
 Sparse matrices enter only as constants on the left of spmm; gradients
 flow to the dense operand. Every forward output is checked finite so a
@@ -220,10 +221,19 @@ def row_scale(alpha, z):
     return _result(value, (alpha, z), bw, "row_scale")
 
 
+_BLOCK_ROWS = 2048   # rows per block of row_mix: its temporary stays in cache
+
+
+def _row_blocks(n):
+    return ((lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
+
+
 def row_mix(alpha, tensors):
     """sum_r diag(alpha[:, r]) @ t_r: equally shaped tensors mixed per row
-    by the R columns of an N x R alpha. The terms are summed in order in
-    one array, bitwise what add(row_scale(...), ...) gives."""
+    by the R columns of an N x R alpha. Forward and backward walk blocks of
+    _BLOCK_ROWS rows with one block-sized temporary, writing each block of
+    the results in place; every entry is summed in the order
+    add(row_scale(...), ...) sums it, so the results are bitwise equal."""
     tensors = list(tensors)
     shape = tensors[0].shape
     if any(t.shape != shape for t in tensors):
@@ -233,21 +243,31 @@ def row_mix(alpha, tensors):
         raise ValueError(f"row_mix needs ({shape[0]}, {len(tensors)}) alpha, "
                          f"got {alpha.shape}")
     a = alpha.value
-    value = tensors[0].value * a[:, 0:1]
-    tmp = np.empty_like(value)
-    for r, t in enumerate(tensors[1:], start=1):
-        np.multiply(t.value, a[:, r:r + 1], out=tmp)
-        value += tmp
+    value = np.empty(shape)
+    tmp = np.empty((min(_BLOCK_ROWS, shape[0]), shape[1]))
+    for lo, hi in _row_blocks(shape[0]):
+        v, buf = value[lo:hi], tmp[:hi - lo]
+        np.multiply(tensors[0].value[lo:hi], a[lo:hi, 0:1], out=v)
+        for r, t in enumerate(tensors[1:], start=1):
+            np.multiply(t.value[lo:hi], a[lo:hi, r:r + 1], out=buf)
+            v += buf
 
     def bw(g):
-        if alpha.requires_grad:
-            ga = np.empty_like(a)
-            for r, t in enumerate(tensors):
-                ga[:, r] = (g * t.value).sum(axis=1)
+        ga = np.empty_like(a) if alpha.requires_grad else None
+        gts = [np.empty(shape) if t.requires_grad else None for t in tensors]
+        for lo, hi in _row_blocks(shape[0]):
+            gb, buf = g[lo:hi], tmp[:hi - lo]
+            for r, (t, gt) in enumerate(zip(tensors, gts)):
+                if ga is not None:
+                    np.multiply(gb, t.value[lo:hi], out=buf)
+                    ga[lo:hi, r] = buf.sum(axis=1)
+                if gt is not None:
+                    np.multiply(gb, a[lo:hi, r:r + 1], out=gt[lo:hi])
+        if ga is not None:
             _acc(alpha, ga)
-        for r, t in enumerate(tensors):
-            if t.requires_grad:
-                _acc(t, g * a[:, r:r + 1])
+        for t, gt in zip(tensors, gts):
+            if gt is not None:
+                _acc(t, gt)
     return _result(value, (alpha, *tensors), bw, "row_mix")
 
 

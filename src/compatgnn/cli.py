@@ -70,9 +70,12 @@ def _parse_split_ids(text):
         if "-" in part[1:]:
             lo, hi = part.split("-", 1)
             try:
-                ids.extend(range(int(lo), int(hi) + 1))
+                lo, hi = int(lo), int(hi)
             except ValueError:
                 raise ConfigError(f"bad split range {part!r}") from None
+            if hi < lo:
+                raise ConfigError(f"bad split range {part!r}")
+            ids.extend(range(lo, hi + 1))
         else:
             try:
                 ids.append(int(part))

@@ -15,7 +15,7 @@ operator, the discrimination loss, and the split of the N+K-row output
 into real and prototype rows.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from .graph import Graph
 from .metrics import (CompatibilityMatrix, l1_normalize_rows,
                       semantic_neighborhood)
 from . import autodiff as ad
-from .autodiff import (add, constant, cosine, gather_rows, matmul, scale,
-                       slice_rows)
-from .mp import MessagePassingModel, PrototypeOperator
+from .autodiff import (add, concat_cols, constant, cosine, gather_rows, matmul,
+                       scale, slice_rows)
+from .mp import ForwardOutput, MessagePassingModel, PrototypeOperator
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +230,14 @@ class CompatGNN(MessagePassingModel):
             raise ConfigError("model state not initialized: call bind_prototypes() "
                               "and set_estimate() first")
         out = super().forward(train=train, rng=rng)
-        n = self.real_graph.n_nodes
-        real = [slice_rows(t, 0, n) for t in [out.logits, out.fused] + out.reps]
-        return ModelOutput(logits=real[0], fused=real[1], reps=real[2:],
-                           proto_fused=slice_rows(out.fused, n, n + self.n_classes))
+        n, k = self.real_graph.n_nodes, self.n_classes
+        # a cat fuse's blocks are the reps: slice each tensor once
+        real = {id(t): slice_rows(t, 0, n) for t in out.reps + out.blocks}
+        return ModelOutput(
+            logits=slice_rows(out.logits, 0, n),
+            blocks=[real[id(t)] for t in out.blocks],
+            reps=[real[id(t)] for t in out.reps],
+            proto_fused=concat_cols([slice_rows(t, n, n + k) for t in out.blocks]))
 
     # -- losses ---------------------------------------------------------------
 
@@ -278,13 +282,11 @@ class CompatGNN(MessagePassingModel):
 
 
 @dataclass
-class ModelOutput:
+class ModelOutput(ForwardOutput):
     """The real rows of the N+K-row forward, plus the prototype rows of
-    the fused representation that the discrimination loss reads."""
-    logits: object
-    fused: object
+    the fused representation (K rows, concatenated) that the
+    discrimination loss reads."""
     proto_fused: object
-    reps: list = field(default_factory=list)
 
 
 def _softmax_rows(x):

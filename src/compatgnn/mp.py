@@ -249,9 +249,16 @@ def forced_alpha_tensor(force_alpha, n_rows):
 
 @dataclass
 class ForwardOutput:
+    """logits, the layer reps, and `blocks`: the fuse's output as column
+    blocks, which the classifier multiplies block by block. `fused`, their
+    concatenation, is built only when read."""
     logits: object
-    fused: object
+    blocks: list
     reps: list
+
+    @property
+    def fused(self):
+        return concat_cols(self.blocks)
 
 
 class MessagePassingModel:
@@ -351,16 +358,18 @@ class MessagePassingModel:
         return ada_combine(outs, alpha)
 
     def _fuse(self, reps):
+        """The fused representation as column blocks: cat keeps every rep
+        as its own block, so nothing concatenates them."""
         if self.spec.fuse == "last":
-            return reps[-1]
+            return [reps[-1]]
         if self.spec.fuse == "cat":
-            return concat_cols(reps)
+            return list(reps)
         gamma = self.params["fuse.gamma"]
         z = None
         for l, rep in enumerate(reps):
             term = scalar_scale(rep, ad.gather_rows(gamma, [l]))
             z = term if z is None else add(z, term)
-        return z
+        return [z]
 
     def _encode(self):
         p = self.params
@@ -371,11 +380,11 @@ class MessagePassingModel:
         za = spmm(self._structure, p["encoder.w_a"])
         return concat_matmul([zx, za], p["encoder.w"])
 
-    def _classify(self, zf):
+    def _classify(self, blocks):
         p = self.params
         if self.spec.classifier == "linear":
-            return add_bias(matmul(zf, p["cla.w"]), p["cla.b"])
-        h = relu(add_bias(matmul(zf, p["cla.w1"]), p["cla.b1"]))
+            return add_bias(concat_matmul(blocks, p["cla.w"]), p["cla.b"])
+        h = relu(add_bias(concat_matmul(blocks, p["cla.w1"]), p["cla.b1"]))
         return add_bias(matmul(h, p["cla.w2"]), p["cla.b2"])
 
     def forward(self, train=False, rng=None):
@@ -396,8 +405,8 @@ class MessagePassingModel:
                 raise NumericalError(f"layer {li}: {exc}") from exc
             reps.append(zl)
             z = zl
-        zf = self._fuse(reps)
-        return ForwardOutput(logits=self._classify(zf), fused=zf, reps=reps)
+        blocks = self._fuse(reps)
+        return ForwardOutput(logits=self._classify(blocks), blocks=blocks, reps=reps)
 
     def loss(self, out, train_idx):
         return ad.masked_cross_entropy(out.logits, self.graph.labels, train_idx)

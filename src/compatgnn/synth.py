@@ -15,6 +15,7 @@ realized; for K < 4 no symmetric constant-diagonal pattern other than
 hard exists and easy degenerates to it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,12 +83,15 @@ class SynthSpec:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.features = np.asarray(self.features, dtype=np.float64)
         k = self.target_cm.k
+        if self.labels.size == 0:
+            raise ConfigError("a synthetic graph needs at least one node")
         if self.labels.min() < 0 or self.labels.max() >= k:
             raise ConfigError(f"labels must lie in [0, {k})")
         if len(self.features) != len(self.labels):
             raise ConfigError("features and labels disagree on node count")
-        if self.mean_degree <= 0:
-            raise ConfigError("mean_degree must be positive")
+        if not math.isfinite(self.mean_degree) or self.mean_degree <= 0:
+            raise ConfigError(f"mean_degree must be finite and positive, "
+                              f"got {self.mean_degree}")
 
 
 def gaussian_features(labels, k, d_f, mean_separation, seed):

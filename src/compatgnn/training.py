@@ -11,6 +11,7 @@ play always corresponds to the best parameters seen so far.
 import ctypes
 import dataclasses
 import glob
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -44,8 +45,10 @@ class RunConfig:
     max_epochs: int = 1000
 
     def validate(self):
-        if self.lr < 0 or self.weight_decay < 0 or self.lambda_ < 0:
-            raise ConfigError("lr, weight_decay and lambda must be non-negative")
+        for name, value in (("lr", self.lr), ("weight_decay", self.weight_decay),
+                            ("lambda", self.lambda_)):
+            if not math.isfinite(value) or value < 0:
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         if self.patience < 1 or self.max_epochs < 1:
             raise ConfigError("patience and max_epochs must be positive")
         if not 0.0 <= self.dropout < 1.0:

@@ -155,6 +155,43 @@ def test_fused_ops_match_their_unfused_chains():
     np.testing.assert_array_equal(row_mix(alpha, [a, b, a]).value, chain.value)
 
 
+def _grads_under(loss_of, leaves, upstream):
+    """Gradients of the leaves when `upstream` flows into loss_of()'s output."""
+    zero_grads(leaves)
+    backward(tsum(hadamard(loss_of(), constant(upstream))))
+    return [grad_of(t).copy() for t in leaves]
+
+
+def test_row_mix_in_row_blocks_is_bitwise_the_unblocked_chain():
+    n = 2 * ad._BLOCK_ROWS + 1
+    rng = make_rng(30, "row-blocks")
+    a, b, alpha = rand_t((n, 5), rng), rand_t((n, 5), rng), rand_t((n, 3), rng)
+    upstream = rng.normal(size=(n, 5))
+
+    def chain():
+        return add(add(row_scale(slice_cols(alpha, 0, 1), a),
+                       row_scale(slice_cols(alpha, 1, 2), b)),
+                   row_scale(slice_cols(alpha, 2, 3), a))
+
+    def mixed():
+        return row_mix(alpha, [a, b, a])
+    np.testing.assert_array_equal(mixed().value, chain().value)
+    for got, want in zip(_grads_under(mixed, [alpha, a, b], upstream),
+                         _grads_under(chain, [alpha, a, b], upstream), strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_concat_matmul_over_one_block_is_bitwise_matmul():
+    rng = make_rng(31, "one-block")
+    x, w = rand_t((9, 4), rng), rand_t((4, 3), rng)
+    upstream = rng.normal(size=(9, 3))
+    np.testing.assert_array_equal(concat_matmul([x], w).value, matmul(x, w).value)
+    for got, want in zip(_grads_under(lambda: concat_matmul([x], w), [x, w], upstream),
+                         _grads_under(lambda: matmul(x, w), [x, w], upstream),
+                         strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_row_softmax_forward_and_stability():
     a = tensor([[1.0, 2.0, 3.0], [1e4, 1e4 + 1.0, 1e4 - 2.0]])
     out = row_softmax(a).value

@@ -38,6 +38,8 @@ def test_parse_split_ids():
     assert _parse_split_ids("3") == [3]
     with pytest.raises(ConfigError, match="bad split"):
         _parse_split_ids("a-b")
+    with pytest.raises(ConfigError, match="bad split range '3-1'"):
+        _parse_split_ids("0,3-1")
     with pytest.raises(ConfigError, match="no split ids"):
         _parse_split_ids(",")
 
@@ -397,6 +399,17 @@ def _seed_flag_over_config(tmp, ds):
              "--out", str(tmp / "run")] + run_quick(["--max-epochs", "1"]))
 
 
+def _train_missing_data_with(flag, value):
+    """compatgnn training on a missing dataset: a bad value exits before the read."""
+    return lambda tmp, ds: (["train", "--data", str(tmp / "missing")]
+                            + run_quick(["--model", "compatgnn", flag, value]))
+
+
+def _synth_gen_with(flag, value):
+    return lambda tmp, ds: ["synth", "gen", "--nodes", "20", flag, value,
+                            "--out", str(tmp / "d")]
+
+
 BAD_INPUTS = [
     ("inspect_without_edges", _dir_without_edges, 3),
     ("degree_report_bad_json", lambda tmp, ds: [
@@ -474,6 +487,14 @@ BAD_INPUTS = [
         "cm", "--data", ds, "--mode", "knn", "--knn-k", "0", "--out", str(tmp / "cm")], 2),
     ("search_zero_budget", lambda tmp, ds: [
         "search", "--data", ds, "--budget", "0"] + run_quick([]), 2),
+    *[(f"train_{flag[2:]}_{value}_before_the_data", _train_missing_data_with(flag, value), 2)
+      for flag, value in (("--lr", "nan"), ("--lr", "inf"), ("--weight-decay", "nan"),
+                          ("--lambda", "nan"), ("--lambda", "inf"))],
+    ("synth_gen_zero_nodes", _synth_gen_with("--nodes", "0"), 2),
+    ("synth_gen_degree_nan", _synth_gen_with("--degree", "nan"), 2),
+    ("synth_gen_degree_inf", _synth_gen_with("--degree", "inf"), 2),
+    ("bench_reversed_split_range", lambda tmp, ds: [
+        "bench", "--data", ds, "--splits", "0,3-1"] + run_quick([]), 2),
 ]
 
 

@@ -36,7 +36,7 @@ def ready_model(g, train_idx, seed=0, dis_weight=0.0, **spec_kw):
 
 
 def fake_output(zp):
-    return ModelOutput(logits=None, fused=None,
+    return ModelOutput(logits=None, blocks=[], reps=[],
                        proto_fused=ad.tensor(np.asarray(zp, dtype=np.float64)))
 
 

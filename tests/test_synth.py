@@ -72,8 +72,11 @@ def test_spec_validation():
         SynthSpec(cm, [0, 1, 2, 3], feats, 4.0)
     with pytest.raises(ConfigError, match="node count"):
         SynthSpec(cm, [0, 1, 2], feats, 4.0)
-    with pytest.raises(ConfigError, match="mean_degree"):
-        SynthSpec(cm, [0, 1, 2, 0], feats, 0.0)
+    for degree in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="mean_degree"):
+            SynthSpec(cm, [0, 1, 2, 0], feats, degree)
+    with pytest.raises(ConfigError, match="at least one node"):
+        SynthSpec(cm, [], feats[:0], 4.0)
 
 
 def test_balanced_labels_and_features():

@@ -10,6 +10,7 @@ import pytest
 
 from compatgnn import ConfigError, TrainingDiverged
 from compatgnn import training
+from compatgnn.autodiff import Tensor
 from compatgnn.bench import write_json_atomic
 from compatgnn.cli import _read_run
 from compatgnn.gradcheck import grad_check
@@ -17,6 +18,7 @@ from compatgnn.graph import Split, generate_splits
 from compatgnn.model import CompatGNN
 from compatgnn.mp import MODEL_NAMES, MessagePassingModel, build_preset
 from compatgnn.rng import make_rng
+from compatgnn.synth import generate_graph, make_synth_spec
 from compatgnn.training import RunConfig, accuracy, build_model, train_model
 
 from util import make_graph
@@ -361,6 +363,25 @@ def test_params_require_grad_again_after_an_eval_forward_raises():
     with pytest.raises(TrainingDiverged, match="epoch 0: non-finite value produced by matmul"):
         train_model(g, toy_split(g), cfg, seed=9, model=model)
     assert all(p.requires_grad for p in model.params.values())
+
+
+def test_a_compatgnn_epoch_never_builds_the_fused_concat(monkeypatch):
+    """The cat fuse reaches the classifier as column blocks: no tensor of
+    one train_model epoch is as wide as the concatenated fuse over more
+    than the K prototype rows."""
+    g = generate_graph(make_synth_spec(3000, 5, 0.2, "easy", 6.0, seed=2))
+    split = generate_splits(g, 1, seed=2)[0]
+    config = RunConfig(model="compatgnn", lambda_=0.1, max_epochs=1)
+    model = build_model(config, g, seed=0)
+    shapes, init = set(), Tensor.__init__
+
+    def recording_init(t, *args, **kwargs):
+        init(t, *args, **kwargs)
+        shapes.add(t.shape)
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    train_model(g, split, config, seed=0, model=model)
+    assert (g.n_nodes + g.n_classes, config.nhidden) in shapes
+    assert not [s for s in shapes if s[0] > g.n_classes and s[1] == model.fused_width]
 
 
 # ---------------------------------------------------------------------------
