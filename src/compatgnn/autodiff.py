@@ -4,6 +4,9 @@ Minimal tape: each Tensor remembers its parents and a closure that
 scatters the upstream gradient to them. backward() toposorts from the
 loss and runs closures in reverse order. Only nodes reachable from a
 requires_grad leaf participate; everything else is treated as constant.
+backward() consumes the tape: it frees each node's parents and closure
+as it passes the node, so only the intermediates a caller holds outlive
+it. A second backward through a consumed node raises ValueError.
 
 Evaluation records no tape: inside `with frozen(params):` the given
 leaves require no grad, so every op over them keeps no parents and no
@@ -505,11 +508,8 @@ def tmean(a):
 # ---------------------------------------------------------------------------
 # backward pass
 
-def backward(loss):
-    """Populate .grad on every requires_grad leaf reachable from `loss`;
-    interior nodes release theirs once it has been passed on."""
-    if loss.value.size != 1:
-        raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
+def _toposort(loss):
+    # the requires_grad nodes reachable from loss, each after its parents
     topo = []
     seen = set()
     stack = [(loss, False)]
@@ -525,11 +525,26 @@ def backward(loss):
         for p in node.parents:
             if id(p) not in seen and p.requires_grad:
                 stack.append((p, False))
+    return topo
+
+
+def _consumed(g):
+    raise ValueError("backward through a tape an earlier backward consumed")
+
+
+def backward(loss):
+    """Populate .grad on every requires_grad leaf reachable from `loss`;
+    each interior node drops its gradient, parents and closure once passed."""
+    if loss.value.size != 1:
+        raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
+    topo = _toposort(loss)
     loss.grad = np.ones_like(loss.value)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-            node.grad = None
+    while topo:
+        node = topo.pop()
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad, node.parents, node._backward = None, (), _consumed
 
 
 def _leaves(params):

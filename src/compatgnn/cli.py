@@ -19,8 +19,8 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericalError, TrainingDiverged
 from .bench import (degree_report, random_search, run_bench, write_json_atomic,
                     write_text_atomic)
-from .graph import (Graph, generate_splits, load_dataset, load_splits,
-                    save_dataset, save_splits)
+from .graph import (Graph, _split_index, generate_splits, load_dataset,
+                    load_splits, save_dataset, save_splits)
 from .heatmap import cm_to_csv, cm_to_svg
 from .metrics import edge_homophily, node_homophily, observed_cm
 from .records import decode, read_json
@@ -106,6 +106,10 @@ def _build_config(args):
     config = dataclasses.replace(
         config, **{k: v for k, v in flags.items() if v is not None})
     config.validate()
+    # run_bench repeats a repeated id's identical run; a command trains each split once
+    repeated = sorted({i for i in config.split_ids if config.split_ids.count(i) > 1})
+    if repeated:
+        raise ConfigError(f"split ids {repeated} repeat in {config.split_ids}")
     return config
 
 
@@ -152,7 +156,14 @@ def cmd_dataset_split(args):
     g = load_dataset(args.path)
     splits = generate_splits(g, args.n_splits, args.seed or 0)
     out = args.out or os.path.join(args.path, "splits")
-    save_splits(splits, out)
+    if os.path.exists(out):
+        if not os.path.isdir(out):
+            raise DataError(f"{out} is not a splits directory")
+        stray = [name for name in sorted(os.listdir(out)) if _split_index(name) is None
+                 or not os.path.isfile(os.path.join(out, name))]
+        if stray:
+            raise DataError(f"{out} holds {stray[0]!r}, which is not a split file")
+    _replace_dir(os.path.abspath(out), lambda new: save_splits(splits, new))
     s = splits[0]
     print(f"wrote {len(splits)} splits to {out} "
           f"(train/valid/test = {len(s.train)}/{len(s.valid)}/{len(s.test)})")
@@ -174,7 +185,12 @@ def cmd_synth_gen(args):
     g = generate_graph(spec)
     splits = generate_splits(g, args.n_splits, seed)
     report = verify_graph(g, spec)
-    _write_dataset_dir(out, g, splits, report)
+
+    def fill(new):
+        save_dataset(g, new)
+        save_splits(splits, os.path.join(new, "splits"))
+        write_json_atomic(os.path.join(new, "verify.json"), report)
+    _replace_dir(out, fill)
     print(f"generated {g.n_nodes} nodes, {g.n_edges} edges "
           f"(mean degree {report['mean_degree']:.2f})")
     print(f"edge homophily {report['edge_homophily']:.3f} "
@@ -183,28 +199,30 @@ def cmd_synth_gen(args):
     return 0
 
 
-def _write_dataset_dir(out, g, splits, report):
-    """Build the dataset directory in a staging directory beside `out`, then
-    rename it to `out`, replacing the dataset there. A failure at any step
-    leaves `out` as it was and removes the staging directory."""
+def _replace_dir(out, fill):
+    """Have fill(path) build a directory in a staging directory beside
+    `out`, then rename it to `out`, replacing what is there. A failure at
+    any step leaves `out` as it was and removes the staging directory; an
+    OSError exits 3."""
     parent, name = os.path.split(out)
-    os.makedirs(parent, exist_ok=True)
-    stage = tempfile.mkdtemp(prefix=f".{name}.", dir=parent)
-    new, old = os.path.join(stage, "new"), os.path.join(stage, "old")
     try:
-        save_dataset(g, new)
-        save_splits(splits, os.path.join(new, "splits"))
-        write_json_atomic(os.path.join(new, "verify.json"), report)
-        if os.path.exists(out):
-            os.rename(out, old)
+        os.makedirs(parent, exist_ok=True)
+        stage = tempfile.mkdtemp(prefix=f".{name}.", dir=parent)
+        new, old = os.path.join(stage, "new"), os.path.join(stage, "old")
         try:
-            os.rename(new, out)
-        except OSError:
-            if os.path.exists(old):
-                os.rename(old, out)
-            raise
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+            fill(new)
+            if os.path.exists(out):
+                os.rename(out, old)
+            try:
+                os.rename(new, out)
+            except OSError:
+                if os.path.exists(old):
+                    os.rename(old, out)
+                raise
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
+    except OSError as exc:
+        raise DataError(f"could not write {out}: {exc}") from None
 
 
 def cmd_train(args):

@@ -151,15 +151,11 @@ def _edges_to_csr(n_nodes, e):
     """Dedup an edge array into sorted CSR (indptr, indices)."""
     if len(e) == 0:
         return np.zeros(n_nodes + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    order = np.lexsort((e[:, 1], e[:, 0]))
-    e = e[order]
-    keep = np.ones(len(e), dtype=bool)
-    keep[1:] = np.any(e[1:] != e[:-1], axis=1)
-    e = e[keep]
+    key = np.sort(e[:, 0] * n_nodes + e[:, 1])   # one int64 per (u, v), row-major
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, e[:, 0] + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, e[:, 1].copy()
+    np.cumsum(np.bincount(key // n_nodes, minlength=n_nodes), out=indptr[1:])
+    return indptr, key % n_nodes
 
 
 def permute_graph(g, perm):
@@ -330,10 +326,6 @@ class Split:
         all_idx = np.concatenate([self.train, self.valid, self.test])
         if len(np.unique(all_idx)) != len(all_idx):
             raise DataError("split parts overlap")
-
-    @property
-    def n_total(self):
-        return len(self.train) + len(self.valid) + len(self.test)
 
 
 def generate_splits(g, n_splits, seed):

@@ -317,6 +317,20 @@ def test_backward_releases_interior_gradients():
     np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
 
 
+def test_backward_consumes_its_tape():
+    x = tensor([[1.0, 2.0]], requires_grad=True)
+    h = scale(x, 3.0)
+    loss = tsum(h)
+    backward(loss)
+    assert h.parents == () and loss.parents == ()
+    assert x._backward is None           # leaves are left alone
+    with pytest.raises(ValueError, match="an earlier backward consumed"):
+        backward(loss)
+    with pytest.raises(ValueError, match="an earlier backward consumed"):
+        backward(tsum(h))
+    np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
+
+
 # Each case: leaf shapes, a loss whose leaf gradients arrive only through
 # pass-through ops, or through a fused op that derives them from one
 # upstream array (concat_matmul, row_mix), and the dense reference

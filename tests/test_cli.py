@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from compatgnn import ConfigError, knn_feature_graph, load_dataset
+from compatgnn import ConfigError, knn_feature_graph, load_dataset, save_splits
 from compatgnn.cli import _build_config, _parse_split_ids, build_parser, main
 
 
@@ -42,6 +42,11 @@ def test_parse_split_ids():
         _parse_split_ids("0,3-1")
     with pytest.raises(ConfigError, match="no split ids"):
         _parse_split_ids(",")
+    assert _parse_split_ids("0-2,1") == [0, 1, 2, 1]
+    for text, repeated in (("0,0", r"\[0\]"), ("0-2,1", r"\[1\]"), ("3,1-3,1", r"\[1, 3\]")):
+        args = build_parser().parse_args(["bench", "--splits", text])
+        with pytest.raises(ConfigError, match=rf"split ids {repeated} repeat"):
+            _build_config(args)
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -121,7 +126,7 @@ def _tree(path):
 
 @pytest.mark.parametrize("writer", ["compatgnn.graph.write_features_f32",
                                     "compatgnn.cli.save_splits"])
-def test_failed_dataset_write_leaves_out_as_it_was(writer, tmp_path, monkeypatch):
+def test_failed_dataset_write_leaves_out_as_it_was(writer, tmp_path, monkeypatch, capsys):
     def gen(out, nodes):
         return main(["synth", "gen", "--nodes", nodes, "--degree", "4",
                      "--n-splits", "2", "--out", str(out)])
@@ -134,10 +139,65 @@ def test_failed_dataset_write_leaves_out_as_it_was(writer, tmp_path, monkeypatch
     before = _tree(kept)
     monkeypatch.setattr(writer, fail)
     for out in (fresh, kept):
-        with pytest.raises(OSError, match="disk full"):
-            gen(out, "40")
+        assert gen(out, "40") == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "disk full" in err[0]
     assert sorted(os.listdir(tmp_path)) == ["kept"]     # no staging directory
     assert _tree(kept) == before
+
+
+def _split_set(ds, n_splits, seed):
+    return main(["dataset", "split", str(ds), "--n-splits", str(n_splits),
+                 "--seed", str(seed)])
+
+
+def test_dataset_split_replaces_the_whole_set(dataset, tmp_path):
+    ds = tmp_path / "ds"
+    shutil.copytree(dataset, ds)
+    assert _split_set(ds, 10, 3) == 0
+    assert _split_set(ds, 5, 7) == 0
+    assert sorted(os.listdir(ds / "splits")) == [f"split_{i}.json" for i in range(5)]
+    assert sorted(os.listdir(ds)) == sorted(os.listdir(dataset))
+
+
+def _split_2_a_directory(ds, monkeypatch):
+    os.remove(ds / "splits" / "split_2.json")
+    (ds / "splits" / "split_2.json").mkdir()
+    (ds / "splits" / "split_2.json" / "note").write_text("kept")
+
+
+def _fail_after_writing(ds, monkeypatch):
+    def save_then_fail(splits, path):
+        save_splits(splits[:2], path)
+        raise OSError("disk full")
+    monkeypatch.setattr("compatgnn.cli.save_splits", save_then_fail)
+
+
+def _fail_rename_into_place(ds, monkeypatch):
+    rename = os.rename
+
+    def refuse_new(src, dst):
+        if os.path.basename(src) == "new":
+            raise OSError("rename refused")
+        rename(src, dst)
+    monkeypatch.setattr(os, "rename", refuse_new)
+
+
+@pytest.mark.parametrize("break_it", [_split_2_a_directory, _fail_after_writing,
+                                      _fail_rename_into_place])
+def test_failed_dataset_split_leaves_the_old_set(break_it, dataset, tmp_path,
+                                                 monkeypatch, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(dataset, ds)
+    assert _split_set(ds, 10, 3) == 0
+    break_it(ds, monkeypatch)
+    before, entries = _tree(ds), sorted(os.listdir(ds))
+    capsys.readouterr()
+    assert _split_set(ds, 5, 7) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    assert _tree(ds) == before
+    assert sorted(os.listdir(ds)) == entries     # no staging directory
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +555,13 @@ BAD_INPUTS = [
     ("synth_gen_degree_inf", _synth_gen_with("--degree", "inf"), 2),
     ("bench_reversed_split_range", lambda tmp, ds: [
         "bench", "--data", ds, "--splits", "0,3-1"] + run_quick([]), 2),
+    ("bench_repeated_split_id", lambda tmp, ds: [
+        "bench", "--data", ds, "--splits", "0,0"] + run_quick([]), 2),
+    ("bench_overlapping_split_ranges", lambda tmp, ds: [
+        "bench", "--data", ds, "--splits", "0-2,1"] + run_quick([]), 2),
+    ("bench_split_ids_repeated_in_config_file", lambda tmp, ds: [
+        "bench", "--data", ds, "--config",
+        _write(tmp, "cfg.json", json.dumps({"split_ids": [1, 0, 1]}))] + run_quick([]), 2),
 ]
 
 

@@ -9,7 +9,8 @@ import pytest
 from compatgnn import (DataError, Graph, generate_splits, load_dataset,
                        load_split, load_splits, permute_graph, save_dataset,
                        save_splits)
-from compatgnn.graph import _read_tsv_ints, read_features_f32, write_features_f32
+from compatgnn.graph import (_edges_to_csr, _read_tsv_ints, read_features_f32,
+                             write_features_f32)
 
 from util import make_graph, path4, random_graph
 from compatgnn.rng import make_rng
@@ -174,6 +175,14 @@ def test_from_edges_dedups_and_drops_self_loops():
     assert not np.any(g.indices == np.repeat(np.arange(3), np.diff(g.indptr)))
 
 
+def test_edges_to_csr_matches_sorted_unique_pairs():
+    e = make_rng(5, "csr").integers(0, 30, size=(400, 2))
+    indptr, indices = _edges_to_csr(31, e)
+    pairs = sorted(set(map(tuple, e.tolist())))
+    assert indices.tolist() == [v for _, v in pairs]
+    assert np.diff(indptr).tolist() == [sum(u == i for u, _ in pairs) for i in range(31)]
+
+
 @pytest.mark.parametrize("directed", [False, True])
 def test_from_edges_array_matches_list(directed):
     pairs = [(2, 0), (0, 1), (1, 0), (2, 0), (1, 1), (3, 2)]
@@ -263,7 +272,7 @@ def test_split_proportions_within_one_node(n):
     assert abs(len(s.train) - 0.48 * n) <= 1
     assert abs(len(s.valid) - 0.32 * n) <= 1
     assert abs(len(s.test) - 0.20 * n) <= 1
-    assert s.n_total == n
+    assert len(s.train) + len(s.valid) + len(s.test) == n
 
 
 def test_splits_deterministic_per_seed_and_id():

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from compatgnn.gradcheck import grad_check
 from compatgnn.mp import MessagePassingModel, build_preset
 from compatgnn.rng import make_rng
 from compatgnn.sparse import row_normalize
+from compatgnn.synth import generate_graph, make_synth_spec
 
 from util import make_graph, path3_forest, random_graph
 
@@ -523,3 +526,33 @@ def test_full_loss_gradient_check(structure_info):
                     structure_info=structure_info, seed=10)
     report = grad_check(lambda: m.loss(m.forward(), train), m.params)
     assert report.ok(1e-4), f"max rel err {report.max_rel_err:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# the tape of a train forward
+
+def test_backward_frees_the_train_tape_and_keeps_its_gradients():
+    g = generate_graph(make_synth_spec(3000, 5, 0.2, "easy", 10, 1, d_f=16))
+    train = np.arange(0, g.n_nodes, 2)
+    kept, m = (ready_model(g, train, hidden_dim=16, dis_weight=0.1, seed=4)
+               for _ in range(2))
+
+    # the backward that keeps its tape: the same node order, nothing cleared
+    kept_loss = kept.loss(kept.forward(train=True), train)
+    kept_loss.grad = np.ones_like(kept_loss.value)
+    for node in reversed(ad._toposort(kept_loss)):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+            node.grad = None
+
+    out = m.forward(train=True)
+    loss = m.loss(out, train)
+    held = {id(a) for t in (loss, out.logits, out.proto_fused, *out.blocks, *out.reps)
+            for a in (t.value, t.value.base)}
+    interior = [weakref.ref(t.value) for t in ad._toposort(loss)
+                if t._backward is not None and id(t.value) not in held]
+    assert len(interior) > 50 and all(r() is not None for r in interior)
+    ad.backward(loss)
+    assert [r for r in interior if r() is not None] == []   # out and loss still held
+    for name, p in m.params.items():
+        assert ad.grad_of(p).tobytes() == ad.grad_of(kept.params[name]).tobytes(), name
