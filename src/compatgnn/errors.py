@@ -2,6 +2,7 @@
 
 Each class maps to a CLI exit code so failures stay diagnosable from
 shell scripts: ConfigError -> 2, DataError -> 3, NumericalError -> 4.
+cli.main exits with `exit_code` and prefixes the message with `label`.
 """
 
 
@@ -9,18 +10,21 @@ class ConfigError(ValueError):
     """Bad configuration: unknown names, out-of-domain values, malformed specs."""
 
     exit_code = 2
+    label = "config error"
 
 
 class DataError(ValueError):
     """Bad data: malformed files, shape mismatches, label range violations."""
 
     exit_code = 3
+    label = "data error"
 
 
 class NumericalError(ArithmeticError):
     """Numerical failure: NaN/Inf in a forward pass, divergence, bad gradients."""
 
     exit_code = 4
+    label = "numerical failure"
 
 
 class TrainingDiverged(NumericalError):

@@ -11,8 +11,8 @@ The network is a point in the message-passing algebra of mp.py: the
 compatgnn preset (mp.build_preset) over the N real nodes followed by the
 K prototypes as isolated extra nodes. This module holds what the algebra
 does not: the prototypes, the estimator that rebinds the supplementary
-operator, the discrimination loss, and the split of the N+K-row output
-into real and prototype rows.
+operator and the discrimination loss. Its forward returns the N real
+rows' logits and the fuse's blocks over all N+K rows, the prototypes last.
 """
 
 from dataclasses import dataclass
@@ -23,10 +23,9 @@ from .errors import ConfigError, DataError
 from .graph import Graph
 from .metrics import (CompatibilityMatrix, l1_normalize_rows,
                       semantic_neighborhood)
-from . import autodiff as ad
 from .autodiff import (add, concat_cols, constant, cosine, gather_rows, matmul,
-                       scale, slice_rows)
-from .mp import ForwardOutput, MessagePassingModel, PrototypeOperator
+                       row_softmax, scale, slice_rows)
+from .mp import MessagePassingModel, PrototypeOperator
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +183,6 @@ class CompatGNN(MessagePassingModel):
         # estimator state, refreshed by the training protocol
         self.prototypes = None      # K x d_f ndarray
         self.cm = None              # CMEstimate
-        self.sup_guidance = None    # N x K ndarray
 
     # -- estimator state ----------------------------------------------------
 
@@ -210,34 +208,31 @@ class CompatGNN(MessagePassingModel):
 
     def set_estimate(self, est, soft_labels):
         self.cm = est
-        self.sup_guidance = supplementary_guidance(soft_labels, est.matrix)
-        self._supplementary.block = constant(np.vstack([self.sup_guidance,
-                                                        est.matrix.m]))
+        self._supplementary.block = constant(np.vstack([
+            supplementary_guidance(soft_labels, est.matrix), est.matrix.m]))
+
+    def _pin_train_rows(self, soft, train_idx):
+        """soft with its training rows set to their one-hot labels, in place."""
+        train_idx = np.asarray(train_idx, dtype=np.int64)
+        soft[train_idx] = 0.0
+        soft[train_idx, self.real_graph.labels[train_idx]] = 1.0
+        return soft
 
     def bootstrap_soft_labels(self, train_idx):
         """Uniform rows everywhere except ground-truth one-hot training rows."""
         n, k = self.real_graph.n_nodes, self.n_classes
-        c_hat = np.full((n, k), 1.0 / k)
-        train_idx = np.asarray(train_idx, dtype=np.int64)
-        c_hat[train_idx] = 0.0
-        c_hat[train_idx, self.real_graph.labels[train_idx]] = 1.0
-        return c_hat
+        return self._pin_train_rows(np.full((n, k), 1.0 / k), train_idx)
 
     # -- forward ------------------------------------------------------------
 
     def forward(self, train=False, rng=None):
-        if self.prototypes is None or self.sup_guidance is None:
+        """The real rows' logits; the blocks keep all N+K rows."""
+        if self.prototypes is None or self._supplementary.block is None:
             raise ConfigError("model state not initialized: call bind_prototypes() "
                               "and set_estimate() first")
         out = super().forward(train=train, rng=rng)
-        n, k = self.real_graph.n_nodes, self.n_classes
-        # a cat fuse's blocks are the reps: slice each tensor once
-        real = {id(t): slice_rows(t, 0, n) for t in out.reps + out.blocks}
-        return ModelOutput(
-            logits=slice_rows(out.logits, 0, n),
-            blocks=[real[id(t)] for t in out.blocks],
-            reps=[real[id(t)] for t in out.reps],
-            proto_fused=concat_cols([slice_rows(t, n, n + k) for t in out.blocks]))
+        out.logits = slice_rows(out.logits, 0, self.real_graph.n_nodes)
+        return out
 
     # -- losses ---------------------------------------------------------------
 
@@ -245,11 +240,13 @@ class CompatGNN(MessagePassingModel):
         """Sum of pairwise cosine similarities between the prototypes' desired
         messages (ordered pairs, i != j). Lower means the compatibility rows
         route distinguishable signals."""
-        v = matmul(constant(self.cm.matrix.m), out.proto_fused)
+        n, k = self.real_graph.n_nodes, self.n_classes
+        protos = concat_cols([slice_rows(b, n, n + k) for b in out.blocks])
+        v = matmul(constant(self.cm.matrix.m), protos)
         total = None
-        for i in range(self.n_classes):
+        for i in range(k):
             vi = gather_rows(v, [i])
-            for j in range(i + 1, self.n_classes):
+            for j in range(i + 1, k):
                 c = cosine(vi, gather_rows(v, [j]))
                 total = c if total is None else add(total, c)
         if total is None:
@@ -257,17 +254,15 @@ class CompatGNN(MessagePassingModel):
         return scale(total, 2.0)   # ordered pairs: each unordered pair twice
 
     def loss(self, out, train_idx):
-        ce = ad.masked_cross_entropy(out.logits, self.real_graph.labels, train_idx)
+        # the N+K graph's labels index the same training rows
+        ce = super().loss(out, train_idx)
         if not self.dis_enabled:
             return ce
         return add(ce, scale(self.discrimination_loss(out), self.dis_weight))
 
     def on_validation_improved(self, eval_out, train_idx, epoch):
         """Refresh soft labels, the estimate, and the guidance matrices."""
-        soft = _softmax_rows(eval_out.logits.value)
-        train_idx = np.asarray(train_idx, dtype=np.int64)
-        soft[train_idx] = 0.0
-        soft[train_idx, self.real_graph.labels[train_idx]] = 1.0
+        soft = self._pin_train_rows(row_softmax(eval_out.logits).value, train_idx)
         est = estimate_cm(self.real_graph, soft, epoch=epoch)
         self.set_estimate(est, soft)
 
@@ -280,15 +275,3 @@ class CompatGNN(MessagePassingModel):
                                  "max": float(g.max())},
         }
 
-
-@dataclass
-class ModelOutput(ForwardOutput):
-    """The real rows of the N+K-row forward, plus the prototype rows of
-    the fused representation (K rows, concatenated) that the
-    discrimination loss reads."""
-    proto_fused: object
-
-
-def _softmax_rows(x):
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)

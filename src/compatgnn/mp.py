@@ -249,16 +249,11 @@ def forced_alpha_tensor(force_alpha, n_rows):
 
 @dataclass
 class ForwardOutput:
-    """logits, the layer reps, and `blocks`: the fuse's output as column
-    blocks, which the classifier multiplies block by block. `fused`, their
-    concatenation, is built only when read."""
+    """logits, and `blocks`: the fuse's output as column blocks, which the
+    classifier multiplies block by block. A cat fuse's blocks are the
+    layer reps, the encoder output first."""
     logits: object
     blocks: list
-    reps: list
-
-    @property
-    def fused(self):
-        return concat_cols(self.blocks)
 
 
 class MessagePassingModel:
@@ -406,7 +401,7 @@ class MessagePassingModel:
             reps.append(zl)
             z = zl
         blocks = self._fuse(reps)
-        return ForwardOutput(logits=self._classify(blocks), blocks=blocks, reps=reps)
+        return ForwardOutput(logits=self._classify(blocks), blocks=blocks)
 
     def loss(self, out, train_idx):
         return ad.masked_cross_entropy(out.logits, self.graph.labels, train_idx)

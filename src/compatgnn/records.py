@@ -40,7 +40,11 @@ def decode(cls, obj, error, where):
         if isinstance(tp, types.GenericAlias):   # list[T]
             if not isinstance(v, list):
                 fail(path, f"expected list, got {type(v).__name__}")
-            return [value(tp.__args__[0], x, f"{path}[{i}]") for i, x in enumerate(v)]
+            item = tp.__args__[0]
+            # split files hold long int lists: take them as json.load made them
+            if item in (int, float, str) and all(type(x) is item for x in v):
+                return v
+            return [value(item, x, f"{path}[{i}]") for i, x in enumerate(v)]
         if not isinstance(v, (int, float) if tp is float else tp) or (
                 isinstance(v, bool) and tp is not bool):
             fail(path, f"expected {tp.__name__}, got {type(v).__name__}")

@@ -176,15 +176,15 @@ def train_model(graph, split, config, seed, split_id=0, model=None):
     wait = 0
     val_curve, loss_curve, epoch_ms, refresh_epochs = [], [], [], []
 
-    def partial(diverged):
+    def result(test_accuracy, test_predictions, metadata, diverged):
         return RunResult(config=config.to_dict(), seed=seed, split_id=split_id,
                          best_epoch=best_epoch, val_curve=list(val_curve),
-                         loss_curve=list(loss_curve), test_accuracy=float("nan"),
+                         loss_curve=list(loss_curve), test_accuracy=test_accuracy,
                          epoch_ms=list(epoch_ms), refresh_epochs=list(refresh_epochs),
-                         test_idx=split.test.tolist(), test_predictions=[],
+                         test_idx=split.test.tolist(), test_predictions=test_predictions,
                          test_degrees=graph.degrees[split.test].tolist(),
                          test_labels=graph.labels[split.test].tolist(),
-                         metadata={"blas_threads": blas_threads()},
+                         metadata={**metadata, "blas_threads": blas_threads()},
                          diverged=diverged)
 
     for epoch in range(config.max_epochs):
@@ -198,7 +198,8 @@ def train_model(graph, split, config, seed, split_id=0, model=None):
             with frozen(model.params):
                 eval_out = model.forward(train=False)
         except NumericalError as exc:
-            raise TrainingDiverged(f"epoch {epoch}: {exc}", partial(True)) from None
+            raise TrainingDiverged(f"epoch {epoch}: {exc}",
+                                   result(float("nan"), [], {}, True)) from None
         loss_curve.append(loss.item())
         val_acc = accuracy(eval_out.logits.value, graph.labels, split.valid)
         val_curve.append(val_acc)
@@ -224,12 +225,4 @@ def train_model(graph, split, config, seed, split_id=0, model=None):
     test_acc = accuracy(final_out.logits.value, graph.labels, split.test)
     preds = np.argmax(final_out.logits.value[split.test], axis=1)
 
-    return RunResult(
-        config=config.to_dict(), seed=seed, split_id=split_id,
-        best_epoch=best_epoch, val_curve=val_curve, loss_curve=loss_curve,
-        test_accuracy=test_acc, epoch_ms=epoch_ms, refresh_epochs=refresh_epochs,
-        test_idx=split.test.tolist(), test_predictions=preds.tolist(),
-        test_degrees=graph.degrees[split.test].tolist(),
-        test_labels=graph.labels[split.test].tolist(),
-        metadata={**model.run_metadata(), "blas_threads": blas_threads()},
-        diverged=False)
+    return result(test_acc, preds.tolist(), model.run_metadata(), False)

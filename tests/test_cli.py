@@ -6,7 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from compatgnn import ConfigError, knn_feature_graph, load_dataset, save_splits
+from compatgnn import (ConfigError, DataError, NumericalError, TrainingDiverged,
+                       knn_feature_graph, load_dataset, save_splits)
 from compatgnn.cli import _build_config, _parse_split_ids, build_parser, main
 
 
@@ -228,6 +229,19 @@ def test_train_divergence_exit_code(dataset, tmp_path):
     assert code == 4
     partial = json.load(open(os.path.join(out, "run.json")))
     assert partial["diverged"] is True
+
+
+@pytest.mark.parametrize("error, code, label", [
+    (ConfigError, 2, "config error"), (DataError, 3, "data error"),
+    (NumericalError, 4, "numerical failure"),
+    (TrainingDiverged, 4, "numerical failure")])
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error, code, label):
+    def fail(args):
+        raise error("boom")
+    monkeypatch.setattr("compatgnn.cli.cmd_train", fail)
+    assert main(["train"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"{label}: boom\n"
 
 
 def test_bench_and_degree_report(dataset, tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Every name a module imports is used: a scan of the package (bar its
-re-exporting __init__.py) and of the tests. No linter is installed, so
-this test is the check."""
+re-exporting __init__.py), of the tests and of the demos. No linter is
+installed, so this test is the check."""
 
 import ast
 from pathlib import Path
@@ -21,6 +21,7 @@ def unused_imports(path):
 
 def test_every_imported_name_is_used():
     files = [p for p in sorted((ROOT / "src" / "compatgnn").glob("*.py"))
-             if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
+             if p.name != "__init__.py"]
+    files += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     unused = [line for path in files for line in unused_imports(path)]
     assert not unused, "imported and never used:\n" + "\n".join(unused)

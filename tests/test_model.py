@@ -6,11 +6,11 @@ import pytest
 from compatgnn import ConfigError, DataError, NumericalError, permute_graph
 from compatgnn import autodiff as ad
 from compatgnn.metrics import CompatibilityMatrix, observed_cm
-from compatgnn.model import (CMEstimate, CompatGNN, ModelOutput,
-                             build_prototypes, confidence, degree_weight,
-                             estimate_cm, supplementary_guidance)
+from compatgnn.model import (CMEstimate, CompatGNN, build_prototypes,
+                             confidence, degree_weight, estimate_cm,
+                             supplementary_guidance)
 from compatgnn.gradcheck import grad_check
-from compatgnn.mp import MessagePassingModel, build_preset
+from compatgnn.mp import ForwardOutput, MessagePassingModel, build_preset
 from compatgnn.rng import make_rng
 from compatgnn.sparse import row_normalize
 from compatgnn.synth import generate_graph, make_synth_spec
@@ -38,9 +38,11 @@ def ready_model(g, train_idx, seed=0, dis_weight=0.0, **spec_kw):
     return m
 
 
-def fake_output(zp):
-    return ModelOutput(logits=None, blocks=[], reps=[],
-                       proto_fused=ad.tensor(np.asarray(zp, dtype=np.float64)))
+def fake_output(m, zp):
+    """A forward output whose one block holds zp in the prototype rows."""
+    zp = np.asarray(zp, dtype=np.float64)
+    rows = np.zeros((m.real_graph.n_nodes, zp.shape[1]))
+    return ForwardOutput(logits=None, blocks=[ad.tensor(np.vstack([rows, zp]))])
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +256,15 @@ def test_param_inventory_and_fused_width():
     m = ready_model(g, [0, 1, 3, 4], hidden_dim=4, n_layers=2)
     assert m.params["cla.w1"].shape == (12, 4)
     out = m.forward()
-    assert out.fused.shape == (6, 12)
-    assert out.proto_fused.shape == (2, 12)
+    # the cat fuse's blocks, one per rep, over the 6 real and 2 prototype rows
+    assert [b.shape for b in out.blocks] == [(8, 4)] * 3
     assert out.logits.shape == (6, 2)
-    assert len(out.reps) == 3
 
     ms = ready_model(g, [0, 1, 3, 4], structure_info=True, hidden_dim=4)
     assert ms.params["encoder.w_x"].shape == (3, 4)
     assert ms.params["encoder.w_a"].shape == (6, 4)
     assert ms.params["encoder.w"].shape == (8, 4)
-    assert ms.forward().fused.shape == (6, 12)
+    assert [b.shape for b in ms.forward().blocks] == [(8, 4)] * 3
 
 
 def test_bootstrap_soft_labels():
@@ -281,7 +282,7 @@ def test_bootstrap_soft_labels():
 def test_encoding_dense_oracle_with_structure_info():
     g = two_triangles()
     m = ready_model(g, [0, 1, 3, 4], structure_info=True, hidden_dim=4, seed=2)
-    z0 = m.forward().reps[0].value
+    z0 = m.forward().blocks[0].value[:6]   # the cat fuse's encoder block
     a_hat = row_normalize(g).toarray()
     zx = g.features @ m.params["encoder.w_x"].value
     za = a_hat @ m.params["encoder.w_a"].value
@@ -296,7 +297,7 @@ def test_encoding_edgeless_structure_half_is_zero():
     est = CMEstimate(matrix=CompatibilityMatrix(m=np.eye(2)),
                      confidence=np.ones(4), degree_weights=np.ones(4))
     m.set_estimate(est, m.bootstrap_soft_labels([0, 1, 2, 3]))
-    z0 = m.forward().reps[0].value
+    z0 = m.forward().blocks[0].value[:4]
     d_r = 4
     want = np.hstack([g.features @ m.params["encoder.w_x"].value,
                       np.zeros((4, d_r))]) @ m.params["encoder.w"].value
@@ -406,7 +407,7 @@ def test_dis_loss_orthogonal_messages_zero():
     m = ready_model(g, [0, 1, 3, 4])
     m.cm = CMEstimate(matrix=CompatibilityMatrix(m=np.eye(2)),
                       confidence=np.ones(6), degree_weights=np.ones(6))
-    out = fake_output([[1.0, 0.0], [0.0, 2.0]])
+    out = fake_output(m, [[1.0, 0.0], [0.0, 2.0]])
     assert m.discrimination_loss(out).item() == 0.0
 
 
@@ -417,7 +418,7 @@ def test_dis_loss_identical_messages_saturates():
     # uniform compatibility rows collapse every desired message to the mean
     m.cm = CMEstimate(matrix=CompatibilityMatrix(m=np.full((3, 3), 1 / 3)),
                       confidence=np.ones(8), degree_weights=np.ones(8))
-    out = fake_output(rng.normal(size=(3, 4)))
+    out = fake_output(m, rng.normal(size=(3, 4)))
     k = 3
     assert m.discrimination_loss(out).item() == pytest.approx(k * (k - 1),
                                                               abs=1e-12)
@@ -428,7 +429,7 @@ def test_dis_loss_two_class_hand_case():
     m = ready_model(g, [0, 1, 3, 4])
     m.cm = CMEstimate(matrix=CompatibilityMatrix(m=np.eye(2)),
                       confidence=np.ones(6), degree_weights=np.ones(6))
-    out = fake_output([[1.0, 1.0], [0.0, 1.0]])
+    out = fake_output(m, [[1.0, 1.0], [0.0, 1.0]])
     # cos = 1/sqrt(2), doubled for the ordered pair
     assert m.discrimination_loss(out).item() == pytest.approx(np.sqrt(2),
                                                               abs=1e-12)
@@ -439,7 +440,7 @@ def test_dis_loss_zero_norm_row_contributes_nothing():
     m = ready_model(g, [0, 1, 3, 4])
     m.cm = CMEstimate(matrix=CompatibilityMatrix(m=np.eye(2)),
                       confidence=np.ones(6), degree_weights=np.ones(6))
-    out = fake_output([[0.0, 0.0], [1.0, 2.0]])
+    out = fake_output(m, [[0.0, 0.0], [1.0, 2.0]])
     assert m.discrimination_loss(out).item() == 0.0
 
 
@@ -500,7 +501,7 @@ def test_validation_refresh_pins_truth_on_train_rows():
     np.testing.assert_allclose(m.cm.matrix.m.sum(axis=1), 1.0, atol=1e-9)
     # training rows route their true class's compatibility row
     want = m.cm.matrix.m[g.labels[train]]
-    np.testing.assert_array_equal(m.sup_guidance[train], want)
+    np.testing.assert_array_equal(m._supplementary.block.value[train], want)
 
 
 def test_run_metadata_shape():
@@ -547,7 +548,7 @@ def test_backward_frees_the_train_tape_and_keeps_its_gradients():
 
     out = m.forward(train=True)
     loss = m.loss(out, train)
-    held = {id(a) for t in (loss, out.logits, out.proto_fused, *out.blocks, *out.reps)
+    held = {id(a) for t in (loss, out.logits, *out.blocks)
             for a in (t.value, t.value.base)}
     interior = [weakref.ref(t.value) for t in ad._toposort(loss)
                 if t._backward is not None and id(t.value) not in held]

@@ -245,29 +245,18 @@ def test_one_compatgnn_forward_records_no_slices_or_row_scales(monkeypatch):
     monkeypatch.setattr(ad, "_result", lambda value, parents, bw, op:
                         nodes.append((op, value.shape))
                         or result(value, parents, bw, op))
-    model.forward(train=True)
+    out = model.forward(train=True)
     ops = [op for op, _ in nodes]
     assert "slice_cols" not in ops and "row_scale" not in ops
     # per layer one gate product and one mix, and the classifier's product
     # over the cat fuse's blocks
     assert ops.count("concat_matmul") == 3 and ops.count("row_mix") == 2
-    # the only concat is the prototype rows' fused representation
+    assert "concat_cols" not in ops
+    # the only concat is the loss's: the prototype rows of the fuse's blocks
+    nodes.clear()
+    model.loss(out, train)
     assert [shape for op, shape in nodes if op == "concat_cols"] == [
         (g.n_classes, model.fused_width)]
-
-
-def test_fused_is_built_on_read_from_the_fuse_blocks():
-    g = random_graph(make_rng(7, "fused-read"), 30, p=0.2)
-    compat = build_model(RunConfig(model="compatgnn", layers=2, nhidden=4), g, seed=0)
-    train = generate_splits(g, 1, seed=0)[0].train
-    compat.bind_prototypes(train)
-    soft = compat.bootstrap_soft_labels(train)
-    compat.set_estimate(estimate_cm(g, soft), soft)
-    h2gcn = MessagePassingModel(build_preset("h2gcn", n_layers=2, hidden_dim=4), g)
-    for model in (compat, h2gcn):
-        out = model.forward()
-        assert out.fused.shape == (g.n_nodes, model.fused_width)
-        np.testing.assert_array_equal(out.fused.value, ad.concat_cols(out.reps).value)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +390,8 @@ def test_fuse_ada_with_onehot_gamma_returns_z0():
     m = MessagePassingModel(build_preset("gprgnn", n_layers=2, hidden_dim=4), g)
     m.params["fuse.gamma"].value = np.array([[1.0], [0.0], [0.0]])
     out = m.forward()
-    np.testing.assert_array_equal(out.fused.value, out.reps[0].value)
+    z0 = g.features @ m.params["encoder.w"].value
+    np.testing.assert_array_equal(out.blocks[0].value, z0)
 
 
 # ---------------------------------------------------------------------------

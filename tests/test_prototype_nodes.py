@@ -124,14 +124,15 @@ def test_compatgnn_preset_round_trips_as_json():
 
 def test_structure_encoder_on_a_preset_stack():
     g = make_graph(5, [(0, 1), (1, 2), (3, 4)], [0, 1, 0, 1, 0], 2, d_f=3)
+    # a cat fuse's first block is the encoder output
     spec = ModelSpec(layers=[LayerSpec(channels=[ChannelSpec("raw", "deg_avg_row")])],
-                     hidden_dim=4, encoder="structure")
+                     hidden_dim=4, encoder="structure", fuse="cat")
     m = MessagePassingModel(spec, g, seed=1)
     p = {k: v.value for k, v in m.params.items()}
     assert p["encoder.w_a"].shape == (5, 4)
     want = np.hstack([g.features @ p["encoder.w_x"],
                       row_normalize(g).toarray() @ p["encoder.w_a"]]) @ p["encoder.w"]
-    np.testing.assert_allclose(m.forward().reps[0].value, want, atol=1e-12)
+    np.testing.assert_allclose(m.forward().blocks[0].value, want, atol=1e-12)
 
 
 def test_compat_layers_run_in_the_generic_forward():
@@ -145,7 +146,10 @@ def test_compat_layers_run_in_the_generic_forward():
     out = m.forward()
     assert full.logits.shape == (8, 2)
     np.testing.assert_array_equal(full.logits.value[:6], out.logits.value)
-    np.testing.assert_array_equal(full.fused.value[6:], out.proto_fused.value)
+    # the blocks keep the prototype rows
+    assert len(out.blocks) == 3 and all(b.shape == (8, 4) for b in out.blocks)
+    for whole, kept in zip(full.blocks, out.blocks):
+        np.testing.assert_array_equal(whole.value, kept.value)
 
 
 def test_cli_rejects_prototype_channel_in_a_user_spec(tmp_path, capsys):

@@ -68,9 +68,10 @@ def test_decode_names_the_offending_value(obj, problem):
 
 
 def test_decode_names_a_list_element():
-    with pytest.raises(ConfigError, match=re.escape(
-            "malformed config: split_ids[1]: expected int, got str")):
-        decode(RunConfig, {"split_ids": [1, "a"]}, ConfigError, "config")
+    for ids, got in (([1, "a"], "str"), ([1, True], "bool"), ([1, 2.5], "float")):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"malformed config: split_ids[1]: expected int, got {got}")):
+            decode(RunConfig, {"split_ids": ids}, ConfigError, "config")
 
 
 def test_decode_accepts_ints_as_floats_and_null_optionals():
@@ -82,3 +83,5 @@ def test_decode_accepts_ints_as_floats_and_null_optionals():
                   loss_curve=[], test_accuracy=1, epoch_ms=[], refresh_epochs=[],
                   test_idx=[], test_predictions=[], test_degrees=[])
     assert decode(RunResult, record, DataError, "run").val_curve == [1, 0.5]
+    record["val_curve"] = [1, 2]
+    assert decode(RunResult, record, DataError, "run").val_curve == [1, 2]
