@@ -189,7 +189,8 @@ class CompatGNN(MessagePassingModel):
     @property
     def prototypes(self):
         """K x d_f prototype features, None until bound. Setting them
-        writes them into the encoder input rows of the K prototype nodes."""
+        writes them into the encoder input rows of the K prototype nodes,
+        which a raw_self_loop operator's ÂX reads, so it drops every ÂX."""
         return self._prototypes
 
     @prototypes.setter
@@ -201,6 +202,7 @@ class CompatGNN(MessagePassingModel):
                 raise DataError(f"prototypes shape {protos.shape}, expected "
                                 f"({self.n_classes}, {g.d_f})")
             self.features[g.n_nodes:] = protos
+        self._propagated.clear()
         self._prototypes = protos
 
     def bind_prototypes(self, train_idx):

@@ -12,6 +12,13 @@ is compatgnn (build_preset("compatgnn")): a spec that model.CompatGNN
 runs over N nodes plus K prototype nodes, binding its
 supplementary/constant channel (PrototypeOperator).
 
+Layer 1 reads ÂX: when the encoder output X W_e reaches it as it is
+(linear encoder, dropout 0, no relu before aggregating) and the features
+are no wider than hidden_dim, a channel over a sparse operator Â computes
+Â (X W_e) W as (ÂX)(W_e W). ÂX is a constant, computed in the first
+forward and cached per operator until the features change (a CompatGNN
+rebinding its prototypes), so that channel runs no SpMM.
+
 A ModelSpec is declarative data: json.dumps(spec.to_dict()) writes a
 spec file, and `--model spec.json` runs it (training.build_model reads
 it with records.read_json and ModelSpec.from_dict). Its field types
@@ -330,9 +337,7 @@ class MessagePassingModel:
             self.params["cla.b2"] = ad.tensor(np.zeros((1, k)), requires_grad=True)
 
         self._deg_col = constant(graph.degrees.astype(np.float64).reshape(-1, 1))
-
-    def _channel_weight(self, li, cj, ch):
-        return self.params[f"layer{li}.ch{cj}.w"] if ch.weight == "own" else None
+        self._propagated = {}   # operator key -> constant ÂX, see _channel
 
     def _combine(self, li, layer, outs):
         if layer.combine == "add":
@@ -382,15 +387,40 @@ class MessagePassingModel:
         h = relu(add_bias(concat_matmul(blocks, p["cla.w1"]), p["cla.b1"]))
         return add_bias(matmul(h, p["cla.w2"]), p["cla.b2"])
 
+    def _reads_propagated(self):
+        """Whether layer 1's sparse channels read ÂX (module docstring).
+        The features must be no wider than X W_e: then ÂX is no larger
+        than the Â (X W_e) it stands for, and (ÂX)(W_e W) multiplies no
+        wider a matrix than (Â X W_e) W, on any graph. Wider features
+        trade the SpMM for a wider product and an N x d_f constant,
+        which pays on some graphs and not on others."""
+        s = self.spec
+        return (s.encoder == "linear" and s.dropout == 0
+                and not s.relu_before_aggregate
+                and self.features.shape[1] <= s.hidden_dim)
+
+    def _channel(self, li, cj, ch, zin, propagated):
+        key = (ch.indicator, ch.guidance, ch.k)
+        op = self._operators[key]
+        w = self.params[f"layer{li}.ch{cj}.w"] if ch.weight == "own" else None
+        if propagated and isinstance(op, SparseMatrix):
+            # Â and X are constants: ÂX is computed once, on first use
+            if key not in self._propagated:
+                self._propagated[key] = constant(op.scipy @ self.features)
+            w_e = self.params["encoder.w"]
+            return aggregate(None, self._propagated[key],
+                             w_e if w is None else matmul(w_e, w))
+        return aggregate(op, zin, w)
+
     def forward(self, train=False, rng=None):
         spec = self.spec
         z = dropout(self._encode(), spec.dropout, rng, train)
         reps = [z]
+        propagated = self._reads_propagated()
         for li, layer in enumerate(spec.layers, start=1):
             try:
                 zin = relu(z) if spec.relu_before_aggregate else z
-                outs = [aggregate(self._operators[ch.indicator, ch.guidance, ch.k], zin,
-                                  self._channel_weight(li, cj, ch))
+                outs = [self._channel(li, cj, ch, zin, propagated and li == 1)
                         for cj, ch in enumerate(layer.channels)]
                 zl = self._combine(li, layer, outs)
                 if not spec.relu_before_aggregate:

@@ -8,12 +8,17 @@ dividing by zero.
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .graph import Graph
 
 # Similarity rows knn_feature_graph holds at once, in bytes: memory stays
 # O(n) per block instead of the dense N x N matrix.
 KNN_BLOCK_BYTES = 32 << 20
+
+# The most nonzeros one hop of khop_adjacency may project: at 12 bytes
+# each (float64 value, int32 column index) about 1.2 GB, where the run
+# would otherwise die of memory instead of failing as a config error.
+KHOP_MAX_NNZ = 10**8
 
 
 def as_csr(g_or_a):
@@ -68,14 +73,28 @@ def _drop_diagonal(a):
 def khop_adjacency(g_or_a, k):
     """Binary indicator of nodes within k hops, excluding self.
 
-    Hop distance is BFS distance along stored edge direction.
+    Hop distance is BFS distance along stored edge direction. A hop
+    whose product may hold more than KHOP_MAX_NNZ nonzeros is refused
+    before it runs: row i of reach @ A holds at most the out-degrees of
+    the nodes i reaches, summed. Refused at hop 2, the least k, the
+    graph itself is too large; past it, a smaller k fits.
     """
     if k < 2:
         raise DataError(f"k-hop neighborhood needs k >= 2, got {k}")
     a1 = _binary(as_csr(g_or_a))
+    out_degree = np.diff(a1.indptr).astype(np.float64)
     acc = a1
     reach = a1
-    for _ in range(2, k + 1):
+    for hop in range(2, k + 1):
+        projected = int((reach @ out_degree).sum())
+        if projected > KHOP_MAX_NNZ:
+            remedy = (f"use k <= {hop - 1}" if hop > 2 else
+                      f"a graph of {a1.shape[0]} nodes and {a1.nnz} adjacency "
+                      "nonzeros is too large for any k-hop operator")
+            raise ConfigError(
+                f"khop k={k}: hop {hop} projects to {projected:.3g} nonzeros "
+                f"(~{projected * 12 / 1e9:.1f} GB), over the limit of "
+                f"{KHOP_MAX_NNZ:.0e}; {remedy}")
         reach = _binary(reach @ a1)
         acc = _binary(acc + reach)
     return _drop_diagonal(acc)

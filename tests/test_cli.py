@@ -663,6 +663,32 @@ def test_spec_file_rule_exits_2_naming_the_file(spec, flags, problem, dataset,
     assert not out.exists()
 
 
+def test_exploding_khop_spec_exits_2_naming_the_file(dataset, tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr("compatgnn.sparse.KHOP_MAX_NNZ", 10)
+    spec = _spec({"channels": [dict(RAW, indicator="khop", guidance="deg_avg_sym", k=3)]})
+    path = _write(tmp_path, "f.json", json.dumps(spec))
+    out = tmp_path / "run"
+    assert main(["train", "--data", dataset, "--model", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and path in err[0] and "khop k=3: hop 2 projects to" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", ["h2gcn", "mixhop"])
+def test_exploding_khop_preset_exits_2_naming_the_graph(preset, dataset, tmp_path,
+                                                        capsys, monkeypatch):
+    # the preset fixes k = 2, the least k: the graph, not k, is too large
+    monkeypatch.setattr("compatgnn.sparse.KHOP_MAX_NNZ", 10)
+    out = tmp_path / "run"
+    assert main(["train", "--data", dataset, "--model", preset, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "khop k=2: hop 2 projects to" in err[0], err
+    assert "a graph of 60 nodes and" in err[0] and "too large for any k-hop" in err[0]
+    assert "smaller k" not in err[0] and "use k" not in err[0]
+    assert not out.exists()
+
+
 def test_search_over_a_spec_file_keeps_its_model(dataset, tmp_path, capsys):
     path = _write(tmp_path, "f.json", json.dumps(_spec({"channels": [RAW]})))
     out = tmp_path / "search"

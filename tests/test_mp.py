@@ -14,7 +14,7 @@ from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
                           realize_indicator)
 from compatgnn.rng import make_rng
 from compatgnn.sparse import add_self_loops, khop_adjacency, sym_normalize
-from compatgnn.model import estimate_cm
+from compatgnn.model import CompatGNN, estimate_cm
 from compatgnn.training import RunConfig, build_model, train_model
 
 from util import cubic12, make_graph, path3_forest, quartic12, random_graph
@@ -141,20 +141,38 @@ def test_realize_guidance_rules():
 @pytest.mark.parametrize("name, n_operators",
                          [("h2gcn", 2), ("acmgcn", 3), ("compatgnn", 2)])
 def test_each_operator_is_realized_once(name, n_operators, monkeypatch):
+    """Every channel naming an operator shares its one realization. A
+    layer-1 channel over a sparse operator reaches aggregate as None over
+    ÂX, a constant cached per operator; acmgcn's relu before aggregating
+    keeps its operators there."""
     realized, used = [], []
     realize, aggregate_ = mp.realize_channel, mp.aggregate
     monkeypatch.setattr(mp, "realize_channel",
                         lambda *a: realized.append(a) or realize(*a))
     monkeypatch.setattr(mp, "aggregate",
-                        lambda op, z, w=None: used.append(op) or aggregate_(op, z, w))
+                        lambda op, z, w=None: used.append((op, z)) or aggregate_(op, z, w))
     g = random_graph(make_rng(5, "once"), 40, p=0.15)
     cfg = RunConfig(model=name, layers=2, nhidden=8, max_epochs=1)
-    train_model(g, generate_splits(g, 1, seed=0)[0], cfg, seed=0)
+    model = build_model(cfg, g, seed=0)
+    train_model(g, generate_splits(g, 1, seed=0)[0], cfg, seed=0, model=model)
     assert len(realized) == n_operators
     # the train forward aggregates each channel of layer 1, then of layer 2
     n_ch = len(realized) + (name == "compatgnn")
-    assert all(a is b for a, b in zip(used[:n_ch], used[n_ch:2 * n_ch]))
-    assert len({id(op) for op in used}) == n_ch
+    layer1, layer2 = used[:n_ch], [op for op, _ in used[n_ch:2 * n_ch]]
+    assert len({id(op) for op in layer2}) == n_ch
+    cached = {id(c) for c in model._propagated.values()}
+    assert len(cached) == (0 if name == "acmgcn" else
+                           sum(isinstance(op, ad.SparseMatrix) for op in layer2))
+    for (op1, z1), op2 in zip(layer1, layer2):
+        if name != "acmgcn" and isinstance(op2, ad.SparseMatrix):
+            assert op1 is None and id(z1) in cached
+        else:
+            assert op1 is op2
+    # the eval forward reads the same operators and constants
+    train, evals = used[:2 * n_ch], used[2 * n_ch:4 * n_ch]
+    assert all(a is b for (a, _), (b, _) in zip(train, evals))
+    assert ([id(z) for _, z in train if id(z) in cached]
+            == [id(z) for _, z in evals if id(z) in cached])
 
 
 def test_identity_channel_short_circuits():
@@ -257,6 +275,90 @@ def test_one_compatgnn_forward_records_no_slices_or_row_scales(monkeypatch):
     model.loss(out, train)
     assert [shape for op, shape in nodes if op == "concat_cols"] == [
         (g.n_classes, model.fused_width)]
+
+
+# ---------------------------------------------------------------------------
+# layer 1 over ÂX: Â (X W_e) W = (ÂX)(W_e W)
+
+def ready(model, train):
+    """model, with a CompatGNN's prototypes and estimate bound from `train`."""
+    if isinstance(model, CompatGNN):
+        model.bind_prototypes(train)
+        soft = model.bootstrap_soft_labels(train)
+        model.set_estimate(estimate_cm(model.real_graph, soft), soft)
+    return model
+
+
+def preset_model(name, d_f=4, **overrides):
+    g = random_graph(make_rng(7, "ax", name), 40, p=0.15, d_f=d_f)
+    cfg = RunConfig(model=name, layers=2, nhidden=8, **overrides)
+    return ready(build_model(cfg, g, seed=0), generate_splits(g, 1, seed=0)[0].train)
+
+
+def forward_and_grads(model, train):
+    zero_grads(model.params)
+    out = model.forward(train=train, rng=make_rng(0, "dropout"))
+    backward(ad.tsum(out.logits))
+    return out.logits.value, {k: p.grad.copy() for k, p in model.params.items()
+                              if p.grad is not None}
+
+
+@pytest.mark.parametrize("name", ["gcn", "h2gcn", "compatgnn"])
+def test_layer1_over_propagated_features_keeps_logits_and_grads(name, monkeypatch):
+    model = preset_model(name)
+    assert model._reads_propagated()
+    logits, grads = forward_and_grads(model, train=True)
+    assert model._propagated
+    monkeypatch.setattr(MessagePassingModel, "_reads_propagated", lambda self: False)
+    want_logits, want_grads = forward_and_grads(model, train=True)
+    np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-12)
+    assert grads.keys() == want_grads.keys()
+    for k in grads:
+        np.testing.assert_allclose(grads[k], want_grads[k], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name, d_f, overrides", [
+    ("gcn", 4, {"dropout": 0.5}),               # X W_e is dropped out
+    ("acmgcn", 4, {}),                          # relu before aggregating
+    ("compatgnn", 4, {"structure_info": True}),  # not a linear encoder
+    ("gcn", 12, {}),                            # ÂX wider than X W_e
+], ids=["dropout", "acmgcn", "structure", "wide_features"])
+def test_layer1_aggregates_the_operator_otherwise(name, d_f, overrides, monkeypatch):
+    model = preset_model(name, d_f=d_f, **overrides)
+    used, aggregate_ = [], mp.aggregate
+    monkeypatch.setattr(mp, "aggregate",
+                        lambda op, z, w=None: used.append(op) or aggregate_(op, z, w))
+    logits = model.forward(train=True, rng=make_rng(0, "dropout")).logits.value
+    n_ch = len(model.spec.layers[0].channels)
+    assert any(isinstance(op, ad.SparseMatrix) for op in used[:n_ch])
+    assert not model._propagated
+    monkeypatch.setattr(MessagePassingModel, "_reads_propagated", lambda self: False)
+    np.testing.assert_array_equal(
+        logits, model.forward(train=True, rng=make_rng(0, "dropout")).logits.value)
+
+
+def test_rebound_prototypes_drop_the_cached_propagated_features():
+    # a raw_self_loop operator's ÂX reads the prototype rows of the features
+    g = random_graph(make_rng(8, "ax-protos"), 40, p=0.15)
+    spec = build_preset("compatgnn", n_layers=2, hidden_dim=8)
+    spec.layers[0].channels[1] = ChannelSpec("raw_self_loop", "deg_avg_row")
+    first, second = (s.train for s in generate_splits(g, 2, seed=0))
+    model = ready(CompatGNN(spec, g, seed=0), first)
+    stale = model.forward().logits.value
+    ready(model, second)
+    want = ready(CompatGNN(spec, g, seed=0), second).forward().logits.value
+    assert not np.array_equal(stale, want)
+    np.testing.assert_array_equal(model.forward().logits.value, want)
+
+
+@pytest.mark.parametrize("name, n_spmm", [("compatgnn", 1), ("h2gcn", 2)])
+def test_one_train_forward_runs_spmm_only_past_layer1(name, n_spmm, monkeypatch):
+    model = preset_model(name)
+    ops, result = [], ad._result
+    monkeypatch.setattr(ad, "_result", lambda value, parents, bw, op:
+                        ops.append(op) or result(value, parents, bw, op))
+    model.forward(train=True)
+    assert ops.count("spmm") == n_spmm
 
 
 # ---------------------------------------------------------------------------

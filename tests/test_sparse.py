@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from compatgnn import (DataError, add_self_loops, khop_adjacency,
+from compatgnn import (ConfigError, DataError, add_self_loops, khop_adjacency,
                        knn_feature_graph, row_normalize, sym_normalize)
 from compatgnn import sparse
 from compatgnn.sparse import as_csr
@@ -94,6 +94,22 @@ def test_khop_never_includes_self():
     for k in (2, 3):
         a = khop_adjacency(g, k)
         assert a.diagonal().sum() == 0
+
+
+def test_khop_refuses_a_hop_projected_past_the_limit(monkeypatch):
+    # on the 6-cycle (out-degree 2) hop 2 projects 6 * 2 * 2 = 24 nonzeros;
+    # hop 3 projects from 3 reached nodes a row (i, i +- 2): 6 * 3 * 2 = 36
+    monkeypatch.setattr(sparse, "KHOP_MAX_NNZ", 30)
+    assert khop_adjacency(cycle(6), 2).nnz == 24
+    with pytest.raises(ConfigError, match=r"khop k=4: hop 3 projects to 36 "
+                                          r"nonzeros .*; use k <= 2$"):
+        khop_adjacency(cycle(6), 4)
+    # refused at hop 2, no k fits: the message names the graph instead
+    monkeypatch.setattr(sparse, "KHOP_MAX_NNZ", 20)
+    with pytest.raises(ConfigError, match=r"khop k=2: hop 2 projects to 24 nonzeros "
+                                          r".*; a graph of 6 nodes and 12 adjacency "
+                                          r"nonzeros is too large for any k-hop operator$"):
+        khop_adjacency(cycle(6), 2)
 
 
 def test_knn_orthogonal_features_pick_identical_partner():
