@@ -8,10 +8,12 @@ backward() consumes the tape: it frees each node's parents and closure
 as it passes the node, so only the intermediates a caller holds outlive
 it. A second backward through a consumed node raises ValueError.
 
-Evaluation records no tape: inside `with frozen(params):` the given
-leaves require no grad, so every op over them keeps no parents and no
-closure, and each intermediate value is freed as soon as the forward
+An evaluation can record no tape: inside `with frozen(params):` the
+given leaves require no grad, so every op over them keeps no parents and
+no closure, and each intermediate value is freed as soon as the forward
 has passed it on. The same forward outside the block records its tape.
+training.train_model evaluates frozen with dropout > 0; with dropout 0
+it keeps the eval's tape, since the next epoch trains on that output.
 
 Gradient ownership: a closure hands `_acc` the array it has just
 computed, and that array becomes the first gradient of its target, with

@@ -17,7 +17,9 @@ Layer 1 reads ÂX: when the encoder output X W_e reaches it as it is
 are no wider than hidden_dim, a channel over a sparse operator Â computes
 Â (X W_e) W as (ÂX)(W_e W). ÂX is a constant, computed in the first
 forward and cached per operator until the features change (a CompatGNN
-rebinding its prototypes), so that channel runs no SpMM.
+rebinding its prototypes), so that channel runs no SpMM. When every
+layer-1 channel reads ÂX and the fuse reads only the last layer (a gcn),
+nothing reads X W_e, and the forward does not compute it.
 
 A ModelSpec is declarative data: json.dumps(spec.to_dict()) writes a
 spec file, and `--model spec.json` runs it (training.build_model reads
@@ -399,6 +401,17 @@ class MessagePassingModel:
                 and not s.relu_before_aggregate
                 and self.features.shape[1] <= s.hidden_dim)
 
+    def _reads_encoder(self, propagated):
+        """Whether the forward reads the encoder output X W_e: layer 1
+        does unless each of its channels reads ÂX instead, and a cat or
+        ada_add fuse, or a model without layers, reads it as reps[0]."""
+        s = self.spec
+        if not s.layers or s.fuse != "last" or not propagated:
+            return True
+        return any(not isinstance(self._operators[(ch.indicator, ch.guidance, ch.k)],
+                                  SparseMatrix)
+                   for ch in s.layers[0].channels)
+
     def _channel(self, li, cj, ch, zin, propagated):
         key = (ch.indicator, ch.guidance, ch.k)
         op = self._operators[key]
@@ -414,9 +427,11 @@ class MessagePassingModel:
 
     def forward(self, train=False, rng=None):
         spec = self.spec
-        z = dropout(self._encode(), spec.dropout, rng, train)
-        reps = [z]
         propagated = self._reads_propagated()
+        z = None    # unread: layer 1 reads only ÂX and the fuse only its last rep
+        if self._reads_encoder(propagated):
+            z = dropout(self._encode(), spec.dropout, rng, train)
+        reps = [z]
         for li, layer in enumerate(spec.layers, start=1):
             try:
                 zin = relu(z) if spec.relu_before_aggregate else z

@@ -6,6 +6,10 @@ improvement, stop after `patience` non-improving epochs, report test
 accuracy at the best snapshot. The compatibility-guided model refreshes
 its estimator state on the same improvement events, so the estimate in
 play always corresponds to the best parameters seen so far.
+
+Evaluation is tapeless with dropout > 0. With dropout 0 an epoch's eval
+forward is the next epoch's train forward, so it keeps its tape and is
+trained on, unless a refresh intervened (see train_model).
 """
 
 import ctypes
@@ -151,12 +155,27 @@ def blas_threads():
     return int(value) if value.isdigit() and int(value) > 0 else os.cpu_count()
 
 
+def _reuses_eval(model):
+    """Whether an epoch's eval forward keeps its tape for the next epoch
+    to train on. With dropout 0 the train forward is the eval forward:
+    the same operations, no random draws. The model's own spec decides,
+    since a model-spec file fixes its dropout."""
+    return model.spec.dropout == 0
+
+
 def train_model(graph, split, config, seed, split_id=0, model=None):
     """Run the full protocol once; returns a RunResult.
 
     A pre-built model may be passed in (ablation studies); by default the
     model is built from the config. Raises TrainingDiverged (with the
     partial log attached) if any forward or gradient turns non-finite.
+
+    Each epoch's eval forward runs at the parameters the next epoch
+    trains at. With dropout > 0 it runs under `frozen` and records no
+    tape. With dropout 0 it records its tape, and the next epoch trains
+    on its output instead of running a train forward, unless a
+    compatibility refresh made it stale; a stale eval output is dropped
+    at the refresh. The final forward at the best parameters is frozen.
     """
     config.validate()
     if model is None:
@@ -187,16 +206,24 @@ def train_model(graph, split, config, seed, split_id=0, model=None):
                          metadata={**metadata, "blas_threads": blas_threads()},
                          diverged=diverged)
 
+    reuse = _reuses_eval(model)
+    eval_out = None
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()
         try:
             zero_grads(model.params)
-            out = model.forward(train=True, rng=drop_rng)
+            if reuse and eval_out is not None:
+                out = eval_out      # the last eval ran at these parameters
+            else:
+                out = model.forward(train=True, rng=drop_rng)
             loss = model.loss(out, split.train)
             backward(loss)
             opt.step()
-            with frozen(model.params):
+            if reuse:
                 eval_out = model.forward(train=False)
+            else:
+                with frozen(model.params):
+                    eval_out = model.forward(train=False)
         except NumericalError as exc:
             raise TrainingDiverged(f"epoch {epoch}: {exc}",
                                    result(float("nan"), [], {}, True)) from None
@@ -211,6 +238,8 @@ def train_model(graph, split, config, seed, split_id=0, model=None):
             if is_compat:
                 model.on_validation_improved(eval_out, split.train, epoch)
                 refresh_epochs.append(epoch)
+                if reuse:   # stale under the new estimate: free its tape now
+                    eval_out = None
         else:
             wait += 1
         epoch_ms.append((time.perf_counter() - t0) * 1000.0)

@@ -291,7 +291,7 @@ def ready(model, train):
 
 def preset_model(name, d_f=4, **overrides):
     g = random_graph(make_rng(7, "ax", name), 40, p=0.15, d_f=d_f)
-    cfg = RunConfig(model=name, layers=2, nhidden=8, **overrides)
+    cfg = RunConfig(**{"model": name, "layers": 2, "nhidden": 8, **overrides})
     return ready(build_model(cfg, g, seed=0), generate_splits(g, 1, seed=0)[0].train)
 
 
@@ -359,6 +359,38 @@ def test_one_train_forward_runs_spmm_only_past_layer1(name, n_spmm, monkeypatch)
                         ops.append(op) or result(value, parents, bw, op))
     model.forward(train=True)
     assert ops.count("spmm") == n_spmm
+
+
+@pytest.mark.parametrize("name, overrides, reads_encoder", [
+    ("gcn", {}, False),                 # layer 1 reads ÂX, the fuse the last rep
+    ("gcn", {"dropout": 0.5}, True),    # layer 1 aggregates X W_e
+    ("mixhop", {}, True),               # an identity channel reads X W_e
+    ("h2gcn", {}, True),                # the cat fuse reads X W_e
+    ("compatgnn", {}, True),            # prototype channel and cat fuse
+    ("mlp", {"layers": 0}, True),       # no layers: the classifier reads it
+], ids=["gcn", "gcn_dropout", "mixhop", "h2gcn", "compatgnn", "mlp0"])
+def test_the_encoder_product_is_computed_only_when_read(name, overrides, reads_encoder,
+                                                       monkeypatch):
+    model = preset_model(name, **overrides)
+    products, result = [], ad._result
+    x = model.features
+
+    def spy(value, parents, bw, op):
+        if op == "matmul" and parents[0].value is x:
+            products.append(value.shape)
+        return result(value, parents, bw, op)
+    monkeypatch.setattr(ad, "_result", spy)
+    logits, grads = forward_and_grads(model, train=True)
+    assert products == ([(x.shape[0], model.spec.hidden_dim)] if reads_encoder else [])
+
+    # bitwise what a forward that always computes X W_e gives
+    monkeypatch.setattr(MessagePassingModel, "_reads_encoder", lambda self, p: True)
+    want_logits, want_grads = forward_and_grads(model, train=True)
+    assert len(products) == 1 + reads_encoder
+    np.testing.assert_array_equal(logits, want_logits)
+    assert grads.keys() == want_grads.keys()
+    for k in grads:
+        np.testing.assert_array_equal(grads[k], want_grads[k])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -295,12 +296,12 @@ def _tensors(out):
         yield from (v if isinstance(v, list) else [v])
 
 
-def _train_recording_evals(name, seed=8):
+def _train_recording_evals(name, seed=8, dropout=0.0):
     """train_model on a toy graph, keeping every eval forward's output and
     the parameters' requires_grad flags during that forward."""
     g = sbm_toy(30)
     cfg = RunConfig(model=name, lr=0.05, patience=10, max_epochs=6, nhidden=4,
-                    lambda_=0.3)
+                    lambda_=0.3, dropout=dropout)
     model = build_model(cfg, g, seed=seed)
     forward, evals = model.forward, []
 
@@ -317,27 +318,37 @@ def _train_recording_evals(name, seed=8):
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_eval_forwards_record_no_tape_and_change_no_number(name, monkeypatch):
-    model, res, evals = _train_recording_evals(name)
-    assert len(evals) == len(res.val_curve) + 1     # per epoch, then final
-    for out, flags in evals:
-        assert not any(flags)
-        for t in _tensors(out):
-            assert not t.requires_grad and t.parents == () and t._backward is None
-    assert all(p.requires_grad for p in model.params.values())
+    """With dropout > 0 every eval is tapeless. With dropout 0 the
+    per-epoch evals keep their tape (the next epoch trains on them) and
+    the final eval is tapeless."""
+    for dropout in (0.0, 0.5):
+        model, res, evals = _train_recording_evals(name, dropout=dropout)
+        assert len(evals) == len(res.val_curve) + 1     # per epoch, then final
+        for out, flags in (evals if dropout else evals[-1:]):
+            assert not any(flags)
+            for t in _tensors(out):
+                assert not t.requires_grad and t.parents == () and t._backward is None
+        if not dropout:
+            for out, flags in evals[:-1]:
+                assert all(flags) and out.logits.requires_grad
+        assert all(p.requires_grad for p in model.params.values())
 
-    # the final eval is bitwise the taped forward at the same parameters
-    taped = model.forward(train=False)
-    assert taped.logits.parents != ()
-    np.testing.assert_array_equal(evals[-1][0].logits.value, taped.logits.value)
+        # the final eval is bitwise the taped forward at the same parameters
+        taped = model.forward(train=False)
+        assert taped.logits.parents != ()
+        np.testing.assert_array_equal(evals[-1][0].logits.value, taped.logits.value)
 
-    # every eval and the whole record equal a run whose evals keep their tape
-    monkeypatch.setattr(training, "frozen", lambda params: contextlib.nullcontext())
-    _, res_taped, evals_taped = _train_recording_evals(name)
-    assert all(out.logits.parents != () for out, _ in evals_taped)
-    for (out, _), (ref, _) in zip(evals, evals_taped, strict=True):
-        assert np.array_equal(out.logits.value, ref.logits.value)
-    res.epoch_ms = res_taped.epoch_ms = []
-    assert dataclasses.asdict(res) == dataclasses.asdict(res_taped)
+        # every eval and the whole record equal a run that recomputes every
+        # train forward; with dropout > 0 its evals also keep their tape
+        with monkeypatch.context() as m:
+            m.setattr(training, "_reuses_eval", lambda model: False)
+            if dropout:
+                m.setattr(training, "frozen", lambda params: contextlib.nullcontext())
+            _, res_ref, evals_ref = _train_recording_evals(name, dropout=dropout)
+        for (out, _), (ref, _) in zip(evals, evals_ref, strict=True):
+            assert np.array_equal(out.logits.value, ref.logits.value)
+        res.epoch_ms = res_ref.epoch_ms = []
+        assert dataclasses.asdict(res) == dataclasses.asdict(res_ref)
 
 
 def test_forward_outside_train_model_keeps_its_tape():
@@ -351,18 +362,106 @@ def test_forward_outside_train_model_keeps_its_tape():
 
 def test_params_require_grad_again_after_an_eval_forward_raises():
     g = sbm_toy(30)
-    cfg = RunConfig(model="gcn", lr=0.05, patience=10, max_epochs=6, nhidden=4)
+    cfg = RunConfig(model="gcn", lr=0.05, patience=10, max_epochs=6, nhidden=4,
+                    dropout=0.5)
     model = build_model(cfg, g, seed=9)
     forward, w = model.forward, model.params["encoder.w"]
+    flags = []
 
     def nan_in_eval(train=False, rng=None):
         if not train:
+            flags.extend(p.requires_grad for p in model.params.values())
             w.value = np.full_like(w.value, np.nan)
         return forward(train=train, rng=rng)
     model.forward = nan_in_eval
     with pytest.raises(TrainingDiverged, match="epoch 0: non-finite value produced by matmul"):
         train_model(g, toy_split(g), cfg, seed=9, model=model)
+    assert flags and not any(flags)     # the eval ran frozen
     assert all(p.requires_grad for p in model.params.values())
+
+
+# ---------------------------------------------------------------------------
+# with dropout 0 an epoch trains on the previous epoch's eval forward
+
+def _train_recording_calls(name, max_epochs=8, seed=8):
+    """train_model on a toy graph at dropout 0, recording each forward's
+    (train, output), the output each loss reads, and the refresh epochs."""
+    g = sbm_toy(30)
+    cfg = RunConfig(model=name, lr=0.05, patience=20, max_epochs=max_epochs,
+                    nhidden=4, lambda_=0.3)
+    model = build_model(cfg, g, seed=seed)
+    forward, loss, calls, losses = model.forward, model.loss, [], []
+
+    def recording_forward(train=False, rng=None):
+        out = forward(train=train, rng=rng)
+        calls.append((train, out))
+        return out
+
+    def recording_loss(out, train_idx):
+        losses.append(out)
+        return loss(out, train_idx)
+    model.forward, model.loss = recording_forward, recording_loss
+    res = train_model(g, toy_split(g), cfg, seed=seed, model=model)
+    return res, calls, losses
+
+
+def test_an_h2gcn_run_runs_one_train_forward():
+    res, calls, losses = _train_recording_calls("h2gcn")
+    assert len(res.val_curve) == 8
+    assert [train for train, _ in calls] == [True] + [False] * 9
+    # epoch e >= 1 trains on epoch e-1's eval output, the very object
+    evals = [out for train, out in calls if not train]
+    assert losses[0] is calls[0][1]
+    assert all(losses[e] is evals[e - 1] for e in range(1, 8))
+
+
+def test_a_compatgnn_run_runs_a_train_forward_after_each_refresh():
+    res, calls, losses = _train_recording_calls("compatgnn")
+    n_epochs = len(res.val_curve)
+    assert res.refresh_epochs and n_epochs == 8
+    followed = [e for e in res.refresh_epochs if e < n_epochs - 1]
+    assert len(followed) < n_epochs - 1, "the toy run must reuse some evals"
+    assert sum(train for train, _ in calls) == 1 + len(followed)
+    evals = [out for train, out in calls if not train]
+    for e in range(1, n_epochs):
+        assert (losses[e] is evals[e - 1]) == (e - 1 not in res.refresh_epochs)
+
+
+def test_a_refresh_frees_the_stale_eval_before_the_next_train_forward():
+    g = sbm_toy(30)
+    cfg = RunConfig(model="compatgnn", lr=0.05, patience=20, max_epochs=8,
+                    nhidden=4, lambda_=0.3)
+    model = build_model(cfg, g, seed=8)
+    forward, refresh = model.forward, model.on_validation_improved
+    last, stale, checked = [], [], []
+
+    def intermediates(out):
+        """weakrefs to the values of every tape node behind out"""
+        seen, stack, refs = set(), list(_tensors(out)), []
+        while stack:
+            t = stack.pop()
+            if id(t) in seen or not t.parents:
+                continue
+            seen.add(id(t))
+            refs.append(weakref.ref(t.value))
+            stack.extend(t.parents)
+        return refs
+
+    def recording_forward(train=False, rng=None):
+        if train and stale:
+            checked.append(all(ref() is None for ref in stale.pop()))
+        out = forward(train=train, rng=rng)
+        if not train:
+            last[:] = [intermediates(out)]
+        return out
+
+    def recording_refresh(eval_out, train_idx, epoch):
+        refresh(eval_out, train_idx, epoch)
+        stale.append(last[0])
+    model.forward, model.on_validation_improved = recording_forward, recording_refresh
+    res = train_model(g, toy_split(g), cfg, seed=8, model=model)
+    followed = [e for e in res.refresh_epochs if e < len(res.val_curve) - 1]
+    assert followed and checked == [True] * len(followed)
 
 
 def test_a_compatgnn_epoch_never_builds_the_fused_concat(monkeypatch):
