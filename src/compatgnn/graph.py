@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError
-from .records import decode, read_json
+from .records import decode, read_json, reading
 from .rng import make_rng
 
 FEATURES_MAGIC = b"GF32"
@@ -68,6 +68,9 @@ class Graph:
             raise DataError(f"expected {n} labels, got {self.labels.shape}")
         if self.n_classes < 1:
             raise DataError("n_classes must be >= 1")
+        if self.n_classes > n:
+            # a class count past the node count is corrupt, and K x K is dense
+            raise DataError(f"{self.n_classes} classes for {n} nodes")
         bad = (self.labels < -1) | (self.labels >= self.n_classes)
         if np.any(bad):
             i = int(np.where(bad)[0][0])
@@ -180,22 +183,21 @@ def _read_tsv_ints(path, n_cols):
     """Rows of n_cols tab- or space-separated integers, blank lines
     skipped, parsed in one loadtxt call. A file it rejects is scanned line
     by line, so the error names the first bad line as path:line."""
-    if not os.path.exists(path):
-        raise DataError(f"{path}: not found")
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None)
-        if rows.size == 0 or rows.shape[1] == n_cols:
-            return rows.reshape(-1, n_cols)
-    except ValueError:
-        pass
-    return _scan_tsv_ints(path, n_cols)
+    with reading(path, DataError):
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None)
+            if rows.size == 0 or rows.shape[1] == n_cols:
+                return rows.reshape(-1, n_cols)
+        except ValueError:
+            pass
+        return _scan_tsv_ints(path, n_cols)
 
 
 def _scan_tsv_ints(path, n_cols):
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path, DataError), open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -214,15 +216,15 @@ def _scan_tsv_ints(path, n_cols):
 
 
 def _read_features_tsv(path):
-    try:
-        x = np.loadtxt(path, dtype=np.float64, delimiter="\t", ndmin=2)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    return x
+    with reading(path, DataError):
+        try:
+            return np.loadtxt(path, dtype=np.float64, delimiter="\t", ndmin=2)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def read_features_f32(path):
-    with open(path, "rb") as fh:
+    with reading(path, DataError), open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != FEATURES_MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}, expected {FEATURES_MAGIC!r}")
@@ -237,7 +239,11 @@ def read_features_f32(path):
             raise DataError(f"{path}: header says {rows} x {cols} float32 values, "
                             f"the file holds {left} bytes of data")
         x = np.fromfile(fh, dtype="<f4", count=rows * cols)
-    return x.reshape(rows, cols).astype(np.float64)
+        try:
+            return x.reshape(rows, cols).astype(np.float64)
+        except ValueError:  # an empty array of a dimension past numpy's
+            raise DataError(f"{path}: header says {rows} x {cols}, "
+                            "not an array shape") from None
 
 
 def write_features_f32(path, x):
@@ -313,16 +319,21 @@ def save_dataset(g, path):
 
 @dataclass
 class Split:
-    """Disjoint train/valid/test node index sets: JSON lists of node ids in
-    a split file, int64 arrays once built."""
+    """Disjoint, non-empty train/valid/test node index sets: JSON lists
+    of node ids in a split file, int64 arrays once built."""
     train: list[int]
     valid: list[int]
     test: list[int]
 
     def __post_init__(self):
-        self.train = np.asarray(self.train, dtype=np.int64)
-        self.valid = np.asarray(self.valid, dtype=np.int64)
-        self.test = np.asarray(self.test, dtype=np.int64)
+        for part in ("train", "valid", "test"):
+            try:
+                ids = np.asarray(getattr(self, part), dtype=np.int64)
+            except OverflowError:
+                raise DataError(f"split {part} holds a node id outside int64") from None
+            if ids.size == 0:
+                raise DataError(f"split {part} is empty")
+            setattr(self, part, ids)
         all_idx = np.concatenate([self.train, self.valid, self.test])
         if len(np.unique(all_idx)) != len(all_idx):
             raise DataError("split parts overlap")

@@ -262,11 +262,18 @@ class CompatGNN(MessagePassingModel):
             return ce
         return add(ce, scale(self.discrimination_loss(out), self.dis_weight))
 
+    def on_training_start(self, train_idx):
+        """Bind the prototypes and the bootstrap estimate."""
+        self.bind_prototypes(train_idx)
+        c0 = self.bootstrap_soft_labels(train_idx)
+        self.set_estimate(estimate_cm(self.real_graph, c0, epoch=-1), c0)
+
     def on_validation_improved(self, eval_out, train_idx, epoch):
         """Refresh soft labels, the estimate, and the guidance matrices."""
         soft = self._pin_train_rows(row_softmax(eval_out.logits).value, train_idx)
         est = estimate_cm(self.real_graph, soft, epoch=epoch)
         self.set_estimate(est, soft)
+        return True
 
     def run_metadata(self):
         g = self.cm.confidence

@@ -10,16 +10,15 @@ channel weight. Channels are merged by COMBINE, layer outputs by FUSE.
 Classic architectures are single points in this space; see PRESETS. So
 is compatgnn (build_preset("compatgnn")): a spec that model.CompatGNN
 runs over N nodes plus K prototype nodes, binding its
-supplementary/constant channel (PrototypeOperator).
+supplementary/constant channel (PrototypeOperator) in the training
+hooks on_training_start and on_validation_improved.
 
 Layer 1 reads ÂX: when the encoder output X W_e reaches it as it is
 (linear encoder, dropout 0, no relu before aggregating) and the features
 are no wider than hidden_dim, a channel over a sparse operator Â computes
 Â (X W_e) W as (ÂX)(W_e W). ÂX is a constant, computed in the first
 forward and cached per operator until the features change (a CompatGNN
-rebinding its prototypes), so that channel runs no SpMM. When every
-layer-1 channel reads ÂX and the fuse reads only the last layer (a gcn),
-nothing reads X W_e, and the forward does not compute it.
+rebinding its prototypes), so that channel runs no SpMM.
 
 A ModelSpec is declarative data: json.dumps(spec.to_dict()) writes a
 spec file, and `--model spec.json` runs it (training.build_model reads
@@ -52,6 +51,26 @@ MODEL_NAMES = ("compatgnn",) + PRESETS
 PAIRINGS = {"identity": ("identity",), "supplementary": ("constant",)}
 AVERAGING = ("deg_avg_row", "deg_avg_sym", "high_pass")
 MIN_K = {"khop": 2, "feature_knn": 1}   # the least k; no other indicator takes k
+
+# Bounds that refuse sizes no machine could build, before anything is
+# built; neither is a memory estimate. A preset takes at most MAX_LAYERS
+# layers (deep GNNs run about a thousand), so a layer count of 2^64 never
+# becomes a list. A model is refused past MODEL_MAX_SIZE float64 values,
+# projected from its own widths (the encoder's, each layer's and the
+# fused one): an N x width output and at most width x width of weights
+# each. 10^12 values are 8 TB, over 5000 times a compatgnn (6.5e7) or an
+# h2gcn (1.5e8) over 169k nodes at hidden 64 and 2 layers.
+MAX_LAYERS = 10**4
+MODEL_MAX_SIZE = 10**12
+
+
+def check_model_size(widths, n_nodes):
+    """Refuse a model of these output widths over n_nodes nodes if it
+    projects past MODEL_MAX_SIZE values."""
+    size = (n_nodes + max(widths)) * sum(widths)
+    if size > MODEL_MAX_SIZE:
+        raise ConfigError(f"the model over {n_nodes} nodes projects past the "
+                          f"limit of {MODEL_MAX_SIZE:.0e} values")
 
 
 def check_allowed(spec):
@@ -282,6 +301,8 @@ class MessagePassingModel:
         spec.validate()
         if not isinstance(graph, Graph):
             raise ConfigError("MessagePassingModel needs a Graph")
+        reps, self.fused_width = spec.widths()
+        check_model_size(reps + [self.fused_width], graph.n_nodes)
         self.spec = spec
         self.graph = graph
         self.features = graph.features
@@ -289,7 +310,6 @@ class MessagePassingModel:
         self.force_alpha = None
         rng = make_rng(seed, "params")
         d_r = spec.hidden_dim
-        reps, self.fused_width = spec.widths()
 
         self._operators = {}
         if prototypes is not None:
@@ -401,17 +421,6 @@ class MessagePassingModel:
                 and not s.relu_before_aggregate
                 and self.features.shape[1] <= s.hidden_dim)
 
-    def _reads_encoder(self, propagated):
-        """Whether the forward reads the encoder output X W_e: layer 1
-        does unless each of its channels reads ÂX instead, and a cat or
-        ada_add fuse, or a model without layers, reads it as reps[0]."""
-        s = self.spec
-        if not s.layers or s.fuse != "last" or not propagated:
-            return True
-        return any(not isinstance(self._operators[(ch.indicator, ch.guidance, ch.k)],
-                                  SparseMatrix)
-                   for ch in s.layers[0].channels)
-
     def _channel(self, li, cj, ch, zin, propagated):
         key = (ch.indicator, ch.guidance, ch.k)
         op = self._operators[key]
@@ -427,11 +436,9 @@ class MessagePassingModel:
 
     def forward(self, train=False, rng=None):
         spec = self.spec
-        propagated = self._reads_propagated()
-        z = None    # unread: layer 1 reads only ÂX and the fuse only its last rep
-        if self._reads_encoder(propagated):
-            z = dropout(self._encode(), spec.dropout, rng, train)
+        z = dropout(self._encode(), spec.dropout, rng, train)
         reps = [z]
+        propagated = self._reads_propagated()
         for li, layer in enumerate(spec.layers, start=1):
             try:
                 zin = relu(z) if spec.relu_before_aggregate else z
@@ -451,6 +458,14 @@ class MessagePassingModel:
     def loss(self, out, train_idx):
         return ad.masked_cross_entropy(out.logits, self.graph.labels, train_idx)
 
+    def on_training_start(self, train_idx):
+        """Runs before the first epoch (training.train_model)."""
+
+    def on_validation_improved(self, eval_out, train_idx, epoch):
+        """Runs on each validation improvement; True if it refreshed
+        the model, which makes eval_out stale."""
+        return False
+
     def run_metadata(self):
         return {}
 
@@ -467,6 +482,9 @@ def build_preset(name, n_layers=2, hidden_dim=64, dropout=0.0,
         raise ConfigError(f"unknown preset {name!r}; choose from {MODEL_NAMES}")
     if n_layers < 0 or (n_layers == 0 and name != "mlp"):
         raise ConfigError(f"preset {name!r} needs n_layers >= 1")
+    if n_layers > MAX_LAYERS:
+        raise ConfigError(f"preset {name!r} takes at most {MAX_LAYERS} layers, "
+                          f"got {n_layers}")
 
     relu_default = False
     classifier_default = "linear"

@@ -2,21 +2,36 @@
 (config, model spec, run record, meta.json) becomes a dataclass through
 `decode`, which checks each value against its field annotation."""
 
+import contextlib
 import dataclasses
 import json
 import types
 import typing
 
 
-def read_json(path, error):
-    """A JSON file; a missing or malformed one raises `error`."""
+@contextlib.contextmanager
+def reading(path, error):
+    """Reads `path` in the block, turning the failures of reading it into
+    `error`: a missing file is "not found", any other OSError (a directory,
+    no permission) or a byte that is not UTF-8 names its cause."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        yield
     except FileNotFoundError:
         raise error(f"{path}: not found") from None
-    except json.JSONDecodeError as exc:
-        raise error(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def read_json(path, error):
+    """A JSON file; a missing, unreadable or malformed one raises `error`."""
+    with reading(path, error):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise error(f"{path}: {exc}") from None
 
 
 def decode(cls, obj, error, where):
@@ -62,7 +77,11 @@ def decode(cls, obj, error, where):
         for name, f in fields.items():
             if name not in d and f.default is f.default_factory is dataclasses.MISSING:
                 fail(path, f"missing key {name!r}")
-        return tp(**{k: value(fields[k].type, v, f"{path}.{k}" if path else k)
-                     for k, v in d.items()})
+        kwargs = {k: value(fields[k].type, v, f"{path}.{k}" if path else k)
+                  for k, v in d.items()}
+        try:
+            return tp(**kwargs)
+        except error as exc:    # the record's own check (__post_init__)
+            fail(path, str(exc))
 
     return record(cls, obj, "")

@@ -77,7 +77,9 @@ def khop_adjacency(g_or_a, k):
     whose product may hold more than KHOP_MAX_NNZ nonzeros is refused
     before it runs: row i of reach @ A holds at most the out-degrees of
     the nodes i reaches, summed. Refused at hop 2, the least k, the
-    graph itself is too large; past it, a smaller k fits.
+    graph itself is too large; past it, a smaller k fits. The hops end
+    at the first that adds no nonzero: a union that stops growing never
+    grows again, so a k past the graph's reach costs no more hops.
     """
     if k < 2:
         raise DataError(f"k-hop neighborhood needs k >= 2, got {k}")
@@ -96,7 +98,11 @@ def khop_adjacency(g_or_a, k):
                 f"(~{projected * 12 / 1e9:.1f} GB), over the limit of "
                 f"{KHOP_MAX_NNZ:.0e}; {remedy}")
         reach = _binary(reach @ a1)
-        acc = _binary(acc + reach)
+        grown = _binary(acc + reach)
+        done = grown.nnz == acc.nnz
+        acc = grown
+        if done:
+            break
     return _drop_diagonal(acc)
 
 

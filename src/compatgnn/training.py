@@ -3,9 +3,10 @@
 One protocol serves every model: train on the train split, track
 validation accuracy each epoch, snapshot parameters on strict
 improvement, stop after `patience` non-improving epochs, report test
-accuracy at the best snapshot. The compatibility-guided model refreshes
-its estimator state on the same improvement events, so the estimate in
-play always corresponds to the best parameters seen so far.
+accuracy at the best snapshot. Every model's on_training_start runs
+before the first epoch and its on_validation_improved on each
+improvement, so the compatibility-guided model's estimate in play
+always corresponds to the best parameters seen so far.
 
 Evaluation is tapeless with dropout > 0. With dropout 0 an epoch's eval
 forward is the next epoch's train forward, so it keeps its tape and is
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, TrainingDiverged
 from .autodiff import backward, frozen, zero_grads
-from .model import CompatGNN, estimate_cm
+from .model import CompatGNN
 from .mp import MODEL_NAMES, MessagePassingModel, ModelSpec, build_preset
 from .optim import Adam
 from .records import decode, read_json
@@ -173,20 +174,15 @@ def train_model(graph, split, config, seed, split_id=0, model=None):
     Each epoch's eval forward runs at the parameters the next epoch
     trains at. With dropout > 0 it runs under `frozen` and records no
     tape. With dropout 0 it records its tape, and the next epoch trains
-    on its output instead of running a train forward, unless a
-    compatibility refresh made it stale; a stale eval output is dropped
-    at the refresh. The final forward at the best parameters is frozen.
+    on its output instead of running a train forward, unless
+    on_validation_improved returned True (a refresh): that eval output is
+    stale and is dropped there. The final forward is frozen.
     """
     config.validate()
     if model is None:
         model = build_model(config, graph, seed)
     drop_rng = make_rng(seed, "dropout")
-
-    is_compat = isinstance(model, CompatGNN)
-    if is_compat:
-        model.bind_prototypes(split.train)
-        c0 = model.bootstrap_soft_labels(split.train)
-        model.set_estimate(estimate_cm(graph, c0, epoch=-1), c0)
+    model.on_training_start(split.train)
 
     opt = Adam(model.params, lr=config.lr, weight_decay=config.weight_decay)
     best_val = -np.inf
@@ -235,11 +231,9 @@ def train_model(graph, split, config, seed, split_id=0, model=None):
             best_epoch = epoch
             wait = 0
             best_state = {k: p.value.copy() for k, p in model.params.items()}
-            if is_compat:
-                model.on_validation_improved(eval_out, split.train, epoch)
+            if model.on_validation_improved(eval_out, split.train, epoch):
                 refresh_epochs.append(epoch)
-                if reuse:   # stale under the new estimate: free its tape now
-                    eval_out = None
+                eval_out = None     # stale under the new state: free its tape now
         else:
             wait += 1
         epoch_ms.append((time.perf_counter() - t0) * 1000.0)

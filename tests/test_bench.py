@@ -2,6 +2,9 @@ import importlib.util
 import json
 import os
 import re
+import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -302,3 +305,20 @@ def test_perfbench_tracer_targets_exist():
     missing += [f"{cls.__name__}.forward" for cls, _ in spans.FORWARDS
                 if not callable(vars(cls).get("forward"))]
     assert not missing, f"perfbench/spans.py wraps missing targets: {missing}"
+
+
+def test_perfbench_smoke_runs_every_workload(tmp_path):
+    """`perfbench/run.py --smoke` runs each workload at toy size, traced and
+    untraced, and checks its outputs. It runs in a copy of the tree, so its
+    report does not replace the repository's .perfbench/out."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for name in ("src", "perfbench"):
+        shutil.copytree(os.path.join(root, name), tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(os.path.join(root, "BENCHMARK.json"), tmp_path)
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=600, check=False)
+    lines = [l for l in proc.stdout.splitlines() if l.startswith("smoke ")]
+    assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]
+    assert len(lines) == 6 and all(l.endswith(" ok") for l in lines), proc.stdout

@@ -8,6 +8,7 @@ import pytest
 
 from compatgnn import (ConfigError, DataError, NumericalError, TrainingDiverged,
                        knn_feature_graph, load_dataset, save_splits)
+from compatgnn import mp
 from compatgnn.cli import _build_config, _parse_split_ids, build_parser, main
 
 
@@ -484,6 +485,69 @@ def _synth_gen_with(flag, value):
                             "--out", str(tmp / "d")]
 
 
+def _on_copy(change, command="train"):
+    """`dataset inspect`, `train` or `bench` on a copy of the dataset that
+    change(copy) edited."""
+    def make_argv(tmp, ds):
+        copy = tmp / "ds"
+        shutil.copytree(ds, copy)
+        change(copy)
+        if command == "inspect":
+            return ["dataset", "inspect", str(copy)]
+        if command == "bench":
+            return ["bench", "--data", str(copy), "--splits", "0"] + run_quick([])
+        return ["train", "--data", str(copy), "--split", "0"] + run_quick([])
+    return make_argv
+
+
+def _append_non_utf8(name):
+    def change(copy):
+        with open(copy / name, "ab") as fh:
+            fh.write(b"\xff")
+    return change
+
+
+def _into_directory(name):
+    def change(copy):
+        (copy / name).unlink()
+        (copy / name).mkdir()
+    return change
+
+
+def _degree_report_on_a_directory(tmp, ds):
+    (tmp / "bench" / "run_split0.json").mkdir(parents=True)
+    return ["degree-report", "--runs", str(tmp / "bench")]
+
+
+def _config_directory(tmp, ds):
+    (tmp / "cfg.json").mkdir()
+    return ["train", "--data", ds, "--config", str(tmp / "cfg.json")] + run_quick([])
+
+
+def _spec_directory(tmp, ds):
+    (tmp / "spec.json").mkdir()
+    return ["train", "--data", ds, "--model", str(tmp / "spec.json")]
+
+
+def _config_non_utf8(tmp, ds):
+    (tmp / "cfg.json").write_bytes(b'{"lr": 0.01\xff}')
+    return ["train", "--data", ds, "--config", str(tmp / "cfg.json")] + run_quick([])
+
+
+def _empty_f32_of_header(rows, cols):
+    def change(copy):
+        raw = (copy / "features.f32").read_bytes()
+        (copy / "features.f32").write_bytes(raw[:4] + struct.pack("<QQ", rows, cols))
+    return change
+
+
+def _split_part(part, ids):
+    def change(copy):
+        path = copy / "splits" / "split_0.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), **{part: ids})))
+    return change
+
+
 BAD_INPUTS = [
     ("inspect_without_edges", _dir_without_edges, 3),
     ("degree_report_bad_json", lambda tmp, ds: [
@@ -576,6 +640,36 @@ BAD_INPUTS = [
     ("bench_split_ids_repeated_in_config_file", lambda tmp, ds: [
         "bench", "--data", ds, "--config",
         _write(tmp, "cfg.json", json.dumps({"split_ids": [1, 0, 1]}))] + run_quick([]), 2),
+    # unreadable files: a byte that is not UTF-8, a directory in a file's place
+    *[(f"{name.split('.')[0]}_non_utf8_{command}",
+       _on_copy(_append_non_utf8(name), command), 3)
+      for name in ("edges.tsv", "labels.tsv", "meta.json")
+      for command in ("inspect", "train")],
+    ("split_non_utf8", _on_copy(_append_non_utf8("splits/split_0.json")), 3),
+    *[(f"{name.split('/')[-1].split('.')[0]}_is_a_directory",
+       _on_copy(_into_directory(name)), 3)
+      for name in ("edges.tsv", "meta.json", "features.f32", "splits/split_0.json")],
+    ("degree_report_run_is_a_directory", _degree_report_on_a_directory, 3),
+    ("config_is_a_directory", _config_directory, 2),
+    ("config_non_utf8", _config_non_utf8, 2),
+    ("config_nested_past_the_recursion_limit", lambda tmp, ds: [
+        "train", "--data", ds, "--config", _write(tmp, "cfg.json", "[" * 100000)], 2),
+    ("spec_is_a_directory", _spec_directory, 2),
+    ("features_f32_empty_past_numpy_dimensions",
+     _on_copy(_empty_f32_of_header(2**64 - 1, 0), "inspect"), 3),
+    ("meta_more_classes_than_nodes", _inspect_with_meta(n_classes=2**64), 3),
+    # split files that cannot drive the protocol
+    ("split_id_past_int64", _on_copy(_split_part("train", [0, 2**64])), 3),
+    *[(f"split_{part}_empty", _on_copy(_split_part(part, [])), 3)
+      for part in ("train", "valid", "test")],
+    ("split_test_empty_bench", _on_copy(_split_part("test", []), "bench"), 3),
+    # models too large to build
+    ("train_nhidden_2_64", lambda tmp, ds: [
+        "train", "--data", ds] + run_quick(["--nhidden", str(2**64)]), 2),
+    ("oversized_nhidden_in_config", lambda tmp, ds: _train_with_config(
+        {"nhidden": 2**64})(tmp, ds), 2),
+    ("spec_hidden_dim_2_64", _train_with_spec(
+        {"indicator": "raw", "guidance": "deg_avg_sym"}, hidden_dim=2**64), 2),
 ]
 
 
@@ -591,6 +685,19 @@ def test_bad_inputs_exit_codes(name, make_argv, code, dataset, tmp_path, capsys)
             assert str(tmp_path / file) in err
     else:
         assert json.load(open(tmp_path / "run" / "run.json"))["seed"] == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_layers_2_64_exit_2_before_a_layer_is_built(source, dataset, tmp_path,
+                                                      monkeypatch, capsys):
+    # without the layer bound, build_preset would build a 2**64-element list
+    def layer_spec(*args, **kwargs):
+        raise AssertionError("a layer was built")
+    monkeypatch.setattr(mp, "LayerSpec", layer_spec)
+    argv = (run_quick(["--layers", str(2**64)]) if source == "flag" else
+            ["--config", _write(tmp_path, "cfg.json", json.dumps({"layers": 2**64}))])
+    assert main(["train", "--data", dataset] + argv) == 2
+    assert f"at most {mp.MAX_LAYERS} layers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,9 +32,7 @@ def compat(hidden_dim=4, n_layers=2, structure_info=False):
 
 def ready_model(g, train_idx, seed=0, dis_weight=0.0, **spec_kw):
     m = CompatGNN(compat(**spec_kw), g, seed=seed, dis_weight=dis_weight)
-    m.bind_prototypes(train_idx)
-    soft = m.bootstrap_soft_labels(train_idx)
-    m.set_estimate(estimate_cm(g, soft), soft)
+    m.on_training_start(train_idx)
     return m
 
 

@@ -14,7 +14,7 @@ from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
                           realize_indicator)
 from compatgnn.rng import make_rng
 from compatgnn.sparse import add_self_loops, khop_adjacency, sym_normalize
-from compatgnn.model import CompatGNN, estimate_cm
+from compatgnn.model import CompatGNN
 from compatgnn.training import RunConfig, build_model, train_model
 
 from util import cubic12, make_graph, path3_forest, quartic12, random_graph
@@ -256,9 +256,7 @@ def test_one_compatgnn_forward_records_no_slices_or_row_scales(monkeypatch):
     g = random_graph(make_rng(6, "ada-ops"), 40, p=0.15)
     model = build_model(RunConfig(model="compatgnn", layers=2, nhidden=8), g, seed=0)
     train = generate_splits(g, 1, seed=0)[0].train
-    model.bind_prototypes(train)
-    soft = model.bootstrap_soft_labels(train)
-    model.set_estimate(estimate_cm(g, soft), soft)
+    model.on_training_start(train)
     nodes, result = [], ad._result
     monkeypatch.setattr(ad, "_result", lambda value, parents, bw, op:
                         nodes.append((op, value.shape))
@@ -281,11 +279,9 @@ def test_one_compatgnn_forward_records_no_slices_or_row_scales(monkeypatch):
 # layer 1 over ÂX: Â (X W_e) W = (ÂX)(W_e W)
 
 def ready(model, train):
-    """model, with a CompatGNN's prototypes and estimate bound from `train`."""
-    if isinstance(model, CompatGNN):
-        model.bind_prototypes(train)
-        soft = model.bootstrap_soft_labels(train)
-        model.set_estimate(estimate_cm(model.real_graph, soft), soft)
+    """model after its training-start hook over `train`, which binds a
+    CompatGNN's prototypes and estimate."""
+    model.on_training_start(train)
     return model
 
 
@@ -361,38 +357,6 @@ def test_one_train_forward_runs_spmm_only_past_layer1(name, n_spmm, monkeypatch)
     assert ops.count("spmm") == n_spmm
 
 
-@pytest.mark.parametrize("name, overrides, reads_encoder", [
-    ("gcn", {}, False),                 # layer 1 reads ÂX, the fuse the last rep
-    ("gcn", {"dropout": 0.5}, True),    # layer 1 aggregates X W_e
-    ("mixhop", {}, True),               # an identity channel reads X W_e
-    ("h2gcn", {}, True),                # the cat fuse reads X W_e
-    ("compatgnn", {}, True),            # prototype channel and cat fuse
-    ("mlp", {"layers": 0}, True),       # no layers: the classifier reads it
-], ids=["gcn", "gcn_dropout", "mixhop", "h2gcn", "compatgnn", "mlp0"])
-def test_the_encoder_product_is_computed_only_when_read(name, overrides, reads_encoder,
-                                                       monkeypatch):
-    model = preset_model(name, **overrides)
-    products, result = [], ad._result
-    x = model.features
-
-    def spy(value, parents, bw, op):
-        if op == "matmul" and parents[0].value is x:
-            products.append(value.shape)
-        return result(value, parents, bw, op)
-    monkeypatch.setattr(ad, "_result", spy)
-    logits, grads = forward_and_grads(model, train=True)
-    assert products == ([(x.shape[0], model.spec.hidden_dim)] if reads_encoder else [])
-
-    # bitwise what a forward that always computes X W_e gives
-    monkeypatch.setattr(MessagePassingModel, "_reads_encoder", lambda self, p: True)
-    want_logits, want_grads = forward_and_grads(model, train=True)
-    assert len(products) == 1 + reads_encoder
-    np.testing.assert_array_equal(logits, want_logits)
-    assert grads.keys() == want_grads.keys()
-    for k in grads:
-        np.testing.assert_array_equal(grads[k], want_grads[k])
-
-
 # ---------------------------------------------------------------------------
 # presets: structure
 
@@ -409,6 +373,25 @@ def test_preset_rejects_unknown_and_bad_args():
         build_preset("gat")
     with pytest.raises(ConfigError, match="n_layers"):
         build_preset("gcn", n_layers=0)
+
+
+@pytest.mark.parametrize("name, n_layers", [("h2gcn", 2), ("h2gcn", 3),
+                                             ("compatgnn", 2), ("compatgnn", 3)])
+def test_presets_over_large_graphs_pass_the_size_check(name, n_layers):
+    reps, fused = build_preset(name, n_layers=n_layers).widths()
+    for n_nodes in (100_000, 169_343, 1_000_000):
+        mp.check_model_size(reps + [fused], n_nodes)
+
+
+def test_absurd_models_are_refused_before_anything_is_built():
+    with pytest.raises(ConfigError, match="projects past the limit"):
+        mp.check_model_size([2**64, 2**64], 60)
+    # an h2gcn's widths double per layer; its widths stay Python ints
+    reps, fused = build_preset("h2gcn", n_layers=mp.MAX_LAYERS).widths()
+    with pytest.raises(ConfigError, match="projects past the limit"):
+        mp.check_model_size(reps + [fused], 60)
+    with pytest.raises(ConfigError, match=f"at most {mp.MAX_LAYERS} layers"):
+        build_preset("gcn", n_layers=mp.MAX_LAYERS + 1)
 
 
 def test_h2gcn_is_weightless_and_widths_double():

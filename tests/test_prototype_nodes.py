@@ -12,7 +12,7 @@ from compatgnn import ConfigError, DataError, Graph
 from compatgnn import autodiff as ad
 from compatgnn.cli import main
 from compatgnn.gradcheck import grad_check
-from compatgnn.model import CompatGNN, estimate_cm, with_prototype_nodes
+from compatgnn.model import CompatGNN, with_prototype_nodes
 from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
                           ModelSpec, PrototypeOperator, aggregate, build_preset)
 from compatgnn.rng import make_rng
@@ -139,9 +139,7 @@ def test_compat_layers_run_in_the_generic_forward():
     g = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
                    [0, 0, 0, 1, 1, 1], 2, d_f=3)
     m = CompatGNN(build_preset("compatgnn", hidden_dim=4), g, seed=0)
-    m.bind_prototypes([0, 1, 3, 4])
-    soft = m.bootstrap_soft_labels([0, 1, 3, 4])
-    m.set_estimate(estimate_cm(g, soft), soft)
+    m.on_training_start([0, 1, 3, 4])
     full = MessagePassingModel.forward(m)
     out = m.forward()
     assert full.logits.shape == (8, 2)

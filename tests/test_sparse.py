@@ -112,6 +112,18 @@ def test_khop_refuses_a_hop_projected_past_the_limit(monkeypatch):
         khop_adjacency(cycle(6), 2)
 
 
+def test_khop_ends_at_the_first_hop_that_adds_no_nonzero(monkeypatch):
+    # on the 6-cycle hops 2 and 3 reach new nodes and hop 4 none, so any
+    # larger k runs those three hops and gives the k=3 operator
+    want = khop_adjacency(cycle(6), 3)
+    calls, binary = [], sparse._binary
+    monkeypatch.setattr(sparse, "_binary", lambda a: calls.append(a) or binary(a))
+    got = khop_adjacency(cycle(6), 2**64)
+    assert len(calls) == 1 + 2 * 3      # a1, then reach and union per hop
+    for attr in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+
+
 def test_knn_orthogonal_features_pick_identical_partner():
     # rows 0 and 2 identical, row 1 orthogonal to both
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])

@@ -427,6 +427,27 @@ def test_a_compatgnn_run_runs_a_train_forward_after_each_refresh():
         assert (losses[e] is evals[e - 1]) == (e - 1 not in res.refresh_epochs)
 
 
+def test_train_model_calls_the_same_hooks_on_every_model():
+    g = sbm_toy(30)
+    split = toy_split(g)
+    cfg = RunConfig(model="gcn", lr=0.05, patience=20, max_epochs=6, nhidden=4)
+    model = build_model(cfg, g, seed=8)
+    assert model.on_training_start(split.train) is None
+    assert model.on_validation_improved(None, split.train, 0) is False
+    started, improved = [], []
+    model.on_training_start = started.append
+
+    def on_validation_improved(eval_out, train_idx, epoch):
+        improved.append(epoch)
+        return epoch == 0   # a refresh at epoch 0 only
+    model.on_validation_improved = on_validation_improved
+    res = train_model(g, split, cfg, seed=8, model=model)
+    assert len(started) == 1 and started[0] is split.train
+    best = np.maximum.accumulate(res.val_curve)
+    assert improved == [0] + [e for e in range(1, len(best)) if best[e] > best[e - 1]]
+    assert res.refresh_epochs == [0]
+
+
 def test_a_refresh_frees_the_stale_eval_before_the_next_train_forward():
     g = sbm_toy(30)
     cfg = RunConfig(model="compatgnn", lr=0.05, patience=20, max_epochs=8,
@@ -456,8 +477,9 @@ def test_a_refresh_frees_the_stale_eval_before_the_next_train_forward():
         return out
 
     def recording_refresh(eval_out, train_idx, epoch):
-        refresh(eval_out, train_idx, epoch)
+        refreshed = refresh(eval_out, train_idx, epoch)
         stale.append(last[0])
+        return refreshed
     model.forward, model.on_validation_improved = recording_forward, recording_refresh
     res = train_model(g, toy_split(g), cfg, seed=8, model=model)
     followed = [e for e in res.refresh_epochs if e < len(res.val_curve) - 1]
