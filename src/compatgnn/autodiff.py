@@ -20,11 +20,14 @@ computed, and that array becomes the first gradient of its target, with
 no copy. Only a gradient passed through unchanged (by add, sub, add_bias
 and concat_cols) is copied first, so no two tensors share a .grad array.
 
-Two fused ops, one tape node each, serve the adaptive channel combine
-and the classifier: concat_matmul multiplies a column concatenation by
-a matrix block by block, never building the concatenation, and row_mix
-sums tensors weighted per row by the columns of a weight matrix, in
-cache-sized row blocks.
+Fused ops are one tape node each. ada_mix is a whole adaptive channel
+combine: the gate that computes per-row channel weights alpha, the
+alpha-weighted sum and an optional relu, in cache-sized row blocks,
+keeping only alpha and the gate's sigmoid for its backward; ada_alpha
+reads alpha out through the same gate code without a tape.
+concat_matmul multiplies a column concatenation by a matrix block by
+block, never building the concatenation (the classifier), and row_mix
+sums tensors weighted per row by a given alpha, in row blocks.
 
 Sparse matrices enter only as constants on the left of spmm; gradients
 flow to the dense operand. Every forward output is checked finite so a
@@ -226,11 +229,33 @@ def row_scale(alpha, z):
     return _result(value, (alpha, z), bw, "row_scale")
 
 
-_BLOCK_ROWS = 2048   # rows per block of row_mix: its temporary stays in cache
+_BLOCK_ROWS = 2048   # rows per block of row_mix and ada_mix: temporaries stay in cache
 
 
 def _row_blocks(n):
     return ((lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
+
+
+def _mix_rows(out, buf, tensors, a, lo, hi):
+    """out = sum_r diag(a[:, r]) @ t_r over rows [lo, hi) of the tensors,
+    with `a` those rows of alpha; each entry is summed in the order
+    add(row_scale(...), ...) sums it."""
+    np.multiply(tensors[0].value[lo:hi], a[:, 0:1], out=out)
+    for r, t in enumerate(tensors[1:], start=1):
+        np.multiply(t.value[lo:hi], a[:, r:r + 1], out=buf)
+        out += buf
+
+
+def _check_mixed(tensors, alpha_shape, op):
+    """The common shape of the tensors, which an alpha of alpha_shape mixes."""
+    shape = tensors[0].shape
+    if any(t.shape != shape for t in tensors):
+        raise ValueError(f"{op} needs equally shaped tensors, got "
+                         f"{[t.shape for t in tensors]}")
+    if alpha_shape != (shape[0], len(tensors)):
+        raise ValueError(f"{op} needs ({shape[0]}, {len(tensors)}) alpha, "
+                         f"got {alpha_shape}")
+    return shape
 
 
 def row_mix(alpha, tensors):
@@ -240,22 +265,12 @@ def row_mix(alpha, tensors):
     the results in place; every entry is summed in the order
     add(row_scale(...), ...) sums it, so the results are bitwise equal."""
     tensors = list(tensors)
-    shape = tensors[0].shape
-    if any(t.shape != shape for t in tensors):
-        raise ValueError(f"row_mix needs equally shaped tensors, got "
-                         f"{[t.shape for t in tensors]}")
-    if alpha.shape != (shape[0], len(tensors)):
-        raise ValueError(f"row_mix needs ({shape[0]}, {len(tensors)}) alpha, "
-                         f"got {alpha.shape}")
+    shape = _check_mixed(tensors, alpha.shape, "row_mix")
     a = alpha.value
     value = np.empty(shape)
     tmp = np.empty((min(_BLOCK_ROWS, shape[0]), shape[1]))
     for lo, hi in _row_blocks(shape[0]):
-        v, buf = value[lo:hi], tmp[:hi - lo]
-        np.multiply(tensors[0].value[lo:hi], a[lo:hi, 0:1], out=v)
-        for r, t in enumerate(tensors[1:], start=1):
-            np.multiply(t.value[lo:hi], a[lo:hi, r:r + 1], out=buf)
-            v += buf
+        _mix_rows(value[lo:hi], tmp[:hi - lo], tensors, a[lo:hi], lo, hi)
 
     def bw(g):
         ga = np.empty_like(a) if alpha.requires_grad else None
@@ -274,6 +289,111 @@ def row_mix(alpha, tensors):
             if gt is not None:
                 _acc(t, gt)
     return _result(value, (alpha, *tensors), bw, "row_mix")
+
+
+def _ada_gate(cols, w_att, b_att, w_mix, b_mix):
+    """The gate of ada_mix over the columns of `cols` (channel outputs,
+    then extra columns): (w_rows, gate), where w_rows are the row blocks of
+    w_att, one per column block, and gate(lo, hi) returns rows [lo, hi) of
+
+        h = sigmoid([cols] W_att + b_att),  alpha = row_softmax(h W_mix + b_mix),
+
+    [cols] W_att summed block by block as concat_matmul sums it."""
+    if any(c.shape[0] != cols[0].shape[0] for c in cols):
+        raise ValueError("ada gate requires equal row counts")
+    widths = [c.shape[1] for c in cols]
+    if sum(widths) != w_att.shape[0]:
+        raise ValueError(f"ada gate: {sum(widths)} concatenated columns "
+                         f"against a weight of shape {w_att.shape}")
+    offsets = np.cumsum([0] + widths)
+    w_rows = [w_att.value[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+    def gate(lo, hi):
+        s = cols[0].value[lo:hi] @ w_rows[0]
+        for c, w in zip(cols[1:], w_rows[1:]):
+            s += c.value[lo:hi] @ w
+        h = _sigmoid_value(s + b_att.value)
+        return h, _softmax_value(h @ w_mix.value + b_mix.value)
+    return w_rows, gate
+
+
+def ada_alpha(tensors, extra_cols, w_att, b_att, w_mix, b_mix):
+    """The alpha ada_mix mixes the tensors with, as an array: the same gate
+    over the same row blocks, recording no tape."""
+    tensors = list(tensors)
+    n = tensors[0].shape[0]
+    _check_mixed(tensors, (n, w_mix.shape[1]), "ada_alpha")
+    _, gate = _ada_gate(tensors + list(extra_cols), w_att, b_att, w_mix, b_mix)
+    alpha = np.empty((n, len(tensors)))
+    for lo, hi in _row_blocks(n):
+        alpha[lo:hi] = gate(lo, hi)[1]
+    return alpha
+
+
+def ada_mix(tensors, extra_cols, w_att, b_att, w_mix, b_mix, relu):
+    """The adaptive combine of R equally shaped tensors Z_r as one tape node:
+
+        h = sigmoid([Z_1 .. Z_R, extra_cols] W_att + b_att)
+        alpha = row_softmax(h W_mix + b_mix)
+        out = sum_r diag(alpha[:, r]) Z_r, then max(out, 0) if `relu`
+
+    the value of the chain concat_matmul, add_bias, sigmoid, matmul,
+    add_bias, row_softmax, row_mix (and relu), up to the summation order of
+    the gate's products. Forward and backward walk blocks of _BLOCK_ROWS
+    rows. Besides its parents and its output the node keeps alpha and h
+    (N x R each): the backward recomputes each block's relu mask from the
+    output and writes each tensor's gradient once, so no N x d
+    intermediate outlives the forward."""
+    tensors, extra_cols = list(tensors), list(extra_cols)
+    n, d = shape = _check_mixed(tensors, (tensors[0].shape[0], w_mix.shape[1]),
+                                "ada_mix")
+    cols = tensors + extra_cols
+    w_rows, gate = _ada_gate(cols, w_att, b_att, w_mix, b_mix)
+    value = np.empty(shape)
+    h = np.empty((n, w_att.shape[1]))
+    alpha = np.empty((n, len(tensors)))
+    buf = np.empty((min(_BLOCK_ROWS, n), d))
+    for lo, hi in _row_blocks(n):
+        h[lo:hi], alpha[lo:hi] = gate(lo, hi)
+        v = value[lo:hi]
+        _mix_rows(v, buf[:hi - lo], tensors, alpha[lo:hi], lo, hi)
+        if relu:
+            np.maximum(v, 0.0, out=v)
+
+    def bw(g):
+        gts = [np.empty(c.shape) if c.requires_grad else None for c in cols]
+        gm = np.empty_like(alpha)        # gradient of alpha's softmax input
+        gs = np.empty_like(h)            # gradient of h's sigmoid input
+        buf = np.empty((min(_BLOCK_ROWS, n), d))
+        masked = np.empty_like(buf) if relu else None
+        for lo, hi in _row_blocks(n):
+            gb, tmp, a, hb = g[lo:hi], buf[:hi - lo], alpha[lo:hi], h[lo:hi]
+            if relu:
+                gb = np.multiply(gb, value[lo:hi] > 0, out=masked[:hi - lo])
+            ga = np.empty_like(a)
+            for r, t in enumerate(tensors):
+                np.multiply(gb, t.value[lo:hi], out=tmp)
+                ga[:, r] = tmp.sum(axis=1)
+            gm[lo:hi] = a * (ga - (ga * a).sum(axis=1, keepdims=True))
+            gs[lo:hi] = (gm[lo:hi] @ w_mix.value.T) * hb * (1.0 - hb)
+            for r, (gt, w) in enumerate(zip(gts, w_rows)):
+                if gt is None:
+                    continue
+                if r < len(tensors):
+                    np.multiply(gb, a[:, r:r + 1], out=gt[lo:hi])
+                    gt[lo:hi] += gs[lo:hi] @ w.T
+                else:
+                    gt[lo:hi] = gs[lo:hi] @ w.T
+        for c, gt in zip(cols, gts):
+            if gt is not None:
+                _acc(c, gt)
+        _acc(b_mix, gm.sum(axis=0, keepdims=True))
+        if w_mix.requires_grad:
+            _acc(w_mix, h.T @ gm)
+        _acc(b_att, gs.sum(axis=0, keepdims=True))
+        if w_att.requires_grad:
+            _acc(w_att, np.vstack([c.value.T @ gs for c in cols]))
+    return _result(value, (*cols, w_att, b_att, w_mix, b_mix), bw, "ada_mix")
 
 
 def scalar_scale(a, s):
@@ -308,24 +428,30 @@ def relu(a):
     return _result(value, (a,), bw, "relu")
 
 
-def sigmoid(a):
+def _sigmoid_value(x):
     # two-branch form so exp never sees a large positive argument
-    x = a.value
     neg = x < 0.0
     e = np.exp(np.where(neg, x, -x))
-    value = np.where(neg, e / (1.0 + e), 1.0 / (1.0 + e))
+    return np.where(neg, e / (1.0 + e), 1.0 / (1.0 + e))
+
+
+def sigmoid(a):
+    value = _sigmoid_value(a.value)
 
     def bw(g):
         _acc(a, g * value * (1.0 - value))
     return _result(value, (a,), bw, "sigmoid")
 
 
+def _softmax_value(x):
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def row_softmax(a):
     if a.shape[1] == 0:
         raise ValueError("softmax over an empty row")
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    value = e / e.sum(axis=1, keepdims=True)
+    value = _softmax_value(a.value)
 
     def bw(g):
         inner = (g * value).sum(axis=1, keepdims=True)

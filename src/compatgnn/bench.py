@@ -85,18 +85,25 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
+def split_by_id(splits, sid):
+    """The split of id sid from a list indexed by id or a dict keyed by it;
+    an id not among them is a ConfigError."""
+    if sid in (splits if isinstance(splits, dict) else range(len(splits))):
+        return splits[sid]
+    raise ConfigError(f"split id {sid} is not among the {len(splits)} "
+                      f"available splits")
+
+
 def run_bench(graph, splits, config, out_dir=None):
     """Train once per split id (seed derived from the split id, so repeating
-    an id repeats the identical run) and aggregate.
+    an id repeats the identical run) and aggregate. `splits` is a list
+    indexed by split id or a dict keyed by it.
 
     Diverged splits are excluded from the statistics and flagged, never
     silently dropped.
     """
     config.validate()
-    for sid in config.split_ids:
-        if sid >= len(splits):
-            raise ConfigError(f"split id {sid} outside available range "
-                              f"[0, {len(splits)})")
+    splits = {sid: split_by_id(splits, sid) for sid in config.split_ids}
     results = []
     for sid in config.split_ids:
         seed = derive_seed(config.seed, "run", sid)

@@ -17,10 +17,10 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError, TrainingDiverged
-from .bench import (degree_report, random_search, run_bench, write_json_atomic,
-                    write_text_atomic)
-from .graph import (Graph, _split_index, generate_splits, load_dataset,
-                    load_splits, save_dataset, save_splits)
+from .bench import (degree_report, random_search, run_bench, split_by_id,
+                    write_json_atomic, write_text_atomic)
+from .graph import (Graph, _split_index, generate_split, generate_splits,
+                    load_dataset, load_splits, save_dataset, save_splits)
 from .heatmap import cm_to_csv, cm_to_svg
 from .metrics import edge_homophily, node_homophily, observed_cm
 from .records import decode, read_json
@@ -114,12 +114,14 @@ def _build_config(args):
 
 
 def _load_graph_and_splits(config):
+    """The dataset and its splits: the stored list, or for a dataset
+    without splits/ the configured ids' splits, each drawn alone."""
     if not config.dataset:
         raise ConfigError("no dataset given (--data or config 'dataset')")
     g = load_dataset(config.dataset)
     if os.path.isdir(os.path.join(config.dataset, "splits")):
         return g, load_splits(config.dataset, g.n_nodes)
-    return g, generate_splits(g, max(config.split_ids) + 1, config.seed)
+    return g, {sid: generate_split(g, sid, config.seed) for sid in config.split_ids}
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +231,9 @@ def cmd_train(args):
     config = _build_config(args)
     g, splits = _load_graph_and_splits(config)
     sid = config.split_ids[0]
-    if sid >= len(splits):
-        raise ConfigError(f"split id {sid} outside [0, {len(splits)})")
+    split = split_by_id(splits, sid)
     try:
-        result = train_model(g, splits[sid], config, config.seed, split_id=sid)
+        result = train_model(g, split, config, config.seed, split_id=sid)
     except TrainingDiverged as exc:
         if args.out and exc.partial_result is not None:
             write_json_atomic(os.path.join(args.out, "run.json"),

@@ -339,20 +339,22 @@ class Split:
             raise DataError("split parts overlap")
 
 
-def generate_splits(g, n_splits, seed):
-    """48/32/20 train/valid/test node splits, one Philox stream per split id."""
+def generate_split(g, split_id, seed):
+    """The 48/32/20 train/valid/test node split of one id, drawn from its
+    own Philox stream, so it does not depend on which other ids are drawn."""
     n = g.n_nodes
     if n < 10:
         raise DataError(f"need at least 10 nodes to split, got {n}")
-    splits = []
-    for i in range(n_splits):
-        perm = make_rng(seed, "split", i).permutation(n)
-        n_train = int(round(SPLIT_FRACTIONS[0] * n))
-        n_valid = int(round(SPLIT_FRACTIONS[1] * n))
-        splits.append(Split(train=perm[:n_train],
-                            valid=perm[n_train:n_train + n_valid],
-                            test=perm[n_train + n_valid:]))
-    return splits
+    perm = make_rng(seed, "split", split_id).permutation(n)
+    n_train = int(round(SPLIT_FRACTIONS[0] * n))
+    n_valid = int(round(SPLIT_FRACTIONS[1] * n))
+    return Split(train=perm[:n_train], valid=perm[n_train:n_train + n_valid],
+                 test=perm[n_train + n_valid:])
+
+
+def generate_splits(g, n_splits, seed):
+    """The splits of ids 0 .. n_splits - 1 (generate_split)."""
+    return [generate_split(g, i, seed) for i in range(n_splits)]
 
 
 def _split_index(name):

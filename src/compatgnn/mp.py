@@ -13,6 +13,12 @@ runs over N nodes plus K prototype nodes, binding its
 supplementary/constant channel (PrototypeOperator) in the training
 hooks on_training_start and on_validation_improved.
 
+An ada_add layer weights its channels per node, alpha = row_softmax(
+sigmoid([Z_1 .. Z_R, deg] W_att + b_att) W_mix + b_mix), and mixes them
+as sum_r alpha[:, r] * Z_r. ada_combine runs the gate, the mix and the
+layer's relu as one tape node (autodiff.ada_mix), which keeps no N x d
+intermediate; ada_weights reads alpha out without a tape.
+
 Layer 1 reads ÂX: when the encoder output X W_e reaches it as it is
 (linear encoder, dropout 0, no relu before aggregating) and the features
 are no wider than hidden_dim, a channel over a sparse operator Â computes
@@ -40,7 +46,7 @@ from .rng import make_rng
 from . import autodiff as ad
 from .autodiff import (SparseMatrix, add, add_bias, concat_cols, concat_matmul,
                        constant, dropout, glorot, matmul, relu, row_mix,
-                       row_softmax, scalar_scale, sigmoid, slice_rows, spmm)
+                       scalar_scale, slice_rows, spmm)
 from .sparse import (add_self_loops, khop_adjacency, knn_feature_graph,
                      row_normalize, sym_normalize)
 
@@ -254,17 +260,27 @@ def init_ada_params(rng, n_channels, width, degree_column):
     }
 
 
+ADA_PARAMS = ("w_att", "b_att", "w_mix", "b_mix")
+
+
 def ada_weights(channel_outs, extra_cols, p):
-    """Row-wise softmax channel weights from the channel outputs and extra
-    columns, multiplied by w_att block by block (never concatenated)."""
-    s = concat_matmul(list(channel_outs) + list(extra_cols), p["w_att"])
-    h = sigmoid(add_bias(s, p["b_att"]))
-    return row_softmax(add_bias(matmul(h, p["w_mix"]), p["b_mix"]))
+    """The row-wise softmax channel weights alpha that ada_combine mixes
+    with under the gate parameters p, as a constant: a readout that
+    records no tape (autodiff.ada_alpha)."""
+    return constant(ad.ada_alpha(channel_outs, extra_cols,
+                                 *(p[k] for k in ADA_PARAMS)))
 
 
-def ada_combine(channel_outs, alpha):
-    """sum_r alpha[:, r] * Z_r, one tape node over (alpha, *channel_outs)."""
-    return row_mix(alpha, channel_outs)
+def ada_combine(channel_outs, weights, extra_cols=(), relu=False):
+    """sum_r alpha[:, r] * Z_r, then its relu if `relu`. `weights` is either
+    the gate parameters (ADA_PARAMS), from which autodiff.ada_mix computes
+    alpha over the channel outputs and extra columns inside one tape node,
+    or a fixed N x R alpha tensor (force_alpha), mixed by row_mix."""
+    if isinstance(weights, ad.Tensor):
+        z = row_mix(weights, channel_outs)
+        return ad.relu(z) if relu else z
+    return ad.ada_mix(channel_outs, extra_cols, *(weights[k] for k in ADA_PARAMS),
+                      relu=relu)
 
 
 def forced_alpha_tensor(force_alpha, n_rows):
@@ -361,23 +377,23 @@ class MessagePassingModel:
         self._deg_col = constant(graph.degrees.astype(np.float64).reshape(-1, 1))
         self._propagated = {}   # operator key -> constant ÂX, see _channel
 
-    def _combine(self, li, layer, outs):
+    def _combine(self, li, layer, outs, post_relu):
+        """The layer's channel outputs merged, then their relu if post_relu;
+        an ada_add layer applies it inside its one node (ada_combine)."""
+        if layer.combine == "ada_add":
+            if self.force_alpha is not None:
+                weights = forced_alpha_tensor(self.force_alpha, outs[0].shape[0])
+            else:
+                weights = {k: self.params[f"layer{li}.ada.{k}"] for k in ADA_PARAMS}
+            extra = [self._deg_col] if layer.ada_degree_column else []
+            return ada_combine(outs, weights, extra, post_relu)
         if layer.combine == "add":
             z = outs[0]
             for t in outs[1:]:
                 z = add(z, t)
-            return z
-        if layer.combine == "cat":
-            return concat_cols(outs)
-        # ada_add
-        if self.force_alpha is not None:
-            alpha = forced_alpha_tensor(self.force_alpha, outs[0].shape[0])
-        else:
-            extra = [self._deg_col] if layer.ada_degree_column else []
-            p = {k: self.params[f"layer{li}.ada.{k}"]
-                 for k in ("w_att", "b_att", "w_mix", "b_mix")}
-            alpha = ada_weights(outs, extra, p)
-        return ada_combine(outs, alpha)
+        else:   # cat
+            z = concat_cols(outs)
+        return relu(z) if post_relu else z
 
     def _fuse(self, reps):
         """The fused representation as column blocks: cat keeps every rep
@@ -444,9 +460,7 @@ class MessagePassingModel:
                 zin = relu(z) if spec.relu_before_aggregate else z
                 outs = [self._channel(li, cj, ch, zin, propagated and li == 1)
                         for cj, ch in enumerate(layer.channels)]
-                zl = self._combine(li, layer, outs)
-                if not spec.relu_before_aggregate:
-                    zl = relu(zl)
+                zl = self._combine(li, layer, outs, not spec.relu_before_aggregate)
                 zl = dropout(zl, spec.dropout, rng, train)
             except NumericalError as exc:
                 raise NumericalError(f"layer {li}: {exc}") from exc

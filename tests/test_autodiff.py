@@ -4,8 +4,8 @@ import scipy.sparse as sp
 
 from compatgnn import NumericalError
 from compatgnn import autodiff as ad
-from compatgnn.autodiff import (SparseMatrix, _acc, _acc_copy, add,
-                                add_bias, backward, concat_cols, concat_matmul,
+from compatgnn.autodiff import (SparseMatrix, _acc, _acc_copy, ada_alpha,
+                                ada_mix, add, add_bias, backward, concat_cols, concat_matmul,
                                 constant, cosine, dropout, frozen, gather_rows,
                                 glorot, grad_of, hadamard,
                                 l1_row_normalize, log, masked_cross_entropy,
@@ -190,6 +190,80 @@ def test_concat_matmul_over_one_block_is_bitwise_matmul():
                          _grads_under(lambda: matmul(x, w), [x, w], upstream),
                          strict=True):
         np.testing.assert_array_equal(got, want)
+
+
+def _ada_inputs(n, extra, rng):
+    """Three n x 5 channel outputs, an optional n x 1 extra column and the
+    gate parameters, every one a leaf that requires grad."""
+    zs = [rand_t((n, 5), rng) for _ in range(3)]
+    cols = [rand_t((n, 1), rng)] if extra else []
+    gate = [rand_t((15 + len(cols), 3), rng), rand_t((1, 3), rng),
+            rand_t((3, 3), rng), rand_t((1, 3), rng)]
+    return zs, cols, gate
+
+
+def _ada_chain(zs, cols, w_att, b_att, w_mix, b_mix, relu_):
+    """The adaptive combine as the 8-op chain ada_mix replaces."""
+    h = sigmoid(add_bias(concat_matmul(zs + cols, w_att), b_att))
+    alpha = row_softmax(add_bias(matmul(h, w_mix), b_mix))
+    mixed = row_mix(alpha, zs)
+    return relu(mixed) if relu_ else mixed
+
+
+@pytest.mark.parametrize("n", [7, 2 * ad._BLOCK_ROWS + 5])
+@pytest.mark.parametrize("extra", [False, True])
+@pytest.mark.parametrize("relu_", [False, True])
+def test_ada_mix_matches_the_composed_chain(n, extra, relu_):
+    rng = make_rng(32, "ada-chain", n, extra, relu_)
+    zs, cols, gate = _ada_inputs(n, extra, rng)
+    leaves = zs + cols + gate
+    upstream = rng.normal(size=(n, 5))
+
+    def fused():
+        return ada_mix(zs, cols, *gate, relu=relu_)
+
+    def chain():
+        return _ada_chain(zs, cols, *gate, relu_)
+    np.testing.assert_allclose(fused().value, chain().value, rtol=0, atol=1e-12)
+    for got, want in zip(_grads_under(fused, leaves, upstream),
+                         _grads_under(chain, leaves, upstream), strict=True):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # the tapeless readout is the alpha the node mixes with
+    alpha = constant(ada_alpha(zs, cols, *gate))
+    want = row_mix(alpha, zs).value
+    np.testing.assert_array_equal(fused().value, np.maximum(want, 0.0) if relu_ else want)
+
+
+def test_ada_mix_is_one_node_keeping_alpha_and_h():
+    rng = make_rng(33, "ada-node")
+    zs, cols, gate = _ada_inputs(9, True, rng)
+    out = ada_mix(zs, cols, *gate, relu=True)
+    assert all(p is q for p, q in zip(out.parents, zs + cols + gate, strict=True))
+    kept = [c.cell_contents for c in out._backward.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    assert sorted(a.shape for a in kept if a is not out.value) == [(9, 3), (9, 3)]
+
+
+def test_ada_mix_rejects_bad_shapes():
+    rng = make_rng(34, "ada-shapes")
+    zs, cols, gate = _ada_inputs(4, True, rng)
+    with pytest.raises(ValueError, match="equally shaped"):
+        ada_mix([zs[0], rand_t((4, 2), rng), zs[2]], cols, *gate, relu=False)
+    with pytest.raises(ValueError, match=r"\(4, 2\) alpha"):
+        ada_mix(zs[:2], cols, *gate, relu=False)
+    with pytest.raises(ValueError, match="17 concatenated columns"):
+        ada_mix(zs, cols + cols, *gate, relu=False)
+    with pytest.raises(ValueError, match="equal row counts"):
+        ada_mix(zs, [rand_t((3, 1), rng)], *gate, relu=False)
+
+
+def test_ada_mix_nan_in_a_channel_names_the_op():
+    rng = make_rng(35, "ada-nan")
+    zs, cols, gate = _ada_inputs(6, False, rng)
+    zs[1].value[4, 2] = np.nan
+    for relu_ in (False, True):
+        with pytest.raises(NumericalError, match="ada_mix"):
+            ada_mix(zs, cols, *gate, relu=relu_)
 
 
 def test_row_softmax_forward_and_stability():
@@ -550,6 +624,26 @@ def test_grad_row_mix():
     forced = constant(np.repeat([[0.2, 0.5, 0.3]], 4, axis=0))
     check(lambda: mixed(forced), {"a": a, "b": b})
     assert forced.grad is None
+
+
+def test_grad_ada_mix():
+    rng = make_rng(24, "g14")
+    zs, cols, gate = _ada_inputs(4, True, rng)
+    # keep the mix away from relu's kink
+    for z in zs:
+        z.value += 2.0 * np.sign(z.value)
+    params = {f"z{r}": z for r, z in enumerate(zs)} | {"deg": cols[0]} | dict(
+        zip(("w_att", "b_att", "w_mix", "b_mix"), gate))
+    weights = constant(rng.normal(size=(4, 5)))
+    for relu_ in (False, True):
+        check(lambda: tsum(hadamard(ada_mix(zs, cols, *gate, relu=relu_), weights)),
+              params)
+    # constant channels and a constant column: the gradient reaches the gate only
+    fixed = [constant(z.value) for z in zs]
+    deg = constant(cols[0].value)
+    check(lambda: tsum(hadamard(ada_mix(fixed, [deg], *gate, relu=True), weights)),
+          dict(zip(("w_att", "b_att", "w_mix", "b_mix"), gate)))
+    assert all(t.grad is None for t in fixed + [deg])
 
 
 def test_grad_concat_slice_gather():

@@ -8,8 +8,9 @@ import pytest
 
 from compatgnn import (ConfigError, DataError, NumericalError, TrainingDiverged,
                        knn_feature_graph, load_dataset, save_splits)
-from compatgnn import mp
+from compatgnn import cli, graph, mp
 from compatgnn.cli import _build_config, _parse_split_ids, build_parser, main
+from compatgnn.rng import make_rng
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +216,43 @@ def test_train_writes_run_json(dataset, tmp_path, capsys):
     assert run["split_id"] == 0
     assert np.asarray(run["metadata"]["cm_estimate"]).shape == (3, 3)
     assert len(run["val_curve"]) >= 1
+
+
+@pytest.fixture
+def counted_split_draws(dataset, tmp_path, monkeypatch):
+    """A copy of the dataset without splits/, and the split ids drawn for
+    it: every split stream make_rng opens in graph."""
+    copy = tmp_path / "nosplits"
+    shutil.copytree(dataset, copy)
+    shutil.rmtree(copy / "splits")
+    drawn = []
+
+    def counting(seed, *tags):
+        if tags[:1] == ("split",):
+            drawn.append(tags[1])
+        return make_rng(seed, *tags)
+    monkeypatch.setattr(graph, "make_rng", counting)
+    return str(copy), drawn
+
+
+def test_train_without_splits_draws_only_the_requested_split(counted_split_draws,
+                                                             monkeypatch):
+    ds, drawn = counted_split_draws
+    trained, train_model = [], cli.train_model
+    monkeypatch.setattr(cli, "train_model", lambda g, split, *a, **k:
+                        trained.append(split) or train_model(g, split, *a, **k))
+    assert main(["train", "--data", ds, "--split", "100000", "--seed", "3"]
+                + run_quick([])) == 0
+    assert drawn == [100000] and len(trained) == 1
+    s = trained[0]
+    np.testing.assert_array_equal(np.concatenate([s.train, s.valid, s.test]),
+                                  make_rng(3, "split", 100000).permutation(60))
+
+
+def test_bench_without_splits_draws_each_requested_split_once(counted_split_draws):
+    ds, drawn = counted_split_draws
+    assert main(["bench", "--data", ds, "--splits", "0,7"] + run_quick([])) == 0
+    assert sorted(drawn) == [0, 7]
 
 
 def test_train_unknown_model_exit_code(dataset):

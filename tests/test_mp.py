@@ -264,15 +264,89 @@ def test_one_compatgnn_forward_records_no_slices_or_row_scales(monkeypatch):
     out = model.forward(train=True)
     ops = [op for op, _ in nodes]
     assert "slice_cols" not in ops and "row_scale" not in ops
-    # per layer one gate product and one mix, and the classifier's product
-    # over the cat fuse's blocks
-    assert ops.count("concat_matmul") == 3 and ops.count("row_mix") == 2
+    # per layer one adaptive node (gate, mix and relu), and the classifier's
+    # product over the cat fuse's blocks
+    assert ops.count("ada_mix") == 2 and ops.count("concat_matmul") == 1
+    assert "row_mix" not in ops
     assert "concat_cols" not in ops
     # the only concat is the loss's: the prototype rows of the fuse's blocks
     nodes.clear()
     model.loss(out, train)
     assert [shape for op, shape in nodes if op == "concat_cols"] == [
         (g.n_classes, model.fused_width)]
+
+
+def _kept_arrays(*tensors):
+    """id -> array of every ndarray the tensors' tapes keep alive: each
+    tensor's value, what its backward closure holds and, recursively, what
+    its parents keep."""
+    kept, seen, stack = {}, set(), list(tensors)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            kept[id(obj)] = obj
+            stack.append(obj.base)
+        elif isinstance(obj, ad.Tensor):
+            stack += [obj.value, obj._backward, *obj.parents]
+        elif isinstance(obj, (tuple, list)):
+            stack += obj
+        elif isinstance(obj, dict):
+            stack += obj.values()
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack += [c.cell_contents for c in obj.__closure__]
+    return kept
+
+
+def test_ada_layer_keeps_no_wide_intermediate_on_the_tape(monkeypatch):
+    g = random_graph(make_rng(6, "ada-tape"), 40, p=0.15)
+    model = build_model(RunConfig(model="compatgnn", layers=2, nhidden=8), g, seed=0)
+    train = generate_splits(g, 1, seed=0)[0].train
+    model.on_training_start(train)
+    calls, combine = [], mp.ada_combine
+
+    def recorded(outs, weights, extra_cols=(), relu=False):
+        out = combine(outs, weights, extra_cols, relu)
+        calls.append((outs, weights, extra_cols, relu, out))
+        return out
+    monkeypatch.setattr(mp, "ada_combine", recorded)
+    out = model.forward(train=True)
+    assert len(calls) == 2           # one call per ada_add layer
+    n_rows = g.n_nodes + g.n_classes    # the graph's nodes and K prototypes
+    for (outs, weights, extra, relu, z), rep in zip(calls, out.blocks[1:], strict=True):
+        assert z is rep and relu
+        # the memory the layer keeps: arrays its output keeps and its inputs
+        # do not, views left out
+        kept = _kept_arrays(z)
+        inputs = _kept_arrays(*outs, *extra, *weights.values())
+        inside = [a for i, a in kept.items() if i not in inputs and a.base is None]
+        assert any(a is z.value for a in inside)
+        # besides the output only alpha and the gate's sigmoid, N x 3 each
+        assert sorted(a.shape for a in inside if a is not z.value) == [
+            (n_rows, 3), (n_rows, 3)]
+        # the tapeless readout is the alpha the node mixed with
+        alpha = mp.ada_weights(outs, extra, weights)
+        assert not alpha.requires_grad
+        np.testing.assert_array_equal(
+            z.value, np.maximum(ad.row_mix(alpha, outs).value, 0.0))
+
+
+def test_nan_reaching_the_ada_node_names_layer_and_op(monkeypatch):
+    g = random_graph(make_rng(6, "ada-nan"), 40, p=0.15)
+    model = build_model(RunConfig(model="compatgnn", layers=2, nhidden=8), g, seed=0)
+    model.on_training_start(generate_splits(g, 1, seed=0)[0].train)
+    channel = MessagePassingModel._channel
+
+    def poisoned(self, li, cj, ch, zin, propagated):
+        z = channel(self, li, cj, ch, zin, propagated)
+        if li == 2 and cj == 1:
+            z = tensor(np.where(np.arange(z.shape[0])[:, None] == 3, np.nan, z.value))
+        return z
+    monkeypatch.setattr(MessagePassingModel, "_channel", poisoned)
+    with pytest.raises(NumericalError, match="layer 2: .*ada_mix"):
+        model.forward(train=True)
 
 
 # ---------------------------------------------------------------------------
