@@ -26,8 +26,8 @@ alpha-weighted sum and an optional relu, in cache-sized row blocks,
 keeping only alpha and the gate's sigmoid for its backward; ada_alpha
 reads alpha out through the same gate code without a tape.
 concat_matmul multiplies a column concatenation by a matrix block by
-block, never building the concatenation (the classifier), and row_mix
-sums tensors weighted per row by a given alpha, in row blocks.
+block, never building the concatenation (the classifier); the gate reads
+its weight in the same blocks (_weight_blocks).
 
 Sparse matrices enter only as constants on the left of spmm; gradients
 flow to the dense operand. Every forward output is checked finite so a
@@ -229,7 +229,7 @@ def row_scale(alpha, z):
     return _result(value, (alpha, z), bw, "row_scale")
 
 
-_BLOCK_ROWS = 2048   # rows per block of row_mix and ada_mix: temporaries stay in cache
+_BLOCK_ROWS = 2048   # rows per block of ada_mix: temporaries stay in cache
 
 
 def _row_blocks(n):
@@ -258,39 +258,6 @@ def _check_mixed(tensors, alpha_shape, op):
     return shape
 
 
-def row_mix(alpha, tensors):
-    """sum_r diag(alpha[:, r]) @ t_r: equally shaped tensors mixed per row
-    by the R columns of an N x R alpha. Forward and backward walk blocks of
-    _BLOCK_ROWS rows with one block-sized temporary, writing each block of
-    the results in place; every entry is summed in the order
-    add(row_scale(...), ...) sums it, so the results are bitwise equal."""
-    tensors = list(tensors)
-    shape = _check_mixed(tensors, alpha.shape, "row_mix")
-    a = alpha.value
-    value = np.empty(shape)
-    tmp = np.empty((min(_BLOCK_ROWS, shape[0]), shape[1]))
-    for lo, hi in _row_blocks(shape[0]):
-        _mix_rows(value[lo:hi], tmp[:hi - lo], tensors, a[lo:hi], lo, hi)
-
-    def bw(g):
-        ga = np.empty_like(a) if alpha.requires_grad else None
-        gts = [np.empty(shape) if t.requires_grad else None for t in tensors]
-        for lo, hi in _row_blocks(shape[0]):
-            gb, buf = g[lo:hi], tmp[:hi - lo]
-            for r, (t, gt) in enumerate(zip(tensors, gts)):
-                if ga is not None:
-                    np.multiply(gb, t.value[lo:hi], out=buf)
-                    ga[lo:hi, r] = buf.sum(axis=1)
-                if gt is not None:
-                    np.multiply(gb, a[lo:hi, r:r + 1], out=gt[lo:hi])
-        if ga is not None:
-            _acc(alpha, ga)
-        for t, gt in zip(tensors, gts):
-            if gt is not None:
-                _acc(t, gt)
-    return _result(value, (alpha, *tensors), bw, "row_mix")
-
-
 def _ada_gate(cols, w_att, b_att, w_mix, b_mix):
     """The gate of ada_mix over the columns of `cols` (channel outputs,
     then extra columns): (w_rows, gate), where w_rows are the row blocks of
@@ -299,14 +266,7 @@ def _ada_gate(cols, w_att, b_att, w_mix, b_mix):
         h = sigmoid([cols] W_att + b_att),  alpha = row_softmax(h W_mix + b_mix),
 
     [cols] W_att summed block by block as concat_matmul sums it."""
-    if any(c.shape[0] != cols[0].shape[0] for c in cols):
-        raise ValueError("ada gate requires equal row counts")
-    widths = [c.shape[1] for c in cols]
-    if sum(widths) != w_att.shape[0]:
-        raise ValueError(f"ada gate: {sum(widths)} concatenated columns "
-                         f"against a weight of shape {w_att.shape}")
-    offsets = np.cumsum([0] + widths)
-    w_rows = [w_att.value[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+    w_rows = _weight_blocks(cols, w_att, "ada gate")
 
     def gate(lo, hi):
         s = cols[0].value[lo:hi] @ w_rows[0]
@@ -338,12 +298,12 @@ def ada_mix(tensors, extra_cols, w_att, b_att, w_mix, b_mix, relu):
         out = sum_r diag(alpha[:, r]) Z_r, then max(out, 0) if `relu`
 
     the value of the chain concat_matmul, add_bias, sigmoid, matmul,
-    add_bias, row_softmax, row_mix (and relu), up to the summation order of
-    the gate's products. Forward and backward walk blocks of _BLOCK_ROWS
-    rows. Besides its parents and its output the node keeps alpha and h
-    (N x R each): the backward recomputes each block's relu mask from the
-    output and writes each tensor's gradient once, so no N x d
-    intermediate outlives the forward."""
+    add_bias, row_softmax, the row-scaled sum (and relu), up to the
+    summation order of the gate's products. Forward and backward walk
+    blocks of _BLOCK_ROWS rows. Besides its parents and its output the
+    node keeps alpha and h (N x R each): the backward recomputes each
+    block's relu mask from the output and writes each tensor's gradient
+    once, so no N x d intermediate outlives the forward."""
     tensors, extra_cols = list(tensors), list(extra_cols)
     n, d = shape = _check_mixed(tensors, (tensors[0].shape[0], w_mix.shape[1]),
                                 "ada_mix")
@@ -485,19 +445,25 @@ def concat_cols(tensors):
     return _result(value, tuple(tensors), bw, "concat_cols")
 
 
+def _weight_blocks(tensors, w, op):
+    """The rows of w that multiply each tensor in concat_cols(tensors) @ w,
+    as views of w; tensors of unequal row counts, or widths that do not
+    add up to w's rows, are a ValueError naming op."""
+    if any(t.shape[0] != tensors[0].shape[0] for t in tensors):
+        raise ValueError(f"{op} requires equal row counts")
+    widths = [t.shape[1] for t in tensors]
+    if sum(widths) != w.shape[0]:
+        raise ValueError(f"{op}: {sum(widths)} concatenated columns "
+                         f"against a weight of shape {w.shape}")
+    offsets = np.cumsum([0] + widths)
+    return [w.value[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
 def concat_matmul(tensors, w):
     """concat_cols(tensors) @ w without the concatenation: the sum over
     blocks of t_r @ w[rows of block r], each block a view of w."""
     tensors = list(tensors)
-    n = tensors[0].shape[0]
-    if any(t.shape[0] != n for t in tensors):
-        raise ValueError("concat_matmul requires equal row counts")
-    widths = [t.shape[1] for t in tensors]
-    if sum(widths) != w.shape[0]:
-        raise ValueError(f"concat_matmul: {sum(widths)} concatenated columns "
-                         f"against a weight of shape {w.shape}")
-    offsets = np.cumsum([0] + widths)
-    blocks = [w.value[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+    blocks = _weight_blocks(tensors, w, "concat_matmul")
     value = tensors[0].value @ blocks[0]
     for t, b in zip(tensors[1:], blocks[1:]):
         value += t.value @ b

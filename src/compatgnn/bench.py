@@ -87,11 +87,12 @@ class BenchReport:
 
 def split_by_id(splits, sid):
     """The split of id sid from a list indexed by id or a dict keyed by it;
-    an id not among them is a ConfigError."""
-    if sid in (splits if isinstance(splits, dict) else range(len(splits))):
+    an id not among them is a ConfigError naming the ids there are."""
+    ids = splits.keys() if isinstance(splits, dict) else range(len(splits))
+    if sid in ids:
         return splits[sid]
-    raise ConfigError(f"split id {sid} is not among the {len(splits)} "
-                      f"available splits")
+    raise ConfigError(f"split id {sid} is not among the available split ids "
+                      f"{sorted(ids)}")
 
 
 def run_bench(graph, splits, config, out_dir=None):

@@ -114,7 +114,7 @@ def _build_config(args):
 
 
 def _load_graph_and_splits(config):
-    """The dataset and its splits: the stored list, or for a dataset
+    """The dataset and its splits by id: the stored ones, or for a dataset
     without splits/ the configured ids' splits, each drawn alone."""
     if not config.dataset:
         raise ConfigError("no dataset given (--data or config 'dataset')")

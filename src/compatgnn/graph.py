@@ -390,17 +390,21 @@ def load_split(path, n_nodes=None):
 
 
 def load_splits(dataset_path, n_nodes=None):
-    """All splits/split_<k>.json under a dataset directory, ordered by k;
+    """{k: split} of every splits/split_<k>.json under a dataset directory,
+    in order of k, so a gap in the numbering leaves a gap in the ids;
     n_nodes as in load_split."""
     split_dir = os.path.join(dataset_path, "splits")
     if not os.path.isdir(split_dir):
         raise DataError(f"{split_dir}: not found")
-    out = []
-    for name in os.listdir(split_dir):
+    names = {}
+    for name in sorted(os.listdir(split_dir)):
         k = _split_index(name)
-        if k is not None:
-            out.append((k, load_split(os.path.join(split_dir, name), n_nodes)))
-    out.sort(key=lambda t: t[0])
-    if not out:
+        if k is None:
+            continue
+        if k in names:
+            raise DataError(f"{split_dir}: {names[k]} and {name} both name split {k}")
+        names[k] = name
+    if not names:
         raise DataError(f"{split_dir}: no split_<k>.json files")
-    return [s for _, s in out]
+    return {k: load_split(os.path.join(split_dir, names[k]), n_nodes)
+            for k in sorted(names)}

@@ -17,7 +17,9 @@ An ada_add layer weights its channels per node, alpha = row_softmax(
 sigmoid([Z_1 .. Z_R, deg] W_att + b_att) W_mix + b_mix), and mixes them
 as sum_r alpha[:, r] * Z_r. ada_combine runs the gate, the mix and the
 layer's relu as one tape node (autodiff.ada_mix), which keeps no N x d
-intermediate; ada_weights reads alpha out without a tape.
+intermediate; ada_weights reads alpha out without a tape. A fixed alpha
+(MessagePassingModel.force_alpha) is the limiting case: the layer adds
+its channels, each scaled by its constant weight.
 
 Layer 1 reads ÂX: when the encoder output X W_e reaches it as it is
 (linear encoder, dropout 0, no relu before aggregating) and the features
@@ -45,8 +47,8 @@ from .records import decode
 from .rng import make_rng
 from . import autodiff as ad
 from .autodiff import (SparseMatrix, add, add_bias, concat_cols, concat_matmul,
-                       constant, dropout, glorot, matmul, relu, row_mix,
-                       scalar_scale, slice_rows, spmm)
+                       constant, dropout, glorot, matmul, relu, scalar_scale,
+                       scale, slice_rows, spmm)
 from .sparse import (add_self_loops, khop_adjacency, knn_feature_graph,
                      row_normalize, sym_normalize)
 
@@ -271,21 +273,12 @@ def ada_weights(channel_outs, extra_cols, p):
                                  *(p[k] for k in ADA_PARAMS)))
 
 
-def ada_combine(channel_outs, weights, extra_cols=(), relu=False):
-    """sum_r alpha[:, r] * Z_r, then its relu if `relu`. `weights` is either
-    the gate parameters (ADA_PARAMS), from which autodiff.ada_mix computes
-    alpha over the channel outputs and extra columns inside one tape node,
-    or a fixed N x R alpha tensor (force_alpha), mixed by row_mix."""
-    if isinstance(weights, ad.Tensor):
-        z = row_mix(weights, channel_outs)
-        return ad.relu(z) if relu else z
-    return ad.ada_mix(channel_outs, extra_cols, *(weights[k] for k in ADA_PARAMS),
+def ada_combine(channel_outs, p, extra_cols=(), relu=False):
+    """sum_r alpha[:, r] * Z_r, then its relu if `relu`, as one tape node
+    (autodiff.ada_mix) that computes alpha over the channel outputs and
+    extra columns under the gate parameters p (ADA_PARAMS)."""
+    return ad.ada_mix(channel_outs, extra_cols, *(p[k] for k in ADA_PARAMS),
                       relu=relu)
-
-
-def forced_alpha_tensor(force_alpha, n_rows):
-    alpha = np.asarray(force_alpha, dtype=np.float64).reshape(1, -1)
-    return constant(np.repeat(alpha, n_rows, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +302,9 @@ class MessagePassingModel:
     operator, and the structure encoder leaves the prototypes out.
     features: the encoder input, graph.features until the owner of the
     prototypes replaces their rows.
-    force_alpha (debug): overrides every ada_add combine with fixed channel
-    weights.
+    force_alpha (debug): fixed channel weights, one per channel, for every
+    ada_add layer, which then adds its channels each scaled by its weight,
+    with no gate.
     """
 
     def __init__(self, spec, graph, seed=0, prototypes=None):
@@ -379,20 +373,20 @@ class MessagePassingModel:
 
     def _combine(self, li, layer, outs, post_relu):
         """The layer's channel outputs merged, then their relu if post_relu;
-        an ada_add layer applies it inside its one node (ada_combine)."""
+        an ada_add layer applies it inside its one node (ada_combine), or
+        with force_alpha set is an add of its channels scaled by alpha."""
         if layer.combine == "ada_add":
-            if self.force_alpha is not None:
-                weights = forced_alpha_tensor(self.force_alpha, outs[0].shape[0])
-            else:
-                weights = {k: self.params[f"layer{li}.ada.{k}"] for k in ADA_PARAMS}
-            extra = [self._deg_col] if layer.ada_degree_column else []
-            return ada_combine(outs, weights, extra, post_relu)
-        if layer.combine == "add":
+            if self.force_alpha is None:
+                p = {k: self.params[f"layer{li}.ada.{k}"] for k in ADA_PARAMS}
+                extra = [self._deg_col] if layer.ada_degree_column else []
+                return ada_combine(outs, p, extra, post_relu)
+            outs = [scale(t, a) for t, a in zip(outs, self.force_alpha, strict=True)]
+        if layer.combine == "cat":
+            z = concat_cols(outs)
+        else:
             z = outs[0]
             for t in outs[1:]:
                 z = add(z, t)
-        else:   # cat
-            z = concat_cols(outs)
         return relu(z) if post_relu else z
 
     def _fuse(self, reps):

@@ -9,14 +9,14 @@ from compatgnn.autodiff import (SparseMatrix, _acc, _acc_copy, ada_alpha,
                                 constant, cosine, dropout, frozen, gather_rows,
                                 glorot, grad_of, hadamard,
                                 l1_row_normalize, log, masked_cross_entropy,
-                                matmul, relu, row_mix, row_scale, row_softmax,
+                                matmul, relu, row_scale, row_softmax,
                                 scale, scalar_scale, sigmoid, slice_cols, spmm,
                                 sub, tensor, tmean, tsum, zero_grads)
 from compatgnn.gradcheck import grad_check
 from compatgnn.rng import make_rng
 from compatgnn.sparse import row_normalize, sym_normalize
 
-from util import random_graph
+from util import mixed, random_graph
 
 RNG = make_rng(0, "autodiff-tests")
 
@@ -126,10 +126,6 @@ def test_shape_mismatches_raise():
         concat_matmul([a, rand_t((3, 1))], rand_t((4, 2)))
     with pytest.raises(ValueError, match="4 concatenated columns"):
         concat_matmul([a, rand_t((2, 1))], rand_t((5, 2)))
-    with pytest.raises(ValueError, match="equally shaped"):
-        row_mix(rand_t((2, 2)), [a, rand_t((2, 4))])
-    with pytest.raises(ValueError, match=r"\(2, 2\) alpha"):
-        row_mix(rand_t((2, 3)), [a, a])
 
 
 def test_row_scale_and_scalar_scale_forward():
@@ -148,11 +144,6 @@ def test_fused_ops_match_their_unfused_chains():
     np.testing.assert_allclose(concat_matmul([a, b, d], w).value,
                                matmul(concat_cols([a, b, d]), w).value,
                                rtol=0, atol=1e-14)
-    alpha = rand_t((5, 3))
-    chain = add(add(row_scale(slice_cols(alpha, 0, 1), a),
-                    row_scale(slice_cols(alpha, 1, 2), b)),
-                row_scale(slice_cols(alpha, 2, 3), a))
-    np.testing.assert_array_equal(row_mix(alpha, [a, b, a]).value, chain.value)
 
 
 def _grads_under(loss_of, leaves, upstream):
@@ -160,25 +151,6 @@ def _grads_under(loss_of, leaves, upstream):
     zero_grads(leaves)
     backward(tsum(hadamard(loss_of(), constant(upstream))))
     return [grad_of(t).copy() for t in leaves]
-
-
-def test_row_mix_in_row_blocks_is_bitwise_the_unblocked_chain():
-    n = 2 * ad._BLOCK_ROWS + 1
-    rng = make_rng(30, "row-blocks")
-    a, b, alpha = rand_t((n, 5), rng), rand_t((n, 5), rng), rand_t((n, 3), rng)
-    upstream = rng.normal(size=(n, 5))
-
-    def chain():
-        return add(add(row_scale(slice_cols(alpha, 0, 1), a),
-                       row_scale(slice_cols(alpha, 1, 2), b)),
-                   row_scale(slice_cols(alpha, 2, 3), a))
-
-    def mixed():
-        return row_mix(alpha, [a, b, a])
-    np.testing.assert_array_equal(mixed().value, chain().value)
-    for got, want in zip(_grads_under(mixed, [alpha, a, b], upstream),
-                         _grads_under(chain, [alpha, a, b], upstream), strict=True):
-        np.testing.assert_array_equal(got, want)
 
 
 def test_concat_matmul_over_one_block_is_bitwise_matmul():
@@ -206,7 +178,9 @@ def _ada_chain(zs, cols, w_att, b_att, w_mix, b_mix, relu_):
     """The adaptive combine as the 8-op chain ada_mix replaces."""
     h = sigmoid(add_bias(concat_matmul(zs + cols, w_att), b_att))
     alpha = row_softmax(add_bias(matmul(h, w_mix), b_mix))
-    mixed = row_mix(alpha, zs)
+    mixed = row_scale(slice_cols(alpha, 0, 1), zs[0])
+    for r, z in enumerate(zs[1:], start=1):
+        mixed = add(mixed, row_scale(slice_cols(alpha, r, r + 1), z))
     return relu(mixed) if relu_ else mixed
 
 
@@ -229,8 +203,7 @@ def test_ada_mix_matches_the_composed_chain(n, extra, relu_):
                          _grads_under(chain, leaves, upstream), strict=True):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     # the tapeless readout is the alpha the node mixes with
-    alpha = constant(ada_alpha(zs, cols, *gate))
-    want = row_mix(alpha, zs).value
+    want = mixed(ada_alpha(zs, cols, *gate), zs)
     np.testing.assert_array_equal(fused().value, np.maximum(want, 0.0) if relu_ else want)
 
 
@@ -407,11 +380,11 @@ def test_backward_consumes_its_tape():
 
 # Each case: leaf shapes, a loss whose leaf gradients arrive only through
 # pass-through ops, or through a fused op that derives them from one
-# upstream array (concat_matmul, row_mix), and the dense reference
+# upstream array (concat_matmul), and the dense reference
 # gradients for the weights c.
 def _pass_through_cases():
     rng = make_rng(1, "pass-through")
-    c, m, mix = rng.normal(size=(3, 5)), rng.normal(size=(5, 5)), rng.random((3, 3))
+    c, m = rng.normal(size=(3, 5)), rng.normal(size=(5, 5))
     cw = lambda t: tsum(hadamard(t, constant(c)))
     full = (3, 5)
     return {
@@ -428,9 +401,6 @@ def _pass_through_cases():
         "concat_matmul": ({"a": (3, 2), "b": (3, 1)},
                           lambda a, b: cw(concat_matmul([a, b, a], constant(m))),
                           {"a": c @ m[:2].T + c @ m[3:].T, "b": c @ m[2:3].T}),
-        "row_mix": ({"a": full, "b": full},
-                    lambda a, b: cw(row_mix(constant(mix), [a, b, a])),
-                    {"a": c * mix[:, :1] + c * mix[:, 2:], "b": c * mix[:, 1:2]}),
     }
 
 
@@ -611,19 +581,6 @@ def test_grad_concat_matmul():
     fixed = [constant(rng.normal(size=(4, 3))), deg]
     check(lambda: tsum(sigmoid(concat_matmul(fixed, w4))), {"w4": w4})
     assert all(t.grad is None for t in fixed)
-
-
-def test_grad_row_mix():
-    rng = make_rng(23, "g13")
-    a, b, alpha = rand_t((4, 3), rng), rand_t((4, 3), rng), rand_t((4, 3), rng)
-
-    def mixed(al):
-        return tsum(sigmoid(row_mix(al, [a, b, a])))
-    check(lambda: mixed(alpha), {"alpha": alpha, "a": a, "b": b})
-    # a forced alpha is a constant: the gradient reaches the channels only
-    forced = constant(np.repeat([[0.2, 0.5, 0.3]], 4, axis=0))
-    check(lambda: mixed(forced), {"a": a, "b": b})
-    assert forced.grad is None
 
 
 def test_grad_ada_mix():

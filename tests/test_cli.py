@@ -255,6 +255,30 @@ def test_bench_without_splits_draws_each_requested_split_once(counted_split_draw
     assert sorted(drawn) == [0, 7]
 
 
+@pytest.fixture
+def gapped_splits(dataset, tmp_path):
+    """A copy of the 3-split dataset without splits/split_1.json."""
+    copy = tmp_path / "gapped"
+    shutil.copytree(dataset, copy)
+    os.remove(copy / "splits" / "split_1.json")
+    return str(copy)
+
+
+def test_train_reads_a_split_by_the_id_in_its_file_name(gapped_splits, tmp_path,
+                                                        capsys):
+    out = str(tmp_path / "run")
+    assert main(["train", "--data", gapped_splits, "--split", "2", "--out", out]
+                + run_quick([])) == 0
+    run = json.load(open(os.path.join(out, "run.json")))
+    stored = json.load(open(os.path.join(gapped_splits, "splits", "split_2.json")))
+    assert run["split_id"] == 2 and run["test_idx"] == stored["test"]
+    capsys.readouterr()
+    assert main(["train", "--data", gapped_splits, "--split", "1"]
+                + run_quick([])) == 2
+    assert capsys.readouterr().err == (
+        "config error: split id 1 is not among the available split ids [0, 2]\n")
+
+
 def test_train_unknown_model_exit_code(dataset):
     assert main(["train", "--data", dataset, "--model", "resnet"]) == 2
 

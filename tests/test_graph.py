@@ -305,6 +305,22 @@ def test_split_files_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded[1].test, splits[1].test)
 
 
+def test_load_splits_keys_each_split_by_its_file_name(tmp_path):
+    g = random_graph(make_rng(4, "s"), 40)
+    splits = generate_splits(g, 4, seed=1)
+    save_splits(splits, tmp_path / "splits")
+    for k in (0, 2):
+        os.remove(tmp_path / "splits" / f"split_{k}.json")
+    loaded = load_splits(tmp_path, g.n_nodes)
+    assert list(loaded) == [1, 3]
+    for k in (1, 3):
+        np.testing.assert_array_equal(loaded[k].test, splits[k].test)
+    # two files naming one id are refused, not read in either order
+    shutil.copy(tmp_path / "splits" / "split_1.json", tmp_path / "splits" / "split_01.json")
+    with pytest.raises(DataError, match="split_01.json and split_1.json both name split 1"):
+        load_splits(tmp_path)
+
+
 def test_save_splits_removes_splits_it_did_not_write(tmp_path):
     g = random_graph(make_rng(4, "s"), 40)
     path = tmp_path / "splits"

@@ -1,6 +1,7 @@
 """Every name a module imports is used: a scan of the package (bar its
-re-exporting __init__.py), of the tests and of the demos. No linter is
-installed, so this test is the check."""
+re-exporting __init__.py), of the tests and of the demos. Every private
+module-level function of the package has a caller in the package. No
+linter is installed, so these tests are the check."""
 
 import ast
 from pathlib import Path
@@ -25,3 +26,31 @@ def test_every_imported_name_is_used():
     files += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     unused = [line for path in files for line in unused_imports(path)]
     assert not unused, "imported and never used:\n" + "\n".join(unused)
+
+
+def _references(tree):
+    """(name, line) of every name the module reads, imports or reads as
+    an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+
+
+def test_every_private_helper_has_a_caller():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted((ROOT / "src" / "compatgnn").glob("*.py"))}
+    refs = {p: list(_references(tree)) for p, tree in trees.items()}
+    dead = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_")):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and not (p == path and line in own)
+                       for p, found in refs.items() for name, line in found):
+                dead.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
+    assert not dead, "private helpers nothing in src/ calls:\n" + "\n".join(dead)

@@ -527,6 +527,20 @@ def test_full_loss_gradient_check(structure_info):
     assert report.ok(1e-4), f"max rel err {report.max_rel_err:.3e}"
 
 
+def test_forced_alpha_gradient_check():
+    g = make_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6),
+                       (6, 7), (2, 5)], [0, 0, 1, 1, 0, 1, 0, 1], 2,
+                   d_f=3, seed=13)
+    train = [0, 2, 4, 5]
+    m = ready_model(g, train, hidden_dim=3, n_layers=2, dis_weight=0.7, seed=10)
+    m.force_alpha = (0.2, 0.5, 0.3)
+    report = grad_check(lambda: m.loss(m.forward(), train), m.params)
+    assert report.ok(1e-4), f"max rel err {report.max_rel_err:.3e}"
+    # a fixed alpha is no function of the gate: its parameters get no gradient
+    gate = [k for k in m.params if ".ada." in k]
+    assert len(gate) == 8 and all(m.params[k].grad is None for k in gate)
+
+
 # ---------------------------------------------------------------------------
 # the tape of a train forward
 

@@ -8,16 +8,16 @@ from compatgnn import (ConfigError, Graph, NumericalError, generate_splits, mp,
 from compatgnn import autodiff as ad
 from compatgnn.autodiff import backward, constant, tensor, zero_grads
 from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
-                          ModelSpec, PRESETS, aggregate, ada_combine,
-                          ada_weights, build_preset, forced_alpha_tensor,
-                          init_ada_params, realize_channel, realize_guidance,
-                          realize_indicator)
+                          ModelSpec, PRESETS, aggregate, ada_weights,
+                          build_preset, init_ada_params, realize_channel,
+                          realize_guidance, realize_indicator)
 from compatgnn.rng import make_rng
 from compatgnn.sparse import add_self_loops, khop_adjacency, sym_normalize
 from compatgnn.model import CompatGNN
 from compatgnn.training import RunConfig, build_model, train_model
 
-from util import cubic12, make_graph, path3_forest, quartic12, random_graph
+from util import (cubic12, make_graph, mixed, path3_forest, quartic12,
+                  random_graph)
 
 
 def dyadicize(model):
@@ -233,25 +233,6 @@ def test_ada_weights_are_row_stochastic_positive():
     np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_ada_combine_with_forced_weights():
-    rng = make_rng(1, "ada")
-    outs = [tensor(rng.normal(size=(4, 3))) for _ in range(3)]
-    alpha = forced_alpha_tensor((0.0, 1.0, 0.0), 4)
-    np.testing.assert_array_equal(ada_combine(outs, alpha).value, outs[1].value)
-    half = forced_alpha_tensor((0.5, 0.5, 0.0), 4)
-    np.testing.assert_allclose(ada_combine(outs, half).value,
-                               0.5 * (outs[0].value + outs[1].value), atol=1e-15)
-
-
-def test_ada_combine_is_one_tape_node():
-    rng = make_rng(2, "ada")
-    outs = [tensor(rng.normal(size=(5, 3)), requires_grad=True) for _ in range(3)]
-    alpha = tensor(rng.random((5, 3)), requires_grad=True)
-    out = ada_combine(outs, alpha)
-    assert len(out.parents) == 4
-    assert all(p is q for p, q in zip(out.parents, [alpha, *outs]))
-
-
 def test_one_compatgnn_forward_records_no_slices_or_row_scales(monkeypatch):
     g = random_graph(make_rng(6, "ada-ops"), 40, p=0.15)
     model = build_model(RunConfig(model="compatgnn", layers=2, nhidden=8), g, seed=0)
@@ -330,7 +311,7 @@ def test_ada_layer_keeps_no_wide_intermediate_on_the_tape(monkeypatch):
         alpha = mp.ada_weights(outs, extra, weights)
         assert not alpha.requires_grad
         np.testing.assert_array_equal(
-            z.value, np.maximum(ad.row_mix(alpha, outs).value, 0.0))
+            z.value, np.maximum(mixed(alpha.value, outs), 0.0))
 
 
 def test_nan_reaching_the_ada_node_names_layer_and_op(monkeypatch):
@@ -627,6 +608,48 @@ def test_acmgcn_alpha_010_equals_gcn():
     acm.force_alpha = (0.0, 1.0, 0.0)
     np.testing.assert_array_equal(acm.forward().logits.value,
                                   gcn.forward().logits.value)
+
+
+def _forced_model(name):
+    """A two-layer compatgnn or acmgcn whose ada_add layers relu their mix."""
+    g = random_graph(make_rng(7, "forced"), 30, p=0.2)
+    if name == "compatgnn":
+        model = build_model(RunConfig(model=name, layers=2, nhidden=6), g, seed=0)
+        model.on_training_start(generate_splits(g, 1, seed=0)[0].train)
+        return model
+    return MessagePassingModel(build_preset(name, n_layers=2, hidden_dim=6,
+                                            relu_before_aggregate=False), g, seed=0)
+
+
+@pytest.mark.parametrize("name", ["compatgnn", "acmgcn"])
+def test_forced_alpha_layer_is_an_add_of_scaled_channels(name, monkeypatch):
+    model = _forced_model(name)
+    model.force_alpha = (0.2, 0.5, 0.3)
+    ops, result = [], ad._result
+    monkeypatch.setattr(ad, "_result", lambda value, parents, bw, op:
+                        ops.append(op) or result(value, parents, bw, op))
+    calls, combine = [], MessagePassingModel._combine
+
+    def recorded(self, li, layer, outs, post_relu):
+        z = combine(self, li, layer, outs, post_relu)
+        calls.append((outs, post_relu, z))
+        return z
+    monkeypatch.setattr(MessagePassingModel, "_combine", recorded)
+    model.forward(train=True)
+    assert "ada_mix" not in ops and ops.count("scale") == 6
+    assert len(calls) == 2
+    for outs, post_relu, z in calls:
+        assert post_relu and len(outs) == 3
+        np.testing.assert_array_equal(
+            z.value, np.maximum(mixed(model.force_alpha, outs), 0.0))
+
+
+def test_forced_alpha_of_the_wrong_length_is_refused():
+    model = _forced_model("acmgcn")
+    for alpha in ((0.5, 0.5), (0.25, 0.25, 0.25, 0.25)):
+        model.force_alpha = alpha
+        with pytest.raises(ValueError, match=r"zip\(\) argument 2"):
+            model.forward()
 
 
 # ---------------------------------------------------------------------------

@@ -99,3 +99,14 @@ def bfs_within_k(adj_dense, k):
             if v != s and d <= k:
                 out[s, v] = True
     return out
+
+
+def mixed(alpha, zs):
+    """sum_r alpha[:, r] * Z_r in numpy for tensors Z_r, summed in channel
+    order, as autodiff sums it; alpha is N x R, or one weight per channel."""
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=np.float64),
+                            (zs[0].shape[0], len(zs)))
+    out = alpha[:, 0:1] * zs[0].value
+    for r, z in enumerate(zs[1:], start=1):
+        out = out + alpha[:, r:r + 1] * z.value
+    return out
