@@ -429,18 +429,22 @@ def log(a):
     return _result(value, (a,), bw, "log")
 
 
+def _col_spans(tensors, op):
+    """The (lo, hi) column span of each tensor in concat_cols(tensors);
+    tensors of unequal row counts are a ValueError naming op."""
+    if any(t.shape[0] != tensors[0].shape[0] for t in tensors):
+        raise ValueError(f"{op} requires equal row counts")
+    offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
+    return list(zip(offsets[:-1], offsets[1:]))
+
+
 def concat_cols(tensors):
     tensors = list(tensors)
-    n = tensors[0].shape[0]
-    for t in tensors:
-        if t.shape[0] != n:
-            raise ValueError("concat_cols requires equal row counts")
+    spans = _col_spans(tensors, "concat_cols")
     value = np.concatenate([t.value for t in tensors], axis=1)
-    widths = [t.shape[1] for t in tensors]
-    offsets = np.cumsum([0] + widths)
 
     def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for t, (lo, hi) in zip(tensors, spans):
             _acc_copy(t, g[:, lo:hi])
     return _result(value, tuple(tensors), bw, "concat_cols")
 
@@ -449,14 +453,12 @@ def _weight_blocks(tensors, w, op):
     """The rows of w that multiply each tensor in concat_cols(tensors) @ w,
     as views of w; tensors of unequal row counts, or widths that do not
     add up to w's rows, are a ValueError naming op."""
-    if any(t.shape[0] != tensors[0].shape[0] for t in tensors):
-        raise ValueError(f"{op} requires equal row counts")
-    widths = [t.shape[1] for t in tensors]
-    if sum(widths) != w.shape[0]:
-        raise ValueError(f"{op}: {sum(widths)} concatenated columns "
+    spans = _col_spans(tensors, op)
+    n_cols = spans[-1][1]
+    if n_cols != w.shape[0]:
+        raise ValueError(f"{op}: {n_cols} concatenated columns "
                          f"against a weight of shape {w.shape}")
-    offsets = np.cumsum([0] + widths)
-    return [w.value[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+    return [w.value[lo:hi] for lo, hi in spans]
 
 
 def concat_matmul(tensors, w):

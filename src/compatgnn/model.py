@@ -168,6 +168,12 @@ class CompatGNN(MessagePassingModel):
             raise ConfigError("dis_weight must be non-negative")
         if graph.n_classes < 2:
             raise ConfigError("model needs at least 2 classes")
+        for li, layer in enumerate(spec.layers, start=1):
+            for cj, ch in enumerate(layer.channels):
+                if ch.indicator == "feature_knn":
+                    raise ConfigError(f"layer {li} channel {cj}: CompatGNN takes no "
+                                      f"feature_knn channel (k={ch.k}); its operator "
+                                      "is realized over placeholder prototype rows")
         self.dis_weight = dis_weight
         self.dis_enabled = True
         self.real_graph = graph
@@ -251,8 +257,6 @@ class CompatGNN(MessagePassingModel):
             for j in range(i + 1, k):
                 c = cosine(vi, gather_rows(v, [j]))
                 total = c if total is None else add(total, c)
-        if total is None:
-            return constant(np.zeros((1, 1)))
         return scale(total, 2.0)   # ordered pairs: each unordered pair twice
 
     def loss(self, out, train_idx):

@@ -7,9 +7,10 @@ One layer computes, per channel r,
 where A_r is a neighborhood indicator (who may send messages), B_r an
 aggregation guidance (how much each message counts), and W_r an optional
 channel weight. Channels are merged by COMBINE, layer outputs by FUSE.
-Classic architectures are single points in this space; see PRESETS. So
-is compatgnn (build_preset("compatgnn")): a spec that model.CompatGNN
-runs over N nodes plus K prototype nodes, binding its
+Each architecture in MODEL_NAMES is a single point in this space: a row
+of one table, the one-layer ModelSpec that build_preset repeats n_layers
+deep. compatgnn's (build_preset("compatgnn")) is a spec that
+model.CompatGNN runs over N nodes plus K prototype nodes, binding its
 supplementary/constant channel (PrototypeOperator) in the training
 hooks on_training_start and on_validation_improved.
 
@@ -34,6 +35,7 @@ it with records.read_json and ModelSpec.from_dict). Its field types
 declare the allowed values and validate() checks every rule.
 """
 
+import copy
 import dataclasses
 from dataclasses import dataclass
 from typing import Literal, get_args, get_origin
@@ -51,9 +53,6 @@ from .autodiff import (SparseMatrix, add, add_bias, concat_cols, concat_matmul,
                        scale, slice_rows, spmm)
 from .sparse import (add_self_loops, khop_adjacency, knn_feature_graph,
                      row_normalize, sym_normalize)
-
-PRESETS = ("mlp", "gcn", "mixhop", "h2gcn", "gprgnn", "acmgcn")
-MODEL_NAMES = ("compatgnn",) + PRESETS
 
 # the guidance each indicator pairs with; any other pairs with AVERAGING
 PAIRINGS = {"identity": ("identity",), "supplementary": ("constant",)}
@@ -481,6 +480,37 @@ class MessagePassingModel:
 # ---------------------------------------------------------------------------
 # presets
 
+# each architecture as its one-layer model; build_preset repeats the layer
+_ARCHITECTURES = {
+    # self, degree-averaged neighborhood and prototype channels, weighted
+    # per node with the degree column; every depth feeds an MLP
+    "compatgnn": ModelSpec([LayerSpec([ChannelSpec("identity", "identity"),
+                                       ChannelSpec("raw", "deg_avg_row"),
+                                       ChannelSpec("supplementary", "constant")],
+                                      combine="ada_add", ada_degree_column=True)],
+                           fuse="cat", classifier="mlp"),
+    "mlp": ModelSpec([LayerSpec([ChannelSpec("identity", "identity")])]),
+    "gcn": ModelSpec([LayerSpec([ChannelSpec("raw_self_loop", "deg_avg_sym")])]),
+    # adjacency powers 0, 1 and 2, as MixHop (arXiv 1905.00067) mixes
+    "mixhop": ModelSpec([LayerSpec([ChannelSpec("identity", "identity"),
+                                    ChannelSpec("raw", "deg_avg_sym"),
+                                    ChannelSpec("khop", "deg_avg_sym", k=2)],
+                                   combine="cat")]),
+    "h2gcn": ModelSpec([LayerSpec([ChannelSpec("raw", "deg_avg_sym", weight="identity"),
+                                   ChannelSpec("khop", "deg_avg_sym", k=2,
+                                               weight="identity")],
+                                  combine="cat")], fuse="cat"),
+    "gprgnn": ModelSpec([LayerSpec([ChannelSpec("raw_self_loop", "deg_avg_sym",
+                                                weight="identity")])], fuse="ada_add"),
+    "acmgcn": ModelSpec([LayerSpec([ChannelSpec("identity", "identity"),
+                                    ChannelSpec("raw_self_loop", "deg_avg_sym"),
+                                    ChannelSpec("raw_self_loop", "high_pass")],
+                                   combine="ada_add")], relu_before_aggregate=True),
+}
+MODEL_NAMES = tuple(_ARCHITECTURES)
+PRESETS = MODEL_NAMES[1:]
+
+
 def build_preset(name, n_layers=2, hidden_dim=64, dropout=0.0,
                  relu_before_aggregate=None, classifier=None):
     """ModelSpec for a named architecture: a classic preset, or compatgnn,
@@ -493,56 +523,12 @@ def build_preset(name, n_layers=2, hidden_dim=64, dropout=0.0,
     if n_layers > MAX_LAYERS:
         raise ConfigError(f"preset {name!r} takes at most {MAX_LAYERS} layers, "
                           f"got {n_layers}")
-
-    relu_default = False
-    classifier_default = "linear"
-    if name == "mlp":
-        layers = [LayerSpec([ChannelSpec("identity", "identity")])
-                  for _ in range(n_layers)]
-        fuse = "last"
-    elif name == "gcn":
-        layers = [LayerSpec([ChannelSpec("raw_self_loop", "deg_avg_sym")])
-                  for _ in range(n_layers)]
-        fuse = "last"
-    elif name == "mixhop":
-        # adjacency powers 0, 1 and 2, as MixHop (arXiv 1905.00067) mixes
-        chans = [ChannelSpec("identity", "identity"),
-                 ChannelSpec("raw", "deg_avg_sym"),
-                 ChannelSpec("khop", "deg_avg_sym", k=2)]
-        layers = [LayerSpec(list(chans), combine="cat") for _ in range(n_layers)]
-        fuse = "last"
-    elif name == "h2gcn":
-        chans = [ChannelSpec("raw", "deg_avg_sym", weight="identity"),
-                 ChannelSpec("khop", "deg_avg_sym", k=2, weight="identity")]
-        layers = [LayerSpec(list(chans), combine="cat") for _ in range(n_layers)]
-        fuse = "cat"
-    elif name == "gprgnn":
-        layers = [LayerSpec([ChannelSpec("raw_self_loop", "deg_avg_sym",
-                                         weight="identity")])
-                  for _ in range(n_layers)]
-        fuse = "ada_add"
-    elif name == "compatgnn":
-        # self, degree-averaged neighborhood and prototype channels,
-        # weighted per node with the degree column; every depth feeds an MLP
-        chans = [ChannelSpec("identity", "identity"),
-                 ChannelSpec("raw", "deg_avg_row"),
-                 ChannelSpec("supplementary", "constant")]
-        layers = [LayerSpec(list(chans), combine="ada_add", ada_degree_column=True)
-                  for _ in range(n_layers)]
-        fuse = "cat"
-        classifier_default = "mlp"
-    else:  # acmgcn
-        chans = [ChannelSpec("identity", "identity"),
-                 ChannelSpec("raw_self_loop", "deg_avg_sym"),
-                 ChannelSpec("raw_self_loop", "high_pass")]
-        layers = [LayerSpec(list(chans), combine="ada_add") for _ in range(n_layers)]
-        fuse = "last"
-        relu_default = True
-
-    spec = ModelSpec(layers=layers, hidden_dim=hidden_dim, dropout=dropout,
-                     relu_before_aggregate=(relu_default if relu_before_aggregate is None
-                                            else relu_before_aggregate),
-                     fuse=fuse, classifier=(classifier_default if classifier is None
-                                            else classifier))
+    row = _ARCHITECTURES[name]
+    spec = dataclasses.replace(
+        row, layers=[copy.deepcopy(row.layers[0]) for _ in range(n_layers)],
+        hidden_dim=hidden_dim, dropout=dropout,
+        relu_before_aggregate=(row.relu_before_aggregate if relu_before_aggregate
+                               is None else relu_before_aggregate),
+        classifier=row.classifier if classifier is None else classifier)
     spec.validate()
     return spec

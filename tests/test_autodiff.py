@@ -126,6 +126,12 @@ def test_shape_mismatches_raise():
         concat_matmul([a, rand_t((3, 1))], rand_t((4, 2)))
     with pytest.raises(ValueError, match="4 concatenated columns"):
         concat_matmul([a, rand_t((2, 1))], rand_t((5, 2)))
+    with pytest.raises(ValueError, match="concat_cols requires equal row counts"):
+        concat_cols([a, constant(np.zeros((3, 1)))])
+    with pytest.raises(ValueError, match="softmax over an empty row"):
+        row_softmax(constant(np.zeros((2, 0))))
+    with pytest.raises(ValueError, match="matching 1 x d tensors"):
+        cosine(constant(np.ones((1, 3))), constant(np.ones((1, 2))))
 
 
 def test_row_scale_and_scalar_scale_forward():

@@ -10,7 +10,8 @@ from compatgnn.model import (CMEstimate, CompatGNN, build_prototypes,
                              confidence, degree_weight, estimate_cm,
                              supplementary_guidance)
 from compatgnn.gradcheck import grad_check
-from compatgnn.mp import ForwardOutput, MessagePassingModel, build_preset
+from compatgnn.mp import (ChannelSpec, ForwardOutput, LayerSpec, MessagePassingModel,
+                          ModelSpec, build_preset)
 from compatgnn.rng import make_rng
 from compatgnn.sparse import row_normalize
 from compatgnn.synth import generate_graph, make_synth_spec
@@ -241,6 +242,22 @@ def test_config_validation():
     g = make_graph(3, [(0, 1), (1, 2)], [0, 0, 0], 1, d_f=2)
     with pytest.raises(ConfigError, match="2 classes"):
         CompatGNN(compat(), g)
+
+
+def test_a_feature_knn_channel_is_refused_over_prototypes_only():
+    """The prototype rows are placeholders when operators are realized, so
+    a kNN operator over the N+K graph would rank zero rows."""
+    g = random_graph(make_rng(3, "knn"), 30, p=0.2)
+    knn = ChannelSpec("feature_knn", "deg_avg_row", k=5)
+    spec = compat()
+    spec.layers[1].channels.append(knn)
+    with pytest.raises(ConfigError,
+                       match=r"layer 2 channel 3: .*feature_knn channel \(k=5\)"):
+        CompatGNN(spec, g)
+    plain = ModelSpec([LayerSpec([ChannelSpec("identity", "identity"), knn],
+                                 combine="ada_add")], hidden_dim=4)
+    m = MessagePassingModel(plain, g)
+    assert m.forward().logits.shape == (30, g.n_classes)
 
 
 def test_forward_requires_state():

@@ -1,7 +1,12 @@
+import dataclasses
+import itertools
 import json
+from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from compatgnn import (ConfigError, Graph, NumericalError, generate_splits, mp,
                        permute_graph)
@@ -12,7 +17,8 @@ from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
                           build_preset, init_ada_params, realize_channel,
                           realize_guidance, realize_indicator)
 from compatgnn.rng import make_rng
-from compatgnn.sparse import add_self_loops, khop_adjacency, sym_normalize
+from compatgnn.sparse import (add_self_loops, khop_adjacency, knn_feature_graph,
+                              row_normalize, sym_normalize)
 from compatgnn.model import CompatGNN
 from compatgnn.training import RunConfig, build_model, train_model
 
@@ -125,6 +131,49 @@ def test_realize_indicator_kinds():
                                   khop_adjacency(g, 2).toarray())
     with pytest.raises(ConfigError, match="prototype"):
         realize_indicator(g, "supplementary")
+
+
+def _accepted_channels():
+    """Every (indicator, guidance, k) ChannelSpec.validate accepts, for k
+    up to 3, bar the supplementary/constant channel only CompatGNN binds."""
+    indicator, guidance = dataclasses.fields(ChannelSpec)[:2]
+    for ind, guid, k in itertools.product(get_args(indicator.type),
+                                          get_args(guidance.type), (None, 1, 2, 3)):
+        try:
+            ChannelSpec(ind, guid, k).validate()
+        except ConfigError:
+            continue
+        if ind != "supplementary":
+            yield ind, guid, k
+
+
+COMPOSED_INDICATOR = {"raw": lambda g, k: g.adjacency(),
+                      "raw_self_loop": lambda g, k: add_self_loops(g),
+                      "khop": khop_adjacency, "feature_knn": knn_feature_graph}
+COMPOSED_GUIDANCE = {"deg_avg_row": row_normalize, "deg_avg_sym": sym_normalize,
+                     "high_pass": lambda a: sp.eye(a.shape[0]) - sym_normalize(a)}
+
+
+@pytest.mark.parametrize("indicator, guidance, k", list(_accepted_channels()))
+def test_every_accepted_channel_realizes_and_trains(indicator, guidance, k):
+    g = random_graph(make_rng(6, "channels"), 12, p=0.3)
+    ch = ChannelSpec(indicator, guidance, k)
+    op = realize_channel(g, ch)
+    if indicator == "identity":
+        assert op is None
+    else:
+        a = COMPOSED_INDICATOR[indicator](g, k)
+        want = COMPOSED_GUIDANCE[guidance](a)
+        np.testing.assert_array_equal(op.scipy.toarray(), want.toarray())
+    # layer 1 reads ÂX, layer 2 aggregates over the operator
+    spec = ModelSpec([LayerSpec([ch]), LayerSpec([ch])], hidden_dim=4)
+    model = MessagePassingModel(spec, g)
+    out = model.forward(train=True)
+    backward(model.loss(out, np.arange(6)))
+    assert out.logits.shape == (12, g.n_classes)
+    for li in (1, 2):
+        grad = model.params[f"layer{li}.ch0.w"].grad
+        assert grad is not None and np.all(np.isfinite(grad)) and np.any(grad)
 
 
 def test_realize_guidance_rules():
@@ -428,6 +477,58 @@ def test_preset_rejects_unknown_and_bad_args():
         build_preset("gat")
     with pytest.raises(ConfigError, match="n_layers"):
         build_preset("gcn", n_layers=0)
+
+
+PRESET_SPECS = json.loads((Path(__file__).parent / "data" / "preset_specs.json")
+                          .read_text(encoding="utf-8"))
+
+
+def test_model_names_are_the_recorded_presets_in_order():
+    assert mp.MODEL_NAMES == tuple(PRESET_SPECS)
+    assert mp.MODEL_NAMES == ("compatgnn",) + mp.PRESETS
+
+
+@pytest.mark.parametrize("name", list(PRESET_SPECS))
+def test_preset_is_its_recorded_layer_repeated(name):
+    """The default spec is the recorded one; n_layers repeats its layer,
+    and each override changes its own field only."""
+    recorded = PRESET_SPECS[name]
+    assert build_preset(name).to_dict() == recorded
+    layer = recorded["layers"][0]
+    assert recorded["layers"] == [layer, layer]
+    for n_layers in ((0, 1, 3) if name == "mlp" else (1, 3)):
+        spec = build_preset(name, n_layers=n_layers, hidden_dim=4, dropout=0.5)
+        assert spec.to_dict() == {**recorded, "layers": [layer] * n_layers,
+                                  "hidden_dim": 4, "dropout": 0.5}
+    relu = not recorded["relu_before_aggregate"]
+    assert (build_preset(name, relu_before_aggregate=relu).to_dict()
+            == {**recorded, "relu_before_aggregate": relu})
+    for classifier in ("linear", "mlp"):
+        assert (build_preset(name, classifier=classifier).to_dict()
+                == {**recorded, "classifier": classifier})
+    # every spec owns its layers: editing one changes no other
+    spec = build_preset(name)
+    spec.layers[0].channels.append(ChannelSpec("identity", "identity"))
+    spec.layers[1].combine = "cat"
+    assert build_preset(name).to_dict() == recorded
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("gat",), {}, "unknown preset 'gat'; choose from ('compatgnn', 'mlp', 'gcn', "
+                   "'mixhop', 'h2gcn', 'gprgnn', 'acmgcn')"),
+    (("gcn", 0), {}, "preset 'gcn' needs n_layers >= 1"),
+    (("mlp", -1), {}, "preset 'mlp' needs n_layers >= 1"),
+    (("compatgnn", 10**4 + 1), {}, "preset 'compatgnn' takes at most 10000 layers, "
+                                    "got 10001"),
+    (("acmgcn",), {"hidden_dim": 0}, "hidden_dim must be positive"),
+    (("h2gcn",), {"dropout": 1.0}, "dropout must be in [0, 1), got 1.0"),
+    (("mixhop",), {"classifier": "svm"},
+     "unknown classifier 'svm'; choose from ('linear', 'mlp')"),
+])
+def test_preset_errors_keep_their_text(args, kwargs, message):
+    with pytest.raises(ConfigError) as exc:
+        build_preset(*args, **kwargs)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("name, n_layers", [("h2gcn", 2), ("h2gcn", 3),
