@@ -21,10 +21,13 @@ no copy. Only a gradient passed through unchanged (by add, sub, add_bias
 and concat_cols) is copied first, so no two tensors share a .grad array.
 
 Fused ops are one tape node each. ada_mix is a whole adaptive channel
-combine: the gate that computes per-row channel weights alpha, the
-alpha-weighted sum and an optional relu, in cache-sized row blocks,
-keeping only alpha and the gate's sigmoid for its backward; ada_alpha
-reads alpha out through the same gate code without a tape.
+combine over channels given as pairs (X_r, W_r): the products
+Z_r = X_r W_r, the gate that computes per-row channel weights alpha, the
+alpha-weighted sum and an optional relu, in cache-sized row blocks. It
+keeps no Z_r, only alpha and the gate's sigmoid, and its backward
+reaches X_r and W_r through the same two GEMMs per channel a matmul's
+backward runs; ada_alpha reads alpha out through the same gate code
+without a tape.
 concat_matmul multiplies a column concatenation by a matrix block by
 block, never building the concatenation (the classifier); the gate reads
 its weight in the same blocks (_weight_blocks).
@@ -236,124 +239,151 @@ def _row_blocks(n):
     return ((lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
 
 
-def _mix_rows(out, buf, tensors, a, lo, hi):
-    """out = sum_r diag(a[:, r]) @ t_r over rows [lo, hi) of the tensors,
-    with `a` those rows of alpha; each entry is summed in the order
-    add(row_scale(...), ...) sums it."""
-    np.multiply(tensors[0].value[lo:hi], a[:, 0:1], out=out)
-    for r, t in enumerate(tensors[1:], start=1):
-        np.multiply(t.value[lo:hi], a[:, r:r + 1], out=buf)
-        out += buf
+def _product_shape(x, w, op):
+    """The shape of X W, or of X when w is None."""
+    if w is None:
+        return x.shape
+    if x.shape[1] != w.shape[0]:
+        raise ValueError(f"{op}: a channel input of shape {x.shape} against "
+                         f"a weight of shape {w.shape}")
+    return x.shape[0], w.shape[1]
 
 
-def _check_mixed(tensors, alpha_shape, op):
-    """The common shape of the tensors, which an alpha of alpha_shape mixes."""
-    shape = tensors[0].shape
-    if any(t.shape != shape for t in tensors):
-        raise ValueError(f"{op} needs equally shaped tensors, got "
-                         f"{[t.shape for t in tensors]}")
-    if alpha_shape != (shape[0], len(tensors)):
-        raise ValueError(f"{op} needs ({shape[0]}, {len(tensors)}) alpha, "
-                         f"got {alpha_shape}")
-    return shape
+def _ada_gate(pairs, extra_cols, w_att, b_att, w_mix, b_mix, op):
+    """The channel products and the gate of ada_mix: ((n, d), w_rows,
+    gate). Every product Z_r = X_r W_r of a pair (X_r, W_r), Z_r = X_r when
+    W_r is None, is n x d; w_rows are the row blocks of w_att, one per
+    column block of [Z_1 .. Z_R, extra_cols]; gate(lo, hi) returns rows
+    [lo, hi) of the products, of h and of alpha:
 
+        h = sigmoid([Z_1 .. Z_R, extra_cols] W_att + b_att),  alpha = row_softmax(h W_mix + b_mix),
 
-def _ada_gate(cols, w_att, b_att, w_mix, b_mix):
-    """The gate of ada_mix over the columns of `cols` (channel outputs,
-    then extra columns): (w_rows, gate), where w_rows are the row blocks of
-    w_att, one per column block, and gate(lo, hi) returns rows [lo, hi) of
-
-        h = sigmoid([cols] W_att + b_att),  alpha = row_softmax(h W_mix + b_mix),
-
-    [cols] W_att summed block by block as concat_matmul sums it."""
-    w_rows = _weight_blocks(cols, w_att, "ada gate")
+    [..] W_att summed block by block as concat_matmul sums it. Each block
+    of a product is checked finite while it is in cache: a relu after the
+    mix would hide a -inf in it."""
+    shapes = [_product_shape(x, w, op) for x, w in pairs]
+    n, d = shapes[0]
+    if any(s != shapes[0] for s in shapes):
+        raise ValueError(f"{op} needs equally shaped channel products, got {shapes}")
+    if w_mix.shape[1] != len(pairs):
+        raise ValueError(f"{op} needs ({n}, {len(pairs)}) alpha, "
+                         f"got {(n, w_mix.shape[1])}")
+    w_rows = _weight_blocks(shapes + [c.shape for c in extra_cols], w_att, op)
+    # every block writes its products here, so a call allocates them once
+    zbufs = np.empty((len(pairs), min(_BLOCK_ROWS, n), d))
 
     def gate(lo, hi):
-        s = cols[0].value[lo:hi] @ w_rows[0]
+        zs = [x.value[lo:hi] if w is None else
+              np.matmul(x.value[lo:hi], w.value, out=z[:hi - lo])
+              for (x, w), z in zip(pairs, zbufs)]
+        if not all(np.isfinite(z).all() for z in zs):
+            raise NumericalError(f"non-finite value produced by {op}")
+        cols = zs + [c.value[lo:hi] for c in extra_cols]
+        s = cols[0] @ w_rows[0]
         for c, w in zip(cols[1:], w_rows[1:]):
-            s += c.value[lo:hi] @ w
+            s += c @ w
         h = _sigmoid_value(s + b_att.value)
-        return h, _softmax_value(h @ w_mix.value + b_mix.value)
-    return w_rows, gate
+        return zs, h, _softmax_value(h @ w_mix.value + b_mix.value)
+    return (n, d), w_rows, gate
 
 
-def ada_alpha(tensors, extra_cols, w_att, b_att, w_mix, b_mix):
-    """The alpha ada_mix mixes the tensors with, as an array: the same gate
-    over the same row blocks, recording no tape."""
-    tensors = list(tensors)
-    n = tensors[0].shape[0]
-    _check_mixed(tensors, (n, w_mix.shape[1]), "ada_alpha")
-    _, gate = _ada_gate(tensors + list(extra_cols), w_att, b_att, w_mix, b_mix)
-    alpha = np.empty((n, len(tensors)))
+def ada_alpha(pairs, extra_cols, w_att, b_att, w_mix, b_mix):
+    """The alpha ada_mix mixes the pairs' products with, as an array: the
+    same gate over the same row blocks, recording no tape."""
+    (n, _), _, gate = _ada_gate(list(pairs), list(extra_cols), w_att, b_att,
+                                w_mix, b_mix, "ada_alpha")
+    alpha = np.empty((n, w_mix.shape[1]))
     for lo, hi in _row_blocks(n):
-        alpha[lo:hi] = gate(lo, hi)[1]
+        alpha[lo:hi] = gate(lo, hi)[2]
     return alpha
 
 
-def ada_mix(tensors, extra_cols, w_att, b_att, w_mix, b_mix, relu):
-    """The adaptive combine of R equally shaped tensors Z_r as one tape node:
+def ada_mix(pairs, extra_cols, w_att, b_att, w_mix, b_mix, relu):
+    """The adaptive combine of R channel products as one tape node. Each
+    pair (X_r, W_r) is a tensor and its weight, whose product is channel
+    r's output Z_r = X_r W_r; a W_r of None stands for Z_r = X_r. Then
 
         h = sigmoid([Z_1 .. Z_R, extra_cols] W_att + b_att)
         alpha = row_softmax(h W_mix + b_mix)
         out = sum_r diag(alpha[:, r]) Z_r, then max(out, 0) if `relu`
 
-    the value of the chain concat_matmul, add_bias, sigmoid, matmul,
-    add_bias, row_softmax, the row-scaled sum (and relu), up to the
-    summation order of the gate's products. Forward and backward walk
-    blocks of _BLOCK_ROWS rows. Besides its parents and its output the
-    node keeps alpha and h (N x R each): the backward recomputes each
-    block's relu mask from the output and writes each tensor's gradient
-    once, so no N x d intermediate outlives the forward."""
-    tensors, extra_cols = list(tensors), list(extra_cols)
-    n, d = shape = _check_mixed(tensors, (tensors[0].shape[0], w_mix.shape[1]),
-                                "ada_mix")
-    cols = tensors + extra_cols
-    w_rows, gate = _ada_gate(cols, w_att, b_att, w_mix, b_mix)
-    value = np.empty(shape)
+    is the value of a matmul per channel, then the chain concat_matmul,
+    add_bias, sigmoid, matmul, add_bias, row_softmax, the row-scaled sum
+    (and relu), up to the summation order of the gate's products. Forward
+    and backward walk blocks of _BLOCK_ROWS rows, and each block computes
+    its rows of every Z_r, so no Z_r is ever kept whole. Besides its
+    parents and its output the node keeps alpha and h (N x R each).
+
+    The backward recomputes each block's relu mask from the output and
+    reads Z_r only through X_r and W_r: with g the block's gradient, A_r
+    channel r's rows of W_att, g_s the gradient at the sigmoid's input and
+    u_r = g W_r^T, it takes rowdot(g, Z_r) = rowdot(u_r, X_r),
+    dX_r = alpha_r u_r + g_s (W_r A_r)^T, dW_r = X_r^T (alpha_r g) +
+    (X_r^T g_s) A_r^T and dA_r = W_r^T (X_r^T g_s): two N x d GEMMs per
+    channel, as many as a matmul's backward."""
+    pairs, extra_cols = list(pairs), list(extra_cols)
+    (n, d), w_rows, gate = _ada_gate(pairs, extra_cols, w_att, b_att, w_mix,
+                                     b_mix, "ada_mix")
+    value = np.empty((n, d))
     h = np.empty((n, w_att.shape[1]))
-    alpha = np.empty((n, len(tensors)))
+    alpha = np.empty((n, len(pairs)))
     buf = np.empty((min(_BLOCK_ROWS, n), d))
     for lo, hi in _row_blocks(n):
-        h[lo:hi], alpha[lo:hi] = gate(lo, hi)
-        v = value[lo:hi]
-        _mix_rows(v, buf[:hi - lo], tensors, alpha[lo:hi], lo, hi)
+        zs, h[lo:hi], alpha[lo:hi] = gate(lo, hi)
+        v, a, tmp = value[lo:hi], alpha[lo:hi], buf[:hi - lo]
+        np.multiply(zs[0], a[:, 0:1], out=v)
+        for r, z in enumerate(zs[1:], start=1):
+            v += np.multiply(z, a[:, r:r + 1], out=tmp)
         if relu:
             np.maximum(v, 0.0, out=v)
 
     def bw(g):
-        gts = [np.empty(c.shape) if c.requires_grad else None for c in cols]
+        gxs = [np.empty(x.shape) if x.requires_grad else None for x, _ in pairs]
+        gws = [np.zeros(w.shape) if w is not None and w.requires_grad else None
+               for _, w in pairs]
+        # W_r A_r: what the gate multiplies X_r by
+        wa = [a_r if w is None else w.value @ a_r for (_, w), a_r in zip(pairs, w_rows)]
         gm = np.empty_like(alpha)        # gradient of alpha's softmax input
         gs = np.empty_like(h)            # gradient of h's sigmoid input
         buf = np.empty((min(_BLOCK_ROWS, n), d))
         masked = np.empty_like(buf) if relu else None
         for lo, hi in _row_blocks(n):
-            gb, tmp, a, hb = g[lo:hi], buf[:hi - lo], alpha[lo:hi], h[lo:hi]
+            gb, a, hb = g[lo:hi], alpha[lo:hi], h[lo:hi]
             if relu:
                 gb = np.multiply(gb, value[lo:hi] > 0, out=masked[:hi - lo])
-            ga = np.empty_like(a)
-            for r, t in enumerate(tensors):
-                np.multiply(gb, t.value[lo:hi], out=tmp)
-                ga[:, r] = tmp.sum(axis=1)
+            xs = [x.value[lo:hi] for x, _ in pairs]
+            us = [gb if w is None else gb @ w.value.T for _, w in pairs]
+            ga = np.stack([np.einsum("ij,ij->i", u, x) for u, x in zip(us, xs)],
+                          axis=1)
             gm[lo:hi] = a * (ga - (ga * a).sum(axis=1, keepdims=True))
             gs[lo:hi] = (gm[lo:hi] @ w_mix.value.T) * hb * (1.0 - hb)
-            for r, (gt, w) in enumerate(zip(gts, w_rows)):
-                if gt is None:
-                    continue
-                if r < len(tensors):
-                    np.multiply(gb, a[:, r:r + 1], out=gt[lo:hi])
-                    gt[lo:hi] += gs[lo:hi] @ w.T
-                else:
-                    gt[lo:hi] = gs[lo:hi] @ w.T
-        for c, gt in zip(cols, gts):
-            if gt is not None:
-                _acc(c, gt)
+            for r, (gx, gw) in enumerate(zip(gxs, gws)):
+                if gx is not None:
+                    np.multiply(us[r], a[:, r:r + 1], out=gx[lo:hi])
+                    gx[lo:hi] += gs[lo:hi] @ wa[r].T
+                if gw is not None:
+                    gw += xs[r].T @ np.multiply(gb, a[:, r:r + 1], out=buf[:hi - lo])
+        att_rows = []                    # dA_r, channel r's rows of dW_att
+        for (x, w), gx, gw, a_r in zip(pairs, gxs, gws, w_rows):
+            if gx is not None:
+                _acc(x, gx)
+            xg = x.value.T @ gs
+            if gw is not None:
+                gw += xg @ a_r.T
+                _acc(w, gw)
+            att_rows.append(xg if w is None else w.value.T @ xg)
+        for c, a_c in zip(extra_cols, w_rows[len(pairs):]):
+            if c.requires_grad:
+                _acc(c, gs @ a_c.T)
         _acc(b_mix, gm.sum(axis=0, keepdims=True))
         if w_mix.requires_grad:
             _acc(w_mix, h.T @ gm)
         _acc(b_att, gs.sum(axis=0, keepdims=True))
         if w_att.requires_grad:
-            _acc(w_att, np.vstack([c.value.T @ gs for c in cols]))
-    return _result(value, (*cols, w_att, b_att, w_mix, b_mix), bw, "ada_mix")
+            _acc(w_att, np.vstack(att_rows + [c.value.T @ gs for c in extra_cols]))
+    parents = [t for pair in pairs for t in pair if t is not None]
+    return _result(value, (*parents, *extra_cols, w_att, b_att, w_mix, b_mix), bw,
+                   "ada_mix")
 
 
 def scalar_scale(a, s):
@@ -429,18 +459,18 @@ def log(a):
     return _result(value, (a,), bw, "log")
 
 
-def _col_spans(tensors, op):
-    """The (lo, hi) column span of each tensor in concat_cols(tensors);
-    tensors of unequal row counts are a ValueError naming op."""
-    if any(t.shape[0] != tensors[0].shape[0] for t in tensors):
+def _col_spans(shapes, op):
+    """The (lo, hi) column span of each array of these shapes in their
+    column concatenation; unequal row counts are a ValueError naming op."""
+    if any(s[0] != shapes[0][0] for s in shapes):
         raise ValueError(f"{op} requires equal row counts")
-    offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
+    offsets = np.cumsum([0] + [s[1] for s in shapes])
     return list(zip(offsets[:-1], offsets[1:]))
 
 
 def concat_cols(tensors):
     tensors = list(tensors)
-    spans = _col_spans(tensors, "concat_cols")
+    spans = _col_spans([t.shape for t in tensors], "concat_cols")
     value = np.concatenate([t.value for t in tensors], axis=1)
 
     def bw(g):
@@ -449,11 +479,11 @@ def concat_cols(tensors):
     return _result(value, tuple(tensors), bw, "concat_cols")
 
 
-def _weight_blocks(tensors, w, op):
-    """The rows of w that multiply each tensor in concat_cols(tensors) @ w,
-    as views of w; tensors of unequal row counts, or widths that do not
-    add up to w's rows, are a ValueError naming op."""
-    spans = _col_spans(tensors, op)
+def _weight_blocks(shapes, w, op):
+    """The rows of w that multiply each array of these shapes in their
+    column concatenation times w, as views of w; unequal row counts, or
+    widths that do not add up to w's rows, are a ValueError naming op."""
+    spans = _col_spans(shapes, op)
     n_cols = spans[-1][1]
     if n_cols != w.shape[0]:
         raise ValueError(f"{op}: {n_cols} concatenated columns "
@@ -465,7 +495,7 @@ def concat_matmul(tensors, w):
     """concat_cols(tensors) @ w without the concatenation: the sum over
     blocks of t_r @ w[rows of block r], each block a view of w."""
     tensors = list(tensors)
-    blocks = _weight_blocks(tensors, w, "concat_matmul")
+    blocks = _weight_blocks([t.shape for t in tensors], w, "concat_matmul")
     value = tensors[0].value @ blocks[0]
     for t, b in zip(tensors[1:], blocks[1:]):
         value += t.value @ b

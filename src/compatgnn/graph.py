@@ -285,13 +285,19 @@ def load_dataset(path):
     f32 = os.path.join(path, "features.f32")
     tsv = os.path.join(path, "features.tsv")
     if os.path.exists(f32):
-        x = read_features_f32(f32)
+        feat_path, x = f32, read_features_f32(f32)
     elif os.path.exists(tsv):
-        x = _read_features_tsv(tsv)
+        feat_path, x = tsv, _read_features_tsv(tsv)
     else:
         raise DataError(f"{path}: neither features.f32 nor features.tsv present")
     if x.shape != (n, d_f):
         raise DataError(f"features shape {x.shape}, meta says ({n}, {d_f})")
+    # checked here, once per file: Graph does not check its features, so a
+    # CompatGNN's N+K-node graph pays nothing for it
+    if not np.isfinite(x).all():
+        node, col = np.argwhere(~np.isfinite(x))[0]
+        raise DataError(f"{feat_path}: node {node} column {col} holds "
+                        f"{x[node, col]}, not a finite feature")
 
     return Graph.from_edges(n, edges, x, labels, meta.n_classes,
                             directed=meta.directed, name=meta.name)

@@ -14,13 +14,16 @@ model.CompatGNN runs over N nodes plus K prototype nodes, binding its
 supplementary/constant channel (PrototypeOperator) in the training
 hooks on_training_start and on_validation_improved.
 
-An ada_add layer weights its channels per node, alpha = row_softmax(
-sigmoid([Z_1 .. Z_R, deg] W_att + b_att) W_mix + b_mix), and mixes them
-as sum_r alpha[:, r] * Z_r. ada_combine runs the gate, the mix and the
-layer's relu as one tape node (autodiff.ada_mix), which keeps no N x d
-intermediate; ada_weights reads alpha out without a tape. A fixed alpha
+aggregate realizes a channel as a pair (X_r, W_r) whose product is Z_r,
+X_r = (A_r (.) B_r) Z; a layer that adds or concatenates its channels
+multiplies the pairs out (product). An ada_add layer weights its
+channels per node, alpha = row_softmax(sigmoid([Z_1 .. Z_R, deg] W_att +
+b_att) W_mix + b_mix), and mixes them as sum_r alpha[:, r] * Z_r.
+ada_combine runs the products, the gate, the mix and the layer's relu as
+one tape node (autodiff.ada_mix), which keeps no N x d intermediate, not
+even a Z_r; ada_weights reads alpha out without a tape. A fixed alpha
 (MessagePassingModel.force_alpha) is the limiting case: the layer adds
-its channels, each scaled by its constant weight.
+its channel products, each scaled by its constant weight.
 
 Layer 1 reads ÂX: when the encoder output X W_e reaches it as it is
 (linear encoder, dropout 0, no relu before aggregating) and the features
@@ -238,14 +241,23 @@ def realize_channel(g, ch):
 
 
 def aggregate(realized, z, w=None):
-    """(A (.) B) Z W as SpMM; identity channel short-circuits to Z W. A
-    PrototypeOperator reads only the prototype rows: block (Z_proto W),
-    O((N+K) K d) instead of a dense (N+K) x (N+K) product."""
+    """(A (.) B) Z W as a pair (X, W) whose product X W it is: X is Z for an
+    identity channel and the SpMM (A (.) B) Z for a sparse one, and W None
+    for a weightless channel. A PrototypeOperator reads only the prototype
+    rows: (block, Z_proto W), so the product costs O((N+K) K d) and no
+    dense (N+K) x (N+K) operator is built. An ada_add layer hands the
+    pairs to its one node (ada_combine); any other layer multiplies them
+    out (product)."""
     if isinstance(realized, PrototypeOperator):
         t = slice_rows(z, realized.first, z.shape[0])
-        return matmul(realized.block, t if w is None else matmul(t, w))
-    t = z if realized is None else spmm(realized, z)
-    return t if w is None else matmul(t, w)
+        return realized.block, (t if w is None else matmul(t, w))
+    return (z if realized is None else spmm(realized, z)), w
+
+
+def product(pair):
+    """X W of a pair (X, W) from aggregate; X itself when W is None."""
+    x, w = pair
+    return x if w is None else matmul(x, w)
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +276,19 @@ def init_ada_params(rng, n_channels, width, degree_column):
 ADA_PARAMS = ("w_att", "b_att", "w_mix", "b_mix")
 
 
-def ada_weights(channel_outs, extra_cols, p):
+def ada_weights(pairs, extra_cols, p):
     """The row-wise softmax channel weights alpha that ada_combine mixes
-    with under the gate parameters p, as a constant: a readout that
-    records no tape (autodiff.ada_alpha)."""
-    return constant(ad.ada_alpha(channel_outs, extra_cols,
-                                 *(p[k] for k in ADA_PARAMS)))
+    the pairs' products with under the gate parameters p, as a constant:
+    a readout that records no tape (autodiff.ada_alpha)."""
+    return constant(ad.ada_alpha(pairs, extra_cols, *(p[k] for k in ADA_PARAMS)))
 
 
-def ada_combine(channel_outs, p, extra_cols=(), relu=False):
-    """sum_r alpha[:, r] * Z_r, then its relu if `relu`, as one tape node
-    (autodiff.ada_mix) that computes alpha over the channel outputs and
+def ada_combine(pairs, p, extra_cols=(), relu=False):
+    """sum_r alpha[:, r] * X_r W_r over the channels' pairs (aggregate),
+    then its relu if `relu`, as one tape node (autodiff.ada_mix) that
+    computes each product block by block and alpha over the products and
     extra columns under the gate parameters p (ADA_PARAMS)."""
-    return ad.ada_mix(channel_outs, extra_cols, *(p[k] for k in ADA_PARAMS),
-                      relu=relu)
+    return ad.ada_mix(pairs, extra_cols, *(p[k] for k in ADA_PARAMS), relu=relu)
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +381,17 @@ class MessagePassingModel:
         self._deg_col = constant(graph.degrees.astype(np.float64).reshape(-1, 1))
         self._propagated = {}   # operator key -> constant ÂX, see _channel
 
-    def _combine(self, li, layer, outs, post_relu):
-        """The layer's channel outputs merged, then their relu if post_relu;
-        an ada_add layer applies it inside its one node (ada_combine), or
-        with force_alpha set is an add of its channels scaled by alpha."""
+    def _combine(self, li, layer, pairs, post_relu):
+        """The layer's channels, given as aggregate's pairs, merged, then
+        their relu if post_relu. An ada_add layer multiplies its pairs and
+        applies the relu inside its one node (ada_combine), or with
+        force_alpha set is an add of its channel products scaled by alpha."""
+        if layer.combine == "ada_add" and self.force_alpha is None:
+            p = {k: self.params[f"layer{li}.ada.{k}"] for k in ADA_PARAMS}
+            extra = [self._deg_col] if layer.ada_degree_column else []
+            return ada_combine(pairs, p, extra, post_relu)
+        outs = [product(pair) for pair in pairs]
         if layer.combine == "ada_add":
-            if self.force_alpha is None:
-                p = {k: self.params[f"layer{li}.ada.{k}"] for k in ADA_PARAMS}
-                extra = [self._deg_col] if layer.ada_degree_column else []
-                return ada_combine(outs, p, extra, post_relu)
             outs = [scale(t, a) for t, a in zip(outs, self.force_alpha, strict=True)]
         if layer.combine == "cat":
             z = concat_cols(outs)
@@ -451,9 +464,9 @@ class MessagePassingModel:
         for li, layer in enumerate(spec.layers, start=1):
             try:
                 zin = relu(z) if spec.relu_before_aggregate else z
-                outs = [self._channel(li, cj, ch, zin, propagated and li == 1)
-                        for cj, ch in enumerate(layer.channels)]
-                zl = self._combine(li, layer, outs, not spec.relu_before_aggregate)
+                pairs = [self._channel(li, cj, ch, zin, propagated and li == 1)
+                         for cj, ch in enumerate(layer.channels)]
+                zl = self._combine(li, layer, pairs, not spec.relu_before_aggregate)
                 zl = dropout(zl, spec.dropout, rng, train)
             except NumericalError as exc:
                 raise NumericalError(f"layer {li}: {exc}") from exc

@@ -116,9 +116,13 @@ def make_synth_spec(n_nodes, k, h, pattern, mean_degree, seed,
     The default separation is calibrated so a feature-only MLP lands in the
     low-to-mid 70s (percent) at 1000 nodes / K=5, keeping graph-structure
     effects visible in both directions."""
+    cm = build_target_cm(k, h, pattern)   # refuses K < 2 before labels are drawn
+    if d_f < 1:
+        raise ConfigError(f"feature dimension must be positive, got {d_f}")
+    if not math.isfinite(mean_separation):
+        raise ConfigError(f"mean_separation must be finite, got {mean_separation}")
     labels = balanced_labels(n_nodes, k)
     feats = gaussian_features(labels, k, d_f, mean_separation, seed)
-    cm = build_target_cm(k, h, pattern)
     if name is None:
         name = f"synth-{pattern}-h{h:g}-d{mean_degree:g}"
     return SynthSpec(target_cm=cm, labels=labels, features=feats,

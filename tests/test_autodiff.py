@@ -171,17 +171,32 @@ def test_concat_matmul_over_one_block_is_bitwise_matmul():
 
 
 def _ada_inputs(n, extra, rng):
-    """Three n x 5 channel outputs, an optional n x 1 extra column and the
-    gate parameters, every one a leaf that requires grad."""
-    zs = [rand_t((n, 5), rng) for _ in range(3)]
+    """Three channels as (X_r, W_r) pairs whose products are n x 5: an own
+    weight (X n x 4, W 4 x 5), none (X n x 5, W None) and the prototype
+    form, a constant n x 2 input times a 2 x 5 weight; an optional n x 1
+    extra column and the gate parameters. Every tensor but the constant
+    input is a leaf that requires grad."""
+    pairs = [(rand_t((n, 4), rng), rand_t((4, 5), rng)),
+             (rand_t((n, 5), rng), None),
+             (constant(rng.random((n, 2))), rand_t((2, 5), rng))]
     cols = [rand_t((n, 1), rng)] if extra else []
     gate = [rand_t((15 + len(cols), 3), rng), rand_t((1, 3), rng),
             rand_t((3, 3), rng), rand_t((1, 3), rng)]
-    return zs, cols, gate
+    return pairs, cols, gate
 
 
-def _ada_chain(zs, cols, w_att, b_att, w_mix, b_mix, relu_):
-    """The adaptive combine as the 8-op chain ada_mix replaces."""
+def _pair_leaves(pairs):
+    return [t for pair in pairs for t in pair if t is not None and t.requires_grad]
+
+
+def _products(pairs):
+    return [x if w is None else matmul(x, w) for x, w in pairs]
+
+
+def _ada_chain(pairs, cols, w_att, b_att, w_mix, b_mix, relu_):
+    """The adaptive combine as the chain ada_mix replaces: a matmul per
+    weighted channel, then 8 ops."""
+    zs = _products(pairs)
     h = sigmoid(add_bias(concat_matmul(zs + cols, w_att), b_att))
     alpha = row_softmax(add_bias(matmul(h, w_mix), b_mix))
     mixed = row_scale(slice_cols(alpha, 0, 1), zs[0])
@@ -195,54 +210,89 @@ def _ada_chain(zs, cols, w_att, b_att, w_mix, b_mix, relu_):
 @pytest.mark.parametrize("relu_", [False, True])
 def test_ada_mix_matches_the_composed_chain(n, extra, relu_):
     rng = make_rng(32, "ada-chain", n, extra, relu_)
-    zs, cols, gate = _ada_inputs(n, extra, rng)
-    leaves = zs + cols + gate
+    pairs, cols, gate = _ada_inputs(n, extra, rng)
+    leaves = _pair_leaves(pairs) + cols + gate
     upstream = rng.normal(size=(n, 5))
 
     def fused():
-        return ada_mix(zs, cols, *gate, relu=relu_)
+        return ada_mix(pairs, cols, *gate, relu=relu_)
 
     def chain():
-        return _ada_chain(zs, cols, *gate, relu_)
+        return _ada_chain(pairs, cols, *gate, relu_)
     np.testing.assert_allclose(fused().value, chain().value, rtol=0, atol=1e-12)
     for got, want in zip(_grads_under(fused, leaves, upstream),
                          _grads_under(chain, leaves, upstream), strict=True):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # the constant input gets no gradient
+    assert pairs[2][0].grad is None
     # the tapeless readout is the alpha the node mixes with
-    want = mixed(ada_alpha(zs, cols, *gate), zs)
+    want = mixed(ada_alpha(pairs, cols, *gate), _products(pairs))
     np.testing.assert_array_equal(fused().value, np.maximum(want, 0.0) if relu_ else want)
 
 
 def test_ada_mix_is_one_node_keeping_alpha_and_h():
     rng = make_rng(33, "ada-node")
-    zs, cols, gate = _ada_inputs(9, True, rng)
-    out = ada_mix(zs, cols, *gate, relu=True)
-    assert all(p is q for p, q in zip(out.parents, zs + cols + gate, strict=True))
+    pairs, cols, gate = _ada_inputs(9, True, rng)
+    out = ada_mix(pairs, cols, *gate, relu=True)
+    inputs = [t for pair in pairs for t in pair if t is not None]
+    assert all(p is q for p, q in zip(out.parents, inputs + cols + gate, strict=True))
     kept = [c.cell_contents for c in out._backward.__closure__
             if isinstance(c.cell_contents, np.ndarray)]
+    # no channel product: besides the output only alpha and h
     assert sorted(a.shape for a in kept if a is not out.value) == [(9, 3), (9, 3)]
 
 
 def test_ada_mix_rejects_bad_shapes():
     rng = make_rng(34, "ada-shapes")
-    zs, cols, gate = _ada_inputs(4, True, rng)
+    pairs, cols, gate = _ada_inputs(4, True, rng)
     with pytest.raises(ValueError, match="equally shaped"):
-        ada_mix([zs[0], rand_t((4, 2), rng), zs[2]], cols, *gate, relu=False)
+        ada_mix([pairs[0], (rand_t((4, 2), rng), None), pairs[2]], cols, *gate,
+                relu=False)
+    with pytest.raises(ValueError, match=r"shape \(4, 3\) against a weight"):
+        ada_mix([(rand_t((4, 3), rng), pairs[0][1])] + pairs[1:], cols, *gate,
+                relu=False)
     with pytest.raises(ValueError, match=r"\(4, 2\) alpha"):
-        ada_mix(zs[:2], cols, *gate, relu=False)
+        ada_mix(pairs[:2], cols, *gate, relu=False)
     with pytest.raises(ValueError, match="17 concatenated columns"):
-        ada_mix(zs, cols + cols, *gate, relu=False)
+        ada_mix(pairs, cols + cols, *gate, relu=False)
     with pytest.raises(ValueError, match="equal row counts"):
-        ada_mix(zs, [rand_t((3, 1), rng)], *gate, relu=False)
+        ada_mix(pairs, [rand_t((3, 1), rng)], *gate, relu=False)
+
+
+def _poisoned_block_inputs(seed):
+    """_ada_inputs over two and a bit blocks, with a positive gate weight
+    and channel 0's input row `row` in the second block to poison."""
+    n = 2 * ad._BLOCK_ROWS + 5
+    pairs, cols, gate = _ada_inputs(n, False, make_rng(35, "ada-nan", seed))
+    gate[0].value = np.abs(gate[0].value)
+    return pairs, cols, gate, ad._BLOCK_ROWS + 4
 
 
 def test_ada_mix_nan_in_a_channel_names_the_op():
-    rng = make_rng(35, "ada-nan")
-    zs, cols, gate = _ada_inputs(6, False, rng)
-    zs[1].value[4, 2] = np.nan
+    pairs, cols, gate, row = _poisoned_block_inputs("nan")
+    pairs[0][0].value[row, 2] = np.nan
     for relu_ in (False, True):
         with pytest.raises(NumericalError, match="ada_mix"):
-            ada_mix(zs, cols, *gate, relu=relu_)
+            ada_mix(pairs, cols, *gate, relu=relu_)
+    with pytest.raises(NumericalError, match="ada_alpha"):
+        ada_alpha(pairs, cols, *gate)
+
+
+def test_ada_mix_product_overflowing_to_minus_inf_names_the_op():
+    """Finite inputs whose product X_0 W_0 is -inf in one row of the
+    second block. The gate's weights are positive, so that row drives h to
+    0 and alpha stays finite: with relu on, only the check of each product
+    block sees the -inf."""
+    pairs, cols, gate, row = _poisoned_block_inputs("-inf")
+    x, w = pairs[0]
+    x.value[row] = [1e300, 0.0, 0.0, 0.0]
+    w.value[0] = -1e300
+    with np.errstate(over="ignore"):
+        for relu_ in (False, True):
+            with pytest.raises(NumericalError, match="ada_mix"):
+                ada_mix(pairs, cols, *gate, relu=relu_)
+        with pytest.raises(NumericalError, match="ada_alpha"):
+            ada_alpha(pairs, cols, *gate)
 
 
 def test_row_softmax_forward_and_stability():
@@ -591,22 +641,25 @@ def test_grad_concat_matmul():
 
 def test_grad_ada_mix():
     rng = make_rng(24, "g14")
-    zs, cols, gate = _ada_inputs(4, True, rng)
-    # keep the mix away from relu's kink
-    for z in zs:
-        z.value += 2.0 * np.sign(z.value)
-    params = {f"z{r}": z for r, z in enumerate(zs)} | {"deg": cols[0]} | dict(
+    pairs, cols, gate = _ada_inputs(4, True, rng)
+    (x0, w0), (x1, _), (x2, w2) = pairs
+    params = {"x0": x0, "w0": w0, "x1": x1, "w2": w2, "deg": cols[0]} | dict(
         zip(("w_att", "b_att", "w_mix", "b_mix"), gate))
     weights = constant(rng.normal(size=(4, 5)))
+    # the mix stays 100 finite-difference steps away from relu's kink
+    assert np.abs(ada_mix(pairs, cols, *gate, relu=False).value).min() > 1e-3
     for relu_ in (False, True):
-        check(lambda: tsum(hadamard(ada_mix(zs, cols, *gate, relu=relu_), weights)),
+        check(lambda: tsum(hadamard(ada_mix(pairs, cols, *gate, relu=relu_), weights)),
               params)
-    # constant channels and a constant column: the gradient reaches the gate only
-    fixed = [constant(z.value) for z in zs]
+    # constant inputs and weights and a constant column: the gradient
+    # reaches the gate only
+    fixed = [(constant(x.value), None if w is None else constant(w.value))
+             for x, w in pairs]
     deg = constant(cols[0].value)
     check(lambda: tsum(hadamard(ada_mix(fixed, [deg], *gate, relu=True), weights)),
           dict(zip(("w_att", "b_att", "w_mix", "b_mix"), gate)))
-    assert all(t.grad is None for t in fixed + [deg])
+    assert all(t.grad is None for pair in fixed for t in pair if t is not None)
+    assert deg.grad is None
 
 
 def test_grad_concat_slice_gather():

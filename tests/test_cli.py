@@ -547,6 +547,28 @@ def _synth_gen_with(flag, value):
                             "--out", str(tmp / "d")]
 
 
+def _f32_feature_set(node, col, value):
+    """A change for _on_copy: features.f32 with one entry set to value."""
+    def change(copy):
+        raw = bytearray((copy / "features.f32").read_bytes())
+        rows, cols = struct.unpack("<QQ", raw[4:20])
+        offset = 20 + 4 * (node * cols + col)
+        raw[offset:offset + 4] = struct.pack("<f", value)
+        (copy / "features.f32").write_bytes(bytes(raw))
+    return change
+
+
+def _features_as_tsv_with(node, col, text):
+    """A change for _on_copy: the features as features.tsv, one entry
+    replaced by text."""
+    def change(copy):
+        x = graph.read_features_f32(copy / "features.f32").astype(str)
+        x[node, col] = text
+        (copy / "features.f32").unlink()
+        (copy / "features.tsv").write_text("".join("\t".join(r) + "\n" for r in x))
+    return change
+
+
 def _on_copy(change, command="train"):
     """`dataset inspect`, `train` or `bench` on a copy of the dataset that
     change(copy) edited."""
@@ -693,6 +715,12 @@ BAD_INPUTS = [
     ("synth_gen_zero_nodes", _synth_gen_with("--nodes", "0"), 2),
     ("synth_gen_degree_nan", _synth_gen_with("--degree", "nan"), 2),
     ("synth_gen_degree_inf", _synth_gen_with("--degree", "inf"), 2),
+    ("synth_gen_negative_feature_dim", _synth_gen_with("--feature-dim", "-3"), 2),
+    ("synth_gen_zero_classes", _synth_gen_with("--classes", "0"), 2),
+    ("synth_gen_mean_separation_nan", _synth_gen_with("--mean-separation", "nan"), 2),
+    ("synth_gen_mean_separation_inf", _synth_gen_with("--mean-separation", "inf"), 2),
+    ("features_f32_nan_train", _on_copy(_f32_feature_set(3, 1, np.nan)), 3),
+    ("features_tsv_inf_inspect", _on_copy(_features_as_tsv_with(2, 0, "-inf"), "inspect"), 3),
     ("bench_reversed_split_range", lambda tmp, ds: [
         "bench", "--data", ds, "--splits", "0,3-1"] + run_quick([]), 2),
     ("bench_repeated_split_id", lambda tmp, ds: [

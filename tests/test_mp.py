@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 from typing import get_args
 
@@ -14,12 +15,14 @@ from compatgnn import autodiff as ad
 from compatgnn.autodiff import backward, constant, tensor, zero_grads
 from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
                           ModelSpec, PRESETS, aggregate, ada_weights,
-                          build_preset, init_ada_params, realize_channel,
+                          build_preset, init_ada_params, product, realize_channel,
                           realize_guidance, realize_indicator)
 from compatgnn.rng import make_rng
+from compatgnn.optim import Adam
 from compatgnn.sparse import (add_self_loops, khop_adjacency, knn_feature_graph,
                               row_normalize, sym_normalize)
 from compatgnn.model import CompatGNN
+from compatgnn.synth import generate_graph, make_synth_spec
 from compatgnn.training import RunConfig, build_model, train_model
 
 from util import (cubic12, make_graph, mixed, path3_forest, quartic12,
@@ -229,7 +232,8 @@ def test_identity_channel_short_circuits():
     ch = realize_channel(g, ChannelSpec("identity", "identity"))
     assert ch is None
     z = tensor(np.ones((12, 2)))
-    assert aggregate(ch, z) is z
+    x, w = aggregate(ch, z)
+    assert x is z and w is None
 
 
 def test_aggregate_matches_dense_oracle_on_triangle():
@@ -238,7 +242,7 @@ def test_aggregate_matches_dense_oracle_on_triangle():
                    features=np.eye(3))
     ch = realize_channel(g, ChannelSpec("raw_self_loop", "deg_avg_sym"))
     z = tensor(np.eye(3))
-    got = aggregate(ch, z).value
+    got = product(aggregate(ch, z)).value
     s = sym_normalize(add_self_loops(g)).toarray()
     np.testing.assert_allclose(got, s @ np.eye(3), atol=1e-14)
     np.testing.assert_allclose(got, np.full((3, 3), 1.0 / 3.0), atol=1e-14)
@@ -250,7 +254,7 @@ def test_high_pass_annihilates_constant_signal():
                    [0, 0, 1, 1], 2)
     ch = realize_channel(g, ChannelSpec("raw", "high_pass"))
     z = tensor(np.full((4, 2), 3.7))
-    np.testing.assert_allclose(aggregate(ch, z).value, 0.0, atol=1e-14)
+    np.testing.assert_allclose(product(aggregate(ch, z)).value, 0.0, atol=1e-14)
 
 
 def test_deg_avg_row_output_is_convex_combination():
@@ -258,7 +262,7 @@ def test_deg_avg_row_output_is_convex_combination():
         g = random_graph(make_rng(trial, "convex"), 40, p=0.1)
         ch = realize_channel(g, ChannelSpec("raw", "deg_avg_row"))
         z = make_rng(trial, "convex-z").normal(size=(40, 3))
-        out = aggregate(ch, tensor(z)).value
+        out = product(aggregate(ch, tensor(z))).value
         for i in range(40):
             nb = g.neighbors(i)
             if nb.size == 0:
@@ -274,9 +278,9 @@ def test_deg_avg_row_output_is_convex_combination():
 def test_ada_weights_are_row_stochastic_positive():
     rng = make_rng(0, "ada")
     p = init_ada_params(rng, 3, 5, degree_column=True)
-    outs = [tensor(rng.normal(size=(8, 5))) for _ in range(3)]
+    pairs = [(tensor(rng.normal(size=(8, 5))), None) for _ in range(3)]
     deg = constant(rng.integers(1, 9, size=(8, 1)).astype(float))
-    alpha = ada_weights(outs, [deg], p).value
+    alpha = ada_weights(pairs, [deg], p).value
     assert alpha.shape == (8, 3)
     assert np.all(alpha > 0)
     np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
@@ -337,30 +341,75 @@ def test_ada_layer_keeps_no_wide_intermediate_on_the_tape(monkeypatch):
     model.on_training_start(train)
     calls, combine = [], mp.ada_combine
 
-    def recorded(outs, weights, extra_cols=(), relu=False):
-        out = combine(outs, weights, extra_cols, relu)
-        calls.append((outs, weights, extra_cols, relu, out))
+    def recorded(pairs, weights, extra_cols=(), relu=False):
+        out = combine(pairs, weights, extra_cols, relu)
+        calls.append((pairs, weights, extra_cols, relu, out))
         return out
     monkeypatch.setattr(mp, "ada_combine", recorded)
     out = model.forward(train=True)
     assert len(calls) == 2           # one call per ada_add layer
     n_rows = g.n_nodes + g.n_classes    # the graph's nodes and K prototypes
-    for (outs, weights, extra, relu, z), rep in zip(calls, out.blocks[1:], strict=True):
+    for (pairs, weights, extra, relu, z), rep in zip(calls, out.blocks[1:], strict=True):
         assert z is rep and relu
+        # the prototype channel as its (N+K) x K block times a K x d weight
+        assert [t.shape for t in pairs[2]] == [(n_rows, g.n_classes), (g.n_classes, 8)]
         # the memory the layer keeps: arrays its output keeps and its inputs
         # do not, views left out
         kept = _kept_arrays(z)
-        inputs = _kept_arrays(*outs, *extra, *weights.values())
+        inputs = _kept_arrays(*(t for pair in pairs for t in pair), *extra,
+                              *weights.values())
         inside = [a for i, a in kept.items() if i not in inputs and a.base is None]
         assert any(a is z.value for a in inside)
-        # besides the output only alpha and the gate's sigmoid, N x 3 each
+        # besides the output only alpha and the gate's sigmoid, N x 3 each:
+        # no channel product
         assert sorted(a.shape for a in inside if a is not z.value) == [
             (n_rows, 3), (n_rows, 3)]
         # the tapeless readout is the alpha the node mixed with
-        alpha = mp.ada_weights(outs, extra, weights)
+        alpha = mp.ada_weights(pairs, extra, weights)
         assert not alpha.requires_grad
         np.testing.assert_array_equal(
-            z.value, np.maximum(mixed(alpha.value, outs), 0.0))
+            z.value, np.maximum(mixed(alpha.value, [product(p) for p in pairs]), 0.0))
+
+
+# On a 3000-node graph (d_f 8, hidden 16), each model's train-forward tape
+# holds `wide` arrays of (N+K) x hidden, and one epoch (train forward,
+# backward, Adam step, taped eval forward) peaks at `peak` such arrays of
+# numpy memory at most. compatgnn's 7 are the encoder output, Z1, ÂZ1, Z2
+# and the classifier head's three; 13 and about 19.7 arrays of peak while
+# its tape held every channel product X_r W_r, 7 and 14.3 since the ada
+# node computes them block by block. acmgcn: 15 and 22.0, then 9 and 18.3.
+TAPE_BUDGET = {"compatgnn": (7, 16.0), "acmgcn": (9, 20.0)}
+
+
+@pytest.fixture(scope="module")
+def graph_3000():
+    return generate_graph(make_synth_spec(3000, 5, 0.2, "easy", 15, 0, d_f=8))
+
+
+@pytest.mark.parametrize("name", list(TAPE_BUDGET))
+def test_tape_budget_of_one_train_forward_and_epoch(name, graph_3000):
+    wide, peak = TAPE_BUDGET[name]
+    train = generate_splits(graph_3000, 1, seed=0)[0].train
+    model = build_model(RunConfig(model=name, layers=2, nhidden=16), graph_3000, seed=0)
+    model.on_training_start(train)
+    shape = (model.graph.n_nodes, 16)
+    out = model.forward(train=True)
+    loss = model.loss(out, train)
+    kept = _kept_arrays(out.logits, *out.blocks, loss)
+    assert sum(a.shape == shape for a in kept.values()) == wide
+    del out, loss, kept
+    opt = Adam(model.params, lr=0.01)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = model.forward(train=True)
+        backward(model.loss(out, train))
+        opt.step()
+        model.forward(train=False)
+        used = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert used <= peak * np.prod(shape) * 8
 
 
 def test_nan_reaching_the_ada_node_names_layer_and_op(monkeypatch):
@@ -370,10 +419,10 @@ def test_nan_reaching_the_ada_node_names_layer_and_op(monkeypatch):
     channel = MessagePassingModel._channel
 
     def poisoned(self, li, cj, ch, zin, propagated):
-        z = channel(self, li, cj, ch, zin, propagated)
+        x, w = channel(self, li, cj, ch, zin, propagated)
         if li == 2 and cj == 1:
-            z = tensor(np.where(np.arange(z.shape[0])[:, None] == 3, np.nan, z.value))
-        return z
+            x = tensor(np.where(np.arange(x.shape[0])[:, None] == 3, np.nan, x.value))
+        return x, w
     monkeypatch.setattr(MessagePassingModel, "_channel", poisoned)
     with pytest.raises(NumericalError, match="layer 2: .*ada_mix"):
         model.forward(train=True)
@@ -731,18 +780,19 @@ def test_forced_alpha_layer_is_an_add_of_scaled_channels(name, monkeypatch):
                         ops.append(op) or result(value, parents, bw, op))
     calls, combine = [], MessagePassingModel._combine
 
-    def recorded(self, li, layer, outs, post_relu):
-        z = combine(self, li, layer, outs, post_relu)
-        calls.append((outs, post_relu, z))
+    def recorded(self, li, layer, pairs, post_relu):
+        z = combine(self, li, layer, pairs, post_relu)
+        calls.append((pairs, post_relu, z))
         return z
     monkeypatch.setattr(MessagePassingModel, "_combine", recorded)
     model.forward(train=True)
     assert "ada_mix" not in ops and ops.count("scale") == 6
     assert len(calls) == 2
-    for outs, post_relu, z in calls:
-        assert post_relu and len(outs) == 3
+    for pairs, post_relu, z in calls:
+        assert post_relu and len(pairs) == 3
         np.testing.assert_array_equal(
-            z.value, np.maximum(mixed(model.force_alpha, outs), 0.0))
+            z.value, np.maximum(mixed(model.force_alpha, [product(p) for p in pairs]),
+                                0.0))
 
 
 def test_forced_alpha_of_the_wrong_length_is_refused():

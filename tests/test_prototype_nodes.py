@@ -14,7 +14,8 @@ from compatgnn.cli import main
 from compatgnn.gradcheck import grad_check
 from compatgnn.model import CompatGNN, with_prototype_nodes
 from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
-                          ModelSpec, PrototypeOperator, aggregate, build_preset)
+                          ModelSpec, PrototypeOperator, aggregate, build_preset,
+                          product)
 from compatgnn.rng import make_rng
 from compatgnn.sparse import row_normalize
 
@@ -47,9 +48,11 @@ def test_prototype_operator_reads_only_prototype_rows():
     w = ad.tensor(rng.normal(size=(d, d)), requires_grad=True)
     dense = np.zeros((n + k, n + k))
     dense[:, n:] = block
-    np.testing.assert_allclose(aggregate(op, z, w).value,
+    x, zw = aggregate(op, z, w)
+    assert x is op.block and zw.shape == (k, d)   # never an (N+K) x d product
+    np.testing.assert_allclose(product((x, zw)).value,
                                dense @ z.value @ w.value, atol=1e-12)
-    ad.backward(ad.tsum(aggregate(op, z, w)))
+    ad.backward(ad.tsum(product(aggregate(op, z, w))))
     np.testing.assert_array_equal(z.grad[:n], 0.0)
 
 
