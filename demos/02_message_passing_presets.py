@@ -12,7 +12,7 @@ from compatgnn import (PRESETS, RunConfig, generate_graph, generate_splits,
 
 def bench(g, model, splits):
     accs = []
-    for sid, split in enumerate(splits):
+    for sid, split in splits.items():
         cfg = RunConfig(model=model, lr=0.05, weight_decay=5e-4, patience=30,
                         max_epochs=50, nhidden=32, layers=2)
         accs.append(train_model(g, split, cfg, seed=100 + sid).test_accuracy)

@@ -11,6 +11,7 @@ import numpy as np
 
 from compatgnn import (RunConfig, generate_graph, generate_splits,
                        make_synth_spec, observed_cm, run_bench)
+from compatgnn.bench import write_text_atomic
 from compatgnn.heatmap import cm_to_csv, cm_to_svg
 
 OUT = "demo_out"
@@ -34,14 +35,13 @@ def main():
           f"highest-degree bucket {100 * hi:.1f}%")
 
     cm = observed_cm(g)
-    with open(os.path.join(OUT, "cm_observed.csv"), "w") as f:
-        f.write(cm_to_csv(cm.m))
-    with open(os.path.join(OUT, "cm_observed.svg"), "w") as f:
-        f.write(cm_to_svg(cm.m, title="observed compatibility"))
+    write_text_atomic(os.path.join(OUT, "cm_observed.csv"), cm_to_csv(cm.m))
+    write_text_atomic(os.path.join(OUT, "cm_observed.svg"),
+                      cm_to_svg(cm.m, title="observed compatibility"))
 
     est = np.asarray(report.runs[0]["metadata"]["cm_estimate"])
-    with open(os.path.join(OUT, "cm_estimated.svg"), "w") as f:
-        f.write(cm_to_svg(est, title="estimated compatibility"))
+    write_text_atomic(os.path.join(OUT, "cm_estimated.svg"),
+                      cm_to_svg(est, title="estimated compatibility"))
     print(f"\nmax |estimated - observed|: {np.abs(est - cm.m).max():.3f}")
     print(f"artifacts in {OUT}/: " + ", ".join(sorted(os.listdir(OUT))))
 

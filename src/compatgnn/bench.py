@@ -86,19 +86,18 @@ class BenchReport:
 
 
 def split_by_id(splits, sid):
-    """The split of id sid from a list indexed by id or a dict keyed by it;
-    an id not among them is a ConfigError naming the ids there are."""
-    ids = splits.keys() if isinstance(splits, dict) else range(len(splits))
-    if sid in ids:
+    """The split of id sid from a {k: split} mapping; an id not among them
+    is a ConfigError naming the ids there are."""
+    if sid in splits:
         return splits[sid]
     raise ConfigError(f"split id {sid} is not among the available split ids "
-                      f"{sorted(ids)}")
+                      f"{sorted(splits)}")
 
 
 def run_bench(graph, splits, config, out_dir=None):
     """Train once per split id (seed derived from the split id, so repeating
-    an id repeats the identical run) and aggregate. `splits` is a list
-    indexed by split id or a dict keyed by it.
+    an id repeats the identical run) and aggregate. `splits` is a {k: split}
+    mapping, as generate_splits and load_splits return.
 
     Diverged splits are excluded from the statistics and flagged, never
     silently dropped.
@@ -214,7 +213,6 @@ def random_search(graph, splits, base_config, budget, seed, out_path=None):
     lines = []
     for trial in range(budget):
         cfg = sample_search_config(rng, base_config)
-        cfg.seed = base_config.seed
         report = run_bench(graph, splits, cfg)
         vals = [max(r["val_curve"]) for r in report.runs if not r["diverged"]]
         score = float(np.mean(vals)) if vals else float("nan")

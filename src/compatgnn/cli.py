@@ -229,8 +229,11 @@ def _replace_dir(out, fill):
 
 def cmd_train(args):
     config = _build_config(args)
+    if len(config.split_ids) > 1:
+        raise ConfigError(f"train runs one split, and the config names split ids "
+                          f"{config.split_ids}: pick one with --split, or run bench")
     g, splits = _load_graph_and_splits(config)
-    sid = config.split_ids[0]
+    (sid,) = config.split_ids
     split = split_by_id(splits, sid)
     try:
         result = train_model(g, split, config, config.seed, split_id=sid)

@@ -304,7 +304,15 @@ def load_dataset(path):
 
 
 def save_dataset(g, path):
-    """Write a Graph as a dataset directory (round-trips with load_dataset)."""
+    """Write a Graph as a dataset directory (round-trips with load_dataset).
+    A feature that float32 cannot hold is a DataError before any file is
+    written."""
+    with np.errstate(over="ignore"):
+        x = np.asarray(g.features, dtype="<f4")
+    if not np.isfinite(x).all():
+        node, col = np.argwhere(~np.isfinite(x))[0]
+        raise DataError(f"node {node} column {col} holds {g.features[node, col]}, "
+                        "not a finite float32 feature")
     os.makedirs(path, exist_ok=True)
     meta = DatasetMeta(name=g.name, n_nodes=g.n_nodes, n_classes=g.n_classes,
                        d_f=g.d_f, directed=g.directed)
@@ -317,7 +325,7 @@ def save_dataset(g, path):
         pairs = pairs[pairs[:, 0] < pairs[:, 1]]
     _write_tsv_ints(os.path.join(path, "edges.tsv"), pairs)
     _write_tsv_ints(os.path.join(path, "labels.tsv"), g.labels[:, None])
-    write_features_f32(os.path.join(path, "features.f32"), g.features)
+    write_features_f32(os.path.join(path, "features.f32"), x)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +367,8 @@ def generate_split(g, split_id, seed):
 
 
 def generate_splits(g, n_splits, seed):
-    """The splits of ids 0 .. n_splits - 1 (generate_split)."""
-    return [generate_split(g, i, seed) for i in range(n_splits)]
+    """{k: split} of ids k = 0 .. n_splits - 1 (generate_split)."""
+    return {k: generate_split(g, k, seed) for k in range(n_splits)}
 
 
 def _split_index(name):
@@ -370,11 +378,12 @@ def _split_index(name):
 
 
 def save_splits(splits, path):
-    """split_<k>.json per split; any other split_<k>.json in `path` is
-    removed, so the directory never mixes splits of two graphs."""
+    """split_<k>.json per entry k of a {k: split} mapping, so it writes back
+    what load_splits read, gaps included; any other split_<k>.json in `path`
+    is removed, so the directory never mixes splits of two graphs."""
     os.makedirs(path, exist_ok=True)
-    names = [f"split_{i}.json" for i in range(len(splits))]
-    for name, s in zip(names, splits):
+    names = {f"split_{k}.json": s for k, s in splits.items()}
+    for name, s in names.items():
         payload = {"train": s.train.tolist(), "valid": s.valid.tolist(),
                    "test": s.test.tolist()}
         with open(os.path.join(path, name), "w", encoding="utf-8") as fh:

@@ -141,9 +141,9 @@ def estimate_cm(g, soft_labels, degree_weights=None, epoch=-1):
 
 def supplementary_guidance(soft_labels, cm):
     """Per-node desired neighborhood profile: soft labels routed through the
-    compatibility matrix (N x K, row-stochastic when inputs are)."""
+    CompatibilityMatrix cm (N x K, row-stochastic when inputs are)."""
     c_hat = np.asarray(soft_labels, dtype=np.float64)
-    m = cm.m if isinstance(cm, CompatibilityMatrix) else np.asarray(cm)
+    m = cm.m
     if c_hat.shape[1] != m.shape[0]:
         raise DataError(f"soft labels have {c_hat.shape[1]} classes, matrix {m.shape}")
     return c_hat @ m

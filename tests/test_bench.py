@@ -13,8 +13,8 @@ import pytest
 from compatgnn import ConfigError
 from compatgnn.bench import (SEARCH_SPACE, BenchReport, degree_report,
                              format_mean_std, random_search, run_bench,
-                             sample_search_config, write_json_atomic,
-                             write_text_atomic)
+                             sample_search_config, split_by_id,
+                             write_json_atomic, write_text_atomic)
 from compatgnn.graph import generate_splits
 from compatgnn.heatmap import cm_to_csv, cm_to_svg
 from compatgnn.rng import make_rng
@@ -109,6 +109,15 @@ def test_bench_rejects_missing_split_id(toy):
     g, splits = toy
     with pytest.raises(ConfigError, match="split id 7"):
         run_bench(g, splits, quick_cfg(split_ids=[7]))
+
+
+def test_split_by_id_reads_the_mapping_and_names_its_ids(toy):
+    _, splits = toy
+    assert split_by_id(splits, 3) is splits[3]
+    with pytest.raises(ConfigError) as exc:
+        split_by_id(splits, 7)
+    assert str(exc.value) == ("split id 7 is not among the available split ids "
+                              "[0, 1, 2, 3, 4]")
 
 
 def test_bench_all_diverged_flagged(toy):

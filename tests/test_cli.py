@@ -121,6 +121,19 @@ def test_failed_synth_gen_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_gen_refuses_features_beyond_float32(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["synth", "gen", "--nodes", "20", "--out", str(out)]) == 0
+    before = _tree(out)
+    capsys.readouterr()
+    assert main(["synth", "gen", "--nodes", "20", "--mean-separation", "1e39",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "not a finite float32 feature" in err[0]
+    assert _tree(out) == before
+    assert sorted(os.listdir(tmp_path)) == ["d"]     # no staging directory
+
+
 def _tree(path):
     """Every file under path with its bytes."""
     return {os.path.relpath(os.path.join(d, f), path): open(os.path.join(d, f), "rb").read()
@@ -171,7 +184,7 @@ def _split_2_a_directory(ds, monkeypatch):
 
 def _fail_after_writing(ds, monkeypatch):
     def save_then_fail(splits, path):
-        save_splits(splits[:2], path)
+        save_splits({k: splits[k] for k in (0, 1)}, path)
         raise OSError("disk full")
     monkeypatch.setattr("compatgnn.cli.save_splits", save_then_fail)
 
@@ -277,6 +290,18 @@ def test_train_reads_a_split_by_the_id_in_its_file_name(gapped_splits, tmp_path,
                 + run_quick([])) == 2
     assert capsys.readouterr().err == (
         "config error: split id 1 is not among the available split ids [0, 2]\n")
+
+
+def test_train_refuses_several_configured_split_ids_unless_split_picks_one(
+        dataset, tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", json.dumps({"split_ids": [0, 1, 2]}))
+    argv = ["train", "--data", dataset, "--config", cfg] + run_quick([])
+    assert main(argv + ["--out", str(tmp_path / "all")]) == 2
+    err = capsys.readouterr().err
+    assert "[0, 1, 2]" in err and "--split" in err and "bench" in err
+    assert not (tmp_path / "all").exists()
+    assert main(argv + ["--split", "2", "--out", str(tmp_path / "run")]) == 0
+    assert json.load(open(tmp_path / "run" / "run.json"))["split_id"] == 2
 
 
 def test_train_unknown_model_exit_code(dataset):
@@ -683,6 +708,7 @@ BAD_INPUTS = [
     ("spec_combine_weights_key", _train_with_layer(combine_weights=[1.0]), 2),
     ("config_lr_string", _train_with_config({"lr": "x"}), 2),
     ("config_split_ids_not_list", _train_with_config({"split_ids": 5}), 2),
+    ("train_several_config_split_ids", _train_with_config({"split_ids": [0, 1, 2]}), 2),
     ("meta_n_nodes_string", _inspect_with_meta(n_nodes="sixty"), 3),
     ("meta_directed_string", _inspect_with_meta(directed="false"), 3),
     ("train_negative_split", lambda tmp, ds: [
@@ -719,6 +745,7 @@ BAD_INPUTS = [
     ("synth_gen_zero_classes", _synth_gen_with("--classes", "0"), 2),
     ("synth_gen_mean_separation_nan", _synth_gen_with("--mean-separation", "nan"), 2),
     ("synth_gen_mean_separation_inf", _synth_gen_with("--mean-separation", "inf"), 2),
+    ("synth_gen_features_beyond_float32", _synth_gen_with("--mean-separation", "1e39"), 3),
     ("features_f32_nan_train", _on_copy(_f32_feature_set(3, 1, np.nan)), 3),
     ("features_tsv_inf_inspect", _on_copy(_features_as_tsv_with(2, 0, "-inf"), "inspect"), 3),
     ("bench_reversed_split_range", lambda tmp, ds: [

@@ -9,8 +9,8 @@ import pytest
 from compatgnn import (DataError, Graph, generate_splits, load_dataset,
                        load_split, load_splits, permute_graph, save_dataset,
                        save_splits)
-from compatgnn.graph import (_edges_to_csr, _read_tsv_ints, read_features_f32,
-                             write_features_f32)
+from compatgnn.graph import (_edges_to_csr, _read_tsv_ints, generate_split,
+                             read_features_f32, write_features_f32)
 
 from util import make_graph, path4, random_graph
 from compatgnn.rng import make_rng
@@ -108,6 +108,20 @@ def test_features_f32_round_trip(tmp_path):
     assert raw[:4] == b"GF32"
     assert int.from_bytes(raw[4:12], "little") == 5
     assert int.from_bytes(raw[12:20], "little") == 3
+
+
+def test_save_dataset_refuses_features_float32_cannot_hold(tmp_path):
+    x = make_rng(3, "x").normal(size=(30, 4))
+    top = float(np.finfo(np.float32).max)
+    x[2, 1], x[4, 0] = top, -top
+    save_dataset(make_graph(30, [(0, 1)], [0] * 30, 2, features=x.copy()),
+                 tmp_path / "ds")
+    got = load_dataset(tmp_path / "ds").features
+    assert (got[2, 1], got[4, 0]) == (top, -top)
+    x[5, 3] = 1e39
+    with pytest.raises(DataError, match=r"^node 5 column 3 holds 1e\+39, not a finite"):
+        save_dataset(make_graph(30, [(0, 1)], [0] * 30, 2, features=x), tmp_path / "new")
+    assert not (tmp_path / "new").exists()
 
 
 def test_features_f32_bad_magic(tmp_path):
@@ -253,7 +267,7 @@ def test_permute_graph_relabels_consistently():
 
 def test_split_proportions_100_nodes():
     g = random_graph(make_rng(1, "s"), 100)
-    (s,) = generate_splits(g, 1, seed=0)
+    (s,) = generate_splits(g, 1, seed=0).values()
     assert (len(s.train), len(s.valid), len(s.test)) == (48, 32, 20)
     joined = np.sort(np.concatenate([s.train, s.valid, s.test]))
     np.testing.assert_array_equal(joined, np.arange(100))
@@ -261,14 +275,14 @@ def test_split_proportions_100_nodes():
 
 def test_split_proportions_7600_nodes():
     g = make_graph(7600, [(0, 1)], [0] * 7600, 2, features=np.zeros((7600, 1)))
-    (s,) = generate_splits(g, 1, seed=5)
+    (s,) = generate_splits(g, 1, seed=5).values()
     assert (len(s.train), len(s.valid), len(s.test)) == (3648, 2432, 1520)
 
 
 @pytest.mark.parametrize("n", [10, 53, 997])
 def test_split_proportions_within_one_node(n):
     g = make_graph(n, [(0, 1)], [0] * n, 2, features=np.zeros((n, 1)))
-    (s,) = generate_splits(g, 1, seed=2)
+    (s,) = generate_splits(g, 1, seed=2).values()
     assert abs(len(s.train) - 0.48 * n) <= 1
     assert abs(len(s.valid) - 0.32 * n) <= 1
     assert abs(len(s.test) - 0.20 * n) <= 1
@@ -279,11 +293,21 @@ def test_splits_deterministic_per_seed_and_id():
     g = random_graph(make_rng(2, "s"), 60)
     a = generate_splits(g, 3, seed=9)
     b = generate_splits(g, 3, seed=9)
-    for sa, sb in zip(a, b):
+    for sa, sb in zip(a.values(), b.values()):
         np.testing.assert_array_equal(sa.train, sb.train)
         np.testing.assert_array_equal(sa.test, sb.test)
     # different ids differ
     assert not np.array_equal(a[0].train, a[1].train)
+
+
+def test_generate_splits_maps_each_id_to_its_own_draw():
+    g = random_graph(make_rng(2, "s"), 60)
+    splits = generate_splits(g, 4, seed=9)
+    assert list(splits) == list(range(4))
+    for k, s in splits.items():
+        want = generate_split(g, k, seed=9)
+        for part in ("train", "valid", "test"):
+            np.testing.assert_array_equal(getattr(s, part), getattr(want, part))
 
 
 def test_split_rejects_tiny_graph():
@@ -319,6 +343,18 @@ def test_load_splits_keys_each_split_by_its_file_name(tmp_path):
     shutil.copy(tmp_path / "splits" / "split_1.json", tmp_path / "splits" / "split_01.json")
     with pytest.raises(DataError, match="split_01.json and split_1.json both name split 1"):
         load_splits(tmp_path)
+
+
+def test_save_splits_writes_back_what_load_splits_read(tmp_path):
+    g = random_graph(make_rng(4, "s"), 40)
+    save_splits({k: generate_split(g, k, seed=1) for k in (1, 3)}, tmp_path / "d" / "splits")
+    save_splits(load_splits(tmp_path / "d", g.n_nodes), tmp_path / "out")
+    files = sorted(os.listdir(tmp_path / "out"))
+    assert files == sorted(os.listdir(tmp_path / "d" / "splits")) == [
+        "split_1.json", "split_3.json"]
+    for name in files:
+        assert ((tmp_path / "out" / name).read_bytes()
+                == (tmp_path / "d" / "splits" / name).read_bytes())
 
 
 def test_save_splits_removes_splits_it_did_not_write(tmp_path):

@@ -491,7 +491,7 @@ def test_rebound_prototypes_drop_the_cached_propagated_features():
     g = random_graph(make_rng(8, "ax-protos"), 40, p=0.15)
     spec = build_preset("compatgnn", n_layers=2, hidden_dim=8)
     spec.layers[0].channels[1] = ChannelSpec("raw_self_loop", "deg_avg_row")
-    first, second = (s.train for s in generate_splits(g, 2, seed=0))
+    first, second = (s.train for s in generate_splits(g, 2, seed=0).values())
     model = ready(CompatGNN(spec, g, seed=0), first)
     stale = model.forward().logits.value
     ready(model, second)
