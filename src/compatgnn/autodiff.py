@@ -27,10 +27,15 @@ alpha-weighted sum and an optional relu, in cache-sized row blocks. It
 keeps no Z_r, only alpha and the gate's sigmoid, and its backward
 reaches X_r and W_r through the same two GEMMs per channel a matmul's
 backward runs; ada_alpha reads alpha out through the same gate code
-without a tape.
+without a tape. Each X_r's gradient is written block by block into its
+.grad: the first share of an input with no gradient yet goes straight
+into its rows, every other share is added through one reused buffer.
+mlp_head is the two-layer classifier relu([blocks] W1 + b1) W2 + b2 in
+the same row blocks: it keeps only the relu output and the logits, and
+checks each pre-activation block finite before the relu.
 concat_matmul multiplies a column concatenation by a matrix block by
-block, never building the concatenation (the classifier); the gate reads
-its weight in the same blocks (_weight_blocks).
+block, never building the concatenation (the linear classifier); the
+gate and mlp_head read their weights in the same blocks (_weight_blocks).
 
 Sparse matrices enter only as constants on the left of spmm; gradients
 flow to the dense operand. Every forward output is checked finite so a
@@ -338,7 +343,18 @@ def ada_mix(pairs, extra_cols, w_att, b_att, w_mix, b_mix, relu):
             np.maximum(v, 0.0, out=v)
 
     def bw(g):
-        gxs = [np.empty(x.shape) if x.requires_grad else None for x, _ in pairs]
+        # each X_r's share goes into x.grad block by block: the first pair
+        # to read an input with no gradient yet writes its rows, and every
+        # later share is added through one reused buffer, so x.grad holds
+        # _acc's sums in pair order without an N x d array per pair
+        direct = set()
+        for r, (x, _) in enumerate(pairs):
+            if x.requires_grad and x.grad is None:
+                x.grad = np.empty(x.shape)
+                direct.add(r)
+        xbuf = np.empty(min(_BLOCK_ROWS, n) * max(
+            [x.shape[1] for r, (x, _) in enumerate(pairs)
+             if x.requires_grad and r not in direct], default=0))
         gws = [np.zeros(w.shape) if w is not None and w.requires_grad else None
                for _, w in pairs]
         # W_r A_r: what the gate multiplies X_r by
@@ -357,16 +373,18 @@ def ada_mix(pairs, extra_cols, w_att, b_att, w_mix, b_mix, relu):
                           axis=1)
             gm[lo:hi] = a * (ga - (ga * a).sum(axis=1, keepdims=True))
             gs[lo:hi] = (gm[lo:hi] @ w_mix.value.T) * hb * (1.0 - hb)
-            for r, (gx, gw) in enumerate(zip(gxs, gws)):
-                if gx is not None:
-                    np.multiply(us[r], a[:, r:r + 1], out=gx[lo:hi])
-                    gx[lo:hi] += gs[lo:hi] @ wa[r].T
+            for r, ((x, _), gw) in enumerate(zip(pairs, gws)):
+                if x.requires_grad:
+                    gxb = (x.grad[lo:hi] if r in direct else
+                           xbuf[:(hi - lo) * x.shape[1]].reshape(hi - lo, -1))
+                    np.multiply(us[r], a[:, r:r + 1], out=gxb)
+                    gxb += gs[lo:hi] @ wa[r].T
+                    if r not in direct:
+                        x.grad[lo:hi] += gxb
                 if gw is not None:
                     gw += xs[r].T @ np.multiply(gb, a[:, r:r + 1], out=buf[:hi - lo])
         att_rows = []                    # dA_r, channel r's rows of dW_att
-        for (x, w), gx, gw, a_r in zip(pairs, gxs, gws, w_rows):
-            if gx is not None:
-                _acc(x, gx)
+        for (x, w), gw, a_r in zip(pairs, gws, w_rows):
             xg = x.value.T @ gs
             if gw is not None:
                 gw += xg @ a_r.T
@@ -507,6 +525,70 @@ def concat_matmul(tensors, w):
         if w.requires_grad:
             _acc(w, np.vstack([t.value.T @ g for t in tensors]))
     return _result(value, (*tensors, w), bw, "concat_matmul")
+
+
+def mlp_head(blocks, w1, b1, w2, b2):
+    """The two-layer classifier as one tape node:
+
+        h = relu(concat_cols(blocks) W1 + b1),  out = h W2 + b2
+
+    is the value of the chain concat_matmul, add_bias, relu, matmul,
+    add_bias. The forward walks blocks of _BLOCK_ROWS rows; each block's
+    pre-activation is written into its rows of h and checked finite before
+    the relu, which would hide a -inf, and the relu runs in place. Besides
+    its parents the node keeps h and its output. With g a block's
+    gradient, the backward takes gh = (g W2^T) * (h > 0), d block_r =
+    gh W1_r^T, dW1_r = sum of block_r^T gh and db1 = sum of colsum(gh)
+    over the row blocks, and dW2 = h^T g and db2 = colsum(g) whole."""
+    blocks = list(blocks)
+    shapes = [t.shape for t in blocks]
+    w_rows = _weight_blocks(shapes, w1, "mlp_head")
+    n, d = blocks[0].shape[0], w1.shape[1]
+    if b1.shape != (1, d) or w2.shape[0] != d or b2.shape != (1, w2.shape[1]):
+        raise ValueError(f"mlp_head: a ({w1.shape[0]}, {d}) W1 against b1 {b1.shape}, "
+                         f"W2 {w2.shape} and b2 {b2.shape}")
+    h = np.empty((n, d))
+    value = np.empty((n, w2.shape[1]))
+    buf = np.empty((min(_BLOCK_ROWS, n), d))
+    for lo, hi in _row_blocks(n):
+        hb, tmp = h[lo:hi], buf[:hi - lo]
+        np.matmul(blocks[0].value[lo:hi], w_rows[0], out=hb)
+        for t, w in zip(blocks[1:], w_rows[1:]):
+            hb += np.matmul(t.value[lo:hi], w, out=tmp)
+        hb += b1.value
+        if not np.isfinite(hb).all():
+            raise NumericalError("non-finite value produced by mlp_head")
+        np.maximum(hb, 0.0, out=hb)
+        np.matmul(hb, w2.value, out=value[lo:hi])
+        value[lo:hi] += b2.value
+
+    def bw(g):
+        gts = [np.empty(t.shape) if t.requires_grad else None for t in blocks]
+        gw1 = np.zeros(w1.shape) if w1.requires_grad else None
+        # channel r's rows of dW1, as views of gw1
+        gw_rows = [None if gw1 is None else gw1[c0:c1]
+                   for c0, c1 in _col_spans(shapes, "mlp_head")]
+        gb1 = np.zeros(b1.shape)
+        buf = np.empty((min(_BLOCK_ROWS, n), d))
+        for lo, hi in _row_blocks(n):
+            gh = np.matmul(g[lo:hi], w2.value.T, out=buf[:hi - lo])
+            gh *= h[lo:hi] > 0
+            for t, w, gt, gw in zip(blocks, w_rows, gts, gw_rows):
+                if gt is not None:
+                    np.matmul(gh, w.T, out=gt[lo:hi])
+                if gw is not None:
+                    gw += t.value[lo:hi].T @ gh
+            gb1 += gh.sum(axis=0, keepdims=True)
+        for t, gt in zip(blocks, gts):
+            if gt is not None:
+                _acc(t, gt)
+        if gw1 is not None:
+            _acc(w1, gw1)
+        _acc(b1, gb1)
+        if w2.requires_grad:
+            _acc(w2, h.T @ g)
+        _acc(b2, g.sum(axis=0, keepdims=True))
+    return _result(value, (*blocks, w1, b1, w2, b2), bw, "mlp_head")
 
 
 def slice_cols(a, start, stop):

@@ -203,8 +203,9 @@ def sample_search_config(rng, base):
 
 def random_search(graph, splits, base_config, budget, seed, out_path=None):
     """Random search over SEARCH_SPACE; score is mean best-epoch validation
-    accuracy across the configured splits. Appends one JSONL record per
-    trial; returns (best_config, records)."""
+    accuracy across the configured splits. With out_path, writes one JSONL
+    record per trial to it, the whole file at once and atomically after
+    the last trial; returns (best_config, records)."""
     if budget < 1:
         raise ConfigError("search budget must be >= 1")
     rng = make_rng(seed, "search")

@@ -7,6 +7,7 @@ stdout.
 """
 
 import argparse
+import collections
 import dataclasses
 import json
 import os
@@ -61,6 +62,13 @@ def _add_run_flags(p):
     p.add_argument("--max-epochs", type=int, default=None)
 
 
+# --splits names at most MAX_SPLIT_IDS split ids, each a training run; a
+# range past the bound is refused before it is expanded, so 0-2^64 never
+# becomes a list, and so is a single id past it. Ten splits are the
+# paper's protocol.
+MAX_SPLIT_IDS = 10**4
+
+
 def _parse_split_ids(text):
     ids = []
     for part in text.split(","):
@@ -75,12 +83,19 @@ def _parse_split_ids(text):
                 raise ConfigError(f"bad split range {part!r}") from None
             if hi < lo:
                 raise ConfigError(f"bad split range {part!r}")
+            if len(ids) + hi - lo + 1 > MAX_SPLIT_IDS:
+                raise ConfigError(f"split range {part!r} makes {len(ids) + hi - lo + 1} "
+                                  f"split ids, more than the {MAX_SPLIT_IDS} a run takes")
             ids.extend(range(lo, hi + 1))
         else:
             try:
-                ids.append(int(part))
+                i = int(part)
             except ValueError:
                 raise ConfigError(f"bad split id {part!r}") from None
+            if len(ids) + 1 > MAX_SPLIT_IDS:
+                raise ConfigError(f"split id {part!r} makes {len(ids) + 1} split ids, "
+                                  f"more than the {MAX_SPLIT_IDS} a run takes")
+            ids.append(i)
     if not ids:
         raise ConfigError(f"no split ids in {text!r}")
     return ids
@@ -107,9 +122,11 @@ def _build_config(args):
         config, **{k: v for k, v in flags.items() if v is not None})
     config.validate()
     # run_bench repeats a repeated id's identical run; a command trains each split once
-    repeated = sorted({i for i in config.split_ids if config.split_ids.count(i) > 1})
+    counts = collections.Counter(config.split_ids)
+    repeated = sorted(i for i, c in counts.items() if c > 1)
     if repeated:
-        raise ConfigError(f"split ids {repeated} repeat in {config.split_ids}")
+        raise ConfigError(f"split ids {repeated} repeat among the "
+                          f"{len(config.split_ids)} configured split ids")
     return config
 
 

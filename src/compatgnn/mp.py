@@ -52,8 +52,8 @@ from .records import decode
 from .rng import make_rng
 from . import autodiff as ad
 from .autodiff import (SparseMatrix, add, add_bias, concat_cols, concat_matmul,
-                       constant, dropout, glorot, matmul, relu, scalar_scale,
-                       scale, slice_rows, spmm)
+                       constant, dropout, glorot, matmul, mlp_head, relu,
+                       scalar_scale, scale, slice_rows, spmm)
 from .sparse import (add_self_loops, khop_adjacency, knn_feature_graph,
                      row_normalize, sym_normalize)
 
@@ -428,8 +428,7 @@ class MessagePassingModel:
         p = self.params
         if self.spec.classifier == "linear":
             return add_bias(concat_matmul(blocks, p["cla.w"]), p["cla.b"])
-        h = relu(add_bias(concat_matmul(blocks, p["cla.w1"]), p["cla.b1"]))
-        return add_bias(matmul(h, p["cla.w2"]), p["cla.b2"])
+        return mlp_head(blocks, p["cla.w1"], p["cla.b1"], p["cla.w2"], p["cla.b2"])
 
     def _reads_propagated(self):
         """Whether layer 1's sparse channels read ÂX (module docstring).

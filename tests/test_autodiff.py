@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,7 @@ from compatgnn.autodiff import (SparseMatrix, _acc, _acc_copy, ada_alpha,
                                 constant, cosine, dropout, frozen, gather_rows,
                                 glorot, grad_of, hadamard,
                                 l1_row_normalize, log, masked_cross_entropy,
-                                matmul, relu, row_scale, row_softmax,
+                                matmul, mlp_head, relu, row_scale, row_softmax,
                                 scale, scalar_scale, sigmoid, slice_cols, spmm,
                                 sub, tensor, tmean, tsum, zero_grads)
 from compatgnn.gradcheck import grad_check
@@ -293,6 +295,123 @@ def test_ada_mix_product_overflowing_to_minus_inf_names_the_op():
                 ada_mix(pairs, cols, *gate, relu=relu_)
         with pytest.raises(NumericalError, match="ada_alpha"):
             ada_alpha(pairs, cols, *gate)
+
+
+def _head_inputs(n, grad_blocks, rng):
+    """The classifier head over three column blocks, n x 4, n x 3 and a
+    constant n x 1, into 6 hidden units and 3 logits. The first two blocks
+    are leaves that require grad when `grad_blocks`, constants otherwise;
+    every weight and bias is a leaf."""
+    blocks = [rand_t((n, 4), rng), rand_t((n, 3), rng), constant(rng.normal(size=(n, 1)))]
+    if not grad_blocks:
+        blocks = [constant(t.value) for t in blocks]
+    return blocks, [rand_t((8, 6), rng), rand_t((1, 6), rng),
+                    rand_t((6, 3), rng), rand_t((1, 3), rng)]
+
+
+def _head_chain(blocks, w1, b1, w2, b2):
+    return add_bias(matmul(relu(add_bias(concat_matmul(blocks, w1), b1)), w2), b2)
+
+
+@pytest.mark.parametrize("n", [7, 2 * ad._BLOCK_ROWS + 5])
+@pytest.mark.parametrize("grad_blocks", [False, True])
+def test_mlp_head_matches_the_composed_chain(n, grad_blocks):
+    rng = make_rng(37, "head-chain", n, grad_blocks)
+    blocks, params = _head_inputs(n, grad_blocks, rng)
+    leaves = [t for t in blocks if t.requires_grad] + params
+    upstream = rng.normal(size=(n, 3))
+    fused = mlp_head(blocks, *params)
+    np.testing.assert_array_equal(fused.value, _head_chain(blocks, *params).value)
+    assert fused.parents == (*blocks, *params)
+    got = _grads_under(lambda: mlp_head(blocks, *params), leaves, upstream)
+    want = _grads_under(lambda: _head_chain(blocks, *params), leaves, upstream)
+    for g, w in zip(got, want, strict=True):
+        if n <= ad._BLOCK_ROWS:    # one block: the same sums in the same order
+            np.testing.assert_array_equal(g, w)
+        else:                      # dW1 and db1 summed block by block
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+    assert all(t.grad is None for t in blocks if not t.requires_grad)
+
+
+def test_mlp_head_keeps_only_its_relu_output_and_logits():
+    blocks, params = _head_inputs(9, True, make_rng(38, "head-node"))
+    out = mlp_head(blocks, *params)
+    kept = [c.cell_contents for c in out._backward.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    # besides the logits (the node's value) only the relu output
+    pre = add_bias(concat_matmul(blocks, params[0]), params[1]).value
+    assert len(kept) == 1 and np.array_equal(kept[0], np.maximum(pre, 0.0))
+    with pytest.raises(ValueError, match="mlp_head"):
+        mlp_head(blocks, params[0], params[3], params[2], params[3])
+    with pytest.raises(ValueError, match="mlp_head: 7 concatenated columns"):
+        mlp_head(blocks[:2], *params)
+
+
+def test_mlp_head_pre_activation_overflowing_to_minus_inf_names_the_op():
+    """A finite block whose pre-activation is -inf in one row of the
+    second row block: the relu maps that row to 0 and the logits stay
+    finite, so only the check of each pre-activation block sees it."""
+    n = 2 * ad._BLOCK_ROWS + 5
+    blocks, params = _head_inputs(n, True, make_rng(39, "head-inf"))
+    blocks[0].value[:, 0] = 0.0
+    blocks[0].value[ad._BLOCK_ROWS + 4] = [1e300, 0.0, 0.0, 0.0]
+    params[0].value[0] = -1e300
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match="mlp_head"):
+            mlp_head(blocks, *params)
+
+
+def _ada_backward_peak(out, upstream):
+    """The traced bytes the node's backward allocates at its peak."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out._backward(upstream)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("held", [False, True])
+@pytest.mark.parametrize("shared", [False, True])
+def test_ada_mix_writes_each_input_gradient_block_by_block(shared, held):
+    """Channel 0's input X holds a gradient when the backward reaches it
+    if `held`, as compatgnn's layer input does after the classifier's
+    backward; when shared, channel 1 reads X too. The node writes X's
+    gradient block by block: bitwise _acc's sums over each pair's share
+    computed into a fresh N x d array, in pair order."""
+    n = 4 * ad._BLOCK_ROWS
+    rng = make_rng(36, "ada-held", shared, held)
+    pairs, cols, gate = _ada_inputs(n, True, rng)
+    if shared:
+        pairs[1] = (pairs[0][0], rand_t((4, 5), rng))
+    x = pairs[0][0]
+    start = rng.normal(size=x.shape) if held else None
+    upstream = rng.normal(size=(n, 5))
+    others = [t for t in _pair_leaves(pairs) + cols + gate if t is not x]
+
+    # each pair reading X reads its own copy of X, whose gradient is
+    # that pair's share, and the shares add in pair order
+    twins = [(tensor(xi.value, requires_grad=True) if xi is x else xi, w)
+             for xi, w in pairs]
+    copies = [xi for (xi, _), (orig, _) in zip(twins, pairs) if orig is x]
+    zero_grads(copies + others)
+    fresh = _ada_backward_peak(ada_mix(twins, cols, *gate, relu=True), upstream)
+    want = start.copy() if held else copies.pop(0).grad
+    for c in copies:
+        want += c.grad
+    want_others = [grad_of(t).copy() for t in others]
+
+    zero_grads(others)
+    x.grad = None if start is None else start.copy()
+    in_place = _ada_backward_peak(ada_mix(pairs, cols, *gate, relu=True), upstream)
+    assert x.grad.tobytes() == want.tobytes()
+    assert all(grad_of(t).tobytes() == w.tobytes() for t, w in zip(others, want_others))
+    if shared:
+        # a held X allocates neither N x d share, an unheld X one of the
+        # two; either adds one block buffer, a quarter of X at n = 4 blocks
+        saved = (2 if held else 1) * x.value.nbytes - x.value.nbytes // 4
+        assert in_place <= fresh - 0.9 * saved
 
 
 def test_row_softmax_forward_and_stability():
@@ -660,6 +779,18 @@ def test_grad_ada_mix():
           dict(zip(("w_att", "b_att", "w_mix", "b_mix"), gate)))
     assert all(t.grad is None for pair in fixed for t in pair if t is not None)
     assert deg.grad is None
+
+
+def test_grad_mlp_head():
+    rng = make_rng(25, "g15")
+    blocks, params = _head_inputs(4, True, rng)
+    pre = add_bias(concat_matmul(blocks, params[0]), params[1]).value
+    # both sides of the relu, 100 finite-difference steps away from its kink
+    assert (pre > 0).any() and (pre < 0).any() and np.abs(pre).min() > 1e-3
+    weights = constant(rng.normal(size=(4, 3)))
+    named = {"x0": blocks[0], "x1": blocks[1]} | dict(zip(("w1", "b1", "w2", "b2"), params))
+    check(lambda: tsum(hadamard(mlp_head(blocks, *params), weights)), named)
+    assert blocks[2].grad is None
 
 
 def test_grad_concat_slice_gather():

@@ -9,7 +9,8 @@ import pytest
 from compatgnn import (ConfigError, DataError, NumericalError, TrainingDiverged,
                        knn_feature_graph, load_dataset, save_splits)
 from compatgnn import cli, graph, mp
-from compatgnn.cli import _build_config, _parse_split_ids, build_parser, main
+from compatgnn.cli import (MAX_SPLIT_IDS, _build_config, _parse_split_ids, build_parser,
+                           main)
 from compatgnn.rng import make_rng
 
 
@@ -46,6 +47,12 @@ def test_parse_split_ids():
     with pytest.raises(ConfigError, match="no split ids"):
         _parse_split_ids(",")
     assert _parse_split_ids("0-2,1") == [0, 1, 2, 1]
+    assert _parse_split_ids(f"5,1-{MAX_SPLIT_IDS - 1}") == [5, *range(1, MAX_SPLIT_IDS)]
+    with pytest.raises(ConfigError, match=f"split range '0-2' makes {MAX_SPLIT_IDS + 2} "):
+        _parse_split_ids(f"1-{MAX_SPLIT_IDS - 1},0-2")
+    with pytest.raises(ConfigError, match=f"split id '{MAX_SPLIT_IDS}' makes "
+                                          f"{MAX_SPLIT_IDS + 1} split ids"):
+        _parse_split_ids(f"0-{MAX_SPLIT_IDS - 1},{MAX_SPLIT_IDS}")
     for text, repeated in (("0,0", r"\[0\]"), ("0-2,1", r"\[1\]"), ("3,1-3,1", r"\[1, 3\]")):
         args = build_parser().parse_args(["bench", "--splits", text])
         with pytest.raises(ConfigError, match=rf"split ids {repeated} repeat"):
@@ -754,6 +761,10 @@ BAD_INPUTS = [
         "bench", "--data", ds, "--splits", "0,0"] + run_quick([]), 2),
     ("bench_overlapping_split_ranges", lambda tmp, ds: [
         "bench", "--data", ds, "--splits", "0-2,1"] + run_quick([]), 2),
+    ("bench_split_range_past_the_bound", lambda tmp, ds: [
+        "bench", "--data", ds, "--splits", f"0-{2**64}"] + run_quick([]), 2),
+    ("bench_repeat_among_the_most_split_ids", lambda tmp, ds: [
+        "bench", "--data", ds, "--splits", f"0-{MAX_SPLIT_IDS - 2},0"] + run_quick([]), 2),
     ("bench_split_ids_repeated_in_config_file", lambda tmp, ds: [
         "bench", "--data", ds, "--config",
         _write(tmp, "cfg.json", json.dumps({"split_ids": [1, 0, 1]}))] + run_quick([]), 2),

@@ -298,9 +298,10 @@ def test_one_compatgnn_forward_records_no_slices_or_row_scales(monkeypatch):
     out = model.forward(train=True)
     ops = [op for op, _ in nodes]
     assert "slice_cols" not in ops and "row_scale" not in ops
-    # per layer one adaptive node (gate, mix and relu), and the classifier's
-    # product over the cat fuse's blocks
-    assert ops.count("ada_mix") == 2 and ops.count("concat_matmul") == 1
+    # per layer one adaptive node (gate, mix and relu), and the classifier
+    # as one node over the cat fuse's blocks
+    assert ops.count("ada_mix") == 2 and ops.count("mlp_head") == 1
+    assert "concat_matmul" not in ops
     assert "row_mix" not in ops
     assert "concat_cols" not in ops
     # the only concat is the loss's: the prototype rows of the fuse's blocks
@@ -374,11 +375,12 @@ def test_ada_layer_keeps_no_wide_intermediate_on_the_tape(monkeypatch):
 # On a 3000-node graph (d_f 8, hidden 16), each model's train-forward tape
 # holds `wide` arrays of (N+K) x hidden, and one epoch (train forward,
 # backward, Adam step, taped eval forward) peaks at `peak` such arrays of
-# numpy memory at most. compatgnn's 7 are the encoder output, Z1, ÂZ1, Z2
-# and the classifier head's three; 13 and about 19.7 arrays of peak while
-# its tape held every channel product X_r W_r, 7 and 14.3 since the ada
-# node computes them block by block. acmgcn: 15 and 22.0, then 9 and 18.3.
-TAPE_BUDGET = {"compatgnn": (7, 16.0), "acmgcn": (9, 20.0)}
+# numpy memory at most. compatgnn's 5 are the encoder output, Z1, ÂZ1, Z2
+# and the classifier head's relu output; 13 and about 19.7 arrays of peak
+# while its tape held every channel product X_r W_r, 7 and 14.3 since the
+# ada node computes them block by block, 5 and 14.0 since the head is one
+# node too. acmgcn: 15 and 22.0, then 9 and 18.3.
+TAPE_BUDGET = {"compatgnn": (5, 15.0), "acmgcn": (9, 20.0)}
 
 
 @pytest.fixture(scope="module")
