@@ -38,8 +38,12 @@ block, never building the concatenation (the linear classifier); the
 gate and mlp_head read their weights in the same blocks (_weight_blocks).
 
 Sparse matrices enter only as constants on the left of spmm; gradients
-flow to the dense operand. Every forward output is checked finite so a
-NaN surfaces where it is born, not three layers later.
+flow to the dense operand. Every sparse x dense product of the package,
+spmm's forward and backward included, runs through one kernel,
+sparse_dot, which multiplies a dense operand too large for the L2 cache
+in column slabs with bitwise the same result. Every forward output is
+checked finite so a NaN surfaces where it is born, not three layers
+later.
 """
 
 import contextlib
@@ -171,14 +175,61 @@ def matmul(a, b):
     return _result(value, (a, b), bw, "matmul")
 
 
+_L2_BYTES = 3 << 19      # dense operand bytes one slab of sparse_dot may hold
+_SLAB_MIN_COLS = 16      # the narrowest slab: narrower ones cost more than they save
+_SLAB_MIN_ROW_NNZ = 64   # mean nonzeros per row below which slabs do not pay
+
+
+def _slab_bounds(m, x):
+    """The column bounds of sparse_dot's slabs of x, or None for one
+    product. Reads only shapes, the item size and the nonzero count."""
+    if x.nbytes <= _L2_BYTES or m.nnz < _SLAB_MIN_ROW_NNZ * m.shape[0]:
+        return None
+    rows, cols = x.shape
+    fit = _L2_BYTES // (rows * x.itemsize)   # the columns one slab may hold
+    if fit < _SLAB_MIN_COLS:
+        return None
+    n = min(-(-cols // fit), cols // _SLAB_MIN_COLS)
+    return None if n < 2 else [cols * i // n for i in range(n + 1)]
+
+
+def sparse_dot(m, x):
+    """m @ x for a scipy sparse m and a dense 2-D x, bitwise.
+
+    The one sparse x dense product of the package. A dense operand of
+    more than _L2_BYTES is multiplied in column slabs when slabs pay:
+    each slab's columns must fit that budget (an operand too tall for
+    _SLAB_MIN_COLS columns to fit stays whole), each slab is at least
+    _SLAB_MIN_COLS wide, and m's rows must hold _SLAB_MIN_ROW_NNZ
+    nonzeros on average, since a short row does too little work per
+    slab copy to repay it. A slab's rows then stay in cache across the
+    nonzeros that read them instead of coming from L3 once per nonzero.
+    Each slab's product is written into its columns of one output. Every
+    output entry is the same row sum, in the same order, as in the one
+    product, so the result is bitwise that of m @ x.
+    """
+    bounds = _slab_bounds(m, x)
+    if bounds is None:
+        return m @ x
+    out = np.empty((m.shape[0], x.shape[1]))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        out[:, lo:hi] = m @ x[:, lo:hi]
+    return out
+
+
 def spmm(a, x):
-    """Sparse constant times dense tensor; gradient flows to the dense side."""
+    """Sparse constant times dense tensor; gradient flows to the dense side.
+
+    Forward (A X) and backward (A^T G) are each one sparse_dot, so a
+    dense side wider than the L2 budget allows is multiplied in column
+    slabs when A's rows are long enough to repay them, with bitwise the
+    value and gradient of the one product."""
     if not isinstance(a, SparseMatrix):
         a = SparseMatrix(a)
-    value = a.scipy @ x.value
+    value = sparse_dot(a.scipy, x.value)
 
     def bw(g):
-        _acc(x, a.T_scipy @ g)
+        _acc(x, sparse_dot(a.T_scipy, g))
     return _result(value, (x,), bw, "spmm")
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import sparse_dot
 from .errors import DataError
 
 ROW_SUM_TOL = 1e-9
@@ -72,7 +73,7 @@ def semantic_neighborhood(g, soft_labels):
     soft = np.asarray(soft_labels, dtype=np.float64)
     if soft.shape[0] != g.n_nodes:
         raise DataError(f"soft labels have {soft.shape[0]} rows for {g.n_nodes} nodes")
-    agg = g.adjacency() @ soft
+    agg = sparse_dot(g.adjacency(), soft)
     out, _ = l1_normalize_rows(agg)
     return out
 

@@ -53,7 +53,7 @@ from .rng import make_rng
 from . import autodiff as ad
 from .autodiff import (SparseMatrix, add, add_bias, concat_cols, concat_matmul,
                        constant, dropout, glorot, matmul, mlp_head, relu,
-                       scalar_scale, scale, slice_rows, spmm)
+                       scalar_scale, scale, slice_rows, sparse_dot, spmm)
 from .sparse import (add_self_loops, khop_adjacency, knn_feature_graph,
                      row_normalize, sym_normalize)
 
@@ -449,7 +449,7 @@ class MessagePassingModel:
         if propagated and isinstance(op, SparseMatrix):
             # Â and X are constants: ÂX is computed once, on first use
             if key not in self._propagated:
-                self._propagated[key] = constant(op.scipy @ self.features)
+                self._propagated[key] = constant(sparse_dot(op.scipy, self.features))
             w_e = self.params["encoder.w"]
             return aggregate(None, self._propagated[key],
                              w_e if w is None else matmul(w_e, w))

@@ -137,6 +137,10 @@ def generate_graph(spec):
     from the node's target row, then a partner node uniformly within that
     class. Duplicate edges and self-loops are rejected and resampled up to
     MAX_RETRIES, after which the stub is dropped (keeps generation total).
+
+    A class is drawn by inverting its row's CDF at one uniform draw, as
+    Generator.choice(k, p=row) does with the same draw, so the graphs
+    are those the choice calls drew; the CDFs are built once per class.
     """
     rng = make_rng(spec.seed, "edges")
     n = len(spec.labels)
@@ -147,6 +151,8 @@ def generate_graph(spec):
         needs = m[:, c].sum() > 0
         if needs and len(by_class[c]) == 0:
             raise DataError(f"target matrix routes mass to empty class {c}")
+    cdfs = m.cumsum(axis=1)
+    cdfs /= cdfs[:, -1:]
 
     half = spec.mean_degree / 2.0
     base = int(np.floor(half))
@@ -156,13 +162,14 @@ def generate_graph(spec):
         stubs = base + (1 if frac > 0 and rng.random() < frac else 0)
         if stubs == 0:
             continue
-        row = m[spec.labels[u]]
-        classes = rng.choice(k, size=stubs, p=row)
+        cdf = cdfs[spec.labels[u]]
+        classes = cdf.searchsorted(rng.random(stubs), side="right")
         for s in range(stubs):
             c = int(classes[s])
             for attempt in range(MAX_RETRIES):
                 if attempt > 0:
-                    c = int(rng.choice(k, p=row))  # resample the whole stub
+                    # resample the whole stub
+                    c = int(cdf.searchsorted(rng.random(), side="right"))
                 pool = by_class[c]
                 v = int(pool[rng.integers(len(pool))])
                 if v == u:

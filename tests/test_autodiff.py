@@ -12,11 +12,13 @@ from compatgnn.autodiff import (SparseMatrix, _acc, _acc_copy, ada_alpha,
                                 glorot, grad_of, hadamard,
                                 l1_row_normalize, log, masked_cross_entropy,
                                 matmul, mlp_head, relu, row_scale, row_softmax,
-                                scale, scalar_scale, sigmoid, slice_cols, spmm,
+                                scale, scalar_scale, sigmoid, slice_cols, sparse_dot, spmm,
                                 sub, tensor, tmean, tsum, zero_grads)
 from compatgnn.gradcheck import grad_check
 from compatgnn.rng import make_rng
 from compatgnn.sparse import row_normalize, sym_normalize
+from compatgnn.synth import generate_graph, make_synth_spec
+from compatgnn.training import RunConfig, build_model
 
 from util import mixed, random_graph
 
@@ -47,6 +49,103 @@ def test_constant_branches_are_pruned():
 def test_tensor_value_is_float64():
     t = tensor(np.ones((2, 2), dtype=np.float32))
     assert t.value.dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# sparse_dot: column slabs
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.fixture
+def slab_at_16(monkeypatch):
+    """An L2 budget of 16 columns of a 43-row operand (17 of a 40-row one)
+    and no row-length floor, so operands of 32 or more columns slab."""
+    monkeypatch.setattr(ad, "_L2_BYTES", 43 * 16 * 8)
+    monkeypatch.setattr(ad, "_SLAB_MIN_ROW_NNZ", 0)
+
+
+def _kernel_operators():
+    """(name, CSR) pairs whose dense sides have 40 or 43 rows."""
+    rng = make_rng(0, "slab-ops")
+    a = sp.random(40, 40, density=0.3, format="csr", random_state=1) * 3.7
+    empty = a.tolil()
+    empty[5:12] = 0
+    full = a.tolil()
+    full[7] = rng.normal(size=40)
+    # (N + K) x N with N = 40 and K = 3, as mp's structure encoder builds it
+    structure = row_normalize(random_graph(rng, 43, p=0.3))[:, :40]
+    return [("random", a), ("empty_rows", empty.tocsr()), ("full_row", full.tocsr()),
+            ("structure", structure.tocsr()), ("structure_t", structure.T.tocsr())]
+
+
+def _operands(rows, width):
+    rng = make_rng(width, "slab-x")
+    x = rng.normal(size=(rows, width))
+    return [("c", x), ("f", np.asfortranarray(x)),
+            ("column_view", rng.normal(size=(rows, width + 9))[:, 4:4 + width]),
+            ("strided", rng.normal(size=(rows, 2 * width))[:, ::2])]
+
+
+@pytest.mark.parametrize("width", [1, 15, 16, 17, 31, 32, 33, 128, 130])
+def test_sparse_dot_slabs_are_bitwise_the_one_product(width, slab_at_16):
+    for name, m in _kernel_operators():
+        for order, x in _operands(m.shape[1], width):
+            bounds = ad._slab_bounds(m, x)
+            assert (bounds is not None) == (width >= 32), (name, order)
+            if bounds is not None:
+                assert bounds[0] == 0 and bounds[-1] == width
+                assert min(np.diff(bounds)) >= ad._SLAB_MIN_COLS
+            got = sparse_dot(m, x)
+            assert got.shape == (m.shape[0], width)
+            np.testing.assert_array_equal(_bits(got), _bits(m @ x), err_msg=f"{name} {order}")
+
+
+@pytest.mark.parametrize("width", [17, 64, 130])
+def test_spmm_value_and_gradient_are_bitwise_the_one_products(width, slab_at_16):
+    for name, m in _kernel_operators():
+        a = SparseMatrix(m)
+        rng = make_rng(width, name)
+        x = tensor(rng.normal(size=(m.shape[1], width)), requires_grad=True)
+        w = rng.normal(size=(m.shape[0], width))
+        y = spmm(a, x)
+        np.testing.assert_array_equal(_bits(y.value), _bits(a.scipy @ x.value))
+        backward(tsum(hadamard(y, constant(w))))   # the upstream gradient is w
+        np.testing.assert_array_equal(_bits(x.grad), _bits(a.T_scipy @ w), err_msg=name)
+
+
+def _benchmark_operators():
+    """Each benchmark workload's sparse operator with the widths its
+    dense sides take (hidden 64, d_f 64 at 5k; h2gcn's layer 2 reads 128)."""
+    spec = make_synth_spec(5000, 5, 0.2, "easy", 15, seed=1, d_f=64)
+    ops = build_model(RunConfig(model="h2gcn", nhidden=64, layers=2),
+                      generate_graph(spec), seed=1)._operators
+    one_hop, two_hop = ops[("raw", "deg_avg_sym", None)], ops[("khop", "deg_avg_sym", 2)]
+    spec = make_synth_spec(2000, 5, 0.2, "easy", 15, seed=1, d_f=16)
+    grid = build_model(RunConfig(model="compatgnn", nhidden=64, layers=2),
+                       generate_graph(spec), seed=1)._operators[("raw", "deg_avg_row", None)]
+    # compat-50k's 1-hop over 50000 nodes and 5 isolated prototypes holds
+    # 750410 nonzeros, 15.0 a row; the rule reads only shape and nnz
+    n = 50005
+    cols = (np.arange(n)[:, None] + np.arange(1, 16)[None, :]) % n
+    compat = sp.csr_matrix((np.full(15 * n, 1 / 15), cols.ravel(),
+                            np.arange(0, 15 * n + 1, 15)), shape=(n, n))
+    return one_hop.scipy, two_hop.scipy, grid.scipy, compat
+
+
+def test_slab_rule_on_the_benchmark_operators():
+    one_hop, two_hop, grid, compat = _benchmark_operators()
+    assert two_hop.shape == (5000, 5000) and two_hop.nnz > 1_000_000
+    assert grid.shape == (2005, 2005)
+
+    def decision(m, cols):
+        return ad._slab_bounds(m, np.empty((m.shape[1], cols)))
+    assert decision(two_hop, 128) == [0, 32, 64, 96, 128]
+    assert decision(two_hop, 64) == [0, 32, 64]
+    for m, cols in ((one_hop, 64), (one_hop, 128), (grid, 64), (grid, 128),
+                    (compat, 64), (compat, 128)):
+        assert decision(m, cols) is None, (m.shape, cols)
 
 
 # ---------------------------------------------------------------------------

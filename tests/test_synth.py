@@ -3,7 +3,8 @@ import pytest
 
 from compatgnn import ConfigError, DataError
 from compatgnn.metrics import CompatibilityMatrix, edge_homophily, observed_cm
-from compatgnn.synth import (PATTERNS, SynthSpec, balanced_labels,
+from compatgnn.rng import make_rng
+from compatgnn.synth import (MAX_RETRIES, PATTERNS, SynthSpec, balanced_labels,
                              build_target_cm, gaussian_features,
                              generate_graph, make_synth_spec, pairwise_tv,
                              verify_graph)
@@ -178,3 +179,55 @@ def test_verify_report_fields():
     assert rep["max_row_tv"] == pytest.approx(max(rep["row_tv"]))
     np.testing.assert_allclose(np.asarray(rep["observed_cm"]).sum(axis=1),
                                1.0, atol=1e-9)
+
+
+def _choice_edges(spec):
+    """generate_graph's edge draw as Generator.choice made it, kept as the
+    oracle of its CDF inversion; also returns how many class redraws it made."""
+    rng = make_rng(spec.seed, "edges")
+    k, m = spec.target_cm.k, spec.target_cm.m
+    by_class = [np.where(spec.labels == c)[0] for c in range(k)]
+    half = spec.mean_degree / 2.0
+    base = int(np.floor(half))
+    frac = half - base
+    edges, redraws = set(), 0
+    for u in range(len(spec.labels)):
+        stubs = base + (1 if frac > 0 and rng.random() < frac else 0)
+        if stubs == 0:
+            continue
+        row = m[spec.labels[u]]
+        classes = rng.choice(k, size=stubs, p=row)
+        for s in range(stubs):
+            c = int(classes[s])
+            for attempt in range(MAX_RETRIES):
+                if attempt > 0:
+                    redraws += 1
+                    c = int(rng.choice(k, p=row))
+                pool = by_class[c]
+                v = int(pool[rng.integers(len(pool))])
+                if v == u:
+                    continue
+                key = (u, v) if u < v else (v, u)
+                if key in edges:
+                    continue
+                edges.add(key)
+                break
+    return sorted(edges), redraws
+
+
+@pytest.mark.parametrize("n, k, h, pattern, degree, seed, min_redraws", [
+    (300, 5, 0.2, "easy", 15, 1, 0),
+    (300, 5, 0.2, "hard", 15, 2, 0),
+    (257, 4, 0.6, "easy", 7.5, 3, 0),
+    (200, 2, 0.3, "hard", 4.25, 4, 0),
+    (12, 3, 0.5, "hard", 14, 5, 100),    # nearly complete: stubs redraw often
+])
+def test_generated_edges_are_those_generator_choice_drew(n, k, h, pattern, degree,
+                                                        seed, min_redraws):
+    spec = make_synth_spec(n, k, h, pattern, degree, seed)
+    g = generate_graph(spec)
+    want, redraws = _choice_edges(spec)
+    a = g.adjacency().tocoo()
+    upper = a.row < a.col
+    assert sorted(zip(a.row[upper].tolist(), a.col[upper].tolist())) == want
+    assert redraws >= min_redraws
