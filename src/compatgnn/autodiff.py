@@ -20,22 +20,14 @@ computed, and that array becomes the first gradient of its target, with
 no copy. Only a gradient passed through unchanged (by add, sub, add_bias
 and concat_cols) is copied first, so no two tensors share a .grad array.
 
-Fused ops are one tape node each. ada_mix is a whole adaptive channel
-combine over channels given as pairs (X_r, W_r): the products
-Z_r = X_r W_r, the gate that computes per-row channel weights alpha, the
-alpha-weighted sum and an optional relu, in cache-sized row blocks. It
-keeps no Z_r, only alpha and the gate's sigmoid, and its backward
-reaches X_r and W_r through the same two GEMMs per channel a matmul's
-backward runs; ada_alpha reads alpha out through the same gate code
-without a tape. Each X_r's gradient is written block by block into its
-.grad: the first share of an input with no gradient yet goes straight
-into its rows, every other share is added through one reused buffer.
-mlp_head is the two-layer classifier relu([blocks] W1 + b1) W2 + b2 in
-the same row blocks: it keeps only the relu output and the logits, and
-checks each pre-activation block finite before the relu.
-concat_matmul multiplies a column concatenation by a matrix block by
-block, never building the concatenation (the linear classifier); the
-gate and mlp_head read their weights in the same blocks (_weight_blocks).
+Fused ops are one tape node each, walking cache-sized row blocks. Every
+message-passing layer is one ada_mix: it computes its channel products
+Z_r = X_r W_r from pairs (X_r, W_r), mixes them (a gate's per-row
+weights alpha, fixed weights, or side by side) and applies the relu,
+keeping no Z_r; ada_alpha reads alpha out without a tape. mlp_head is
+the classifier relu([blocks] W1 + b1) W2 + b2. Both write their inputs'
+gradients by one rule (_BlockGrads). concat_matmul multiplies a column
+concatenation by a matrix without building it (_weight_blocks).
 
 Sparse matrices enter only as constants on the left of spmm; gradients
 flow to the dense operand. Every sparse x dense product of the package,
@@ -194,20 +186,12 @@ def _slab_bounds(m, x):
 
 
 def sparse_dot(m, x):
-    """m @ x for a scipy sparse m and a dense 2-D x, bitwise.
-
-    The one sparse x dense product of the package. A dense operand of
-    more than _L2_BYTES is multiplied in column slabs when slabs pay:
-    each slab's columns must fit that budget (an operand too tall for
-    _SLAB_MIN_COLS columns to fit stays whole), each slab is at least
-    _SLAB_MIN_COLS wide, and m's rows must hold _SLAB_MIN_ROW_NNZ
-    nonzeros on average, since a short row does too little work per
-    slab copy to repay it. A slab's rows then stay in cache across the
-    nonzeros that read them instead of coming from L3 once per nonzero.
-    Each slab's product is written into its columns of one output. Every
-    output entry is the same row sum, in the same order, as in the one
-    product, so the result is bitwise that of m @ x.
-    """
+    """m @ x for a scipy sparse m and a dense 2-D x, bitwise: the one
+    sparse x dense product of the package. A dense operand too large for
+    the L2 cache is multiplied in column slabs when slabs pay
+    (_slab_bounds), so a slab's rows stay in cache across the nonzeros
+    that read them. Each slab's product is written into its columns of one
+    output, every entry the same row sum in the same order as in m @ x."""
     bounds = _slab_bounds(m, x)
     if bounds is None:
         return m @ x
@@ -219,11 +203,7 @@ def sparse_dot(m, x):
 
 def spmm(a, x):
     """Sparse constant times dense tensor; gradient flows to the dense side.
-
-    Forward (A X) and backward (A^T G) are each one sparse_dot, so a
-    dense side wider than the L2 budget allows is multiplied in column
-    slabs when A's rows are long enough to repay them, with bitwise the
-    value and gradient of the one product."""
+    Forward (A X) and backward (A^T G) are each one sparse_dot."""
     if not isinstance(a, SparseMatrix):
         a = SparseMatrix(a)
     value = sparse_dot(a.scipy, x.value)
@@ -288,170 +268,200 @@ def row_scale(alpha, z):
     return _result(value, (alpha, z), bw, "row_scale")
 
 
-_BLOCK_ROWS = 2048   # rows per block of ada_mix: temporaries stay in cache
+_BLOCK_ROWS = 2048   # rows per block of ada_mix and mlp_head: temporaries stay in cache
 
 
 def _row_blocks(n):
     return ((lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
 
 
-def _product_shape(x, w, op):
-    """The shape of X W, or of X when w is None."""
-    if w is None:
-        return x.shape
-    if x.shape[1] != w.shape[0]:
-        raise ValueError(f"{op}: a channel input of shape {x.shape} against "
-                         f"a weight of shape {w.shape}")
-    return x.shape[0], w.shape[1]
+class _BlockGrads:
+    """How a row-blocked node writes its inputs' gradients: the first share
+    of a tensor with no gradient yet goes straight into the rows of a
+    fresh .grad, every other is added through one reused block buffer. A
+    .grad so holds _acc's sums in input order with no N-row array per input."""
+
+    def __init__(self, inputs, n):
+        self.inputs, self.direct = inputs, set()
+        for i, t in enumerate(inputs):
+            if t.requires_grad and t.grad is None:
+                t.grad = np.empty(t.shape)
+                self.direct.add(i)
+        self.buf = np.empty(min(_BLOCK_ROWS, n) * max(
+            [t.shape[1] for i, t in enumerate(inputs)
+             if t.requires_grad and i not in self.direct], default=0))
+
+    def rows(self, i, lo, hi):
+        """Where input i's share of rows [lo, hi) is to be computed."""
+        if i in self.direct:
+            return self.inputs[i].grad[lo:hi]
+        return self.buf[:(hi - lo) * self.inputs[i].shape[1]].reshape(hi - lo, -1)
+
+    def add(self, i, lo, hi):
+        if i not in self.direct:
+            self.inputs[i].grad[lo:hi] += self.rows(i, lo, hi)
 
 
-def _ada_gate(pairs, extra_cols, w_att, b_att, w_mix, b_mix, op):
-    """The channel products and the gate of ada_mix: ((n, d), w_rows,
-    gate). Every product Z_r = X_r W_r of a pair (X_r, W_r), Z_r = X_r when
-    W_r is None, is n x d; w_rows are the row blocks of w_att, one per
-    column block of [Z_1 .. Z_R, extra_cols]; gate(lo, hi) returns rows
-    [lo, hi) of the products, of h and of alpha:
-
-        h = sigmoid([Z_1 .. Z_R, extra_cols] W_att + b_att),  alpha = row_softmax(h W_mix + b_mix),
-
-    [..] W_att summed block by block as concat_matmul sums it. Each block
-    of a product is checked finite while it is in cache: a relu after the
-    mix would hide a -inf in it."""
-    shapes = [_product_shape(x, w, op) for x, w in pairs]
-    n, d = shapes[0]
-    if any(s != shapes[0] for s in shapes):
+def _mix_blocks(pairs, extra_cols, gate, op, equal=True):
+    """(shapes, w_rows, block) for ada_mix under `gate` (w_att, b_att,
+    w_mix, b_mix, or None): the products' shapes, all equal if `equal`;
+    w_att's row block per column block of [Z_1 .. Z_R, extra_cols]; and
+    block(lo, hi), rows [lo, hi) of the products, of h and of alpha (None
+    without a gate). Each block of a product X_r W_r is checked finite
+    while it is in cache: a relu after the mix would hide a -inf in it. An
+    X_r alone was checked when it was made."""
+    for x, w in pairs:
+        if w is not None and x.shape[1] != w.shape[0]:
+            raise ValueError(f"{op}: a channel input of shape {x.shape} against "
+                             f"a weight of shape {w.shape}")
+    shapes = [x.shape if w is None else (x.shape[0], w.shape[1]) for x, w in pairs]
+    n = shapes[0][0]
+    if equal and any(s != shapes[0] for s in shapes):
         raise ValueError(f"{op} needs equally shaped channel products, got {shapes}")
-    if w_mix.shape[1] != len(pairs):
-        raise ValueError(f"{op} needs ({n}, {len(pairs)}) alpha, "
-                         f"got {(n, w_mix.shape[1])}")
-    w_rows = _weight_blocks(shapes + [c.shape for c in extra_cols], w_att, op)
-    # every block writes its products here, so a call allocates them once
-    zbufs = np.empty((len(pairs), min(_BLOCK_ROWS, n), d))
+    if gate is None and extra_cols:
+        raise ValueError(f"{op} reads extra columns only into a gate")
+    w_rows = None
+    if gate is not None:
+        w_att, b_att, w_mix, b_mix = gate
+        if w_mix.shape[1] != len(pairs):
+            raise ValueError(f"{op} needs ({n}, {len(pairs)}) alpha, "
+                             f"got {(n, w_mix.shape[1])}")
+        w_rows = _weight_blocks(shapes + [c.shape for c in extra_cols], w_att, op)
+    bufs = [None if w is None else np.empty((min(_BLOCK_ROWS, n), s[1]))
+            for (_, w), s in zip(pairs, shapes)]
 
-    def gate(lo, hi):
+    def block(lo, hi):
         zs = [x.value[lo:hi] if w is None else
               np.matmul(x.value[lo:hi], w.value, out=z[:hi - lo])
-              for (x, w), z in zip(pairs, zbufs)]
-        if not all(np.isfinite(z).all() for z in zs):
+              for (x, w), z in zip(pairs, bufs)]
+        if not all(np.isfinite(z).all() for z, (_, w) in zip(zs, pairs) if w is not None):
             raise NumericalError(f"non-finite value produced by {op}")
+        if gate is None:
+            return zs, None, None
         cols = zs + [c.value[lo:hi] for c in extra_cols]
         s = cols[0] @ w_rows[0]
         for c, w in zip(cols[1:], w_rows[1:]):
             s += c @ w
         h = _sigmoid_value(s + b_att.value)
         return zs, h, _softmax_value(h @ w_mix.value + b_mix.value)
-    return (n, d), w_rows, gate
+    return shapes, w_rows, block
 
 
 def ada_alpha(pairs, extra_cols, w_att, b_att, w_mix, b_mix):
     """The alpha ada_mix mixes the pairs' products with, as an array: the
     same gate over the same row blocks, recording no tape."""
-    (n, _), _, gate = _ada_gate(list(pairs), list(extra_cols), w_att, b_att,
-                                w_mix, b_mix, "ada_alpha")
-    alpha = np.empty((n, w_mix.shape[1]))
-    for lo, hi in _row_blocks(n):
-        alpha[lo:hi] = gate(lo, hi)[2]
-    return alpha
+    shapes, _, block = _mix_blocks(list(pairs), list(extra_cols),
+                                   (w_att, b_att, w_mix, b_mix), "ada_alpha")
+    return np.vstack([block(lo, hi)[2] for lo, hi in _row_blocks(shapes[0][0])])
 
 
-def ada_mix(pairs, extra_cols, w_att, b_att, w_mix, b_mix, relu):
-    """The adaptive combine of R channel products as one tape node. Each
-    pair (X_r, W_r) is a tensor and its weight, whose product is channel
-    r's output Z_r = X_r W_r; a W_r of None stands for Z_r = X_r. Then
+def ada_mix(pairs, extra_cols, *mix, relu):
+    """A layer's combine of R channels as one tape node. A pair (X_r, W_r)
+    is a tensor and its weight, whose product Z_r = X_r W_r is channel r's
+    output (Z_r = X_r for a W_r of None). `mix` is the gate w_att, b_att,
+    w_mix, b_mix: out = sum_r diag(alpha_r) Z_r, alpha_r column r of
+    row_softmax(h W_mix + b_mix), h = sigmoid([Z_1 .. Z_R, extra_cols]
+    W_att + b_att); a sequence of R fixed weights c_r: out = sum_r c_r Z_r;
+    or "cat": out = [Z_1 .. Z_R]. Then max(out, 0) if `relu`. The value
+    is that of a matmul per weight, the gate's chain, scale and add, or
+    concat_cols, then relu. Forward and backward compute every Z_r block
+    by block (_BLOCK_ROWS rows), so none is kept; a gated node keeps
+    alpha and h (N x R each) besides its output.
 
-        h = sigmoid([Z_1 .. Z_R, extra_cols] W_att + b_att)
-        alpha = row_softmax(h W_mix + b_mix)
-        out = sum_r diag(alpha[:, r]) Z_r, then max(out, 0) if `relu`
-
-    is the value of a matmul per channel, then the chain concat_matmul,
-    add_bias, sigmoid, matmul, add_bias, row_softmax, the row-scaled sum
-    (and relu), up to the summation order of the gate's products. Forward
-    and backward walk blocks of _BLOCK_ROWS rows, and each block computes
-    its rows of every Z_r, so no Z_r is ever kept whole. Besides its
-    parents and its output the node keeps alpha and h (N x R each).
-
-    The backward recomputes each block's relu mask from the output and
-    reads Z_r only through X_r and W_r: with g the block's gradient, A_r
-    channel r's rows of W_att, g_s the gradient at the sigmoid's input and
-    u_r = g W_r^T, it takes rowdot(g, Z_r) = rowdot(u_r, X_r),
-    dX_r = alpha_r u_r + g_s (W_r A_r)^T, dW_r = X_r^T (alpha_r g) +
-    (X_r^T g_s) A_r^T and dA_r = W_r^T (X_r^T g_s): two N x d GEMMs per
-    channel, as many as a matmul's backward."""
+    The backward recomputes each block's relu mask from the output. With
+    g the block's gradient at Z_r (its columns under cat) and c_r its
+    weight (1 under cat), dX_r = (c_r g) W_r^T, written as _BlockGrads
+    writes it, and dW_r sums X_r^T (c_r g) over the blocks. The gate
+    reads Z_r only through X_r and W_r: with A_r channel r's rows of
+    W_att, g_s the gradient at the sigmoid's input and u_r = g W_r^T,
+    rowdot(g, Z_r) = rowdot(u_r, X_r), dX_r = alpha_r u_r + g_s (W_r
+    A_r)^T, dW_r gains (X_r^T g_s) A_r^T and dA_r = W_r^T (X_r^T g_s)."""
     pairs, extra_cols = list(pairs), list(extra_cols)
-    (n, d), w_rows, gate = _ada_gate(pairs, extra_cols, w_att, b_att, w_mix,
-                                     b_mix, "ada_mix")
+    gated, cat = len(mix) == 4, isinstance(mix[0], str)
+    w_att, b_att, w_mix, b_mix = mix if gated else [None] * 4
+    weights = [1.0] * len(pairs) if cat else None if gated else mix[0]
+    shapes, w_rows, block = _mix_blocks(pairs, extra_cols, mix if gated else None,
+                                        "ada_mix", equal=not cat)
+    spans = _col_spans(shapes, "ada_mix")
+    n, d = shapes[0][0], spans[-1][1] if cat else shapes[0][1]
     value = np.empty((n, d))
-    h = np.empty((n, w_att.shape[1]))
-    alpha = np.empty((n, len(pairs)))
-    buf = np.empty((min(_BLOCK_ROWS, n), d))
+    h, alpha = ((np.empty((n, w_att.shape[1])), np.empty((n, len(pairs)))) if gated
+                else (None, None))
+    buf = None if cat else np.empty((min(_BLOCK_ROWS, n), d))
     for lo, hi in _row_blocks(n):
-        zs, h[lo:hi], alpha[lo:hi] = gate(lo, hi)
-        v, a, tmp = value[lo:hi], alpha[lo:hi], buf[:hi - lo]
-        np.multiply(zs[0], a[:, 0:1], out=v)
-        for r, z in enumerate(zs[1:], start=1):
-            v += np.multiply(z, a[:, r:r + 1], out=tmp)
+        zs, hb, ab = block(lo, hi)
+        v, cs = value[lo:hi], weights
+        if gated:
+            h[lo:hi], alpha[lo:hi] = hb, ab
+            cs = [ab[:, r:r + 1] for r in range(len(pairs))]
+        if cat:
+            np.concatenate(zs, axis=1, out=v)
+        else:
+            np.multiply(zs[0], cs[0], out=v)
+            for z, c in zip(zs[1:], cs[1:], strict=True):
+                v += np.multiply(z, c, out=buf[:hi - lo])
         if relu:
             np.maximum(v, 0.0, out=v)
 
     def bw(g):
-        # each X_r's share goes into x.grad block by block: the first pair
-        # to read an input with no gradient yet writes its rows, and every
-        # later share is added through one reused buffer, so x.grad holds
-        # _acc's sums in pair order without an N x d array per pair
-        direct = set()
-        for r, (x, _) in enumerate(pairs):
-            if x.requires_grad and x.grad is None:
-                x.grad = np.empty(x.shape)
-                direct.add(r)
-        xbuf = np.empty(min(_BLOCK_ROWS, n) * max(
-            [x.shape[1] for r, (x, _) in enumerate(pairs)
-             if x.requires_grad and r not in direct], default=0))
+        grads = _BlockGrads([x for x, _ in pairs], n)
         gws = [np.zeros(w.shape) if w is not None and w.requires_grad else None
                for _, w in pairs]
-        # W_r A_r: what the gate multiplies X_r by
-        wa = [a_r if w is None else w.value @ a_r for (_, w), a_r in zip(pairs, w_rows)]
-        gm = np.empty_like(alpha)        # gradient of alpha's softmax input
-        gs = np.empty_like(h)            # gradient of h's sigmoid input
-        buf = np.empty((min(_BLOCK_ROWS, n), d))
-        masked = np.empty_like(buf) if relu else None
+        if gated:
+            # W_r A_r: what the gate multiplies X_r by
+            wa = [a_r if w is None else w.value @ a_r for (_, w), a_r in zip(pairs, w_rows)]
+            gm = np.empty_like(alpha)        # gradient of alpha's softmax input
+            gs = np.empty_like(h)            # gradient of h's sigmoid input
+        buf = np.empty(min(_BLOCK_ROWS, n) * d)    # c_r g, contiguous
+        masked = np.empty((min(_BLOCK_ROWS, n), d)) if relu else None
         for lo, hi in _row_blocks(n):
-            gb, a, hb = g[lo:hi], alpha[lo:hi], h[lo:hi]
+            gb, cs = g[lo:hi], weights
             if relu:
                 gb = np.multiply(gb, value[lo:hi] > 0, out=masked[:hi - lo])
             xs = [x.value[lo:hi] for x, _ in pairs]
-            us = [gb if w is None else gb @ w.value.T for _, w in pairs]
-            ga = np.stack([np.einsum("ij,ij->i", u, x) for u, x in zip(us, xs)],
-                          axis=1)
-            gm[lo:hi] = a * (ga - (ga * a).sum(axis=1, keepdims=True))
-            gs[lo:hi] = (gm[lo:hi] @ w_mix.value.T) * hb * (1.0 - hb)
-            for r, ((x, _), gw) in enumerate(zip(pairs, gws)):
+            gz = [gb[:, c0:c1] for c0, c1 in spans] if cat else [gb] * len(pairs)
+            if gated:
+                a, hb = alpha[lo:hi], h[lo:hi]
+                us = [gb if w is None else gb @ w.value.T for _, w in pairs]
+                ga = np.stack([np.einsum("ij,ij->i", u, x) for u, x in zip(us, xs)],
+                              axis=1)
+                gm[lo:hi] = a * (ga - (ga * a).sum(axis=1, keepdims=True))
+                gs[lo:hi] = (gm[lo:hi] @ w_mix.value.T) * hb * (1.0 - hb)
+                cs = [a[:, r:r + 1] for r in range(len(pairs))]
+            for r, ((x, w), gw) in enumerate(zip(pairs, gws)):
+                gc = None if w is None else np.multiply(
+                    gz[r], cs[r], out=buf[:gz[r].size].reshape(gz[r].shape))
                 if x.requires_grad:
-                    gxb = (x.grad[lo:hi] if r in direct else
-                           xbuf[:(hi - lo) * x.shape[1]].reshape(hi - lo, -1))
-                    np.multiply(us[r], a[:, r:r + 1], out=gxb)
-                    gxb += gs[lo:hi] @ wa[r].T
-                    if r not in direct:
-                        x.grad[lo:hi] += gxb
+                    gx = grads.rows(r, lo, hi)
+                    if gated:
+                        np.multiply(us[r], cs[r], out=gx)
+                        gx += gs[lo:hi] @ wa[r].T
+                    elif w is None:
+                        np.multiply(gz[r], cs[r], out=gx)
+                    else:
+                        np.matmul(gc, w.value.T, out=gx)
+                    grads.add(r, lo, hi)
                 if gw is not None:
-                    gw += xs[r].T @ np.multiply(gb, a[:, r:r + 1], out=buf[:hi - lo])
-        att_rows = []                    # dA_r, channel r's rows of dW_att
-        for (x, w), gw, a_r in zip(pairs, gws, w_rows):
-            xg = x.value.T @ gs
-            if gw is not None:
-                gw += xg @ a_r.T
-                _acc(w, gw)
-            att_rows.append(xg if w is None else w.value.T @ xg)
-        for c, a_c in zip(extra_cols, w_rows[len(pairs):]):
-            if c.requires_grad:
-                _acc(c, gs @ a_c.T)
-        _acc(b_mix, gm.sum(axis=0, keepdims=True))
-        if w_mix.requires_grad:
+                    gw += xs[r].T @ gc
+        if gated:
+            att_rows = []                    # dA_r, channel r's rows of dW_att
+            for (x, w), gw, a_r in zip(pairs, gws, w_rows):
+                xg = x.value.T @ gs
+                if gw is not None:
+                    gw += xg @ a_r.T
+                att_rows.append(xg if w is None else w.value.T @ xg)
+            for c, a_c in zip(extra_cols, w_rows[len(pairs):]):
+                if c.requires_grad:
+                    _acc(c, gs @ a_c.T)
+            _acc(b_mix, gm.sum(axis=0, keepdims=True))
             _acc(w_mix, h.T @ gm)
-        _acc(b_att, gs.sum(axis=0, keepdims=True))
-        if w_att.requires_grad:
+            _acc(b_att, gs.sum(axis=0, keepdims=True))
             _acc(w_att, np.vstack(att_rows + [c.value.T @ gs for c in extra_cols]))
+        for (_, w), gw in zip(pairs, gws):
+            if gw is not None:
+                _acc(w, gw)
     parents = [t for pair in pairs for t in pair if t is not None]
-    return _result(value, (*parents, *extra_cols, w_att, b_att, w_mix, b_mix), bw,
+    return _result(value, (*parents, *extra_cols, *(mix if gated else ())), bw,
                    "ada_mix")
 
 
@@ -584,13 +594,12 @@ def mlp_head(blocks, w1, b1, w2, b2):
         h = relu(concat_cols(blocks) W1 + b1),  out = h W2 + b2
 
     is the value of the chain concat_matmul, add_bias, relu, matmul,
-    add_bias. The forward walks blocks of _BLOCK_ROWS rows; each block's
-    pre-activation is written into its rows of h and checked finite before
-    the relu, which would hide a -inf, and the relu runs in place. Besides
-    its parents the node keeps h and its output. With g a block's
-    gradient, the backward takes gh = (g W2^T) * (h > 0), d block_r =
-    gh W1_r^T, dW1_r = sum of block_r^T gh and db1 = sum of colsum(gh)
-    over the row blocks, and dW2 = h^T g and db2 = colsum(g) whole."""
+    add_bias, computed in blocks of _BLOCK_ROWS rows. Each block's
+    pre-activation is checked finite before the in-place relu, which would
+    hide a -inf. The node keeps h and its output. With g a block's
+    gradient and gh = (g W2^T) * (h > 0), d block_r = gh W1_r^T (written
+    as _BlockGrads writes it), dW1_r and db1 sum block_r^T gh and
+    colsum(gh) over the blocks, and dW2 = h^T g and db2 = colsum(g)."""
     blocks = list(blocks)
     shapes = [t.shape for t in blocks]
     w_rows = _weight_blocks(shapes, w1, "mlp_head")
@@ -614,7 +623,7 @@ def mlp_head(blocks, w1, b1, w2, b2):
         value[lo:hi] += b2.value
 
     def bw(g):
-        gts = [np.empty(t.shape) if t.requires_grad else None for t in blocks]
+        grads = _BlockGrads(blocks, n)
         gw1 = np.zeros(w1.shape) if w1.requires_grad else None
         # channel r's rows of dW1, as views of gw1
         gw_rows = [None if gw1 is None else gw1[c0:c1]
@@ -624,15 +633,13 @@ def mlp_head(blocks, w1, b1, w2, b2):
         for lo, hi in _row_blocks(n):
             gh = np.matmul(g[lo:hi], w2.value.T, out=buf[:hi - lo])
             gh *= h[lo:hi] > 0
-            for t, w, gt, gw in zip(blocks, w_rows, gts, gw_rows):
-                if gt is not None:
-                    np.matmul(gh, w.T, out=gt[lo:hi])
+            for i, (t, w, gw) in enumerate(zip(blocks, w_rows, gw_rows)):
+                if t.requires_grad:
+                    np.matmul(gh, w.T, out=grads.rows(i, lo, hi))
+                    grads.add(i, lo, hi)
                 if gw is not None:
                     gw += t.value[lo:hi].T @ gh
             gb1 += gh.sum(axis=0, keepdims=True)
-        for t, gt in zip(blocks, gts):
-            if gt is not None:
-                _acc(t, gt)
         if gw1 is not None:
             _acc(w1, gw1)
         _acc(b1, gb1)

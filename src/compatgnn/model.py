@@ -262,7 +262,7 @@ class CompatGNN(MessagePassingModel):
     def loss(self, out, train_idx):
         # the N+K graph's labels index the same training rows
         ce = super().loss(out, train_idx)
-        if not self.dis_enabled:
+        if not self.dis_enabled or self.dis_weight == 0:
             return ce
         return add(ce, scale(self.discrimination_loss(out), self.dis_weight))
 

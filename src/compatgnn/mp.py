@@ -15,22 +15,16 @@ supplementary/constant channel (PrototypeOperator) in the training
 hooks on_training_start and on_validation_improved.
 
 aggregate realizes a channel as a pair (X_r, W_r) whose product is Z_r,
-X_r = (A_r (.) B_r) Z; a layer that adds or concatenates its channels
-multiplies the pairs out (product). An ada_add layer weights its
-channels per node, alpha = row_softmax(sigmoid([Z_1 .. Z_R, deg] W_att +
-b_att) W_mix + b_mix), and mixes them as sum_r alpha[:, r] * Z_r.
-ada_combine runs the products, the gate, the mix and the layer's relu as
-one tape node (autodiff.ada_mix), which keeps no N x d intermediate, not
-even a Z_r; ada_weights reads alpha out without a tape. A fixed alpha
-(MessagePassingModel.force_alpha) is the limiting case: the layer adds
-its channel products, each scaled by its constant weight.
+X_r = (A_r (.) B_r) Z, and every layer is one combine node (ada_combine)
+that multiplies, mixes and relus the pairs, keeping no Z_r: add sums
+the Z_r, cat sets them side by side, and ada_add weights them per node
+by alpha = row_softmax(sigmoid([Z_1 .. Z_R, deg] W_att + b_att) W_mix +
+b_mix), which ada_weights reads out without a tape. A fixed alpha
+(MessagePassingModel.force_alpha) is its limiting case.
 
-Layer 1 reads ÂX: when the encoder output X W_e reaches it as it is
-(linear encoder, dropout 0, no relu before aggregating) and the features
-are no wider than hidden_dim, a channel over a sparse operator Â computes
-Â (X W_e) W as (ÂX)(W_e W). ÂX is a constant, computed in the first
-forward and cached per operator until the features change (a CompatGNN
-rebinding its prototypes), so that channel runs no SpMM.
+Layer 1 reads ÂX when the encoder output reaches it as it is: a channel
+over a sparse operator Â computes Â (X W_e) W as (ÂX)(W_e W), with ÂX a
+constant cached per operator (_reads_propagated, _channel).
 
 A ModelSpec is declarative data: json.dumps(spec.to_dict()) writes a
 spec file, and `--model spec.json` runs it (training.build_model reads
@@ -51,9 +45,9 @@ from .graph import Graph
 from .records import decode
 from .rng import make_rng
 from . import autodiff as ad
-from .autodiff import (SparseMatrix, add, add_bias, concat_cols, concat_matmul,
-                       constant, dropout, glorot, matmul, mlp_head, relu,
-                       scalar_scale, scale, slice_rows, sparse_dot, spmm)
+from .autodiff import (SparseMatrix, add, add_bias, concat_matmul, constant,
+                       dropout, glorot, matmul, mlp_head, relu, scalar_scale,
+                       slice_rows, sparse_dot, spmm)
 from .sparse import (add_self_loops, khop_adjacency, knn_feature_graph,
                      row_normalize, sym_normalize)
 
@@ -245,19 +239,12 @@ def aggregate(realized, z, w=None):
     identity channel and the SpMM (A (.) B) Z for a sparse one, and W None
     for a weightless channel. A PrototypeOperator reads only the prototype
     rows: (block, Z_proto W), so the product costs O((N+K) K d) and no
-    dense (N+K) x (N+K) operator is built. An ada_add layer hands the
-    pairs to its one node (ada_combine); any other layer multiplies them
-    out (product)."""
+    dense (N+K) x (N+K) operator is built. The layer hands the pairs to
+    its one combine node (ada_combine)."""
     if isinstance(realized, PrototypeOperator):
         t = slice_rows(z, realized.first, z.shape[0])
         return realized.block, (t if w is None else matmul(t, w))
     return (z if realized is None else spmm(realized, z)), w
-
-
-def product(pair):
-    """X W of a pair (X, W) from aggregate; X itself when W is None."""
-    x, w = pair
-    return x if w is None else matmul(x, w)
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +270,12 @@ def ada_weights(pairs, extra_cols, p):
     return constant(ad.ada_alpha(pairs, extra_cols, *(p[k] for k in ADA_PARAMS)))
 
 
-def ada_combine(pairs, p, extra_cols=(), relu=False):
-    """sum_r alpha[:, r] * X_r W_r over the channels' pairs (aggregate),
-    then its relu if `relu`, as one tape node (autodiff.ada_mix) that
-    computes each product block by block and alpha over the products and
-    extra columns under the gate parameters p (ADA_PARAMS)."""
-    return ad.ada_mix(pairs, extra_cols, *(p[k] for k in ADA_PARAMS), relu=relu)
+def ada_combine(pairs, mix, extra_cols=(), relu=False):
+    """A layer's channels, given as aggregate's pairs, combined, then their
+    relu if `relu`, as one tape node (autodiff.ada_mix). mix is the gate
+    parameters (a dict of ADA_PARAMS), one fixed weight per channel, or "cat"."""
+    gate = [mix[k] for k in ADA_PARAMS] if isinstance(mix, dict) else [mix]
+    return ad.ada_mix(pairs, extra_cols, *gate, relu=relu)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +300,7 @@ class MessagePassingModel:
     features: the encoder input, graph.features until the owner of the
     prototypes replaces their rows.
     force_alpha (debug): fixed channel weights, one per channel, for every
-    ada_add layer, which then adds its channels each scaled by its weight,
+    ada_add layer, which then sums its channels each scaled by its weight,
     with no gate.
     """
 
@@ -382,24 +369,20 @@ class MessagePassingModel:
         self._propagated = {}   # operator key -> constant ÂX, see _channel
 
     def _combine(self, li, layer, pairs, post_relu):
-        """The layer's channels, given as aggregate's pairs, merged, then
-        their relu if post_relu. An ada_add layer multiplies its pairs and
-        applies the relu inside its one node (ada_combine), or with
-        force_alpha set is an add of its channel products scaled by alpha."""
-        if layer.combine == "ada_add" and self.force_alpha is None:
-            p = {k: self.params[f"layer{li}.ada.{k}"] for k in ADA_PARAMS}
-            extra = [self._deg_col] if layer.ada_degree_column else []
-            return ada_combine(pairs, p, extra, post_relu)
-        outs = [product(pair) for pair in pairs]
-        if layer.combine == "ada_add":
-            outs = [scale(t, a) for t, a in zip(outs, self.force_alpha, strict=True)]
+        """The layer's channels, given as aggregate's pairs, combined, then
+        their relu if post_relu, in one node (ada_combine). add weighs each
+        channel 1.0, ada_add by its gate or by force_alpha when set."""
+        extra = []
         if layer.combine == "cat":
-            z = concat_cols(outs)
+            mix = "cat"
+        elif layer.combine == "add":
+            mix = [1.0] * len(pairs)
+        elif self.force_alpha is not None:
+            mix = [float(a) for _, a in zip(pairs, self.force_alpha, strict=True)]
         else:
-            z = outs[0]
-            for t in outs[1:]:
-                z = add(z, t)
-        return relu(z) if post_relu else z
+            mix = {k: self.params[f"layer{li}.ada.{k}"] for k in ADA_PARAMS}
+            extra = [self._deg_col] if layer.ada_degree_column else []
+        return ada_combine(pairs, mix, extra, post_relu)
 
     def _fuse(self, reps):
         """The fused representation as column blocks: cat keeps every rep

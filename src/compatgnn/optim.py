@@ -23,6 +23,8 @@ class Adam:
         self.m = {k: np.zeros_like(p.value) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.value) for k, p in self.params.items()}
 
+    # an overflow is reported by the finite check, not by a numpy warning
+    @np.errstate(over="ignore", invalid="ignore")
     def step(self):
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
@@ -40,4 +42,8 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.value = p.value - self.lr * update
+            value = p.value - self.lr * update
+            # an inf v zeroes the update: it must fail, not stop training
+            if not (np.isfinite(v).all() and np.isfinite(value).all()):
+                raise NumericalError(f"non-finite Adam step for parameter {name!r}")
+            p.value = value

@@ -164,12 +164,14 @@ def _reuses_eval(model):
     return model.spec.dropout == 0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_model(graph, split, config, seed, split_id=0, model=None):
     """Run the full protocol once; returns a RunResult.
 
     A pre-built model may be passed in (ablation studies); by default the
     model is built from the config. Raises TrainingDiverged (with the
-    partial log attached) if any forward or gradient turns non-finite.
+    partial log attached) if any forward, gradient or Adam step turns
+    non-finite; that check, not a numpy overflow warning, reports it.
 
     Each epoch's eval forward runs at the parameters the next epoch
     trains at. With dropout > 0 it runs under `frozen` and records no

@@ -20,7 +20,7 @@ from compatgnn.sparse import row_normalize, sym_normalize
 from compatgnn.synth import generate_graph, make_synth_spec
 from compatgnn.training import RunConfig, build_model
 
-from util import mixed, random_graph
+from util import mixed, product, random_graph
 
 RNG = make_rng(0, "autodiff-tests")
 
@@ -360,6 +360,107 @@ def test_ada_mix_rejects_bad_shapes():
         ada_mix(pairs, [rand_t((3, 1), rng)], *gate, relu=False)
 
 
+# channel kinds of the property test: an own weight, none, the prototype
+# form (a constant input times a weight), and a weight on pair 0's input
+MIX_LAYOUTS = ("o", "w", "c", "ow", "oc", "osw", "wsc")
+
+
+def _mix_case(mix, layout, n, rng):
+    """Pairs of these kinds, the extra columns and ada_mix's mix
+    arguments. cat draws each product's width, any other mix makes them
+    n x 5; every tensor but a constant input is a leaf that requires grad."""
+    pairs = []
+    for kind in layout:
+        d = int(rng.integers(1, 5)) if mix == "cat" else 5
+        if kind == "o":
+            pairs.append((rand_t((n, 4), rng), rand_t((4, d), rng)))
+        elif kind == "w":
+            pairs.append((rand_t((n, d), rng), None))
+        elif kind == "c":
+            pairs.append((constant(rng.random((n, 2))), rand_t((2, d), rng)))
+        else:
+            x = pairs[0][0]
+            pairs.append((x, rand_t((x.shape[1], d), rng)))
+    cols = [rand_t((n, 1), rng)] if mix == "gate+col" else []
+    if mix.startswith("gate"):
+        r = len(pairs)
+        return pairs, cols, [rand_t((5 * r + len(cols), r), rng), rand_t((1, r), rng),
+                             rand_t((r, r), rng), rand_t((1, r), rng)]
+    if mix == "cat":
+        return pairs, cols, ["cat"]
+    return pairs, cols, [[1.0] * len(pairs) if mix == "add" else
+                         list(rng.normal(size=len(pairs)))]
+
+
+def _mix_chain(pairs, cols, mix, relu_):
+    """The combine as the chain of nodes ada_mix replaces: a matmul per
+    weighted pair, then the gate's chain, scale and add (add alone for
+    weights of 1.0), or concat_cols, then relu."""
+    if len(mix) == 4:
+        return _ada_chain(pairs, cols, *mix, relu_)
+    zs = [product(p) for p in pairs]
+    if mix == ["cat"]:
+        out = concat_cols(zs)
+    else:
+        out = None
+        for z, c in zip(zs, mix[0], strict=True):
+            z = z if c == 1.0 else scale(z, c)
+            out = z if out is None else add(out, z)
+    return relu(out) if relu_ else out
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("relu_", [False, True])
+@pytest.mark.parametrize("mix", ["gate", "gate+col", "add", "fixed", "cat"])
+def test_ada_mix_matches_the_composed_chain_for_every_mix(mix, relu_, blocks):
+    """Seeded cases over 1 to 3 pairs of every kind, n over 1 to 3 row
+    blocks: the value is bitwise the chain's when one block covers every
+    row and within 1e-12 otherwise, as is every gradient. Without a gate,
+    whose products sum in another order, one block's gradients are
+    bitwise the chain's too."""
+    rng = make_rng(40, "mix-chain", mix, relu_, blocks)
+    n = (blocks - 1) * ad._BLOCK_ROWS + int(rng.integers(3, 9))
+    for layout in MIX_LAYOUTS:
+        pairs, cols, args = _mix_case(mix, layout, n, rng)
+        leaves = list({id(t): t for t in _pair_leaves(pairs) + cols}.values())
+        leaves += [t for t in args if isinstance(t, ad.Tensor)]
+        fused = ada_mix(pairs, cols, *args, relu=relu_)
+        chain = _mix_chain(pairs, cols, args, relu_)
+        if blocks == 1:
+            assert fused.value.tobytes() == chain.value.tobytes(), layout
+        np.testing.assert_allclose(fused.value, chain.value, rtol=0, atol=1e-12)
+        # a mean loss's gradient, so that sums over the rows stay near 1
+        upstream = rng.normal(size=fused.shape) / n
+        got = _grads_under(lambda: ada_mix(pairs, cols, *args, relu=relu_), leaves,
+                           upstream)
+        want = _grads_under(lambda: _mix_chain(pairs, cols, args, relu_), leaves,
+                            upstream)
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=layout)
+            if blocks == 1 and len(args) == 1:
+                assert g.tobytes() == w.tobytes(), layout
+        assert all(x.grad is None for x, _ in pairs if not x.requires_grad)
+        # no product on the tape: a gated node keeps alpha and h, any other
+        # only its output
+        kept = [c.cell_contents for c in fused._backward.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert sorted(a.shape for a in kept if a is not fused.value) == (
+            [(n, len(pairs))] * 2 if len(args) == 4 else [])
+
+
+def test_ada_mix_rejects_a_bad_mix():
+    rng = make_rng(41, "mix-shapes")
+    pairs, cols, gate = _ada_inputs(4, True, rng)
+    with pytest.raises(ValueError, match="extra columns only into a gate"):
+        ada_mix(pairs, cols, [1.0] * 3, relu=False)
+    with pytest.raises(ValueError, match=r"zip\(\) argument 2 is shorter"):
+        ada_mix(pairs, [], [1.0] * 2, relu=False)
+    with pytest.raises(ValueError, match="equally shaped"):
+        ada_mix([pairs[0], (rand_t((4, 2), rng), None)], [], [1.0] * 2, relu=False)
+    with pytest.raises(ValueError, match="equal row counts"):
+        ada_mix([pairs[0], (rand_t((3, 2), rng), None)], [], "cat", relu=False)
+
+
 def _poisoned_block_inputs(seed):
     """_ada_inputs over two and a bit blocks, with a positive gate weight
     and channel 0's input row `row` in the second block to poison."""
@@ -430,6 +531,27 @@ def test_mlp_head_matches_the_composed_chain(n, grad_blocks):
         else:                      # dW1 and db1 summed block by block
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
     assert all(t.grad is None for t in blocks if not t.requires_grad)
+
+
+@pytest.mark.parametrize("held", [False, True])
+def test_mlp_head_adds_each_share_into_the_gradient(held):
+    """A block read twice, whose gradient may already be held when the
+    backward reaches it: its .grad is the held gradient plus each share,
+    in order, bitwise the chain's sums."""
+    rng = make_rng(42, "head-held", held)
+    x = rand_t((9, 4), rng)
+    blocks = [x, x, constant(rng.normal(size=(9, 1)))]
+    params = [rand_t((9, 6), rng), rand_t((1, 6), rng), rand_t((6, 3), rng),
+              rand_t((1, 3), rng)]
+    start, upstream = rng.normal(size=x.shape), rng.normal(size=(9, 3))
+
+    def x_grad(node):
+        zero_grads(params)
+        x.grad = start.copy() if held else None
+        backward(tsum(hadamard(node(), constant(upstream))))
+        return x.grad
+    want = x_grad(lambda: _head_chain(blocks, *params))
+    assert x_grad(lambda: mlp_head(blocks, *params)).tobytes() == want.tobytes()
 
 
 def test_mlp_head_keeps_only_its_relu_output_and_logits():

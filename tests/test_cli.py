@@ -574,6 +574,12 @@ def _train_missing_data_with(flag, value):
                             + run_quick(["--model", "compatgnn", flag, value]))
 
 
+def _train_overflowing(model, flag):
+    """A finite value so large that the first epoch overflows."""
+    return lambda tmp, ds: (["train", "--data", ds, "--out", str(tmp / "run")]
+                            + run_quick(["--model", model, flag, "1e308"]))
+
+
 def _synth_gen_with(flag, value):
     return lambda tmp, ds: ["synth", "gen", "--nodes", "20", flag, value,
                             "--out", str(tmp / "d")]
@@ -745,6 +751,12 @@ BAD_INPUTS = [
     *[(f"train_{flag[2:]}_{value}_before_the_data", _train_missing_data_with(flag, value), 2)
       for flag, value in (("--lr", "nan"), ("--lr", "inf"), ("--weight-decay", "nan"),
                           ("--lambda", "nan"), ("--lambda", "inf"))],
+    # an overflow in training is one numerical failure, with no numpy warning
+    *[(f"train_{model}_{flag[2:].replace('-', '_')}_1e308",
+       _train_overflowing(model, flag), 4)
+      for model, flag in (("compatgnn", "--weight-decay"), ("gprgnn", "--weight-decay"),
+                          ("compatgnn", "--lr"), ("mixhop", "--lr"),
+                          ("compatgnn", "--lambda"))],
     ("synth_gen_zero_nodes", _synth_gen_with("--nodes", "0"), 2),
     ("synth_gen_degree_nan", _synth_gen_with("--degree", "nan"), 2),
     ("synth_gen_degree_inf", _synth_gen_with("--degree", "inf"), 2),

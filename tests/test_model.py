@@ -482,6 +482,18 @@ def test_loss_weight_zero_equals_pure_ce():
     assert m.loss(out, train).item() == ce.item()
 
 
+def test_loss_weight_zero_builds_no_discrimination_loss(monkeypatch):
+    g = two_triangles()
+    train = [0, 1, 3, 4]
+    m = ready_model(g, train, dis_weight=0.0, seed=8)
+    out = m.forward(train=True)
+    ops, result = [], ad._result
+    monkeypatch.setattr(ad, "_result", lambda value, parents, bw, op:
+                        ops.append(op) or result(value, parents, bw, op))
+    m.loss(out, train)
+    assert ops == ["masked_cross_entropy"]
+
+
 def test_loss_weight_one_adds_dis_exactly():
     g = two_triangles()
     train = [0, 1, 3, 4]

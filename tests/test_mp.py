@@ -15,7 +15,7 @@ from compatgnn import autodiff as ad
 from compatgnn.autodiff import backward, constant, tensor, zero_grads
 from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
                           ModelSpec, PRESETS, aggregate, ada_weights,
-                          build_preset, init_ada_params, product, realize_channel,
+                          build_preset, init_ada_params, realize_channel,
                           realize_guidance, realize_indicator)
 from compatgnn.rng import make_rng
 from compatgnn.optim import Adam
@@ -25,7 +25,7 @@ from compatgnn.model import CompatGNN
 from compatgnn.synth import generate_graph, make_synth_spec
 from compatgnn.training import RunConfig, build_model, train_model
 
-from util import (cubic12, make_graph, mixed, path3_forest, quartic12,
+from util import (cubic12, make_graph, mixed, path3_forest, product, quartic12,
                   random_graph)
 
 
@@ -288,7 +288,9 @@ def test_ada_weights_are_row_stochastic_positive():
 
 def test_one_compatgnn_forward_records_no_slices_or_row_scales(monkeypatch):
     g = random_graph(make_rng(6, "ada-ops"), 40, p=0.15)
-    model = build_model(RunConfig(model="compatgnn", layers=2, nhidden=8), g, seed=0)
+    # a lambda above 0, so that the loss builds its discrimination term
+    model = build_model(RunConfig(model="compatgnn", layers=2, nhidden=8, lambda_=0.1),
+                        g, seed=0)
     train = generate_splits(g, 1, seed=0)[0].train
     model.on_training_start(train)
     nodes, result = [], ad._result
@@ -379,8 +381,14 @@ def test_ada_layer_keeps_no_wide_intermediate_on_the_tape(monkeypatch):
 # and the classifier head's relu output; 13 and about 19.7 arrays of peak
 # while its tape held every channel product X_r W_r, 7 and 14.3 since the
 # ada node computes them block by block, 5 and 14.0 since the head is one
-# node too. acmgcn: 15 and 22.0, then 9 and 18.3.
-TAPE_BUDGET = {"compatgnn": (5, 15.0), "acmgcn": (9, 20.0)}
+# node too. acmgcn: 15 and 22.0, then 9 and 18.3. While only ada_add
+# layers were one node, the others multiplied their pairs out and kept
+# each product, sum, concatenation and relu: mlp 5 and 7.6, gcn 5 and
+# 8.2, gprgnn 10 and 14.3, h2gcn 3 and 40.2, mixhop 7 and 45.2; as one
+# node each, 3 and 7.0, 3 and 7.0, 9 and 13.3, 1 and 36.2, 1 and 39.2.
+TAPE_BUDGET = {"compatgnn": (5, 15.0), "acmgcn": (9, 20.0), "mlp": (3, 7.5),
+               "gcn": (3, 7.5), "gprgnn": (9, 14.0), "h2gcn": (1, 37.0),
+               "mixhop": (1, 40.0)}
 
 
 @pytest.fixture(scope="module")
@@ -805,6 +813,30 @@ def _forced_model(name):
                                             relu_before_aggregate=False), g, seed=0)
 
 
+@pytest.mark.parametrize("name", mp.MODEL_NAMES)
+def test_every_layer_is_one_combine_node(name, monkeypatch):
+    g = random_graph(make_rng(8, "one-node"), 40, p=0.15)
+    model = build_model(RunConfig(model=name, layers=2, nhidden=6), g, seed=0)
+    model.on_training_start(generate_splits(g, 1, seed=0)[0].train)
+    ops, result = [], ad._result
+    monkeypatch.setattr(ad, "_result", lambda value, parents, bw, op:
+                        ops.append(op) or result(value, parents, bw, op))
+    combines, combine = [], MessagePassingModel._combine
+
+    def recorded(self, *args):
+        start = len(ops)
+        z = combine(self, *args)
+        combines.append(ops[start:])
+        return z
+    monkeypatch.setattr(MessagePassingModel, "_combine", recorded)
+    model.forward(train=True)
+    assert combines == [["ada_mix"], ["ada_mix"]]
+    assert ops.count("ada_mix") == 2 and "concat_cols" not in ops and "scale" not in ops
+    # the only relu left is the one before aggregating
+    assert ops.count("relu") == (2 if model.spec.relu_before_aggregate else 0)
+    assert not hasattr(mp, "product")
+
+
 @pytest.mark.parametrize("name", ["compatgnn", "acmgcn"])
 def test_forced_alpha_layer_is_an_add_of_scaled_channels(name, monkeypatch):
     model = _forced_model(name)
@@ -820,7 +852,8 @@ def test_forced_alpha_layer_is_an_add_of_scaled_channels(name, monkeypatch):
         return z
     monkeypatch.setattr(MessagePassingModel, "_combine", recorded)
     model.forward(train=True)
-    assert "ada_mix" not in ops and ops.count("scale") == 6
+    # one combine node per layer, which sums the scaled channels itself
+    assert ops.count("ada_mix") == 2 and "scale" not in ops and "add" not in ops
     assert len(calls) == 2
     for pairs, post_relu, z in calls:
         assert post_relu and len(pairs) == 3

@@ -63,6 +63,19 @@ def test_non_finite_gradient_names_parameter():
         opt.step()
 
 
+@pytest.mark.parametrize("value, grad, lr, weight_decay", [
+    (0.5, 0.0, 0.1, 1e308),      # g = wd * p is finite, g * g is not
+    (-1e308, 1.0, 1e308, 0.0),   # the moments are finite, the new value is not
+])
+def test_overflowing_step_names_parameter(value, grad, lr, weight_decay):
+    # an inf second moment would zero the update and stop training silently
+    p = tensor([[value]], requires_grad=True)
+    p.grad = np.array([[grad]])
+    opt = Adam({"layer1.w": p}, lr=lr, weight_decay=weight_decay)
+    with pytest.raises(NumericalError, match="layer1.w"):
+        opt.step()
+
+
 def test_converges_on_quadratic():
     # minimize sum((p - target)^2) by hand-computed gradient
     target = np.array([[1.5, -2.0, 0.5]])

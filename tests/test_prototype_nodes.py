@@ -14,12 +14,11 @@ from compatgnn.cli import main
 from compatgnn.gradcheck import grad_check
 from compatgnn.model import CompatGNN, with_prototype_nodes
 from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
-                          ModelSpec, PrototypeOperator, aggregate, build_preset,
-                          product)
+                          ModelSpec, PrototypeOperator, aggregate, build_preset)
 from compatgnn.rng import make_rng
 from compatgnn.sparse import row_normalize
 
-from util import make_graph, random_graph
+from util import make_graph, product, random_graph
 
 
 def test_slice_rows_is_a_view_with_exact_gradient():

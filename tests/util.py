@@ -3,6 +3,7 @@
 import numpy as np
 
 from compatgnn import Graph
+from compatgnn.autodiff import matmul
 from compatgnn.rng import make_rng
 
 
@@ -110,3 +111,10 @@ def mixed(alpha, zs):
     for r, z in enumerate(zs[1:], start=1):
         out = out + alpha[:, r:r + 1] * z.value
     return out
+
+
+def product(pair):
+    """X W of a pair (X, W) from mp.aggregate, as a matmul node; X itself
+    when W is None: the channel output the combine node computes."""
+    x, w = pair
+    return x if w is None else matmul(x, w)
