@@ -20,14 +20,15 @@ computed, and that array becomes the first gradient of its target, with
 no copy. Only a gradient passed through unchanged (by add, sub, add_bias
 and concat_cols) is copied first, so no two tensors share a .grad array.
 
-Fused ops are one tape node each, walking cache-sized row blocks. Every
-message-passing layer is one ada_mix: it computes its channel products
-Z_r = X_r W_r from pairs (X_r, W_r), mixes them (a gate's per-row
-weights alpha, fixed weights, or side by side) and applies the relu,
-keeping no Z_r; ada_alpha reads alpha out without a tape. mlp_head is
-the classifier relu([blocks] W1 + b1) W2 + b2. Both write their inputs'
-gradients by one rule (_BlockGrads). concat_matmul multiplies a column
-concatenation by a matrix without building it (_weight_blocks).
+Every sum of products of the package is one fused tape node, ada_mix,
+which walks cache-sized row blocks: it computes the products Z_r = X_r
+W_r of pairs (X_r, W_r), mixes them (a gate's per-row weights alpha,
+fixed weights, or side by side) and applies the relu, keeping no Z_r,
+and writes its inputs' gradients by one rule (_BlockGrads). Each
+message-passing layer, the classifier and the structure encoder are
+ada_mix nodes; [blocks] W + b is the pairs (block_r, rows r of W) and
+(a column of ones, b) under fixed weights 1.0. ada_alpha reads a gate's
+alpha out without a tape.
 
 Sparse matrices enter only as constants on the left of spmm; gradients
 flow to the dense operand. Every sparse x dense product of the package,
@@ -268,7 +269,7 @@ def row_scale(alpha, z):
     return _result(value, (alpha, z), bw, "row_scale")
 
 
-_BLOCK_ROWS = 2048   # rows per block of ada_mix and mlp_head: temporaries stay in cache
+_BLOCK_ROWS = 2048   # rows per block of ada_mix: temporaries stay in cache
 
 
 def _row_blocks(n):
@@ -307,9 +308,11 @@ def _mix_blocks(pairs, extra_cols, gate, op, equal=True):
     w_mix, b_mix, or None): the products' shapes, all equal if `equal`;
     w_att's row block per column block of [Z_1 .. Z_R, extra_cols]; and
     block(lo, hi), rows [lo, hi) of the products, of h and of alpha (None
-    without a gate). Each block of a product X_r W_r is checked finite
-    while it is in cache: a relu after the mix would hide a -inf in it. An
-    X_r alone was checked when it was made."""
+    without a gate). Under a gate each block of a product X_r W_r is
+    checked finite while it is in cache, since the gate's sigmoid would
+    hide a -inf in it; without one, ada_mix checks the mix, which reads
+    each product before the next is made: the products come one by one,
+    all in one buffer. An X_r alone was checked when it was made."""
     for x, w in pairs:
         if w is not None and x.shape[1] != w.shape[0]:
             raise ValueError(f"{op}: a channel input of shape {x.shape} against "
@@ -327,17 +330,20 @@ def _mix_blocks(pairs, extra_cols, gate, op, equal=True):
             raise ValueError(f"{op} needs ({n}, {len(pairs)}) alpha, "
                              f"got {(n, w_mix.shape[1])}")
         w_rows = _weight_blocks(shapes + [c.shape for c in extra_cols], w_att, op)
-    bufs = [None if w is None else np.empty((min(_BLOCK_ROWS, n), s[1]))
-            for (_, w), s in zip(pairs, shapes)]
+    rows = min(_BLOCK_ROWS, n)
+    shared = np.empty(rows * max(s[1] for s in shapes)) if gate is None else None
+    bufs = [None if w is None else np.empty((rows, s[1])) if shared is None else
+            shared[:rows * s[1]].reshape(rows, s[1]) for (_, w), s in zip(pairs, shapes)]
 
     def block(lo, hi):
-        zs = [x.value[lo:hi] if w is None else
+        zs = (x.value[lo:hi] if w is None else
               np.matmul(x.value[lo:hi], w.value, out=z[:hi - lo])
-              for (x, w), z in zip(pairs, bufs)]
-        if not all(np.isfinite(z).all() for z, (_, w) in zip(zs, pairs) if w is not None):
-            raise NumericalError(f"non-finite value produced by {op}")
+              for (x, w), z in zip(pairs, bufs))
         if gate is None:
             return zs, None, None
+        zs = list(zs)
+        if not all(np.isfinite(z).all() for z, (_, w) in zip(zs, pairs) if w is not None):
+            raise NumericalError(f"non-finite value produced by {op}")
         cols = zs + [c.value[lo:hi] for c in extra_cols]
         s = cols[0] @ w_rows[0]
         for c, w in zip(cols[1:], w_rows[1:]):
@@ -362,10 +368,11 @@ def ada_mix(pairs, extra_cols, *mix, relu):
     w_mix, b_mix: out = sum_r diag(alpha_r) Z_r, alpha_r column r of
     row_softmax(h W_mix + b_mix), h = sigmoid([Z_1 .. Z_R, extra_cols]
     W_att + b_att); a sequence of R fixed weights c_r: out = sum_r c_r Z_r;
-    or "cat": out = [Z_1 .. Z_R]. Then max(out, 0) if `relu`. The value
-    is that of a matmul per weight, the gate's chain, scale and add, or
-    concat_cols, then relu. Forward and backward compute every Z_r block
-    by block (_BLOCK_ROWS rows), so none is kept; a gated node keeps
+    or "cat": out = [Z_1 .. Z_R]. Then max(out, 0) if `relu`, each block
+    of out checked finite first, since the relu would hide a -inf in it.
+    The value is that of a matmul per weight, the gate's chain, scale and
+    add, or concat_cols, then relu. Forward and backward compute every Z_r
+    block by block (_BLOCK_ROWS rows), so none is kept; a gated node keeps
     alpha and h (N x R each) besides its output.
 
     The backward recomputes each block's relu mask from the output. With
@@ -387,20 +394,25 @@ def ada_mix(pairs, extra_cols, *mix, relu):
     value = np.empty((n, d))
     h, alpha = ((np.empty((n, w_att.shape[1])), np.empty((n, len(pairs)))) if gated
                 else (None, None))
-    buf = None if cat else np.empty((min(_BLOCK_ROWS, n), d))
+    # weights of 1.0 without a cat multiply by nothing: Z_r and g as they are
+    unit = not (gated or cat) and all(c == 1.0 for c in weights)
+    buf = None if cat or unit else np.empty((min(_BLOCK_ROWS, n), d))
     for lo, hi in _row_blocks(n):
         zs, hb, ab = block(lo, hi)
         v, cs = value[lo:hi], weights
         if gated:
             h[lo:hi], alpha[lo:hi] = hb, ab
             cs = [ab[:, r:r + 1] for r in range(len(pairs))]
-        if cat:
-            np.concatenate(zs, axis=1, out=v)
-        else:
-            np.multiply(zs[0], cs[0], out=v)
-            for z, c in zip(zs[1:], cs[1:], strict=True):
-                v += np.multiply(z, c, out=buf[:hi - lo])
+        for r, (z, c, (c0, c1)) in enumerate(zip(zs, cs, spans, strict=True)):
+            if cat:
+                v[:, c0:c1] = z
+            elif r == 0:
+                np.multiply(z, c, out=v)
+            else:
+                v += z if unit else np.multiply(z, c, out=buf[:hi - lo])
         if relu:
+            if not np.isfinite(v).all():
+                raise NumericalError("non-finite value produced by ada_mix")
             np.maximum(v, 0.0, out=v)
 
     def bw(g):
@@ -412,7 +424,7 @@ def ada_mix(pairs, extra_cols, *mix, relu):
             wa = [a_r if w is None else w.value @ a_r for (_, w), a_r in zip(pairs, w_rows)]
             gm = np.empty_like(alpha)        # gradient of alpha's softmax input
             gs = np.empty_like(h)            # gradient of h's sigmoid input
-        buf = np.empty(min(_BLOCK_ROWS, n) * d)    # c_r g, contiguous
+        buf = None if unit else np.empty(min(_BLOCK_ROWS, n) * d)    # c_r g, contiguous
         masked = np.empty((min(_BLOCK_ROWS, n), d)) if relu else None
         for lo, hi in _row_blocks(n):
             gb, cs = g[lo:hi], weights
@@ -429,7 +441,7 @@ def ada_mix(pairs, extra_cols, *mix, relu):
                 gs[lo:hi] = (gm[lo:hi] @ w_mix.value.T) * hb * (1.0 - hb)
                 cs = [a[:, r:r + 1] for r in range(len(pairs))]
             for r, ((x, w), gw) in enumerate(zip(pairs, gws)):
-                gc = None if w is None else np.multiply(
+                gc = None if w is None else gz[r] if unit else np.multiply(
                     gz[r], cs[r], out=buf[:gz[r].size].reshape(gz[r].shape))
                 if x.requires_grad:
                     gx = grads.rows(r, lo, hi)
@@ -568,85 +580,6 @@ def _weight_blocks(shapes, w, op):
         raise ValueError(f"{op}: {n_cols} concatenated columns "
                          f"against a weight of shape {w.shape}")
     return [w.value[lo:hi] for lo, hi in spans]
-
-
-def concat_matmul(tensors, w):
-    """concat_cols(tensors) @ w without the concatenation: the sum over
-    blocks of t_r @ w[rows of block r], each block a view of w."""
-    tensors = list(tensors)
-    blocks = _weight_blocks([t.shape for t in tensors], w, "concat_matmul")
-    value = tensors[0].value @ blocks[0]
-    for t, b in zip(tensors[1:], blocks[1:]):
-        value += t.value @ b
-
-    def bw(g):
-        for t, b in zip(tensors, blocks):
-            if t.requires_grad:
-                _acc(t, g @ b.T)
-        if w.requires_grad:
-            _acc(w, np.vstack([t.value.T @ g for t in tensors]))
-    return _result(value, (*tensors, w), bw, "concat_matmul")
-
-
-def mlp_head(blocks, w1, b1, w2, b2):
-    """The two-layer classifier as one tape node:
-
-        h = relu(concat_cols(blocks) W1 + b1),  out = h W2 + b2
-
-    is the value of the chain concat_matmul, add_bias, relu, matmul,
-    add_bias, computed in blocks of _BLOCK_ROWS rows. Each block's
-    pre-activation is checked finite before the in-place relu, which would
-    hide a -inf. The node keeps h and its output. With g a block's
-    gradient and gh = (g W2^T) * (h > 0), d block_r = gh W1_r^T (written
-    as _BlockGrads writes it), dW1_r and db1 sum block_r^T gh and
-    colsum(gh) over the blocks, and dW2 = h^T g and db2 = colsum(g)."""
-    blocks = list(blocks)
-    shapes = [t.shape for t in blocks]
-    w_rows = _weight_blocks(shapes, w1, "mlp_head")
-    n, d = blocks[0].shape[0], w1.shape[1]
-    if b1.shape != (1, d) or w2.shape[0] != d or b2.shape != (1, w2.shape[1]):
-        raise ValueError(f"mlp_head: a ({w1.shape[0]}, {d}) W1 against b1 {b1.shape}, "
-                         f"W2 {w2.shape} and b2 {b2.shape}")
-    h = np.empty((n, d))
-    value = np.empty((n, w2.shape[1]))
-    buf = np.empty((min(_BLOCK_ROWS, n), d))
-    for lo, hi in _row_blocks(n):
-        hb, tmp = h[lo:hi], buf[:hi - lo]
-        np.matmul(blocks[0].value[lo:hi], w_rows[0], out=hb)
-        for t, w in zip(blocks[1:], w_rows[1:]):
-            hb += np.matmul(t.value[lo:hi], w, out=tmp)
-        hb += b1.value
-        if not np.isfinite(hb).all():
-            raise NumericalError("non-finite value produced by mlp_head")
-        np.maximum(hb, 0.0, out=hb)
-        np.matmul(hb, w2.value, out=value[lo:hi])
-        value[lo:hi] += b2.value
-
-    def bw(g):
-        grads = _BlockGrads(blocks, n)
-        gw1 = np.zeros(w1.shape) if w1.requires_grad else None
-        # channel r's rows of dW1, as views of gw1
-        gw_rows = [None if gw1 is None else gw1[c0:c1]
-                   for c0, c1 in _col_spans(shapes, "mlp_head")]
-        gb1 = np.zeros(b1.shape)
-        buf = np.empty((min(_BLOCK_ROWS, n), d))
-        for lo, hi in _row_blocks(n):
-            gh = np.matmul(g[lo:hi], w2.value.T, out=buf[:hi - lo])
-            gh *= h[lo:hi] > 0
-            for i, (t, w, gw) in enumerate(zip(blocks, w_rows, gw_rows)):
-                if t.requires_grad:
-                    np.matmul(gh, w.T, out=grads.rows(i, lo, hi))
-                    grads.add(i, lo, hi)
-                if gw is not None:
-                    gw += t.value[lo:hi].T @ gh
-            gb1 += gh.sum(axis=0, keepdims=True)
-        if gw1 is not None:
-            _acc(w1, gw1)
-        _acc(b1, gb1)
-        if w2.requires_grad:
-            _acc(w2, h.T @ g)
-        _acc(b2, g.sum(axis=0, keepdims=True))
-    return _result(value, (*blocks, w1, b1, w2, b2), bw, "mlp_head")
 
 
 def slice_cols(a, start, stop):

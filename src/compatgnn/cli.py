@@ -137,7 +137,7 @@ def _load_graph_and_splits(config):
         raise ConfigError("no dataset given (--data or config 'dataset')")
     g = load_dataset(config.dataset)
     if os.path.isdir(os.path.join(config.dataset, "splits")):
-        return g, load_splits(config.dataset, g.n_nodes)
+        return g, load_splits(config.dataset, g.labels)
     return g, {sid: generate_split(g, sid, config.seed) for sid in config.split_ids}
 
 

@@ -354,12 +354,14 @@ class Split:
 
 
 def generate_split(g, split_id, seed):
-    """The 48/32/20 train/valid/test node split of one id, drawn from its
-    own Philox stream, so it does not depend on which other ids are drawn."""
-    n = g.n_nodes
+    """The 48/32/20 train/valid/test split of one id of the labelled nodes
+    (an unlabelled node is in no part), drawn from its own Philox stream,
+    so it does not depend on which other ids are drawn."""
+    labelled = np.flatnonzero(g.labels >= 0)
+    n = len(labelled)
     if n < 10:
-        raise DataError(f"need at least 10 nodes to split, got {n}")
-    perm = make_rng(seed, "split", split_id).permutation(n)
+        raise DataError(f"need at least 10 nodes to split, got {n} with a label")
+    perm = labelled[make_rng(seed, "split", split_id).permutation(n)]
     n_train = int(round(SPLIT_FRACTIONS[0] * n))
     n_valid = int(round(SPLIT_FRACTIONS[1] * n))
     return Split(train=perm[:n_train], valid=perm[n_train:n_train + n_valid],
@@ -394,20 +396,25 @@ def save_splits(splits, path):
             os.remove(os.path.join(path, name))
 
 
-def load_split(path, n_nodes=None):
-    """A split file; with n_nodes, a node outside [0, n_nodes) is a DataError."""
+def load_split(path, labels=None):
+    """A split file; with the graph's labels, a node outside [0, n_nodes)
+    or an unlabelled one (label -1) is a DataError: the protocol would
+    train on or score a label the node does not have."""
     split = decode(Split, read_json(path, DataError), DataError, path)
-    if n_nodes is not None:
+    if labels is not None:
         nodes = np.concatenate([split.train, split.valid, split.test])
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= n_nodes):
-            raise DataError(f"{path}: names a node outside [0, {n_nodes})")
+        if nodes.min() < 0 or nodes.max() >= len(labels):
+            raise DataError(f"{path}: names a node outside [0, {len(labels)})")
+        unlabelled = nodes[labels[nodes] < 0]
+        if unlabelled.size:
+            raise DataError(f"{path}: names node {unlabelled[0]}, which is unlabelled")
     return split
 
 
-def load_splits(dataset_path, n_nodes=None):
+def load_splits(dataset_path, labels=None):
     """{k: split} of every splits/split_<k>.json under a dataset directory,
     in order of k, so a gap in the numbering leaves a gap in the ids;
-    n_nodes as in load_split."""
+    labels as in load_split."""
     split_dir = os.path.join(dataset_path, "splits")
     if not os.path.isdir(split_dir):
         raise DataError(f"{split_dir}: not found")
@@ -421,5 +428,5 @@ def load_splits(dataset_path, n_nodes=None):
         names[k] = name
     if not names:
         raise DataError(f"{split_dir}: no split_<k>.json files")
-    return {k: load_split(os.path.join(split_dir, names[k]), n_nodes)
+    return {k: load_split(os.path.join(split_dir, names[k]), labels)
             for k in sorted(names)}

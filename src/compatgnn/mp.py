@@ -20,7 +20,10 @@ that multiplies, mixes and relus the pairs, keeping no Z_r: add sums
 the Z_r, cat sets them side by side, and ada_add weights them per node
 by alpha = row_softmax(sigmoid([Z_1 .. Z_R, deg] W_att + b_att) W_mix +
 b_mix), which ada_weights reads out without a tape. A fixed alpha
-(MessagePassingModel.force_alpha) is its limiting case.
+(MessagePassingModel.force_alpha) is its limiting case. The classifier
+and the structure encoder are combine nodes too: [blocks] W + b sums
+the pairs (block_r, its rows of W) and (a column of ones, b) (_linear),
+so every product sum of a forward is one ada_combine.
 
 Layer 1 reads ÂX when the encoder output reaches it as it is: a channel
 over a sparse operator Â computes Â (X W_e) W as (ÂX)(W_e W), with ÂX a
@@ -32,6 +35,7 @@ it with records.read_json and ModelSpec.from_dict). Its field types
 declare the allowed values and validate() checks every rule.
 """
 
+import contextlib
 import copy
 import dataclasses
 from dataclasses import dataclass
@@ -45,9 +49,8 @@ from .graph import Graph
 from .records import decode
 from .rng import make_rng
 from . import autodiff as ad
-from .autodiff import (SparseMatrix, add, add_bias, concat_matmul, constant,
-                       dropout, glorot, matmul, mlp_head, relu, scalar_scale,
-                       slice_rows, sparse_dot, spmm)
+from .autodiff import (SparseMatrix, add, constant, dropout, glorot, matmul, relu,
+                       scalar_scale, slice_rows, sparse_dot, spmm)
 from .sparse import (add_self_loops, khop_adjacency, knn_feature_graph,
                      row_normalize, sym_normalize)
 
@@ -278,6 +281,30 @@ def ada_combine(pairs, mix, extra_cols=(), relu=False):
     return ad.ada_mix(pairs, extra_cols, *gate, relu=relu)
 
 
+def _linear(blocks, w, b=None, relu=False):
+    """[blocks] W (+ b), then its relu if `relu`, as one ada_combine of
+    weights 1.0: each block is a pair with its own rows of W, a slice_rows
+    view of the one parameter, and a bias is one more pair, (an N x 1
+    column of ones, b)."""
+    pairs, lo = [], 0
+    for t in blocks:
+        pairs.append((t, slice_rows(w, lo, lo + t.shape[1])))
+        lo += t.shape[1]
+    if b is not None:
+        pairs.append((constant(np.ones((blocks[0].shape[0], 1))), b))
+    return ada_combine(pairs, [1.0] * len(pairs), relu=relu)
+
+
+@contextlib.contextmanager
+def _stage(name):
+    """A NumericalError raised in the block, prefixed with the forward's
+    stage it was raised in."""
+    try:
+        yield
+    except NumericalError as exc:
+        raise NumericalError(f"{name}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # the generic model
 
@@ -405,13 +432,14 @@ class MessagePassingModel:
             return matmul(x, p["encoder.w"])
         zx = matmul(x, p["encoder.w_x"])
         za = spmm(self._structure, p["encoder.w_a"])
-        return concat_matmul([zx, za], p["encoder.w"])
+        return _linear([zx, za], p["encoder.w"])
 
     def _classify(self, blocks):
         p = self.params
         if self.spec.classifier == "linear":
-            return add_bias(concat_matmul(blocks, p["cla.w"]), p["cla.b"])
-        return mlp_head(blocks, p["cla.w1"], p["cla.b1"], p["cla.w2"], p["cla.b2"])
+            return _linear(blocks, p["cla.w"], p["cla.b"])
+        h = _linear(blocks, p["cla.w1"], p["cla.b1"], relu=True)
+        return _linear([h], p["cla.w2"], p["cla.b2"])
 
     def _reads_propagated(self):
         """Whether layer 1's sparse channels read ÂX (module docstring).
@@ -439,23 +467,28 @@ class MessagePassingModel:
         return aggregate(op, zin, w)
 
     def forward(self, train=False, rng=None):
+        """The logits and fused blocks. A non-finite value is a
+        NumericalError naming the stage it was born in: the encoder, a
+        layer, the fuse or the classifier."""
         spec = self.spec
-        z = dropout(self._encode(), spec.dropout, rng, train)
+        with _stage("encoder"):
+            z = dropout(self._encode(), spec.dropout, rng, train)
         reps = [z]
         propagated = self._reads_propagated()
         for li, layer in enumerate(spec.layers, start=1):
-            try:
+            with _stage(f"layer {li}"):
                 zin = relu(z) if spec.relu_before_aggregate else z
                 pairs = [self._channel(li, cj, ch, zin, propagated and li == 1)
                          for cj, ch in enumerate(layer.channels)]
                 zl = self._combine(li, layer, pairs, not spec.relu_before_aggregate)
                 zl = dropout(zl, spec.dropout, rng, train)
-            except NumericalError as exc:
-                raise NumericalError(f"layer {li}: {exc}") from exc
             reps.append(zl)
             z = zl
-        blocks = self._fuse(reps)
-        return ForwardOutput(logits=self._classify(blocks), blocks=blocks)
+        with _stage("fuse"):
+            blocks = self._fuse(reps)
+        with _stage("classifier"):
+            logits = self._classify(blocks)
+        return ForwardOutput(logits=logits, blocks=blocks)
 
     def loss(self, out, train_idx):
         return ad.masked_cross_entropy(out.logits, self.graph.labels, train_idx)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,11 +8,11 @@ import scipy.sparse as sp
 from compatgnn import NumericalError
 from compatgnn import autodiff as ad
 from compatgnn.autodiff import (SparseMatrix, _acc, _acc_copy, ada_alpha,
-                                ada_mix, add, add_bias, backward, concat_cols, concat_matmul,
+                                ada_mix, add, add_bias, backward, concat_cols,
                                 constant, cosine, dropout, frozen, gather_rows,
                                 glorot, grad_of, hadamard,
                                 l1_row_normalize, log, masked_cross_entropy,
-                                matmul, mlp_head, relu, row_scale, row_softmax,
+                                matmul, relu, row_scale, row_softmax,
                                 scale, scalar_scale, sigmoid, slice_cols, sparse_dot, spmm,
                                 sub, tensor, tmean, tsum, zero_grads)
 from compatgnn.gradcheck import grad_check
@@ -20,7 +21,9 @@ from compatgnn.sparse import row_normalize, sym_normalize
 from compatgnn.synth import generate_graph, make_synth_spec
 from compatgnn.training import RunConfig, build_model
 
-from util import mixed, product, random_graph
+from compatgnn.mp import _linear
+
+from util import concat_matmul, mixed, product, random_graph
 
 RNG = make_rng(0, "autodiff-tests")
 
@@ -223,10 +226,6 @@ def test_shape_mismatches_raise():
         scalar_scale(a, rand_t((2, 1)))
     with pytest.raises(ValueError, match="bias"):
         add_bias(a, rand_t((1, 4)))
-    with pytest.raises(ValueError, match="row counts"):
-        concat_matmul([a, rand_t((3, 1))], rand_t((4, 2)))
-    with pytest.raises(ValueError, match="4 concatenated columns"):
-        concat_matmul([a, rand_t((2, 1))], rand_t((5, 2)))
     with pytest.raises(ValueError, match="concat_cols requires equal row counts"):
         concat_cols([a, constant(np.zeros((3, 1)))])
     with pytest.raises(ValueError, match="softmax over an empty row"):
@@ -248,7 +247,7 @@ def test_row_scale_and_scalar_scale_forward():
 def test_fused_ops_match_their_unfused_chains():
     a, b, d = rand_t((5, 3)), rand_t((5, 3)), rand_t((5, 1))
     w = rand_t((7, 2))
-    np.testing.assert_allclose(concat_matmul([a, b, d], w).value,
+    np.testing.assert_allclose(_linear([a, b, d], w).value,
                                matmul(concat_cols([a, b, d]), w).value,
                                rtol=0, atol=1e-14)
 
@@ -258,17 +257,6 @@ def _grads_under(loss_of, leaves, upstream):
     zero_grads(leaves)
     backward(tsum(hadamard(loss_of(), constant(upstream))))
     return [grad_of(t).copy() for t in leaves]
-
-
-def test_concat_matmul_over_one_block_is_bitwise_matmul():
-    rng = make_rng(31, "one-block")
-    x, w = rand_t((9, 4), rng), rand_t((4, 3), rng)
-    upstream = rng.normal(size=(9, 3))
-    np.testing.assert_array_equal(concat_matmul([x], w).value, matmul(x, w).value)
-    for got, want in zip(_grads_under(lambda: concat_matmul([x], w), [x, w], upstream),
-                         _grads_under(lambda: matmul(x, w), [x, w], upstream),
-                         strict=True):
-        np.testing.assert_array_equal(got, want)
 
 
 def _ada_inputs(n, extra, rng):
@@ -361,8 +349,9 @@ def test_ada_mix_rejects_bad_shapes():
 
 
 # channel kinds of the property test: an own weight, none, the prototype
-# form (a constant input times a weight), and a weight on pair 0's input
-MIX_LAYOUTS = ("o", "w", "c", "ow", "oc", "osw", "wsc")
+# form (a constant input times a weight), a weight on pair 0's input, and
+# a bias (a constant column of ones times a 1 x d weight)
+MIX_LAYOUTS = ("o", "w", "c", "ow", "oc", "osw", "wsc", "b", "ob", "oswb")
 
 
 def _mix_case(mix, layout, n, rng):
@@ -378,6 +367,8 @@ def _mix_case(mix, layout, n, rng):
             pairs.append((rand_t((n, d), rng), None))
         elif kind == "c":
             pairs.append((constant(rng.random((n, 2))), rand_t((2, d), rng)))
+        elif kind == "b":
+            pairs.append((constant(np.ones((n, 1))), rand_t((1, d), rng)))
         else:
             x = pairs[0][0]
             pairs.append((x, rand_t((x.shape[1], d), rng)))
@@ -497,47 +488,97 @@ def test_ada_mix_product_overflowing_to_minus_inf_names_the_op():
             ada_alpha(pairs, cols, *gate)
 
 
-def _head_inputs(n, grad_blocks, rng):
-    """The classifier head over three column blocks, n x 4, n x 3 and a
-    constant n x 1, into 6 hidden units and 3 logits. The first two blocks
-    are leaves that require grad when `grad_blocks`, constants otherwise;
-    every weight and bias is a leaf."""
-    blocks = [rand_t((n, 4), rng), rand_t((n, 3), rng), constant(rng.normal(size=(n, 1)))]
+def test_ada_mix_sum_overflowing_to_minus_inf_under_a_relu_names_the_op():
+    """Finite channels whose fixed-weight sum, or whose product alone (also
+    side by side), is -inf in one row of the second block: the relu would
+    map that row to 0, so only the check of each mixed block before the
+    relu sees it."""
+    n = 2 * ad._BLOCK_ROWS + 5
+    rng = make_rng(44, "sum-inf")
+    xs = [rand_t((n, 3), rng) for _ in range(2)]
+    w, w_inf = rand_t((3, 3), rng), rand_t((3, 3), rng)
+    for x in xs:
+        x.value[ad._BLOCK_ROWS + 4] = -1e308
+    w.value[:] = np.eye(3)
+    w_inf.value[:] = 2.0 * np.eye(3)
+    cases = [([(x, None) for x in xs], [1.0, 1.0]), ([(x, w) for x in xs], [1.0, 1.0]),
+             ([(xs[0], w_inf)], [1.0]), ([(xs[0], w_inf), (xs[1], None)], "cat")]
+    with np.errstate(over="ignore"):
+        for pairs, mix in cases:
+            for relu_ in (False, True):
+                with pytest.raises(NumericalError, match="ada_mix"):
+                    ada_mix(pairs, [], mix, relu=relu_)
+
+
+def _head(blocks, *params):
+    """A classifier head as mp builds it: [blocks] W + b as one combine
+    node, and for an MLP head (params W1, b1, W2, b2) its relu, then a
+    second node."""
+    w, b, *second = params
+    if not second:
+        return _linear(blocks, w, b)
+    return _linear([_linear(blocks, w, b, relu=True)], *second)
+
+
+def _head_chain(blocks, *params, cat=False):
+    """The head as the chain of nodes the combine nodes replace: [blocks] W
+    as concat_matmul (a matmul over concat_cols if `cat`), add_bias, and
+    for an MLP head relu, matmul and add_bias."""
+    w, b, *second = params
+    out = add_bias(matmul(concat_cols(blocks), w) if cat else concat_matmul(blocks, w), b)
+    if second:
+        out = add_bias(matmul(relu(out), second[0]), second[1])
+    return out
+
+
+def _head_inputs(n, grad_blocks, rng, head="mlp", n_blocks=3):
+    """A head over n_blocks column blocks into 6 hidden units (mlp) and 3
+    logits. Of three blocks, n x 4, n x 3 and a constant n x 1, the first
+    n_blocks are taken; the first two are leaves that require grad when
+    `grad_blocks`, constants otherwise. Every weight and bias is a leaf."""
+    blocks = [rand_t((n, 4), rng), rand_t((n, 3), rng),
+              constant(rng.normal(size=(n, 1)))][:n_blocks]
     if not grad_blocks:
         blocks = [constant(t.value) for t in blocks]
-    return blocks, [rand_t((8, 6), rng), rand_t((1, 6), rng),
+    d_in = sum(t.shape[1] for t in blocks)
+    if head == "linear":
+        return blocks, [rand_t((d_in, 3), rng), rand_t((1, 3), rng)]
+    return blocks, [rand_t((d_in, 6), rng), rand_t((1, 6), rng),
                     rand_t((6, 3), rng), rand_t((1, 3), rng)]
 
 
-def _head_chain(blocks, w1, b1, w2, b2):
-    return add_bias(matmul(relu(add_bias(concat_matmul(blocks, w1), b1)), w2), b2)
-
-
-@pytest.mark.parametrize("n", [7, 2 * ad._BLOCK_ROWS + 5])
+@pytest.mark.parametrize("n", [7, ad._BLOCK_ROWS + 5, 2 * ad._BLOCK_ROWS + 5])
 @pytest.mark.parametrize("grad_blocks", [False, True])
 def test_mlp_head_matches_the_composed_chain(n, grad_blocks):
+    """Both classifier heads, linear and MLP, over 1 to 3 fuse blocks and
+    n over 1 to 3 row blocks, against the chain of nodes: the value is
+    bitwise the chain's when one row block covers every row and within
+    1e-12 otherwise, also of a matmul over concat_cols; every gradient is
+    within 1e-12."""
     rng = make_rng(37, "head-chain", n, grad_blocks)
-    blocks, params = _head_inputs(n, grad_blocks, rng)
-    leaves = [t for t in blocks if t.requires_grad] + params
-    upstream = rng.normal(size=(n, 3))
-    fused = mlp_head(blocks, *params)
-    np.testing.assert_array_equal(fused.value, _head_chain(blocks, *params).value)
-    assert fused.parents == (*blocks, *params)
-    got = _grads_under(lambda: mlp_head(blocks, *params), leaves, upstream)
-    want = _grads_under(lambda: _head_chain(blocks, *params), leaves, upstream)
-    for g, w in zip(got, want, strict=True):
-        if n <= ad._BLOCK_ROWS:    # one block: the same sums in the same order
-            np.testing.assert_array_equal(g, w)
-        else:                      # dW1 and db1 summed block by block
-            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
-    assert all(t.grad is None for t in blocks if not t.requires_grad)
+    for head, n_blocks in itertools.product(("linear", "mlp"), (1, 2, 3)):
+        blocks, params = _head_inputs(n, grad_blocks, rng, head, n_blocks)
+        leaves = [t for t in blocks if t.requires_grad] + params
+        fused = _head(blocks, *params)
+        chain = _head_chain(blocks, *params)
+        if n <= ad._BLOCK_ROWS:
+            assert fused.value.tobytes() == chain.value.tobytes(), (head, n_blocks)
+        for want in (chain, _head_chain(blocks, *params, cat=True)):
+            np.testing.assert_allclose(fused.value, want.value, rtol=0, atol=1e-12)
+        # a mean loss's gradient, so that sums over the rows stay near 1
+        upstream = rng.normal(size=fused.shape) / n
+        got = _grads_under(lambda: _head(blocks, *params), leaves, upstream)
+        want = _grads_under(lambda: _head_chain(blocks, *params), leaves, upstream)
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=head)
+        assert all(t.grad is None for t in blocks if not t.requires_grad)
 
 
 @pytest.mark.parametrize("held", [False, True])
 def test_mlp_head_adds_each_share_into_the_gradient(held):
     """A block read twice, whose gradient may already be held when the
     backward reaches it: its .grad is the held gradient plus each share,
-    in order, bitwise the chain's sums."""
+    in order, bitwise the chain's sums, and in the same array."""
     rng = make_rng(42, "head-held", held)
     x = rand_t((9, 4), rng)
     blocks = [x, x, constant(rng.normal(size=(9, 1)))]
@@ -548,38 +589,39 @@ def test_mlp_head_adds_each_share_into_the_gradient(held):
     def x_grad(node):
         zero_grads(params)
         x.grad = start.copy() if held else None
+        held_grad = x.grad
         backward(tsum(hadamard(node(), constant(upstream))))
+        assert held_grad is None or x.grad is held_grad
         return x.grad
     want = x_grad(lambda: _head_chain(blocks, *params))
-    assert x_grad(lambda: mlp_head(blocks, *params)).tobytes() == want.tobytes()
+    assert x_grad(lambda: _head(blocks, *params)).tobytes() == want.tobytes()
 
 
 def test_mlp_head_keeps_only_its_relu_output_and_logits():
     blocks, params = _head_inputs(9, True, make_rng(38, "head-node"))
-    out = mlp_head(blocks, *params)
-    kept = [c.cell_contents for c in out._backward.__closure__
+    out = _head(blocks, *params)
+    h = out.parents[0]
+    kept = [c.cell_contents for node in (out, h) for c in node._backward.__closure__
             if isinstance(c.cell_contents, np.ndarray)]
-    # besides the logits (the node's value) only the relu output
+    # the two combine nodes keep their outputs only: the logits and the
+    # relu output
     pre = add_bias(concat_matmul(blocks, params[0]), params[1]).value
-    assert len(kept) == 1 and np.array_equal(kept[0], np.maximum(pre, 0.0))
-    with pytest.raises(ValueError, match="mlp_head"):
-        mlp_head(blocks, params[0], params[3], params[2], params[3])
-    with pytest.raises(ValueError, match="mlp_head: 7 concatenated columns"):
-        mlp_head(blocks[:2], *params)
+    assert len(kept) == 2 and kept[0] is out.value and kept[1] is h.value
+    np.testing.assert_array_equal(h.value, np.maximum(pre, 0.0))
 
 
 def test_mlp_head_pre_activation_overflowing_to_minus_inf_names_the_op():
     """A finite block whose pre-activation is -inf in one row of the
     second row block: the relu maps that row to 0 and the logits stay
-    finite, so only the check of each pre-activation block sees it."""
+    finite, so only a check before the relu sees it."""
     n = 2 * ad._BLOCK_ROWS + 5
     blocks, params = _head_inputs(n, True, make_rng(39, "head-inf"))
     blocks[0].value[:, 0] = 0.0
     blocks[0].value[ad._BLOCK_ROWS + 4] = [1e300, 0.0, 0.0, 0.0]
     params[0].value[0] = -1e300
     with np.errstate(over="ignore"):
-        with pytest.raises(NumericalError, match="mlp_head"):
-            mlp_head(blocks, *params)
+        with pytest.raises(NumericalError, match="ada_mix"):
+            _head(blocks, *params)
 
 
 def _ada_backward_peak(out, upstream):
@@ -776,7 +818,7 @@ def test_backward_consumes_its_tape():
 
 # Each case: leaf shapes, a loss whose leaf gradients arrive only through
 # pass-through ops, or through a fused op that derives them from one
-# upstream array (concat_matmul), and the dense reference
+# upstream array (the linear head, a combine node), and the dense reference
 # gradients for the weights c.
 def _pass_through_cases():
     rng = make_rng(1, "pass-through")
@@ -794,9 +836,9 @@ def _pass_through_cases():
         "concat_cols": ({"a": (3, 2), "b": (3, 1)},
                         lambda a, b: cw(concat_cols([a, b, a])),
                         {"a": c[:, :2] + c[:, 3:], "b": c[:, 2:3]}),
-        "concat_matmul": ({"a": (3, 2), "b": (3, 1)},
-                          lambda a, b: cw(concat_matmul([a, b, a], constant(m))),
-                          {"a": c @ m[:2].T + c @ m[3:].T, "b": c @ m[2:3].T}),
+        "linear_head": ({"a": (3, 2), "b": (3, 1)},
+                        lambda a, b: cw(_linear([a, b, a], constant(m))),
+                        {"a": c @ m[:2].T + c @ m[3:].T, "b": c @ m[2:3].T}),
     }
 
 
@@ -965,20 +1007,6 @@ def test_grad_row_scale_scalar_scale():
           {"alpha": alpha, "z": z, "s": s})
 
 
-def test_grad_concat_matmul():
-    rng = make_rng(22, "g12")
-    a, b = rand_t((4, 3), rng), rand_t((4, 3), rng)
-    w, w4 = rand_t((7, 2), rng), rand_t((4, 2), rng)
-    deg = constant(rng.integers(1, 6, size=(4, 1)).astype(float))
-    # channel blocks, then an N x 1 degree block as the ada gate reads it
-    check(lambda: tsum(sigmoid(concat_matmul([a, b, deg], w))),
-          {"a": a, "b": b, "w": w})
-    # constant blocks only: the gradient reaches the weight alone
-    fixed = [constant(rng.normal(size=(4, 3))), deg]
-    check(lambda: tsum(sigmoid(concat_matmul(fixed, w4))), {"w4": w4})
-    assert all(t.grad is None for t in fixed)
-
-
 def test_grad_ada_mix():
     rng = make_rng(24, "g14")
     pairs, cols, gate = _ada_inputs(4, True, rng)
@@ -1010,7 +1038,7 @@ def test_grad_mlp_head():
     assert (pre > 0).any() and (pre < 0).any() and np.abs(pre).min() > 1e-3
     weights = constant(rng.normal(size=(4, 3)))
     named = {"x0": blocks[0], "x1": blocks[1]} | dict(zip(("w1", "b1", "w2", "b2"), params))
-    check(lambda: tsum(hadamard(mlp_head(blocks, *params), weights)), named)
+    check(lambda: tsum(hadamard(_head(blocks, *params), weights)), named)
     assert blocks[2].grad is None
 
 

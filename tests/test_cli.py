@@ -269,6 +269,23 @@ def test_train_without_splits_draws_only_the_requested_split(counted_split_draws
                                   make_rng(3, "split", 100000).permutation(60))
 
 
+@pytest.mark.parametrize("model", ["gcn", "compatgnn"])
+def test_train_without_splits_leaves_unlabelled_nodes_out(model, counted_split_draws,
+                                                          monkeypatch):
+    ds, _ = counted_split_draws
+    labels = open(os.path.join(ds, "labels.tsv")).read().split()
+    unlabelled = set(range(0, 60, 4))
+    open(os.path.join(ds, "labels.tsv"), "w").write(
+        "".join("-1\n" if i in unlabelled else f"{v}\n" for i, v in enumerate(labels)))
+    trained, train_model = [], cli.train_model
+    monkeypatch.setattr(cli, "train_model", lambda g, split, *a, **k:
+                        trained.append(split) or train_model(g, split, *a, **k))
+    assert main(["train", "--data", ds] + run_quick(["--model", model])) == 0
+    s = trained[0]
+    nodes = np.concatenate([s.train, s.valid, s.test])
+    assert len(nodes) == 45 and not unlabelled & set(nodes.tolist())
+
+
 def test_bench_without_splits_draws_each_requested_split_once(counted_split_draws):
     ds, drawn = counted_split_draws
     assert main(["bench", "--data", ds, "--splits", "0,7"] + run_quick([])) == 0
@@ -580,6 +597,18 @@ def _train_overflowing(model, flag):
                             + run_quick(["--model", model, flag, "1e308"]))
 
 
+def _unlabel_split_nodes(part, count):
+    """A change for _on_copy: the first `count` nodes of split 0's `part`
+    unlabelled (label -1) in labels.tsv."""
+    def change(copy):
+        nodes = json.loads((copy / "splits" / "split_0.json").read_text())[part][:count]
+        labels = (copy / "labels.tsv").read_text().split()
+        for i in nodes:
+            labels[i] = "-1"
+        (copy / "labels.tsv").write_text("\n".join(labels) + "\n")
+    return change
+
+
 def _synth_gen_with(flag, value):
     return lambda tmp, ds: ["synth", "gen", "--nodes", "20", flag, value,
                             "--out", str(tmp / "d")]
@@ -757,6 +786,14 @@ BAD_INPUTS = [
       for model, flag in (("compatgnn", "--weight-decay"), ("gprgnn", "--weight-decay"),
                           ("compatgnn", "--lr"), ("mixhop", "--lr"),
                           ("compatgnn", "--lambda"))],
+    # a non-finite value names the forward's stage it was born in (STAGES)
+    ("train_overflow_in_the_encoder", lambda tmp, ds: [
+        "train", "--data", ds] + run_quick(["--model", "mlp", "--lr", "1e308"]), 4),
+    ("train_overflow_in_a_layer", lambda tmp, ds: [
+        "train", "--data", ds] + run_quick(["--lr", "1e200"]), 4),
+    ("train_overflow_in_the_classifier", lambda tmp, ds: [
+        "train", "--data", ds] + run_quick(["--model", "mlp", "--layers", "0",
+                                            "--lr", "1e200"]), 4),
     ("synth_gen_zero_nodes", _synth_gen_with("--nodes", "0"), 2),
     ("synth_gen_degree_nan", _synth_gen_with("--degree", "nan"), 2),
     ("synth_gen_degree_inf", _synth_gen_with("--degree", "inf"), 2),
@@ -803,6 +840,9 @@ BAD_INPUTS = [
     *[(f"split_{part}_empty", _on_copy(_split_part(part, [])), 3)
       for part in ("train", "valid", "test")],
     ("split_test_empty_bench", _on_copy(_split_part("test", []), "bench"), 3),
+    *[(f"split_{part}_names_unlabelled_nodes_{command}",
+       _on_copy(_unlabel_split_nodes(part, 5), command), 3)
+      for part, command in (("train", "train"), ("test", "train"), ("valid", "bench"))],
     # models too large to build
     ("train_nhidden_2_64", lambda tmp, ds: [
         "train", "--data", ds] + run_quick(["--nhidden", str(2**64)]), 2),
@@ -811,6 +851,13 @@ BAD_INPUTS = [
     ("spec_hidden_dim_2_64", _train_with_spec(
         {"indicator": "raw", "guidance": "deg_avg_sym"}, hidden_dim=2**64), 2),
 ]
+
+
+# the stage of the forward each overflow row's message names
+STAGES = {"train_overflow_in_the_encoder": "encoder: non-finite value produced by matmul",
+          "train_overflow_in_a_layer": "layer 1: non-finite value produced by ada_mix",
+          "train_overflow_in_the_classifier":
+              "classifier: non-finite value produced by ada_mix"}
 
 
 @pytest.mark.parametrize("name, make_argv, code", BAD_INPUTS,
@@ -825,6 +872,10 @@ def test_bad_inputs_exit_codes(name, make_argv, code, dataset, tmp_path, capsys)
             assert str(tmp_path / file) in err
     else:
         assert json.load(open(tmp_path / "run" / "run.json"))["seed"] == 0
+    if name in STAGES:
+        assert f"epoch 0: {STAGES[name]}" in err
+    if "unlabelled" in name:
+        assert "which is unlabelled" in err
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

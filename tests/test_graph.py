@@ -335,7 +335,7 @@ def test_load_splits_keys_each_split_by_its_file_name(tmp_path):
     save_splits(splits, tmp_path / "splits")
     for k in (0, 2):
         os.remove(tmp_path / "splits" / f"split_{k}.json")
-    loaded = load_splits(tmp_path, g.n_nodes)
+    loaded = load_splits(tmp_path, g.labels)
     assert list(loaded) == [1, 3]
     for k in (1, 3):
         np.testing.assert_array_equal(loaded[k].test, splits[k].test)
@@ -348,7 +348,7 @@ def test_load_splits_keys_each_split_by_its_file_name(tmp_path):
 def test_save_splits_writes_back_what_load_splits_read(tmp_path):
     g = random_graph(make_rng(4, "s"), 40)
     save_splits({k: generate_split(g, k, seed=1) for k in (1, 3)}, tmp_path / "d" / "splits")
-    save_splits(load_splits(tmp_path / "d", g.n_nodes), tmp_path / "out")
+    save_splits(load_splits(tmp_path / "d", g.labels), tmp_path / "out")
     files = sorted(os.listdir(tmp_path / "out"))
     assert files == sorted(os.listdir(tmp_path / "d" / "splits")) == [
         "split_1.json", "split_3.json"]
@@ -369,13 +369,53 @@ def test_save_splits_removes_splits_it_did_not_write(tmp_path):
 def test_split_naming_node_outside_graph_is_data_error(tmp_path):
     g = random_graph(make_rng(4, "s"), 40)
     save_splits(generate_splits(g, 1, seed=1), tmp_path / "splits")
-    assert len(load_splits(tmp_path, g.n_nodes)) == 1
+    assert len(load_splits(tmp_path, g.labels)) == 1
     with pytest.raises(DataError, match=r"outside \[0, 39\)"):
-        load_splits(tmp_path, g.n_nodes - 1)
+        load_splits(tmp_path, g.labels[:-1])
     (tmp_path / "splits" / "split_0.json").write_text(json.dumps(
         {"train": [-1], "valid": [1], "test": [2]}))
     with pytest.raises(DataError, match="outside"):
-        load_split(tmp_path / "splits" / "split_0.json", g.n_nodes)
+        load_split(tmp_path / "splits" / "split_0.json", g.labels)
+
+
+def _partly_labelled(n, unlabelled, seed=4):
+    g = random_graph(make_rng(seed, "s"), n)
+    labels = g.labels.copy()
+    labels[list(unlabelled)] = -1
+    return Graph(g.indptr, g.indices, g.features, labels, g.n_classes)
+
+
+def test_split_naming_an_unlabelled_node_is_data_error(tmp_path):
+    g = random_graph(make_rng(4, "s"), 40)
+    save_splits(generate_splits(g, 1, seed=1), tmp_path / "splits")
+    split = load_splits(tmp_path, g.labels)[0]
+    node = int(split.test[3])
+    partly = _partly_labelled(40, [node])
+    # read without the labels, the file is a split; against them it is refused
+    assert len(load_splits(tmp_path)) == 1
+    with pytest.raises(DataError, match=f"split_0.json: names node {node}, "
+                                        "which is unlabelled"):
+        load_splits(tmp_path, partly.labels)
+
+
+def test_generated_splits_leave_unlabelled_nodes_out():
+    unlabelled = range(0, 60, 3)
+    g = _partly_labelled(60, unlabelled)
+    labelled = np.setdiff1d(np.arange(60), unlabelled)
+    for s in generate_splits(g, 3, seed=9).values():
+        parts = [s.train, s.valid, s.test]
+        assert [len(p) for p in parts] == [19, 13, 8]
+        np.testing.assert_array_equal(np.sort(np.concatenate(parts)), labelled)
+    with pytest.raises(DataError, match="at least 10 nodes to split, got 9 with a label"):
+        generate_split(_partly_labelled(40, range(31)), 0, seed=0)
+
+
+def test_splits_of_a_fully_labelled_graph_are_one_permutation():
+    g = random_graph(make_rng(2, "s"), 60)
+    for k in range(3):
+        s = generate_split(g, k, seed=9)
+        perm = make_rng(9, "split", k).permutation(60)
+        np.testing.assert_array_equal(np.concatenate([s.train, s.valid, s.test]), perm)
 
 
 def test_split_parts_must_be_disjoint():

@@ -1,7 +1,7 @@
 """Every name a module imports is used: a scan of the package (bar its
 re-exporting __init__.py), of the tests and of the demos. Every private
-module-level function of the package has a caller in the package, and
-every public one a reader in the repo. No linter is installed, so these
+module-level function or class of the package has a caller in the
+package, and every public one a reader in the repo. No linter is installed, so these
 tests are the check."""
 
 import ast
@@ -48,7 +48,8 @@ def test_every_private_helper_has_a_caller():
     dead = []
     for path, tree in trees.items():
         for node in tree.body:
-            if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_")):
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")):
                 continue
             own = range(node.lineno, node.end_lineno + 1)
             if not any(name == node.name and not (p == path and line in own)

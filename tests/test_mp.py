@@ -300,10 +300,9 @@ def test_one_compatgnn_forward_records_no_slices_or_row_scales(monkeypatch):
     out = model.forward(train=True)
     ops = [op for op, _ in nodes]
     assert "slice_cols" not in ops and "row_scale" not in ops
-    # per layer one adaptive node (gate, mix and relu), and the classifier
-    # as one node over the cat fuse's blocks
-    assert ops.count("ada_mix") == 2 and ops.count("mlp_head") == 1
-    assert "concat_matmul" not in ops
+    # per layer one adaptive node (gate, mix and relu), and the MLP
+    # classifier as two combine nodes over the cat fuse's blocks
+    assert ops.count("ada_mix") == 2 + 2 and "add_bias" not in ops
     assert "row_mix" not in ops
     assert "concat_cols" not in ops
     # the only concat is the loss's: the prototype rows of the fuse's blocks
@@ -350,9 +349,17 @@ def test_ada_layer_keeps_no_wide_intermediate_on_the_tape(monkeypatch):
         return out
     monkeypatch.setattr(mp, "ada_combine", recorded)
     out = model.forward(train=True)
-    assert len(calls) == 2           # one call per ada_add layer
+    # one call per ada_add layer, then two for the MLP head: the first over
+    # the cat fuse's three blocks and the bias, the second over its output
+    assert len(calls) == 2 + 2
+    (*blocks, bias1), mix1, _, relu1, h = calls[2]
+    assert [x for x, _ in blocks] == out.blocks and mix1 == [1.0] * 4 and relu1
+    (x2, _), bias2 = calls[3][0]
+    assert x2 is h and calls[3][1:4] == ([1.0] * 2, (), False)
+    assert all(np.all(x.value == 1.0) for x, _ in (bias1, bias2))
     n_rows = g.n_nodes + g.n_classes    # the graph's nodes and K prototypes
-    for (pairs, weights, extra, relu, z), rep in zip(calls, out.blocks[1:], strict=True):
+    for (pairs, weights, extra, relu, z), rep in zip(calls[:2], out.blocks[1:],
+                                                     strict=True):
         assert z is rep and relu
         # the prototype channel as its (N+K) x K block times a K x d weight
         assert [t.shape for t in pairs[2]] == [(n_rows, g.n_classes), (g.n_classes, 8)]
@@ -386,6 +393,9 @@ def test_ada_layer_keeps_no_wide_intermediate_on_the_tape(monkeypatch):
 # each product, sum, concatenation and relu: mlp 5 and 7.6, gcn 5 and
 # 8.2, gprgnn 10 and 14.3, h2gcn 3 and 40.2, mixhop 7 and 45.2; as one
 # node each, 3 and 7.0, 3 and 7.0, 9 and 13.3, 1 and 36.2, 1 and 39.2.
+# With the classifier as combine nodes (the MLP head two) every count
+# stays; compatgnn's peak is 14.3, since its backward now writes the
+# head's relu output a gradient of its own, and no other peak moves.
 TAPE_BUDGET = {"compatgnn": (5, 15.0), "acmgcn": (9, 20.0), "mlp": (3, 7.5),
                "gcn": (3, 7.5), "gprgnn": (9, 14.0), "h2gcn": (1, 37.0),
                "mixhop": (1, 40.0)}
@@ -436,6 +446,37 @@ def test_nan_reaching_the_ada_node_names_layer_and_op(monkeypatch):
     monkeypatch.setattr(MessagePassingModel, "_channel", poisoned)
     with pytest.raises(NumericalError, match="layer 2: .*ada_mix"):
         model.forward(train=True)
+
+
+@pytest.mark.parametrize("combine", ["add", "ada_add"])
+def test_a_channel_sum_overflowing_under_the_relu_names_layer_and_op(combine,
+                                                                    monkeypatch):
+    """Two weightless channels of one finite encoder output whose sum is
+    -inf in one row: an add layer, and an ada_add layer under fixed
+    weights, raise rather than relu the row to 0."""
+    g = random_graph(make_rng(6, "sum-inf"), 20, p=0.2)
+    self_ch = ChannelSpec("identity", "identity", weight="identity")
+    model = MessagePassingModel(
+        ModelSpec([LayerSpec([self_ch, self_ch], combine=combine)], hidden_dim=3), g)
+    if combine == "ada_add":
+        model.force_alpha = (1.0, 1.0)
+    z = np.ones((20, 3))
+    z[4] = -1e308
+    monkeypatch.setattr(MessagePassingModel, "_encode", lambda self: tensor(z))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match="^layer 1: .*ada_mix"):
+            model.forward(train=True)
+
+
+def test_a_non_finite_value_names_the_encoder_fuse_or_classifier():
+    g = random_graph(make_rng(6, "stages"), 30, p=0.2)
+    spec = build_preset("gprgnn", n_layers=1, hidden_dim=4)
+    for param, stage in (("encoder.w", "encoder"), ("fuse.gamma", "fuse"),
+                         ("cla.w", "classifier")):
+        model = MessagePassingModel(spec, g)
+        model.params[param].value[0] = np.nan
+        with pytest.raises(NumericalError, match=f"^{stage}: non-finite value"):
+            model.forward()
 
 
 # ---------------------------------------------------------------------------
@@ -831,10 +872,14 @@ def test_every_layer_is_one_combine_node(name, monkeypatch):
     monkeypatch.setattr(MessagePassingModel, "_combine", recorded)
     model.forward(train=True)
     assert combines == [["ada_mix"], ["ada_mix"]]
-    assert ops.count("ada_mix") == 2 and "concat_cols" not in ops and "scale" not in ops
+    # and the classifier: one combine node, or two for an MLP head
+    head = 2 if model.spec.classifier == "mlp" else 1
+    assert ops.count("ada_mix") == 2 + head and ops[-head:] == ["ada_mix"] * head
+    assert "concat_cols" not in ops and "scale" not in ops and "add_bias" not in ops
     # the only relu left is the one before aggregating
     assert ops.count("relu") == (2 if model.spec.relu_before_aggregate else 0)
-    assert not hasattr(mp, "product")
+    assert not any(hasattr(m, name) for m, name in (
+        (mp, "product"), (ad, "mlp_head"), (ad, "concat_matmul")))
 
 
 @pytest.mark.parametrize("name", ["compatgnn", "acmgcn"])
@@ -852,8 +897,10 @@ def test_forced_alpha_layer_is_an_add_of_scaled_channels(name, monkeypatch):
         return z
     monkeypatch.setattr(MessagePassingModel, "_combine", recorded)
     model.forward(train=True)
-    # one combine node per layer, which sums the scaled channels itself
-    assert ops.count("ada_mix") == 2 and "scale" not in ops and "add" not in ops
+    # one combine node per layer, which sums the scaled channels itself,
+    # and one per classifier layer
+    head = 2 if model.spec.classifier == "mlp" else 1
+    assert ops.count("ada_mix") == 2 + head and "scale" not in ops and "add" not in ops
     assert len(calls) == 2
     for pairs, post_relu, z in calls:
         assert post_relu and len(pairs) == 3

@@ -374,7 +374,8 @@ def test_params_require_grad_again_after_an_eval_forward_raises():
             w.value = np.full_like(w.value, np.nan)
         return forward(train=train, rng=rng)
     model.forward = nan_in_eval
-    with pytest.raises(TrainingDiverged, match="epoch 0: non-finite value produced by matmul"):
+    with pytest.raises(TrainingDiverged,
+                       match="epoch 0: encoder: non-finite value produced by matmul"):
         train_model(g, toy_split(g), cfg, seed=9, model=model)
     assert flags and not any(flags)     # the eval ran frozen
     assert all(p.requires_grad for p in model.params.values())

@@ -3,7 +3,7 @@
 import numpy as np
 
 from compatgnn import Graph
-from compatgnn.autodiff import matmul
+from compatgnn.autodiff import add, matmul, slice_rows
 from compatgnn.rng import make_rng
 
 
@@ -118,3 +118,15 @@ def product(pair):
     when W is None: the channel output the combine node computes."""
     x, w = pair
     return x if w is None else matmul(x, w)
+
+
+def concat_matmul(tensors, w):
+    """concat_cols(tensors) @ w as a chain of nodes: each tensor times its
+    rows of w (a slice_rows view), the products added in tensor order, as
+    the combine node sums its pairs. The gate's and the heads' references."""
+    out, lo = None, 0
+    for t in tensors:
+        z = matmul(t, slice_rows(w, lo, lo + t.shape[1]))
+        out = z if out is None else add(out, z)
+        lo += t.shape[1]
+    return out
