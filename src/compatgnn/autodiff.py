@@ -20,15 +20,13 @@ computed, and that array becomes the first gradient of its target, with
 no copy. Only a gradient passed through unchanged (by add, sub, add_bias
 and concat_cols) is copied first, so no two tensors share a .grad array.
 
-Every sum of products of the package is one fused tape node, ada_mix,
-which walks cache-sized row blocks: it computes the products Z_r = X_r
-W_r of pairs (X_r, W_r), mixes them (a gate's per-row weights alpha,
-fixed weights, or side by side) and applies the relu, keeping no Z_r,
-and writes its inputs' gradients by one rule (_BlockGrads). Each
-message-passing layer, the classifier and the structure encoder are
-ada_mix nodes; [blocks] W + b is the pairs (block_r, rows r of W) and
-(a column of ones, b) under fixed weights 1.0. ada_alpha reads a gate's
-alpha out without a tape.
+Every sum of products of the package is one fused tape node, ada_mix:
+it mixes the products Z_r = X_r W_r of pairs (X_r, W_r) by the weights
+it is given ("add", "cat", or a weight tensor, N x R or 1 x R), in
+cache-sized row blocks that keep no Z_r, and applies the relu. A gate's
+per-row weights alpha are a node of their own, ada_gate, which reads the
+same pairs but forms no product. Both write their inputs' gradients by
+one rule (_BlockGrads).
 
 Sparse matrices enter only as constants on the left of spmm; gradients
 flow to the dense operand. Every sparse x dense product of the package,
@@ -269,7 +267,7 @@ def row_scale(alpha, z):
     return _result(value, (alpha, z), bw, "row_scale")
 
 
-_BLOCK_ROWS = 2048   # rows per block of ada_mix: temporaries stay in cache
+_BLOCK_ROWS = 2048   # rows per block of a row-blocked node: temporaries stay in cache
 
 
 def _row_blocks(n):
@@ -303,113 +301,119 @@ class _BlockGrads:
             self.inputs[i].grad[lo:hi] += self.rows(i, lo, hi)
 
 
-def _mix_blocks(pairs, extra_cols, gate, op, equal=True):
-    """(shapes, w_rows, block) for ada_mix under `gate` (w_att, b_att,
-    w_mix, b_mix, or None): the products' shapes, all equal if `equal`;
-    w_att's row block per column block of [Z_1 .. Z_R, extra_cols]; and
-    block(lo, hi), rows [lo, hi) of the products, of h and of alpha (None
-    without a gate). Under a gate each block of a product X_r W_r is
-    checked finite while it is in cache, since the gate's sigmoid would
-    hide a -inf in it; without one, ada_mix checks the mix, which reads
-    each product before the next is made: the products come one by one,
-    all in one buffer. An X_r alone was checked when it was made."""
+def _pair_shapes(pairs, op):
+    """The shape of each pair's product X_r W_r, X_r's own for a W_r of
+    None; a weight X_r cannot multiply is a ValueError naming op."""
     for x, w in pairs:
         if w is not None and x.shape[1] != w.shape[0]:
             raise ValueError(f"{op}: a channel input of shape {x.shape} against "
                              f"a weight of shape {w.shape}")
-    shapes = [x.shape if w is None else (x.shape[0], w.shape[1]) for x, w in pairs]
+    return [x.shape if w is None else (x.shape[0], w.shape[1]) for x, w in pairs]
+
+
+def ada_gate(pairs, extra_cols, w_att, b_att, w_mix, b_mix):
+    """A gate's per-node channel weights as one tape node: alpha =
+    row_softmax(h W_mix + b_mix), h = sigmoid([Z_1 .. Z_R, extra_cols]
+    W_att + b_att), Z_r = X_r W_r pair r's product (X_r for a W_r of None).
+    With A_r the rows of W_att that multiply Z_r, Z_r A_r = X_r (W_r A_r),
+    so the gate forms no product. It keeps h besides its value; the sum
+    under the sigmoid is checked finite, since the sigmoid would hide an
+    infinity in it. With g_s the gradient at the sigmoid's input, dX_r =
+    g_s (W_r A_r)^T, written as _BlockGrads writes it; dW_r = (X_r^T g_s)
+    A_r^T and dA_r = W_r^T (X_r^T g_s)."""
+    pairs = list(pairs)
+    n_mix = len(pairs)
+    pairs += [(c, None) for c in extra_cols]
+    shapes = _pair_shapes(pairs, "ada_gate")
     n = shapes[0][0]
-    if equal and any(s != shapes[0] for s in shapes):
-        raise ValueError(f"{op} needs equally shaped channel products, got {shapes}")
-    if gate is None and extra_cols:
-        raise ValueError(f"{op} reads extra columns only into a gate")
-    w_rows = None
-    if gate is not None:
-        w_att, b_att, w_mix, b_mix = gate
-        if w_mix.shape[1] != len(pairs):
-            raise ValueError(f"{op} needs ({n}, {len(pairs)}) alpha, "
-                             f"got {(n, w_mix.shape[1])}")
-        w_rows = _weight_blocks(shapes + [c.shape for c in extra_cols], w_att, op)
-    rows = min(_BLOCK_ROWS, n)
-    shared = np.empty(rows * max(s[1] for s in shapes)) if gate is None else None
-    bufs = [None if w is None else np.empty((rows, s[1])) if shared is None else
-            shared[:rows * s[1]].reshape(rows, s[1]) for (_, w), s in zip(pairs, shapes)]
+    if w_mix.shape[1] != n_mix:
+        raise ValueError(f"ada_gate needs ({n}, {n_mix}) alpha, got {(n, w_mix.shape[1])}")
+    att = _weight_blocks(shapes, w_att, "ada_gate")
 
-    def block(lo, hi):
-        zs = (x.value[lo:hi] if w is None else
-              np.matmul(x.value[lo:hi], w.value, out=z[:hi - lo])
-              for (x, w), z in zip(pairs, bufs))
-        if gate is None:
-            return zs, None, None
-        zs = list(zs)
-        if not all(np.isfinite(z).all() for z, (_, w) in zip(zs, pairs) if w is not None):
-            raise NumericalError(f"non-finite value produced by {op}")
-        cols = zs + [c.value[lo:hi] for c in extra_cols]
-        s = cols[0] @ w_rows[0]
-        for c, w in zip(cols[1:], w_rows[1:]):
-            s += c @ w
-        h = _sigmoid_value(s + b_att.value)
-        return zs, h, _softmax_value(h @ w_mix.value + b_mix.value)
-    return shapes, w_rows, block
+    def through():
+        # W_r A_r, what the gate multiplies X_r by; made again, not kept
+        return [a if w is None else w.value @ a for (_, w), a in zip(pairs, att)]
+    wa = through()
+    s = pairs[0][0].value @ wa[0]
+    for (x, _), m in zip(pairs[1:], wa[1:]):
+        s += x.value @ m
+    s += b_att.value
+    if not np.isfinite(s).all():
+        raise NumericalError("non-finite value produced by ada_gate")
+    h = _sigmoid_value(s)
+    value = _softmax_value(h @ w_mix.value + b_mix.value)
+
+    def bw(g):
+        gm = value * (g - (g * value).sum(axis=1, keepdims=True))   # at the softmax's input
+        gs = (gm @ w_mix.value.T) * h * (1.0 - h)                  # at the sigmoid's input
+        grads, wa = _BlockGrads([x for x, _ in pairs], n), through()
+        for lo, hi in _row_blocks(n):
+            for r, ((x, _), m) in enumerate(zip(pairs, wa)):
+                if x.requires_grad:
+                    np.matmul(gs[lo:hi], m.T, out=grads.rows(r, lo, hi))
+                    grads.add(r, lo, hi)
+        d_att = []
+        for (x, w), a in zip(pairs, att):
+            xg = x.value.T @ gs
+            if w is not None:
+                if w.requires_grad:
+                    _acc(w, xg @ a.T)
+                xg = w.value.T @ xg
+            d_att.append(xg)
+        _acc(b_mix, gm.sum(axis=0, keepdims=True))
+        _acc(w_mix, h.T @ gm)
+        _acc(b_att, gs.sum(axis=0, keepdims=True))
+        _acc(w_att, np.vstack(d_att))
+    parents = [t for pair in pairs for t in pair if t is not None]
+    return _result(value, (*parents, w_att, b_att, w_mix, b_mix), bw, "ada_gate")
 
 
-def ada_alpha(pairs, extra_cols, w_att, b_att, w_mix, b_mix):
-    """The alpha ada_mix mixes the pairs' products with, as an array: the
-    same gate over the same row blocks, recording no tape."""
-    shapes, _, block = _mix_blocks(list(pairs), list(extra_cols),
-                                   (w_att, b_att, w_mix, b_mix), "ada_alpha")
-    return np.vstack([block(lo, hi)[2] for lo, hi in _row_blocks(shapes[0][0])])
-
-
-def ada_mix(pairs, extra_cols, *mix, relu):
+def ada_mix(pairs, mix, relu=False):
     """A layer's combine of R channels as one tape node. A pair (X_r, W_r)
     is a tensor and its weight, whose product Z_r = X_r W_r is channel r's
-    output (Z_r = X_r for a W_r of None). `mix` is the gate w_att, b_att,
-    w_mix, b_mix: out = sum_r diag(alpha_r) Z_r, alpha_r column r of
-    row_softmax(h W_mix + b_mix), h = sigmoid([Z_1 .. Z_R, extra_cols]
-    W_att + b_att); a sequence of R fixed weights c_r: out = sum_r c_r Z_r;
-    or "cat": out = [Z_1 .. Z_R]. Then max(out, 0) if `relu`, each block
-    of out checked finite first, since the relu would hide a -inf in it.
-    The value is that of a matmul per weight, the gate's chain, scale and
-    add, or concat_cols, then relu. Forward and backward compute every Z_r
-    block by block (_BLOCK_ROWS rows), so none is kept; a gated node keeps
-    alpha and h (N x R each) besides its output.
+    output (Z_r = X_r for a W_r of None). `mix` is "add": out = sum_r Z_r;
+    "cat": out = [Z_1 .. Z_R]; or a weight tensor c, N x R (a gate's
+    alpha) or 1 x R (for every row): out = sum_r diag(c_r) Z_r, c_r column
+    r of c. Then max(out, 0) if `relu`, each block of out checked finite
+    first, since the relu would hide a -inf in it. Forward and backward
+    compute the Z_r block by block (_BLOCK_ROWS rows), one at a time into
+    one buffer, so the node keeps only its output.
 
     The backward recomputes each block's relu mask from the output. With
-    g the block's gradient at Z_r (its columns under cat) and c_r its
-    weight (1 under cat), dX_r = (c_r g) W_r^T, written as _BlockGrads
-    writes it, and dW_r sums X_r^T (c_r g) over the blocks. The gate
-    reads Z_r only through X_r and W_r: with A_r channel r's rows of
-    W_att, g_s the gradient at the sigmoid's input and u_r = g W_r^T,
-    rowdot(g, Z_r) = rowdot(u_r, X_r), dX_r = alpha_r u_r + g_s (W_r
-    A_r)^T, dW_r gains (X_r^T g_s) A_r^T and dA_r = W_r^T (X_r^T g_s)."""
-    pairs, extra_cols = list(pairs), list(extra_cols)
-    gated, cat = len(mix) == 4, isinstance(mix[0], str)
-    w_att, b_att, w_mix, b_mix = mix if gated else [None] * 4
-    weights = [1.0] * len(pairs) if cat else None if gated else mix[0]
-    shapes, w_rows, block = _mix_blocks(pairs, extra_cols, mix if gated else None,
-                                        "ada_mix", equal=not cat)
+    g the block's gradient at Z_r (its columns under cat) and u_r = g
+    W_r^T (g for a W_r of None): dX_r = c_r u_r, written as _BlockGrads
+    writes it; dW_r sums X_r^T (c_r g) over the blocks; dc_r = rowdot(u_r,
+    X_r), which is rowdot(g, Z_r), summed over the rows for a 1 x R c."""
+    pairs = list(pairs)
+    shapes = _pair_shapes(pairs, "ada_mix")
     spans = _col_spans(shapes, "ada_mix")
-    n, d = shapes[0][0], spans[-1][1] if cat else shapes[0][1]
+    n, n_ch = shapes[0][0], len(pairs)
+    weights = mix if isinstance(mix, Tensor) else None
+    if weights is None and mix not in ("add", "cat"):
+        raise ValueError(f"ada_mix mixes by 'add', 'cat' or a weight tensor, got {mix!r}")
+    cat = weights is None and mix == "cat"
+    if not cat and any(s != shapes[0] for s in shapes):
+        raise ValueError(f"ada_mix needs equally shaped channel products, got {shapes}")
+    if weights is not None and weights.shape not in ((n, n_ch), (1, n_ch)):
+        raise ValueError(f"ada_mix needs ({n}, {n_ch}) or (1, {n_ch}) weights, "
+                         f"got {weights.shape}")
+    # c as N x R, a 1 x R c a view that repeats its row
+    cw = None if weights is None else np.broadcast_to(weights.value, (n, n_ch))
+    d, rows = spans[-1][1] if cat else shapes[0][1], min(_BLOCK_ROWS, n)
     value = np.empty((n, d))
-    h, alpha = ((np.empty((n, w_att.shape[1])), np.empty((n, len(pairs)))) if gated
-                else (None, None))
-    # weights of 1.0 without a cat multiply by nothing: Z_r and g as they are
-    unit = not (gated or cat) and all(c == 1.0 for c in weights)
-    buf = None if cat or unit else np.empty((min(_BLOCK_ROWS, n), d))
+    prod = np.empty(rows * max(s[1] for s in shapes))   # one product block at a time
+    buf = None if cw is None else np.empty((rows, d))
     for lo, hi in _row_blocks(n):
-        zs, hb, ab = block(lo, hi)
-        v, cs = value[lo:hi], weights
-        if gated:
-            h[lo:hi], alpha[lo:hi] = hb, ab
-            cs = [ab[:, r:r + 1] for r in range(len(pairs))]
-        for r, (z, c, (c0, c1)) in enumerate(zip(zs, cs, spans, strict=True)):
+        v = value[lo:hi]
+        for r, ((x, w), (c0, c1)) in enumerate(zip(pairs, spans)):
+            z = x.value[lo:hi] if w is None else np.matmul(
+                x.value[lo:hi], w.value, out=prod[:(hi - lo) * (c1 - c0)].reshape(hi - lo, -1))
             if cat:
                 v[:, c0:c1] = z
             elif r == 0:
-                np.multiply(z, c, out=v)
+                np.multiply(z, 1.0 if cw is None else cw[lo:hi, :1], out=v)
             else:
-                v += z if unit else np.multiply(z, c, out=buf[:hi - lo])
+                v += z if cw is None else np.multiply(z, cw[lo:hi, r:r + 1], out=buf[:hi - lo])
         if relu:
             if not np.isfinite(v).all():
                 raise NumericalError("non-finite value produced by ada_mix")
@@ -419,61 +423,39 @@ def ada_mix(pairs, extra_cols, *mix, relu):
         grads = _BlockGrads([x for x, _ in pairs], n)
         gws = [np.zeros(w.shape) if w is not None and w.requires_grad else None
                for _, w in pairs]
-        if gated:
-            # W_r A_r: what the gate multiplies X_r by
-            wa = [a_r if w is None else w.value @ a_r for (_, w), a_r in zip(pairs, w_rows)]
-            gm = np.empty_like(alpha)        # gradient of alpha's softmax input
-            gs = np.empty_like(h)            # gradient of h's sigmoid input
-        buf = None if unit else np.empty(min(_BLOCK_ROWS, n) * d)    # c_r g, contiguous
-        masked = np.empty((min(_BLOCK_ROWS, n), d)) if relu else None
+        dc = np.empty((n, n_ch)) if weights is not None and weights.requires_grad else None
+        # u_r and c_r g under weights; without, u_r goes straight into dX_r
+        ubuf, cbuf = (None, None) if cw is None else (
+            np.empty(rows * max(x.shape[1] for x, _ in pairs)), np.empty(rows * d))
+        masked = np.empty((rows, d)) if relu else None
         for lo, hi in _row_blocks(n):
-            gb, cs = g[lo:hi], weights
+            gb = g[lo:hi]
             if relu:
                 gb = np.multiply(gb, value[lo:hi] > 0, out=masked[:hi - lo])
-            xs = [x.value[lo:hi] for x, _ in pairs]
-            gz = [gb[:, c0:c1] for c0, c1 in spans] if cat else [gb] * len(pairs)
-            if gated:
-                a, hb = alpha[lo:hi], h[lo:hi]
-                us = [gb if w is None else gb @ w.value.T for _, w in pairs]
-                ga = np.stack([np.einsum("ij,ij->i", u, x) for u, x in zip(us, xs)],
-                              axis=1)
-                gm[lo:hi] = a * (ga - (ga * a).sum(axis=1, keepdims=True))
-                gs[lo:hi] = (gm[lo:hi] @ w_mix.value.T) * hb * (1.0 - hb)
-                cs = [a[:, r:r + 1] for r in range(len(pairs))]
-            for r, ((x, w), gw) in enumerate(zip(pairs, gws)):
-                gc = None if w is None else gz[r] if unit else np.multiply(
-                    gz[r], cs[r], out=buf[:gz[r].size].reshape(gz[r].shape))
-                if x.requires_grad:
-                    gx = grads.rows(r, lo, hi)
-                    if gated:
-                        np.multiply(us[r], cs[r], out=gx)
-                        gx += gs[lo:hi] @ wa[r].T
-                    elif w is None:
-                        np.multiply(gz[r], cs[r], out=gx)
-                    else:
-                        np.matmul(gc, w.value.T, out=gx)
+            for r, ((x, w), gw, (c0, c1)) in enumerate(zip(pairs, gws, spans)):
+                gz, xb = gb[:, c0:c1] if cat else gb, x.value[lo:hi]
+                c = None if cw is None else cw[lo:hi, r:r + 1]
+                if gw is not None:
+                    gw += xb.T @ (gz if c is None else np.multiply(
+                        gz, c, out=cbuf[:gz.size].reshape(gz.shape)))
+                if not (x.requires_grad or dc is not None):
+                    continue
+                gx = grads.rows(r, lo, hi) if x.requires_grad else None
+                u = gz if w is None else np.matmul(
+                    gz, w.value.T, out=gx if c is None else ubuf[:xb.size].reshape(xb.shape))
+                if dc is not None:
+                    dc[lo:hi, r] = np.einsum("ij,ij->i", u, xb)
+                if gx is not None:
+                    if u is not gx:
+                        np.multiply(u, 1.0 if c is None else c, out=gx)
                     grads.add(r, lo, hi)
-                if gw is not None:
-                    gw += xs[r].T @ gc
-        if gated:
-            att_rows = []                    # dA_r, channel r's rows of dW_att
-            for (x, w), gw, a_r in zip(pairs, gws, w_rows):
-                xg = x.value.T @ gs
-                if gw is not None:
-                    gw += xg @ a_r.T
-                att_rows.append(xg if w is None else w.value.T @ xg)
-            for c, a_c in zip(extra_cols, w_rows[len(pairs):]):
-                if c.requires_grad:
-                    _acc(c, gs @ a_c.T)
-            _acc(b_mix, gm.sum(axis=0, keepdims=True))
-            _acc(w_mix, h.T @ gm)
-            _acc(b_att, gs.sum(axis=0, keepdims=True))
-            _acc(w_att, np.vstack(att_rows + [c.value.T @ gs for c in extra_cols]))
         for (_, w), gw in zip(pairs, gws):
             if gw is not None:
                 _acc(w, gw)
+        if dc is not None:
+            _acc(weights, dc if weights.shape[0] == n else dc.sum(axis=0, keepdims=True))
     parents = [t for pair in pairs for t in pair if t is not None]
-    return _result(value, (*parents, *extra_cols, *(mix if gated else ())), bw,
+    return _result(value, (*parents, *([] if weights is None else [weights])), bw,
                    "ada_mix")
 
 

@@ -77,12 +77,17 @@ class BenchReport:
         ]
         if self.excluded_splits:
             lines.append(f"EXCLUDED     splits {self.excluded_splits} diverged")
-        b = self.degree_buckets
-        if b:
-            lines.append("degree buckets (low -> high degree):")
-            for i, (acc, size) in enumerate(zip(b["mean_accuracy"], b["sizes"])):
-                lines.append(f"  bucket {i}  size {size:5d}  acc {100 * acc:6.2f}")
+        if self.degree_buckets:
+            lines += degree_lines(self.degree_buckets)
         return "\n".join(lines) + "\n"
+
+
+def degree_lines(buckets):
+    """The text lines of a degree_report: a heading, then one line per
+    bucket, lowest degree first."""
+    return ["degree buckets (low -> high degree):"] + [
+        f"  bucket {i}  size {size:5d}  acc {100 * acc:6.2f}"
+        for i, (acc, size) in enumerate(zip(buckets["mean_accuracy"], buckets["sizes"]))]
 
 
 def split_by_id(splits, sid):

@@ -18,8 +18,8 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError, TrainingDiverged
-from .bench import (degree_report, random_search, run_bench, split_by_id,
-                    write_json_atomic, write_text_atomic)
+from .bench import (degree_lines, degree_report, random_search, run_bench,
+                    split_by_id, write_json_atomic, write_text_atomic)
 from .graph import (Graph, _split_index, generate_split, generate_splits,
                     load_dataset, load_splits, save_dataset, save_splits)
 from .heatmap import cm_to_csv, cm_to_svg
@@ -295,9 +295,7 @@ def cmd_degree_report(args):
         runs = [_read_run(args.runs)]
     runs = [r for r in runs if not r.diverged]
     report = degree_report(runs, n_buckets=args.buckets)
-    print("degree buckets (low -> high degree):")
-    for i, (acc, size) in enumerate(zip(report["mean_accuracy"], report["sizes"])):
-        print(f"  bucket {i}  size {size:5d}  acc {100 * acc:6.2f}")
+    print("\n".join(degree_lines(report)))
     if args.out:
         write_json_atomic(os.path.join(args.out, "degree_report.json"), report)
     return 0

@@ -396,18 +396,23 @@ def save_splits(splits, path):
             os.remove(os.path.join(path, name))
 
 
+def check_split(split, labels, where):
+    """A split naming a node outside [0, n_nodes) or an unlabelled one
+    (label -1) is a DataError naming `where`: the protocol would train on
+    or score a label the node does not have."""
+    nodes = np.concatenate([split.train, split.valid, split.test])
+    if nodes.min() < 0 or nodes.max() >= len(labels):
+        raise DataError(f"{where}: names a node outside [0, {len(labels)})")
+    unlabelled = nodes[labels[nodes] < 0]
+    if unlabelled.size:
+        raise DataError(f"{where}: names node {unlabelled[0]}, which is unlabelled")
+
+
 def load_split(path, labels=None):
-    """A split file; with the graph's labels, a node outside [0, n_nodes)
-    or an unlabelled one (label -1) is a DataError: the protocol would
-    train on or score a label the node does not have."""
+    """A split file, checked against the graph's labels if given."""
     split = decode(Split, read_json(path, DataError), DataError, path)
     if labels is not None:
-        nodes = np.concatenate([split.train, split.valid, split.test])
-        if nodes.min() < 0 or nodes.max() >= len(labels):
-            raise DataError(f"{path}: names a node outside [0, {len(labels)})")
-        unlabelled = nodes[labels[nodes] < 0]
-        if unlabelled.size:
-            raise DataError(f"{path}: names node {unlabelled[0]}, which is unlabelled")
+        check_split(split, labels, path)
     return split
 
 

@@ -15,15 +15,16 @@ supplementary/constant channel (PrototypeOperator) in the training
 hooks on_training_start and on_validation_improved.
 
 aggregate realizes a channel as a pair (X_r, W_r) whose product is Z_r,
-X_r = (A_r (.) B_r) Z, and every layer is one combine node (ada_combine)
-that multiplies, mixes and relus the pairs, keeping no Z_r: add sums
+X_r = (A_r (.) B_r) Z. Every layer is one combine node (ada_combine),
+which multiplies, mixes and relus the pairs, keeping no Z_r: add sums
 the Z_r, cat sets them side by side, and ada_add weights them per node
 by alpha = row_softmax(sigmoid([Z_1 .. Z_R, deg] W_att + b_att) W_mix +
-b_mix), which ada_weights reads out without a tape. A fixed alpha
-(MessagePassingModel.force_alpha) is its limiting case. The classifier
-and the structure encoder are combine nodes too: [blocks] W + b sums
-the pairs (block_r, its rows of W) and (a column of ones, b) (_linear),
-so every product sum of a forward is one ada_combine.
+b_mix), the value of the gate's own node (ada_weights). A fixed alpha
+(MessagePassingModel.force_alpha) is a 1 x R constant, and gprgnn's
+fuse mixes the reps by its learned 1 x (L+1) gamma the same way. The
+classifier and the structure encoder are combine nodes too: [blocks] W
++ b adds the pairs (block_r, its rows of W) and (a column of ones, b)
+(_linear), so every product sum of a forward is one ada_combine.
 
 Layer 1 reads ÂX when the encoder output reaches it as it is: a channel
 over a sparse operator Â computes Â (X W_e) W as (ÂX)(W_e W), with ÂX a
@@ -49,8 +50,8 @@ from .graph import Graph
 from .records import decode
 from .rng import make_rng
 from . import autodiff as ad
-from .autodiff import (SparseMatrix, add, constant, dropout, glorot, matmul, relu,
-                       scalar_scale, slice_rows, sparse_dot, spmm)
+from .autodiff import (SparseMatrix, constant, dropout, glorot, matmul, relu,
+                       slice_rows, sparse_dot, spmm)
 from .sparse import (add_self_loops, khop_adjacency, knn_feature_graph,
                      row_normalize, sym_normalize)
 
@@ -267,32 +268,36 @@ ADA_PARAMS = ("w_att", "b_att", "w_mix", "b_mix")
 
 
 def ada_weights(pairs, extra_cols, p):
-    """The row-wise softmax channel weights alpha that ada_combine mixes
-    the pairs' products with under the gate parameters p, as a constant:
-    a readout that records no tape (autodiff.ada_alpha)."""
-    return constant(ad.ada_alpha(pairs, extra_cols, *(p[k] for k in ADA_PARAMS)))
+    """The gate node (autodiff.ada_gate) under the gate parameters p: its
+    value is the row-wise softmax channel weights alpha, N x R, that
+    ada_combine mixes the pairs' products by."""
+    return ad.ada_gate(pairs, extra_cols, *(p[k] for k in ADA_PARAMS))
 
 
 def ada_combine(pairs, mix, extra_cols=(), relu=False):
     """A layer's channels, given as aggregate's pairs, combined, then their
-    relu if `relu`, as one tape node (autodiff.ada_mix). mix is the gate
-    parameters (a dict of ADA_PARAMS), one fixed weight per channel, or "cat"."""
-    gate = [mix[k] for k in ADA_PARAMS] if isinstance(mix, dict) else [mix]
-    return ad.ada_mix(pairs, extra_cols, *gate, relu=relu)
+    relu if `relu`, as one tape node (autodiff.ada_mix). mix is "add",
+    "cat", a weight tensor (N x R, or 1 x R), or the gate parameters (a
+    dict of ADA_PARAMS), whose alpha (ada_weights) also reads extra_cols."""
+    if isinstance(mix, dict):
+        mix = ada_weights(pairs, extra_cols, mix)
+    elif extra_cols:
+        raise ValueError("ada_combine reads extra columns only into a gate")
+    return ad.ada_mix(pairs, mix, relu=relu)
 
 
 def _linear(blocks, w, b=None, relu=False):
-    """[blocks] W (+ b), then its relu if `relu`, as one ada_combine of
-    weights 1.0: each block is a pair with its own rows of W, a slice_rows
-    view of the one parameter, and a bias is one more pair, (an N x 1
-    column of ones, b)."""
+    """[blocks] W (+ b), then its relu if `relu`, as one ada_combine that
+    adds: each block is a pair with its own rows of W, a slice_rows view
+    of the one parameter, and a bias is one more pair, (an N x 1 column
+    of ones, b)."""
     pairs, lo = [], 0
     for t in blocks:
         pairs.append((t, slice_rows(w, lo, lo + t.shape[1])))
         lo += t.shape[1]
     if b is not None:
         pairs.append((constant(np.ones((blocks[0].shape[0], 1))), b))
-    return ada_combine(pairs, [1.0] * len(pairs), relu=relu)
+    return ada_combine(pairs, "add", relu=relu)
 
 
 @contextlib.contextmanager
@@ -327,8 +332,8 @@ class MessagePassingModel:
     features: the encoder input, graph.features until the owner of the
     prototypes replaces their rows.
     force_alpha (debug): fixed channel weights, one per channel, for every
-    ada_add layer, which then sums its channels each scaled by its weight,
-    with no gate.
+    ada_add layer, which then mixes its channels by them as a 1 x R
+    constant, with no gate.
     """
 
     def __init__(self, spec, graph, seed=0, prototypes=None):
@@ -378,7 +383,7 @@ class MessagePassingModel:
                     self.params[f"layer{li}.ada.{k}"] = v
         if spec.fuse == "ada_add":
             self.params["fuse.gamma"] = ad.tensor(
-                np.full((len(reps), 1), 1.0 / len(reps)), requires_grad=True)
+                np.full((1, len(reps)), 1.0 / len(reps)), requires_grad=True)
 
         k = self.n_classes
         if spec.classifier == "linear":
@@ -397,33 +402,28 @@ class MessagePassingModel:
 
     def _combine(self, li, layer, pairs, post_relu):
         """The layer's channels, given as aggregate's pairs, combined, then
-        their relu if post_relu, in one node (ada_combine). add weighs each
-        channel 1.0, ada_add by its gate or by force_alpha when set."""
-        extra = []
-        if layer.combine == "cat":
-            mix = "cat"
-        elif layer.combine == "add":
-            mix = [1.0] * len(pairs)
-        elif self.force_alpha is not None:
-            mix = [float(a) for _, a in zip(pairs, self.force_alpha, strict=True)]
-        else:
+        their relu if post_relu, in one node (ada_combine). ada_add mixes
+        by its gate, or by force_alpha when set."""
+        mix, extra = layer.combine, []
+        if mix == "ada_add" and self.force_alpha is not None:
+            if len(self.force_alpha) != len(pairs):
+                raise ValueError(f"force_alpha holds {len(self.force_alpha)} weights, "
+                                 f"but layer {li} has {len(pairs)} channels")
+            mix = constant(np.array([self.force_alpha], dtype=np.float64))
+        elif mix == "ada_add":
             mix = {k: self.params[f"layer{li}.ada.{k}"] for k in ADA_PARAMS}
             extra = [self._deg_col] if layer.ada_degree_column else []
         return ada_combine(pairs, mix, extra, post_relu)
 
     def _fuse(self, reps):
         """The fused representation as column blocks: cat keeps every rep
-        as its own block, so nothing concatenates them."""
+        as its own block, so nothing concatenates them; ada_add mixes the
+        reps by the learned 1 x (L+1) gamma in one combine node."""
         if self.spec.fuse == "last":
             return [reps[-1]]
         if self.spec.fuse == "cat":
             return list(reps)
-        gamma = self.params["fuse.gamma"]
-        z = None
-        for l, rep in enumerate(reps):
-            term = scalar_scale(rep, ad.gather_rows(gamma, [l]))
-            z = term if z is None else add(z, term)
-        return [z]
+        return [ada_combine([(rep, None) for rep in reps], self.params["fuse.gamma"])]
 
     def _encode(self):
         p = self.params

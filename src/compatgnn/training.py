@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, TrainingDiverged
 from .autodiff import backward, frozen, zero_grads
+from .graph import check_split
 from .model import CompatGNN
 from .mp import MODEL_NAMES, MessagePassingModel, ModelSpec, build_preset
 from .optim import Adam
@@ -178,9 +179,11 @@ def train_model(graph, split, config, seed, split_id=0, model=None):
     tape. With dropout 0 it records its tape, and the next epoch trains
     on its output instead of running a train forward, unless
     on_validation_improved returned True (a refresh): that eval output is
-    stale and is dropped there. The final forward is frozen.
+    stale and is dropped there. The final forward is frozen. A split
+    naming a node the graph has no label for is a DataError (check_split).
     """
     config.validate()
+    check_split(split, graph.labels, f"split {split_id}")
     if model is None:
         model = build_model(config, graph, seed)
     drop_rng = make_rng(seed, "dropout")

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from compatgnn import NumericalError
 from compatgnn import autodiff as ad
-from compatgnn.autodiff import (SparseMatrix, _acc, _acc_copy, ada_alpha,
+from compatgnn.autodiff import (SparseMatrix, _acc, _acc_copy, ada_gate,
                                 ada_mix, add, add_bias, backward, concat_cols,
                                 constant, cosine, dropout, frozen, gather_rows,
                                 glorot, grad_of, hadamard,
@@ -282,16 +282,28 @@ def _products(pairs):
     return [x if w is None else matmul(x, w) for x, w in pairs]
 
 
+def _gate_chain(pairs, cols, w_att, b_att, w_mix, b_mix):
+    """The gate as the chain ada_gate replaces: a matmul per weight,
+    concat_cols, matmul and add_bias, sigmoid, matmul and add_bias,
+    row_softmax."""
+    h = sigmoid(add_bias(matmul(concat_cols(_products(pairs) + cols), w_att), b_att))
+    return row_softmax(add_bias(matmul(h, w_mix), b_mix))
+
+
 def _ada_chain(pairs, cols, w_att, b_att, w_mix, b_mix, relu_):
-    """The adaptive combine as the chain ada_mix replaces: a matmul per
-    weighted channel, then 8 ops."""
+    """An ada_add layer as the chain its two nodes replace: the gate's
+    chain, then a matmul per weighted channel, row_scale and add."""
+    alpha = _gate_chain(pairs, cols, w_att, b_att, w_mix, b_mix)
     zs = _products(pairs)
-    h = sigmoid(add_bias(concat_matmul(zs + cols, w_att), b_att))
-    alpha = row_softmax(add_bias(matmul(h, w_mix), b_mix))
     mixed = row_scale(slice_cols(alpha, 0, 1), zs[0])
     for r, z in enumerate(zs[1:], start=1):
         mixed = add(mixed, row_scale(slice_cols(alpha, r, r + 1), z))
     return relu(mixed) if relu_ else mixed
+
+
+def _gated(pairs, cols, gate, relu_):
+    """An ada_add layer's two nodes: the gate, then the mix by its alpha."""
+    return ada_mix(pairs, ada_gate(pairs, cols, *gate), relu=relu_)
 
 
 @pytest.mark.parametrize("n", [7, 2 * ad._BLOCK_ROWS + 5])
@@ -304,7 +316,7 @@ def test_ada_mix_matches_the_composed_chain(n, extra, relu_):
     upstream = rng.normal(size=(n, 5))
 
     def fused():
-        return ada_mix(pairs, cols, *gate, relu=relu_)
+        return _gated(pairs, cols, gate, relu_)
 
     def chain():
         return _ada_chain(pairs, cols, *gate, relu_)
@@ -314,38 +326,71 @@ def test_ada_mix_matches_the_composed_chain(n, extra, relu_):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     # the constant input gets no gradient
     assert pairs[2][0].grad is None
-    # the tapeless readout is the alpha the node mixes with
-    want = mixed(ada_alpha(pairs, cols, *gate), _products(pairs))
+    # the mix's value is its weights' mix of the products
+    want = mixed(ada_gate(pairs, cols, *gate).value, _products(pairs))
     np.testing.assert_array_equal(fused().value, np.maximum(want, 0.0) if relu_ else want)
 
 
-def test_ada_mix_is_one_node_keeping_alpha_and_h():
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("extra", [False, True])
+def test_ada_gate_matches_the_composed_chain(blocks, extra):
+    """Seeded gates over 1 to 3 pairs of every kind (weightless pairs, a
+    bias pair and an input two pairs share among them), with and without
+    the degree column, n over 1 to 3 row blocks: alpha and every gradient
+    within 1e-12 of the chain's."""
+    rng = make_rng(45, "gate-chain", blocks, extra)
+    n = (blocks - 1) * ad._BLOCK_ROWS + int(rng.integers(3, 9))
+    for layout in MIX_LAYOUTS:
+        pairs, _, gate = _mix_case("gate", layout, n, rng)
+        cols = [constant(rng.integers(1, 9, size=(n, 1)).astype(float))] if extra else []
+        gate[0] = rand_t((gate[0].shape[0] + len(cols), len(pairs)), rng)
+        leaves = list({id(t): t for t in _pair_leaves(pairs)}.values()) + gate
+        alpha = ada_gate(pairs, cols, *gate)
+        np.testing.assert_allclose(alpha.value, _gate_chain(pairs, cols, *gate).value,
+                                   rtol=0, atol=1e-12, err_msg=layout)
+        upstream = rng.normal(size=alpha.shape) / n
+        got = _grads_under(lambda: ada_gate(pairs, cols, *gate), leaves, upstream)
+        want = _grads_under(lambda: _gate_chain(pairs, cols, *gate), leaves, upstream)
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=layout)
+        assert all(t.grad is None for t in cols)
+        assert all(x.grad is None for x, _ in pairs if not x.requires_grad)
+
+
+def test_the_gate_keeps_h_and_the_mix_only_its_output():
     rng = make_rng(33, "ada-node")
     pairs, cols, gate = _ada_inputs(9, True, rng)
-    out = ada_mix(pairs, cols, *gate, relu=True)
+    out = _gated(pairs, cols, gate, True)
+    alpha = out.parents[-1]
     inputs = [t for pair in pairs for t in pair if t is not None]
-    assert all(p is q for p, q in zip(out.parents, inputs + cols + gate, strict=True))
-    kept = [c.cell_contents for c in out._backward.__closure__
-            if isinstance(c.cell_contents, np.ndarray)]
-    # no channel product: besides the output only alpha and h
-    assert sorted(a.shape for a in kept if a is not out.value) == [(9, 3), (9, 3)]
+    assert all(p is q for p, q in zip(out.parents, inputs + [alpha], strict=True))
+    assert all(p is q for p, q in zip(alpha.parents, inputs + cols + gate, strict=True))
+
+    def kept(node):
+        # the arrays of its own a node's backward holds, views left out
+        return [c.cell_contents for c in node._backward.__closure__
+                if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.base is None]
+    # no channel product: the mix keeps its output, the gate alpha and h
+    assert [a is out.value for a in kept(out)] == [True]
+    assert sorted(a.shape for a in kept(alpha)) == [(9, 3), (9, 3)]
 
 
 def test_ada_mix_rejects_bad_shapes():
     rng = make_rng(34, "ada-shapes")
     pairs, cols, gate = _ada_inputs(4, True, rng)
     with pytest.raises(ValueError, match="equally shaped"):
-        ada_mix([pairs[0], (rand_t((4, 2), rng), None), pairs[2]], cols, *gate,
-                relu=False)
-    with pytest.raises(ValueError, match=r"shape \(4, 3\) against a weight"):
-        ada_mix([(rand_t((4, 3), rng), pairs[0][1])] + pairs[1:], cols, *gate,
-                relu=False)
+        ada_mix([pairs[0], (rand_t((4, 2), rng), None), pairs[2]],
+                constant(np.ones((4, 3))))
+    with pytest.raises(ValueError, match=r"ada_gate: a channel input of shape \(4, 3\)"):
+        _gated([(rand_t((4, 3), rng), pairs[0][1])] + pairs[1:], cols, gate, False)
+    with pytest.raises(ValueError, match=r"ada_mix: a channel input of shape \(4, 3\)"):
+        ada_mix([(rand_t((4, 3), rng), pairs[0][1])] + pairs[1:], "add")
     with pytest.raises(ValueError, match=r"\(4, 2\) alpha"):
-        ada_mix(pairs[:2], cols, *gate, relu=False)
+        _gated(pairs[:2], cols, gate, False)
     with pytest.raises(ValueError, match="17 concatenated columns"):
-        ada_mix(pairs, cols + cols, *gate, relu=False)
+        _gated(pairs, cols + cols, gate, False)
     with pytest.raises(ValueError, match="equal row counts"):
-        ada_mix(pairs, [rand_t((3, 1), rng)], *gate, relu=False)
+        _gated(pairs, [rand_t((3, 1), rng)], gate, False)
 
 
 # channel kinds of the property test: an own weight, none, the prototype
@@ -355,9 +400,11 @@ MIX_LAYOUTS = ("o", "w", "c", "ow", "oc", "osw", "wsc", "b", "ob", "oswb")
 
 
 def _mix_case(mix, layout, n, rng):
-    """Pairs of these kinds, the extra columns and ada_mix's mix
-    arguments. cat draws each product's width, any other mix makes them
-    n x 5; every tensor but a constant input is a leaf that requires grad."""
+    """Pairs of these kinds, the extra columns and the mix: "add", "cat",
+    a weight tensor that requires grad, 1 x R ("fixed") or n x R ("rows"),
+    or the gate parameters. cat draws each product's width, any other mix
+    makes them n x 5; every tensor but a constant input is a leaf that
+    requires grad."""
     pairs = []
     for kind in layout:
         d = int(rng.integers(1, 5)) if mix == "cat" else 5
@@ -372,84 +419,94 @@ def _mix_case(mix, layout, n, rng):
         else:
             x = pairs[0][0]
             pairs.append((x, rand_t((x.shape[1], d), rng)))
+    r = len(pairs)
     cols = [rand_t((n, 1), rng)] if mix == "gate+col" else []
     if mix.startswith("gate"):
-        r = len(pairs)
         return pairs, cols, [rand_t((5 * r + len(cols), r), rng), rand_t((1, r), rng),
                              rand_t((r, r), rng), rand_t((1, r), rng)]
-    if mix == "cat":
-        return pairs, cols, ["cat"]
-    return pairs, cols, [[1.0] * len(pairs) if mix == "add" else
-                         list(rng.normal(size=len(pairs)))]
+    if mix in ("fixed", "rows"):
+        return pairs, cols, rand_t((1 if mix == "fixed" else n, r), rng)
+    return pairs, cols, mix
+
+
+def _mixed_by(pairs, cols, mix, relu_):
+    """ada_mix under the mix of _mix_case, behind its gate for a gate's."""
+    if isinstance(mix, list):
+        return _gated(pairs, cols, mix, relu_)
+    return ada_mix(pairs, mix, relu=relu_)
 
 
 def _mix_chain(pairs, cols, mix, relu_):
     """The combine as the chain of nodes ada_mix replaces: a matmul per
-    weighted pair, then the gate's chain, scale and add (add alone for
-    weights of 1.0), or concat_cols, then relu."""
-    if len(mix) == 4:
+    weighted pair, then the gate's chain, row_scale and add; scalar_scale
+    or row_scale of each weight's column and add; add alone; or
+    concat_cols; then relu."""
+    if isinstance(mix, list):
         return _ada_chain(pairs, cols, *mix, relu_)
     zs = [product(p) for p in pairs]
-    if mix == ["cat"]:
+    if mix == "cat":
         out = concat_cols(zs)
     else:
         out = None
-        for z, c in zip(zs, mix[0], strict=True):
-            z = z if c == 1.0 else scale(z, c)
+        for r, z in enumerate(zs):
+            if isinstance(mix, ad.Tensor):
+                c = slice_cols(mix, r, r + 1)
+                z = scalar_scale(z, c) if mix.shape[0] == 1 else row_scale(c, z)
             out = z if out is None else add(out, z)
     return relu(out) if relu_ else out
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 3])
 @pytest.mark.parametrize("relu_", [False, True])
-@pytest.mark.parametrize("mix", ["gate", "gate+col", "add", "fixed", "cat"])
+@pytest.mark.parametrize("mix", ["gate", "gate+col", "add", "fixed", "rows", "cat"])
 def test_ada_mix_matches_the_composed_chain_for_every_mix(mix, relu_, blocks):
     """Seeded cases over 1 to 3 pairs of every kind, n over 1 to 3 row
-    blocks: the value is bitwise the chain's when one block covers every
-    row and within 1e-12 otherwise, as is every gradient. Without a gate,
-    whose products sum in another order, one block's gradients are
-    bitwise the chain's too."""
+    blocks: the value is within 1e-12 of the chain's, as is every
+    gradient. When one block covers every row, the value is bitwise the
+    chain's but behind a gate, whose alpha the chain computes from the
+    products; under add or cat so is every gradient."""
     rng = make_rng(40, "mix-chain", mix, relu_, blocks)
     n = (blocks - 1) * ad._BLOCK_ROWS + int(rng.integers(3, 9))
+    gated = mix.startswith("gate")
     for layout in MIX_LAYOUTS:
-        pairs, cols, args = _mix_case(mix, layout, n, rng)
+        pairs, cols, arg = _mix_case(mix, layout, n, rng)
         leaves = list({id(t): t for t in _pair_leaves(pairs) + cols}.values())
-        leaves += [t for t in args if isinstance(t, ad.Tensor)]
-        fused = ada_mix(pairs, cols, *args, relu=relu_)
-        chain = _mix_chain(pairs, cols, args, relu_)
-        if blocks == 1:
+        leaves += arg if gated else [arg] if isinstance(arg, ad.Tensor) else []
+        fused = _mixed_by(pairs, cols, arg, relu_)
+        chain = _mix_chain(pairs, cols, arg, relu_)
+        if blocks == 1 and not gated:
             assert fused.value.tobytes() == chain.value.tobytes(), layout
         np.testing.assert_allclose(fused.value, chain.value, rtol=0, atol=1e-12)
         # a mean loss's gradient, so that sums over the rows stay near 1
         upstream = rng.normal(size=fused.shape) / n
-        got = _grads_under(lambda: ada_mix(pairs, cols, *args, relu=relu_), leaves,
-                           upstream)
-        want = _grads_under(lambda: _mix_chain(pairs, cols, args, relu_), leaves,
+        got = _grads_under(lambda: _mixed_by(pairs, cols, arg, relu_), leaves, upstream)
+        want = _grads_under(lambda: _mix_chain(pairs, cols, arg, relu_), leaves,
                             upstream)
         for g, w in zip(got, want, strict=True):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=layout)
-            if blocks == 1 and len(args) == 1:
+            if blocks == 1 and mix in ("add", "cat"):
                 assert g.tobytes() == w.tobytes(), layout
         assert all(x.grad is None for x, _ in pairs if not x.requires_grad)
-        # no product on the tape: a gated node keeps alpha and h, any other
-        # only its output
+        # no product on the tape: the mix keeps only its output (and a
+        # view of its weights)
         kept = [c.cell_contents for c in fused._backward.__closure__
-                if isinstance(c.cell_contents, np.ndarray)]
-        assert sorted(a.shape for a in kept if a is not fused.value) == (
-            [(n, len(pairs))] * 2 if len(args) == 4 else [])
+                if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.base is None]
+        assert [a is fused.value for a in kept] == [True]
 
 
 def test_ada_mix_rejects_a_bad_mix():
     rng = make_rng(41, "mix-shapes")
-    pairs, cols, gate = _ada_inputs(4, True, rng)
-    with pytest.raises(ValueError, match="extra columns only into a gate"):
-        ada_mix(pairs, cols, [1.0] * 3, relu=False)
-    with pytest.raises(ValueError, match=r"zip\(\) argument 2 is shorter"):
-        ada_mix(pairs, [], [1.0] * 2, relu=False)
+    pairs, _, _ = _ada_inputs(4, True, rng)
+    with pytest.raises(ValueError, match=r"needs \(4, 3\) or \(1, 3\) weights, got \(1, 2\)"):
+        ada_mix(pairs, constant(np.ones((1, 2))))
+    with pytest.raises(ValueError, match=r"got \(3, 3\)"):
+        ada_mix(pairs, constant(np.ones((3, 3))))
+    with pytest.raises(ValueError, match="'add', 'cat' or a weight tensor, got 'sum'"):
+        ada_mix(pairs, "sum")
     with pytest.raises(ValueError, match="equally shaped"):
-        ada_mix([pairs[0], (rand_t((4, 2), rng), None)], [], [1.0] * 2, relu=False)
+        ada_mix([pairs[0], (rand_t((4, 2), rng), None)], "add")
     with pytest.raises(ValueError, match="equal row counts"):
-        ada_mix([pairs[0], (rand_t((3, 2), rng), None)], [], "cat", relu=False)
+        ada_mix([pairs[0], (rand_t((3, 2), rng), None)], "cat")
 
 
 def _poisoned_block_inputs(seed):
@@ -463,36 +520,48 @@ def _poisoned_block_inputs(seed):
 
 def test_ada_mix_nan_in_a_channel_names_the_op():
     pairs, cols, gate, row = _poisoned_block_inputs("nan")
+    alpha = constant(ada_gate(pairs, cols, *gate).value)
     pairs[0][0].value[row, 2] = np.nan
     for relu_ in (False, True):
         with pytest.raises(NumericalError, match="ada_mix"):
-            ada_mix(pairs, cols, *gate, relu=relu_)
-    with pytest.raises(NumericalError, match="ada_alpha"):
-        ada_alpha(pairs, cols, *gate)
+            ada_mix(pairs, alpha, relu=relu_)
+    with pytest.raises(NumericalError, match="ada_gate"):
+        ada_gate(pairs, cols, *gate)
 
 
 def test_ada_mix_product_overflowing_to_minus_inf_names_the_op():
     """Finite inputs whose product X_0 W_0 is -inf in one row of the
-    second block. The gate's weights are positive, so that row drives h to
-    0 and alpha stays finite: with relu on, only the check of each product
-    block sees the -inf."""
+    second block, mixed by a finite alpha: with relu on, only the check
+    of each mixed block before the relu sees the -inf."""
     pairs, cols, gate, row = _poisoned_block_inputs("-inf")
+    alpha = constant(ada_gate(pairs, cols, *gate).value)
     x, w = pairs[0]
     x.value[row] = [1e300, 0.0, 0.0, 0.0]
     w.value[0] = -1e300
     with np.errstate(over="ignore"):
         for relu_ in (False, True):
             with pytest.raises(NumericalError, match="ada_mix"):
-                ada_mix(pairs, cols, *gate, relu=relu_)
-        with pytest.raises(NumericalError, match="ada_alpha"):
-            ada_alpha(pairs, cols, *gate)
+                ada_mix(pairs, alpha, relu=relu_)
+
+
+def test_ada_gate_sum_overflowing_under_the_sigmoid_names_the_op():
+    """Finite inputs whose gate sum X_0 (W_0 A_0) is -inf in one row: the
+    sigmoid would map it to 0 and alpha would stay finite, so only the
+    check of the sum sees it."""
+    pairs, cols, gate, row = _poisoned_block_inputs("gate-inf")
+    x, w = pairs[0]
+    x.value[row] = [1e300, 0.0, 0.0, 0.0]
+    w.value[0] = -1e300
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match="ada_gate"):
+            ada_gate(pairs, cols, *gate)
 
 
 def test_ada_mix_sum_overflowing_to_minus_inf_under_a_relu_names_the_op():
-    """Finite channels whose fixed-weight sum, or whose product alone (also
-    side by side), is -inf in one row of the second block: the relu would
-    map that row to 0, so only the check of each mixed block before the
-    relu sees it."""
+    """Finite channels whose sum, or whose product alone (also side by
+    side), is -inf in one row of the second block: the relu would map
+    that row to 0, so only the check of each mixed block before the relu
+    sees it."""
     n = 2 * ad._BLOCK_ROWS + 5
     rng = make_rng(44, "sum-inf")
     xs = [rand_t((n, 3), rng) for _ in range(2)]
@@ -501,13 +570,13 @@ def test_ada_mix_sum_overflowing_to_minus_inf_under_a_relu_names_the_op():
         x.value[ad._BLOCK_ROWS + 4] = -1e308
     w.value[:] = np.eye(3)
     w_inf.value[:] = 2.0 * np.eye(3)
-    cases = [([(x, None) for x in xs], [1.0, 1.0]), ([(x, w) for x in xs], [1.0, 1.0]),
-             ([(xs[0], w_inf)], [1.0]), ([(xs[0], w_inf), (xs[1], None)], "cat")]
+    cases = [([(x, None) for x in xs], "add"), ([(x, w) for x in xs], "add"),
+             ([(xs[0], w_inf)], "add"), ([(xs[0], w_inf), (xs[1], None)], "cat")]
     with np.errstate(over="ignore"):
         for pairs, mix in cases:
             for relu_ in (False, True):
                 with pytest.raises(NumericalError, match="ada_mix"):
-                    ada_mix(pairs, [], mix, relu=relu_)
+                    ada_mix(pairs, mix, relu=relu_)
 
 
 def _head(blocks, *params):
@@ -624,15 +693,19 @@ def test_mlp_head_pre_activation_overflowing_to_minus_inf_names_the_op():
             _head(blocks, *params)
 
 
-def _ada_backward_peak(out, upstream):
-    """The traced bytes the node's backward allocates at its peak."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        out._backward(upstream)
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+def _ada_backward_peaks(out, upstream):
+    """The traced bytes an ada_add layer's two backwards, the mix's and
+    then its gate's, each allocate at their peak."""
+    gate, peaks = out.parents[-1], []
+    for node, g in ((out, upstream), (gate, None)):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            node._backward(node.grad if g is None else g)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 @pytest.mark.parametrize("held", [False, True])
@@ -640,26 +713,33 @@ def _ada_backward_peak(out, upstream):
 def test_ada_mix_writes_each_input_gradient_block_by_block(shared, held):
     """Channel 0's input X holds a gradient when the backward reaches it
     if `held`, as compatgnn's layer input does after the classifier's
-    backward; when shared, channel 1 reads X too. The node writes X's
-    gradient block by block: bitwise _acc's sums over each pair's share
-    computed into a fresh N x d array, in pair order."""
+    backward; when shared, channel 1 reads X too. The mix and then the
+    gate write X's gradient block by block: bitwise _acc's sums over each
+    node's share of each pair computed into a fresh N x d array, the
+    mix's first, in pair order."""
     n = 4 * ad._BLOCK_ROWS
     rng = make_rng(36, "ada-held", shared, held)
     pairs, cols, gate = _ada_inputs(n, True, rng)
+    # X wide enough that an N x d array stands out among the N x R ones
+    x = rand_t((n, 32), rng)
+    pairs[0] = (x, rand_t((32, 5), rng))
     if shared:
-        pairs[1] = (pairs[0][0], rand_t((4, 5), rng))
-    x = pairs[0][0]
+        pairs[1] = (x, rand_t((32, 5), rng))
     start = rng.normal(size=x.shape) if held else None
     upstream = rng.normal(size=(n, 5))
     others = [t for t in _pair_leaves(pairs) + cols + gate if t is not x]
 
-    # each pair reading X reads its own copy of X, whose gradient is
-    # that pair's share, and the shares add in pair order
-    twins = [(tensor(xi.value, requires_grad=True) if xi is x else xi, w)
-             for xi, w in pairs]
-    copies = [xi for (xi, _), (orig, _) in zip(twins, pairs) if orig is x]
+    def twins():
+        # each pair reading X reads its own copy of X
+        return [(tensor(xi.value, requires_grad=True) if xi is x else xi, w)
+                for xi, w in pairs]
+    mix_twins, gate_twins = twins(), twins()
+    copies = [xi for xi, _ in mix_twins + gate_twins if xi is not x and xi.requires_grad
+              and xi.value is x.value]
     zero_grads(copies + others)
-    fresh = _ada_backward_peak(ada_mix(twins, cols, *gate, relu=True), upstream)
+    fresh = _ada_backward_peaks(
+        ada_mix(mix_twins, ada_gate(gate_twins, cols, *gate), relu=True), upstream)
+    per_node = len(copies) // 2
     want = start.copy() if held else copies.pop(0).grad
     for c in copies:
         want += c.grad
@@ -667,14 +747,16 @@ def test_ada_mix_writes_each_input_gradient_block_by_block(shared, held):
 
     zero_grads(others)
     x.grad = None if start is None else start.copy()
-    in_place = _ada_backward_peak(ada_mix(pairs, cols, *gate, relu=True), upstream)
+    in_place = _ada_backward_peaks(_gated(pairs, cols, gate, True), upstream)
     assert x.grad.tobytes() == want.tobytes()
     assert all(grad_of(t).tobytes() == w.tobytes() for t, w in zip(others, want_others))
-    if shared:
-        # a held X allocates neither N x d share, an unheld X one of the
-        # two; either adds one block buffer, a quarter of X at n = 4 blocks
-        saved = (2 if held else 1) * x.value.nbytes - x.value.nbytes // 4
-        assert in_place <= fresh - 0.9 * saved
+    # each share X's gradient already holds (all but the mix's first, when
+    # X held none) allocates no N x d array; each node adds one block
+    # buffer, a quarter of X at n = 4 blocks
+    for node, held_shares in enumerate((per_node - (0 if held else 1), per_node)):
+        if held_shares:
+            saved = held_shares * x.value.nbytes - x.value.nbytes // 4
+            assert in_place[node] <= fresh[node] - 0.9 * saved, node
 
 
 def test_row_softmax_forward_and_stability():
@@ -1015,19 +1097,26 @@ def test_grad_ada_mix():
         zip(("w_att", "b_att", "w_mix", "b_mix"), gate))
     weights = constant(rng.normal(size=(4, 5)))
     # the mix stays 100 finite-difference steps away from relu's kink
-    assert np.abs(ada_mix(pairs, cols, *gate, relu=False).value).min() > 1e-3
+    assert np.abs(_gated(pairs, cols, gate, False).value).min() > 1e-3
     for relu_ in (False, True):
-        check(lambda: tsum(hadamard(ada_mix(pairs, cols, *gate, relu=relu_), weights)),
-              params)
+        check(lambda: tsum(hadamard(_gated(pairs, cols, gate, relu_), weights)), params)
+    # the gate alone
+    ramp = constant(rng.normal(size=(4, 3)))
+    check(lambda: tsum(hadamard(ada_gate(pairs, cols, *gate), ramp)), params)
     # constant inputs and weights and a constant column: the gradient
     # reaches the gate only
     fixed = [(constant(x.value), None if w is None else constant(w.value))
              for x, w in pairs]
     deg = constant(cols[0].value)
-    check(lambda: tsum(hadamard(ada_mix(fixed, [deg], *gate, relu=True), weights)),
+    check(lambda: tsum(hadamard(_gated(fixed, [deg], gate, True), weights)),
           dict(zip(("w_att", "b_att", "w_mix", "b_mix"), gate)))
     assert all(t.grad is None for pair in fixed for t in pair if t is not None)
     assert deg.grad is None
+    # one weight per channel for every row, as gprgnn's gamma mixes
+    gamma = rand_t((1, 3), rng)
+    for relu_ in (False, True):
+        check(lambda: tsum(hadamard(ada_mix(pairs, gamma, relu=relu_), weights)),
+              {"x0": x0, "w0": w0, "x1": x1, "w2": w2, "gamma": gamma})
 
 
 def test_grad_mlp_head():

@@ -284,6 +284,10 @@ def test_ada_weights_are_row_stochastic_positive():
     assert alpha.shape == (8, 3)
     assert np.all(alpha > 0)
     np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
+    # only a gate reads extra columns
+    for mix in ("add", "cat", constant(alpha)):
+        with pytest.raises(ValueError, match="extra columns only into a gate"):
+            mp.ada_combine(pairs, mix, [deg])
 
 
 def test_one_compatgnn_forward_records_no_slices_or_row_scales(monkeypatch):
@@ -353,9 +357,9 @@ def test_ada_layer_keeps_no_wide_intermediate_on_the_tape(monkeypatch):
     # the cat fuse's three blocks and the bias, the second over its output
     assert len(calls) == 2 + 2
     (*blocks, bias1), mix1, _, relu1, h = calls[2]
-    assert [x for x, _ in blocks] == out.blocks and mix1 == [1.0] * 4 and relu1
+    assert [x for x, _ in blocks] == out.blocks and mix1 == "add" and relu1
     (x2, _), bias2 = calls[3][0]
-    assert x2 is h and calls[3][1:4] == ([1.0] * 2, (), False)
+    assert x2 is h and calls[3][1:4] == ("add", (), False)
     assert all(np.all(x.value == 1.0) for x, _ in (bias1, bias2))
     n_rows = g.n_nodes + g.n_classes    # the graph's nodes and K prototypes
     for (pairs, weights, extra, relu, z), rep in zip(calls[:2], out.blocks[1:],
@@ -374,9 +378,9 @@ def test_ada_layer_keeps_no_wide_intermediate_on_the_tape(monkeypatch):
         # no channel product
         assert sorted(a.shape for a in inside if a is not z.value) == [
             (n_rows, 3), (n_rows, 3)]
-        # the tapeless readout is the alpha the node mixed with
+        # the node mixed by its gate's alpha, which ada_weights computes
         alpha = mp.ada_weights(pairs, extra, weights)
-        assert not alpha.requires_grad
+        assert z.parents[-1].value.tobytes() == alpha.value.tobytes()
         np.testing.assert_array_equal(
             z.value, np.maximum(mixed(alpha.value, [product(p) for p in pairs]), 0.0))
 
@@ -396,8 +400,12 @@ def test_ada_layer_keeps_no_wide_intermediate_on_the_tape(monkeypatch):
 # With the classifier as combine nodes (the MLP head two) every count
 # stays; compatgnn's peak is 14.3, since its backward now writes the
 # head's relu output a gradient of its own, and no other peak moves.
+# gprgnn's fuse as one combine node keeps no scaled rep and no partial
+# sum: 5 and 10.8, where its chain of scalar_scale and add held 9 and 13.3.
+# With the gate a node of its own, compatgnn peaks at 12.3 and acmgcn at
+# 15.9, and no count moves.
 TAPE_BUDGET = {"compatgnn": (5, 15.0), "acmgcn": (9, 20.0), "mlp": (3, 7.5),
-               "gcn": (3, 7.5), "gprgnn": (9, 14.0), "h2gcn": (1, 37.0),
+               "gcn": (3, 7.5), "gprgnn": (5, 11.5), "h2gcn": (1, 37.0),
                "mixhop": (1, 40.0)}
 
 
@@ -444,7 +452,8 @@ def test_nan_reaching_the_ada_node_names_layer_and_op(monkeypatch):
             x = tensor(np.where(np.arange(x.shape[0])[:, None] == 3, np.nan, x.value))
         return x, w
     monkeypatch.setattr(MessagePassingModel, "_channel", poisoned)
-    with pytest.raises(NumericalError, match="layer 2: .*ada_mix"):
+    # the gate reads the channels first
+    with pytest.raises(NumericalError, match="layer 2: .*ada_gate"):
         model.forward(train=True)
 
 
@@ -793,7 +802,7 @@ def test_gprgnn_preset_matches_dense_oracle():
 def test_fuse_ada_with_onehot_gamma_returns_z0():
     g = cubic12(seed=8)
     m = MessagePassingModel(build_preset("gprgnn", n_layers=2, hidden_dim=4), g)
-    m.params["fuse.gamma"].value = np.array([[1.0], [0.0], [0.0]])
+    m.params["fuse.gamma"].value = np.array([[1.0, 0.0, 0.0]])
     out = m.forward()
     z0 = g.features @ m.params["encoder.w"].value
     np.testing.assert_array_equal(out.blocks[0].value, z0)
@@ -871,15 +880,22 @@ def test_every_layer_is_one_combine_node(name, monkeypatch):
         return z
     monkeypatch.setattr(MessagePassingModel, "_combine", recorded)
     model.forward(train=True)
-    assert combines == [["ada_mix"], ["ada_mix"]]
-    # and the classifier: one combine node, or two for an MLP head
+    # a gated layer is its gate's node and the combine node
+    layer = ["ada_gate", "ada_mix"] if model.spec.layers[0].combine == "ada_add" else [
+        "ada_mix"]
+    assert combines == [layer, layer]
+    # an ada_add fuse (gprgnn's) is one combine node; and the classifier:
+    # one combine node, or two for an MLP head
+    fuse = 1 if model.spec.fuse == "ada_add" else 0
     head = 2 if model.spec.classifier == "mlp" else 1
-    assert ops.count("ada_mix") == 2 + head and ops[-head:] == ["ada_mix"] * head
-    assert "concat_cols" not in ops and "scale" not in ops and "add_bias" not in ops
+    assert ops.count("ada_mix") == 2 + fuse + head
+    assert ops[-head - fuse:] == ["ada_mix"] * (head + fuse)
+    assert not any(op in ops for op in (
+        "concat_cols", "scale", "scalar_scale", "gather_rows", "add", "add_bias"))
     # the only relu left is the one before aggregating
     assert ops.count("relu") == (2 if model.spec.relu_before_aggregate else 0)
     assert not any(hasattr(m, name) for m, name in (
-        (mp, "product"), (ad, "mlp_head"), (ad, "concat_matmul")))
+        (mp, "product"), (ad, "mlp_head"), (ad, "concat_matmul"), (ad, "ada_alpha")))
 
 
 @pytest.mark.parametrize("name", ["compatgnn", "acmgcn"])
@@ -913,7 +929,8 @@ def test_forced_alpha_of_the_wrong_length_is_refused():
     model = _forced_model("acmgcn")
     for alpha in ((0.5, 0.5), (0.25, 0.25, 0.25, 0.25)):
         model.force_alpha = alpha
-        with pytest.raises(ValueError, match=r"zip\(\) argument 2"):
+        with pytest.raises(ValueError, match=f"^force_alpha holds {len(alpha)} weights, "
+                                             "but layer 1 has 3 channels$"):
             model.forward()
 
 

@@ -9,10 +9,10 @@ import weakref
 import numpy as np
 import pytest
 
-from compatgnn import ConfigError, TrainingDiverged
+from compatgnn import ConfigError, DataError, TrainingDiverged
 from compatgnn import training
 from compatgnn.autodiff import Tensor
-from compatgnn.bench import write_json_atomic
+from compatgnn.bench import run_bench, write_json_atomic
 from compatgnn.cli import _read_run
 from compatgnn.gradcheck import grad_check
 from compatgnn.graph import Split, generate_splits
@@ -561,3 +561,28 @@ def test_runresult_json_roundtrip(tmp_path):
 def test_split_overlap_rejected():
     with pytest.raises(Exception, match="overlap"):
         Split(train=[0, 1], valid=[1, 2], test=[3])
+
+
+@pytest.mark.parametrize("entry", ["train_model", "run_bench"])
+def test_a_split_naming_a_node_outside_the_graph_or_unlabelled_is_refused(entry,
+                                                                         monkeypatch):
+    """On a 60-node graph whose nodes 0-4 are unlabelled, a split that
+    names node 60, node -1 or node 2 is a DataError naming the split,
+    raised by train_model, and so by run_bench, before a model is built."""
+    rng = make_rng(5, "split-check")
+    labels = rng.integers(0, 3, size=60)
+    labels[:5] = -1
+    g = make_graph(60, [(i, i + 1) for i in range(59)], labels, 3)
+    cfg = RunConfig(model="gcn", split_ids=[3], max_epochs=2, nhidden=4)
+    monkeypatch.setattr(training, "build_model", lambda *a: pytest.fail("built a model"))
+    for part, node, text in (("train", 60, r"names a node outside \[0, 60\)"),
+                             ("valid", -1, r"names a node outside \[0, 60\)"),
+                             ("test", 2, "names node 2, which is unlabelled")):
+        ids = {"train": [10, 11], "valid": [12, 13], "test": [14, 15]}
+        ids[part].append(node)
+        split = Split(**ids)
+        with pytest.raises(DataError, match=f"^split 3: {text}$"):
+            if entry == "train_model":
+                train_model(g, split, cfg, seed=0, split_id=3)
+            else:
+                run_bench(g, {3: split}, cfg)
