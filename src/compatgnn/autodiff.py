@@ -17,8 +17,8 @@ it keeps the eval's tape, since the next epoch trains on that output.
 
 Gradient ownership: a closure hands `_acc` the array it has just
 computed, and that array becomes the first gradient of its target, with
-no copy. Only a gradient passed through unchanged (by add, sub, add_bias
-and concat_cols) is copied first, so no two tensors share a .grad array.
+no copy. Only a gradient passed through unchanged (by add, add_bias and
+concat_cols) is copied first, so no two tensors share a .grad array.
 
 Every sum of products of the package is one fused tape node, ada_mix:
 it mixes the products Z_r = X_r W_r of pairs (X_r, W_r) by the weights
@@ -35,6 +35,10 @@ sparse_dot, which multiplies a dense operand too large for the L2 cache
 in column slabs with bitwise the same result. Every forward output is
 checked finite so a NaN surfaces where it is born, not three layers
 later.
+
+No module of the package calls gather_rows, row_scale, add_bias,
+sigmoid or slice_cols: they stay because the benchmark's tracer
+(perfbench/spans.py) wraps them by name.
 """
 
 import contextlib
@@ -223,17 +227,6 @@ def add(a, b):
     return _result(value, (a, b), bw, "add")
 
 
-def sub(a, b):
-    if a.shape != b.shape:
-        raise ValueError(f"sub shape mismatch {a.shape} vs {b.shape}")
-    value = a.value - b.value
-
-    def bw(g):
-        _acc_copy(a, g)
-        _acc(b, -g)
-    return _result(value, (a, b), bw, "sub")
-
-
 def scale(a, c):
     """Multiply by a python float constant."""
     c = float(c)
@@ -242,17 +235,6 @@ def scale(a, c):
     def bw(g):
         _acc(a, g * c)
     return _result(value, (a,), bw, "scale")
-
-
-def hadamard(a, b):
-    if a.shape != b.shape:
-        raise ValueError(f"hadamard shape mismatch {a.shape} vs {b.shape}")
-    value = a.value * b.value
-
-    def bw(g):
-        _acc(a, g * b.value)
-        _acc(b, g * a.value)
-    return _result(value, (a, b), bw, "hadamard")
 
 
 def row_scale(alpha, z):
@@ -459,18 +441,6 @@ def ada_mix(pairs, mix, relu=False):
                    "ada_mix")
 
 
-def scalar_scale(a, s):
-    """Multiply by a 1 x 1 tensor scalar."""
-    if s.shape != (1, 1):
-        raise ValueError(f"scalar_scale needs a 1x1 tensor, got {s.shape}")
-    value = a.value * s.value
-
-    def bw(g):
-        _acc(a, g * s.value)
-        _acc(s, np.array([[float(np.sum(g * a.value))]]))
-    return _result(value, (a, s), bw, "scalar_scale")
-
-
 def add_bias(z, b):
     """Row-broadcast 1 x d bias."""
     if b.shape != (1, z.shape[1]):
@@ -520,16 +490,6 @@ def row_softmax(a):
         inner = (g * value).sum(axis=1, keepdims=True)
         _acc(a, value * (g - inner))
     return _result(value, (a,), bw, "row_softmax")
-
-
-def log(a):
-    if np.any(a.value <= 0):
-        raise NumericalError("log requires strictly positive input")
-    value = np.log(a.value)
-
-    def bw(g):
-        _acc(a, g / a.value)
-    return _result(value, (a,), bw, "log")
 
 
 def _col_spans(shapes, op):
@@ -597,36 +557,24 @@ def gather_rows(a, idx):
     return _result(value, (a,), bw, "gather_rows")
 
 
-def l1_row_normalize(a):
-    """Rows scaled to unit L1 mass; zero-mass rows stay zero (zero gradient)."""
-    mass = np.abs(a.value).sum(axis=1, keepdims=True)
-    nonzero = mass != 0
-    safe = np.where(nonzero, mass, 1.0)
-    value = np.where(nonzero, a.value / safe, 0.0)
+def cosine(v):
+    """Sum of the cosine similarities of the K rows of v over the ordered
+    pairs i != j: the off-diagonal sum of U U^T, U v with each nonzero row
+    scaled to unit length, each entry formed as v_i . v_j / (|v_i| |v_j|).
+    A zero row adds nothing and gets zero gradient. Row i's gradient is
+    (2 / |v_i|) (I - u_i u_i^T) sum_{j != i} u_j."""
+    norm = np.sqrt(np.einsum("ij,ij->i", v.value, v.value))[:, None]
+    outer = norm * norm.T
+    sim = np.divide(v.value @ v.value.T, outer, out=np.zeros_like(outer), where=outer > 0)
+    value = np.array([[float(sim[~np.eye(len(sim), dtype=bool)].sum())]])
 
     def bw(g):
-        inner = (g * a.value).sum(axis=1, keepdims=True)
-        grad = g / safe - np.sign(a.value) * inner / (safe * safe)
-        _acc(a, np.where(nonzero, grad, 0.0))
-    return _result(value, (a,), bw, "l1_row_normalize")
-
-
-def cosine(u, v):
-    """Cosine similarity of two 1 x d tensors; 0 with zero gradient if either is zero."""
-    if u.shape != v.shape or u.shape[0] != 1:
-        raise ValueError(f"cosine expects matching 1 x d tensors, got {u.shape} and {v.shape}")
-    nu = float(np.linalg.norm(u.value))
-    nv = float(np.linalg.norm(v.value))
-    if nu == 0.0 or nv == 0.0:
-        return _result(np.array([[0.0]]), (u, v), lambda g: None, "cosine")
-    dot = (u.value @ v.value.T).item()
-    c = dot / (nu * nv)
-
-    def bw(g):
-        gs = g.item()
-        _acc(u, gs * (v.value / (nu * nv) - c * u.value / (nu * nu)))
-        _acc(v, gs * (u.value / (nu * nv) - c * v.value / (nv * nv)))
-    return _result(np.array([[c]]), (u, v), bw, "cosine")
+        inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)
+        u = v.value * inv
+        rest = u.sum(axis=0) - u                          # sum_{j != i} u_j
+        along = np.einsum("ij,ij->i", u, rest)[:, None]   # u_i . rest_i
+        _acc(v, (2.0 * g.item()) * inv * (rest - along * u))
+    return _result(value, (v,), bw, "cosine")
 
 
 def dropout(a, rate, rng=None, train=True, mask=None):
@@ -667,23 +615,6 @@ def masked_cross_entropy(logits, labels, idx):
         np.add.at(buf, idx, soft * (gs / len(idx)))
         _acc(logits, buf)
     return _result(value, (logits,), bw, "masked_cross_entropy")
-
-
-def tsum(a):
-    value = np.array([[float(a.value.sum())]])
-
-    def bw(g):
-        _acc(a, np.full_like(a.value, g.item()))
-    return _result(value, (a,), bw, "sum")
-
-
-def tmean(a):
-    n = a.value.size
-    value = np.array([[float(a.value.mean())]])
-
-    def bw(g):
-        _acc(a, np.full_like(a.value, g.item() / n))
-    return _result(value, (a,), bw, "mean")
 
 
 # ---------------------------------------------------------------------------

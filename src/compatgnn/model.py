@@ -23,8 +23,8 @@ from .errors import ConfigError, DataError
 from .graph import Graph
 from .metrics import (CompatibilityMatrix, l1_normalize_rows,
                       semantic_neighborhood)
-from .autodiff import (add, concat_cols, constant, cosine, gather_rows, matmul,
-                       row_softmax, scale, slice_rows)
+from .autodiff import (add, concat_cols, constant, cosine, matmul, row_softmax,
+                       scale, slice_rows)
 from .mp import MessagePassingModel, PrototypeOperator
 
 
@@ -245,19 +245,14 @@ class CompatGNN(MessagePassingModel):
     # -- losses ---------------------------------------------------------------
 
     def discrimination_loss(self, out):
-        """Sum of pairwise cosine similarities between the prototypes' desired
-        messages (ordered pairs, i != j). Lower means the compatibility rows
-        route distinguishable signals."""
+        """Sum of the cosine similarities between the prototypes' desired
+        messages V = M P over the ordered pairs i != j, as one cosine node:
+        the off-diagonal sum of U U^T, U V with each nonzero row scaled to
+        unit length. A zero row of V adds nothing and gets zero gradient.
+        Lower means the compatibility rows route distinguishable signals."""
         n, k = self.real_graph.n_nodes, self.n_classes
         protos = concat_cols([slice_rows(b, n, n + k) for b in out.blocks])
-        v = matmul(constant(self.cm.matrix.m), protos)
-        total = None
-        for i in range(k):
-            vi = gather_rows(v, [i])
-            for j in range(i + 1, k):
-                c = cosine(vi, gather_rows(v, [j]))
-                total = c if total is None else add(total, c)
-        return scale(total, 2.0)   # ordered pairs: each unordered pair twice
+        return cosine(matmul(constant(self.cm.matrix.m), protos))
 
     def loss(self, out, train_idx):
         # the N+K graph's labels index the same training rows

@@ -24,7 +24,7 @@ from compatgnn.rng import make_rng
 from compatgnn.synth import generate_graph, make_synth_spec, verify_graph
 from compatgnn.training import RunConfig, build_model, train_model
 
-from util import cubic12, make_graph, path3_forest, random_graph
+from util import cubic12, make_graph, path3_forest, random_graph, total
 
 GRID_H = (0.2, 0.5, 0.8)
 PATTERNS = ("easy", "hard")
@@ -74,65 +74,84 @@ def bench_cell(g, model, n_splits=5):
 # 1. gradient fidelity
 
 def _primitive_checks():
-    """One finite-difference check per autodiff primitive."""
+    """One finite-difference check per autodiff primitive, and per mix of
+    the combine node. Made and run with _BLOCK_ROWS at 3, so the 8-row
+    combine and gate inputs span three row blocks, and with an L2 budget
+    of 16 columns of an 8-row operand, so the 40-column spmm operand is
+    multiplied (and its gradient formed) in two slabs."""
     rng = make_rng(60, "prims")
 
     def p(shape, off=0.0):
         return ad.tensor(rng.normal(size=shape) + off, requires_grad=True)
 
+    def weighted(t):
+        # a fixed weight per entry, so that no gradient is uniform
+        return total(t, ad.constant(np.cos(np.arange(t.value.size)).reshape(t.shape)))
+
     a, b = p((3, 4)), p((4, 3))
     w = p((3, 4))
     bias = p((1, 4))
     col = p((3, 1))
-    one = p((1, 1))
-    feat = p((8, 4))
-    pos = ad.tensor(rng.random((3, 4)) + 0.5, requires_grad=True)
+    feat, wide = p((8, 4)), p((8, 40))
     far = ad.tensor(rng.normal(size=(3, 4)) + np.where(
         rng.random((3, 4)) < 0.5, 3.0, -3.0), requires_grad=True)
     g = random_graph(make_rng(60, "pg"), 8, p=0.4)
     sp = SparseMatrix(g.adjacency())
+    assert ad._slab_bounds(sp.scipy, wide.value) is not None
     mask = rng.random((3, 4)) < 0.5
     ramp = ad.constant(np.arange(12.0).reshape(3, 4))
     labels = np.array([0, 2, 1])
+    # the combine node's pairs: an own weight, none, and a bias (a
+    # constant column of ones times a 1 x 5 weight)
+    x0, w0, x1, b0 = p((8, 4)), p((4, 5)), p((8, 5)), p((1, 5))
+    pairs = [(x0, w0), (x1, None), (ad.constant(np.ones((8, 1))), b0)]
+    deg = p((8, 1))
+    gate = [p((16, 3)), p((1, 3)), p((3, 3)), p((1, 3))]
+    mixes = {"add": "add", "cat": "cat", "N x R": p((8, 3)), "1 x R": p((1, 3))}
 
-    return {
-        "matmul": ([a, b], lambda: ad.tsum(ad.matmul(a, b))),
-        "spmm": ([feat], lambda: ad.tsum(ad.spmm(sp, feat))),
-        "add": ([a, w], lambda: ad.tsum(ad.add(a, w))),
-        "sub": ([a, w], lambda: ad.tsum(ad.sub(a, w))),
-        "scale": ([a], lambda: ad.tsum(ad.scale(a, -1.7))),
-        "hadamard": ([a, w], lambda: ad.tsum(ad.hadamard(a, w))),
-        "row_scale": ([col, a], lambda: ad.tsum(ad.row_scale(col, a))),
-        "scalar_scale": ([a, one], lambda: ad.tsum(ad.scalar_scale(a, one))),
-        "add_bias": ([a, bias], lambda: ad.tsum(ad.add_bias(a, bias))),
-        "relu": ([far], lambda: ad.tsum(ad.relu(far))),
-        "sigmoid": ([a], lambda: ad.tsum(ad.sigmoid(a))),
-        "row_softmax": ([a], lambda: ad.tsum(ad.hadamard(
-            ad.row_softmax(a), ramp))),
-        "log": ([pos], lambda: ad.tsum(ad.log(pos))),
-        "concat_cols": ([a, w], lambda: ad.tsum(ad.concat_cols([a, w]))),
-        "slice_cols": ([a], lambda: ad.tsum(ad.slice_cols(a, 1, 3))),
-        "gather_rows": ([a], lambda: ad.tsum(ad.gather_rows(a, [0, 2, 0]))),
-        "l1_row_normalize": ([far], lambda: ad.tsum(ad.hadamard(
-            ad.l1_row_normalize(far), ramp))),
-        "cosine": ([a], lambda: ad.cosine(ad.gather_rows(a, [0]),
-                                          ad.gather_rows(a, [1]))),
-        "dropout": ([a], lambda: ad.tsum(ad.dropout(
+    checks = {
+        "matmul": ([a, b], lambda: total(ad.matmul(a, b))),
+        "spmm": ([feat], lambda: total(ad.spmm(sp, feat))),
+        "spmm, slabs": ([wide], lambda: weighted(ad.spmm(sp, wide))),
+        "add": ([a, w], lambda: total(ad.add(a, w))),
+        "scale": ([a], lambda: total(ad.scale(a, -1.7))),
+        "row_scale": ([col, a], lambda: total(ad.row_scale(col, a))),
+        "add_bias": ([a, bias], lambda: total(ad.add_bias(a, bias))),
+        "relu": ([far], lambda: total(ad.relu(far))),
+        "sigmoid": ([a], lambda: total(ad.sigmoid(a))),
+        "row_softmax": ([a], lambda: total(ad.row_softmax(a), ramp)),
+        "concat_cols": ([a, w], lambda: total(ad.concat_cols([a, w]))),
+        "slice_cols": ([a], lambda: total(ad.slice_cols(a, 1, 3))),
+        "gather_rows": ([a], lambda: total(ad.gather_rows(a, [0, 2, 0]))),
+        "cosine": ([a], lambda: ad.cosine(a)),
+        "dropout": ([a], lambda: total(ad.dropout(
             a, 0.5, None, True, mask=mask))),
         "masked_cross_entropy": ([b], lambda: ad.masked_cross_entropy(
             b, labels, [0, 1, 2])),
-        "tsum": ([a], lambda: ad.tsum(a)),
-        "tmean": ([a], lambda: ad.tmean(a)),
+        "ada_gate": ([x0, w0, x1, b0, deg, *gate],
+                     lambda: weighted(ad.ada_gate(pairs, [deg], *gate))),
     }
+    for name, mix in mixes.items():
+        # every entry 100 finite-difference steps away from relu's kink
+        assert np.abs(ad.ada_mix(pairs, mix).value).min() > 1e-3, name
+        leaves = [x0, w0, x1, b0] + ([mix] if isinstance(mix, ad.Tensor) else [])
+        for relu in (False, True):
+            checks[f"ada_mix {name}{', relu' if relu else ''}"] = (
+                leaves, lambda mix=mix, relu=relu: weighted(ad.ada_mix(pairs, mix, relu)))
+    return checks
 
 
-def test_acceptance_1_gradient_fidelity(capsys):
+def test_acceptance_1_gradient_fidelity(capsys, monkeypatch):
     with criterion(1, "gradient fidelity: primitives + full model loss < 1e-4", capsys):
         worst = {}
-        for name, (params, fn) in _primitive_checks().items():
-            report = grad_check(fn, {f"p{i}": t for i, t in enumerate(params)})
-            worst[name] = report.max_rel_err
-            assert report.ok(1e-4), f"{name}: {report.max_rel_err:.2e}"
+        with monkeypatch.context() as m:
+            m.setattr(ad, "_BLOCK_ROWS", 3)
+            m.setattr(ad, "_L2_BYTES", 8 * 16 * 8)
+            m.setattr(ad, "_SLAB_MIN_ROW_NNZ", 0)
+            for name, (params, fn) in _primitive_checks().items():
+                report = grad_check(fn, {f"p{i}": t for i, t in enumerate(params)})
+                worst[name] = report.max_rel_err
+                assert report.ok(1e-4), f"{name}: {report.max_rel_err:.2e}"
 
         g = make_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6),
                            (6, 7), (2, 5)], [0, 0, 1, 1, 0, 1, 0, 1], 2,

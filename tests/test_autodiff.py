@@ -10,11 +10,9 @@ from compatgnn import autodiff as ad
 from compatgnn.autodiff import (SparseMatrix, _acc, _acc_copy, ada_gate,
                                 ada_mix, add, add_bias, backward, concat_cols,
                                 constant, cosine, dropout, frozen, gather_rows,
-                                glorot, grad_of, hadamard,
-                                l1_row_normalize, log, masked_cross_entropy,
-                                matmul, relu, row_scale, row_softmax,
-                                scale, scalar_scale, sigmoid, slice_cols, sparse_dot, spmm,
-                                sub, tensor, tmean, tsum, zero_grads)
+                                glorot, grad_of, masked_cross_entropy, matmul,
+                                relu, row_scale, row_softmax, scale, sigmoid,
+                                slice_cols, sparse_dot, spmm, tensor, zero_grads)
 from compatgnn.gradcheck import grad_check
 from compatgnn.rng import make_rng
 from compatgnn.sparse import row_normalize, sym_normalize
@@ -23,7 +21,7 @@ from compatgnn.training import RunConfig, build_model
 
 from compatgnn.mp import _linear
 
-from util import concat_matmul, mixed, product, random_graph
+from util import concat_matmul, mixed, product, random_graph, total
 
 RNG = make_rng(0, "autodiff-tests")
 
@@ -114,7 +112,7 @@ def test_spmm_value_and_gradient_are_bitwise_the_one_products(width, slab_at_16)
         w = rng.normal(size=(m.shape[0], width))
         y = spmm(a, x)
         np.testing.assert_array_equal(_bits(y.value), _bits(a.scipy @ x.value))
-        backward(tsum(hadamard(y, constant(w))))   # the upstream gradient is w
+        backward(total(y, constant(w)))   # the upstream gradient is w
         np.testing.assert_array_equal(_bits(x.grad), _bits(a.T_scipy @ w), err_msg=name)
 
 
@@ -181,7 +179,7 @@ def test_spmm_gradient_matches_dense_transpose():
     a = sp.csr_matrix((rng.random((6, 6)) < 0.4) * rng.random((6, 6)))
     w = rng.normal(size=(6, 3))
     x = rand_t((6, 3), rng)
-    loss = tsum(hadamard(spmm(SparseMatrix(a), x), constant(w)))
+    loss = total(spmm(SparseMatrix(a), x), constant(w))
     backward(loss)
     np.testing.assert_allclose(x.grad, a.toarray().T @ w, atol=1e-12)
 
@@ -200,7 +198,7 @@ def test_spmm_gradient_through_symmetric_operator():
     a = SparseMatrix(sym_normalize(random_graph(rng, 20, p=0.3)))
     w = rng.normal(size=(20, 3))
     x = rand_t((20, 3), rng)
-    backward(tsum(hadamard(spmm(a, x), constant(w))))
+    backward(total(spmm(a, x), constant(w)))
     assert a.T_scipy is a.scipy
     np.testing.assert_allclose(x.grad, a.scipy.toarray().T @ w, atol=1e-12)
 
@@ -208,8 +206,6 @@ def test_spmm_gradient_through_symmetric_operator():
 def test_elementwise_forward_oracles():
     a, b = rand_t((2, 3)), rand_t((2, 3))
     np.testing.assert_array_equal(add(a, b).value, a.value + b.value)
-    np.testing.assert_array_equal(sub(a, b).value, a.value - b.value)
-    np.testing.assert_array_equal(hadamard(a, b).value, a.value * b.value)
     np.testing.assert_array_equal(scale(a, -2.5).value, a.value * -2.5)
     np.testing.assert_array_equal(relu(a).value, np.maximum(a.value, 0))
     np.testing.assert_allclose(sigmoid(a).value, 1 / (1 + np.exp(-a.value)))
@@ -217,21 +213,16 @@ def test_elementwise_forward_oracles():
 
 def test_shape_mismatches_raise():
     a, b = rand_t((2, 3)), rand_t((3, 2))
-    for op in (add, sub, hadamard):
-        with pytest.raises(ValueError, match="mismatch"):
-            op(a, b)
+    with pytest.raises(ValueError, match="mismatch"):
+        add(a, b)
     with pytest.raises(ValueError, match="row_scale"):
         row_scale(rand_t((3, 1)), rand_t((2, 3)))
-    with pytest.raises(ValueError, match="1x1"):
-        scalar_scale(a, rand_t((2, 1)))
     with pytest.raises(ValueError, match="bias"):
         add_bias(a, rand_t((1, 4)))
     with pytest.raises(ValueError, match="concat_cols requires equal row counts"):
         concat_cols([a, constant(np.zeros((3, 1)))])
     with pytest.raises(ValueError, match="softmax over an empty row"):
         row_softmax(constant(np.zeros((2, 0))))
-    with pytest.raises(ValueError, match="matching 1 x d tensors"):
-        cosine(constant(np.ones((1, 3))), constant(np.ones((1, 2))))
 
 
 def test_row_scale_and_scalar_scale_forward():
@@ -239,9 +230,7 @@ def test_row_scale_and_scalar_scale_forward():
     z = tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
     np.testing.assert_array_equal(row_scale(alpha, z).value,
                                   [[2.0, 4.0], [1.5, 2.0]])
-    s = tensor([[3.0]], requires_grad=True)
-    np.testing.assert_array_equal(scalar_scale(z, s).value,
-                                  [[3.0, 6.0], [9.0, 12.0]])
+    np.testing.assert_array_equal(scale(z, 3.0).value, [[3.0, 6.0], [9.0, 12.0]])
 
 
 def test_fused_ops_match_their_unfused_chains():
@@ -255,7 +244,7 @@ def test_fused_ops_match_their_unfused_chains():
 def _grads_under(loss_of, leaves, upstream):
     """Gradients of the leaves when `upstream` flows into loss_of()'s output."""
     zero_grads(leaves)
-    backward(tsum(hadamard(loss_of(), constant(upstream))))
+    backward(total(loss_of(), constant(upstream)))
     return [grad_of(t).copy() for t in leaves]
 
 
@@ -438,9 +427,9 @@ def _mixed_by(pairs, cols, mix, relu_):
 
 def _mix_chain(pairs, cols, mix, relu_):
     """The combine as the chain of nodes ada_mix replaces: a matmul per
-    weighted pair, then the gate's chain, row_scale and add; scalar_scale
-    or row_scale of each weight's column and add; add alone; or
-    concat_cols; then relu."""
+    weighted pair, then the gate's chain, row_scale and add; row_scale of
+    each weight's column (a 1 x R weight's column c as the N x 1 column
+    ones c) and add; add alone; or concat_cols; then relu."""
     if isinstance(mix, list):
         return _ada_chain(pairs, cols, *mix, relu_)
     zs = [product(p) for p in pairs]
@@ -451,7 +440,9 @@ def _mix_chain(pairs, cols, mix, relu_):
         for r, z in enumerate(zs):
             if isinstance(mix, ad.Tensor):
                 c = slice_cols(mix, r, r + 1)
-                z = scalar_scale(z, c) if mix.shape[0] == 1 else row_scale(c, z)
+                if mix.shape[0] == 1:
+                    c = matmul(constant(np.ones((z.shape[0], 1))), c)
+                z = row_scale(c, z)
             out = z if out is None else add(out, z)
     return relu(out) if relu_ else out
 
@@ -659,7 +650,7 @@ def test_mlp_head_adds_each_share_into_the_gradient(held):
         zero_grads(params)
         x.grad = start.copy() if held else None
         held_grad = x.grad
-        backward(tsum(hadamard(node(), constant(upstream))))
+        backward(total(node(), constant(upstream)))
         assert held_grad is None or x.grad is held_grad
         return x.grad
     want = x_grad(lambda: _head_chain(blocks, *params))
@@ -769,11 +760,6 @@ def test_row_softmax_forward_and_stability():
     np.testing.assert_allclose(out[1], e2 / e2.sum(), atol=1e-12)
 
 
-def test_log_rejects_non_positive():
-    with pytest.raises(NumericalError, match="positive"):
-        log(tensor([[0.0, 1.0]]))
-
-
 def test_concat_slice_gather_forward():
     a, b = rand_t((3, 2)), rand_t((3, 4))
     cat = concat_cols([a, b])
@@ -784,24 +770,55 @@ def test_concat_slice_gather_forward():
     np.testing.assert_array_equal(gather_rows(a, idx).value, a.value[idx])
 
 
-def test_l1_row_normalize_forward():
-    a = tensor([[3.0, -1.0], [0.0, 0.0], [0.0, 5.0]], requires_grad=True)
-    out = l1_row_normalize(a).value
-    np.testing.assert_allclose(out[0], [0.75, -0.25])
-    np.testing.assert_array_equal(out[1], [0.0, 0.0])
-    np.testing.assert_allclose(out[2], [0.0, 1.0])
-
-
 def test_cosine_forward_and_zero_case():
-    u = tensor([[1.0, 0.0]], requires_grad=True)
-    v = tensor([[1.0, 1.0]], requires_grad=True)
-    assert cosine(u, v).item() == pytest.approx(1 / np.sqrt(2))
-    z = tensor([[0.0, 0.0]], requires_grad=True)
-    out = cosine(u, z)
+    # each ordered pair once: 2 cos(u, v) for two rows
+    v = tensor([[1.0, 0.0], [1.0, 1.0]], requires_grad=True)
+    assert cosine(v).item() == pytest.approx(np.sqrt(2))
+    # three rows at 0, 60 and 120 degrees: 2 (1/2 - 1/2 + 1/2)
+    t = np.radians([0.0, 60.0, 120.0])
+    assert cosine(tensor(np.c_[np.cos(t), np.sin(t)])).item() == pytest.approx(1.0)
+    # a zero row adds nothing and gets zero gradient; a lone row has no pair
+    z = tensor([[1.0, 0.0], [0.0, 0.0]], requires_grad=True)
+    out = cosine(z)
     assert out.item() == 0.0
-    backward(tsum(out))
-    assert u.grad is None or np.all(u.grad == 0)
-    assert z.grad is None or np.all(z.grad == 0)
+    backward(out)
+    np.testing.assert_array_equal(z.grad, 0.0)
+    assert cosine(tensor([[3.0, 4.0]])).item() == 0.0
+
+
+def _pairwise_cosine_loop(v):
+    """The discrimination loss as a loop over the pairs, in numpy:
+    2 sum_{i < j} cos(v_i, v_j), a pair with a zero row adding 0 and no
+    gradient; the value and the gradient of v."""
+    total_, grad = 0.0, np.zeros_like(v)
+    for i in range(len(v)):
+        for j in range(i + 1, len(v)):
+            nu, nv = np.linalg.norm(v[i]), np.linalg.norm(v[j])
+            if nu == 0.0 or nv == 0.0:
+                continue
+            c = v[i] @ v[j] / (nu * nv)
+            total_ += c
+            grad[i] += 2.0 * (v[j] / (nu * nv) - c * v[i] / (nu * nu))
+            grad[j] += 2.0 * (v[i] / (nu * nv) - c * v[j] / (nv * nv))
+    return 2.0 * total_, grad
+
+
+def test_cosine_matches_the_pairwise_loop():
+    """120 seeded V, K in [2, 20] and d in [1, 200], every third with
+    zero rows: value and gradient within 1e-12 of the loop's."""
+    for case in range(120):
+        rng = make_rng(46, "cosine-loop", case)
+        k, d = int(rng.integers(2, 21)), int(rng.integers(1, 201))
+        v = rng.normal(size=(k, d)) * rng.uniform(0.5, 4.0, size=(k, 1))
+        if case % 3 == 0:
+            v[rng.choice(k, size=int(rng.integers(1, k)), replace=False)] = 0.0
+        want, want_grad = _pairwise_cosine_loop(v)
+        t = tensor(v, requires_grad=True)
+        got = cosine(t)
+        backward(got)
+        assert abs(got.item() - want) <= 1e-12, (case, k, d)
+        np.testing.assert_allclose(t.grad, want_grad, rtol=0, atol=1e-12,
+                                   err_msg=f"case {case}: K {k}, d {d}")
 
 
 def test_dropout_modes():
@@ -850,11 +867,15 @@ def test_masked_cross_entropy_stable_at_huge_logits():
 
 
 def test_tsum_tmean():
+    """The tests' scalar loss, util.total: a sum, and a mean as the sum
+    weighted by 1/4."""
     a = tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-    assert tsum(a).item() == 10.0
-    assert tmean(a).item() == 2.5
-    backward(tmean(a))
+    quarter = constant(np.full((2, 2), 0.25))
+    assert total(a).item() == 10.0
+    assert total(a, quarter).item() == 2.5
+    backward(total(a, quarter))
     np.testing.assert_array_equal(a.grad, np.full((2, 2), 0.25))
+    assert quarter.grad is None
 
 
 # ---------------------------------------------------------------------------
@@ -862,14 +883,14 @@ def test_tsum_tmean():
 
 def test_shared_subexpression_accumulates():
     x = tensor([[1.0, 2.0]], requires_grad=True)
-    backward(tsum(add(x, x)))
+    backward(total(add(x, x)))
     np.testing.assert_array_equal(x.grad, [[2.0, 2.0]])
 
 
 def test_sequential_backward_accumulates_until_zeroed():
     x = tensor([[1.0]], requires_grad=True)
-    backward(tsum(scale(x, 3.0)))
-    backward(tsum(scale(x, 3.0)))
+    backward(total(scale(x, 3.0)))
+    backward(total(scale(x, 3.0)))
     np.testing.assert_array_equal(x.grad, [[6.0]])
     zero_grads({"x": x})
     assert x.grad is None
@@ -879,7 +900,7 @@ def test_sequential_backward_accumulates_until_zeroed():
 def test_backward_releases_interior_gradients():
     x = tensor([[1.0, 2.0]], requires_grad=True)
     h = scale(x, 3.0)
-    backward(tsum(h))
+    backward(total(h))
     assert h.grad is None
     np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
 
@@ -887,14 +908,14 @@ def test_backward_releases_interior_gradients():
 def test_backward_consumes_its_tape():
     x = tensor([[1.0, 2.0]], requires_grad=True)
     h = scale(x, 3.0)
-    loss = tsum(h)
+    loss = total(h)
     backward(loss)
     assert h.parents == () and loss.parents == ()
     assert x._backward is None           # leaves are left alone
     with pytest.raises(ValueError, match="an earlier backward consumed"):
         backward(loss)
     with pytest.raises(ValueError, match="an earlier backward consumed"):
-        backward(tsum(h))
+        backward(total(h))
     np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
 
 
@@ -905,14 +926,12 @@ def test_backward_consumes_its_tape():
 def _pass_through_cases():
     rng = make_rng(1, "pass-through")
     c, m = rng.normal(size=(3, 5)), rng.normal(size=(5, 5))
-    cw = lambda t: tsum(hadamard(t, constant(c)))
+    cw = lambda t: total(t, constant(c))
     full = (3, 5)
     return {
         "add_self": ({"x": full}, lambda x: cw(add(x, x)), {"x": 2.0 * c}),
         "add": ({"a": full, "b": full}, lambda a, b: cw(add(a, b)),
                 {"a": c, "b": c}),
-        "sub": ({"a": full, "b": full}, lambda a, b: cw(sub(a, b)),
-                {"a": c, "b": -c}),
         "add_bias": ({"z": full, "b": (1, 5)}, lambda z, b: cw(add_bias(z, b)),
                      {"z": c, "b": c.sum(axis=0, keepdims=True)}),
         "concat_cols": ({"a": (3, 2), "b": (3, 1)},
@@ -1000,9 +1019,9 @@ def test_frozen_records_no_tape_and_restores_flags():
 
 def test_frozen_restores_flags_when_the_block_raises():
     w = rand_t((2, 2))
-    with pytest.raises(NumericalError, match="log"):
+    with pytest.raises(NumericalError, match="scale"):
         with frozen([w]):
-            log(scale(w, 0.0))
+            scale(w, np.inf)
     assert w.requires_grad
 
 
@@ -1015,7 +1034,7 @@ def test_backward_requires_scalar():
 def test_constants_never_get_grads():
     x = tensor([[1.0, 2.0]], requires_grad=True)
     c = constant([[5.0, 5.0]])
-    backward(tsum(hadamard(x, c)))
+    backward(total(x, c))
     np.testing.assert_array_equal(x.grad, [[5.0, 5.0]])
     assert c.grad is None
 
@@ -1026,7 +1045,7 @@ def test_deep_chain_does_not_recurse():
     t = x
     for _ in range(5000):
         t = scale(t, 1.0)
-    backward(tsum(t))
+    backward(total(t))
     np.testing.assert_array_equal(x.grad, [[1.0]])
 
 
@@ -1065,27 +1084,36 @@ def test_grad_matmul_bias_relu():
     b = rand_t((1, 3), rng)
     # keep relu inputs away from the kink
     x = constant(rng.normal(size=(5, 4)) + 3.0 * np.sign(rng.normal(size=(5, 4))))
-    check(lambda: tsum(relu(add_bias(matmul(x, w), b))), {"w": w, "b": b})
+    check(lambda: total(relu(add_bias(matmul(x, w), b))), {"w": w, "b": b})
 
 
 def test_grad_sigmoid_softmax_log():
+    """sigmoid, then row_softmax, weighted by a constant (the plain sum of
+    a softmax row is 1 whatever its input)."""
     rng = make_rng(11, "g2")
     a = rand_t((3, 4), rng)
-    check(lambda: tsum(log(row_softmax(sigmoid(a)))), {"a": a})
+    w = constant(rng.normal(size=(3, 4)))
+    check(lambda: total(row_softmax(sigmoid(a)), w), {"a": a})
 
 
 def test_grad_hadamard_sub_scale():
+    """The mean of 1.7 (a - b) * a: a - b as add(a, scale(b, -1)), the
+    product and the mean's 1/9 in the tests' scalar loss."""
     rng = make_rng(12, "g3")
     a, b = rand_t((3, 3), rng), rand_t((3, 3), rng)
-    check(lambda: tmean(scale(hadamard(sub(a, b), a), 1.7)), {"a": a, "b": b})
+    check(lambda: scale(total(scale(add(a, scale(b, -1.0)), 1.7), a), 1 / 9),
+          {"a": a, "b": b})
 
 
 def test_grad_row_scale_scalar_scale():
+    """row_scale by alpha, then by a 1 x 1 s broadcast down the rows as
+    the column ones s."""
     rng = make_rng(13, "g4")
     alpha = rand_t((4, 1), rng)
     z = rand_t((4, 3), rng)
     s = rand_t((1, 1), rng)
-    check(lambda: tsum(scalar_scale(row_scale(alpha, z), s)),
+    ones = constant(np.ones((4, 1)))
+    check(lambda: total(row_scale(matmul(ones, s), row_scale(alpha, z))),
           {"alpha": alpha, "z": z, "s": s})
 
 
@@ -1099,23 +1127,23 @@ def test_grad_ada_mix():
     # the mix stays 100 finite-difference steps away from relu's kink
     assert np.abs(_gated(pairs, cols, gate, False).value).min() > 1e-3
     for relu_ in (False, True):
-        check(lambda: tsum(hadamard(_gated(pairs, cols, gate, relu_), weights)), params)
+        check(lambda: total(_gated(pairs, cols, gate, relu_), weights), params)
     # the gate alone
     ramp = constant(rng.normal(size=(4, 3)))
-    check(lambda: tsum(hadamard(ada_gate(pairs, cols, *gate), ramp)), params)
+    check(lambda: total(ada_gate(pairs, cols, *gate), ramp), params)
     # constant inputs and weights and a constant column: the gradient
     # reaches the gate only
     fixed = [(constant(x.value), None if w is None else constant(w.value))
              for x, w in pairs]
     deg = constant(cols[0].value)
-    check(lambda: tsum(hadamard(_gated(fixed, [deg], gate, True), weights)),
+    check(lambda: total(_gated(fixed, [deg], gate, True), weights),
           dict(zip(("w_att", "b_att", "w_mix", "b_mix"), gate)))
     assert all(t.grad is None for pair in fixed for t in pair if t is not None)
     assert deg.grad is None
     # one weight per channel for every row, as gprgnn's gamma mixes
     gamma = rand_t((1, 3), rng)
     for relu_ in (False, True):
-        check(lambda: tsum(hadamard(ada_mix(pairs, gamma, relu=relu_), weights)),
+        check(lambda: total(ada_mix(pairs, gamma, relu=relu_), weights),
               {"x0": x0, "w0": w0, "x1": x1, "w2": w2, "gamma": gamma})
 
 
@@ -1127,7 +1155,7 @@ def test_grad_mlp_head():
     assert (pre > 0).any() and (pre < 0).any() and np.abs(pre).min() > 1e-3
     weights = constant(rng.normal(size=(4, 3)))
     named = {"x0": blocks[0], "x1": blocks[1]} | dict(zip(("w1", "b1", "w2", "b2"), params))
-    check(lambda: tsum(hadamard(_head(blocks, *params), weights)), named)
+    check(lambda: total(_head(blocks, *params), weights), named)
     assert blocks[2].grad is None
 
 
@@ -1138,31 +1166,22 @@ def test_grad_concat_slice_gather():
     def fwd():
         cat = concat_cols([a, b])
         picked = gather_rows(cat, [0, 2, 2, 3])
-        return tsum(slice_cols(picked, 1, 4))
+        return total(slice_cols(picked, 1, 4))
     check(fwd, {"a": a, "b": b})
-
-
-def test_grad_l1_row_normalize():
-    rng = make_rng(15, "g6")
-    # entries bounded away from zero so |x| stays differentiable under FD
-    vals = rng.normal(size=(4, 3))
-    vals += np.sign(vals) * 0.5
-    a = tensor(vals, requires_grad=True)
-    w = constant(rng.normal(size=(4, 3)))
-    check(lambda: tsum(hadamard(l1_row_normalize(a), w)), {"a": a})
 
 
 def test_grad_cosine():
     rng = make_rng(16, "g7")
-    u, v = rand_t((1, 5), rng), rand_t((1, 5), rng)
-    check(lambda: cosine(u, v), {"u": u, "v": v})
+    for k in (2, 3, 6):
+        v = rand_t((k, 5), rng)
+        check(lambda: cosine(v), {"v": v})
 
 
 def test_grad_dropout_fixed_mask():
     rng = make_rng(17, "g8")
     a = rand_t((4, 4), rng)
     mask = make_rng(17, "g8mask").random((4, 4)) >= 0.5
-    check(lambda: tsum(dropout(a, 0.5, mask=mask)), {"a": a})
+    check(lambda: total(dropout(a, 0.5, mask=mask)), {"a": a})
 
 
 def test_grad_masked_cross_entropy():
@@ -1180,14 +1199,17 @@ def test_grad_spmm():
     a = SparseMatrix(g.adjacency())
     x = rand_t((12, 3), rng)
     w = constant(rng.normal(size=(12, 3)))
-    check(lambda: tsum(hadamard(spmm(a, x), w)), {"x": x})
+    check(lambda: total(spmm(a, x), w), {"x": x})
 
 
 def test_grad_sum_and_mean():
+    """util.total as a sum, as a mean, and as a product sum whose
+    gradient reaches both of its tensors."""
     rng = make_rng(20, "g11")
-    a = rand_t((3, 3), rng)
-    check(lambda: tmean(a), {"a": a})
-    check(lambda: tsum(a), {"a": a})
+    a, b = rand_t((3, 3), rng), rand_t((3, 3), rng)
+    check(lambda: total(a, constant(np.full((3, 3), 1 / 9))), {"a": a})
+    check(lambda: total(a), {"a": a})
+    check(lambda: total(a, b), {"a": a, "b": b})
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ package, and every public one a reader in the repo. No linter is installed, so t
 tests are the check."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,3 +82,33 @@ def test_every_public_function_has_a_reader():
                        for p, found in refs.items() for name, line in found):
                 orphans.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
     assert not orphans, "public names nothing reads:\n" + "\n".join(orphans)
+
+
+def _tracer_spans():
+    """perfbench/spans.py, loaded as test_bench's tracer check loads it."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_autodiff_op_has_a_package_caller_or_a_tracer():
+    """Each public function of compatgnn.autodiff is read by another
+    module of the package (the re-exporting __init__.py is no reader), or
+    the benchmark's tracer wraps it by name (perfbench/spans.py's
+    AUTODIFF_OPS or FUNCTIONS): an op only the tests run is dead code.
+    Classes are left out: every op returns a Tensor."""
+    spans = _tracer_spans()
+    traced = set(spans.AUTODIFF_OPS) | {name for home, name, _ in spans.FUNCTIONS
+                                        if home.__name__ == "compatgnn.autodiff"}
+    package = ROOT / "src" / "compatgnn"
+    home = package / "autodiff.py"
+    read = {name for p in sorted(package.glob("*.py"))
+            if p not in (home, package / "__init__.py")
+            for name, _ in _references(ast.parse(p.read_text(encoding="utf-8")))}
+    dead = [f"{home.relative_to(ROOT)}:{node.lineno}: {node.name}"
+            for node in ast.parse(home.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and node.name not in read and node.name not in traced]
+    assert not dead, "autodiff ops neither the package nor the tracer reads:\n" + "\n".join(dead)

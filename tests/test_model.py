@@ -494,6 +494,23 @@ def test_loss_weight_zero_builds_no_discrimination_loss(monkeypatch):
     assert ops == ["masked_cross_entropy"]
 
 
+@pytest.mark.parametrize("k", [2, 18])
+def test_loss_weight_positive_builds_one_cosine_node(k, monkeypatch):
+    """At lambda > 0 the loss is the cross-entropy plus lambda times one
+    cosine node over M P: the same six nodes at K 2 and at K 18."""
+    g = make_graph(3 * k, [(i, (i + 1) % (3 * k)) for i in range(3 * k)],
+                   [i % k for i in range(3 * k)], k, d_f=5, seed=k)
+    train = list(range(2 * k))
+    m = ready_model(g, train, dis_weight=0.1, seed=8)
+    out = m.forward(train=True)
+    ops, result = [], ad._result
+    monkeypatch.setattr(ad, "_result", lambda value, parents, bw, op:
+                        ops.append(op) or result(value, parents, bw, op))
+    m.loss(out, train)
+    assert ops == ["masked_cross_entropy", "concat_cols", "matmul", "cosine",
+                   "scale", "add"]
+
+
 def test_loss_weight_one_adds_dis_exactly():
     g = two_triangles()
     train = [0, 1, 3, 4]
@@ -593,7 +610,9 @@ def test_backward_frees_the_train_tape_and_keeps_its_gradients():
             for a in (t.value, t.value.base)}
     interior = [weakref.ref(t.value) for t in ad._toposort(loss)
                 if t._backward is not None and id(t.value) not in held]
-    assert len(interior) > 40 and all(r() is not None for r in interior)
+    # 21 nodes: the forward's and the loss's, the discrimination loss one
+    # cosine node at any K
+    assert len(interior) >= 20 and all(r() is not None for r in interior)
     ad.backward(loss)
     assert [r for r in interior if r() is not None] == []   # out and loss still held
     for name, p in m.params.items():

@@ -26,7 +26,7 @@ from compatgnn.synth import generate_graph, make_synth_spec
 from compatgnn.training import RunConfig, build_model, train_model
 
 from util import (cubic12, make_graph, mixed, path3_forest, product, quartic12,
-                  random_graph)
+                  random_graph, total)
 
 
 def dyadicize(model):
@@ -507,7 +507,7 @@ def preset_model(name, d_f=4, **overrides):
 def forward_and_grads(model, train):
     zero_grads(model.params)
     out = model.forward(train=train, rng=make_rng(0, "dropout"))
-    backward(ad.tsum(out.logits))
+    backward(total(out.logits))
     return out.logits.value, {k: p.grad.copy() for k, p in model.params.items()
                               if p.grad is not None}
 
@@ -891,7 +891,7 @@ def test_every_layer_is_one_combine_node(name, monkeypatch):
     assert ops.count("ada_mix") == 2 + fuse + head
     assert ops[-head - fuse:] == ["ada_mix"] * (head + fuse)
     assert not any(op in ops for op in (
-        "concat_cols", "scale", "scalar_scale", "gather_rows", "add", "add_bias"))
+        "concat_cols", "scale", "gather_rows", "add", "add_bias"))
     # the only relu left is the one before aggregating
     assert ops.count("relu") == (2 if model.spec.relu_before_aggregate else 0)
     assert not any(hasattr(m, name) for m, name in (

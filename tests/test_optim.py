@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from compatgnn import NumericalError
-from compatgnn.autodiff import backward, tensor, tsum, zero_grads
+from compatgnn.autodiff import add, backward, constant, matmul, tensor, zero_grads
 from compatgnn.optim import Adam
 from compatgnn.rng import make_rng
+
+from util import total
 
 
 def test_first_step_magnitude():
@@ -96,13 +98,12 @@ def test_optimizes_through_autodiff_graph():
     xt = tensor(x)
     for _ in range(800):
         zero_grads({"w": w})
-        pred = tsum(_sq_err(xt, w, y))
-        backward(pred)
+        backward(_sq_err(xt, w, y))
         opt.step()
     np.testing.assert_allclose(w.value, [[1.0], [-2.0], [0.5], [3.0]], atol=1e-3)
 
 
 def _sq_err(xt, w, y):
-    from compatgnn.autodiff import hadamard, matmul, sub, constant
-    d = sub(matmul(xt, w), constant(y))
-    return hadamard(d, d)
+    """The summed squared residual of X w against y, as nodes."""
+    d = add(matmul(xt, w), constant(-y))
+    return total(d, d)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from compatgnn import Graph
-from compatgnn.autodiff import add, matmul, slice_rows
+from compatgnn.autodiff import _acc, _result, add, matmul, slice_rows
 from compatgnn.rng import make_rng
 
 
@@ -111,6 +111,20 @@ def mixed(alpha, zs):
     for r, z in enumerate(zs[1:], start=1):
         out = out + alpha[:, r:r + 1] * z.value
     return out
+
+
+def total(a, b=None):
+    """sum(a * b) as a 1 x 1 node, sum(a) when b is None: the tests'
+    scalar loss. Both tensors get a gradient, b's the values of a."""
+    if b is not None and a.shape != b.shape:
+        raise ValueError(f"total shape mismatch {a.shape} vs {b.shape}")
+    value = np.array([[float(a.value.sum() if b is None else (a.value * b.value).sum())]])
+
+    def bw(g):
+        _acc(a, np.full(a.shape, g.item()) if b is None else g.item() * b.value)
+        if b is not None:
+            _acc(b, g.item() * a.value)
+    return _result(value, (a,) if b is None else (a, b), bw, "total")
 
 
 def product(pair):
