@@ -36,15 +36,33 @@ in column slabs with bitwise the same result. Every forward output is
 checked finite so a NaN surfaces where it is born, not three layers
 later.
 
+The cores: a run of a model that holds a dense operator (a SparseMatrix
+averaging _SLAB_MIN_ROW_NNZ nonzeros a row or more) owns them.
+training.train_model pins OpenBLAS to one thread for such a run, since
+its idle threads would spin on the cores the pool needs, and runs it
+within owning_cores(): there the heavy work runs on one pool of nproc
+worker threads, made once per process. sparse_dot splits a dense
+operator's product, and matmul and ada_gate a product of _BLOCK_ROWS
+rows or more, into one contiguous row piece per worker; ada_mix and
+ada_gate's gradient spread their _BLOCK_ROWS row blocks over the
+workers and sum weight gradients over the blocks in block order. Each
+piece or block writes its own rows of one output, so every value is
+bitwise the serial one. Outside owning_cores(), or on one core, the
+same loops run in the caller with one worker.
+
 No module of the package calls gather_rows, row_scale, add_bias,
 sigmoid or slice_cols: they stay because the benchmark's tracer
 (perfbench/spans.py) wraps them by name.
 """
 
+import concurrent.futures
 import contextlib
+import contextvars
+import os
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import NumericalError
 
@@ -145,6 +163,11 @@ class SparseMatrix:
         return self._m
 
     @property
+    def dense(self):
+        """Whether it averages _SLAB_MIN_ROW_NNZ nonzeros a row or more."""
+        return _dense(self._m)
+
+    @property
     def T_scipy(self):
         """The transpose as CSR: the matrix itself when bitwise equal to it."""
         if self._mt is None:
@@ -157,14 +180,88 @@ class SparseMatrix:
 
 
 # ---------------------------------------------------------------------------
+# the worker pool (module docstring)
+
+_NPROC = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+_pool = None    # made by the first owning_cores() on more than one core
+_workers = contextvars.ContextVar("workers", default=1)   # pieces a product spreads over
+
+
+@contextlib.contextmanager
+def owning_cores():
+    """Within the block sparse_dot's dense products and the row-blocked
+    nodes run on the pool's _NPROC workers; the caller has pinned BLAS to
+    one thread. The pool is made on first use and kept."""
+    global _pool
+    if _NPROC > 1 and _pool is None:
+        _pool = concurrent.futures.ThreadPoolExecutor(_NPROC, "compatgnn")
+    token = _workers.set(_NPROC)
+    try:
+        yield
+    finally:
+        _workers.reset(token)
+
+
+def _spread(n, work, collect=None):
+    """work(k) for k in range(n), then collect(its result) in order of k.
+    Within owning_cores() each work(k) is a task of the pool, run in a
+    copy of the caller's context, so that numpy's errstate holds in it
+    too; every task ends before the exception of the lowest k that
+    raised, if any, is raised. Otherwise they run in turn in the caller."""
+    if _workers.get() == 1 or n == 1:
+        for k in range(n):
+            result = work(k)
+            if collect is not None:
+                collect(result)
+        return
+    tasks = [_pool.submit(contextvars.copy_context().run, work, k) for k in range(n)]
+    try:
+        for task in tasks:
+            result = task.result()
+            if collect is not None:
+                collect(result)
+    finally:
+        concurrent.futures.wait(tasks)
+
+
+# ---------------------------------------------------------------------------
 # primitives
 
+_BLOCK_ROWS = 2048   # rows per block of a row-blocked node: temporaries stay in cache
+
+
+def _row_blocks(n):
+    return [(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
+
+
+def _row_product(a, b):
+    """a @ b for 2-D arrays. Within owning_cores() an a of _BLOCK_ROWS
+    rows or more is cut into one contiguous row piece per worker, each
+    piece's product written into its rows of one output: bitwise the one
+    product's rows, since GEMM sums each row alike in any piece of two
+    rows or more (a one-row piece would be a GEMV, summed in another
+    order). Otherwise one product."""
+    n, workers = a.shape[0], _workers.get()
+    if workers == 1 or n < _BLOCK_ROWS:
+        return a @ b
+    cuts = [n * k // workers for k in range(workers + 1)]
+    out = np.empty((n, b.shape[1]))
+
+    def piece(k):
+        lo, hi = cuts[k], cuts[k + 1]
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    _spread(workers, piece)
+    return out
+
+
 def matmul(a, b):
-    value = a.value @ b.value
+    """a @ b. Its value and a's gradient are row products (_row_product);
+    b's gradient, a^T g, is one product."""
+    value = _row_product(a.value, b.value)
 
     def bw(g):
         if a.requires_grad:
-            _acc(a, g @ b.value.T)
+            _acc(a, _row_product(g, b.value.T))
         if b.requires_grad:
             _acc(b, a.value.T @ g)
     return _result(value, (a, b), bw, "matmul")
@@ -172,13 +269,19 @@ def matmul(a, b):
 
 _L2_BYTES = 3 << 19      # dense operand bytes one slab of sparse_dot may hold
 _SLAB_MIN_COLS = 16      # the narrowest slab: narrower ones cost more than they save
-_SLAB_MIN_ROW_NNZ = 64   # mean nonzeros per row below which slabs do not pay
+_SLAB_MIN_ROW_NNZ = 64   # mean nonzeros per row of a dense operator
+
+
+def _dense(m):
+    """Whether the sparse m averages _SLAB_MIN_ROW_NNZ nonzeros a row or
+    more: only then do slabs, and a row split, pay."""
+    return m.nnz >= _SLAB_MIN_ROW_NNZ * m.shape[0]
 
 
 def _slab_bounds(m, x):
     """The column bounds of sparse_dot's slabs of x, or None for one
     product. Reads only shapes, the item size and the nonzero count."""
-    if x.nbytes <= _L2_BYTES or m.nnz < _SLAB_MIN_ROW_NNZ * m.shape[0]:
+    if x.nbytes <= _L2_BYTES or not _dense(m):
         return None
     rows, cols = x.shape
     fit = _L2_BYTES // (rows * x.itemsize)   # the columns one slab may hold
@@ -188,19 +291,44 @@ def _slab_bounds(m, x):
     return None if n < 2 else [cols * i // n for i in range(n + 1)]
 
 
+def _row_pieces(m):
+    """The row bounds of sparse_dot's pieces of the CSR m: within
+    owning_cores() one contiguous piece per worker for a dense m, cut at
+    about equal nonzeros, and one piece otherwise."""
+    n, workers = m.shape[0], _workers.get()
+    if workers == 1 or not _dense(m):
+        return [0, n]
+    cuts = np.searchsorted(m.indptr, m.nnz * np.arange(workers + 1) / workers)
+    cuts[0], cuts[-1] = 0, n
+    return np.unique(cuts).tolist()
+
+
 def sparse_dot(m, x):
-    """m @ x for a scipy sparse m and a dense 2-D x, bitwise: the one
-    sparse x dense product of the package. A dense operand too large for
-    the L2 cache is multiplied in column slabs when slabs pay
-    (_slab_bounds), so a slab's rows stay in cache across the nonzeros
-    that read them. Each slab's product is written into its columns of one
-    output, every entry the same row sum in the same order as in m @ x."""
-    bounds = _slab_bounds(m, x)
-    if bounds is None:
-        return m @ x
-    out = np.empty((m.shape[0], x.shape[1]))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        out[:, lo:hi] = m @ x[:, lo:hi]
+    """m @ x for a scipy sparse m and a dense 2-D x, bitwise: the one sparse x
+    dense product of the package. A dense operand too large for the L2
+    cache is multiplied in column slabs when slabs pay (_slab_bounds), so
+    a slab's rows stay in cache across the nonzeros that read them, and
+    within owning_cores() a dense m's rows in one piece per worker
+    (_row_pieces). Each piece runs scipy's own kernel for m @ x,
+    csr_matvecs, which writes the piece's rows of a given output, so no
+    worker allocates: every entry is the same row sum in the same order as
+    in m @ x."""
+    m = m.tocsr()
+    cols = _slab_bounds(m, x) or [0, x.shape[1]]
+    rows = _row_pieces(m)
+    out = np.zeros((m.shape[0], x.shape[1]))
+    for c0, c1 in zip(cols[:-1], cols[1:]):
+        # the slab and its product as contiguous arrays, as m @ x makes them
+        xs = x[:, c0:c1].ravel()
+        ys = out if len(cols) == 2 else np.zeros((m.shape[0], c1 - c0))
+
+        def piece(k):
+            lo, hi = rows[k], rows[k + 1]
+            _sparsetools.csr_matvecs(hi - lo, m.shape[1], c1 - c0, m.indptr[lo:hi + 1],
+                                     m.indices, m.data, xs, ys[lo:hi].reshape(-1))
+        _spread(len(rows) - 1, piece)
+        if ys is not out:
+            out[:, c0:c1] = ys
     return out
 
 
@@ -249,38 +377,35 @@ def row_scale(alpha, z):
     return _result(value, (alpha, z), bw, "row_scale")
 
 
-_BLOCK_ROWS = 2048   # rows per block of a row-blocked node: temporaries stay in cache
-
-
-def _row_blocks(n):
-    return ((lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
-
-
 class _BlockGrads:
     """How a row-blocked node writes its inputs' gradients: the first share
     of a tensor with no gradient yet goes straight into the rows of a
-    fresh .grad, every other is added through one reused block buffer. A
-    .grad so holds _acc's sums in input order with no N-row array per input."""
+    fresh .grad, every other is added through its block's buffer. A .grad
+    so holds _acc's sums in input order with no N-row array per input,
+    and each block writes only its own rows, on whichever worker."""
 
-    def __init__(self, inputs, n):
+    def __init__(self, inputs):
         self.inputs, self.direct = inputs, set()
         for i, t in enumerate(inputs):
             if t.requires_grad and t.grad is None:
                 t.grad = np.empty(t.shape)
                 self.direct.add(i)
-        self.buf = np.empty(min(_BLOCK_ROWS, n) * max(
-            [t.shape[1] for i, t in enumerate(inputs)
-             if t.requires_grad and i not in self.direct], default=0))
+        self.width = max([t.shape[1] for i, t in enumerate(inputs)
+                          if t.requires_grad and i not in self.direct], default=0)
 
-    def rows(self, i, lo, hi):
+    def buffer(self, lo, hi):
+        """The buffer the shares of rows [lo, hi) that are added go through."""
+        return np.empty((hi - lo) * self.width)
+
+    def rows(self, i, lo, hi, buf):
         """Where input i's share of rows [lo, hi) is to be computed."""
         if i in self.direct:
             return self.inputs[i].grad[lo:hi]
-        return self.buf[:(hi - lo) * self.inputs[i].shape[1]].reshape(hi - lo, -1)
+        return buf[:(hi - lo) * self.inputs[i].shape[1]].reshape(hi - lo, -1)
 
-    def add(self, i, lo, hi):
+    def add(self, i, lo, hi, buf):
         if i not in self.direct:
-            self.inputs[i].grad[lo:hi] += self.rows(i, lo, hi)
+            self.inputs[i].grad[lo:hi] += self.rows(i, lo, hi, buf)
 
 
 def _pair_shapes(pairs, op):
@@ -301,8 +426,9 @@ def ada_gate(pairs, extra_cols, w_att, b_att, w_mix, b_mix):
     so the gate forms no product. It keeps h besides its value; the sum
     under the sigmoid is checked finite, since the sigmoid would hide an
     infinity in it. With g_s the gradient at the sigmoid's input, dX_r =
-    g_s (W_r A_r)^T, written as _BlockGrads writes it; dW_r = (X_r^T g_s)
-    A_r^T and dA_r = W_r^T (X_r^T g_s)."""
+    g_s (W_r A_r)^T, written as _BlockGrads writes it, its blocks spread
+    over the workers within owning_cores(); dW_r = (X_r^T g_s) A_r^T and
+    dA_r = W_r^T (X_r^T g_s)."""
     pairs = list(pairs)
     n_mix = len(pairs)
     pairs += [(c, None) for c in extra_cols]
@@ -316,9 +442,9 @@ def ada_gate(pairs, extra_cols, w_att, b_att, w_mix, b_mix):
         # W_r A_r, what the gate multiplies X_r by; made again, not kept
         return [a if w is None else w.value @ a for (_, w), a in zip(pairs, att)]
     wa = through()
-    s = pairs[0][0].value @ wa[0]
+    s = _row_product(pairs[0][0].value, wa[0])
     for (x, _), m in zip(pairs[1:], wa[1:]):
-        s += x.value @ m
+        s += _row_product(x.value, m)
     s += b_att.value
     if not np.isfinite(s).all():
         raise NumericalError("non-finite value produced by ada_gate")
@@ -328,12 +454,16 @@ def ada_gate(pairs, extra_cols, w_att, b_att, w_mix, b_mix):
     def bw(g):
         gm = value * (g - (g * value).sum(axis=1, keepdims=True))   # at the softmax's input
         gs = (gm @ w_mix.value.T) * h * (1.0 - h)                  # at the sigmoid's input
-        grads, wa = _BlockGrads([x for x, _ in pairs], n), through()
-        for lo, hi in _row_blocks(n):
+        grads, wa, blocks = _BlockGrads([x for x, _ in pairs]), through(), _row_blocks(n)
+
+        def block(k):
+            lo, hi = blocks[k]
+            buf = grads.buffer(lo, hi)
             for r, ((x, _), m) in enumerate(zip(pairs, wa)):
                 if x.requires_grad:
-                    np.matmul(gs[lo:hi], m.T, out=grads.rows(r, lo, hi))
-                    grads.add(r, lo, hi)
+                    np.matmul(gs[lo:hi], m.T, out=grads.rows(r, lo, hi, buf))
+                    grads.add(r, lo, hi, buf)
+        _spread(len(blocks), block)
         d_att = []
         for (x, w), a in zip(pairs, att):
             xg = x.value.T @ gs
@@ -358,14 +488,16 @@ def ada_mix(pairs, mix, relu=False):
     alpha) or 1 x R (for every row): out = sum_r diag(c_r) Z_r, c_r column
     r of c. Then max(out, 0) if `relu`, each block of out checked finite
     first, since the relu would hide a -inf in it. Forward and backward
-    compute the Z_r block by block (_BLOCK_ROWS rows), one at a time into
-    one buffer, so the node keeps only its output.
+    compute the Z_r block by block (_BLOCK_ROWS rows, spread over the
+    workers within owning_cores()), one at a time into the block's
+    buffer, so the node keeps only its output.
 
     The backward recomputes each block's relu mask from the output. With
     g the block's gradient at Z_r (its columns under cat) and u_r = g
     W_r^T (g for a W_r of None): dX_r = c_r u_r, written as _BlockGrads
-    writes it; dW_r sums X_r^T (c_r g) over the blocks; dc_r = rowdot(u_r,
-    X_r), which is rowdot(g, Z_r), summed over the rows for a 1 x R c."""
+    writes it; dW_r sums X_r^T (c_r g) over the blocks, in block order;
+    dc_r = rowdot(u_r, X_r), which is rowdot(g, Z_r), summed over the rows
+    for a 1 x R c."""
     pairs = list(pairs)
     shapes = _pair_shapes(pairs, "ada_mix")
     spans = _col_spans(shapes, "ada_mix")
@@ -381,12 +513,15 @@ def ada_mix(pairs, mix, relu=False):
                          f"got {weights.shape}")
     # c as N x R, a 1 x R c a view that repeats its row
     cw = None if weights is None else np.broadcast_to(weights.value, (n, n_ch))
-    d, rows = spans[-1][1] if cat else shapes[0][1], min(_BLOCK_ROWS, n)
+    d, blocks = spans[-1][1] if cat else shapes[0][1], _row_blocks(n)
     value = np.empty((n, d))
-    prod = np.empty(rows * max(s[1] for s in shapes))   # one product block at a time
-    buf = None if cw is None else np.empty((rows, d))
-    for lo, hi in _row_blocks(n):
+    z_width, x_width = max(s[1] for s in shapes), max(x.shape[1] for x, _ in pairs)
+
+    def forward(k):
+        lo, hi = blocks[k]
         v = value[lo:hi]
+        prod = np.empty((hi - lo) * z_width)   # one product at a time
+        buf = None if cw is None else np.empty((hi - lo, d))
         for r, ((x, w), (c0, c1)) in enumerate(zip(pairs, spans)):
             z = x.value[lo:hi] if w is None else np.matmul(
                 x.value[lo:hi], w.value, out=prod[:(hi - lo) * (c1 - c0)].reshape(hi - lo, -1))
@@ -395,34 +530,37 @@ def ada_mix(pairs, mix, relu=False):
             elif r == 0:
                 np.multiply(z, 1.0 if cw is None else cw[lo:hi, :1], out=v)
             else:
-                v += z if cw is None else np.multiply(z, cw[lo:hi, r:r + 1], out=buf[:hi - lo])
+                v += z if cw is None else np.multiply(z, cw[lo:hi, r:r + 1], out=buf)
         if relu:
             if not np.isfinite(v).all():
                 raise NumericalError("non-finite value produced by ada_mix")
             np.maximum(v, 0.0, out=v)
+    _spread(len(blocks), forward)
 
     def bw(g):
-        grads = _BlockGrads([x for x, _ in pairs], n)
+        grads = _BlockGrads([x for x, _ in pairs])
         gws = [np.zeros(w.shape) if w is not None and w.requires_grad else None
                for _, w in pairs]
         dc = np.empty((n, n_ch)) if weights is not None and weights.requires_grad else None
-        # u_r and c_r g under weights; without, u_r goes straight into dX_r
-        ubuf, cbuf = (None, None) if cw is None else (
-            np.empty(rows * max(x.shape[1] for x, _ in pairs)), np.empty(rows * d))
-        masked = np.empty((rows, d)) if relu else None
-        for lo, hi in _row_blocks(n):
+
+        def block(k):
+            # block k's share of each dX_r and of dc, and its X_r^T (c_r g)
+            lo, hi = blocks[k]
+            buf, parts = grads.buffer(lo, hi), []
+            # u_r and c_r g under weights; without, u_r goes straight into dX_r
+            ubuf, cbuf = (None, None) if cw is None else (
+                np.empty((hi - lo) * x_width), np.empty((hi - lo) * d))
             gb = g[lo:hi]
             if relu:
-                gb = np.multiply(gb, value[lo:hi] > 0, out=masked[:hi - lo])
+                gb = gb * (value[lo:hi] > 0)
             for r, ((x, w), gw, (c0, c1)) in enumerate(zip(pairs, gws, spans)):
                 gz, xb = gb[:, c0:c1] if cat else gb, x.value[lo:hi]
                 c = None if cw is None else cw[lo:hi, r:r + 1]
-                if gw is not None:
-                    gw += xb.T @ (gz if c is None else np.multiply(
-                        gz, c, out=cbuf[:gz.size].reshape(gz.shape)))
+                parts.append(None if gw is None else xb.T @ (gz if c is None else np.multiply(
+                    gz, c, out=cbuf[:gz.size].reshape(gz.shape))))
                 if not (x.requires_grad or dc is not None):
                     continue
-                gx = grads.rows(r, lo, hi) if x.requires_grad else None
+                gx = grads.rows(r, lo, hi, buf) if x.requires_grad else None
                 u = gz if w is None else np.matmul(
                     gz, w.value.T, out=gx if c is None else ubuf[:xb.size].reshape(xb.shape))
                 if dc is not None:
@@ -430,7 +568,14 @@ def ada_mix(pairs, mix, relu=False):
                 if gx is not None:
                     if u is not gx:
                         np.multiply(u, 1.0 if c is None else c, out=gx)
-                    grads.add(r, lo, hi)
+                    grads.add(r, lo, hi, buf)
+            return parts
+
+        def collect(parts):
+            for gw, part in zip(gws, parts):
+                if gw is not None:
+                    gw += part
+        _spread(len(blocks), block, collect)
         for (_, w), gw in zip(pairs, gws):
             if gw is not None:
                 _acc(w, gw)

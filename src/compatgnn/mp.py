@@ -400,6 +400,12 @@ class MessagePassingModel:
         self._deg_col = constant(graph.degrees.astype(np.float64).reshape(-1, 1))
         self._propagated = {}   # operator key -> constant ÂX, see _channel
 
+    def holds_dense_operator(self):
+        """Whether an operator of the model is dense (SparseMatrix.dense):
+        a run of it owns the cores (training.train_model)."""
+        return any(isinstance(op, SparseMatrix) and op.dense
+                   for op in (*self._operators.values(), self._structure))
+
     def _combine(self, li, layer, pairs, post_relu):
         """The layer's channels, given as aggregate's pairs, combined, then
         their relu if post_relu, in one node (ada_combine). ada_add mixes

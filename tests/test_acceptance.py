@@ -5,7 +5,7 @@ differences, hand arithmetic); module unit tests cover the same ground
 at finer grain."""
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -78,7 +78,9 @@ def _primitive_checks():
     the combine node. Made and run with _BLOCK_ROWS at 3, so the 8-row
     combine and gate inputs span three row blocks, and with an L2 budget
     of 16 columns of an 8-row operand, so the 40-column spmm operand is
-    multiplied (and its gradient formed) in two slabs."""
+    multiplied (and its gradient formed) in two slabs. "spmm, row split"
+    runs within autodiff.owning_cores() on two workers, so the 8-row
+    operator's products are also split into two row pieces."""
     rng = make_rng(60, "prims")
 
     def p(shape, off=0.0):
@@ -109,10 +111,15 @@ def _primitive_checks():
     gate = [p((16, 3)), p((1, 3)), p((3, 3)), p((1, 3))]
     mixes = {"add": "add", "cat": "cat", "N x R": p((8, 3)), "1 x R": p((1, 3))}
 
+    def split():
+        assert len(ad._row_pieces(sp.scipy)) == 3   # two row pieces
+        return weighted(ad.spmm(sp, wide))
+
     checks = {
         "matmul": ([a, b], lambda: total(ad.matmul(a, b))),
         "spmm": ([feat], lambda: total(ad.spmm(sp, feat))),
         "spmm, slabs": ([wide], lambda: weighted(ad.spmm(sp, wide))),
+        "spmm, row split": ([wide], split),
         "add": ([a, w], lambda: total(ad.add(a, w))),
         "scale": ([a], lambda: total(ad.scale(a, -1.7))),
         "row_scale": ([col, a], lambda: total(ad.row_scale(col, a))),
@@ -148,8 +155,10 @@ def test_acceptance_1_gradient_fidelity(capsys, monkeypatch):
             m.setattr(ad, "_BLOCK_ROWS", 3)
             m.setattr(ad, "_L2_BYTES", 8 * 16 * 8)
             m.setattr(ad, "_SLAB_MIN_ROW_NNZ", 0)
+            m.setattr(ad, "_NPROC", 2)
             for name, (params, fn) in _primitive_checks().items():
-                report = grad_check(fn, {f"p{i}": t for i, t in enumerate(params)})
+                with ad.owning_cores() if "row split" in name else nullcontext():
+                    report = grad_check(fn, {f"p{i}": t for i, t in enumerate(params)})
                 worst[name] = report.max_rel_err
                 assert report.ok(1e-4), f"{name}: {report.max_rel_err:.2e}"
 

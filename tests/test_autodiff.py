@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -147,6 +149,185 @@ def test_slab_rule_on_the_benchmark_operators():
     for m, cols in ((one_hop, 64), (one_hop, 128), (grid, 64), (grid, 128),
                     (compat, 64), (compat, 128)):
         assert decision(m, cols) is None, (m.shape, cols)
+    # only h2gcn-5k's run owns the cores
+    assert [SparseMatrix(m).dense for m in (one_hop, two_hop, grid, compat)] == [
+        False, True, False, False]
+
+
+# ---------------------------------------------------------------------------
+# the worker pool: each pool path is bitwise its serial path
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Two workers, every operator dense and blocks of 8 rows, so that the
+    pool paths run at toy size on any machine. Returns a runner: fn()
+    within owning_cores()."""
+    monkeypatch.setattr(ad, "_NPROC", 2)
+    monkeypatch.setattr(ad, "_SLAB_MIN_ROW_NNZ", 0)
+    monkeypatch.setattr(ad, "_BLOCK_ROWS", 8)
+
+    def run(fn):
+        with ad.owning_cores():
+            assert ad._workers.get() == 2
+            return fn()
+    return run
+
+
+def _same_bits(got, want, what):
+    assert len(got) == len(want), what
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.tobytes() == b.tobytes(), f"{what}: output {i}"
+
+
+@pytest.mark.parametrize("slabs", [False, True])
+def test_sparse_dot_row_pieces_are_bitwise_the_one_product(slabs, pooled, monkeypatch):
+    if slabs:
+        monkeypatch.setattr(ad, "_L2_BYTES", 43 * 16 * 8)
+    for name, m in _kernel_operators():
+        for order, x in _operands(m.shape[1], 40):
+            assert (ad._slab_bounds(m, x) is not None) == slabs
+            pieces, got = pooled(lambda: (ad._row_pieces(m), sparse_dot(m, x)))
+            assert len(pieces) == 3 and pieces[0] == 0 and pieces[-1] == m.shape[0]
+            np.testing.assert_array_equal(_bits(got), _bits(m @ x), err_msg=f"{name} {order}")
+
+
+def test_row_pieces_split_only_a_dense_operator_in_the_pool(monkeypatch):
+    _, two_hop, grid, _ = _benchmark_operators()
+    assert ad._row_pieces(two_hop) == [0, 5000]
+    monkeypatch.setattr(ad, "_NPROC", 2)
+    with ad.owning_cores():
+        pieces = ad._row_pieces(two_hop)
+        assert ad._row_pieces(grid) == [0, grid.shape[0]]
+    # two pieces of about equal nonzeros
+    assert len(pieces) == 3
+    halves = np.diff(two_hop.indptr[pieces])
+    assert abs(halves[0] - halves[1]) <= 2 * two_hop.getnnz(axis=1).max()
+    assert ad._workers.get() == 1
+
+
+def _value_and_grads(node, leaves, x, start, upstream):
+    """node()'s value and the leaves' gradients under `upstream`, with x
+    holding the gradient `start` (None for none) when the backward starts."""
+    zero_grads(leaves)
+    x.grad = None if start is None else start.copy()
+    out = node()
+    backward(total(out, constant(upstream)))
+    return [out.value.copy()] + [grad_of(t).copy() for t in leaves]
+
+
+@pytest.mark.parametrize("mix", ["add", "cat", "N x R", "1 x R"])
+@pytest.mark.parametrize("relu_", [False, True])
+@pytest.mark.parametrize("held", [False, True])
+@pytest.mark.parametrize("shared", [False, True])
+def test_ada_mix_on_the_pool_is_bitwise_its_serial_run(mix, relu_, held, shared, pooled):
+    n = 29   # blocks of 8, 8, 8 and 5 rows
+    rng = make_rng(70, "pool-mix", mix, relu_, held, shared)
+    pairs, _, _ = _ada_inputs(n, False, rng)
+    x = pairs[0][0]
+    if shared:   # a fourth channel reads channel 0's input
+        pairs.append((x, rand_t((4, 5), rng)))
+    weights = {"add": "add", "cat": "cat", "N x R": rand_t((n, len(pairs)), rng),
+               "1 x R": rand_t((1, len(pairs)), rng)}[mix]
+    leaves = _pair_leaves(pairs) + ([weights] if isinstance(weights, ad.Tensor) else [])
+    start = rng.normal(size=x.shape) if held else None
+    upstream = rng.normal(size=ada_mix(pairs, weights).shape)
+
+    def run():
+        return _value_and_grads(lambda: ada_mix(pairs, weights, relu=relu_),
+                                leaves, x, start, upstream)
+    _same_bits(pooled(run), run(), "ada_mix")
+
+
+@pytest.mark.parametrize("held", [False, True])
+def test_ada_gate_on_the_pool_is_bitwise_its_serial_run(held, pooled):
+    n = 29
+    rng = make_rng(71, "pool-gate", held)
+    pairs, cols, gate = _ada_inputs(n, True, rng)
+    x = pairs[0][0]
+    leaves = _pair_leaves(pairs) + cols + gate
+    start = rng.normal(size=x.shape) if held else None
+    upstream = rng.normal(size=(n, 3))
+
+    def run():
+        return _value_and_grads(lambda: ada_gate(pairs, cols, *gate),
+                                leaves, x, start, upstream)
+    _same_bits(pooled(run), run(), "ada_gate")
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_matmul_on_the_pool_is_bitwise_its_serial_run(order, pooled):
+    rng = make_rng(72, "pool-matmul", order)
+    a = tensor(np.asarray(rng.normal(size=(29, 6)), order=order), requires_grad=True)
+    b = rand_t((6, 5), rng)
+    upstream = rng.normal(size=(29, 5))
+
+    def run():
+        return _value_and_grads(lambda: matmul(a, b), [a, b], a, None, upstream)
+    _same_bits(pooled(run), run(), "matmul")
+
+
+def test_more_workers_than_cores_lose_no_block(monkeypatch):
+    """Eight workers on a short switch interval over 41 blocks: an spmm
+    over a gate's mix, with a held input gradient, is bitwise its serial
+    run each time."""
+    monkeypatch.setattr(ad, "_SLAB_MIN_ROW_NNZ", 0)
+    monkeypatch.setattr(ad, "_BLOCK_ROWS", 8)
+    monkeypatch.setattr(ad, "_NPROC", 8)
+    monkeypatch.setattr(ad, "_pool", None)
+    n = 8 * 40 + 3
+    rng = make_rng(73, "pool-stress")
+    pairs, cols, gate = _ada_inputs(n, True, rng)
+    x = pairs[0][0]
+    op = SparseMatrix(sp.random(n, n, density=0.05, format="csr", random_state=3))
+    leaves = _pair_leaves(pairs) + cols + gate
+    start, upstream = rng.normal(size=x.shape), rng.normal(size=(n, 5))
+
+    def run():
+        return _value_and_grads(lambda: spmm(op, _gated(pairs, cols, gate, True)),
+                                leaves, x, start, upstream)
+    want = run()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ad.owning_cores():
+            for _ in range(5):
+                _same_bits(run(), want, "stress")
+    finally:
+        sys.setswitchinterval(interval)
+        if ad._pool is not None:
+            ad._pool.shutdown()
+
+
+def test_a_worker_error_reaches_the_caller_from_the_lowest_block(pooled):
+    """Blocks 1 and 3 raise, block 3 first: the caller gets block 1's
+    error, once every block has run."""
+    ran, late = [], threading.Event()
+
+    def work(k):
+        if k == 1:
+            late.wait(5)
+        ran.append(k)
+        if k == 3:
+            late.set()
+        if k in (1, 3):
+            raise NumericalError(f"block {k}")
+    with pytest.raises(NumericalError, match="block 1"):
+        pooled(lambda: ad._spread(5, work))
+    assert sorted(ran) == [0, 1, 2, 3, 4]
+
+
+def test_ada_mix_overflow_in_a_worker_names_the_op(pooled):
+    """Today's message from a pool task, under the caller's errstate: the
+    overflow raises no warning in the worker."""
+    pairs, cols, gate, row = _poisoned_block_inputs("-inf")
+    alpha = constant(ada_gate(pairs, cols, *gate).value)
+    x, w = pairs[0]
+    x.value[row] = [1e300, 0.0, 0.0, 0.0]
+    w.value[0] = -1e300
+    with np.errstate(over="ignore"):
+        for relu_ in (False, True):
+            with pytest.raises(NumericalError, match="^non-finite value produced by ada_mix$"):
+                pooled(lambda: ada_mix(pairs, alpha, relu=relu_))
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import types
 import weakref
 
 import numpy as np
 import pytest
 
 from compatgnn import ConfigError, DataError, TrainingDiverged
+from compatgnn import autodiff as ad
 from compatgnn import training
 from compatgnn.autodiff import Tensor
 from compatgnn.bench import run_bench, write_json_atomic
@@ -229,6 +232,86 @@ def test_runs_agree_across_blas_thread_counts(tmp_path):
     assert out["1"]["logits"] == out["2"]["logits"]
     assert len(out["1"]["loss"]) == len(out["2"]["loss"]) == 8
     np.testing.assert_allclose(out["1"]["loss"], out["2"]["loss"], rtol=0, atol=1e-10)
+
+
+# One process: the loss curve of a short h2gcn run over a dense 2-hop
+# operator (about 100 nonzeros a row), and the BLAS thread count it records.
+DENSE_RUN_PROBE = """
+import json
+from compatgnn import (RunConfig, build_model, generate_graph, generate_splits,
+                       make_synth_spec, train_model)
+g = generate_graph(make_synth_spec(600, 5, 0.2, "easy", 15, seed=3, d_f=64))
+cfg = RunConfig(model="h2gcn", max_epochs=6)
+model = build_model(cfg, g, seed=3)
+run = train_model(g, generate_splits(g, 1, 3)[0], cfg, seed=3, model=model)
+print(json.dumps({"dense": model.holds_dense_operator(), "loss": run.loss_curve,
+                  "blas_threads": run.metadata["blas_threads"]}))
+"""
+
+
+def test_dense_operator_runs_agree_bitwise_across_blas_thread_counts(tmp_path):
+    """A run over a dense operator owns the cores: BLAS runs on one thread
+    whatever OPENBLAS_NUM_THREADS says, so its curve is bit-identical at
+    any count."""
+    if training._openblas() is None:
+        pytest.skip("needs the OpenBLAS numpy bundles")
+    out = {threads: run_probe(DENSE_RUN_PROBE, threads, tmp_path)
+           for threads in ("1", "2")}
+    assert out["1"]["dense"] and out["2"]["dense"]
+    assert out["1"]["blas_threads"] == out["2"]["blas_threads"] == 1
+    assert len(out["1"]["loss"]) == 6
+    assert out["1"]["loss"] == out["2"]["loss"]
+
+
+@pytest.fixture
+def dense_everywhere(monkeypatch):
+    """Every operator dense and two workers, so that any run of a model
+    with an operator owns the cores; OpenBLAS on 2 threads before the run
+    and restored after the test."""
+    blas = training._openblas()
+    if blas is None:
+        pytest.skip("needs the OpenBLAS numpy bundles")
+    get, set_ = blas
+    count = get()
+    monkeypatch.setattr(ad, "_SLAB_MIN_ROW_NNZ", 0)
+    monkeypatch.setattr(ad, "_NPROC", 2)
+    set_(2)
+    yield
+    set_(count)
+
+
+def test_a_dense_run_restores_the_blas_thread_count(dense_everywhere):
+    g = sbm_toy(30)
+    done = train_model(g, toy_split(g), RunConfig(model="gcn", nhidden=4, max_epochs=3),
+                       seed=0)
+    assert done.metadata["blas_threads"] == 1
+    assert training.blas_threads() == 2 and ad._workers.get() == 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged) as exc:
+            train_model(g, toy_split(g), RunConfig(model="gcn", lr=1e80, max_epochs=5,
+                                                   nhidden=4), seed=5)
+    assert exc.value.partial_result.metadata == {"blas_threads": 1}
+    assert training.blas_threads() == 2 and ad._workers.get() == 1
+    # a model with no dense operator leaves the count as it is
+    mlp = train_model(g, toy_split(g), RunConfig(model="mlp", nhidden=4, max_epochs=2),
+                      seed=0)
+    assert mlp.metadata["blas_threads"] == 2
+
+
+def test_train_models_errstate_holds_in_the_workers(dense_everywhere, monkeypatch):
+    """Pool tasks run in a copy of the caller's context, so numpy's
+    errstate, which train_model sets, holds in them too."""
+    seen, kernel = [], ad._sparsetools.csr_matvecs
+
+    def spy(*args):
+        seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+        kernel(*args)
+    monkeypatch.setattr(ad, "_sparsetools", types.SimpleNamespace(csr_matvecs=spy))
+    g = sbm_toy(30)
+    train_model(g, toy_split(g), RunConfig(model="gcn", nhidden=4, max_epochs=2), seed=0)
+    assert seen and not any(main for main, _ in seen)
+    assert all(err["over"] == err["invalid"] == "ignore" for _, err in seen)
+    assert np.geterr()["over"] != "ignore"
 
 
 def test_divergence_raises_with_partial_log():
