@@ -202,7 +202,7 @@ def owning_cores():
         _workers.reset(token)
 
 
-def _spread(n, work, collect=None):
+def _spread(n, work, collect=lambda result: None):
     """work(k) for k in range(n), then collect(its result) in order of k.
     Within owning_cores() each work(k) is a task of the pool, run in a
     copy of the caller's context, so that numpy's errstate holds in it
@@ -210,16 +210,12 @@ def _spread(n, work, collect=None):
     raised, if any, is raised. Otherwise they run in turn in the caller."""
     if _workers.get() == 1 or n == 1:
         for k in range(n):
-            result = work(k)
-            if collect is not None:
-                collect(result)
+            collect(work(k))
         return
     tasks = [_pool.submit(contextvars.copy_context().run, work, k) for k in range(n)]
     try:
         for task in tasks:
-            result = task.result()
-            if collect is not None:
-                collect(result)
+            collect(task.result())
     finally:
         concurrent.futures.wait(tasks)
 

@@ -137,7 +137,7 @@ def _benchmark_operators():
     return one_hop.scipy, two_hop.scipy, grid.scipy, compat
 
 
-def test_slab_rule_on_the_benchmark_operators():
+def test_slab_rule_on_the_benchmark_operators(monkeypatch):
     one_hop, two_hop, grid, compat = _benchmark_operators()
     assert two_hop.shape == (5000, 5000) and two_hop.nnz > 1_000_000
     assert grid.shape == (2005, 2005)
@@ -149,9 +149,18 @@ def test_slab_rule_on_the_benchmark_operators():
     for m, cols in ((one_hop, 64), (one_hop, 128), (grid, 64), (grid, 128),
                     (compat, 64), (compat, 128)):
         assert decision(m, cols) is None, (m.shape, cols)
-    # only h2gcn-5k's run owns the cores
+    # only h2gcn-5k's run owns the cores; there its 2-hop splits into two
+    # pieces of about equal nonzeros, and no other operator splits
     assert [SparseMatrix(m).dense for m in (one_hop, two_hop, grid, compat)] == [
         False, True, False, False]
+    assert ad._row_pieces(two_hop) == [0, 5000]
+    monkeypatch.setattr(ad, "_NPROC", 2)
+    with ad.owning_cores():
+        pieces = ad._row_pieces(two_hop)
+        assert all(ad._row_pieces(m) == [0, m.shape[0]] for m in (one_hop, grid, compat))
+    assert len(pieces) == 3
+    halves = np.diff(two_hop.indptr[pieces])
+    assert abs(halves[0] - halves[1]) <= 2 * two_hop.getnnz(axis=1).max()
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +198,6 @@ def test_sparse_dot_row_pieces_are_bitwise_the_one_product(slabs, pooled, monkey
             pieces, got = pooled(lambda: (ad._row_pieces(m), sparse_dot(m, x)))
             assert len(pieces) == 3 and pieces[0] == 0 and pieces[-1] == m.shape[0]
             np.testing.assert_array_equal(_bits(got), _bits(m @ x), err_msg=f"{name} {order}")
-
-
-def test_row_pieces_split_only_a_dense_operator_in_the_pool(monkeypatch):
-    _, two_hop, grid, _ = _benchmark_operators()
-    assert ad._row_pieces(two_hop) == [0, 5000]
-    monkeypatch.setattr(ad, "_NPROC", 2)
-    with ad.owning_cores():
-        pieces = ad._row_pieces(two_hop)
-        assert ad._row_pieces(grid) == [0, grid.shape[0]]
-    # two pieces of about equal nonzeros
-    assert len(pieces) == 3
-    halves = np.diff(two_hop.indptr[pieces])
-    assert abs(halves[0] - halves[1]) <= 2 * two_hop.getnnz(axis=1).max()
-    assert ad._workers.get() == 1
 
 
 def _value_and_grads(node, leaves, x, start, upstream):
