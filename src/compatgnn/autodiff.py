@@ -45,9 +45,9 @@ worker threads, made once per process. sparse_dot splits a dense
 operator's product, and matmul and ada_gate a product of _BLOCK_ROWS
 rows or more, into one contiguous row piece per worker; ada_mix and
 ada_gate's gradient spread their _BLOCK_ROWS row blocks over the
-workers and sum weight gradients over the blocks in block order. Each
-piece or block writes its own rows of one output, so every value is
-bitwise the serial one. Outside owning_cores(), or on one core, the
+workers, and ada_mix sums its weight gradients over the blocks in block
+order. Each piece or block writes its own rows of one output, so every
+value is bitwise the serial one. Outside owning_cores(), or on one core, the
 same loops run in the caller with one worker.
 
 No module of the package calls gather_rows, row_scale, add_bias,
