@@ -40,15 +40,12 @@ The cores: a run of a model that holds a dense operator (a SparseMatrix
 averaging _SLAB_MIN_ROW_NNZ nonzeros a row or more) owns them.
 training.train_model pins OpenBLAS to one thread for such a run, since
 its idle threads would spin on the cores the pool needs, and runs it
-within owning_cores(): there the heavy work runs on one pool of nproc
-worker threads, made once per process. sparse_dot splits a dense
-operator's product, and matmul and ada_gate a product of _BLOCK_ROWS
-rows or more, into one contiguous row piece per worker; ada_mix and
-ada_gate's gradient spread their _BLOCK_ROWS row blocks over the
-workers, and ada_mix sums its weight gradients over the blocks in block
-order. Each piece or block writes its own rows of one output, so every
-value is bitwise the serial one. Outside owning_cores(), or on one core, the
-same loops run in the caller with one worker.
+within owning_cores(): there sparse_dot splits a dense operator's product
+into one contiguous row piece per worker of one pool of nproc worker
+threads, made once per process. Each piece writes its own rows of one
+output, so every value is bitwise the serial one. Nothing else runs on
+the pool. Outside owning_cores(), or on one core, the pieces are one
+product in the caller.
 
 No module of the package calls gather_rows, row_scale, add_bias,
 sigmoid or slice_cols: they stay because the benchmark's tracer
@@ -189,9 +186,9 @@ _workers = contextvars.ContextVar("workers", default=1)   # pieces a product spr
 
 @contextlib.contextmanager
 def owning_cores():
-    """Within the block sparse_dot's dense products and the row-blocked
-    nodes run on the pool's _NPROC workers; the caller has pinned BLAS to
-    one thread. The pool is made on first use and kept."""
+    """Within the block sparse_dot's products over a dense operator run
+    in row pieces on the pool's _NPROC workers; the caller has pinned
+    BLAS to one thread. The pool is made on first use and kept."""
     global _pool
     if _NPROC > 1 and _pool is None:
         _pool = concurrent.futures.ThreadPoolExecutor(_NPROC, "compatgnn")
@@ -202,20 +199,20 @@ def owning_cores():
         _workers.reset(token)
 
 
-def _spread(n, work, collect=lambda result: None):
-    """work(k) for k in range(n), then collect(its result) in order of k.
-    Within owning_cores() each work(k) is a task of the pool, run in a
-    copy of the caller's context, so that numpy's errstate holds in it
-    too; every task ends before the exception of the lowest k that
-    raised, if any, is raised. Otherwise they run in turn in the caller."""
+def _spread(n, work):
+    """work(k) for k in range(n). Within owning_cores() each work(k) is a
+    task of the pool, run in a copy of the caller's context, so that
+    numpy's errstate holds in it too; every task ends before the exception
+    of the lowest k that raised, if any, is raised. Otherwise they run in
+    turn in the caller."""
     if _workers.get() == 1 or n == 1:
         for k in range(n):
-            collect(work(k))
+            work(k)
         return
     tasks = [_pool.submit(contextvars.copy_context().run, work, k) for k in range(n)]
     try:
         for task in tasks:
-            collect(task.result())
+            task.result()
     finally:
         concurrent.futures.wait(tasks)
 
@@ -230,34 +227,12 @@ def _row_blocks(n):
     return [(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
 
 
-def _row_product(a, b):
-    """a @ b for 2-D arrays. Within owning_cores() an a of _BLOCK_ROWS
-    rows or more is cut into one contiguous row piece per worker, each
-    piece's product written into its rows of one output: bitwise the one
-    product's rows, since GEMM sums each row alike in any piece of two
-    rows or more (a one-row piece would be a GEMV, summed in another
-    order). Otherwise one product."""
-    n, workers = a.shape[0], _workers.get()
-    if workers == 1 or n < _BLOCK_ROWS:
-        return a @ b
-    cuts = [n * k // workers for k in range(workers + 1)]
-    out = np.empty((n, b.shape[1]))
-
-    def piece(k):
-        lo, hi = cuts[k], cuts[k + 1]
-        np.matmul(a[lo:hi], b, out=out[lo:hi])
-    _spread(workers, piece)
-    return out
-
-
 def matmul(a, b):
-    """a @ b. Its value and a's gradient are row products (_row_product);
-    b's gradient, a^T g, is one product."""
-    value = _row_product(a.value, b.value)
+    value = a.value @ b.value
 
     def bw(g):
         if a.requires_grad:
-            _acc(a, _row_product(g, b.value.T))
+            _acc(a, g @ b.value.T)
         if b.requires_grad:
             _acc(b, a.value.T @ g)
     return _result(value, (a, b), bw, "matmul")
@@ -378,7 +353,7 @@ class _BlockGrads:
     of a tensor with no gradient yet goes straight into the rows of a
     fresh .grad, every other is added through its block's buffer. A .grad
     so holds _acc's sums in input order with no N-row array per input,
-    and each block writes only its own rows, on whichever worker."""
+    and each block writes only its own rows."""
 
     def __init__(self, inputs):
         self.inputs, self.direct = inputs, set()
@@ -422,9 +397,9 @@ def ada_gate(pairs, extra_cols, w_att, b_att, w_mix, b_mix):
     so the gate forms no product. It keeps h besides its value; the sum
     under the sigmoid is checked finite, since the sigmoid would hide an
     infinity in it. With g_s the gradient at the sigmoid's input, dX_r =
-    g_s (W_r A_r)^T, written as _BlockGrads writes it, its blocks spread
-    over the workers within owning_cores(); dW_r = (X_r^T g_s) A_r^T and
-    dA_r = W_r^T (X_r^T g_s)."""
+    g_s (W_r A_r)^T, written as _BlockGrads writes it, block by block
+    (_BLOCK_ROWS rows); dW_r = (X_r^T g_s) A_r^T and dA_r = W_r^T (X_r^T
+    g_s)."""
     pairs = list(pairs)
     n_mix = len(pairs)
     pairs += [(c, None) for c in extra_cols]
@@ -438,9 +413,9 @@ def ada_gate(pairs, extra_cols, w_att, b_att, w_mix, b_mix):
         # W_r A_r, what the gate multiplies X_r by; made again, not kept
         return [a if w is None else w.value @ a for (_, w), a in zip(pairs, att)]
     wa = through()
-    s = _row_product(pairs[0][0].value, wa[0])
+    s = pairs[0][0].value @ wa[0]
     for (x, _), m in zip(pairs[1:], wa[1:]):
-        s += _row_product(x.value, m)
+        s += x.value @ m
     s += b_att.value
     if not np.isfinite(s).all():
         raise NumericalError("non-finite value produced by ada_gate")
@@ -450,16 +425,16 @@ def ada_gate(pairs, extra_cols, w_att, b_att, w_mix, b_mix):
     def bw(g):
         gm = value * (g - (g * value).sum(axis=1, keepdims=True))   # at the softmax's input
         gs = (gm @ w_mix.value.T) * h * (1.0 - h)                  # at the sigmoid's input
-        grads, wa, blocks = _BlockGrads([x for x, _ in pairs]), through(), _row_blocks(n)
+        grads, wa = _BlockGrads([x for x, _ in pairs]), through()
 
-        def block(k):
-            lo, hi = blocks[k]
+        def block(lo, hi):
             buf = grads.buffer(lo, hi)
             for r, ((x, _), m) in enumerate(zip(pairs, wa)):
                 if x.requires_grad:
                     np.matmul(gs[lo:hi], m.T, out=grads.rows(r, lo, hi, buf))
                     grads.add(r, lo, hi, buf)
-        _spread(len(blocks), block)
+        for lo, hi in _row_blocks(n):
+            block(lo, hi)
         d_att = []
         for (x, w), a in zip(pairs, att):
             xg = x.value.T @ gs
@@ -484,9 +459,8 @@ def ada_mix(pairs, mix, relu=False):
     alpha) or 1 x R (for every row): out = sum_r diag(c_r) Z_r, c_r column
     r of c. Then max(out, 0) if `relu`, each block of out checked finite
     first, since the relu would hide a -inf in it. Forward and backward
-    compute the Z_r block by block (_BLOCK_ROWS rows, spread over the
-    workers within owning_cores()), one at a time into the block's
-    buffer, so the node keeps only its output.
+    compute the Z_r block by block (_BLOCK_ROWS rows), one at a time into
+    the block's buffer, so the node keeps only its output.
 
     The backward recomputes each block's relu mask from the output. With
     g the block's gradient at Z_r (its columns under cat) and u_r = g
@@ -509,12 +483,11 @@ def ada_mix(pairs, mix, relu=False):
                          f"got {weights.shape}")
     # c as N x R, a 1 x R c a view that repeats its row
     cw = None if weights is None else np.broadcast_to(weights.value, (n, n_ch))
-    d, blocks = spans[-1][1] if cat else shapes[0][1], _row_blocks(n)
+    d = spans[-1][1] if cat else shapes[0][1]
     value = np.empty((n, d))
     z_width, x_width = max(s[1] for s in shapes), max(x.shape[1] for x, _ in pairs)
 
-    def forward(k):
-        lo, hi = blocks[k]
+    def forward(lo, hi):
         v = value[lo:hi]
         prod = np.empty((hi - lo) * z_width)   # one product at a time
         buf = None if cw is None else np.empty((hi - lo, d))
@@ -531,7 +504,8 @@ def ada_mix(pairs, mix, relu=False):
             if not np.isfinite(v).all():
                 raise NumericalError("non-finite value produced by ada_mix")
             np.maximum(v, 0.0, out=v)
-    _spread(len(blocks), forward)
+    for lo, hi in _row_blocks(n):
+        forward(lo, hi)
 
     def bw(g):
         grads = _BlockGrads([x for x, _ in pairs])
@@ -539,10 +513,9 @@ def ada_mix(pairs, mix, relu=False):
                for _, w in pairs]
         dc = np.empty((n, n_ch)) if weights is not None and weights.requires_grad else None
 
-        def block(k):
-            # block k's share of each dX_r and of dc, and its X_r^T (c_r g)
-            lo, hi = blocks[k]
-            buf, parts = grads.buffer(lo, hi), []
+        def block(lo, hi):
+            # the block's share of each dX_r and of dc, and of each dW_r
+            buf = grads.buffer(lo, hi)
             # u_r and c_r g under weights; without, u_r goes straight into dX_r
             ubuf, cbuf = (None, None) if cw is None else (
                 np.empty((hi - lo) * x_width), np.empty((hi - lo) * d))
@@ -552,8 +525,9 @@ def ada_mix(pairs, mix, relu=False):
             for r, ((x, w), gw, (c0, c1)) in enumerate(zip(pairs, gws, spans)):
                 gz, xb = gb[:, c0:c1] if cat else gb, x.value[lo:hi]
                 c = None if cw is None else cw[lo:hi, r:r + 1]
-                parts.append(None if gw is None else xb.T @ (gz if c is None else np.multiply(
-                    gz, c, out=cbuf[:gz.size].reshape(gz.shape))))
+                if gw is not None:
+                    gw += xb.T @ (gz if c is None else np.multiply(
+                        gz, c, out=cbuf[:gz.size].reshape(gz.shape)))
                 if not (x.requires_grad or dc is not None):
                     continue
                 gx = grads.rows(r, lo, hi, buf) if x.requires_grad else None
@@ -565,13 +539,8 @@ def ada_mix(pairs, mix, relu=False):
                     if u is not gx:
                         np.multiply(u, 1.0 if c is None else c, out=gx)
                     grads.add(r, lo, hi, buf)
-            return parts
-
-        def collect(parts):
-            for gw, part in zip(gws, parts):
-                if gw is not None:
-                    gw += part
-        _spread(len(blocks), block, collect)
+        for lo, hi in _row_blocks(n):
+            block(lo, hi)
         for (_, w), gw in zip(pairs, gws):
             if gw is not None:
                 _acc(w, gw)

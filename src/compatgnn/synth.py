@@ -92,6 +92,10 @@ class SynthSpec:
         if not math.isfinite(self.mean_degree) or self.mean_degree <= 0:
             raise ConfigError(f"mean_degree must be finite and positive, "
                               f"got {self.mean_degree}")
+        if self.mean_degree > 2 * (self.labels.size - 1):
+            # a node's mean_degree / 2 stubs past its n - 1 partners never land
+            raise ConfigError(f"mean_degree {self.mean_degree:g} exceeds 2 (n - 1) = "
+                              f"{2 * (self.labels.size - 1)} for {self.labels.size} nodes")
 
 
 def gaussian_features(labels, k, d_f, mean_separation, seed):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import sys
 import threading
@@ -164,21 +165,53 @@ def test_slab_rule_on_the_benchmark_operators(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the worker pool: each pool path is bitwise its serial path
+# the worker pool: it runs only sparse_dot's row pieces of a dense operator
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """Two workers, every operator dense and blocks of 8 rows, so that the
-    pool paths run at toy size on any machine. Returns a runner: fn()
-    within owning_cores()."""
+    """Two workers and every operator dense, so that sparse_dot's row
+    pieces run at toy size on any machine. Returns a runner: fn() within
+    owning_cores()."""
     monkeypatch.setattr(ad, "_NPROC", 2)
     monkeypatch.setattr(ad, "_SLAB_MIN_ROW_NNZ", 0)
-    monkeypatch.setattr(ad, "_BLOCK_ROWS", 8)
 
     def run(fn):
         with ad.owning_cores():
             assert ad._workers.get() == 2
             return fn()
+    return run
+
+
+class _Recorder:
+    """A stand-in pool that runs each task at once, in the caller, and
+    counts it."""
+
+    def __init__(self):
+        self.tasks = 0
+
+    def submit(self, fn, *args):
+        self.tasks += 1
+        done = concurrent.futures.Future()
+        try:
+            done.set_result(fn(*args))
+        except BaseException as exc:
+            done.set_exception(exc)
+        return done
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Two workers on a _Recorder. Returns a runner: fn() within
+    owning_cores(), and the number of tasks it submitted."""
+    monkeypatch.setattr(ad, "_NPROC", 2)
+    pool = _Recorder()
+    monkeypatch.setattr(ad, "_pool", pool)
+
+    def run(fn):
+        before = pool.tasks
+        with ad.owning_cores():
+            out = fn()
+        return out, pool.tasks - before
     return run
 
 
@@ -210,12 +243,33 @@ def _value_and_grads(node, leaves, x, start, upstream):
     return [out.value.copy()] + [grad_of(t).copy() for t in leaves]
 
 
+def test_the_pool_runs_only_a_dense_operators_row_pieces(recorded):
+    """spmm over a dense operator submits one task per row piece in its
+    forward and one in its backward; over a sparse one, none."""
+    n = 323
+    rng = make_rng(74, "pool-tasks")
+    x = rand_t((n, 5), rng)
+    upstream = rng.normal(size=(n, 5))
+    for density, dense in ((0.25, True), (0.02, False)):
+        op = SparseMatrix(sp.random(n, n, density=density, format="csr", random_state=4))
+        assert op.dense == dense
+        (pieces, got), tasks = recorded(lambda: (
+            ad._row_pieces(op.scipy), _value_and_grads(lambda: spmm(op, x), [x], x, None,
+                                                       upstream)))
+        assert len(pieces) == (3 if dense else 2) and tasks == (4 if dense else 0)
+        _same_bits(got, _value_and_grads(lambda: spmm(op, x), [x], x, None, upstream),
+                   f"spmm, dense {dense}")
+
+
 @pytest.mark.parametrize("mix", ["add", "cat", "N x R", "1 x R"])
 @pytest.mark.parametrize("relu_", [False, True])
 @pytest.mark.parametrize("held", [False, True])
 @pytest.mark.parametrize("shared", [False, True])
-def test_ada_mix_on_the_pool_is_bitwise_its_serial_run(mix, relu_, held, shared, pooled):
-    n = 29   # blocks of 8, 8, 8 and 5 rows
+def test_ada_mix_on_the_pool_is_bitwise_its_serial_run(mix, relu_, held, shared, recorded):
+    """In a run that owns the pool ada_mix's blocks run in the caller: it
+    submits no task, and its value and gradients are bitwise its run
+    outside owning_cores()."""
+    n = 2 * ad._BLOCK_ROWS + 5   # three blocks
     rng = make_rng(70, "pool-mix", mix, relu_, held, shared)
     pairs, _, _ = _ada_inputs(n, False, rng)
     x = pairs[0][0]
@@ -230,12 +284,15 @@ def test_ada_mix_on_the_pool_is_bitwise_its_serial_run(mix, relu_, held, shared,
     def run():
         return _value_and_grads(lambda: ada_mix(pairs, weights, relu=relu_),
                                 leaves, x, start, upstream)
-    _same_bits(pooled(run), run(), "ada_mix")
+    got, tasks = recorded(run)
+    assert tasks == 0
+    _same_bits(got, run(), "ada_mix")
 
 
 @pytest.mark.parametrize("held", [False, True])
-def test_ada_gate_on_the_pool_is_bitwise_its_serial_run(held, pooled):
-    n = 29
+def test_ada_gate_on_the_pool_is_bitwise_its_serial_run(held, recorded):
+    """ada_gate likewise: no task, bitwise its run outside owning_cores()."""
+    n = 2 * ad._BLOCK_ROWS + 5
     rng = make_rng(71, "pool-gate", held)
     pairs, cols, gate = _ada_inputs(n, True, rng)
     x = pairs[0][0]
@@ -246,45 +303,48 @@ def test_ada_gate_on_the_pool_is_bitwise_its_serial_run(held, pooled):
     def run():
         return _value_and_grads(lambda: ada_gate(pairs, cols, *gate),
                                 leaves, x, start, upstream)
-    _same_bits(pooled(run), run(), "ada_gate")
+    got, tasks = recorded(run)
+    assert tasks == 0
+    _same_bits(got, run(), "ada_gate")
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_matmul_on_the_pool_is_bitwise_its_serial_run(order, pooled):
+def test_matmul_on_the_pool_is_bitwise_its_serial_run(order, recorded):
+    """matmul likewise: no task, bitwise its run outside owning_cores()."""
+    n = 2 * ad._BLOCK_ROWS + 5
     rng = make_rng(72, "pool-matmul", order)
-    a = tensor(np.asarray(rng.normal(size=(29, 6)), order=order), requires_grad=True)
+    a = tensor(np.asarray(rng.normal(size=(n, 6)), order=order), requires_grad=True)
     b = rand_t((6, 5), rng)
-    upstream = rng.normal(size=(29, 5))
+    upstream = rng.normal(size=(n, 5))
 
     def run():
         return _value_and_grads(lambda: matmul(a, b), [a, b], a, None, upstream)
-    _same_bits(pooled(run), run(), "matmul")
+    got, tasks = recorded(run)
+    assert tasks == 0
+    _same_bits(got, run(), "matmul")
 
 
 def test_more_workers_than_cores_lose_no_block(monkeypatch):
-    """Eight workers on a short switch interval over 41 blocks: an spmm
-    over a gate's mix, with a held input gradient, is bitwise its serial
-    run each time."""
-    monkeypatch.setattr(ad, "_SLAB_MIN_ROW_NNZ", 0)
-    monkeypatch.setattr(ad, "_BLOCK_ROWS", 8)
+    """Eight workers on a short switch interval: an spmm over a dense
+    operator, value and gradient, with a held input gradient, is bitwise
+    its serial run each time."""
     monkeypatch.setattr(ad, "_NPROC", 8)
     monkeypatch.setattr(ad, "_pool", None)
     n = 8 * 40 + 3
     rng = make_rng(73, "pool-stress")
-    pairs, cols, gate = _ada_inputs(n, True, rng)
-    x = pairs[0][0]
-    op = SparseMatrix(sp.random(n, n, density=0.05, format="csr", random_state=3))
-    leaves = _pair_leaves(pairs) + cols + gate
+    x = rand_t((n, 5), rng)
+    op = SparseMatrix(sp.random(n, n, density=0.25, format="csr", random_state=3))
+    assert op.dense
     start, upstream = rng.normal(size=x.shape), rng.normal(size=(n, 5))
 
     def run():
-        return _value_and_grads(lambda: spmm(op, _gated(pairs, cols, gate, True)),
-                                leaves, x, start, upstream)
+        return _value_and_grads(lambda: spmm(op, x), [x], x, start, upstream)
     want = run()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ad.owning_cores():
+            assert len(ad._row_pieces(op.scipy)) == 9
             for _ in range(5):
                 _same_bits(run(), want, "stress")
     finally:
@@ -309,20 +369,6 @@ def test_a_worker_error_reaches_the_caller_from_the_lowest_block(pooled):
     with pytest.raises(NumericalError, match="block 1"):
         pooled(lambda: ad._spread(5, work))
     assert sorted(ran) == [0, 1, 2, 3, 4]
-
-
-def test_ada_mix_overflow_in_a_worker_names_the_op(pooled):
-    """Today's message from a pool task, under the caller's errstate: the
-    overflow raises no warning in the worker."""
-    pairs, cols, gate, row = _poisoned_block_inputs("-inf")
-    alpha = constant(ada_gate(pairs, cols, *gate).value)
-    x, w = pairs[0]
-    x.value[row] = [1e300, 0.0, 0.0, 0.0]
-    w.value[0] = -1e300
-    with np.errstate(over="ignore"):
-        for relu_ in (False, True):
-            with pytest.raises(NumericalError, match="^non-finite value produced by ada_mix$"):
-                pooled(lambda: ada_mix(pairs, alpha, relu=relu_))
 
 
 # ---------------------------------------------------------------------------

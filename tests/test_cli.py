@@ -123,7 +123,8 @@ def test_synth_gen_requires_out():
 
 def test_failed_synth_gen_writes_nothing(tmp_path, capsys):
     out = tmp_path / "d"
-    assert main(["synth", "gen", "--nodes", "5", "--out", str(out)]) == 3
+    # at most 2 (n - 1) = 8 mean degree, so the split is what fails
+    assert main(["synth", "gen", "--nodes", "5", "--degree", "4", "--out", str(out)]) == 3
     assert "10 nodes" in capsys.readouterr().err
     assert not out.exists()
 
@@ -797,6 +798,7 @@ BAD_INPUTS = [
     ("synth_gen_zero_nodes", _synth_gen_with("--nodes", "0"), 2),
     ("synth_gen_degree_nan", _synth_gen_with("--degree", "nan"), 2),
     ("synth_gen_degree_inf", _synth_gen_with("--degree", "inf"), 2),
+    ("synth_gen_degree_past_the_nodes", _synth_gen_with("--degree", "100"), 2),
     ("synth_gen_negative_feature_dim", _synth_gen_with("--feature-dim", "-3"), 2),
     ("synth_gen_zero_classes", _synth_gen_with("--classes", "0"), 2),
     ("synth_gen_mean_separation_nan", _synth_gen_with("--mean-separation", "nan"), 2),

@@ -73,9 +73,10 @@ def test_spec_validation():
         SynthSpec(cm, [0, 1, 2, 3], feats, 4.0)
     with pytest.raises(ConfigError, match="node count"):
         SynthSpec(cm, [0, 1, 2], feats, 4.0)
-    for degree in (0.0, float("nan"), float("inf")):
+    for degree in (0.0, float("nan"), float("inf"), 6.5):
         with pytest.raises(ConfigError, match="mean_degree"):
             SynthSpec(cm, [0, 1, 2, 0], feats, degree)
+    SynthSpec(cm, [0, 1, 2, 0], feats, 6.0)   # 2 (n - 1): every pair an edge
     with pytest.raises(ConfigError, match="at least one node"):
         SynthSpec(cm, [], feats[:0], 4.0)
 
