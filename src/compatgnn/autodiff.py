@@ -36,16 +36,17 @@ in column slabs with bitwise the same result. Every forward output is
 checked finite so a NaN surfaces where it is born, not three layers
 later.
 
-The cores: a run of a model that holds a dense operator (a SparseMatrix
-averaging _SLAB_MIN_ROW_NNZ nonzeros a row or more) owns them.
-training.train_model pins OpenBLAS to one thread for such a run, since
-its idle threads would spin on the cores the pool needs, and runs it
-within owning_cores(): there sparse_dot splits a dense operator's product
-into one contiguous row piece per worker of one pool of nproc worker
-threads, made once per process. Each piece writes its own rows of one
-output, so every value is bitwise the serial one. Nothing else runs on
-the pool. Outside owning_cores(), or on one core, the pieces are one
-product in the caller.
+The cores: owning_cores() is the one place that owns them. Within it
+numpy's bundled OpenBLAS runs on one thread, since its idle threads
+would spin on the cores the pool needs, and sparse_dot splits a dense
+operator's product (a SparseMatrix averaging _SLAB_MIN_ROW_NNZ nonzeros
+a row or more) into one contiguous row piece per worker of one pool of
+nproc worker threads, made once per process. Each piece writes its own
+rows of one output, so every value is bitwise the serial one. Nothing
+else runs on the pool. training.train_model runs a model that holds a
+dense operator within owning_cores() when the bundle is present.
+Outside owning_cores(), or on one core, the pieces are one product in
+the caller.
 
 No module of the package calls gather_rows, row_scale, add_bias,
 sigmoid or slice_cols: they stay because the benchmark's tracer
@@ -55,6 +56,8 @@ sigmoid or slice_cols: they stay because the benchmark's tracer
 import concurrent.futures
 import contextlib
 import contextvars
+import ctypes
+import glob
 import os
 
 import numpy as np
@@ -184,19 +187,46 @@ _pool = None    # made by the first owning_cores() on more than one core
 _workers = contextvars.ContextVar("workers", default=1)   # pieces a product spreads over
 
 
+def _openblas():
+    """The thread count getter and setter of the OpenBLAS numpy bundles,
+    or None without that library."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
 @contextlib.contextmanager
 def owning_cores():
-    """Within the block sparse_dot's products over a dense operator run
-    in row pieces on the pool's _NPROC workers; the caller has pinned
-    BLAS to one thread. The pool is made on first use and kept."""
+    """Within the block the caller owns the cores: numpy's bundled
+    OpenBLAS runs on one thread, since its idle threads would spin on the
+    cores a row split needs, and sparse_dot's products over a dense
+    operator run in row pieces on the pool's _NPROC workers. The old
+    thread count is restored on exit, also when the block raises. Without
+    the bundle the pieces split all the same and no count is touched. The
+    pool is made on first use and kept."""
     global _pool
     if _NPROC > 1 and _pool is None:
         _pool = concurrent.futures.ThreadPoolExecutor(_NPROC, "compatgnn")
+    blas = _openblas()
+    if blas is not None:
+        count = blas[0]()
+        blas[1](1)
     token = _workers.set(_NPROC)
     try:
         yield
     finally:
         _workers.reset(token)
+        if blas is not None:
+            blas[1](count)
 
 
 def _spread(n, work):
@@ -349,34 +379,31 @@ def row_scale(alpha, z):
 
 
 class _BlockGrads:
-    """How a row-blocked node writes its inputs' gradients: the first share
-    of a tensor with no gradient yet goes straight into the rows of a
-    fresh .grad, every other is added through its block's buffer. A .grad
-    so holds _acc's sums in input order with no N-row array per input,
-    and each block writes only its own rows."""
+    """How a row-blocked node over n rows writes its inputs' gradients:
+    the first share of a tensor with no gradient yet goes straight into
+    the rows of a fresh .grad, every other is added through one block
+    buffer, made once and reused by every block. A .grad so holds _acc's
+    sums in input order with no N-row array per input."""
 
-    def __init__(self, inputs):
+    def __init__(self, inputs, n):
         self.inputs, self.direct = inputs, set()
         for i, t in enumerate(inputs):
             if t.requires_grad and t.grad is None:
                 t.grad = np.empty(t.shape)
                 self.direct.add(i)
-        self.width = max([t.shape[1] for i, t in enumerate(inputs)
-                          if t.requires_grad and i not in self.direct], default=0)
+        self.buf = np.empty(min(_BLOCK_ROWS, n) * max(
+            [t.shape[1] for i, t in enumerate(inputs)
+             if t.requires_grad and i not in self.direct], default=0))
 
-    def buffer(self, lo, hi):
-        """The buffer the shares of rows [lo, hi) that are added go through."""
-        return np.empty((hi - lo) * self.width)
-
-    def rows(self, i, lo, hi, buf):
+    def rows(self, i, lo, hi):
         """Where input i's share of rows [lo, hi) is to be computed."""
         if i in self.direct:
             return self.inputs[i].grad[lo:hi]
-        return buf[:(hi - lo) * self.inputs[i].shape[1]].reshape(hi - lo, -1)
+        return self.buf[:(hi - lo) * self.inputs[i].shape[1]].reshape(hi - lo, -1)
 
-    def add(self, i, lo, hi, buf):
+    def add(self, i, lo, hi):
         if i not in self.direct:
-            self.inputs[i].grad[lo:hi] += self.rows(i, lo, hi, buf)
+            self.inputs[i].grad[lo:hi] += self.rows(i, lo, hi)
 
 
 def _pair_shapes(pairs, op):
@@ -398,8 +425,8 @@ def ada_gate(pairs, extra_cols, w_att, b_att, w_mix, b_mix):
     under the sigmoid is checked finite, since the sigmoid would hide an
     infinity in it. With g_s the gradient at the sigmoid's input, dX_r =
     g_s (W_r A_r)^T, written as _BlockGrads writes it, block by block
-    (_BLOCK_ROWS rows); dW_r = (X_r^T g_s) A_r^T and dA_r = W_r^T (X_r^T
-    g_s)."""
+    (_BLOCK_ROWS rows) through its one buffer; dW_r = (X_r^T g_s) A_r^T
+    and dA_r = W_r^T (X_r^T g_s)."""
     pairs = list(pairs)
     n_mix = len(pairs)
     pairs += [(c, None) for c in extra_cols]
@@ -425,16 +452,12 @@ def ada_gate(pairs, extra_cols, w_att, b_att, w_mix, b_mix):
     def bw(g):
         gm = value * (g - (g * value).sum(axis=1, keepdims=True))   # at the softmax's input
         gs = (gm @ w_mix.value.T) * h * (1.0 - h)                  # at the sigmoid's input
-        grads, wa = _BlockGrads([x for x, _ in pairs]), through()
-
-        def block(lo, hi):
-            buf = grads.buffer(lo, hi)
+        grads, wa = _BlockGrads([x for x, _ in pairs], n), through()
+        for lo, hi in _row_blocks(n):
             for r, ((x, _), m) in enumerate(zip(pairs, wa)):
                 if x.requires_grad:
-                    np.matmul(gs[lo:hi], m.T, out=grads.rows(r, lo, hi, buf))
-                    grads.add(r, lo, hi, buf)
-        for lo, hi in _row_blocks(n):
-            block(lo, hi)
+                    np.matmul(gs[lo:hi], m.T, out=grads.rows(r, lo, hi))
+                    grads.add(r, lo, hi)
         d_att = []
         for (x, w), a in zip(pairs, att):
             xg = x.value.T @ gs
@@ -459,8 +482,9 @@ def ada_mix(pairs, mix, relu=False):
     alpha) or 1 x R (for every row): out = sum_r diag(c_r) Z_r, c_r column
     r of c. Then max(out, 0) if `relu`, each block of out checked finite
     first, since the relu would hide a -inf in it. Forward and backward
-    compute the Z_r block by block (_BLOCK_ROWS rows), one at a time into
-    the block's buffer, so the node keeps only its output.
+    compute the Z_r block by block (_BLOCK_ROWS rows), one at a time, in
+    one scratch set that each call makes once and every block reuses, so
+    the node keeps only its output.
 
     The backward recomputes each block's relu mask from the output. With
     g the block's gradient at Z_r (its columns under cat) and u_r = g
@@ -483,14 +507,12 @@ def ada_mix(pairs, mix, relu=False):
                          f"got {weights.shape}")
     # c as N x R, a 1 x R c a view that repeats its row
     cw = None if weights is None else np.broadcast_to(weights.value, (n, n_ch))
-    d = spans[-1][1] if cat else shapes[0][1]
+    d, rows = spans[-1][1] if cat else shapes[0][1], min(_BLOCK_ROWS, n)
     value = np.empty((n, d))
-    z_width, x_width = max(s[1] for s in shapes), max(x.shape[1] for x, _ in pairs)
-
-    def forward(lo, hi):
+    prod = np.empty(rows * max(s[1] for s in shapes))   # one product block at a time
+    buf = None if cw is None else np.empty((rows, d))
+    for lo, hi in _row_blocks(n):
         v = value[lo:hi]
-        prod = np.empty((hi - lo) * z_width)   # one product at a time
-        buf = None if cw is None else np.empty((hi - lo, d))
         for r, ((x, w), (c0, c1)) in enumerate(zip(pairs, spans)):
             z = x.value[lo:hi] if w is None else np.matmul(
                 x.value[lo:hi], w.value, out=prod[:(hi - lo) * (c1 - c0)].reshape(hi - lo, -1))
@@ -499,29 +521,25 @@ def ada_mix(pairs, mix, relu=False):
             elif r == 0:
                 np.multiply(z, 1.0 if cw is None else cw[lo:hi, :1], out=v)
             else:
-                v += z if cw is None else np.multiply(z, cw[lo:hi, r:r + 1], out=buf)
+                v += z if cw is None else np.multiply(z, cw[lo:hi, r:r + 1], out=buf[:hi - lo])
         if relu:
             if not np.isfinite(v).all():
                 raise NumericalError("non-finite value produced by ada_mix")
             np.maximum(v, 0.0, out=v)
-    for lo, hi in _row_blocks(n):
-        forward(lo, hi)
 
     def bw(g):
-        grads = _BlockGrads([x for x, _ in pairs])
+        grads = _BlockGrads([x for x, _ in pairs], n)
         gws = [np.zeros(w.shape) if w is not None and w.requires_grad else None
                for _, w in pairs]
         dc = np.empty((n, n_ch)) if weights is not None and weights.requires_grad else None
-
-        def block(lo, hi):
-            # the block's share of each dX_r and of dc, and of each dW_r
-            buf = grads.buffer(lo, hi)
-            # u_r and c_r g under weights; without, u_r goes straight into dX_r
-            ubuf, cbuf = (None, None) if cw is None else (
-                np.empty((hi - lo) * x_width), np.empty((hi - lo) * d))
+        # u_r and c_r g under weights; without, u_r goes straight into dX_r
+        ubuf, cbuf = (None, None) if cw is None else (
+            np.empty(rows * max(x.shape[1] for x, _ in pairs)), np.empty(rows * d))
+        masked = np.empty((rows, d)) if relu else None
+        for lo, hi in _row_blocks(n):
             gb = g[lo:hi]
             if relu:
-                gb = gb * (value[lo:hi] > 0)
+                gb = np.multiply(gb, value[lo:hi] > 0, out=masked[:hi - lo])
             for r, ((x, w), gw, (c0, c1)) in enumerate(zip(pairs, gws, spans)):
                 gz, xb = gb[:, c0:c1] if cat else gb, x.value[lo:hi]
                 c = None if cw is None else cw[lo:hi, r:r + 1]
@@ -530,7 +548,7 @@ def ada_mix(pairs, mix, relu=False):
                         gz, c, out=cbuf[:gz.size].reshape(gz.shape)))
                 if not (x.requires_grad or dc is not None):
                     continue
-                gx = grads.rows(r, lo, hi, buf) if x.requires_grad else None
+                gx = grads.rows(r, lo, hi) if x.requires_grad else None
                 u = gz if w is None else np.matmul(
                     gz, w.value.T, out=gx if c is None else ubuf[:xb.size].reshape(xb.shape))
                 if dc is not None:
@@ -538,9 +556,7 @@ def ada_mix(pairs, mix, relu=False):
                 if gx is not None:
                     if u is not gx:
                         np.multiply(u, 1.0 if c is None else c, out=gx)
-                    grads.add(r, lo, hi, buf)
-        for lo, hi in _row_blocks(n):
-            block(lo, hi)
+                    grads.add(r, lo, hi)
         for (_, w), gw in zip(pairs, gws):
             if gw is not None:
                 _acc(w, gw)

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure. Every command is deterministic under a fixed --seed; artifacts
-land under --out as JSON/CSV/SVG next to a human-readable summary on
-stdout.
+Exit codes: 0 success, 2 configuration error (a size that cannot be
+allocated included), 3 data error, 4 numerical failure. Every command
+is deterministic under a fixed --seed; artifacts land under --out as
+JSON/CSV/SVG next to a human-readable summary on stdout.
 """
 
 import argparse
@@ -64,9 +64,17 @@ def _add_run_flags(p):
 
 # --splits names at most MAX_SPLIT_IDS split ids, each a training run; a
 # range past the bound is refused before it is expanded, so 0-2^64 never
-# becomes a list, and so is a single id past it. Ten splits are the
-# paper's protocol.
+# becomes a list, and so is a single id past it. --n-splits draws at most
+# as many splits. Ten splits are the paper's protocol.
 MAX_SPLIT_IDS = 10**4
+
+
+def split_count(text):
+    n = positive_int(text)
+    if n > MAX_SPLIT_IDS:
+        raise argparse.ArgumentTypeError(f"{n} splits, more than the {MAX_SPLIT_IDS} "
+                                         "a dataset takes")
+    return n
 
 
 def _parse_split_ids(text):
@@ -377,7 +385,7 @@ def build_parser():
     p.set_defaults(func=cmd_dataset_inspect)
     p = ds_sub.add_parser("split", help="generate 48/32/20 node splits")
     p.add_argument("path")
-    p.add_argument("--n-splits", type=positive_int, default=10)
+    p.add_argument("--n-splits", type=split_count, default=10)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="splits directory (default: the dataset's splits/)")
     p.set_defaults(func=cmd_dataset_split)
@@ -393,7 +401,7 @@ def build_parser():
     p.add_argument("--degree", type=float, default=18)
     p.add_argument("--feature-dim", type=int, default=16)
     p.add_argument("--mean-separation", type=float, default=1.9)
-    p.add_argument("--n-splits", type=positive_int, default=10)
+    p.add_argument("--n-splits", type=split_count, default=10)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="dataset directory")
     p.set_defaults(func=cmd_synth_gen)
@@ -441,7 +449,9 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, DataError, NumericalError) as exc:
+    except (ConfigError, DataError, NumericalError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):   # a size this machine cannot allocate
+            exc = ConfigError(f"out of memory: {exc}")
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
 

@@ -120,6 +120,8 @@ def make_synth_spec(n_nodes, k, h, pattern, mean_degree, seed,
     The default separation is calibrated so a feature-only MLP lands in the
     low-to-mid 70s (percent) at 1000 nodes / K=5, keeping graph-structure
     effects visible in both directions."""
+    if k > n_nodes:   # before the K x K target is built
+        raise ConfigError(f"{k} classes need at least {k} nodes, got {n_nodes}")
     cm = build_target_cm(k, h, pattern)   # refuses K < 2 before labels are drawn
     if d_f < 1:
         raise ConfigError(f"feature dimension must be positive, got {d_f}")

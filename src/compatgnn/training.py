@@ -14,9 +14,7 @@ trained on, unless a refresh intervened (see train_model).
 """
 
 import contextlib
-import ctypes
 import dataclasses
-import glob
 import math
 import os
 import time
@@ -25,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError, TrainingDiverged
-from .autodiff import backward, frozen, owning_cores, zero_grads
+from .autodiff import _openblas, backward, frozen, owning_cores, zero_grads
 from .graph import check_split
 from .model import CompatGNN
 from .mp import MODEL_NAMES, MessagePassingModel, ModelSpec, build_preset
@@ -141,57 +139,17 @@ class RunResult:
     diverged: bool = False
 
 
-def _openblas():
-    """The thread count getter and setter of the OpenBLAS numpy bundles,
-    or None without that library."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
 def blas_threads():
     """The size of the OpenBLAS pool numpy runs on, read from the library
-    numpy bundles: OpenBLAS fixes it when numpy is imported, so a later
-    change to OPENBLAS_NUM_THREADS has no effect; within a run that owns
-    the cores (_owning_cores) it is 1. Without that library,
+    numpy bundles (autodiff._openblas): OpenBLAS fixes it when numpy is
+    imported, so a later change to OPENBLAS_NUM_THREADS has no effect;
+    within autodiff.owning_cores() it is 1. Without that library,
     OPENBLAS_NUM_THREADS when it holds a count, else one per CPU."""
     blas = _openblas()
     if blas is not None:
         return blas[0]()
     value = os.environ.get("OPENBLAS_NUM_THREADS", "")
     return int(value) if value.isdigit() and int(value) > 0 else os.cpu_count()
-
-
-@contextlib.contextmanager
-def _owning_cores(model):
-    """A run of a model that holds a dense operator owns the cores: it
-    pins OpenBLAS to one thread, whose idle threads would otherwise spin
-    on the cores a row split needs, and runs the heavy products on
-    autodiff's pool (autodiff.owning_cores). The old thread count is
-    restored on exit, also when the run raises. Without numpy's bundled
-    OpenBLAS no run owns the cores: a row split beside BLAS's own
-    threads runs slower."""
-    blas = _openblas()
-    if blas is None or not model.holds_dense_operator():
-        yield
-        return
-    get, set_ = blas
-    count = get()
-    set_(1)
-    try:
-        with owning_cores():
-            yield
-    finally:
-        set_(count)
 
 
 def _reuses_eval(model):
@@ -218,13 +176,17 @@ def train_model(graph, split, config, seed, split_id=0, model=None):
     on_validation_improved returned True (a refresh): that eval output is
     stale and is dropped there. The final forward is frozen. A split
     naming a node the graph has no label for is a DataError (check_split).
-    A run of a model over a dense operator owns the cores (_owning_cores).
+    A run of a model that holds a dense operator runs within
+    autodiff.owning_cores(), which pins BLAS to one thread, when numpy's
+    bundled OpenBLAS is present. Without it no run owns the cores: a row
+    split beside BLAS's own threads runs slower.
     """
     config.validate()
     check_split(split, graph.labels, f"split {split_id}")
     if model is None:
         model = build_model(config, graph, seed)
-    with _owning_cores(model):
+    owns = model.holds_dense_operator() and _openblas() is not None
+    with owning_cores() if owns else contextlib.nullcontext():
         return _protocol(graph, split, config, seed, split_id, model)
 
 

@@ -2,6 +2,8 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +59,11 @@ def test_parse_split_ids():
         args = build_parser().parse_args(["bench", "--splits", text])
         with pytest.raises(ConfigError, match=rf"split ids {repeated} repeat"):
             _build_config(args)
+    for command in (["dataset", "split", "ds"], ["synth", "gen"]):
+        args = build_parser().parse_args(command + ["--n-splits", str(MAX_SPLIT_IDS)])
+        assert args.n_splits == MAX_SPLIT_IDS
+        with pytest.raises(ConfigError, match=f"{MAX_SPLIT_IDS + 1} splits, more than"):
+            build_parser().parse_args(command + ["--n-splits", str(MAX_SPLIT_IDS + 1)])
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -355,6 +362,35 @@ def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error, code, 
     assert main(["train"]) == code
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"{label}: boom\n"
+
+
+# cli.main in a fresh interpreter whose address space is capped at 1 GiB,
+# so that a size past it fails at once and no machine really allocates it
+CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from compatgnn.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "DS", "--nhidden", "100000"],   # a 74.5 GiB weight
+    ["synth", "gen", "--nodes", "100000000000", "--classes", "1000000000"],
+    ["synth", "gen", "--feature-dim", "100000000000"],
+    ["synth", "gen", "--nodes", "100000000000"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2] + argv[-2:]))
+def test_a_size_that_cannot_be_allocated_exits_2(argv, dataset, tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = [dataset if a == "DS" else a for a in argv] + ["--out", str(tmp_path / "o")]
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    err = proc.stderr.strip().splitlines()
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert len(err) == 1 and err[0].startswith("config error: out of memory: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_bench_and_degree_report(dataset, tmp_path, capsys):
@@ -772,6 +808,11 @@ BAD_INPUTS = [
         "dataset", "split", ds, "--n-splits", "-3", "--out", str(tmp / "sp")], 2),
     ("synth_gen_zero_splits", lambda tmp, ds: [
         "synth", "gen", "--nodes", "20", "--n-splits", "0", "--out", str(tmp / "d")], 2),
+    ("split_n_splits_past_the_bound", lambda tmp, ds: [
+        "dataset", "split", ds, "--n-splits", "1000000000", "--out", str(tmp / "sp")], 2),
+    ("synth_gen_n_splits_past_the_bound", lambda tmp, ds: [
+        "synth", "gen", "--nodes", "50", "--n-splits", "1000000000",
+        "--out", str(tmp / "d")], 2),
     ("degree_report_zero_buckets", lambda tmp, ds: _degree_report_on()(tmp, ds)
      + ["--buckets", "0"], 2),
     ("cm_knn_zero_k", lambda tmp, ds: [
@@ -801,6 +842,7 @@ BAD_INPUTS = [
     ("synth_gen_degree_past_the_nodes", _synth_gen_with("--degree", "100"), 2),
     ("synth_gen_negative_feature_dim", _synth_gen_with("--feature-dim", "-3"), 2),
     ("synth_gen_zero_classes", _synth_gen_with("--classes", "0"), 2),
+    ("synth_gen_more_classes_than_nodes", _synth_gen_with("--classes", "21"), 2),
     ("synth_gen_mean_separation_nan", _synth_gen_with("--mean-separation", "nan"), 2),
     ("synth_gen_mean_separation_inf", _synth_gen_with("--mean-separation", "inf"), 2),
     ("synth_gen_features_beyond_float32", _synth_gen_with("--mean-separation", "1e39"), 3),

@@ -99,6 +99,14 @@ def test_balanced_labels_and_features():
     assert spread(far) > spread(near)
 
 
+def test_more_classes_than_nodes_are_refused_before_the_target(monkeypatch):
+    def target(*args):
+        raise AssertionError("the K x K target was built")
+    monkeypatch.setattr("compatgnn.synth.build_target_cm", target)
+    with pytest.raises(ConfigError, match="21 classes need at least 21 nodes, got 20"):
+        make_synth_spec(20, 21, 0.5, "hard", 4, seed=0)
+
+
 def test_make_synth_spec_names_and_shapes():
     spec = make_synth_spec(30, 5, 0.2, "easy", 6, seed=1)
     assert spec.name == "synth-easy-h0.2-d6"

@@ -253,7 +253,7 @@ def test_dense_operator_runs_agree_bitwise_across_blas_thread_counts(tmp_path):
     """A run over a dense operator owns the cores: BLAS runs on one thread
     whatever OPENBLAS_NUM_THREADS says, so its curve is bit-identical at
     any count."""
-    if training._openblas() is None:
+    if ad._openblas() is None:
         pytest.skip("needs the OpenBLAS numpy bundles")
     out = {threads: run_probe(DENSE_RUN_PROBE, threads, tmp_path)
            for threads in ("1", "2")}
@@ -268,7 +268,7 @@ def dense_everywhere(monkeypatch):
     """Every operator dense and two workers, so that any run of a model
     with an operator owns the cores; OpenBLAS on 2 threads before the run
     and restored after the test."""
-    blas = training._openblas()
+    blas = ad._openblas()
     if blas is None:
         pytest.skip("needs the OpenBLAS numpy bundles")
     get, set_ = blas
@@ -278,6 +278,28 @@ def dense_everywhere(monkeypatch):
     set_(2)
     yield
     set_(count)
+
+
+def test_owning_cores_pins_blas_and_restores_it(dense_everywhere, monkeypatch):
+    """Within owning_cores() BLAS runs on one thread; the old count is back
+    after the block, also when it raises. Without the bundle the block
+    still splits a dense operator and leaves the count alone."""
+    with ad.owning_cores():
+        assert training.blas_threads() == 1
+    assert training.blas_threads() == 2
+    with pytest.raises(KeyError):
+        with ad.owning_cores():
+            assert training.blas_threads() == 1
+            raise KeyError
+    assert training.blas_threads() == 2 and ad._workers.get() == 1
+    get, _ = ad._openblas()
+    m, x = np.eye(8)[::-1], np.arange(24.0).reshape(8, 3)
+    monkeypatch.setattr(ad, "_openblas", lambda: None)
+    with ad.owning_cores():
+        assert get() == 2
+        assert ad._row_pieces(ad.SparseMatrix(m).scipy) == [0, 4, 8]
+        np.testing.assert_array_equal(ad.sparse_dot(ad.SparseMatrix(m).scipy, x), m @ x)
+    assert get() == 2
 
 
 def test_a_dense_run_restores_the_blas_thread_count(dense_everywhere):
@@ -362,7 +384,7 @@ def test_runs_record_the_blas_thread_count(tmp_path):
 
 def test_blas_thread_count_falls_back_to_the_environment(monkeypatch):
     """Without numpy's bundled OpenBLAS: OPENBLAS_NUM_THREADS, else one per CPU."""
-    monkeypatch.setattr(training.glob, "glob", lambda pattern: [])
+    monkeypatch.setattr(ad.glob, "glob", lambda pattern: [])
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     assert training.blas_threads() == 3
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
