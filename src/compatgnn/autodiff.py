@@ -29,10 +29,13 @@ same pairs but forms no product. Both write their inputs' gradients by
 one rule (_BlockGrads).
 
 Sparse matrices enter only as constants on the left of spmm; gradients
-flow to the dense operand. Every sparse x dense product of the package,
-spmm's forward and backward included, runs through one kernel,
-sparse_dot, which multiplies a dense operand too large for the L2 cache
-in column slabs with bitwise the same result. Every forward output is
+flow to the dense operand. An operator is a SparseMatrix, or a
+TwoHopOperator: a khop k = 2 operator held as its 1-hop factors, whose
+product is three sparse products over them plus a diagonal term. Every
+sparse x dense product of the package, spmm's forward and backward
+included, runs through one kernel, sparse_dot, which multiplies a dense
+operand too large for the L2 cache in column slabs with bitwise the
+same result. Every forward output is
 checked finite so a NaN surfaces where it is born, not three layers
 later.
 
@@ -46,7 +49,10 @@ rows of one output, so every value is bitwise the serial one. Nothing
 else runs on the pool. training.train_model runs a model that holds a
 dense operator within owning_cores() when the bundle is present.
 Outside owning_cores(), or on one core, the pieces are one product in
-the caller.
+the caller. The presets' 2-hop channel runs as a TwoHopOperator, whose
+factors are sparse, so only a model over an operator that is itself
+dense owns the cores: a khop channel with k >= 3, or any channel on a
+graph that dense; no benchmark run does.
 
 No module of the package calls gather_rows, row_scale, add_bias,
 sigmoid or slice_cols: they stay because the benchmark's tracer
@@ -138,6 +144,14 @@ def _acc_copy(t, g):
     _acc(t, g)
 
 
+def _transpose(m):
+    """The transpose of the CSR m as CSR: m itself when bitwise equal to it."""
+    mt = m.T.tocsr()
+    same = (np.array_equal(mt.indptr, m.indptr) and np.array_equal(mt.indices, m.indices)
+            and np.array_equal(mt.data.view(np.uint64), m.data.view(np.uint64)))
+    return m if same else mt
+
+
 class SparseMatrix:
     """Immutable CSR constant for sparse x dense products."""
 
@@ -171,12 +185,69 @@ class SparseMatrix:
     def T_scipy(self):
         """The transpose as CSR: the matrix itself when bitwise equal to it."""
         if self._mt is None:
-            m, mt = self._m, self._m.T.tocsr()
-            same = (np.array_equal(mt.indptr, m.indptr)
-                    and np.array_equal(mt.indices, m.indices)
-                    and np.array_equal(mt.data.view(np.uint64), m.data.view(np.uint64)))
-            self._mt = m if same else mt
+            self._mt = _transpose(self._m)
         return self._mt
+
+    def apply(self, x):
+        return sparse_dot(self._m, x)
+
+    def apply_t(self, x):
+        return sparse_dot(self.T_scipy, x)
+
+
+def _scale_cols(m, v):
+    """The CSR m with column j scaled by v[j]; m itself for a v of None."""
+    if v is None:
+        return m
+    return sp.csr_matrix((m.data * v[m.indices], m.indices, m.indptr), shape=m.shape)
+
+
+class TwoHopOperator:
+    """A guided within-2-hop operator L I2 R held as its 1-hop factors
+    (sparse.two_hop_factors): with A the binary adjacency, S = A + A A
+    and C the extra walks of the pairs S joins by more than one,
+
+        L I2 R Z = L (A (A Z') + A Z' - diag(S) Z' - C Z'),   Z' = R Z,
+
+    and with high_pass, Z minus that. L and R are the guidance's row and
+    column scalings, as vectors (None for the identity). R is folded
+    into A Z', diag(S) and C, so a product holds one N x d temporary
+    besides its output. The transpose is R I2^T L, the same with A^T and
+    C^T and with L and R swapped. nnz is the nonzeros one product reads,
+    2 nnz(A) + nnz(C)."""
+
+    def __init__(self, a, c, diag, left, right, high_pass):
+        self.shape, self.nnz = a.shape, 2 * a.nnz + c.nnz
+        self._high_pass = high_pass
+        self._fwd = self._factors(a, c, diag, left, right)
+        at, ct = _transpose(a), _transpose(c)
+        self._bwd = (self._fwd if at is a and ct is c and left is right
+                     else self._factors(at, ct, diag, right, left))
+
+    @staticmethod
+    def _factors(a, c, diag, left, right):
+        return (a, _scale_cols(a, right), _scale_cols(-c, right),
+                (diag if right is None else diag * right)[:, None],
+                None if left is None else left[:, None])
+
+    def _product(self, factors, z):
+        a, a_r, neg_c_r, d_r, left = factors
+        t = sparse_dot(a_r, z)               # A Z'
+        out = sparse_dot(a, t)               # A (A Z')
+        out += t
+        out -= np.multiply(z, d_r, out=t)    # diag(S) Z', in t's place
+        sparse_dot(neg_c_r, z, out=out)      # - C Z', added into out
+        if left is not None:
+            out *= left
+        if self._high_pass:
+            np.subtract(z, out, out=out)
+        return out
+
+    def apply(self, x):
+        return self._product(self._fwd, x)
+
+    def apply_t(self, x):
+        return self._product(self._bwd, x)
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +375,25 @@ def _row_pieces(m):
     return np.unique(cuts).tolist()
 
 
-def sparse_dot(m, x):
-    """m @ x for a scipy sparse m and a dense 2-D x, bitwise: the one sparse x
-    dense product of the package. A dense operand too large for the L2
-    cache is multiplied in column slabs when slabs pay (_slab_bounds), so
-    a slab's rows stay in cache across the nonzeros that read them, and
-    within owning_cores() a dense m's rows in one piece per worker
-    (_row_pieces). Each piece runs scipy's own kernel for m @ x,
-    csr_matvecs, which writes the piece's rows of a given output, so no
-    worker allocates: every entry is the same row sum in the same order as
-    in m @ x."""
+def sparse_dot(m, x, out=None):
+    """m @ x for a scipy sparse m and a dense 2-D x, bitwise, or with `out`
+    out + m @ x, added into out: the one sparse x dense product of the
+    package. A dense operand too large for the L2 cache is multiplied in
+    column slabs when slabs pay (_slab_bounds), so a slab's rows stay in
+    cache across the nonzeros that read them, and within owning_cores() a
+    dense m's rows in one piece per worker (_row_pieces). Each piece runs
+    scipy's own kernel for m @ x, csr_matvecs, which adds the piece's rows
+    into a given output, so no worker allocates: every entry is the same
+    row sum in the same order as in m @ x."""
     m = m.tocsr()
     cols = _slab_bounds(m, x) or [0, x.shape[1]]
     rows = _row_pieces(m)
-    out = np.zeros((m.shape[0], x.shape[1]))
+    if out is None:
+        out = np.zeros((m.shape[0], x.shape[1]))
     for c0, c1 in zip(cols[:-1], cols[1:]):
         # the slab and its product as contiguous arrays, as m @ x makes them
         xs = x[:, c0:c1].ravel()
-        ys = out if len(cols) == 2 else np.zeros((m.shape[0], c1 - c0))
+        ys = out if len(cols) == 2 else np.ascontiguousarray(out[:, c0:c1])
 
         def piece(k):
             lo, hi = rows[k], rows[k + 1]
@@ -335,13 +407,14 @@ def sparse_dot(m, x):
 
 def spmm(a, x):
     """Sparse constant times dense tensor; gradient flows to the dense side.
-    Forward (A X) and backward (A^T G) are each one sparse_dot."""
-    if not isinstance(a, SparseMatrix):
+    a is a SparseMatrix or a TwoHopOperator (anything else is made a
+    SparseMatrix): the forward is a.apply(X), the backward a.apply_t(G)."""
+    if not isinstance(a, (SparseMatrix, TwoHopOperator)):
         a = SparseMatrix(a)
-    value = sparse_dot(a.scipy, x.value)
+    value = a.apply(x.value)
 
     def bw(g):
-        _acc(x, sparse_dot(a.T_scipy, g))
+        _acc(x, a.apply_t(g))
     return _result(value, (x,), bw, "spmm")
 
 

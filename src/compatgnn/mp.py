@@ -30,6 +30,13 @@ Layer 1 reads ÂX when the encoder output reaches it as it is: a channel
 over a sparse operator Â computes Â (X W_e) W as (ÂX)(W_e W), with ÂX a
 constant cached per operator (_reads_propagated, _channel).
 
+A sparse operator is a SparseMatrix, or for a khop k = 2 channel (the
+2-hop of h2gcn and mixhop) a TwoHopOperator: the indicator's 1-hop
+factors, A, the overlap correction C and diag(A + A A) (_two_hop).
+Their products are sparse, so a run owns the cores (training.train_model)
+only over an operator that is itself dense: a khop channel with k >= 3,
+or any channel on a graph averaging 64 neighbors a row or more.
+
 A ModelSpec is declarative data: json.dumps(spec.to_dict()) writes a
 spec file, and `--model spec.json` runs it (training.build_model reads
 it with records.read_json and ModelSpec.from_dict). Its field types
@@ -50,10 +57,11 @@ from .graph import Graph
 from .records import decode
 from .rng import make_rng
 from . import autodiff as ad
-from .autodiff import (SparseMatrix, constant, dropout, glorot, matmul, relu,
-                       slice_rows, sparse_dot, spmm)
-from .sparse import (add_self_loops, khop_adjacency, knn_feature_graph,
-                     row_normalize, sym_normalize)
+from .autodiff import (SparseMatrix, TwoHopOperator, constant, dropout, glorot,
+                       matmul, relu, slice_rows, spmm)
+from .sparse import (add_self_loops, inverse_degree, khop_adjacency,
+                     knn_feature_graph, row_normalize, sym_normalize,
+                     two_hop_factors)
 
 # the guidance each indicator pairs with; any other pairs with AVERAGING
 PAIRINGS = {"identity": ("identity",), "supplementary": ("constant",)}
@@ -232,10 +240,26 @@ class PrototypeOperator:
 
 
 def realize_channel(g, ch):
-    """(indicator, guidance) -> None | SparseMatrix, ready for aggregate()."""
+    """(indicator, guidance) -> None | SparseMatrix | TwoHopOperator, ready
+    for aggregate(). A khop k = 2 channel is realized by _two_hop."""
+    if ch.indicator == "khop" and ch.k == 2:
+        return _two_hop(g, ch.guidance)
     ind = realize_indicator(g, ch.indicator, ch.k)
     fused = realize_guidance(ind, ch.guidance, g.n_nodes)
     return None if fused is None else SparseMatrix(fused)
+
+
+def _two_hop(g, guidance):
+    """The guided within-2-hop operator as a TwoHopOperator over the
+    factors of sparse.two_hop_factors. The guidance scales I2 by its
+    degrees D2 (sparse.inverse_degree), as realize_guidance does:
+    deg_avg_row as D2^-1 I2, deg_avg_sym as D2^-1/2 I2 D2^-1/2, and
+    high_pass as I minus the deg_avg_sym operator."""
+    a, c, diag, deg = two_hop_factors(g)
+    sym = {"deg_avg_row": False, "deg_avg_sym": True, "high_pass": True}[guidance]
+    inv = inverse_degree(deg, sqrt=sym)
+    return TwoHopOperator(a, c, diag, inv, inv if sym else None,
+                          guidance == "high_pass")
 
 
 def aggregate(realized, z, w=None):
@@ -402,7 +426,9 @@ class MessagePassingModel:
 
     def holds_dense_operator(self):
         """Whether an operator of the model is dense (SparseMatrix.dense):
-        a run of it owns the cores (training.train_model)."""
+        a run of it owns the cores (training.train_model). A khop k = 2
+        operator, held as factors (TwoHopOperator), never is; a khop
+        operator with k >= 3, or any on a graph that dense, can be."""
         return any(isinstance(op, SparseMatrix) and op.dense
                    for op in (*self._operators.values(), self._structure))
 
@@ -463,10 +489,10 @@ class MessagePassingModel:
         key = (ch.indicator, ch.guidance, ch.k)
         op = self._operators[key]
         w = self.params[f"layer{li}.ch{cj}.w"] if ch.weight == "own" else None
-        if propagated and isinstance(op, SparseMatrix):
+        if propagated and isinstance(op, (SparseMatrix, TwoHopOperator)):
             # Â and X are constants: ÂX is computed once, on first use
             if key not in self._propagated:
-                self._propagated[key] = constant(sparse_dot(op.scipy, self.features))
+                self._propagated[key] = constant(op.apply(self.features))
             w_e = self.params["encoder.w"]
             return aggregate(None, self._propagated[key],
                              w_e if w is None else matmul(w_e, w))

@@ -28,6 +28,12 @@ from .rng import make_rng
 PATTERNS = ("easy", "hard")
 MAX_RETRIES = 50   # draws per edge stub before generate_graph drops it
 
+# The most float64 values make_synth_spec lets one array hold (the N x d_f
+# features, the K x K target). numpy refuses an array past 2^63 bytes with
+# a ValueError, not the MemoryError cli.main reports as exit 2, so a size
+# past this bound, 8e18 bytes, is a ConfigError before anything is built.
+MAX_ARRAY_VALUES = 10**18
+
 
 def pairwise_tv(m):
     """Minimum total-variation distance over distinct row pairs."""
@@ -122,6 +128,11 @@ def make_synth_spec(n_nodes, k, h, pattern, mean_degree, seed,
     effects visible in both directions."""
     if k > n_nodes:   # before the K x K target is built
         raise ConfigError(f"{k} classes need at least {k} nodes, got {n_nodes}")
+    for what, size in ((f"{k} x {k} target", k * k),
+                       (f"{n_nodes} x {d_f} features", n_nodes * d_f)):
+        if size > MAX_ARRAY_VALUES:
+            raise ConfigError(f"the {what} would hold past the limit of "
+                              f"{MAX_ARRAY_VALUES:.0e} values")
     cm = build_target_cm(k, h, pattern)   # refuses K < 2 before labels are drawn
     if d_f < 1:
         raise ConfigError(f"feature dimension must be positive, got {d_f}")

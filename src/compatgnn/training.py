@@ -179,7 +179,10 @@ def train_model(graph, split, config, seed, split_id=0, model=None):
     A run of a model that holds a dense operator runs within
     autodiff.owning_cores(), which pins BLAS to one thread, when numpy's
     bundled OpenBLAS is present. Without it no run owns the cores: a row
-    split beside BLAS's own threads runs slower.
+    split beside BLAS's own threads runs slower. A khop k = 2 channel
+    (h2gcn's, mixhop's) runs as sparse 1-hop factors, so only a model
+    over a khop channel with k >= 3, or over a graph that dense, owns
+    the cores.
     """
     config.validate()
     check_split(split, graph.labels, f"split {split_id}")

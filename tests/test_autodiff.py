@@ -18,7 +18,7 @@ from compatgnn.autodiff import (SparseMatrix, _acc, _acc_copy, ada_gate,
                                 slice_cols, sparse_dot, spmm, tensor, zero_grads)
 from compatgnn.gradcheck import grad_check
 from compatgnn.rng import make_rng
-from compatgnn.sparse import row_normalize, sym_normalize
+from compatgnn.sparse import khop_adjacency, row_normalize, sym_normalize
 from compatgnn.synth import generate_graph, make_synth_spec
 from compatgnn.training import RunConfig, build_model
 
@@ -121,11 +121,16 @@ def test_spmm_value_and_gradient_are_bitwise_the_one_products(width, slab_at_16)
 
 def _benchmark_operators():
     """Each benchmark workload's sparse operator with the widths its
-    dense sides take (hidden 64, d_f 64 at 5k; h2gcn's layer 2 reads 128)."""
+    dense sides take (hidden 64, d_f 64 at 5k; h2gcn's layer 2 reads 128).
+    h2gcn-5k's 2-hop operator runs as 1-hop factors, so the dense operator
+    here is the one it stands for, the materialized sym-normalized 2-hop
+    indicator of the same graph."""
     spec = make_synth_spec(5000, 5, 0.2, "easy", 15, seed=1, d_f=64)
-    ops = build_model(RunConfig(model="h2gcn", nhidden=64, layers=2),
-                      generate_graph(spec), seed=1)._operators
-    one_hop, two_hop = ops[("raw", "deg_avg_sym", None)], ops[("khop", "deg_avg_sym", 2)]
+    g = generate_graph(spec)
+    ops = build_model(RunConfig(model="h2gcn", nhidden=64, layers=2), g, seed=1)._operators
+    assert isinstance(ops[("khop", "deg_avg_sym", 2)], ad.TwoHopOperator)
+    one_hop = ops[("raw", "deg_avg_sym", None)]
+    two_hop = SparseMatrix(sym_normalize(khop_adjacency(g, 2)))
     spec = make_synth_spec(2000, 5, 0.2, "easy", 15, seed=1, d_f=16)
     grid = build_model(RunConfig(model="compatgnn", nhidden=64, layers=2),
                        generate_graph(spec), seed=1)._operators[("raw", "deg_avg_row", None)]
@@ -150,8 +155,8 @@ def test_slab_rule_on_the_benchmark_operators(monkeypatch):
     for m, cols in ((one_hop, 64), (one_hop, 128), (grid, 64), (grid, 128),
                     (compat, 64), (compat, 128)):
         assert decision(m, cols) is None, (m.shape, cols)
-    # only h2gcn-5k's run owns the cores; there its 2-hop splits into two
-    # pieces of about equal nonzeros, and no other operator splits
+    # no benchmark run owns the cores; in a run that does, the dense 2-hop
+    # splits into two pieces of about equal nonzeros, and no other operator
     assert [SparseMatrix(m).dense for m in (one_hop, two_hop, grid, compat)] == [
         False, True, False, False]
     assert ad._row_pieces(two_hop) == [0, 5000]

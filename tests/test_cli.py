@@ -843,6 +843,13 @@ BAD_INPUTS = [
     ("synth_gen_negative_feature_dim", _synth_gen_with("--feature-dim", "-3"), 2),
     ("synth_gen_zero_classes", _synth_gen_with("--classes", "0"), 2),
     ("synth_gen_more_classes_than_nodes", _synth_gen_with("--classes", "21"), 2),
+    # sizes past numpy's own array limit, refused before anything is built
+    ("synth_gen_feature_dim_past_numpy", lambda tmp, ds: [
+        "synth", "gen", "--nodes", "30", "--feature-dim", str(10**20),
+        "--out", str(tmp / "d")], 2),
+    ("synth_gen_target_past_numpy", lambda tmp, ds: [
+        "synth", "gen", "--nodes", str(10**11), "--classes", str(4 * 10**9),
+        "--out", str(tmp / "d")], 2),
     ("synth_gen_mean_separation_nan", _synth_gen_with("--mean-separation", "nan"), 2),
     ("synth_gen_mean_separation_inf", _synth_gen_with("--mean-separation", "inf"), 2),
     ("synth_gen_features_beyond_float32", _synth_gen_with("--mean-separation", "1e39"), 3),

@@ -13,6 +13,7 @@ from compatgnn import (ConfigError, Graph, NumericalError, generate_splits, mp,
                        permute_graph)
 from compatgnn import autodiff as ad
 from compatgnn.autodiff import backward, constant, tensor, zero_grads
+from compatgnn.gradcheck import grad_check
 from compatgnn.mp import (ChannelSpec, LayerSpec, MessagePassingModel,
                           ModelSpec, PRESETS, aggregate, ada_weights,
                           build_preset, init_ada_params, realize_channel,
@@ -165,9 +166,17 @@ def test_every_accepted_channel_realizes_and_trains(indicator, guidance, k):
     if indicator == "identity":
         assert op is None
     else:
+        # the operator's action on I is its matrix; a khop k = 2 operator
+        # held as factors rounds apart from the composed one
         a = COMPOSED_INDICATOR[indicator](g, k)
-        want = COMPOSED_GUIDANCE[guidance](a)
-        np.testing.assert_array_equal(op.scipy.toarray(), want.toarray())
+        want = COMPOSED_GUIDANCE[guidance](a).toarray()
+        eye = np.eye(12)
+        if isinstance(op, ad.SparseMatrix):
+            np.testing.assert_array_equal(op.apply(eye), want)
+            np.testing.assert_array_equal(op.apply_t(eye), want.T)
+        else:
+            np.testing.assert_allclose(op.apply(eye), want, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(op.apply_t(eye), want.T, rtol=0, atol=1e-14)
     # layer 1 reads ÂX, layer 2 aggregates over the operator
     spec = ModelSpec([LayerSpec([ch]), LayerSpec([ch])], hidden_dim=4)
     model = MessagePassingModel(spec, g)
@@ -177,6 +186,50 @@ def test_every_accepted_channel_realizes_and_trains(indicator, guidance, k):
     for li in (1, 2):
         grad = model.params[f"layer{li}.ch0.w"].grad
         assert grad is not None and np.all(np.isfinite(grad)) and np.any(grad)
+
+
+def _two_hop_graph(directed):
+    """60 nodes: about 5 edges a node among the first 50, the last 10
+    isolated; directed, some of the 50 have no out-edge either."""
+    rng = make_rng(11, "two-hop", directed)
+    mask = rng.random((50, 50)) < 0.1
+    edges = [(i, j) for i in range(50) for j in range(50)
+             if i != j and mask[i, j] and (directed or i < j)]
+    return Graph.from_edges(60, edges, rng.normal(size=(60, 3)),
+                            rng.integers(0, 3, size=60), 3, directed=directed)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("guidance", mp.AVERAGING)
+def test_the_two_hop_factors_act_as_the_materialized_operator(guidance, directed):
+    g = _two_hop_graph(directed)
+    op = realize_channel(g, ChannelSpec("khop", guidance, k=2))
+    indicator = khop_adjacency(g, 2)
+    assert isinstance(op, ad.TwoHopOperator)
+    assert op.shape == (60, 60) and op.nnz < indicator.nnz
+    want = ad.SparseMatrix(realize_guidance(indicator, guidance, 60))
+    z = make_rng(12, "two-hop").normal(size=(60, 5))
+    for got, ref in ((op.apply(z), want.apply(z)), (op.apply_t(z), want.apply_t(z))):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("guidance", mp.AVERAGING)
+def test_spmm_over_the_two_hop_factors_passes_grad_check(guidance):
+    op = realize_channel(_two_hop_graph(True), ChannelSpec("khop", guidance, k=2))
+    rng = make_rng(13, "two-hop")
+    x = tensor(rng.normal(size=(60, 2)), requires_grad=True)
+    w = constant(rng.normal(size=(60, 2)))
+    report = grad_check(lambda: total(ad.spmm(op, x), w), {"x": x})
+    assert report.ok(1e-6), report.per_param
+
+
+@pytest.mark.parametrize("name", ["h2gcn", "mixhop"])
+def test_the_presets_run_their_two_hop_as_factors(name):
+    g = generate_graph(make_synth_spec(300, 5, 0.2, "easy", 15, seed=1, d_f=8))
+    model = build_model(RunConfig(model=name, nhidden=8, layers=2), g, seed=0)
+    assert isinstance(model._operators[("khop", "deg_avg_sym", 2)], ad.TwoHopOperator)
+    assert not model.holds_dense_operator()
+    backward(model.loss(model.forward(train=True), np.arange(100)))
 
 
 def test_realize_guidance_rules():
@@ -213,10 +266,11 @@ def test_each_operator_is_realized_once(name, n_operators, monkeypatch):
     layer1, layer2 = used[:n_ch], [op for op, _ in used[n_ch:2 * n_ch]]
     assert len({id(op) for op in layer2}) == n_ch
     cached = {id(c) for c in model._propagated.values()}
+    sparse = (ad.SparseMatrix, ad.TwoHopOperator)
     assert len(cached) == (0 if name == "acmgcn" else
-                           sum(isinstance(op, ad.SparseMatrix) for op in layer2))
+                           sum(isinstance(op, sparse) for op in layer2))
     for (op1, z1), op2 in zip(layer1, layer2):
-        if name != "acmgcn" and isinstance(op2, ad.SparseMatrix):
+        if name != "acmgcn" and isinstance(op2, sparse):
             assert op1 is None and id(z1) in cached
         else:
             assert op1 is op2
@@ -571,16 +625,23 @@ def test_one_train_forward_runs_spmm_only_past_layer1(name, n_spmm, monkeypatch)
 
 
 def test_h2gcn_trains_bitwise_the_same_with_column_slabs(monkeypatch):
-    """Five epochs of h2gcn, once with one product per SpMM and once with
-    a budget so small that every 2-hop product runs in slabs."""
+    """Five epochs of h2gcn with its 2-hop channel at k = 3, a dense
+    operator, since the 2-hop runs as sparse factors: once with one
+    product per SpMM and once with a budget so small that every 3-hop
+    product runs in slabs."""
     spec = make_synth_spec(600, 5, 0.2, "easy", 15, seed=3, d_f=64)
     g = generate_graph(spec)
     split = generate_splits(g, 1, seed=3)[0]
     cfg = RunConfig(model="h2gcn", nhidden=64, layers=2, dropout=0.0,
                     max_epochs=5, patience=6)
+    three_hop = build_preset("h2gcn", hidden_dim=64)
+    for layer in three_hop.layers:
+        layer.channels = [dataclasses.replace(ch, k=3) if ch.indicator == "khop" else ch
+                          for ch in layer.channels]
 
     def run():
-        model = build_model(cfg, g, seed=3)
+        model = MessagePassingModel(three_hop, g, seed=3)
+        assert model.holds_dense_operator()
         res = train_model(g, split, cfg, seed=3, model=model)
         return res, {k: p.value.copy() for k, p in model.params.items()}
 
@@ -593,7 +654,7 @@ def test_h2gcn_trains_bitwise_the_same_with_column_slabs(monkeypatch):
     monkeypatch.setattr(ad, "_L2_BYTES", 600 * 16 * 8)
     monkeypatch.setattr(ad, "_slab_bounds", spy)
     slabs, slab_params = run()
-    assert sum(b is not None for b in decisions) >= 10   # 2-hop forwards and backwards
+    assert sum(b is not None for b in decisions) >= 10   # 3-hop forwards and backwards
     bits = lambda a: np.asarray(a, dtype=np.float64).view(np.uint64)
     np.testing.assert_array_equal(bits(slabs.loss_curve), bits(whole.loss_curve))
     np.testing.assert_array_equal(bits(slabs.val_curve), bits(whole.val_curve))

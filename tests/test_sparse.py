@@ -112,6 +112,26 @@ def test_khop_refuses_a_hop_projected_past_the_limit(monkeypatch):
         khop_adjacency(cycle(6), 2)
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_two_hop_factors_sum_to_the_two_hop_indicator(directed):
+    g = random_graph(make_rng(3, "two-hop", directed), 30, p=0.12, directed=directed)
+    a, c, diag, deg = sparse.two_hop_factors(g)
+    want = khop_adjacency(g, 2).toarray()
+    a_ = a.toarray()
+    s = a_ + a_ @ a_
+    np.testing.assert_array_equal(diag, np.diag(s))
+    np.testing.assert_array_equal(a_ + a_ @ a_ - np.diag(diag) - c.toarray(), want)
+    np.testing.assert_array_equal(deg, want.sum(axis=1))
+    assert c.data.min() >= 1
+
+
+def test_two_hop_factors_refuse_as_hop_2_does(monkeypatch):
+    monkeypatch.setattr(sparse, "KHOP_MAX_NNZ", 20)
+    with pytest.raises(ConfigError, match=r"khop k=2: hop 2 projects to 24 nonzeros "
+                                          r".*too large for any k-hop operator$"):
+        sparse.two_hop_factors(cycle(6))
+
+
 def test_khop_ends_at_the_first_hop_that_adds_no_nonzero(monkeypatch):
     # on the 6-cycle hops 2 and 3 reach new nodes and hop 4 none, so any
     # larger k runs those three hops and gives the k=3 operator

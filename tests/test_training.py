@@ -234,15 +234,20 @@ def test_runs_agree_across_blas_thread_counts(tmp_path):
     np.testing.assert_allclose(out["1"]["loss"], out["2"]["loss"], rtol=0, atol=1e-10)
 
 
-# One process: the loss curve of a short h2gcn run over a dense 2-hop
-# operator (about 100 nonzeros a row), and the BLAS thread count it records.
+# One process: the loss curve of a short run of h2gcn with its 2-hop
+# channel at k = 3, a dense operator (the 2-hop itself runs as sparse
+# factors), and the BLAS thread count it records.
 DENSE_RUN_PROBE = """
-import json
-from compatgnn import (RunConfig, build_model, generate_graph, generate_splits,
-                       make_synth_spec, train_model)
+import dataclasses, json
+from compatgnn import (MessagePassingModel, RunConfig, build_preset, generate_graph,
+                       generate_splits, make_synth_spec, train_model)
 g = generate_graph(make_synth_spec(600, 5, 0.2, "easy", 15, seed=3, d_f=64))
 cfg = RunConfig(model="h2gcn", max_epochs=6)
-model = build_model(cfg, g, seed=3)
+spec = build_preset("h2gcn")
+for layer in spec.layers:
+    layer.channels = [dataclasses.replace(ch, k=3) if ch.indicator == "khop" else ch
+                      for ch in layer.channels]
+model = MessagePassingModel(spec, g, seed=3)
 run = train_model(g, generate_splits(g, 1, 3)[0], cfg, seed=3, model=model)
 print(json.dumps({"dense": model.holds_dense_operator(), "loss": run.loss_curve,
                   "blas_threads": run.metadata["blas_threads"]}))
