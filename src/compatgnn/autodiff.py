@@ -33,38 +33,17 @@ flow to the dense operand. An operator is a SparseMatrix, or a
 TwoHopOperator: a khop k = 2 operator held as its 1-hop factors, whose
 product is three sparse products over them plus a diagonal term. Every
 sparse x dense product of the package, spmm's forward and backward
-included, runs through one kernel, sparse_dot, which multiplies a dense
-operand too large for the L2 cache in column slabs with bitwise the
-same result. Every forward output is
+included, is one call of scipy's own kernel (sparse_dot) in the
+caller's thread; the package starts no thread. Every forward output is
 checked finite so a NaN surfaces where it is born, not three layers
 later.
-
-The cores: owning_cores() is the one place that owns them. Within it
-numpy's bundled OpenBLAS runs on one thread, since its idle threads
-would spin on the cores the pool needs, and sparse_dot splits a dense
-operator's product (a SparseMatrix averaging _SLAB_MIN_ROW_NNZ nonzeros
-a row or more) into one contiguous row piece per worker of one pool of
-nproc worker threads, made once per process. Each piece writes its own
-rows of one output, so every value is bitwise the serial one. Nothing
-else runs on the pool. training.train_model runs a model that holds a
-dense operator within owning_cores() when the bundle is present.
-Outside owning_cores(), or on one core, the pieces are one product in
-the caller. The presets' 2-hop channel runs as a TwoHopOperator, whose
-factors are sparse, so only a model over an operator that is itself
-dense owns the cores: a khop channel with k >= 3, or any channel on a
-graph that dense; no benchmark run does.
 
 No module of the package calls gather_rows, row_scale, add_bias,
 sigmoid or slice_cols: they stay because the benchmark's tracer
 (perfbench/spans.py) wraps them by name.
 """
 
-import concurrent.futures
 import contextlib
-import contextvars
-import ctypes
-import glob
-import os
 
 import numpy as np
 import scipy.sparse as sp
@@ -177,11 +156,6 @@ class SparseMatrix:
         return self._m
 
     @property
-    def dense(self):
-        """Whether it averages _SLAB_MIN_ROW_NNZ nonzeros a row or more."""
-        return _dense(self._m)
-
-    @property
     def T_scipy(self):
         """The transpose as CSR: the matrix itself when bitwise equal to it."""
         if self._mt is None:
@@ -251,74 +225,6 @@ class TwoHopOperator:
 
 
 # ---------------------------------------------------------------------------
-# the worker pool (module docstring)
-
-_NPROC = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-_pool = None    # made by the first owning_cores() on more than one core
-_workers = contextvars.ContextVar("workers", default=1)   # pieces a product spreads over
-
-
-def _openblas():
-    """The thread count getter and setter of the OpenBLAS numpy bundles,
-    or None without that library."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def owning_cores():
-    """Within the block the caller owns the cores: numpy's bundled
-    OpenBLAS runs on one thread, since its idle threads would spin on the
-    cores a row split needs, and sparse_dot's products over a dense
-    operator run in row pieces on the pool's _NPROC workers. The old
-    thread count is restored on exit, also when the block raises. Without
-    the bundle the pieces split all the same and no count is touched. The
-    pool is made on first use and kept."""
-    global _pool
-    if _NPROC > 1 and _pool is None:
-        _pool = concurrent.futures.ThreadPoolExecutor(_NPROC, "compatgnn")
-    blas = _openblas()
-    if blas is not None:
-        count = blas[0]()
-        blas[1](1)
-    token = _workers.set(_NPROC)
-    try:
-        yield
-    finally:
-        _workers.reset(token)
-        if blas is not None:
-            blas[1](count)
-
-
-def _spread(n, work):
-    """work(k) for k in range(n). Within owning_cores() each work(k) is a
-    task of the pool, run in a copy of the caller's context, so that
-    numpy's errstate holds in it too; every task ends before the exception
-    of the lowest k that raised, if any, is raised. Otherwise they run in
-    turn in the caller."""
-    if _workers.get() == 1 or n == 1:
-        for k in range(n):
-            work(k)
-        return
-    tasks = [_pool.submit(contextvars.copy_context().run, work, k) for k in range(n)]
-    try:
-        for task in tasks:
-            task.result()
-    finally:
-        concurrent.futures.wait(tasks)
-
-
-# ---------------------------------------------------------------------------
 # primitives
 
 _BLOCK_ROWS = 2048   # rows per block of a row-blocked node: temporaries stay in cache
@@ -339,69 +245,19 @@ def matmul(a, b):
     return _result(value, (a, b), bw, "matmul")
 
 
-_L2_BYTES = 3 << 19      # dense operand bytes one slab of sparse_dot may hold
-_SLAB_MIN_COLS = 16      # the narrowest slab: narrower ones cost more than they save
-_SLAB_MIN_ROW_NNZ = 64   # mean nonzeros per row of a dense operator
-
-
-def _dense(m):
-    """Whether the sparse m averages _SLAB_MIN_ROW_NNZ nonzeros a row or
-    more: only then do slabs, and a row split, pay."""
-    return m.nnz >= _SLAB_MIN_ROW_NNZ * m.shape[0]
-
-
-def _slab_bounds(m, x):
-    """The column bounds of sparse_dot's slabs of x, or None for one
-    product. Reads only shapes, the item size and the nonzero count."""
-    if x.nbytes <= _L2_BYTES or not _dense(m):
-        return None
-    rows, cols = x.shape
-    fit = _L2_BYTES // (rows * x.itemsize)   # the columns one slab may hold
-    if fit < _SLAB_MIN_COLS:
-        return None
-    n = min(-(-cols // fit), cols // _SLAB_MIN_COLS)
-    return None if n < 2 else [cols * i // n for i in range(n + 1)]
-
-
-def _row_pieces(m):
-    """The row bounds of sparse_dot's pieces of the CSR m: within
-    owning_cores() one contiguous piece per worker for a dense m, cut at
-    about equal nonzeros, and one piece otherwise."""
-    n, workers = m.shape[0], _workers.get()
-    if workers == 1 or not _dense(m):
-        return [0, n]
-    cuts = np.searchsorted(m.indptr, m.nnz * np.arange(workers + 1) / workers)
-    cuts[0], cuts[-1] = 0, n
-    return np.unique(cuts).tolist()
-
-
 def sparse_dot(m, x, out=None):
-    """m @ x for a scipy sparse m and a dense 2-D x, bitwise, or with `out`
-    out + m @ x, added into out: the one sparse x dense product of the
-    package. A dense operand too large for the L2 cache is multiplied in
-    column slabs when slabs pay (_slab_bounds), so a slab's rows stay in
-    cache across the nonzeros that read them, and within owning_cores() a
-    dense m's rows in one piece per worker (_row_pieces). Each piece runs
-    scipy's own kernel for m @ x, csr_matvecs, which adds the piece's rows
-    into a given output, so no worker allocates: every entry is the same
-    row sum in the same order as in m @ x."""
+    """m @ x for a scipy sparse m and a dense 2-D x, bitwise, or with a
+    C-contiguous `out` m @ x added into out and out returned: the one
+    sparse x dense product of the package. It is one call of scipy's own
+    kernel for m @ x, csr_matvecs, over x in C order (x.ravel(), as m @ x
+    reads it), which adds a row's products into its output row one at a
+    time; so with `out` the result is out's old value plus m @ x only up
+    to rounding."""
     m = m.tocsr()
-    cols = _slab_bounds(m, x) or [0, x.shape[1]]
-    rows = _row_pieces(m)
     if out is None:
         out = np.zeros((m.shape[0], x.shape[1]))
-    for c0, c1 in zip(cols[:-1], cols[1:]):
-        # the slab and its product as contiguous arrays, as m @ x makes them
-        xs = x[:, c0:c1].ravel()
-        ys = out if len(cols) == 2 else np.ascontiguousarray(out[:, c0:c1])
-
-        def piece(k):
-            lo, hi = rows[k], rows[k + 1]
-            _sparsetools.csr_matvecs(hi - lo, m.shape[1], c1 - c0, m.indptr[lo:hi + 1],
-                                     m.indices, m.data, xs, ys[lo:hi].reshape(-1))
-        _spread(len(rows) - 1, piece)
-        if ys is not out:
-            out[:, c0:c1] = ys
+    _sparsetools.csr_matvecs(m.shape[0], m.shape[1], x.shape[1], m.indptr, m.indices,
+                             m.data, x.ravel(), out.reshape(-1))
     return out
 
 

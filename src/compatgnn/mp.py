@@ -33,9 +33,8 @@ constant cached per operator (_reads_propagated, _channel).
 A sparse operator is a SparseMatrix, or for a khop k = 2 channel (the
 2-hop of h2gcn and mixhop) a TwoHopOperator: the indicator's 1-hop
 factors, A, the overlap correction C and diag(A + A A) (_two_hop).
-Their products are sparse, so a run owns the cores (training.train_model)
-only over an operator that is itself dense: a khop channel with k >= 3,
-or any channel on a graph averaging 64 neighbors a row or more.
+A khop channel with k >= 3 runs over a SparseMatrix of the indicator
+khop_adjacency builds.
 
 A ModelSpec is declarative data: json.dumps(spec.to_dict()) writes a
 spec file, and `--model spec.json` runs it (training.build_model reads
@@ -423,14 +422,6 @@ class MessagePassingModel:
 
         self._deg_col = constant(graph.degrees.astype(np.float64).reshape(-1, 1))
         self._propagated = {}   # operator key -> constant ÂX, see _channel
-
-    def holds_dense_operator(self):
-        """Whether an operator of the model is dense (SparseMatrix.dense):
-        a run of it owns the cores (training.train_model). A khop k = 2
-        operator, held as factors (TwoHopOperator), never is; a khop
-        operator with k >= 3, or any on a graph that dense, can be."""
-        return any(isinstance(op, SparseMatrix) and op.dense
-                   for op in (*self._operators.values(), self._structure))
 
     def _combine(self, li, layer, pairs, post_relu):
         """The layer's channels, given as aggregate's pairs, combined, then

@@ -4,8 +4,7 @@ All functions accept either a Graph or a scipy CSR matrix. They return
 scipy CSR, bar two_hop_factors, which returns the 1-hop factors of the
 within-2-hop indicator: mp.realize_channel runs a khop k = 2 channel
 from those factors, and only k >= 3 from the indicator khop_adjacency
-builds. The factors are sparse, so a 2-hop run never owns the cores
-(autodiff.owning_cores); a k >= 3 one can.
+builds.
 Normalizations leave zero-degree rows untouched rather than dividing by
 zero (inverse_degree)."""
 

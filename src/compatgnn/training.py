@@ -13,8 +13,9 @@ forward is the next epoch's train forward, so it keeps its tape and is
 trained on, unless a refresh intervened (see train_model).
 """
 
-import contextlib
+import ctypes
 import dataclasses
+import glob
 import math
 import os
 import time
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError, TrainingDiverged
-from .autodiff import _openblas, backward, frozen, owning_cores, zero_grads
+from .autodiff import backward, frozen, zero_grads
 from .graph import check_split
 from .model import CompatGNN
 from .mp import MODEL_NAMES, MessagePassingModel, ModelSpec, build_preset
@@ -139,15 +140,29 @@ class RunResult:
     diverged: bool = False
 
 
+def _openblas():
+    """The thread count getter of the OpenBLAS numpy bundles, or None
+    without that library."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        try:
+            get = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        return get
+    return None
+
+
 def blas_threads():
     """The size of the OpenBLAS pool numpy runs on, read from the library
-    numpy bundles (autodiff._openblas): OpenBLAS fixes it when numpy is
-    imported, so a later change to OPENBLAS_NUM_THREADS has no effect;
-    within autodiff.owning_cores() it is 1. Without that library,
-    OPENBLAS_NUM_THREADS when it holds a count, else one per CPU."""
-    blas = _openblas()
-    if blas is not None:
-        return blas[0]()
+    numpy bundles (_openblas): OpenBLAS fixes it when numpy is imported,
+    so a later change to OPENBLAS_NUM_THREADS has no effect. Without that
+    library, OPENBLAS_NUM_THREADS when it holds a count, else one per
+    CPU."""
+    get = _openblas()
+    if get is not None:
+        return get()
     value = os.environ.get("OPENBLAS_NUM_THREADS", "")
     return int(value) if value.isdigit() and int(value) > 0 else os.cpu_count()
 
@@ -176,21 +191,15 @@ def train_model(graph, split, config, seed, split_id=0, model=None):
     on_validation_improved returned True (a refresh): that eval output is
     stale and is dropped there. The final forward is frozen. A split
     naming a node the graph has no label for is a DataError (check_split).
-    A run of a model that holds a dense operator runs within
-    autodiff.owning_cores(), which pins BLAS to one thread, when numpy's
-    bundled OpenBLAS is present. Without it no run owns the cores: a row
-    split beside BLAS's own threads runs slower. A khop k = 2 channel
-    (h2gcn's, mixhop's) runs as sparse 1-hop factors, so only a model
-    over a khop channel with k >= 3, or over a graph that dense, owns
-    the cores.
+    The run starts no thread: its products run in the caller's, beside
+    the OpenBLAS pool numpy brings, whose size the metadata records
+    (blas_threads).
     """
     config.validate()
     check_split(split, graph.labels, f"split {split_id}")
     if model is None:
         model = build_model(config, graph, seed)
-    owns = model.holds_dense_operator() and _openblas() is not None
-    with owning_cores() if owns else contextlib.nullcontext():
-        return _protocol(graph, split, config, seed, split_id, model)
+    return _protocol(graph, split, config, seed, split_id, model)
 
 
 def _protocol(graph, split, config, seed, split_id, model):

@@ -5,7 +5,7 @@ differences, hand arithmetic); module unit tests cover the same ground
 at finer grain."""
 
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -76,11 +76,7 @@ def bench_cell(g, model, n_splits=5):
 def _primitive_checks():
     """One finite-difference check per autodiff primitive, and per mix of
     the combine node. Made and run with _BLOCK_ROWS at 3, so the 8-row
-    combine and gate inputs span three row blocks, and with an L2 budget
-    of 16 columns of an 8-row operand, so the 40-column spmm operand is
-    multiplied (and its gradient formed) in two slabs. "spmm, row split"
-    runs within autodiff.owning_cores() on two workers, so the 8-row
-    operator's products are also split into two row pieces."""
+    combine and gate inputs span three row blocks."""
     rng = make_rng(60, "prims")
 
     def p(shape, off=0.0):
@@ -94,12 +90,11 @@ def _primitive_checks():
     w = p((3, 4))
     bias = p((1, 4))
     col = p((3, 1))
-    feat, wide = p((8, 4)), p((8, 40))
+    feat = p((8, 4))
     far = ad.tensor(rng.normal(size=(3, 4)) + np.where(
         rng.random((3, 4)) < 0.5, 3.0, -3.0), requires_grad=True)
     g = random_graph(make_rng(60, "pg"), 8, p=0.4)
     sp = SparseMatrix(g.adjacency())
-    assert ad._slab_bounds(sp.scipy, wide.value) is not None
     mask = rng.random((3, 4)) < 0.5
     ramp = ad.constant(np.arange(12.0).reshape(3, 4))
     labels = np.array([0, 2, 1])
@@ -111,15 +106,9 @@ def _primitive_checks():
     gate = [p((16, 3)), p((1, 3)), p((3, 3)), p((1, 3))]
     mixes = {"add": "add", "cat": "cat", "N x R": p((8, 3)), "1 x R": p((1, 3))}
 
-    def split():
-        assert len(ad._row_pieces(sp.scipy)) == 3   # two row pieces
-        return weighted(ad.spmm(sp, wide))
-
     checks = {
         "matmul": ([a, b], lambda: total(ad.matmul(a, b))),
         "spmm": ([feat], lambda: total(ad.spmm(sp, feat))),
-        "spmm, slabs": ([wide], lambda: weighted(ad.spmm(sp, wide))),
-        "spmm, row split": ([wide], split),
         "add": ([a, w], lambda: total(ad.add(a, w))),
         "scale": ([a], lambda: total(ad.scale(a, -1.7))),
         "row_scale": ([col, a], lambda: total(ad.row_scale(col, a))),
@@ -153,12 +142,8 @@ def test_acceptance_1_gradient_fidelity(capsys, monkeypatch):
         worst = {}
         with monkeypatch.context() as m:
             m.setattr(ad, "_BLOCK_ROWS", 3)
-            m.setattr(ad, "_L2_BYTES", 8 * 16 * 8)
-            m.setattr(ad, "_SLAB_MIN_ROW_NNZ", 0)
-            m.setattr(ad, "_NPROC", 2)
             for name, (params, fn) in _primitive_checks().items():
-                with ad.owning_cores() if "row split" in name else nullcontext():
-                    report = grad_check(fn, {f"p{i}": t for i, t in enumerate(params)})
+                report = grad_check(fn, {f"p{i}": t for i, t in enumerate(params)})
                 worst[name] = report.max_rel_err
                 assert report.ok(1e-4), f"{name}: {report.max_rel_err:.2e}"
 

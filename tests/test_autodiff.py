@@ -1,7 +1,4 @@
-import concurrent.futures
 import itertools
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -18,9 +15,7 @@ from compatgnn.autodiff import (SparseMatrix, _acc, _acc_copy, ada_gate,
                                 slice_cols, sparse_dot, spmm, tensor, zero_grads)
 from compatgnn.gradcheck import grad_check
 from compatgnn.rng import make_rng
-from compatgnn.sparse import khop_adjacency, row_normalize, sym_normalize
-from compatgnn.synth import generate_graph, make_synth_spec
-from compatgnn.training import RunConfig, build_model
+from compatgnn.sparse import row_normalize, sym_normalize
 
 from compatgnn.mp import _linear
 
@@ -56,18 +51,10 @@ def test_tensor_value_is_float64():
 
 
 # ---------------------------------------------------------------------------
-# sparse_dot: column slabs
+# sparse_dot: the one sparse x dense product
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
-
-
-@pytest.fixture
-def slab_at_16(monkeypatch):
-    """An L2 budget of 16 columns of a 43-row operand (17 of a 40-row one)
-    and no row-length floor, so operands of 32 or more columns slab."""
-    monkeypatch.setattr(ad, "_L2_BYTES", 43 * 16 * 8)
-    monkeypatch.setattr(ad, "_SLAB_MIN_ROW_NNZ", 0)
 
 
 def _kernel_operators():
@@ -93,21 +80,27 @@ def _operands(rows, width):
 
 
 @pytest.mark.parametrize("width", [1, 15, 16, 17, 31, 32, 33, 128, 130])
-def test_sparse_dot_slabs_are_bitwise_the_one_product(width, slab_at_16):
+def test_sparse_dot_is_bitwise_the_one_product(width):
+    """sparse_dot(m, x) is bitwise m @ x for every operand layout. With
+    out=o it adds each product into o's row in turn and returns o: bitwise
+    [I m] @ [o0; x], whose rows start from o0's row, and o0 + m @ x up to
+    rounding, since the kernel does not first sum a row apart."""
     for name, m in _kernel_operators():
+        with_o = sp.hstack([sp.identity(m.shape[0], format="csr"), m], format="csr")
         for order, x in _operands(m.shape[1], width):
-            bounds = ad._slab_bounds(m, x)
-            assert (bounds is not None) == (width >= 32), (name, order)
-            if bounds is not None:
-                assert bounds[0] == 0 and bounds[-1] == width
-                assert min(np.diff(bounds)) >= ad._SLAB_MIN_COLS
             got = sparse_dot(m, x)
             assert got.shape == (m.shape[0], width)
             np.testing.assert_array_equal(_bits(got), _bits(m @ x), err_msg=f"{name} {order}")
+            o0 = make_rng(width, "sparse-dot-out", name).normal(size=got.shape)
+            o = o0.copy()
+            assert sparse_dot(m, x, out=o) is o
+            np.testing.assert_array_equal(_bits(o), _bits(with_o @ np.vstack([o0, x])),
+                                          err_msg=f"{name} {order} out")
+            np.testing.assert_allclose(o, o0 + m @ x, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("width", [17, 64, 130])
-def test_spmm_value_and_gradient_are_bitwise_the_one_products(width, slab_at_16):
+def test_spmm_value_and_gradient_are_bitwise_the_one_products(width):
     for name, m in _kernel_operators():
         a = SparseMatrix(m)
         rng = make_rng(width, name)
@@ -117,263 +110,6 @@ def test_spmm_value_and_gradient_are_bitwise_the_one_products(width, slab_at_16)
         np.testing.assert_array_equal(_bits(y.value), _bits(a.scipy @ x.value))
         backward(total(y, constant(w)))   # the upstream gradient is w
         np.testing.assert_array_equal(_bits(x.grad), _bits(a.T_scipy @ w), err_msg=name)
-
-
-def _benchmark_operators():
-    """Each benchmark workload's sparse operator with the widths its
-    dense sides take (hidden 64, d_f 64 at 5k; h2gcn's layer 2 reads 128).
-    h2gcn-5k's 2-hop operator runs as 1-hop factors, so the dense operator
-    here is the one it stands for, the materialized sym-normalized 2-hop
-    indicator of the same graph."""
-    spec = make_synth_spec(5000, 5, 0.2, "easy", 15, seed=1, d_f=64)
-    g = generate_graph(spec)
-    ops = build_model(RunConfig(model="h2gcn", nhidden=64, layers=2), g, seed=1)._operators
-    assert isinstance(ops[("khop", "deg_avg_sym", 2)], ad.TwoHopOperator)
-    one_hop = ops[("raw", "deg_avg_sym", None)]
-    two_hop = SparseMatrix(sym_normalize(khop_adjacency(g, 2)))
-    spec = make_synth_spec(2000, 5, 0.2, "easy", 15, seed=1, d_f=16)
-    grid = build_model(RunConfig(model="compatgnn", nhidden=64, layers=2),
-                       generate_graph(spec), seed=1)._operators[("raw", "deg_avg_row", None)]
-    # compat-50k's 1-hop over 50000 nodes and 5 isolated prototypes holds
-    # 750410 nonzeros, 15.0 a row; the rule reads only shape and nnz
-    n = 50005
-    cols = (np.arange(n)[:, None] + np.arange(1, 16)[None, :]) % n
-    compat = sp.csr_matrix((np.full(15 * n, 1 / 15), cols.ravel(),
-                            np.arange(0, 15 * n + 1, 15)), shape=(n, n))
-    return one_hop.scipy, two_hop.scipy, grid.scipy, compat
-
-
-def test_slab_rule_on_the_benchmark_operators(monkeypatch):
-    one_hop, two_hop, grid, compat = _benchmark_operators()
-    assert two_hop.shape == (5000, 5000) and two_hop.nnz > 1_000_000
-    assert grid.shape == (2005, 2005)
-
-    def decision(m, cols):
-        return ad._slab_bounds(m, np.empty((m.shape[1], cols)))
-    assert decision(two_hop, 128) == [0, 32, 64, 96, 128]
-    assert decision(two_hop, 64) == [0, 32, 64]
-    for m, cols in ((one_hop, 64), (one_hop, 128), (grid, 64), (grid, 128),
-                    (compat, 64), (compat, 128)):
-        assert decision(m, cols) is None, (m.shape, cols)
-    # no benchmark run owns the cores; in a run that does, the dense 2-hop
-    # splits into two pieces of about equal nonzeros, and no other operator
-    assert [SparseMatrix(m).dense for m in (one_hop, two_hop, grid, compat)] == [
-        False, True, False, False]
-    assert ad._row_pieces(two_hop) == [0, 5000]
-    monkeypatch.setattr(ad, "_NPROC", 2)
-    with ad.owning_cores():
-        pieces = ad._row_pieces(two_hop)
-        assert all(ad._row_pieces(m) == [0, m.shape[0]] for m in (one_hop, grid, compat))
-    assert len(pieces) == 3
-    halves = np.diff(two_hop.indptr[pieces])
-    assert abs(halves[0] - halves[1]) <= 2 * two_hop.getnnz(axis=1).max()
-
-
-# ---------------------------------------------------------------------------
-# the worker pool: it runs only sparse_dot's row pieces of a dense operator
-
-@pytest.fixture
-def pooled(monkeypatch):
-    """Two workers and every operator dense, so that sparse_dot's row
-    pieces run at toy size on any machine. Returns a runner: fn() within
-    owning_cores()."""
-    monkeypatch.setattr(ad, "_NPROC", 2)
-    monkeypatch.setattr(ad, "_SLAB_MIN_ROW_NNZ", 0)
-
-    def run(fn):
-        with ad.owning_cores():
-            assert ad._workers.get() == 2
-            return fn()
-    return run
-
-
-class _Recorder:
-    """A stand-in pool that runs each task at once, in the caller, and
-    counts it."""
-
-    def __init__(self):
-        self.tasks = 0
-
-    def submit(self, fn, *args):
-        self.tasks += 1
-        done = concurrent.futures.Future()
-        try:
-            done.set_result(fn(*args))
-        except BaseException as exc:
-            done.set_exception(exc)
-        return done
-
-
-@pytest.fixture
-def recorded(monkeypatch):
-    """Two workers on a _Recorder. Returns a runner: fn() within
-    owning_cores(), and the number of tasks it submitted."""
-    monkeypatch.setattr(ad, "_NPROC", 2)
-    pool = _Recorder()
-    monkeypatch.setattr(ad, "_pool", pool)
-
-    def run(fn):
-        before = pool.tasks
-        with ad.owning_cores():
-            out = fn()
-        return out, pool.tasks - before
-    return run
-
-
-def _same_bits(got, want, what):
-    assert len(got) == len(want), what
-    for i, (a, b) in enumerate(zip(got, want)):
-        assert a.tobytes() == b.tobytes(), f"{what}: output {i}"
-
-
-@pytest.mark.parametrize("slabs", [False, True])
-def test_sparse_dot_row_pieces_are_bitwise_the_one_product(slabs, pooled, monkeypatch):
-    if slabs:
-        monkeypatch.setattr(ad, "_L2_BYTES", 43 * 16 * 8)
-    for name, m in _kernel_operators():
-        for order, x in _operands(m.shape[1], 40):
-            assert (ad._slab_bounds(m, x) is not None) == slabs
-            pieces, got = pooled(lambda: (ad._row_pieces(m), sparse_dot(m, x)))
-            assert len(pieces) == 3 and pieces[0] == 0 and pieces[-1] == m.shape[0]
-            np.testing.assert_array_equal(_bits(got), _bits(m @ x), err_msg=f"{name} {order}")
-
-
-def _value_and_grads(node, leaves, x, start, upstream):
-    """node()'s value and the leaves' gradients under `upstream`, with x
-    holding the gradient `start` (None for none) when the backward starts."""
-    zero_grads(leaves)
-    x.grad = None if start is None else start.copy()
-    out = node()
-    backward(total(out, constant(upstream)))
-    return [out.value.copy()] + [grad_of(t).copy() for t in leaves]
-
-
-def test_the_pool_runs_only_a_dense_operators_row_pieces(recorded):
-    """spmm over a dense operator submits one task per row piece in its
-    forward and one in its backward; over a sparse one, none."""
-    n = 323
-    rng = make_rng(74, "pool-tasks")
-    x = rand_t((n, 5), rng)
-    upstream = rng.normal(size=(n, 5))
-    for density, dense in ((0.25, True), (0.02, False)):
-        op = SparseMatrix(sp.random(n, n, density=density, format="csr", random_state=4))
-        assert op.dense == dense
-        (pieces, got), tasks = recorded(lambda: (
-            ad._row_pieces(op.scipy), _value_and_grads(lambda: spmm(op, x), [x], x, None,
-                                                       upstream)))
-        assert len(pieces) == (3 if dense else 2) and tasks == (4 if dense else 0)
-        _same_bits(got, _value_and_grads(lambda: spmm(op, x), [x], x, None, upstream),
-                   f"spmm, dense {dense}")
-
-
-@pytest.mark.parametrize("mix", ["add", "cat", "N x R", "1 x R"])
-@pytest.mark.parametrize("relu_", [False, True])
-@pytest.mark.parametrize("held", [False, True])
-@pytest.mark.parametrize("shared", [False, True])
-def test_ada_mix_on_the_pool_is_bitwise_its_serial_run(mix, relu_, held, shared, recorded):
-    """In a run that owns the pool ada_mix's blocks run in the caller: it
-    submits no task, and its value and gradients are bitwise its run
-    outside owning_cores()."""
-    n = 2 * ad._BLOCK_ROWS + 5   # three blocks
-    rng = make_rng(70, "pool-mix", mix, relu_, held, shared)
-    pairs, _, _ = _ada_inputs(n, False, rng)
-    x = pairs[0][0]
-    if shared:   # a fourth channel reads channel 0's input
-        pairs.append((x, rand_t((4, 5), rng)))
-    weights = {"add": "add", "cat": "cat", "N x R": rand_t((n, len(pairs)), rng),
-               "1 x R": rand_t((1, len(pairs)), rng)}[mix]
-    leaves = _pair_leaves(pairs) + ([weights] if isinstance(weights, ad.Tensor) else [])
-    start = rng.normal(size=x.shape) if held else None
-    upstream = rng.normal(size=ada_mix(pairs, weights).shape)
-
-    def run():
-        return _value_and_grads(lambda: ada_mix(pairs, weights, relu=relu_),
-                                leaves, x, start, upstream)
-    got, tasks = recorded(run)
-    assert tasks == 0
-    _same_bits(got, run(), "ada_mix")
-
-
-@pytest.mark.parametrize("held", [False, True])
-def test_ada_gate_on_the_pool_is_bitwise_its_serial_run(held, recorded):
-    """ada_gate likewise: no task, bitwise its run outside owning_cores()."""
-    n = 2 * ad._BLOCK_ROWS + 5
-    rng = make_rng(71, "pool-gate", held)
-    pairs, cols, gate = _ada_inputs(n, True, rng)
-    x = pairs[0][0]
-    leaves = _pair_leaves(pairs) + cols + gate
-    start = rng.normal(size=x.shape) if held else None
-    upstream = rng.normal(size=(n, 3))
-
-    def run():
-        return _value_and_grads(lambda: ada_gate(pairs, cols, *gate),
-                                leaves, x, start, upstream)
-    got, tasks = recorded(run)
-    assert tasks == 0
-    _same_bits(got, run(), "ada_gate")
-
-
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_matmul_on_the_pool_is_bitwise_its_serial_run(order, recorded):
-    """matmul likewise: no task, bitwise its run outside owning_cores()."""
-    n = 2 * ad._BLOCK_ROWS + 5
-    rng = make_rng(72, "pool-matmul", order)
-    a = tensor(np.asarray(rng.normal(size=(n, 6)), order=order), requires_grad=True)
-    b = rand_t((6, 5), rng)
-    upstream = rng.normal(size=(n, 5))
-
-    def run():
-        return _value_and_grads(lambda: matmul(a, b), [a, b], a, None, upstream)
-    got, tasks = recorded(run)
-    assert tasks == 0
-    _same_bits(got, run(), "matmul")
-
-
-def test_more_workers_than_cores_lose_no_block(monkeypatch):
-    """Eight workers on a short switch interval: an spmm over a dense
-    operator, value and gradient, with a held input gradient, is bitwise
-    its serial run each time."""
-    monkeypatch.setattr(ad, "_NPROC", 8)
-    monkeypatch.setattr(ad, "_pool", None)
-    n = 8 * 40 + 3
-    rng = make_rng(73, "pool-stress")
-    x = rand_t((n, 5), rng)
-    op = SparseMatrix(sp.random(n, n, density=0.25, format="csr", random_state=3))
-    assert op.dense
-    start, upstream = rng.normal(size=x.shape), rng.normal(size=(n, 5))
-
-    def run():
-        return _value_and_grads(lambda: spmm(op, x), [x], x, start, upstream)
-    want = run()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ad.owning_cores():
-            assert len(ad._row_pieces(op.scipy)) == 9
-            for _ in range(5):
-                _same_bits(run(), want, "stress")
-    finally:
-        sys.setswitchinterval(interval)
-        if ad._pool is not None:
-            ad._pool.shutdown()
-
-
-def test_a_worker_error_reaches_the_caller_from_the_lowest_block(pooled):
-    """Blocks 1 and 3 raise, block 3 first: the caller gets block 1's
-    error, once every block has run."""
-    ran, late = [], threading.Event()
-
-    def work(k):
-        if k == 1:
-            late.wait(5)
-        ran.append(k)
-        if k == 3:
-            late.set()
-        if k in (1, 3):
-            raise NumericalError(f"block {k}")
-    with pytest.raises(NumericalError, match="block 1"):
-        pooled(lambda: ad._spread(5, work))
-    assert sorted(ran) == [0, 1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,6 @@ def test_the_presets_run_their_two_hop_as_factors(name):
     g = generate_graph(make_synth_spec(300, 5, 0.2, "easy", 15, seed=1, d_f=8))
     model = build_model(RunConfig(model=name, nhidden=8, layers=2), g, seed=0)
     assert isinstance(model._operators[("khop", "deg_avg_sym", 2)], ad.TwoHopOperator)
-    assert not model.holds_dense_operator()
     backward(model.loss(model.forward(train=True), np.arange(100)))
 
 
@@ -622,45 +621,6 @@ def test_one_train_forward_runs_spmm_only_past_layer1(name, n_spmm, monkeypatch)
                         ops.append(op) or result(value, parents, bw, op))
     model.forward(train=True)
     assert ops.count("spmm") == n_spmm
-
-
-def test_h2gcn_trains_bitwise_the_same_with_column_slabs(monkeypatch):
-    """Five epochs of h2gcn with its 2-hop channel at k = 3, a dense
-    operator, since the 2-hop runs as sparse factors: once with one
-    product per SpMM and once with a budget so small that every 3-hop
-    product runs in slabs."""
-    spec = make_synth_spec(600, 5, 0.2, "easy", 15, seed=3, d_f=64)
-    g = generate_graph(spec)
-    split = generate_splits(g, 1, seed=3)[0]
-    cfg = RunConfig(model="h2gcn", nhidden=64, layers=2, dropout=0.0,
-                    max_epochs=5, patience=6)
-    three_hop = build_preset("h2gcn", hidden_dim=64)
-    for layer in three_hop.layers:
-        layer.channels = [dataclasses.replace(ch, k=3) if ch.indicator == "khop" else ch
-                          for ch in layer.channels]
-
-    def run():
-        model = MessagePassingModel(three_hop, g, seed=3)
-        assert model.holds_dense_operator()
-        res = train_model(g, split, cfg, seed=3, model=model)
-        return res, {k: p.value.copy() for k, p in model.params.items()}
-
-    whole, whole_params = run()
-    decisions, rule = [], ad._slab_bounds
-
-    def spy(m, x):
-        decisions.append(rule(m, x))
-        return decisions[-1]
-    monkeypatch.setattr(ad, "_L2_BYTES", 600 * 16 * 8)
-    monkeypatch.setattr(ad, "_slab_bounds", spy)
-    slabs, slab_params = run()
-    assert sum(b is not None for b in decisions) >= 10   # 3-hop forwards and backwards
-    bits = lambda a: np.asarray(a, dtype=np.float64).view(np.uint64)
-    np.testing.assert_array_equal(bits(slabs.loss_curve), bits(whole.loss_curve))
-    np.testing.assert_array_equal(bits(slabs.val_curve), bits(whole.val_curve))
-    assert slab_params.keys() == whole_params.keys()
-    for k in whole_params:
-        np.testing.assert_array_equal(bits(slab_params[k]), bits(whole_params[k]), err_msg=k)
 
 
 # ---------------------------------------------------------------------------

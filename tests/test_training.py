@@ -4,15 +4,12 @@ import json
 import os
 import subprocess
 import sys
-import threading
-import types
 import weakref
 
 import numpy as np
 import pytest
 
 from compatgnn import ConfigError, DataError, TrainingDiverged
-from compatgnn import autodiff as ad
 from compatgnn import training
 from compatgnn.autodiff import Tensor
 from compatgnn.bench import run_bench, write_json_atomic
@@ -206,19 +203,38 @@ def run_probe(code, threads, cwd):
     return json.loads(proc.stdout)
 
 
-# One process: the sha256 of a fresh acmgcn model's logits and the loss
-# curve of a short compatgnn run on a seeded synthetic graph.
+# One process: the sha256 of a fresh acmgcn model's logits, the loss
+# curve of a short compatgnn run on a seeded synthetic graph, and that of
+# a short h2gcn run with its 2-hop channel at k = 3, whose 3-hop operator
+# averages over a hundred nonzeros a row; with the BLAS thread count the
+# process reads and the one each run records, and the Python thread count
+# before and after the runs.
 BLAS_THREADS_PROBE = """
-import hashlib, json
+import dataclasses, hashlib, json, threading
 from compatgnn import (MessagePassingModel, RunConfig, build_preset,
                        generate_graph, generate_splits, make_synth_spec,
                        train_model)
+from compatgnn.training import blas_threads
+threads = threading.active_count()
 g = generate_graph(make_synth_spec(2000, 5, 0.2, "easy", 10.0, seed=3))
 logits = MessagePassingModel(build_preset("acmgcn"), g, seed=0).forward().logits.value
 run = train_model(g, generate_splits(g, 1, 0)[0],
                   RunConfig(model="compatgnn", max_epochs=8, lambda_=0.1), seed=0)
+g3 = generate_graph(make_synth_spec(600, 5, 0.2, "easy", 15, seed=3, d_f=64))
+spec = build_preset("h2gcn")
+for layer in spec.layers:
+    layer.channels = [dataclasses.replace(ch, k=3) if ch.indicator == "khop" else ch
+                      for ch in layer.channels]
+model = MessagePassingModel(spec, g3, seed=3)
+three_hop = model._operators[("khop", "deg_avg_sym", 3)]
+dense = train_model(g3, generate_splits(g3, 1, 3)[0], RunConfig(model="h2gcn", max_epochs=6),
+                    seed=3, model=model)
 print(json.dumps({"logits": hashlib.sha256(logits.tobytes()).hexdigest(),
-                  "loss": run.loss_curve}))
+                  "loss": run.loss_curve, "dense_loss": dense.loss_curve,
+                  "three_hop_row_nnz": three_hop.nnz / three_hop.shape[0],
+                  "blas_threads": blas_threads(),
+                  "recorded": [run.metadata["blas_threads"], dense.metadata["blas_threads"]],
+                  "python_threads": [threads, threading.active_count()]}))
 """
 
 
@@ -226,119 +242,23 @@ def test_runs_agree_across_blas_thread_counts(tmp_path):
     """Runs are bit-identical per seed and BLAS thread count. Across thread
     counts the forward products stay bitwise equal, but OpenBLAS may split
     the reductions over nodes in the weight gradients differently, so the
-    loss curves agree within 1e-10."""
+    loss curves agree within 1e-10, also over a 3-hop operator. Every run
+    records the count the process runs on, and the package starts no
+    thread."""
     out = {threads: run_probe(BLAS_THREADS_PROBE, threads, tmp_path)
            for threads in ("1", "2")}
     assert out["1"]["logits"] == out["2"]["logits"]
     assert len(out["1"]["loss"]) == len(out["2"]["loss"]) == 8
     np.testing.assert_allclose(out["1"]["loss"], out["2"]["loss"], rtol=0, atol=1e-10)
-
-
-# One process: the loss curve of a short run of h2gcn with its 2-hop
-# channel at k = 3, a dense operator (the 2-hop itself runs as sparse
-# factors), and the BLAS thread count it records.
-DENSE_RUN_PROBE = """
-import dataclasses, json
-from compatgnn import (MessagePassingModel, RunConfig, build_preset, generate_graph,
-                       generate_splits, make_synth_spec, train_model)
-g = generate_graph(make_synth_spec(600, 5, 0.2, "easy", 15, seed=3, d_f=64))
-cfg = RunConfig(model="h2gcn", max_epochs=6)
-spec = build_preset("h2gcn")
-for layer in spec.layers:
-    layer.channels = [dataclasses.replace(ch, k=3) if ch.indicator == "khop" else ch
-                      for ch in layer.channels]
-model = MessagePassingModel(spec, g, seed=3)
-run = train_model(g, generate_splits(g, 1, 3)[0], cfg, seed=3, model=model)
-print(json.dumps({"dense": model.holds_dense_operator(), "loss": run.loss_curve,
-                  "blas_threads": run.metadata["blas_threads"]}))
-"""
-
-
-def test_dense_operator_runs_agree_bitwise_across_blas_thread_counts(tmp_path):
-    """A run over a dense operator owns the cores: BLAS runs on one thread
-    whatever OPENBLAS_NUM_THREADS says, so its curve is bit-identical at
-    any count."""
-    if ad._openblas() is None:
-        pytest.skip("needs the OpenBLAS numpy bundles")
-    out = {threads: run_probe(DENSE_RUN_PROBE, threads, tmp_path)
-           for threads in ("1", "2")}
-    assert out["1"]["dense"] and out["2"]["dense"]
-    assert out["1"]["blas_threads"] == out["2"]["blas_threads"] == 1
-    assert len(out["1"]["loss"]) == 6
-    assert out["1"]["loss"] == out["2"]["loss"]
-
-
-@pytest.fixture
-def dense_everywhere(monkeypatch):
-    """Every operator dense and two workers, so that any run of a model
-    with an operator owns the cores; OpenBLAS on 2 threads before the run
-    and restored after the test."""
-    blas = ad._openblas()
-    if blas is None:
-        pytest.skip("needs the OpenBLAS numpy bundles")
-    get, set_ = blas
-    count = get()
-    monkeypatch.setattr(ad, "_SLAB_MIN_ROW_NNZ", 0)
-    monkeypatch.setattr(ad, "_NPROC", 2)
-    set_(2)
-    yield
-    set_(count)
-
-
-def test_owning_cores_pins_blas_and_restores_it(dense_everywhere, monkeypatch):
-    """Within owning_cores() BLAS runs on one thread; the old count is back
-    after the block, also when it raises. Without the bundle the block
-    still splits a dense operator and leaves the count alone."""
-    with ad.owning_cores():
-        assert training.blas_threads() == 1
-    assert training.blas_threads() == 2
-    with pytest.raises(KeyError):
-        with ad.owning_cores():
-            assert training.blas_threads() == 1
-            raise KeyError
-    assert training.blas_threads() == 2 and ad._workers.get() == 1
-    get, _ = ad._openblas()
-    m, x = np.eye(8)[::-1], np.arange(24.0).reshape(8, 3)
-    monkeypatch.setattr(ad, "_openblas", lambda: None)
-    with ad.owning_cores():
-        assert get() == 2
-        assert ad._row_pieces(ad.SparseMatrix(m).scipy) == [0, 4, 8]
-        np.testing.assert_array_equal(ad.sparse_dot(ad.SparseMatrix(m).scipy, x), m @ x)
-    assert get() == 2
-
-
-def test_a_dense_run_restores_the_blas_thread_count(dense_everywhere):
-    g = sbm_toy(30)
-    done = train_model(g, toy_split(g), RunConfig(model="gcn", nhidden=4, max_epochs=3),
-                       seed=0)
-    assert done.metadata["blas_threads"] == 1
-    assert training.blas_threads() == 2 and ad._workers.get() == 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDiverged) as exc:
-            train_model(g, toy_split(g), RunConfig(model="gcn", lr=1e80, max_epochs=5,
-                                                   nhidden=4), seed=5)
-    assert exc.value.partial_result.metadata == {"blas_threads": 1}
-    assert training.blas_threads() == 2 and ad._workers.get() == 1
-    # a model with no dense operator leaves the count as it is
-    mlp = train_model(g, toy_split(g), RunConfig(model="mlp", nhidden=4, max_epochs=2),
-                      seed=0)
-    assert mlp.metadata["blas_threads"] == 2
-
-
-def test_train_models_errstate_holds_in_the_workers(dense_everywhere, monkeypatch):
-    """Pool tasks run in a copy of the caller's context, so numpy's
-    errstate, which train_model sets, holds in them too."""
-    seen, kernel = [], ad._sparsetools.csr_matvecs
-
-    def spy(*args):
-        seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
-        kernel(*args)
-    monkeypatch.setattr(ad, "_sparsetools", types.SimpleNamespace(csr_matvecs=spy))
-    g = sbm_toy(30)
-    train_model(g, toy_split(g), RunConfig(model="gcn", nhidden=4, max_epochs=2), seed=0)
-    assert seen and not any(main for main, _ in seen)
-    assert all(err["over"] == err["invalid"] == "ignore" for _, err in seen)
-    assert np.geterr()["over"] != "ignore"
+    assert out["1"]["three_hop_row_nnz"] > 100
+    assert len(out["1"]["dense_loss"]) == len(out["2"]["dense_loss"]) == 6
+    np.testing.assert_allclose(out["1"]["dense_loss"], out["2"]["dense_loss"],
+                               rtol=0, atol=1e-10)
+    assert out["1"]["blas_threads"] == 1
+    for probe in out.values():
+        assert probe["recorded"] == [probe["blas_threads"]] * 2
+        before, after = probe["python_threads"]
+        assert after == before
 
 
 def test_divergence_raises_with_partial_log():
@@ -389,7 +309,7 @@ def test_runs_record_the_blas_thread_count(tmp_path):
 
 def test_blas_thread_count_falls_back_to_the_environment(monkeypatch):
     """Without numpy's bundled OpenBLAS: OPENBLAS_NUM_THREADS, else one per CPU."""
-    monkeypatch.setattr(ad.glob, "glob", lambda pattern: [])
+    monkeypatch.setattr(training.glob, "glob", lambda pattern: [])
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     assert training.blas_threads() == 3
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
