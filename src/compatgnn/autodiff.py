@@ -31,23 +31,21 @@ one rule (_BlockGrads).
 Sparse matrices enter only as constants on the left of spmm; gradients
 flow to the dense operand. An operator is a SparseMatrix, or a
 TwoHopOperator: a khop k = 2 operator held as its 1-hop factors, whose
-product is three sparse products over them plus a diagonal term. Every
+product is three sparse products over them. Every
 sparse x dense product of the package, spmm's forward and backward
-included, is one call of scipy's own kernel (sparse_dot) in the
-caller's thread; the package starts no thread. Every forward output is
-checked finite so a NaN surfaces where it is born, not three layers
-later.
+included, is scipy's public A @ X on a CSR A, in the caller's thread;
+the package starts no thread. Every forward output is checked finite
+so a NaN surfaces where it is born, not three layers later.
 
 No module of the package calls gather_rows, row_scale, add_bias,
-sigmoid or slice_cols: they stay because the benchmark's tracer
-(perfbench/spans.py) wraps them by name.
+sigmoid, row_softmax or slice_cols: they stay because the benchmark's
+tracer (perfbench/spans.py) wraps them by name.
 """
 
 import contextlib
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .errors import NumericalError
 
@@ -163,10 +161,10 @@ class SparseMatrix:
         return self._mt
 
     def apply(self, x):
-        return sparse_dot(self._m, x)
+        return self._m @ x
 
     def apply_t(self, x):
-        return sparse_dot(self.T_scipy, x)
+        return self.T_scipy @ x
 
 
 def _scale_cols(m, v):
@@ -181,36 +179,36 @@ class TwoHopOperator:
     (sparse.two_hop_factors): with A the binary adjacency, S = A + A A
     and C the extra walks of the pairs S joins by more than one,
 
-        L I2 R Z = L (A (A Z') + A Z' - diag(S) Z' - C Z'),   Z' = R Z,
+        L I2 R Z = L (A (A Z') + A Z' - (diag(S) + C) Z'),   Z' = R Z,
 
     and with high_pass, Z minus that. L and R are the guidance's row and
     column scalings, as vectors (None for the identity). R is folded
-    into A Z', diag(S) and C, so a product holds one N x d temporary
-    besides its output. The transpose is R I2^T L, the same with A^T and
+    into A Z' and into diag(S) + C, which is one sparse factor, so a
+    product holds two N x d temporaries besides its output: A Z' and
+    (diag(S) + C) Z'. The transpose is R I2^T L, the same with A^T and
     C^T and with L and R swapped. nnz is the nonzeros one product reads,
-    2 nnz(A) + nnz(C)."""
+    2 nnz(A) + nnz(diag(S) + C)."""
 
     def __init__(self, a, c, diag, left, right, high_pass):
-        self.shape, self.nnz = a.shape, 2 * a.nnz + c.nnz
+        dc = (c + sp.diags(diag)).tocsr()
+        self.shape, self.nnz = a.shape, 2 * a.nnz + dc.nnz
         self._high_pass = high_pass
-        self._fwd = self._factors(a, c, diag, left, right)
-        at, ct = _transpose(a), _transpose(c)
-        self._bwd = (self._fwd if at is a and ct is c and left is right
-                     else self._factors(at, ct, diag, right, left))
+        self._fwd = self._factors(a, dc, left, right)
+        at, dct = _transpose(a), _transpose(dc)
+        self._bwd = (self._fwd if at is a and dct is dc and left is right
+                     else self._factors(at, dct, right, left))
 
     @staticmethod
-    def _factors(a, c, diag, left, right):
-        return (a, _scale_cols(a, right), _scale_cols(-c, right),
-                (diag if right is None else diag * right)[:, None],
+    def _factors(a, dc, left, right):
+        return (a, _scale_cols(a, right), _scale_cols(dc, right),
                 None if left is None else left[:, None])
 
     def _product(self, factors, z):
-        a, a_r, neg_c_r, d_r, left = factors
-        t = sparse_dot(a_r, z)               # A Z'
-        out = sparse_dot(a, t)               # A (A Z')
+        a, a_r, dc_r, left = factors
+        t = a_r @ z                          # A Z'
+        out = a @ t                          # A (A Z')
         out += t
-        out -= np.multiply(z, d_r, out=t)    # diag(S) Z', in t's place
-        sparse_dot(neg_c_r, z, out=out)      # - C Z', added into out
+        out -= dc_r @ z                      # (diag(S) + C) Z'
         if left is not None:
             out *= left
         if self._high_pass:
@@ -245,28 +243,10 @@ def matmul(a, b):
     return _result(value, (a, b), bw, "matmul")
 
 
-def sparse_dot(m, x, out=None):
-    """m @ x for a scipy sparse m and a dense 2-D x, bitwise, or with a
-    C-contiguous `out` m @ x added into out and out returned: the one
-    sparse x dense product of the package. It is one call of scipy's own
-    kernel for m @ x, csr_matvecs, over x in C order (x.ravel(), as m @ x
-    reads it), which adds a row's products into its output row one at a
-    time; so with `out` the result is out's old value plus m @ x only up
-    to rounding."""
-    m = m.tocsr()
-    if out is None:
-        out = np.zeros((m.shape[0], x.shape[1]))
-    _sparsetools.csr_matvecs(m.shape[0], m.shape[1], x.shape[1], m.indptr, m.indices,
-                             m.data, x.ravel(), out.reshape(-1))
-    return out
-
-
 def spmm(a, x):
     """Sparse constant times dense tensor; gradient flows to the dense side.
-    a is a SparseMatrix or a TwoHopOperator (anything else is made a
-    SparseMatrix): the forward is a.apply(X), the backward a.apply_t(G)."""
-    if not isinstance(a, (SparseMatrix, TwoHopOperator)):
-        a = SparseMatrix(a)
+    a is a SparseMatrix or a TwoHopOperator: the forward is a.apply(X),
+    the backward a.apply_t(G)."""
     value = a.apply(x.value)
 
     def bw(g):

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import sparse_dot
 from .errors import DataError
 
 ROW_SUM_TOL = 1e-9
@@ -69,11 +68,12 @@ def l1_normalize_rows(x, fallback=None):
 
 def semantic_neighborhood(g, soft_labels):
     """Neighborhood label profile: row i is the L1-normalized sum of i's
-    neighbors' soft label rows. Zero-degree nodes keep a zero row."""
+    neighbors' soft label rows (A @ soft, scipy's CSR product).
+    Zero-degree nodes keep a zero row."""
     soft = np.asarray(soft_labels, dtype=np.float64)
     if soft.shape[0] != g.n_nodes:
         raise DataError(f"soft labels have {soft.shape[0]} rows for {g.n_nodes} nodes")
-    agg = sparse_dot(g.adjacency(), soft)
+    agg = g.adjacency() @ soft
     out, _ = l1_normalize_rows(agg)
     return out
 

@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError
 from .graph import Graph
 from .metrics import (CompatibilityMatrix, l1_normalize_rows,
                       semantic_neighborhood)
-from .autodiff import (add, concat_cols, constant, cosine, matmul, row_softmax,
+from .autodiff import (_softmax_value, add, concat_cols, constant, cosine, matmul,
                        scale, slice_rows)
 from .mp import MessagePassingModel, PrototypeOperator
 
@@ -269,7 +269,7 @@ class CompatGNN(MessagePassingModel):
 
     def on_validation_improved(self, eval_out, train_idx, epoch):
         """Refresh soft labels, the estimate, and the guidance matrices."""
-        soft = self._pin_train_rows(row_softmax(eval_out.logits).value, train_idx)
+        soft = self._pin_train_rows(_softmax_value(eval_out.logits.value), train_idx)
         est = estimate_cm(self.real_graph, soft, epoch=epoch)
         self.set_estimate(est, soft)
         return True

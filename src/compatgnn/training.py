@@ -199,11 +199,6 @@ def train_model(graph, split, config, seed, split_id=0, model=None):
     check_split(split, graph.labels, f"split {split_id}")
     if model is None:
         model = build_model(config, graph, seed)
-    return _protocol(graph, split, config, seed, split_id, model)
-
-
-def _protocol(graph, split, config, seed, split_id, model):
-    """train_model's protocol on a built model."""
     drop_rng = make_rng(seed, "dropout")
     model.on_training_start(split.train)
 

@@ -12,7 +12,7 @@ from compatgnn.autodiff import (SparseMatrix, _acc, _acc_copy, ada_gate,
                                 constant, cosine, dropout, frozen, gather_rows,
                                 glorot, grad_of, masked_cross_entropy, matmul,
                                 relu, row_scale, row_softmax, scale, sigmoid,
-                                slice_cols, sparse_dot, spmm, tensor, zero_grads)
+                                slice_cols, spmm, tensor, zero_grads)
 from compatgnn.gradcheck import grad_check
 from compatgnn.rng import make_rng
 from compatgnn.sparse import row_normalize, sym_normalize
@@ -51,7 +51,7 @@ def test_tensor_value_is_float64():
 
 
 # ---------------------------------------------------------------------------
-# sparse_dot: the one sparse x dense product
+# spmm: the one sparse x dense product
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
@@ -69,34 +69,6 @@ def _kernel_operators():
     structure = row_normalize(random_graph(rng, 43, p=0.3))[:, :40]
     return [("random", a), ("empty_rows", empty.tocsr()), ("full_row", full.tocsr()),
             ("structure", structure.tocsr()), ("structure_t", structure.T.tocsr())]
-
-
-def _operands(rows, width):
-    rng = make_rng(width, "slab-x")
-    x = rng.normal(size=(rows, width))
-    return [("c", x), ("f", np.asfortranarray(x)),
-            ("column_view", rng.normal(size=(rows, width + 9))[:, 4:4 + width]),
-            ("strided", rng.normal(size=(rows, 2 * width))[:, ::2])]
-
-
-@pytest.mark.parametrize("width", [1, 15, 16, 17, 31, 32, 33, 128, 130])
-def test_sparse_dot_is_bitwise_the_one_product(width):
-    """sparse_dot(m, x) is bitwise m @ x for every operand layout. With
-    out=o it adds each product into o's row in turn and returns o: bitwise
-    [I m] @ [o0; x], whose rows start from o0's row, and o0 + m @ x up to
-    rounding, since the kernel does not first sum a row apart."""
-    for name, m in _kernel_operators():
-        with_o = sp.hstack([sp.identity(m.shape[0], format="csr"), m], format="csr")
-        for order, x in _operands(m.shape[1], width):
-            got = sparse_dot(m, x)
-            assert got.shape == (m.shape[0], width)
-            np.testing.assert_array_equal(_bits(got), _bits(m @ x), err_msg=f"{name} {order}")
-            o0 = make_rng(width, "sparse-dot-out", name).normal(size=got.shape)
-            o = o0.copy()
-            assert sparse_dot(m, x, out=o) is o
-            np.testing.assert_array_equal(_bits(o), _bits(with_o @ np.vstack([o0, x])),
-                                          err_msg=f"{name} {order} out")
-            np.testing.assert_allclose(o, o0 + m @ x, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("width", [17, 64, 130])
@@ -128,12 +100,6 @@ def test_spmm_matches_dense_matmul():
         got = spmm(SparseMatrix(g.adjacency()), tensor(x)).value
         want = g.adjacency().toarray() @ x
         assert np.max(np.abs(got - want)) <= 1e-12
-
-
-def test_spmm_accepts_raw_scipy():
-    a = sp.csr_matrix(np.array([[0.0, 2.0], [1.0, 0.0]]))
-    x = tensor([[1.0], [3.0]])
-    np.testing.assert_array_equal(spmm(a, x).value, [[6.0], [1.0]])
 
 
 def test_spmm_gradient_matches_dense_transpose():

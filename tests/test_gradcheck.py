@@ -43,16 +43,6 @@ def test_refuses_nondeterministic_forward():
         grad_check(lambda: total(dropout(a, 0.5, rng=drop_rng)), {"a": a})
 
 
-def test_subsampling_needs_rng():
-    a = tensor(np.ones((10, 10)), requires_grad=True)
-    with pytest.raises(ValueError, match="rng"):
-        grad_check(lambda: total(a), {"a": a}, max_entries=5)
-    report = grad_check(lambda: total(a), {"a": a}, max_entries=5,
-                        rng=make_rng(3, "gc"))
-    assert report.n_checked == 5
-    assert report.ok(1e-8)
-
-
 def test_perturbation_is_restored():
     a = tensor([[1.0, 2.0]], requires_grad=True)
     before = a.value.copy()

@@ -112,3 +112,24 @@ def test_every_autodiff_op_has_a_package_caller_or_a_tracer():
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
             and node.name not in read and node.name not in traced]
     assert not dead, "autodiff ops neither the package nor the tracer reads:\n" + "\n".join(dead)
+
+
+def _private_imports(path):
+    """Absolute imports of path whose module or imported names have a
+    part starting with an underscore: another package's private API."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [alias.name for alias in node.names]
+        else:
+            continue
+        if any(part.startswith("_") for name in names for part in name.split(".")):
+            yield f"{path.relative_to(ROOT)}:{node.lineno}: {', '.join(names)}"
+
+
+def test_the_package_imports_no_private_name_of_another_package():
+    found = [line for path in sorted((ROOT / "src" / "compatgnn").glob("*.py"))
+             for line in _private_imports(path)]
+    assert not found, "private names imported from another package:\n" + "\n".join(found)

@@ -548,6 +548,22 @@ def test_validation_refresh_pins_truth_on_train_rows():
     np.testing.assert_array_equal(m._supplementary.block.value[train], want)
 
 
+def test_a_refresh_records_no_tape_node(monkeypatch):
+    """A refresh reads the eval logits' softmax as a value: on an output
+    that carries its tape (the dropout-0 eval) it adds no node to it."""
+    rng = make_rng(52, "refresh")
+    g = random_graph(rng, 10, p=0.3, n_classes=2)
+    train = [0, 1, 2, 3]
+    m = ready_model(g, train, seed=9)
+    out = m.forward(train=False)
+    assert out.logits.requires_grad
+    ops, result = [], ad._result
+    monkeypatch.setattr(ad, "_result", lambda value, parents, bw, op:
+                        ops.append(op) or result(value, parents, bw, op))
+    m.on_validation_improved(out, train, epoch=3)
+    assert ops == []
+
+
 def test_run_metadata_shape():
     g = two_triangles()
     m = ready_model(g, [0, 1, 3, 4])
